@@ -2,12 +2,12 @@
 //! exact scan path vs the model-backed zero-IO paths.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
-use lawsdb_bench::experiments::morsel;
 use lawsdb_core::LawsDb;
 use lawsdb_data::lofar::{LofarConfig, LofarDataset};
 use lawsdb_data::timeseries::{TimeSeriesConfig, TimeSeriesDataset};
 use lawsdb_fit::FitOptions;
 use lawsdb_query::{execute_with, ExecOptions};
+use lawsdb_storage::{Catalog, TableBuilder};
 use std::time::Duration;
 
 fn lofar_db(sources: usize) -> LawsDb {
@@ -109,20 +109,58 @@ fn bench_figure2_interception(c: &mut Criterion) {
     g.finish();
 }
 
+/// The morsel executor's pipeline shapes, as `(label, SQL)`.
+const MORSEL_QUERIES: &[(&str, &str)] = &[
+    ("filter_scan", "SELECT v FROM points WHERE v > 1.5 AND w < 0.25"),
+    (
+        "global_agg",
+        "SELECT COUNT(*) AS n, SUM(v) AS s, AVG(w) AS a, MIN(v) AS lo, MAX(v) AS hi \
+         FROM points WHERE v > 0.2",
+    ),
+    ("group_agg", "SELECT g, COUNT(*) AS n, SUM(v) AS s FROM points GROUP BY g"),
+];
+
+/// Deterministic synthetic table: `g` (64 groups), `v`, `w`.
+fn morsel_dataset(rows: usize) -> Catalog {
+    let mut state = 0x9e3779b97f4a7c15u64;
+    let mut next = move || {
+        state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+        (state >> 11) as f64 / (1u64 << 53) as f64
+    };
+    let mut g = Vec::with_capacity(rows);
+    let mut v = Vec::with_capacity(rows);
+    let mut w = Vec::with_capacity(rows);
+    for i in 0..rows {
+        g.push((i % 64) as i64);
+        v.push(next() * 2.0);
+        w.push(next());
+    }
+    let mut b = TableBuilder::new("points");
+    b.add_i64("g", g);
+    b.add_f64("v", v);
+    b.add_f64("w", w);
+    let c = Catalog::new();
+    c.register(b.build().expect("build")).expect("register");
+    c
+}
+
 /// Morsel-driven executor throughput: each pipeline shape at
 /// 100k / 1M / 4M rows × 1 / 2 / N worker threads (N = the machine's
-/// available parallelism). `BENCH_query.json` records the same sweep
-/// via `report -- bench-query`.
+/// available parallelism; on a 1-core box 2 still exercises the
+/// scoped-pool path, just without physical speedup).
 fn bench_morsel_throughput(c: &mut Criterion) {
     let machine = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
+    let mut thread_counts = vec![1, 2, machine];
+    thread_counts.sort_unstable();
+    thread_counts.dedup();
     for rows in [100_000usize, 1_000_000, 4_000_000] {
-        let catalog = morsel::dataset(rows);
+        let catalog = morsel_dataset(rows);
         let mut g = c.benchmark_group(format!("morsel_throughput_{rows}"));
         g.throughput(Throughput::Elements(rows as u64));
         g.sample_size(10);
         g.measurement_time(Duration::from_millis(500));
-        for (label, sql) in morsel::QUERIES {
-            for threads in morsel::thread_counts(machine) {
+        for (label, sql) in MORSEL_QUERIES {
+            for &threads in &thread_counts {
                 let opts = ExecOptions { threads, ..ExecOptions::default() };
                 g.bench_function(format!("{label}/t{threads}"), |b| {
                     b.iter(|| execute_with(&catalog, sql, &opts).unwrap().rows_scanned)

@@ -21,7 +21,7 @@
 //! `Session::explain_analyze`.
 
 use lawsdb_cluster::{Cluster, ClusterConfig, PartitionScheme, ReplicaState};
-use lawsdb_core::LawsDb;
+use lawsdb_core::{AnswerMode, LawsDb};
 use lawsdb_fit::FitOptions;
 use lawsdb_obs::{MetricsRegistry, MockClock, RecorderConfig};
 use lawsdb_query::{ExecOptions, ResourceBudget};
@@ -56,7 +56,7 @@ fn warm(db: &LawsDb) {
         "SELECT y FROM t WHERE x >= 15000 AND y <= 32000",
         "SELECT COUNT(*) AS n, MAX(y) AS hi FROM t WHERE y > 30000",
     ] {
-        db.query_resilient(sql).expect("demo workload runs");
+        db.answer(sql, AnswerMode::Resilient, &db.exec).expect("demo workload runs");
     }
 }
 
@@ -272,13 +272,12 @@ fn main() {
                 .map(String::as_str)
                 .unwrap_or("SELECT y FROM t WHERE x >= 15000 AND y <= 32000");
             let db = demo_engine();
-            let r = db.query_resilient_profiled(sql).unwrap_or_else(|e| {
-                eprintln!("error: {e}");
-                std::process::exit(2)
-            });
-            match r.profile {
-                Some(p) => print!("{}", p.render()),
-                None => eprintln!("no profile attached"),
+            match db.session().explain_analyze(sql) {
+                Ok(tree) => print!("{tree}"),
+                Err(e) => {
+                    eprintln!("error: {e}");
+                    std::process::exit(2)
+                }
             }
         }
         Some("cluster") => demo_cluster(),

@@ -48,210 +48,6 @@ fn main() {
         "e9" => exp::e9_enumeration::print(&exp::e9_enumeration::run(scale)),
         "e10" => exp::e10_model_change::print(&exp::e10_model_change::run(scale)),
         "e11" => exp::e11_model_classes::print(&exp::e11_model_classes::run()),
-        "bench-query" => {
-            let scales: &[usize] = match scale {
-                Scale::Small => &[100_000],
-                Scale::Medium => &[100_000, 1_000_000],
-                Scale::Paper => &[100_000, 1_000_000, 4_000_000],
-            };
-            let r = exp::morsel::run(scales);
-            exp::morsel::print(&r);
-            let json = exp::morsel::to_json(&r);
-            std::fs::write("BENCH_query.json", &json)
-                .unwrap_or_else(|e| die(&format!("writing BENCH_query.json: {e}")));
-            println!("\nwrote BENCH_query.json");
-        }
-        "bench-scan-pruning" => {
-            let (rows, sources) = match scale {
-                Scale::Small => (50_000, 300),
-                Scale::Medium => (1_000_000, 2_000),
-                Scale::Paper => (4_000_000, 5_000),
-            };
-            let r = exp::scan_pruning::run(rows, sources);
-            exp::scan_pruning::print(&r);
-            let json = exp::scan_pruning::to_json(&r);
-            std::fs::write("BENCH_scan_pruning.json", &json)
-                .unwrap_or_else(|e| die(&format!("writing BENCH_scan_pruning.json: {e}")));
-            println!("\nwrote BENCH_scan_pruning.json");
-            // The zero-IO liveness gate: CI's bench-smoke job runs this
-            // arm, so a dead model-pruning tier fails the build.
-            if !exp::scan_pruning::model_tier_pruned(&r) {
-                die("model tier pruned no pages (pages_pruned_model == 0)");
-            }
-        }
-        "bench-agg" => {
-            let rows = match scale {
-                Scale::Small => 200_000,
-                Scale::Medium => 1_000_000,
-                Scale::Paper => 4_000_000,
-            };
-            let r = exp::agg::run(rows);
-            exp::agg::print(&r);
-            let json = exp::agg::to_json(&r);
-            std::fs::write("BENCH_agg.json", &json)
-                .unwrap_or_else(|e| die(&format!("writing BENCH_agg.json: {e}")));
-            println!("\nwrote BENCH_agg.json");
-            // Structural gate: the AcceptAll-heavy workload must answer
-            // entirely from zone partials, never touching a base page.
-            if !exp::agg::full_workload_zero_io(&r) {
-                die("full workload read base pages or pushed no zones");
-            }
-            // Speedup gate: answering from partials must beat the
-            // row-scan path by at least the advertised factor.
-            let min = exp::agg::full_workload_min_speedup(&r);
-            if min < exp::agg::FULL_WORKLOAD_GATE {
-                die(&format!(
-                    "full-workload speedup {min:.2}x is under the {:.0}x gate",
-                    exp::agg::FULL_WORKLOAD_GATE
-                ));
-            }
-        }
-        "bench-resilience" => {
-            let scales: &[usize] = match scale {
-                Scale::Small => &[100_000],
-                Scale::Medium => &[100_000, 1_000_000],
-                Scale::Paper => &[100_000, 1_000_000, 4_000_000],
-            };
-            let r = exp::resilience::run(scales);
-            exp::resilience::print(&r);
-            let json = exp::resilience::to_json(&r);
-            std::fs::write("BENCH_resilience.json", &json)
-                .unwrap_or_else(|e| die(&format!("writing BENCH_resilience.json: {e}")));
-            println!("\nwrote BENCH_resilience.json");
-            if !r.within_target() {
-                // Advisory, not fatal: best-of-N keeps this stable, but
-                // a shared CI box can still blow through 5% on noise.
-                println!(
-                    "WARNING: governor overhead {:.2}% exceeds the {}% target",
-                    r.max_overhead_pct(),
-                    exp::resilience::TARGET_PCT
-                );
-            }
-        }
-        "bench-obs" => {
-            let scales: &[usize] = match scale {
-                Scale::Small => &[100_000],
-                Scale::Medium => &[100_000, 1_000_000],
-                Scale::Paper => &[100_000, 1_000_000, 4_000_000],
-            };
-            let r = exp::obs::run(scales);
-            exp::obs::print(&r);
-            let json = exp::obs::to_json(&r);
-            std::fs::write("BENCH_obs.json", &json)
-                .unwrap_or_else(|e| die(&format!("writing BENCH_obs.json: {e}")));
-            println!("\nwrote BENCH_obs.json");
-            // Hard gate: the analytic bound is noise-free, so a failure
-            // means instrumentation genuinely got heavier.
-            if !r.within_no_subscriber_gate() {
-                die(&format!(
-                    "no-subscriber overhead bound {:.3}% exceeds the {}% gate",
-                    r.max_no_subscriber_pct(),
-                    exp::obs::NO_SUBSCRIBER_GATE_PCT
-                ));
-            }
-            if !r.within_instrumented_gate() {
-                // Advisory: a shared CI box can blow through this on noise.
-                println!(
-                    "WARNING: instrumented overhead {:.2}% exceeds the {}% target",
-                    r.max_instrumented_pct(),
-                    exp::obs::INSTRUMENTED_GATE_PCT
-                );
-            }
-            // Hard gate: distributed tracing must stay invisible on the
-            // healthy scatter-gather path. The interleaved p50 pair
-            // cancels drift the same way the cluster failover gate does.
-            if !r.within_cluster_trace_gate() {
-                die(&format!(
-                    "cluster tracing overhead {:.2}% exceeds the {}% gate",
-                    r.max_cluster_trace_pct(),
-                    exp::obs::CLUSTER_TRACE_GATE_PCT
-                ));
-            }
-        }
-        "bench-optimizer" => {
-            let (kernel_rows, sources, rounds) = match scale {
-                Scale::Small => (200_000, 500, 200),
-                Scale::Medium => (1_000_000, 2_000, 400),
-                Scale::Paper => (4_000_000, 5_000, 800),
-            };
-            let r = exp::optimizer::run(kernel_rows, sources, rounds);
-            exp::optimizer::print(&r);
-            let json = exp::optimizer::to_json(&r);
-            std::fs::write("BENCH_optimizer.json", &json)
-                .unwrap_or_else(|e| die(&format!("writing BENCH_optimizer.json: {e}")));
-            println!("\nwrote BENCH_optimizer.json");
-            // The adaptive-choice smoke gate: losing more than
-            // GATE_PCT% (geomean) to the best static policy means the
-            // cost model is steering queries the wrong way.
-            if !r.within_gate() {
-                die(&format!(
-                    "adaptive geomean {:.1}us loses more than {}% to the best static \
-                     policy (exact {:.1}us, model {:.1}us)",
-                    r.geomean_adaptive_us(),
-                    exp::optimizer::GATE_PCT,
-                    r.geomean_exact_us(),
-                    r.geomean_model_us()
-                ));
-            }
-        }
-        "bench-server" => {
-            let (rows, per_client) = match scale {
-                Scale::Small => (100_000, 24),
-                Scale::Medium => (500_000, 32),
-                Scale::Paper => (1_000_000, 48),
-            };
-            let r = exp::server::run(rows, per_client);
-            exp::server::print(&r);
-            let json = exp::server::to_json(&r);
-            std::fs::write("BENCH_server.json", &json)
-                .unwrap_or_else(|e| die(&format!("writing BENCH_server.json: {e}")));
-            println!("\nwrote BENCH_server.json");
-            // The admission-control latency gate: service p50 at 8
-            // concurrent clients must stay within 2x of the
-            // single-client p50 — queue wait, not service time, is
-            // where contention is allowed to show up.
-            if !r.within_p50_gate {
-                die(&format!(
-                    "8-client service p50 is {:.3}x the single-client p50 (gate: 2.0x)",
-                    r.p50_ratio
-                ));
-            }
-        }
-        "bench-cluster" => {
-            let (rows, iters) = match scale {
-                Scale::Small => (50_000, 20),
-                Scale::Medium => (200_000, 30),
-                Scale::Paper => (1_000_000, 40),
-            };
-            let r = exp::cluster::run(rows, iters);
-            exp::cluster::print(&r);
-            let json = exp::cluster::to_json(&r);
-            std::fs::write("BENCH_cluster.json", &json)
-                .unwrap_or_else(|e| die(&format!("writing BENCH_cluster.json: {e}")));
-            println!("\nwrote BENCH_cluster.json");
-            // Steady-state failover must be nearly free: once the
-            // health tracker marks a replica Down, selection skips it,
-            // so the half-dead p50 stays within 10% of healthy.
-            if !r.within_failover_gate {
-                die(&format!(
-                    "steady-state failover p50 is {:.3}x the healthy p50 (gate: 1.10x)",
-                    r.worst_overhead
-                ));
-            }
-        }
-        "bench-durability" => {
-            let scales: &[usize] = match scale {
-                Scale::Small => &[20_000, 100_000],
-                Scale::Medium => &[20_000, 100_000, 500_000],
-                Scale::Paper => &[20_000, 100_000, 500_000, 2_000_000],
-            };
-            let r = exp::durability::run(scales);
-            exp::durability::print(&r);
-            let json = exp::durability::to_json(&r);
-            std::fs::write("BENCH_durability.json", &json)
-                .unwrap_or_else(|e| die(&format!("writing BENCH_durability.json: {e}")));
-            println!("\nwrote BENCH_durability.json");
-        }
         other => die(&format!("unknown experiment {other:?}")),
     };
 
@@ -269,45 +65,8 @@ fn main() {
 
 fn usage() {
     println!(
-        "usage: report [all|table1|figure1|figure2|e4|e5|e6|e7|e8|e9|e10|e11|bench-query|\
-         bench-scan-pruning|bench-agg|bench-resilience|bench-durability|bench-obs|\
-         bench-optimizer|bench-server|bench-cluster] \
+        "usage: report [all|table1|figure1|figure2|e4|e5|e6|e7|e8|e9|e10|e11] \
          [--scale small|medium|paper]"
-    );
-    println!("  bench-query: morsel-executor throughput sweep; writes BENCH_query.json");
-    println!(
-        "  bench-resilience: governor overhead, budgeted vs unbudgeted execution; \
-         writes BENCH_resilience.json"
-    );
-    println!(
-        "  bench-scan-pruning: zone-map/model pruning sweep; writes BENCH_scan_pruning.json \
-         (fails if the model tier prunes nothing)"
-    );
-    println!(
-        "  bench-agg: aggregate-pushdown selectivity sweep over an interleaved \
-         (pruning-proof) fixture; writes BENCH_agg.json (fails if the no-WHERE workload \
-         reads base pages or lands under the 5x speedup gate)"
-    );
-    println!("  bench-durability: WAL overhead per device profile; writes BENCH_durability.json");
-    println!(
-        "  bench-obs: tracing/profiling overhead sweep, single-engine and cluster \
-         scatter-gather paths; writes BENCH_obs.json (fails if the no-subscriber bound \
-         or the cluster tracing p50 overhead exceeds its gate)"
-    );
-    println!(
-        "  bench-optimizer: comparison-kernel microbench + adaptive plan-choice sweep vs \
-         static policies; writes BENCH_optimizer.json (fails if the optimizer loses >5% \
-         geomean to the best static policy)"
-    );
-    println!(
-        "  bench-server: concurrent-session sweep (1/2/4/8 clients) through the wire \
-         protocol and admission control; writes BENCH_server.json (fails if the 8-client \
-         service p50 exceeds 2x the single-client p50)"
-    );
-    println!(
-        "  bench-cluster: sharded scatter-gather sweep (shards x replicas x failure rate); \
-         writes BENCH_cluster.json (fails if steady-state failover p50 exceeds 1.10x the \
-         healthy p50)"
     );
 }
 

@@ -1,11 +1,8 @@
-//! One module per experiment; each exposes `run(scale) -> …Report` (a
+//! One module per paper exhibit; each exposes `run(scale) -> …Report` (a
 //! plain struct of the measured numbers) and `print(&report)` rendering
-//! the paper-style table. The `report` binary and the Criterion benches
-//! both call `run`.
+//! the paper-style table. The `report` binary calls `run`. Performance
+//! is measured by the end-to-end `benchmark/` package, not here.
 
-pub mod agg;
-pub mod cluster;
-pub mod durability;
 pub mod e10_model_change;
 pub mod e11_model_classes;
 pub mod e4_compression;
@@ -15,11 +12,5 @@ pub mod e7_analytic;
 pub mod e8_anomaly;
 pub mod e9_enumeration;
 pub mod figure1;
-pub mod morsel;
-pub mod obs;
-pub mod optimizer;
 pub mod figure2;
-pub mod resilience;
-pub mod scan_pruning;
-pub mod server;
 pub mod table1;

@@ -1,20 +1,21 @@
 //! # lawsdb-bench
 //!
-//! The benchmark harness that regenerates every table and figure of the
-//! paper's evaluation, plus the quantitative experiments implied by its
+//! The harness that regenerates every table and figure of the paper's
+//! evaluation, plus the quantitative experiments implied by its
 //! Section 4 claims. See `DESIGN.md` §4 for the experiment index and
-//! `EXPERIMENTS.md` for recorded paper-vs-measured results.
+//! `EXPERIMENTS.md` for recorded paper-vs-measured results. Performance
+//! claims are made against the end-to-end `benchmark/` package instead
+//! (`DESIGN.md` §18).
 //!
-//! Two entry points:
+//! Entry points:
 //!
 //! * the **`report` binary** (`cargo run --release -p lawsdb-bench --bin
-//!   report -- <experiment> [--scale paper]`) prints each experiment's
+//!   report -- <experiment> [--scale paper]`) prints each exhibit's
 //!   rows/series in paper-style text tables;
-//! * the **Criterion benches** (`cargo bench -p lawsdb-bench`) time the
-//!   hot paths of each experiment.
-//!
-//! Every experiment is a plain library function here so both entry
-//! points (and the integration tests) share one implementation.
+//! * the **`lawsdb-stats` binary** renders the engine's metrics, plans
+//!   and profile trees from the command line;
+//! * the **Criterion benches** (`cargo bench -p lawsdb-bench`) time
+//!   kernels — the bottom row under the end-to-end numbers.
 
 pub mod experiments;
 

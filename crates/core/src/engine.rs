@@ -13,7 +13,7 @@ use lawsdb_models::bridge::{
 };
 use lawsdb_models::model::ModelId;
 use lawsdb_models::{CapturedModel, ModelCatalog, ModelState};
-use lawsdb_obs::{fields, MetricsRegistry, ProfileCollector, ProfileContext};
+use lawsdb_obs::{fields, MetricsRegistry};
 use lawsdb_query::{
     CostModel, ExecOptions, PhysicalPlan, PlanCache, QueryResult, ScanStatsCollector,
 };
@@ -75,6 +75,16 @@ impl Answer {
     pub fn is_approximate(&self) -> bool {
         matches!(self, Answer::Approx(_))
     }
+}
+
+/// How [`LawsDb::answer`] decides whether to try the model rung.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum AnswerMode {
+    /// Always try the model first.
+    Resilient,
+    /// Try the model only when the cost model prices its answer at or
+    /// below the exact physical plan.
+    Adaptive,
 }
 
 /// The database engine: table catalog, model catalog, exact and
@@ -203,12 +213,6 @@ impl LawsDb {
         &self.cost
     }
 
-    /// Arm or disarm cost-constant calibration from profiled queries
-    /// (off by default, so plans stay deterministic under tests).
-    pub fn set_cost_feedback(&self, enabled: bool) {
-        self.cost.set_feedback(enabled);
-    }
-
     /// The physical plan cache (`lawsdb_query_plan_cache_{hit,miss}`
     /// counters live in [`LawsDb::metrics`]).
     pub fn plan_cache(&self) -> &PlanCache {
@@ -251,7 +255,7 @@ impl LawsDb {
     /// counters keep flowing.
     pub fn query_with(&self, sql: &str, exec: &ExecOptions) -> Result<QueryResult> {
         let plan = self.physical_plan(sql)?;
-        let opts = self.resolve_exec(exec, None);
+        let opts = self.resolve_exec(exec);
         Ok(lawsdb_query::execute_physical_with(&self.tables, &plan, &opts)?)
     }
 
@@ -269,183 +273,84 @@ impl LawsDb {
         Ok(self.approx.read().answer(sql)?)
     }
 
-    /// Answer approximately when a model can, exactly otherwise — the
-    /// transparent behavior the paper's user sees. Degradation reasons
-    /// are recorded in [`LawsDb::health`] but not returned; use
-    /// [`LawsDb::query_resilient`] to see them per query.
-    pub fn query_transparent(&self, sql: &str) -> Result<Answer> {
-        Ok(self.query_resilient(sql)?.answer)
-    }
-
-    /// The transparent path with every degradation decision surfaced:
-    /// answer from a model when one covers the query *and is still
-    /// current*, demote stale or drifted models, fall back to exact —
-    /// and say which rungs of the ladder were taken and why.
-    pub fn query_resilient(&self, sql: &str) -> Result<ResilientAnswer> {
-        self.query_resilient_inner(sql, None, None)
-    }
-
-    /// [`LawsDb::query_resilient`] under caller-provided
-    /// [`ExecOptions`]: the ladder's exact rung runs with the caller's
-    /// threads, budget and cancel token (the model rung is zero-IO and
-    /// needs none of them).
-    pub fn query_resilient_with(&self, sql: &str, exec: &ExecOptions) -> Result<ResilientAnswer> {
-        // A profile context riding on the options also collects the
-        // ladder's own decisions (`resilient.*` points), not just the
-        // exact rung's plan tree — the server's tracing path needs both.
-        self.query_resilient_inner(sql, exec.profile.as_ref(), Some(exec))
-    }
-
-    /// [`LawsDb::query_resilient`], plus an attached
-    /// [`lawsdb_obs::QueryProfile`] unifying the ladder's decisions with
-    /// the exact plan's execution tree — the engine's `EXPLAIN ANALYZE`.
-    pub fn query_resilient_profiled(&self, sql: &str) -> Result<ResilientAnswer> {
-        self.query_resilient_collected(sql, &ProfileCollector::new())
-    }
-
-    /// [`LawsDb::query_resilient_profiled`] recording into a
-    /// caller-owned collector — tests pass one on a
-    /// [`lawsdb_obs::MockClock`] for byte-identical profile trees.
-    pub fn query_resilient_collected(
+    /// The paper's single user-facing act (Fig. 2 steps 4–5): answer
+    /// from a captured model when one covers the query *and is still
+    /// current*, exactly otherwise — and say which rungs of the ladder
+    /// were taken and why. A model that fails the freshness guard is
+    /// demoted to [`ModelState::Stale`] so the next query does not retry
+    /// it; every decision is returned in [`ResilientAnswer::degraded`]
+    /// and counted in [`LawsDb::health`].
+    ///
+    /// [`AnswerMode::Adaptive`] puts the cost gate in front of the same
+    /// ladder. The exact rung runs under `exec` (the caller's threads,
+    /// budget and cancel token; the model rung is zero-IO and needs none
+    /// of them), and a profile context riding on `exec.profile` collects
+    /// the ladder's own decisions (`resilient.*` points) next to the
+    /// exact rung's plan tree.
+    pub fn answer(
         &self,
         sql: &str,
-        collector: &Arc<ProfileCollector>,
+        mode: AnswerMode,
+        exec: &ExecOptions,
     ) -> Result<ResilientAnswer> {
-        let ctx = collector.context();
-        let mut r = self.query_resilient_inner(sql, Some(&ctx), None)?;
-        let profile = collector.build("query");
-        // Close the adaptive loop: observed span timings recalibrate
-        // the per-operator cost constants (no-op unless feedback is
-        // armed via `set_cost_feedback`).
-        self.cost.observe_profile(&profile);
-        r.profile = Some(profile);
-        Ok(r)
-    }
-
-    /// Cost-driven plan choice between the exact scan path and the
-    /// model path: price the physical plan against the estimated cost
-    /// of reconstructing the answer from models, and take the cheaper
-    /// route (falling back to exact whenever the model path cannot
-    /// answer or fails its freshness guard).
-    pub fn query_adaptive(&self, sql: &str) -> Result<Answer> {
-        self.query_adaptive_inner(sql, None)
-    }
-
-    /// [`LawsDb::query_adaptive`] under caller-provided [`ExecOptions`]
-    /// (applied to the exact route; the model route is zero-IO).
-    pub fn query_adaptive_with(&self, sql: &str, exec: &ExecOptions) -> Result<Answer> {
-        self.query_adaptive_inner(sql, Some(exec))
-    }
-
-    fn query_adaptive_inner(&self, sql: &str, exec: Option<&ExecOptions>) -> Result<Answer> {
-        let plan = self.physical_plan(sql)?;
-        let est = plan.root_estimate();
-        let model_cost = self.cost.constants().model_answer_cost_us(est.rows);
-        if model_cost <= est.cost_us {
-            if let Ok(a) = self.query_approx(sql) {
-                if self.freshness_guard(&a).is_none() {
-                    return Ok(Answer::Approx(a));
-                }
+        let ctx = exec.profile.as_ref();
+        let try_model = match mode {
+            AnswerMode::Resilient => true,
+            AnswerMode::Adaptive => {
+                let est = self.physical_plan(sql)?.root_estimate();
+                self.cost.constants().model_answer_cost_us(est.rows) <= est.cost_us
             }
+        };
+        let mut degraded = Vec::new();
+        if try_model {
+            let reason = match self.query_approx(sql) {
+                Ok(a) => match self.freshness_guard(&a) {
+                    None => {
+                        self.health.record_approx();
+                        if let Some(ctx) = ctx {
+                            ctx.point(
+                                "resilient.approx",
+                                fields![
+                                    model = a.model.0,
+                                    tuples = a.tuples_reconstructed,
+                                    rows_scanned = a.rows_scanned,
+                                ],
+                            );
+                        }
+                        return Ok(ResilientAnswer { answer: Answer::Approx(a), degraded });
+                    }
+                    Some(reason) => {
+                        // Demote so the next query doesn't retry the
+                        // model, then answer this one exactly.
+                        let _ = self.models.set_state(a.model, ModelState::Stale);
+                        reason
+                    }
+                },
+                Err(CoreError::Approx(
+                    e @ (lawsdb_approx::ApproxError::NotAnswerable { .. }
+                    | lawsdb_approx::ApproxError::EnumerationTooLarge { .. }),
+                )) => DegradeReason::NoModel { detail: e.to_string() },
+                Err(e) => return Err(e),
+            };
+            self.health.record(&reason);
+            if let Some(ctx) = ctx {
+                ctx.point(
+                    "resilient.degrade",
+                    fields![reason = reason.name(), detail = reason.to_string()],
+                );
+            }
+            degraded.push(reason);
         }
-        Ok(Answer::Exact(self.query_exact_for(sql, None, exec)?))
+        Ok(ResilientAnswer { answer: Answer::Exact(self.query_with(sql, exec)?), degraded })
     }
 
-    /// Record one ladder decision as a profile point, when profiling.
-    fn profile_degrade(ctx: Option<&ProfileContext>, reason: &DegradeReason) {
-        if let Some(ctx) = ctx {
-            ctx.point(
-                "resilient.degrade",
-                fields![reason = reason.name(), detail = reason.to_string()],
-            );
-        }
-    }
-
-    /// The exact rung, carrying the profile context (plan-node spans,
-    /// morsel timings, pruning and governor points attach under it).
     /// Caller options resolved against the engine's defaults: the
     /// caller's knobs win, the stats sink falls back to the engine's
-    /// own (so shared registry counters keep flowing), and an active
-    /// profile context attaches regardless of where the options came
-    /// from.
-    fn resolve_exec(&self, exec: &ExecOptions, ctx: Option<&ProfileContext>) -> ExecOptions {
+    /// own so shared registry counters keep flowing.
+    fn resolve_exec(&self, exec: &ExecOptions) -> ExecOptions {
         ExecOptions {
             stats: exec.stats.clone().or_else(|| self.exec.stats.clone()),
-            profile: ctx.cloned().or_else(|| exec.profile.clone()),
             ..exec.clone()
-        }
-    }
-
-    fn query_exact_for(
-        &self,
-        sql: &str,
-        ctx: Option<&ProfileContext>,
-        exec: Option<&ExecOptions>,
-    ) -> Result<QueryResult> {
-        let opts = match exec {
-            Some(e) => self.resolve_exec(e, ctx),
-            None => match ctx {
-                Some(c) => ExecOptions { profile: Some(c.clone()), ..self.exec.clone() },
-                None => self.exec.clone(),
-            },
-        };
-        let plan = self.physical_plan(sql)?;
-        Ok(lawsdb_query::execute_physical_with(&self.tables, &plan, &opts)?)
-    }
-
-    fn query_resilient_inner(
-        &self,
-        sql: &str,
-        ctx: Option<&ProfileContext>,
-        exec: Option<&ExecOptions>,
-    ) -> Result<ResilientAnswer> {
-        match self.query_approx(sql) {
-            Ok(a) => match self.freshness_guard(&a) {
-                None => {
-                    self.health.record_approx();
-                    if let Some(ctx) = ctx {
-                        ctx.point(
-                            "resilient.approx",
-                            fields![
-                                model = a.model.0,
-                                tuples = a.tuples_reconstructed,
-                                rows_scanned = a.rows_scanned,
-                            ],
-                        );
-                    }
-                    Ok(ResilientAnswer {
-                        answer: Answer::Approx(a),
-                        degraded: Vec::new(),
-                        profile: None,
-                    })
-                }
-                Some(reason) => {
-                    // Demote so the next query doesn't retry the model,
-                    // then answer this one exactly.
-                    let _ = self.models.set_state(a.model, ModelState::Stale);
-                    self.health.record(&reason);
-                    Self::profile_degrade(ctx, &reason);
-                    Ok(ResilientAnswer {
-                        answer: Answer::Exact(self.query_exact_for(sql, ctx, exec)?),
-                        degraded: vec![reason],
-                        profile: None,
-                    })
-                }
-            },
-            Err(CoreError::Approx(
-                e @ (lawsdb_approx::ApproxError::NotAnswerable { .. }
-                | lawsdb_approx::ApproxError::EnumerationTooLarge { .. }),
-            )) => {
-                let reason = DegradeReason::NoModel { detail: e.to_string() };
-                self.health.record(&reason);
-                Self::profile_degrade(ctx, &reason);
-                Ok(ResilientAnswer {
-                    answer: Answer::Exact(self.query_exact_for(sql, ctx, exec)?),
-                    degraded: vec![reason],
-                    profile: None,
-                })
-            }
-            Err(e) => Err(e),
         }
     }
 
@@ -690,6 +595,10 @@ mod tests {
         db
     }
 
+    fn resilient(db: &LawsDb, sql: &str) -> ResilientAnswer {
+        db.answer(sql, AnswerMode::Resilient, &db.exec).unwrap()
+    }
+
     #[test]
     fn capture_then_zero_io_answers() {
         let db = lofar_db();
@@ -713,9 +622,8 @@ mod tests {
     #[test]
     fn transparent_query_falls_back_without_model() {
         let db = lofar_db();
-        let ans = db
-            .query_transparent("SELECT intensity FROM measurements WHERE source = 0 AND nu = 0.15")
-            .unwrap();
+        let sql = "SELECT intensity FROM measurements WHERE source = 0 AND nu = 0.15";
+        let ans = resilient(&db, sql).answer;
         assert!(!ans.is_approximate());
         assert!(ans.rows_scanned() > 0);
         // After capture, the same query goes zero-IO.
@@ -726,9 +634,7 @@ mod tests {
             &RawFitOptions::default(),
         )
         .unwrap();
-        let ans = db
-            .query_transparent("SELECT intensity FROM measurements WHERE source = 0 AND nu = 0.15")
-            .unwrap();
+        let ans = resilient(&db, sql).answer;
         assert!(ans.is_approximate());
         assert_eq!(ans.rows_scanned(), 0);
     }
@@ -945,7 +851,7 @@ mod tests {
         )
         .unwrap();
         let sql = "SELECT intensity FROM measurements WHERE source = 0 AND nu = 0.15";
-        let r = db.query_resilient(sql).unwrap();
+        let r = resilient(&db, sql);
         assert!(r.answer.is_approximate());
         assert!(r.degraded.is_empty());
         let h = db.health();
@@ -967,7 +873,7 @@ mod tests {
         // Rescale the data under the model at constant row count.
         replace_measurements(&db, 10.0, None);
         let sql = "SELECT intensity FROM measurements WHERE source = 0 AND nu = 0.15";
-        let r = db.query_resilient(sql).unwrap();
+        let r = resilient(&db, sql);
         assert!(!r.answer.is_approximate(), "drifted model must not answer");
         match r.degraded.as_slice() {
             [DegradeReason::ResidualDrift { model, observed, bound, .. }] => {
@@ -985,7 +891,7 @@ mod tests {
         // Demotion is durable: the model is Stale and the next query
         // degrades with NoModel instead of re-running the drift check.
         assert_eq!(db.models().get(m.id).unwrap().state, ModelState::Stale);
-        let again = db.query_resilient(sql).unwrap();
+        let again = resilient(&db, sql);
         assert!(matches!(again.degraded.as_slice(), [DegradeReason::NoModel { .. }]));
         let h = db.health();
         assert_eq!(h.drift_demotions, 1);
@@ -1007,9 +913,7 @@ mod tests {
         // Values untouched, but four rows vanish behind the engine's
         // back — the residual check alone would not notice.
         replace_measurements(&db, 1.0, Some(156));
-        let r = db
-            .query_resilient("SELECT intensity FROM measurements WHERE source = 0 AND nu = 0.15")
-            .unwrap();
+        let r = resilient(&db, "SELECT intensity FROM measurements WHERE source = 0 AND nu = 0.15");
         assert!(!r.answer.is_approximate());
         match r.degraded.as_slice() {
             [DegradeReason::StaleRowCount { model, rows_at_fit, rows_now }] => {
@@ -1026,9 +930,7 @@ mod tests {
     #[test]
     fn no_model_fallback_is_counted_but_not_a_demotion() {
         let db = lofar_db();
-        let r = db
-            .query_resilient("SELECT intensity FROM measurements WHERE source = 0 AND nu = 0.15")
-            .unwrap();
+        let r = resilient(&db, "SELECT intensity FROM measurements WHERE source = 0 AND nu = 0.15");
         assert!(!r.answer.is_approximate());
         assert!(matches!(r.degraded.as_slice(), [DegradeReason::NoModel { .. }]));
         let h = db.health();
@@ -1164,17 +1066,16 @@ mod tests {
     fn adaptive_query_answers_exactly_without_models() {
         let db = lofar_db();
         let sql = "SELECT intensity FROM measurements WHERE source = 0 AND nu = 0.15";
-        let a = db.query_adaptive(sql).unwrap();
+        let a = db.answer(sql, AnswerMode::Adaptive, &db.exec).unwrap().answer;
         assert!(!a.is_approximate());
         assert!(a.rows_scanned() > 0);
     }
 
-    #[test]
-    fn adaptive_query_prefers_the_model_when_the_scan_is_expensive() {
-        // Sources interleaved round-robin, so every zone spans the full
-        // key range and zone maps cannot rescue the exact scan: the
-        // costed plan reads all 16k rows, while the model reconstructs
-        // an estimated handful of tuples.
+    /// Sources interleaved round-robin, so every zone spans the full
+    /// key range and zone maps cannot rescue the exact scan: the costed
+    /// plan reads all 16k rows, while the model reconstructs an
+    /// estimated handful of tuples. Returns the captured model too.
+    fn interleaved_db() -> (LawsDb, Arc<CapturedModel>) {
         let freqs: [f64; 4] = [0.12, 0.15, 0.16, 0.18];
         let sources = 100usize;
         let rounds = 160usize;
@@ -1195,15 +1096,24 @@ mod tests {
         b.add_f64("intensity", intensity);
         let db = LawsDb::new();
         db.register_table(b.build().unwrap()).unwrap();
-        db.capture_model(
-            "measurements",
-            "intensity ~ p * nu ^ alpha",
-            Some("source"),
-            &RawFitOptions::default(),
-        )
-        .unwrap();
-        let sql = "SELECT intensity FROM measurements WHERE source = 50 AND nu = 0.15";
-        let plan = db.physical_plan(sql).unwrap();
+        let m = db
+            .capture_model(
+                "measurements",
+                "intensity ~ p * nu ^ alpha",
+                Some("source"),
+                &RawFitOptions::default(),
+            )
+            .unwrap();
+        (db, m)
+    }
+
+    const INTERLEAVED_POINT: &str =
+        "SELECT intensity FROM measurements WHERE source = 50 AND nu = 0.15";
+
+    #[test]
+    fn adaptive_query_prefers_the_model_when_the_scan_is_expensive() {
+        let (db, _) = interleaved_db();
+        let plan = db.physical_plan(INTERLEAVED_POINT).unwrap();
         let est = plan.root_estimate();
         let model_cost = db.cost_model().constants().model_answer_cost_us(est.rows);
         assert!(
@@ -1211,8 +1121,45 @@ mod tests {
             "model path ({model_cost:.1}us) should undercut the scan ({:.1}us)",
             est.cost_us
         );
-        let a = db.query_adaptive(sql).unwrap();
-        assert!(a.is_approximate());
-        assert_eq!(a.rows_scanned(), 0);
+        let r = db.answer(INTERLEAVED_POINT, AnswerMode::Adaptive, &db.exec).unwrap();
+        assert!(r.answer.is_approximate());
+        assert_eq!(r.answer.rows_scanned(), 0);
+        assert!(r.degraded.is_empty());
+        assert_eq!(db.health().approx_answers, 1);
+    }
+
+    #[test]
+    fn adaptive_query_demotes_a_stale_model_once() {
+        let (db, m) = interleaved_db();
+        // Rows arrive behind the engine's invalidation hook: the model
+        // stays Active while the table outgrows it.
+        let mut grown = (*db.table("measurements").unwrap()).clone();
+        grown
+            .append_rows(&[
+                Column::from_i64(vec![50]),
+                Column::from_f64(vec![0.15]),
+                Column::from_f64(vec![3.0 * 0.15_f64.powf(-0.7)]),
+            ])
+            .unwrap();
+        db.tables().replace(grown);
+        let r = db.answer(INTERLEAVED_POINT, AnswerMode::Adaptive, &db.exec).unwrap();
+        assert!(!r.answer.is_approximate(), "stale model must not answer");
+        match r.degraded.as_slice() {
+            [DegradeReason::StaleRowCount { model, rows_at_fit, rows_now }] => {
+                assert_eq!(*model, m.id);
+                assert_eq!((*rows_at_fit, *rows_now), (16_000, 16_001));
+            }
+            other => panic!("expected StaleRowCount, got {other:?}"),
+        }
+        assert_eq!(db.models().get(m.id).unwrap().state, ModelState::Stale);
+        // The demotion sticks: the second call never reaches the
+        // freshness guard again.
+        let again = db.answer(INTERLEAVED_POINT, AnswerMode::Adaptive, &db.exec).unwrap();
+        assert!(!again.answer.is_approximate());
+        assert!(matches!(again.degraded.as_slice(), [DegradeReason::NoModel { .. }]));
+        let h = db.health();
+        assert_eq!(h.stale_demotions, 1);
+        assert_eq!(h.exact_fallbacks, 2);
+        assert_eq!(h.approx_answers, 0);
     }
 }

@@ -29,7 +29,7 @@ pub mod resilience;
 pub mod session;
 pub mod storage_mgr;
 
-pub use engine::{Answer, LawsDb, QualityPolicy};
+pub use engine::{Answer, AnswerMode, LawsDb, QualityPolicy};
 pub use error::{CoreError, Result};
 pub use resilience::{DegradeReason, HealthCounters, HealthSnapshot, ResilientAnswer};
 pub use session::{FitOptions, FitReport, RemoteFrame, Session, TransferModel};

@@ -23,7 +23,7 @@
 
 use crate::engine::Answer;
 use lawsdb_models::model::ModelId;
-use lawsdb_obs::{Counter, MetricsRegistry, QueryProfile};
+use lawsdb_obs::{Counter, MetricsRegistry};
 use std::sync::Arc;
 
 /// Why a query (or read) was answered by a lower rung of the ladder
@@ -151,10 +151,6 @@ pub struct ResilientAnswer {
     pub answer: Answer,
     /// Every rung of the ladder that was skipped, in decision order.
     pub degraded: Vec<DegradeReason>,
-    /// `EXPLAIN ANALYZE`-style profile of the whole ladder (degradation
-    /// points + the exact plan when one ran). Attached only by the
-    /// profiled entry points; `None` on the plain path.
-    pub profile: Option<QueryProfile>,
 }
 
 /// Engine-lifetime degradation counters — thin views over named

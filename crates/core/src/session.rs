@@ -13,11 +13,13 @@
 //! frame's bytes to the client for a local fit would have cost. That
 //! simulated saving is the quantity experiment E3 sweeps.
 
-use crate::engine::{Answer, LawsDb};
+use crate::engine::{Answer, AnswerMode, LawsDb};
 use crate::error::Result;
 use lawsdb_approx::ApproxAnswer;
 use lawsdb_fit::FitOptions as RawFitOptions;
 use lawsdb_models::model::ModelId;
+use lawsdb_obs::ProfileCollector;
+use lawsdb_query::ExecOptions;
 use std::sync::Arc;
 
 /// Client↔server link model for the offload comparison.
@@ -202,16 +204,21 @@ impl<'db> Session<'db> {
     /// Transparent query: model-backed when possible, exact otherwise;
     /// the fallback is logged.
     pub fn query(&mut self, sql: &str) -> Result<Answer> {
-        let ans = self.db.query_transparent(sql)?;
-        match &ans {
-            Answer::Approx(a) => self.log.push(InterceptEvent::AnsweredApproximately {
+        let db = self.db;
+        self.answer_logged(sql, &db.exec)
+    }
+
+    /// One trip down the engine's answer ladder, recorded in the audit
+    /// trail.
+    fn answer_logged(&mut self, sql: &str, exec: &ExecOptions) -> Result<Answer> {
+        let ans = self.db.answer(sql, AnswerMode::Resilient, exec)?.answer;
+        self.log.push(match &ans {
+            Answer::Approx(a) => InterceptEvent::AnsweredApproximately {
                 sql: sql.to_string(),
                 tuples: a.tuples_reconstructed,
-            }),
-            Answer::Exact(_) => {
-                self.log.push(InterceptEvent::FellBackToExact { sql: sql.to_string() })
-            }
-        }
+            },
+            Answer::Exact(_) => InterceptEvent::FellBackToExact { sql: sql.to_string() },
+        });
         Ok(ans)
     }
 
@@ -236,17 +243,15 @@ impl<'db> Session<'db> {
     /// ladder decisions, plan-node spans, per-morsel timings, pruning
     /// and governor points, and any bridged storage events.
     pub fn explain_analyze(&mut self, sql: &str) -> Result<String> {
-        let r = self.db.query_resilient_profiled(sql)?;
-        match &r.answer {
-            Answer::Approx(a) => self.log.push(InterceptEvent::AnsweredApproximately {
-                sql: sql.to_string(),
-                tuples: a.tuples_reconstructed,
-            }),
-            Answer::Exact(_) => {
-                self.log.push(InterceptEvent::FellBackToExact { sql: sql.to_string() })
-            }
-        }
-        Ok(r.profile.map(|p| p.render()).unwrap_or_default())
+        let collector = ProfileCollector::new();
+        let exec = ExecOptions { profile: Some(collector.context()), ..self.db.exec.clone() };
+        self.answer_logged(sql, &exec)?;
+        let profile = collector.build("query");
+        // Close the adaptive loop: observed span timings recalibrate
+        // the per-operator cost constants (no-op unless feedback is
+        // armed via `CostModel::set_feedback`).
+        self.db.cost_model().observe_profile(&profile);
+        Ok(profile.render())
     }
 
     /// Model exploration (Section 4.2): the `top_k` steepest points of

@@ -8,10 +8,10 @@
 //! The tests install the process-global tracer, so they serialize on a
 //! mutex; this file owns its process.
 
-use lawsdb_core::{DurableDb, LawsDb};
+use lawsdb_core::{AnswerMode, DurableDb, LawsDb, ResilientAnswer};
 use lawsdb_fit::FitOptions as RawFitOptions;
 use lawsdb_obs::trace::{tracer, FieldValue};
-use lawsdb_obs::{MockClock, ProfileCollector, RingBufferSink};
+use lawsdb_obs::{MockClock, ProfileCollector, QueryProfile, RingBufferSink};
 use lawsdb_query::governor::ResourceBudget;
 use lawsdb_query::ExecOptions;
 use lawsdb_storage::fault::{FaultMode, FaultSchedule, FaultyDevice};
@@ -36,6 +36,17 @@ fn zoned_engine(n: usize, exec: ExecOptions) -> LawsDb {
     db.capture_model("t", "y ~ a + b * x", None, &RawFitOptions::default())
         .expect("perfect linear law passes the quality gate");
     db
+}
+
+/// The resilient ladder recording into a caller-owned collector, and
+/// the tree it assembled.
+fn answer_collected(
+    db: &LawsDb,
+    collector: &Arc<ProfileCollector>,
+) -> (ResilientAnswer, QueryProfile) {
+    let exec = ExecOptions { profile: Some(collector.context()), ..db.exec.clone() };
+    let r = db.answer(SQL, AnswerMode::Resilient, &exec).expect("query runs");
+    (r, collector.build("query"))
 }
 
 /// The paper-shaped range query: `x`'s *data* zones refute the low
@@ -80,11 +91,10 @@ fn resilient_query_profile_unifies_every_signal() {
         assert!(ddb.read_table("measurements").is_err(), "corruption detected");
     }
 
-    let r = db.query_resilient_collected(SQL, &collector).expect("query runs");
+    let (r, p) = answer_collected(&db, &collector);
     tracer().uninstall();
 
     assert!(!r.answer.is_approximate(), "range query degrades to exact");
-    let p = r.profile.expect("collected run attaches a profile");
     assert_eq!(p.root.name, "query");
 
     // (1) The degradation decision, with its reason.
@@ -154,8 +164,7 @@ fn mock_clock_profiles_are_byte_identical() {
             ExecOptions { threads: 1, morsel_rows: 8192, ..ExecOptions::default() },
         );
         let collector = ProfileCollector::with_clock(Arc::new(MockClock::new(3)));
-        let r = db.query_resilient_collected(SQL, &collector).expect("query runs");
-        r.profile.expect("profile attached").render()
+        answer_collected(&db, &collector).1.render()
     };
     let a = run();
     let b = run();
@@ -167,7 +176,7 @@ fn mock_clock_profiles_are_byte_identical() {
 fn engine_metrics_registry_sees_health_and_pruning() {
     let _g = LOCK.lock().unwrap_or_else(PoisonError::into_inner);
     let db = zoned_engine(20_000, ExecOptions::default());
-    let r = db.query_resilient(SQL).expect("runs");
+    let r = db.answer(SQL, AnswerMode::Resilient, &db.exec).expect("runs");
     assert!(!r.answer.is_approximate());
 
     let snap = db.metrics().snapshot();

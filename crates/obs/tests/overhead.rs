@@ -2,8 +2,8 @@
 //! installed, `Tracer::emit` is one relaxed atomic load; a burst of
 //! disabled emits must be within a small constant factor of an
 //! equivalent burst of plain atomic loads, and must never invoke the
-//! field closure. The precise ≤2%-of-query-time gate lives in the
-//! bench sweep (`BENCH_obs.json`); this test is the functional floor
+//! field closure. What tracing costs a whole query is the end-to-end
+//! benchmark's `trace.overhead_pct`; this test is the functional floor
 //! that runs everywhere.
 
 use lawsdb_obs::trace::tracer;

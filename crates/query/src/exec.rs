@@ -14,7 +14,7 @@ use crate::plan::{AggSpec, LogicalPlan};
 use crate::pruning::{PruningPredicate, ScanStats, ScanStatsCollector, ZoneDecision};
 use crate::sexpr::{PredMask, ScalarExpr};
 use crate::sql::{parse_select, AggFunc, OrderBy};
-use lawsdb_obs::{fields, ProfileCollector, ProfileContext, QueryProfile};
+use lawsdb_obs::{fields, ProfileContext};
 use lawsdb_storage::schema::{DataType, Field, Schema};
 use lawsdb_storage::zonemap::{ColumnZones, ZoneSource};
 use lawsdb_storage::{Catalog, Column, Table, Value};
@@ -36,11 +36,6 @@ pub struct QueryResult {
     pub rows_scanned: usize,
     /// Zone-level pruning counters for this query.
     pub scan_stats: ScanStats,
-    /// `EXPLAIN ANALYZE`-style execution profile. Attached only by the
-    /// profiled entry points ([`execute_profiled`],
-    /// [`execute_plan_profiled`]); `None` on the plain paths, which pay
-    /// one untaken branch per instrumentation site.
-    pub profile: Option<QueryProfile>,
 }
 
 /// Parse, plan, optimize and execute a SELECT statement with default
@@ -56,11 +51,6 @@ pub fn execute_with(catalog: &Catalog, sql: &str, opts: &ExecOptions) -> Result<
     let plan = LogicalPlan::from_statement(&stmt)?;
     let plan = optimize(&plan);
     execute_plan_with(catalog, &plan, opts)
-}
-
-/// Execute an already-built logical plan with default options.
-pub fn execute_plan(catalog: &Catalog, plan: &LogicalPlan) -> Result<QueryResult> {
-    execute_plan_with(catalog, plan, &ExecOptions::default())
 }
 
 /// Execute an already-built logical plan with explicit options.
@@ -109,37 +99,7 @@ pub fn execute_plan_with(
             );
         }
     }
-    Ok(QueryResult { table, rows_scanned: scanned, scan_stats, profile: None })
-}
-
-/// [`execute_with`], plus an attached [`QueryProfile`]: the SQL-string
-/// entry point behind the session's `EXPLAIN ANALYZE`.
-pub fn execute_profiled(
-    catalog: &Catalog,
-    sql: &str,
-    opts: &ExecOptions,
-) -> Result<QueryResult> {
-    let stmt = parse_select(sql)?;
-    let plan = LogicalPlan::from_statement(&stmt)?;
-    let plan = optimize(&plan);
-    execute_plan_profiled(catalog, &plan, opts)
-}
-
-/// Execute a plan with a fresh [`ProfileCollector`] and attach the
-/// assembled profile tree to the result. Callers that record their own
-/// points around the query (the resilient ladder) instead create a
-/// collector themselves, set [`ExecOptions::profile`] from it, and call
-/// [`execute_plan_with`] directly.
-pub fn execute_plan_profiled(
-    catalog: &Catalog,
-    plan: &LogicalPlan,
-    opts: &ExecOptions,
-) -> Result<QueryResult> {
-    let collector = ProfileCollector::new();
-    let opts = ExecOptions { profile: Some(collector.context()), ..opts.clone() };
-    let mut r = execute_plan_with(catalog, plan, &opts)?;
-    r.profile = Some(collector.build("query"));
-    Ok(r)
+    Ok(QueryResult { table, rows_scanned: scanned, scan_stats })
 }
 
 /// Materialize a base-table scan: zero-copy clone/projection plus the
@@ -158,25 +118,24 @@ fn scan_table(
     // Rows are charged at scan admission, before any filter runs; the
     // scan itself is zero-copy and charges no memory.
     opts.charge_rows(t.row_count())?;
-    match projection {
-        None => Ok((*t).clone()),
-        Some(cols) => {
-            // The optimizer prunes without schema knowledge, so a
-            // join plan lists both tables' columns at each scan;
-            // keep only the ones this table actually has. Truly
-            // unknown names surface later as UnknownColumn when
-            // an expression references them.
-            let names: Vec<&str> = cols
-                .iter()
-                .map(String::as_str)
-                .filter(|n| t.schema().index_of(n).is_some())
-                .collect();
-            if names.is_empty() {
-                Ok((*t).clone())
-            } else {
-                Ok(t.project(&names)?)
-            }
-        }
+    project_known(&t, projection)
+}
+
+/// Apply a scan's projection list. The optimizer prunes without schema
+/// knowledge, so a join plan lists both tables' columns at each scan;
+/// keep only the ones this table actually has. Truly unknown names
+/// surface later as UnknownColumn when an expression references them.
+fn project_known(t: &Table, projection: &Option<Vec<String>>) -> Result<Table> {
+    let names: Vec<&str> = projection
+        .iter()
+        .flatten()
+        .map(String::as_str)
+        .filter(|n| t.schema().index_of(n).is_some())
+        .collect();
+    if names.is_empty() {
+        Ok(t.clone())
+    } else {
+        Ok(t.project(&names)?)
     }
 }
 
@@ -231,18 +190,7 @@ fn exec_node(
         LogicalPlan::EmptyScan { table, projection } => {
             // Statically empty (`LIMIT 0` elision): resolve the schema
             // like a scan, but touch zero rows and charge nothing.
-            let t = catalog.get(table)?;
-            let t = match projection {
-                None => (*t).clone(),
-                Some(cols) => {
-                    let names: Vec<&str> = cols
-                        .iter()
-                        .map(String::as_str)
-                        .filter(|n| t.schema().index_of(n).is_some())
-                        .collect();
-                    if names.is_empty() { (*t).clone() } else { t.project(&names)? }
-                }
-            };
+            let t = project_known(&*catalog.get(table)?, projection)?;
             Ok(t.take(&[])?)
         }
         LogicalPlan::Join { left, right, left_col, right_col } => {
@@ -1965,13 +1913,19 @@ mod pruning_exec_tests {
     fn profiled_run_attaches_a_plan_shaped_tree() {
         use lawsdb_obs::FieldValue;
         let c = zoned_catalog();
-        let r = execute_profiled(
+        let collector = lawsdb_obs::ProfileCollector::new();
+        execute_with(
             &c,
             "SELECT k FROM z WHERE k < 64",
-            &ExecOptions { threads: 4, morsel_rows: 128, ..ExecOptions::default() },
+            &ExecOptions {
+                threads: 4,
+                morsel_rows: 128,
+                profile: Some(collector.context()),
+                ..ExecOptions::default()
+            },
         )
         .unwrap();
-        let p = r.profile.expect("profiled entry point attaches a tree");
+        let p = collector.build("query");
         assert_eq!(p.root.name, "query");
         // Optimizer pushes the projection above Filter(Scan).
         assert!(!p.find("plan.filter").is_empty());
@@ -2000,12 +1954,14 @@ mod pruning_exec_tests {
         use crate::governor::ResourceBudget;
         use lawsdb_obs::FieldValue;
         let c = zoned_catalog();
+        let collector = lawsdb_obs::ProfileCollector::new();
         let opts = ExecOptions {
             budget: ResourceBudget { max_rows: Some(10_000), ..ResourceBudget::default() },
+            profile: Some(collector.context()),
             ..ExecOptions::default()
         };
-        let r = execute_profiled(&c, "SELECT k FROM z WHERE k < 64", &opts).unwrap();
-        let p = r.profile.unwrap();
+        execute_with(&c, "SELECT k FROM z WHERE k < 64", &opts).unwrap();
+        let p = collector.build("query");
         let charges = p.find("governor.rows");
         assert_eq!(charges.len(), 1, "one admission charge per scan");
         assert_eq!(charges[0].field("rows").and_then(FieldValue::as_u64), Some(512));

@@ -50,10 +50,7 @@ pub mod sql;
 
 pub use cost::{CostConstants, CostModel};
 pub use error::{QueryError, Result};
-pub use exec::{
-    execute, execute_plan, execute_plan_profiled, execute_plan_with, execute_profiled,
-    execute_with, QueryResult,
-};
+pub use exec::{execute, execute_plan_with, execute_with, QueryResult};
 pub use lawsdb_obs::{ProfileCollector, ProfileContext, QueryProfile};
 pub use governor::{CancelToken, Governor, ResourceBudget};
 pub use morsel::ExecOptions;

@@ -26,9 +26,8 @@ pub const DEFAULT_MORSEL_ROWS: usize = 64 * 1024;
 pub struct ExecOptions {
     /// Worker threads; `0` means one per available core. Explicit
     /// counts are clamped to the machine's available parallelism:
-    /// oversubscribing cores only adds scheduling overhead (the
-    /// 2-thread-on-1-core configuration regressed `filter_scan` to
-    /// 0.90× in BENCH_query.json).
+    /// oversubscribing cores only adds scheduling overhead (2 threads
+    /// on 1 core measured 0.90× on a filter scan).
     pub threads: usize,
     /// Rows per morsel.
     pub morsel_rows: usize,

@@ -27,7 +27,7 @@ use crate::protocol::{
     QueryMode, SessionOptions, StatsFormat, WireResult, MIN_PROTOCOL_VERSION, PROTOCOL_VERSION,
 };
 use crate::server::Server;
-use lawsdb_core::Answer;
+use lawsdb_core::{Answer, AnswerMode, LawsDb};
 use lawsdb_obs::{
     fields, FlightRecord, FlightRecorder, Gauge, ProfileCollector, TraceNode,
 };
@@ -428,15 +428,8 @@ fn dispatch(
             let r = db.query_with(sql, exec).map_err(|e| core_error_to_wire(&e))?;
             Ok(result_frame(r.table, r.rows_scanned as u64, false, None, Vec::new()))
         }
-        QueryMode::Resilient => {
-            let r = db.query_resilient_with(sql, exec).map_err(|e| core_error_to_wire(&e))?;
-            let degraded = r.degraded.iter().map(|d| d.name().to_string()).collect();
-            answer_frame(r.answer, degraded)
-        }
-        QueryMode::Adaptive => {
-            let a = db.query_adaptive_with(sql, exec).map_err(|e| core_error_to_wire(&e))?;
-            answer_frame(a, Vec::new())
-        }
+        QueryMode::Resilient => answer_frame(db, sql, AnswerMode::Resilient, exec),
+        QueryMode::Adaptive => answer_frame(db, sql, AnswerMode::Adaptive, exec),
         QueryMode::Explain => {
             let text = db.explain(sql).map_err(|e| core_error_to_wire(&e))?;
             Ok(Frame::ExplainReply { text })
@@ -461,8 +454,15 @@ fn dispatch(
     }
 }
 
-fn answer_frame(answer: Answer, degraded: Vec<String>) -> Result<Frame, WireError> {
-    Ok(match answer {
+fn answer_frame(
+    db: &LawsDb,
+    sql: &str,
+    mode: AnswerMode,
+    exec: &ExecOptions,
+) -> Result<Frame, WireError> {
+    let r = db.answer(sql, mode, exec).map_err(|e| core_error_to_wire(&e))?;
+    let degraded = r.degraded.iter().map(|d| d.name().to_string()).collect();
+    Ok(match r.answer {
         Answer::Exact(r) => {
             result_frame(r.table, r.rows_scanned as u64, false, None, degraded)
         }

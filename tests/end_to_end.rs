@@ -4,7 +4,7 @@
 
 use lawsdb::approx::anomaly::{rank_anomalies, recall_at_k, MisfitScore};
 use lawsdb::core::storage_mgr::{compress_column, decompress_column, CompressionMode};
-use lawsdb::core::FitOptions;
+use lawsdb::core::{AnswerMode, FitOptions};
 use lawsdb::data::lofar::{LofarConfig, LofarDataset};
 use lawsdb::prelude::*;
 
@@ -121,21 +121,18 @@ fn anomaly_detection_on_planted_transients() {
 #[test]
 fn transparent_answering_switches_paths() {
     let (db, _) = lofar_db(50, 0.05, 0.0);
+    let transparent = |sql| db.answer(sql, AnswerMode::Resilient, &db.exec).unwrap().answer;
     // Before capture: exact.
-    let before = db
-        .query_transparent("SELECT intensity FROM measurements WHERE source = 1 AND nu = 0.15")
-        .unwrap();
+    let before = transparent("SELECT intensity FROM measurements WHERE source = 1 AND nu = 0.15");
     assert!(!before.is_approximate());
     capture(&db);
     // After capture: approximate, zero IO.
-    let after = db
-        .query_transparent("SELECT intensity FROM measurements WHERE source = 1 AND nu = 0.15")
-        .unwrap();
+    let after = transparent("SELECT intensity FROM measurements WHERE source = 1 AND nu = 0.15");
     assert!(after.is_approximate());
     assert_eq!(after.rows_scanned(), 0);
     // A query no model covers still works exactly (COUNT(*) has no
     // modeled column).
-    let exact = db.query_transparent("SELECT COUNT(*) FROM measurements").unwrap();
+    let exact = transparent("SELECT COUNT(*) FROM measurements");
     assert!(!exact.is_approximate());
 }
 

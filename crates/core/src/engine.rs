@@ -15,7 +15,7 @@ use lawsdb_models::model::ModelId;
 use lawsdb_models::{CapturedModel, ModelCatalog, ModelState};
 use lawsdb_obs::{fields, MetricsRegistry};
 use lawsdb_query::{
-    CostModel, ExecOptions, PhysicalPlan, PlanCache, QueryResult, ScanStatsCollector,
+    CostConstants, ExecOptions, PhysicalPlan, PlanCache, QueryResult, ScanStatsCollector,
 };
 use lawsdb_storage::{Catalog, Column, Table};
 use parking_lot::RwLock;
@@ -108,9 +108,8 @@ pub struct LawsDb {
     /// Degradation health counters (see [`crate::resilience`]) — views
     /// over `lawsdb_core_*` counters in [`LawsDb::metrics`].
     health: HealthCounters,
-    /// Adaptive per-operator cost model: prices physical plans, and
-    /// (when feedback is armed) calibrates from profiled query runs.
-    cost: Arc<CostModel>,
+    /// Per-operator cost constants the planner prices with.
+    cost: CostConstants,
     /// Physical plan cache keyed on `(normalized query, stats epoch)`;
     /// hit/miss counters live in [`LawsDb::metrics`].
     plan_cache: PlanCache,
@@ -142,7 +141,7 @@ impl LawsDb {
             legal_filter_bits_per_key: Some(10),
             exec,
             health: HealthCounters::for_registry(&metrics),
-            cost: Arc::new(CostModel::new()),
+            cost: CostConstants::default(),
             plan_cache: PlanCache::for_registry(&metrics),
             metrics,
         }
@@ -208,11 +207,6 @@ impl LawsDb {
         (self.tables.epoch() << 32) | (self.models.epoch() & 0xFFFF_FFFF)
     }
 
-    /// The engine's adaptive cost model.
-    pub fn cost_model(&self) -> &Arc<CostModel> {
-        &self.cost
-    }
-
     /// The physical plan cache (`lawsdb_query_plan_cache_{hit,miss}`
     /// counters live in [`LawsDb::metrics`]).
     pub fn plan_cache(&self) -> &PlanCache {
@@ -230,11 +224,7 @@ impl LawsDb {
         }
         let logical = lawsdb_query::LogicalPlan::from_statement(&stmt).map_err(CoreError::Query)?;
         let optimized = lawsdb_query::optimize::optimize(&logical);
-        let plan = Arc::new(lawsdb_query::plan_physical(
-            &self.tables,
-            &optimized,
-            &self.cost.constants(),
-        ));
+        let plan = Arc::new(lawsdb_query::plan_physical(&self.tables, &optimized, &self.cost));
         self.plan_cache.put(key, epoch, Arc::clone(&plan));
         Ok(plan)
     }
@@ -298,7 +288,7 @@ impl LawsDb {
             AnswerMode::Resilient => true,
             AnswerMode::Adaptive => {
                 let est = self.physical_plan(sql)?.root_estimate();
-                self.cost.constants().model_answer_cost_us(est.rows) <= est.cost_us
+                self.cost.model_answer_cost_us(est.rows) <= est.cost_us
             }
         };
         let mut degraded = Vec::new();
@@ -1115,7 +1105,7 @@ mod tests {
         let (db, _) = interleaved_db();
         let plan = db.physical_plan(INTERLEAVED_POINT).unwrap();
         let est = plan.root_estimate();
-        let model_cost = db.cost_model().constants().model_answer_cost_us(est.rows);
+        let model_cost = db.cost.model_answer_cost_us(est.rows);
         assert!(
             model_cost <= est.cost_us,
             "model path ({model_cost:.1}us) should undercut the scan ({:.1}us)",

@@ -246,12 +246,7 @@ impl<'db> Session<'db> {
         let collector = ProfileCollector::new();
         let exec = ExecOptions { profile: Some(collector.context()), ..self.db.exec.clone() };
         self.answer_logged(sql, &exec)?;
-        let profile = collector.build("query");
-        // Close the adaptive loop: observed span timings recalibrate
-        // the per-operator cost constants (no-op unless feedback is
-        // armed via `CostModel::set_feedback`).
-        self.db.cost_model().observe_profile(&profile);
-        Ok(profile.render())
+        Ok(collector.build("query").render())
     }
 
     /// Model exploration (Section 4.2): the `top_k` steepest points of

@@ -1,15 +1,25 @@
 //! The fit layer's quality judgments are on the event stream: every
 //! `FitDiagnostics::compute` emits one `fit.diagnostics` event carrying
-//! the paper's Table 1 columns. This file owns its process, so the
-//! global tracer install races with nothing else.
+//! the paper's Table 1 columns. This file owns its process, and its
+//! tests take turns on the process-global tracer behind [`TRACER`].
 
 use lawsdb_fit::diagnostics::FitDiagnostics;
 use lawsdb_obs::trace::{tracer, FieldValue};
 use lawsdb_obs::{MockClock, RingBufferSink};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard};
+
+/// The tracer is process-global and the test harness runs tests on
+/// parallel threads: one test's install must not overlap another's
+/// "nothing is installed" assertion.
+static TRACER: Mutex<()> = Mutex::new(());
+
+fn tracer_turn() -> MutexGuard<'static, ()> {
+    TRACER.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
+}
 
 #[test]
 fn every_judged_fit_emits_a_diagnostics_event() {
+    let _turn = tracer_turn();
     let sink = RingBufferSink::new(16);
     tracer().install(Arc::clone(&sink), Arc::new(MockClock::new(1)));
 
@@ -34,6 +44,7 @@ fn every_judged_fit_emits_a_diagnostics_event() {
 
 #[test]
 fn no_subscriber_means_compute_is_silent_and_cheap() {
+    let _turn = tracer_turn();
     assert!(!tracer().is_enabled());
     let names = vec!["k".to_string()];
     // Must not panic or allocate event payloads with no subscriber.

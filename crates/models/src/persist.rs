@@ -30,6 +30,7 @@
 use crate::catalog::ModelCatalog;
 use crate::error::{ModelError, Result};
 use crate::model::{CapturedModel, Coverage, GroupParams, ModelId, ModelParams, ModelState};
+use lawsdb_storage::codec::Reader;
 use lawsdb_storage::compress::varint;
 use std::collections::HashMap;
 
@@ -43,29 +44,13 @@ fn put_str(out: &mut Vec<u8>, s: &str) {
     out.extend_from_slice(s.as_bytes());
 }
 
-fn get_str(buf: &[u8], pos: &mut usize) -> Result<String> {
-    let len = varint::get_u64(buf, pos).map_err(ModelError::Storage)? as usize;
-    let end = pos.checked_add(len).filter(|&e| e <= buf.len()).ok_or_else(|| {
-        ModelError::BadConstruction { detail: "truncated string".to_string() }
-    })?;
-    let s = std::str::from_utf8(&buf[*pos..end])
-        .map_err(|_| ModelError::BadConstruction { detail: "invalid UTF-8".to_string() })?
-        .to_string();
-    *pos = end;
-    Ok(s)
+fn get_str(r: &mut Reader<'_>) -> Result<String> {
+    let len = r.varint_u64()? as usize;
+    Ok(r.utf8(len, "string")?)
 }
 
 fn put_f64(out: &mut Vec<u8>, v: f64) {
     out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn get_f64(buf: &[u8], pos: &mut usize) -> Result<f64> {
-    let end = pos.checked_add(8).filter(|&e| e <= buf.len()).ok_or_else(|| {
-        ModelError::BadConstruction { detail: "truncated f64".to_string() }
-    })?;
-    let v = f64::from_le_bytes(buf[*pos..end].try_into().expect("8 bytes"));
-    *pos = end;
-    Ok(v)
 }
 
 fn put_opt_str(out: &mut Vec<u8>, s: Option<&str>) {
@@ -78,18 +63,22 @@ fn put_opt_str(out: &mut Vec<u8>, s: Option<&str>) {
     }
 }
 
-fn get_opt_str(buf: &[u8], pos: &mut usize) -> Result<Option<String>> {
-    let tag = *buf.get(*pos).ok_or_else(|| ModelError::BadConstruction {
-        detail: "truncated option tag".to_string(),
-    })?;
-    *pos += 1;
-    match tag {
+fn get_opt_str(r: &mut Reader<'_>) -> Result<Option<String>> {
+    match r.u8()? {
         0 => Ok(None),
-        1 => Ok(Some(get_str(buf, pos)?)),
-        other => Err(ModelError::BadConstruction {
-            detail: format!("bad option tag {other}"),
-        }),
+        1 => Ok(Some(get_str(r)?)),
+        other => Err(r.corrupt(format!("bad option tag {other}")).into()),
     }
+}
+
+/// A varint element count; anything beyond the bytes left is bogus
+/// (every element takes at least one), so reject before allocating.
+fn get_count(r: &mut Reader<'_>, what: &str) -> Result<usize> {
+    let n = r.varint_u64()? as usize;
+    if n > r.remaining() {
+        return Err(r.corrupt(format!("implausible {what} count")).into());
+    }
+    Ok(n)
 }
 
 fn encode_model(out: &mut Vec<u8>, m: &CapturedModel) {
@@ -164,115 +153,80 @@ fn encode_model(out: &mut Vec<u8>, m: &CapturedModel) {
     }
 }
 
-fn decode_model(buf: &[u8], pos: &mut usize) -> Result<CapturedModel> {
-    let bad = |d: &str| ModelError::BadConstruction { detail: d.to_string() };
-    let id = ModelId(varint::get_u64(buf, pos).map_err(ModelError::Storage)?);
-    let version = varint::get_u64(buf, pos).map_err(ModelError::Storage)? as u32;
-    let state = match buf.get(*pos) {
-        Some(0) => ModelState::Active,
-        Some(1) => ModelState::Stale,
-        Some(2) => ModelState::Retired,
-        _ => return Err(bad("bad state tag")),
+fn decode_model(r: &mut Reader<'_>) -> Result<CapturedModel> {
+    let id = ModelId(r.varint_u64()?);
+    let version = r.varint_u64()? as u32;
+    let state = match r.u8()? {
+        0 => ModelState::Active,
+        1 => ModelState::Stale,
+        2 => ModelState::Retired,
+        other => return Err(r.corrupt(format!("bad state tag {other}")).into()),
     };
-    *pos += 1;
-    let overall_r2 = get_f64(buf, pos)?;
-    let max_abs_residual = match buf.get(*pos) {
-        Some(0) => {
-            *pos += 1;
-            None
-        }
-        Some(1) => {
-            *pos += 1;
-            Some(get_f64(buf, pos)?)
-        }
-        _ => return Err(bad("bad residual-bound tag")),
+    let overall_r2 = r.f64()?;
+    let max_abs_residual = match r.u8()? {
+        0 => None,
+        1 => Some(r.f64()?),
+        other => return Err(r.corrupt(format!("bad residual-bound tag {other}")).into()),
     };
-    let formula_source = get_str(buf, pos)?;
-    let legal_src = get_opt_str(buf, pos)?;
+    let formula_source = get_str(r)?;
+    let legal_src = get_opt_str(r)?;
     let formula = lawsdb_expr::parse_formula(&formula_source)?;
     let legal_filter = match legal_src {
         None => None,
         Some(src) => Some(lawsdb_expr::parse_expr(&src)?),
     };
     // Coverage.
-    let table = get_str(buf, pos)?;
-    let response = get_str(buf, pos)?;
-    let nvars = varint::get_u64(buf, pos).map_err(ModelError::Storage)? as usize;
-    if nvars > buf.len() {
-        return Err(bad("implausible variable count"));
-    }
+    let table = get_str(r)?;
+    let response = get_str(r)?;
+    let nvars = get_count(r, "variable")?;
     let mut variables = Vec::with_capacity(nvars);
     for _ in 0..nvars {
-        variables.push(get_str(buf, pos)?);
+        variables.push(get_str(r)?);
     }
-    let rows_at_fit = varint::get_u64(buf, pos).map_err(ModelError::Storage)? as usize;
-    let predicate = get_opt_str(buf, pos)?;
-    let ndomains = varint::get_u64(buf, pos).map_err(ModelError::Storage)? as usize;
-    if ndomains > buf.len() {
-        return Err(bad("implausible domain count"));
-    }
+    let rows_at_fit = r.varint_u64()? as usize;
+    let predicate = get_opt_str(r)?;
+    let ndomains = get_count(r, "domain")?;
     let mut domains = Vec::with_capacity(ndomains);
     for _ in 0..ndomains {
-        let name = get_str(buf, pos)?;
-        let nvals = varint::get_u64(buf, pos).map_err(ModelError::Storage)? as usize;
-        if nvals > buf.len() {
-            return Err(bad("implausible domain size"));
-        }
-        let mut vals = Vec::with_capacity(nvals);
-        for _ in 0..nvals {
-            vals.push(get_f64(buf, pos)?);
-        }
-        domains.push((name, vals));
+        let name = get_str(r)?;
+        let nvals = r.varint_u64()? as usize;
+        domains.push((name, r.vec8(nvals, "domain values", f64::from_le_bytes)?));
     }
     // Params.
-    let tag = *buf.get(*pos).ok_or_else(|| bad("truncated params tag"))?;
-    *pos += 1;
-    let params = match tag {
+    let params = match r.u8()? {
         0 => {
-            let np = varint::get_u64(buf, pos).map_err(ModelError::Storage)? as usize;
-            if np > buf.len() {
-                return Err(bad("implausible param count"));
-            }
+            let np = get_count(r, "param")?;
             let mut names = Vec::with_capacity(np);
             let mut values = Vec::with_capacity(np);
             for _ in 0..np {
-                names.push(get_str(buf, pos)?);
-                values.push(get_f64(buf, pos)?);
+                names.push(get_str(r)?);
+                values.push(r.f64()?);
             }
-            let residual_se = get_f64(buf, pos)?;
-            let r2 = get_f64(buf, pos)?;
-            let n = varint::get_u64(buf, pos).map_err(ModelError::Storage)? as usize;
+            let residual_se = r.f64()?;
+            let r2 = r.f64()?;
+            let n = r.varint_u64()? as usize;
             ModelParams::Global { names, values, residual_se, r2, n }
         }
         1 => {
-            let group_column = get_str(buf, pos)?;
-            let np = varint::get_u64(buf, pos).map_err(ModelError::Storage)? as usize;
-            if np > buf.len() {
-                return Err(bad("implausible param count"));
-            }
+            let group_column = get_str(r)?;
+            let np = get_count(r, "param")?;
             let mut names = Vec::with_capacity(np);
             for _ in 0..np {
-                names.push(get_str(buf, pos)?);
+                names.push(get_str(r)?);
             }
-            let ngroups = varint::get_u64(buf, pos).map_err(ModelError::Storage)? as usize;
-            if ngroups > buf.len() {
-                return Err(bad("implausible group count"));
-            }
+            let ngroups = get_count(r, "group")?;
             let mut groups = HashMap::with_capacity(ngroups);
             for _ in 0..ngroups {
-                let key = varint::get_i64(buf, pos).map_err(ModelError::Storage)?;
-                let mut values = Vec::with_capacity(np);
-                for _ in 0..np {
-                    values.push(get_f64(buf, pos)?);
-                }
-                let residual_se = get_f64(buf, pos)?;
-                let r2 = get_f64(buf, pos)?;
-                let n = varint::get_u64(buf, pos).map_err(ModelError::Storage)? as usize;
+                let key = r.varint_i64()?;
+                let values = r.vec8(np, "group params", f64::from_le_bytes)?;
+                let residual_se = r.f64()?;
+                let r2 = r.f64()?;
+                let n = r.varint_u64()? as usize;
                 groups.insert(key, GroupParams { values, residual_se, r2, n });
             }
             ModelParams::Grouped { group_column, names, groups }
         }
-        other => return Err(bad(&format!("bad params tag {other}"))),
+        other => return Err(r.corrupt(format!("bad params tag {other}")).into()),
     };
     Ok(CapturedModel {
         id,
@@ -316,19 +270,16 @@ impl ModelCatalog {
         if lawsdb_storage::crc32(&buf[BODY_START..]) != stored {
             return Err(bad("catalog image checksum mismatch"));
         }
-        let mut pos = BODY_START;
-        let version = varint::get_u64(buf, &mut pos).map_err(ModelError::Storage)?;
+        let mut r = Reader::new("model catalog", &buf[BODY_START..]);
+        let version = r.varint_u64()?;
         if version != FORMAT_VERSION {
             return Err(bad(&format!("unsupported format version {version}")));
         }
-        let next_id = varint::get_u64(buf, &mut pos).map_err(ModelError::Storage)?;
-        let count = varint::get_u64(buf, &mut pos).map_err(ModelError::Storage)? as usize;
-        if count > buf.len() {
-            return Err(bad("implausible model count"));
-        }
+        let next_id = r.varint_u64()?;
+        let count = get_count(&mut r, "model")?;
         let mut models = Vec::with_capacity(count);
         for _ in 0..count {
-            models.push(decode_model(buf, &mut pos)?);
+            models.push(decode_model(&mut r)?);
         }
         Ok(ModelCatalog::restore(next_id, models))
     }

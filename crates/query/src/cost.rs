@@ -1,28 +1,13 @@
-//! Per-operator cost constants and the adaptive feedback loop.
+//! Per-operator cost constants.
 //!
-//! The physical planner ([`crate::physical`]) prices candidate access
-//! paths in microseconds using a handful of per-tuple constants. The
-//! defaults below are deliberately conservative ballpark figures; what
-//! makes them honest is the *feedback loop*: every profiled query run
-//! produces a [`QueryProfile`] whose morsel leaves record `(rows,
-//! duration_us)` pairs per operator, and [`CostModel::observe_profile`]
-//! folds those observations into the constants with an exponential
-//! moving average. Calibration is deterministic (plain f64 EMA, fixed
-//! alpha, observations applied in profile preorder) and **off by
-//! default** so `MockClock`-driven tests keep stable plans.
-
-use lawsdb_obs::{ProfileTreeNode, QueryProfile};
-use parking_lot::RwLock;
-use std::sync::atomic::{AtomicBool, Ordering};
-
-/// EMA smoothing factor for observed per-tuple timings.
-const EMA_ALPHA: f64 = 0.3;
+//! The pricing pass ([`crate::physical`]) prices candidate access paths
+//! in microseconds using a handful of per-tuple constants. The defaults
+//! below are ballpark figures fixed at compile time, so the same
+//! statement over the same statistics always prices the same way.
+//! Calibrating them is a source edit, measured by the benchmark's
+//! `query.plan_us` and `shape.*` rows.
 
 /// Per-operator cost constants, all in microseconds per unit.
-///
-/// A copy of this struct is taken at plan time so a plan is costed
-/// against one consistent snapshot even while feedback is updating the
-/// shared [`CostModel`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CostConstants {
     /// Materialising one row out of column storage into a scan chunk.
@@ -79,170 +64,9 @@ impl CostConstants {
     }
 }
 
-/// Shared, thread-safe cost model with optional profile feedback.
-///
-/// `constants()` hands out a snapshot; `observe_profile` walks a
-/// finished [`QueryProfile`] and EMA-updates the per-tuple constants
-/// from observed span timings. Feedback starts disabled so plans stay
-/// deterministic unless the adaptive loop is explicitly armed.
-#[derive(Debug, Default)]
-pub struct CostModel {
-    constants: RwLock<CostConstants>,
-    feedback: AtomicBool,
-}
-
-impl CostModel {
-    pub fn new() -> CostModel {
-        CostModel::default()
-    }
-
-    /// Snapshot of the current constants.
-    pub fn constants(&self) -> CostConstants {
-        *self.constants.read()
-    }
-
-    /// Arm or disarm the adaptive feedback loop (off by default).
-    pub fn set_feedback(&self, enabled: bool) {
-        self.feedback.store(enabled, Ordering::Release);
-    }
-
-    /// True when `observe_profile` is folding observations in.
-    pub fn feedback_enabled(&self) -> bool {
-        self.feedback.load(Ordering::Acquire)
-    }
-
-    /// Calibrate constants from one query's profile tree.
-    ///
-    /// Observations used, all as `duration_us / rows`:
-    /// - `morsel` leaves under `plan.filter` spans → `eval_tuple_us`
-    /// - `morsel` leaves under `plan.aggregate` spans → `agg_tuple_us`
-    /// - `plan.scan` spans (`rows_out`) → `scan_tuple_us`
-    /// - `plan.sort` spans (`rows_out`) → `sort_tuple_us`
-    ///
-    /// No-op while feedback is disabled. Zero-row or unfinished spans
-    /// are skipped; they carry no per-tuple signal.
-    pub fn observe_profile(&self, profile: &QueryProfile) {
-        if !self.feedback_enabled() {
-            return;
-        }
-        let mut c = self.constants.write();
-        for node in profile.find("plan.filter") {
-            for (rows, us) in morsel_samples(node) {
-                ema(&mut c.eval_tuple_us, us / rows);
-            }
-        }
-        for node in profile.find("plan.aggregate") {
-            for (rows, us) in morsel_samples(node) {
-                ema(&mut c.agg_tuple_us, us / rows);
-            }
-        }
-        for node in profile.find("plan.scan") {
-            if let Some((rows, us)) = span_sample(node) {
-                ema(&mut c.scan_tuple_us, us / rows);
-            }
-        }
-        for node in profile.find("plan.sort") {
-            if let Some((rows, us)) = span_sample(node) {
-                ema(&mut c.sort_tuple_us, us / rows);
-            }
-        }
-    }
-}
-
-fn ema(slot: &mut f64, observed: f64) {
-    if observed.is_finite() && observed >= 0.0 {
-        *slot += EMA_ALPHA * (observed - *slot);
-    }
-}
-
-/// `(rows, duration_us)` for every successful non-empty morsel leaf
-/// under `node`, in deterministic preorder.
-fn morsel_samples(node: &ProfileTreeNode) -> Vec<(f64, f64)> {
-    node.find("morsel")
-        .into_iter()
-        .filter_map(|m| {
-            let rows = m.field("rows").and_then(|v| v.as_u64())?;
-            let us = m.field("duration_us").and_then(|v| v.as_u64())?;
-            if rows == 0 {
-                return None;
-            }
-            Some((rows as f64, us as f64))
-        })
-        .collect()
-}
-
-/// `(rows_out, duration_us)` for a finished plan span, if non-empty.
-fn span_sample(node: &ProfileTreeNode) -> Option<(f64, f64)> {
-    let rows = node.field("rows_out").and_then(|v| v.as_u64())?;
-    let us = node.duration_us?;
-    if rows == 0 {
-        return None;
-    }
-    Some((rows as f64, us as f64))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lawsdb_obs::{MockClock, ProfileCollector};
-    use std::sync::Arc;
-
-    fn profile_with_filter_morsel(rows: u64, us: u64) -> QueryProfile {
-        let clock = Arc::new(MockClock::new(0));
-        let collector = ProfileCollector::with_clock(clock);
-        let ctx = collector.context();
-        {
-            let span = ctx.span("plan.filter");
-            let child = span.child();
-            child.leaf("morsel", 0, vec![("rows", rows.into()), ("duration_us", us.into())]);
-        }
-        collector.build("query")
-    }
-
-    #[test]
-    fn feedback_is_off_by_default() {
-        let model = CostModel::new();
-        let before = model.constants();
-        model.observe_profile(&profile_with_filter_morsel(1000, 8000));
-        assert_eq!(model.constants(), before);
-    }
-
-    #[test]
-    fn observed_timings_pull_constants_toward_measurements() {
-        let model = CostModel::new();
-        model.set_feedback(true);
-        let before = model.constants();
-        // 8000us over 1000 rows = 8us/row, far above the default.
-        model.observe_profile(&profile_with_filter_morsel(1000, 8000));
-        let after = model.constants();
-        assert!(after.eval_tuple_us > before.eval_tuple_us);
-        // Deterministic EMA: old + 0.3 * (obs - old).
-        let expected = before.eval_tuple_us + 0.3 * (8.0 - before.eval_tuple_us);
-        assert!((after.eval_tuple_us - expected).abs() < 1e-12);
-        // Unrelated constants untouched.
-        assert_eq!(after.agg_tuple_us, before.agg_tuple_us);
-        assert_eq!(after.scan_tuple_us, before.scan_tuple_us);
-    }
-
-    #[test]
-    fn repeated_observations_converge() {
-        let model = CostModel::new();
-        model.set_feedback(true);
-        for _ in 0..64 {
-            model.observe_profile(&profile_with_filter_morsel(100, 500));
-        }
-        // 500us / 100 rows = 5us/row target.
-        assert!((model.constants().eval_tuple_us - 5.0).abs() < 1e-6);
-    }
-
-    #[test]
-    fn zero_row_spans_are_ignored() {
-        let model = CostModel::new();
-        model.set_feedback(true);
-        let before = model.constants();
-        model.observe_profile(&profile_with_filter_morsel(0, 100));
-        assert_eq!(model.constants(), before);
-    }
 
     #[test]
     fn model_answer_cost_scales_with_tuples() {

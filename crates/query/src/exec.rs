@@ -14,7 +14,7 @@ use crate::plan::{AggSpec, LogicalPlan};
 use crate::pruning::{PruningPredicate, ScanStats, ScanStatsCollector, ZoneDecision};
 use crate::sexpr::{PredMask, ScalarExpr};
 use crate::sql::{parse_select, AggFunc, OrderBy};
-use lawsdb_obs::{fields, ProfileContext};
+use lawsdb_obs::fields;
 use lawsdb_storage::schema::{DataType, Field, Schema};
 use lawsdb_storage::zonemap::{ColumnZones, ZoneSource};
 use lawsdb_storage::{Catalog, Column, Table, Value};
@@ -313,22 +313,57 @@ fn scan_pipeline(plan: &LogicalPlan) -> Option<ScanPipeline<'_>> {
     }
 }
 
-/// Record one pruning-decision leaf per zone-aligned chunk, attributed
-/// to the synopsis tier that decided it (`skip_zonemap` = write-time
-/// data zones, `skip_model` = model-derived bounds, `accept_all` =
-/// constant-zone compressed-domain acceptance). Leaves index by chunk
-/// offset, so sibling order is worker-schedule-independent.
-fn profile_zones(ctx: Option<&ProfileContext>, chunks: &[(usize, usize, ZoneDecision)]) {
-    let Some(ctx) = ctx else { return };
-    for &(o, l, d) in chunks {
-        let decision = match d {
-            ZoneDecision::Skip(ZoneSource::Data) => "skip_zonemap",
-            ZoneDecision::Skip(ZoneSource::Model) => "skip_model",
-            ZoneDecision::AcceptAll => "accept_all",
-            ZoneDecision::Eval => "eval",
-        };
-        ctx.leaf("zone", o as u64, fields![rows = l, decision]);
+/// The sargable part of a filter, when these options allow pruning.
+fn pruner_for(predicate: Option<&ScalarExpr>, opts: &ExecOptions) -> Option<PruningPredicate> {
+    predicate.filter(|_| opts.pruning).and_then(PruningPredicate::extract)
+}
+
+/// Split one morsel into zone-aligned chunks with the synopsis'
+/// decision for each — the one place the executor consults the pruner.
+///
+/// With a pruner and a synopsis the chunks come from
+/// [`PruningPredicate::plan_range`] on `grid` (the pruner's own grid
+/// when `None`); the zone counters go to `opts.stats` and one `zone`
+/// profile leaf per chunk records the deciding tier (`skip_zonemap` =
+/// write-time data zones, `skip_model` = model-derived bounds,
+/// `accept_all` = compressed-domain acceptance; leaves index by chunk
+/// offset, so sibling order is worker-schedule-independent). Without
+/// them the morsel is one chunk and nothing is planned or counted: with
+/// pruning on and no filter at all every row is trivially accepted
+/// (`AcceptAll`, so an aggregate can answer from the synopsis with
+/// `pages_total == 0`), otherwise every row is evaluated (`Eval`).
+fn zone_chunks(
+    t: &Table,
+    pruner: Option<&PruningPredicate>,
+    grid: Option<usize>,
+    filtered: bool,
+    opts: &ExecOptions,
+    offset: usize,
+    len: usize,
+) -> Vec<(usize, usize, ZoneDecision)> {
+    let (Some(pruner), Some(synopsis)) = (pruner, t.synopsis()) else {
+        let accept_all = opts.pruning && !filtered;
+        let all = if accept_all { ZoneDecision::AcceptAll } else { ZoneDecision::Eval };
+        return vec![(offset, len, all)];
+    };
+    let mut stats = ScanStats::default();
+    let grid = grid.unwrap_or_else(|| pruner.grid(synopsis));
+    let chunks = pruner.plan_range(synopsis, grid, offset, len, &mut stats);
+    if let Some(c) = &opts.stats {
+        c.add(&stats);
     }
+    if let Some(ctx) = &opts.profile {
+        for &(o, l, d) in &chunks {
+            let decision = match d {
+                ZoneDecision::Skip(ZoneSource::Data) => "skip_zonemap",
+                ZoneDecision::Skip(ZoneSource::Model) => "skip_model",
+                ZoneDecision::AcceptAll => "accept_all",
+                ZoneDecision::Eval => "eval",
+            };
+            ctx.leaf("zone", o as u64, fields![rows = l, decision]);
+        }
+    }
+    chunks
 }
 
 /// Morsel-parallel filter: each worker evaluates the predicate mask on
@@ -336,54 +371,29 @@ fn profile_zones(ctx: Option<&ProfileContext>, chunks: &[(usize, usize, ZoneDeci
 /// concatenating them in morsel order reproduces the serial selection
 /// exactly, and a single `take` materializes the output.
 ///
-/// When the input table carries a synopsis and the predicate has
-/// sargable conjuncts, each worker first splits its morsel into
-/// zone-aligned chunks: refuted zones are skipped without touching a
-/// value, constant zones that satisfy the whole predicate accept every
-/// row without evaluation, and only inconclusive chunks fall through to
-/// per-row `eval_mask`. Pruning never changes the kept row set (skipped
-/// zones provably hold no TRUE rows), so output is bit-identical to the
-/// unpruned path.
+/// Each worker first splits its morsel with [`zone_chunks`]: refuted
+/// zones are skipped without touching a value, zones that satisfy the
+/// whole predicate accept every row without evaluation, and only
+/// inconclusive chunks fall through to per-row `eval_mask`. Pruning
+/// never changes the kept row set (skipped zones provably hold no TRUE
+/// rows), so output is bit-identical to the unpruned path.
 fn parallel_filter(t: &Table, predicate: &ScalarExpr, opts: &ExecOptions) -> Result<Table> {
-    let pruner = if opts.pruning { PruningPredicate::extract(predicate) } else { None };
+    let pruner = pruner_for(Some(predicate), opts);
     let conjuncts = predicate.conjuncts();
-    let locals = match (&pruner, t.synopsis()) {
-        (Some(pruner), Some(synopsis)) => {
-            parallel_morsels(t.row_count(), opts, |offset, len| {
-                let mut stats = ScanStats::default();
-                let chunks =
-                    pruner.plan_range(synopsis, pruner.grid(synopsis), offset, len, &mut stats);
-                profile_zones(opts.profile.as_ref(), &chunks);
-                let mut keep = Vec::new();
-                for (o, l, d) in chunks {
-                    match d {
-                        ZoneDecision::Skip(_) => {}
-                        ZoneDecision::AcceptAll => keep.extend(o..o + l),
-                        ZoneDecision::Eval => {
-                            let m = t.slice(o, l)?;
-                            let mask = eval_conjuncts_mask(&conjuncts, &m)?;
-                            keep.extend(
-                                mask.selected_indices().into_iter().map(|i| o + i),
-                            );
-                        }
-                    }
+    let locals = parallel_morsels(t.row_count(), opts, |offset, len| {
+        let mut keep = Vec::new();
+        for (o, l, d) in zone_chunks(t, pruner.as_ref(), None, true, opts, offset, len) {
+            match d {
+                ZoneDecision::Skip(_) => {}
+                ZoneDecision::AcceptAll => keep.extend(o..o + l),
+                ZoneDecision::Eval => {
+                    let mask = eval_conjuncts_mask(&conjuncts, &t.slice(o, l)?)?;
+                    keep.extend(mask.selected_indices().into_iter().map(|i| o + i));
                 }
-                if let Some(c) = &opts.stats {
-                    c.add(&stats);
-                }
-                Ok(keep)
-            })?
+            }
         }
-        _ => parallel_morsels(t.row_count(), opts, |offset, len| {
-            let m = t.slice(offset, len)?;
-            let mask = eval_conjuncts_mask(&conjuncts, &m)?;
-            Ok(mask
-                .selected_indices()
-                .into_iter()
-                .map(|i| offset + i)
-                .collect::<Vec<usize>>())
-        })?,
-    };
+        Ok(keep)
+    })?;
     let keep: Vec<usize> = locals.concat();
     charge_take(opts, t, keep.len())?;
     Ok(t.take(&keep)?)
@@ -1198,113 +1208,61 @@ pub(crate) fn aggregate_partials(
         .collect::<Result<_>>()?;
     let args = prepare_agg_args(t, aggs)?;
     let push = plan_agg_pushdown(t, predicate, &group_by, &args);
-    let pruner = match (opts.pruning, predicate) {
-        (true, Some(p)) => PruningPredicate::extract(p),
-        _ => None,
-    };
-    let parts = match (&push, t.synopsis()) {
-        (Some(push), Some(synopsis)) => {
-            parallel_morsels(t.row_count(), opts, |offset, len| {
-                let mut stats = ScanStats::default();
-                let mut units: Vec<GroupPartial> = Vec::new();
-                let accept = |o: usize,
-                                  l: usize,
-                                  stats: &mut ScanStats,
-                                  units: &mut Vec<GroupPartial>|
-                 -> Result<()> {
-                    for (uo, ul) in grid_units(o, l, push.grid) {
-                        match push.zone_partial(uo, ul) {
-                            Some(p) => {
-                                stats.zones_agg_synopsis += 1;
-                                if let Some(ctx) = &opts.profile {
-                                    ctx.leaf(
-                                        "zone",
-                                        uo as u64,
-                                        fields![rows = ul, decision = "agg_synopsis"],
-                                    );
-                                }
-                                units.push(p);
-                            }
-                            None => units.push(push.scan_unit(t, uo, ul, None)?),
-                        }
-                    }
-                    Ok(())
+    let pruner = pruner_for(predicate, opts);
+    let grid = push.as_ref().map(|p| p.grid);
+    let parts = parallel_morsels(t.row_count(), opts, |offset, len| {
+        let chunks =
+            zone_chunks(t, pruner.as_ref(), grid, predicate.is_some(), opts, offset, len);
+        let Some(push) = &push else {
+            // One shared accumulator for every surviving chunk, so the
+            // add order matches an unchunked pass over this morsel
+            // exactly (see [`MorselAccumulator`]).
+            let mut acc = MorselAccumulator::new(&group_by, &args, aggs.len());
+            for (o, l, d) in chunks {
+                let pred = match d {
+                    ZoneDecision::Skip(_) => continue,
+                    ZoneDecision::AcceptAll => None,
+                    ZoneDecision::Eval => predicate,
                 };
-                match &pruner {
-                    Some(pruner) => {
-                        let chunks =
-                            pruner.plan_range(synopsis, push.grid, offset, len, &mut stats);
-                        profile_zones(opts.profile.as_ref(), &chunks);
-                        for (o, l, d) in chunks {
-                            match d {
-                                ZoneDecision::Skip(_) => {}
-                                ZoneDecision::AcceptAll => {
-                                    accept(o, l, &mut stats, &mut units)?
-                                }
-                                ZoneDecision::Eval => {
-                                    for (uo, ul) in grid_units(o, l, push.grid) {
-                                        units.push(push.scan_unit(t, uo, ul, predicate)?);
-                                    }
-                                }
-                            }
-                        }
-                    }
-                    // No filter at all: every unit is trivially
-                    // accepted — the aggregate answers from the
-                    // synopsis without planning (or reading) any pages.
-                    None if opts.pruning && predicate.is_none() => {
-                        accept(offset, len, &mut stats, &mut units)?
-                    }
-                    // Unpruned baseline, or a filter with nothing
-                    // sargable: scan every unit, same grammar.
-                    None => {
-                        for (uo, ul) in grid_units(offset, len, push.grid) {
-                            units.push(push.scan_unit(t, uo, ul, predicate)?);
-                        }
-                    }
-                }
-                if let Some(c) = &opts.stats {
-                    c.add(&stats);
-                }
-                Ok(merge_partials(units))
-            })?
-        }
-        _ => match (&pruner, t.synopsis()) {
-            (Some(pruner), Some(synopsis)) => {
-                parallel_morsels(t.row_count(), opts, |offset, len| {
-                    let mut stats = ScanStats::default();
-                    let chunks = pruner.plan_range(
-                        synopsis,
-                        pruner.grid(synopsis),
-                        offset,
-                        len,
-                        &mut stats,
-                    );
-                    profile_zones(opts.profile.as_ref(), &chunks);
-                    // One shared accumulator for every surviving chunk,
-                    // so the add order matches an unchunked pass over
-                    // this morsel exactly (see [`MorselAccumulator`]).
-                    let mut acc = MorselAccumulator::new(&group_by, &args, aggs.len());
-                    for (o, l, d) in chunks {
-                        let pred = match d {
-                            ZoneDecision::Skip(_) => continue,
-                            ZoneDecision::AcceptAll => None,
-                            ZoneDecision::Eval => predicate,
-                        };
-                        acc.accumulate(&t.slice(o, l)?, o, pred)?;
-                    }
-                    if let Some(c) = &opts.stats {
-                        c.add(&stats);
-                    }
-                    Ok(acc.finish())
-                })?
+                acc.accumulate(&t.slice(o, l)?, o, pred)?;
             }
-            _ => parallel_morsels(t.row_count(), opts, |offset, len| {
-                let m = t.slice(offset, len)?;
-                accumulate_morsel(&m, offset, predicate, &group_by, &args, aggs.len())
-            })?,
-        },
-    };
+            return Ok(acc.finish());
+        };
+        // Zone-unit grammar: skipped chunks vanish; accepted units
+        // answer from their materialized partial when one fits the unit
+        // exactly and scan unfiltered otherwise; Eval units (and the
+        // unpruned baseline, same units) run the fused kernel.
+        let mut units: Vec<GroupPartial> = Vec::new();
+        let mut pushed = 0;
+        for (o, l, d) in chunks {
+            let (accepted, pred) = match d {
+                ZoneDecision::Skip(_) => continue,
+                ZoneDecision::AcceptAll => (true, None),
+                ZoneDecision::Eval => (false, predicate),
+            };
+            for (uo, ul) in grid_units(o, l, push.grid) {
+                let partial = if accepted { push.zone_partial(uo, ul) } else { None };
+                match partial {
+                    Some(p) => {
+                        pushed += 1;
+                        if let Some(ctx) = &opts.profile {
+                            ctx.leaf(
+                                "zone",
+                                uo as u64,
+                                fields![rows = ul, decision = "agg_synopsis"],
+                            );
+                        }
+                        units.push(p);
+                    }
+                    None => units.push(push.scan_unit(t, uo, ul, pred)?),
+                }
+            }
+        }
+        if let (Some(c), true) = (&opts.stats, pushed > 0) {
+            c.add(&ScanStats { zones_agg_synopsis: pushed, ..ScanStats::default() });
+        }
+        Ok(merge_partials(units))
+    })?;
     Ok((group_by, parts))
 }
 

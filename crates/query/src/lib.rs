@@ -1,8 +1,9 @@
 //! # lawsdb-query
 //!
 //! Relational query processing for LawsDB: a SQL subset, a logical plan,
-//! a rule-based optimizer and a vectorized executor over the columnar
-//! storage engine.
+//! a rule-based optimizer, a pricing pass that annotates that plan with
+//! per-node estimates and zone access paths, and a vectorized executor
+//! over the columnar storage engine.
 //!
 //! The paper's Section 2 poses two concrete SQL queries against the
 //! LOFAR measurements table:
@@ -48,7 +49,7 @@ pub mod pruning;
 pub mod sexpr;
 pub mod sql;
 
-pub use cost::{CostConstants, CostModel};
+pub use cost::CostConstants;
 pub use error::{QueryError, Result};
 pub use exec::{execute, execute_plan_with, execute_with, QueryResult};
 pub use lawsdb_obs::{ProfileCollector, ProfileContext, QueryProfile};
@@ -58,7 +59,9 @@ pub use partial::{
     assemble_partials, group_key_hash, limit_rows, merge_shard_partials,
     shard_partials_contiguous, shard_partials_sparse, sort_rows, MergedPartials, ShardPartials,
 };
-pub use physical::{execute_physical_with, plan_physical, AccessPlan, Estimate, PhysicalPlan};
+pub use physical::{
+    execute_physical_with, plan_physical, AccessPlan, Estimate, PhysicalPlan, PlanNote,
+};
 pub use plan::LogicalPlan;
 pub use plan_cache::{normalize_statement, PlanCache};
 pub use pruning::{PruningPredicate, ScanStats, ScanStatsCollector, ZoneDecision};

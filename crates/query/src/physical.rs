@@ -17,9 +17,11 @@
 //!   associative over `(truth, known)` masks, so any reordering is
 //!   result-preserving — `tests/optimizer_equivalence.rs` pins this.
 //!
-//! The physical tree lowers back to a [`LogicalPlan`] for execution
-//! (`to_logical`), renders estimate-annotated EXPLAIN lines, and is the
-//! unit cached by [`crate::plan_cache::PlanCache`].
+//! The result, [`PhysicalPlan`], is the logical plan plus a note table:
+//! the tree the executor runs (conjuncts in priced order) and one
+//! [`PlanNote`] per node in preorder. EXPLAIN is the logical plan's own
+//! renderer with each note appended to its line. It is the unit cached
+//! by [`crate::plan_cache::PlanCache`].
 
 use crate::cost::CostConstants;
 use crate::error::Result;
@@ -28,7 +30,6 @@ use crate::morsel::ExecOptions;
 use crate::plan::{AggSpec, LogicalPlan};
 use crate::pruning::{PruningConjunct, PruningPredicate, ScanStats, ZoneDecision};
 use crate::sexpr::ScalarExpr;
-use crate::sql::OrderBy;
 use lawsdb_storage::zonemap::ZoneSource;
 use lawsdb_storage::Catalog;
 
@@ -36,19 +37,13 @@ use lawsdb_storage::Catalog;
 /// (non-sargable residuals, unknown columns).
 pub const DEFAULT_SELECTIVITY: f64 = 0.25;
 
-/// Cardinality and cumulative cost estimate for one physical node.
-#[derive(Debug, Clone, Copy, PartialEq)]
+/// Cardinality and cumulative cost estimate for one plan node.
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct Estimate {
     /// Estimated output rows.
     pub rows: f64,
     /// Estimated cumulative cost (this node plus its inputs), µs.
     pub cost_us: f64,
-}
-
-impl Estimate {
-    fn zero() -> Estimate {
-        Estimate { rows: 0.0, cost_us: 0.0 }
-    }
 }
 
 /// Zone-level access path for a pruned scan, computed at plan time by
@@ -110,285 +105,89 @@ impl ZoneAggPath {
     }
 }
 
-/// One node of the physical plan: the logical operator plus its
-/// estimate, and for filters the chosen conjunct order + access path.
-#[derive(Debug, Clone, PartialEq)]
-pub enum PhysicalNode {
-    /// Base-table page scan.
-    Scan {
-        /// Table name.
-        table: String,
-        /// Columns to materialize, or `None` for all.
-        projection: Option<Vec<String>>,
-        /// Estimate.
-        est: Estimate,
-    },
-    /// Statically-empty scan (`LIMIT 0` elision); zero IO, zero cost.
-    EmptyScan {
-        /// Table name.
-        table: String,
-        /// Columns to materialize, or `None` for all.
-        projection: Option<Vec<String>>,
-        /// Estimate.
-        est: Estimate,
-    },
-    /// Inner hash equi-join.
-    Join {
-        /// Left input.
-        left: Box<PhysicalNode>,
-        /// Right input.
-        right: Box<PhysicalNode>,
-        /// Key column on the left input.
-        left_col: String,
-        /// Key column on the right input.
-        right_col: String,
-        /// Estimate.
-        est: Estimate,
-    },
-    /// Row filter with cost-ordered conjuncts.
-    Filter {
-        /// Input node.
-        input: Box<PhysicalNode>,
-        /// Predicate with conjuncts in chosen evaluation order.
-        predicate: ScalarExpr,
-        /// Combined estimated selectivity of all conjuncts.
-        selectivity: f64,
-        /// Zone access path when the input is a base scan with a
-        /// synopsis.
-        access: Option<AccessPlan>,
-        /// True when costing changed the conjunct order.
-        reordered: bool,
-        /// Estimate.
-        est: Estimate,
-    },
-    /// Hash aggregation.
-    Aggregate {
-        /// Input node.
-        input: Box<PhysicalNode>,
-        /// Grouping columns.
-        group_by: Vec<String>,
-        /// Aggregates to compute.
-        aggs: Vec<AggSpec>,
-        /// Zone-aggregate pushdown path, when the query shape and the
-        /// scanned table's synopsis make one available.
-        zone_agg: Option<ZoneAggPath>,
-        /// Estimate.
-        est: Estimate,
-    },
-    /// Projection.
-    Project {
-        /// Input node.
-        input: Box<PhysicalNode>,
-        /// `(expression, output name)` pairs.
-        exprs: Vec<(ScalarExpr, String)>,
-        /// `SELECT *`?
-        star: bool,
-        /// Estimate.
-        est: Estimate,
-    },
-    /// Duplicate elimination.
-    Distinct {
-        /// Input node.
-        input: Box<PhysicalNode>,
-        /// Estimate.
-        est: Estimate,
-    },
-    /// Sort.
-    Sort {
-        /// Input node.
-        input: Box<PhysicalNode>,
-        /// Sort keys.
-        keys: Vec<OrderBy>,
-        /// Estimate.
-        est: Estimate,
-    },
-    /// Row cap.
-    Limit {
-        /// Input node.
-        input: Box<PhysicalNode>,
-        /// Row cap.
-        n: usize,
-        /// Estimate.
-        est: Estimate,
-    },
+/// What pricing adds to a `Filter` node.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct FilterNote {
+    /// Combined estimated selectivity of all conjuncts.
+    pub selectivity: f64,
+    /// Zone access path when the input is a base scan with a synopsis.
+    pub access: Option<AccessPlan>,
+    /// True when costing changed the conjunct order.
+    pub reordered: bool,
 }
 
-impl PhysicalNode {
-    /// This node's estimate.
-    pub fn estimate(&self) -> Estimate {
-        match self {
-            PhysicalNode::Scan { est, .. }
-            | PhysicalNode::EmptyScan { est, .. }
-            | PhysicalNode::Join { est, .. }
-            | PhysicalNode::Filter { est, .. }
-            | PhysicalNode::Aggregate { est, .. }
-            | PhysicalNode::Project { est, .. }
-            | PhysicalNode::Distinct { est, .. }
-            | PhysicalNode::Sort { est, .. }
-            | PhysicalNode::Limit { est, .. } => *est,
-        }
-    }
+/// What pricing knows about one plan node. Every node has an estimate;
+/// filters add a [`FilterNote`], aggregates a [`ZoneAggPath`] when the
+/// query shape and the scanned table's synopsis make one available.
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
+pub struct PlanNote {
+    /// Output cardinality and cumulative cost.
+    pub est: Estimate,
+    /// Set on `Filter` nodes.
+    pub filter: Option<FilterNote>,
+    /// Set on pushdown-eligible `Aggregate` nodes.
+    pub zone_agg: Option<ZoneAggPath>,
+}
 
-    /// Lower back to the logical operator tree the executor runs.
-    pub fn to_logical(&self) -> LogicalPlan {
-        match self {
-            PhysicalNode::Scan { table, projection, .. } => {
-                LogicalPlan::Scan { table: table.clone(), projection: projection.clone() }
-            }
-            PhysicalNode::EmptyScan { table, projection, .. } => {
-                LogicalPlan::EmptyScan { table: table.clone(), projection: projection.clone() }
-            }
-            PhysicalNode::Join { left, right, left_col, right_col, .. } => LogicalPlan::Join {
-                left: Box::new(left.to_logical()),
-                right: Box::new(right.to_logical()),
-                left_col: left_col.clone(),
-                right_col: right_col.clone(),
-            },
-            PhysicalNode::Filter { input, predicate, .. } => LogicalPlan::Filter {
-                input: Box::new(input.to_logical()),
-                predicate: predicate.clone(),
-            },
-            PhysicalNode::Aggregate { input, group_by, aggs, .. } => LogicalPlan::Aggregate {
-                input: Box::new(input.to_logical()),
-                group_by: group_by.clone(),
-                aggs: aggs.clone(),
-            },
-            PhysicalNode::Project { input, exprs, star, .. } => LogicalPlan::Project {
-                input: Box::new(input.to_logical()),
-                exprs: exprs.clone(),
-                star: *star,
-            },
-            PhysicalNode::Distinct { input, .. } => {
-                LogicalPlan::Distinct { input: Box::new(input.to_logical()) }
-            }
-            PhysicalNode::Sort { input, keys, .. } => {
-                LogicalPlan::Sort { input: Box::new(input.to_logical()), keys: keys.clone() }
-            }
-            PhysicalNode::Limit { input, n, .. } => {
-                LogicalPlan::Limit { input: Box::new(input.to_logical()), n: *n }
-            }
-        }
-    }
-
-    fn explain_into(&self, out: &mut String, depth: usize) {
-        let pad = "  ".repeat(depth);
-        let est = self.estimate();
-        let ann = format!(" · est_rows={:.0} est_cost={:.1}us", est.rows, est.cost_us);
-        match self {
-            PhysicalNode::Scan { table, projection, .. } => {
-                let cols = match projection {
-                    None => "*".to_string(),
-                    Some(cols) => cols.join(", "),
-                };
-                out.push_str(&format!("{pad}Scan {table} [{cols}]{ann}\n"));
-            }
-            PhysicalNode::EmptyScan { table, projection, .. } => {
-                let cols = match projection {
-                    None => "*".to_string(),
-                    Some(cols) => cols.join(", "),
-                };
-                out.push_str(&format!("{pad}EmptyScan {table} [{cols}]{ann}\n"));
-            }
-            PhysicalNode::Join { left, right, left_col, right_col, .. } => {
-                out.push_str(&format!("{pad}Join on {left_col} = {right_col}{ann}\n"));
-                left.explain_into(out, depth + 1);
-                right.explain_into(out, depth + 1);
-            }
-            PhysicalNode::Filter { input, predicate, selectivity, access, reordered, .. } => {
-                out.push_str(&format!(
-                    "{pad}Filter {predicate}{ann} sel={selectivity:.3}{}\n",
-                    if *reordered { " (reordered)" } else { "" }
-                ));
-                // Mirror the logical EXPLAIN's Pruning line, annotated
-                // with the planned zone access path. Appended, never
-                // restructured: consumers index EXPLAIN output by line.
-                if matches!(&**input, PhysicalNode::Scan { .. }) {
-                    if let Some(p) = PruningPredicate::extract(predicate) {
-                        let zones = match access {
-                            Some(a) => format!(" {}", a.describe()),
-                            None => String::new(),
-                        };
-                        out.push_str(&format!(
-                            "{pad}  Pruning [{}]{}{zones}\n",
-                            p.describe(),
-                            if p.exact { " (exact)" } else { "" }
-                        ));
-                    }
-                }
-                input.explain_into(out, depth + 1);
-            }
-            PhysicalNode::Aggregate { input, group_by, aggs, zone_agg, .. } => {
-                let aggs: Vec<String> = aggs.iter().map(|a| a.name.clone()).collect();
-                // The pushdown path is appended to the Aggregate line,
-                // never emitted as its own line: consumers index
-                // EXPLAIN output by line.
-                let push = match zone_agg {
-                    Some(z) => format!(" {}", z.describe()),
-                    None => String::new(),
-                };
-                out.push_str(&format!(
-                    "{pad}Aggregate group_by=[{}] aggs=[{}]{ann}{push}\n",
-                    group_by.join(", "),
-                    aggs.join(", ")
-                ));
-                input.explain_into(out, depth + 1);
-            }
-            PhysicalNode::Project { input, exprs, star, .. } => {
-                let mut items: Vec<String> = Vec::new();
-                if *star {
-                    items.push("*".to_string());
-                }
-                items.extend(exprs.iter().map(|(e, n)| format!("{e} AS {n}")));
-                out.push_str(&format!("{pad}Project [{}]{ann}\n", items.join(", ")));
-                input.explain_into(out, depth + 1);
-            }
-            PhysicalNode::Distinct { input, .. } => {
-                out.push_str(&format!("{pad}Distinct{ann}\n"));
-                input.explain_into(out, depth + 1);
-            }
-            PhysicalNode::Sort { input, keys, .. } => {
-                let keys: Vec<String> = keys
-                    .iter()
-                    .map(|k| format!("{}{}", k.column, if k.desc { " DESC" } else { "" }))
-                    .collect();
-                out.push_str(&format!("{pad}Sort [{}]{ann}\n", keys.join(", ")));
-                input.explain_into(out, depth + 1);
-            }
-            PhysicalNode::Limit { input, n, .. } => {
-                out.push_str(&format!("{pad}Limit {n}{ann}\n"));
-                input.explain_into(out, depth + 1);
-            }
-        }
+impl From<Estimate> for PlanNote {
+    fn from(est: Estimate) -> PlanNote {
+        PlanNote { est, filter: None, zone_agg: None }
     }
 }
 
-/// A costed physical plan, ready to execute or cache.
+impl PlanNote {
+    /// EXPLAIN suffixes for this node's line and for its Pruning line
+    /// (see [`LogicalPlan::explain_annotated`]).
+    fn suffixes(&self) -> (String, String) {
+        let Estimate { rows, cost_us } = self.est;
+        let mut line = format!(" · est_rows={rows:.0} est_cost={cost_us:.1}us");
+        let mut pruning = String::new();
+        if let Some(f) = &self.filter {
+            line.push_str(&format!(" sel={:.3}", f.selectivity));
+            if f.reordered {
+                line.push_str(" (reordered)");
+            }
+            if let Some(a) = &f.access {
+                pruning = format!(" {}", a.describe());
+            }
+        }
+        if let Some(z) = &self.zone_agg {
+            line.push_str(&format!(" {}", z.describe()));
+        }
+        (line, pruning)
+    }
+}
+
+/// A costed physical plan, ready to execute or cache: the optimized
+/// logical tree the executor runs — filter conjuncts already in priced
+/// order — plus one [`PlanNote`] per node, in preorder.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PhysicalPlan {
-    /// Root physical node.
-    pub root: PhysicalNode,
-    /// Pre-lowered logical tree (what the executor actually runs),
-    /// computed once so cached plans do not re-lower per query.
-    lowered: LogicalPlan,
+    logical: LogicalPlan,
+    notes: Vec<PlanNote>,
 }
 
 impl PhysicalPlan {
     /// The root node's estimate.
     pub fn root_estimate(&self) -> Estimate {
-        self.root.estimate()
+        self.notes[0].est
     }
 
-    /// The logical tree this plan lowers to.
+    /// The logical tree the executor runs.
     pub fn logical(&self) -> &LogicalPlan {
-        &self.lowered
+        &self.logical
     }
 
-    /// EXPLAIN text: the logical plan shape with ` · est_rows=… `
-    /// `est_cost=…` annotations appended to every line.
+    /// Per-node notes, indexed by the node's preorder position in
+    /// [`Self::logical`] (a join's left subtree precedes its right).
+    pub fn notes(&self) -> &[PlanNote] {
+        &self.notes
+    }
+
+    /// EXPLAIN text: the logical plan's own rendering with each node's
+    /// note appended to its line.
     pub fn explain(&self) -> String {
-        let mut s = String::new();
-        self.root.explain_into(&mut s, 0);
-        s
+        self.logical.explain_annotated(Some(&|i| self.notes[i].suffixes()))
     }
 }
 
@@ -397,9 +196,10 @@ impl PhysicalPlan {
 /// synopses degrade to default estimates, never to planning errors —
 /// execution reports those.
 pub fn plan_physical(catalog: &Catalog, plan: &LogicalPlan, consts: &CostConstants) -> PhysicalPlan {
-    let root = plan_node(catalog, plan, consts);
-    let lowered = root.to_logical();
-    PhysicalPlan { root, lowered }
+    let mut logical = plan.clone();
+    let mut notes = Vec::new();
+    price_node(catalog, &mut logical, consts, &mut notes);
+    PhysicalPlan { logical, notes }
 }
 
 /// Execute a physical plan. Estimates ride along into the profile (one
@@ -423,46 +223,45 @@ pub fn execute_physical_with(
     execute_plan_with(catalog, plan.logical(), opts)
 }
 
-fn plan_node(catalog: &Catalog, plan: &LogicalPlan, consts: &CostConstants) -> PhysicalNode {
-    match plan {
-        LogicalPlan::Scan { table, projection } => {
+/// Price `node` and everything below it, appending one note per node in
+/// preorder; returns the node's own estimate. The only edit to the tree
+/// is [`price_filter`] putting conjuncts in priced order.
+fn price_node(
+    catalog: &Catalog,
+    node: &mut LogicalPlan,
+    consts: &CostConstants,
+    notes: &mut Vec<PlanNote>,
+) -> Estimate {
+    let at = notes.len();
+    notes.push(PlanNote::default());
+    let note = match node {
+        LogicalPlan::Scan { table, .. } => {
             let rows = catalog.get(table).map(|t| t.row_count()).unwrap_or(0) as f64;
-            PhysicalNode::Scan {
-                table: table.clone(),
-                projection: projection.clone(),
-                est: Estimate { rows, cost_us: rows * consts.scan_tuple_us },
-            }
+            Estimate { rows, cost_us: rows * consts.scan_tuple_us }.into()
         }
-        LogicalPlan::EmptyScan { table, projection } => PhysicalNode::EmptyScan {
-            table: table.clone(),
-            projection: projection.clone(),
-            est: Estimate::zero(),
-        },
-        LogicalPlan::Join { left, right, left_col, right_col } => {
-            let l = plan_node(catalog, left, consts);
-            let r = plan_node(catalog, right, consts);
-            let (le, re) = (l.estimate(), r.estimate());
+        LogicalPlan::EmptyScan { .. } => PlanNote::default(),
+        LogicalPlan::Join { left, right, .. } => {
+            let le = price_node(catalog, left, consts, notes);
+            let re = price_node(catalog, right, consts, notes);
             // Equi-join proxy: at most one match per probe row.
             let rows = le.rows.min(re.rows);
             let cost_us = le.cost_us
                 + re.cost_us
                 + (le.rows + re.rows) * consts.agg_tuple_us
                 + rows * consts.accept_tuple_us;
-            PhysicalNode::Join {
-                left: Box::new(l),
-                right: Box::new(r),
-                left_col: left_col.clone(),
-                right_col: right_col.clone(),
-                est: Estimate { rows, cost_us },
-            }
+            Estimate { rows, cost_us }.into()
         }
-        LogicalPlan::Filter { input, predicate } => plan_filter(catalog, input, predicate, consts),
+        LogicalPlan::Filter { input, predicate } => {
+            let ie = price_node(catalog, input, consts, notes);
+            price_filter(catalog, input, predicate, ie, consts)
+        }
         LogicalPlan::Aggregate { input, group_by, aggs } => {
-            let i = plan_node(catalog, input, consts);
-            let ie = i.estimate();
+            let ie = price_node(catalog, input, consts, notes);
             let rows =
                 if group_by.is_empty() { 1.0 } else { ie.rows.sqrt().ceil().max(1.0) };
-            let zone_agg = plan_zone_agg(catalog, &i, group_by, aggs);
+            // A unary node's input is the next note in preorder.
+            let access = notes[at + 1].filter.and_then(|f| f.access);
+            let zone_agg = price_zone_agg(catalog, input, access, group_by, aggs);
             let n_aggs = aggs.len().max(1) as f64;
             // Price zone-aggregate vs row-scan per zone: pushed units
             // cost one constant fold each; only fused-kernel rows pay
@@ -470,70 +269,44 @@ fn plan_node(catalog: &Catalog, plan: &LogicalPlan, consts: &CostConstants) -> P
             // aggregate is elided entirely (the paper's zero-IO path),
             // so its cost drops out; a filtered input keeps its pruned
             // scan cost since Eval zones still materialize.
-            let cost_us = match (&zone_agg, &i) {
-                (Some(z), PhysicalNode::Scan { .. }) => {
-                    z.zones_pushed as f64 * consts.agg_zone_fold_us
+            let cost_us = match &zone_agg {
+                Some(z) => {
+                    let bare_scan = matches!(**input, LogicalPlan::Scan { .. });
+                    let scan = if bare_scan { 0.0 } else { ie.cost_us };
+                    scan + z.zones_pushed as f64 * consts.agg_zone_fold_us
                         + z.rows_fused as f64 * n_aggs * consts.agg_tuple_us
                 }
-                (Some(z), _) => {
-                    ie.cost_us
-                        + z.zones_pushed as f64 * consts.agg_zone_fold_us
-                        + z.rows_fused as f64 * n_aggs * consts.agg_tuple_us
-                }
-                (None, _) => ie.cost_us + ie.rows * n_aggs * consts.agg_tuple_us,
+                None => ie.cost_us + ie.rows * n_aggs * consts.agg_tuple_us,
             };
-            PhysicalNode::Aggregate {
-                input: Box::new(i),
-                group_by: group_by.clone(),
-                aggs: aggs.clone(),
-                zone_agg,
-                est: Estimate { rows, cost_us },
-            }
+            PlanNote { est: Estimate { rows, cost_us }, filter: None, zone_agg }
         }
-        LogicalPlan::Project { input, exprs, star } => {
-            let i = plan_node(catalog, input, consts);
-            let ie = i.estimate();
+        LogicalPlan::Project { input, exprs, .. } => {
+            let ie = price_node(catalog, input, consts, notes);
             let cost_us = ie.cost_us + ie.rows * exprs.len() as f64 * consts.eval_tuple_us;
-            PhysicalNode::Project {
-                input: Box::new(i),
-                exprs: exprs.clone(),
-                star: *star,
-                est: Estimate { rows: ie.rows, cost_us },
-            }
+            Estimate { rows: ie.rows, cost_us }.into()
         }
         LogicalPlan::Distinct { input } => {
-            let i = plan_node(catalog, input, consts);
-            let ie = i.estimate();
-            PhysicalNode::Distinct {
-                input: Box::new(i),
-                est: Estimate {
-                    rows: ie.rows.sqrt().ceil().max(1.0).min(ie.rows.max(1.0)),
-                    cost_us: ie.cost_us + ie.rows * consts.agg_tuple_us,
-                },
+            let ie = price_node(catalog, input, consts, notes);
+            Estimate {
+                rows: ie.rows.sqrt().ceil().max(1.0).min(ie.rows.max(1.0)),
+                cost_us: ie.cost_us + ie.rows * consts.agg_tuple_us,
             }
+            .into()
         }
-        LogicalPlan::Sort { input, keys } => {
-            let i = plan_node(catalog, input, consts);
-            let ie = i.estimate();
+        LogicalPlan::Sort { input, .. } => {
+            let ie = price_node(catalog, input, consts, notes);
             let cost_us =
                 ie.cost_us + ie.rows * (ie.rows + 2.0).log2() * consts.sort_tuple_us;
-            PhysicalNode::Sort {
-                input: Box::new(i),
-                keys: keys.clone(),
-                est: Estimate { rows: ie.rows, cost_us },
-            }
+            Estimate { rows: ie.rows, cost_us }.into()
         }
         LogicalPlan::Limit { input, n } => {
-            let i = plan_node(catalog, input, consts);
-            let ie = i.estimate();
+            let ie = price_node(catalog, input, consts, notes);
             let rows = ie.rows.min(*n as f64);
-            PhysicalNode::Limit {
-                input: Box::new(i),
-                n: *n,
-                est: Estimate { rows, cost_us: ie.cost_us + rows * consts.accept_tuple_us },
-            }
+            Estimate { rows, cost_us: ie.cost_us + rows * consts.accept_tuple_us }.into()
         }
-    }
+    };
+    notes[at] = note;
+    note.est
 }
 
 /// One AND-connected conjunct with its costing metadata.
@@ -547,15 +320,15 @@ struct ConjunctInfo {
     index: usize,
 }
 
-fn plan_filter(
+/// Price a filter whose input (already priced at `ie`) is `input`, and
+/// put its conjuncts in priced order in place.
+fn price_filter(
     catalog: &Catalog,
     input: &LogicalPlan,
-    predicate: &ScalarExpr,
+    predicate: &mut ScalarExpr,
+    ie: Estimate,
     consts: &CostConstants,
-) -> PhysicalNode {
-    let phys_input = plan_node(catalog, input, consts);
-    let ie = phys_input.estimate();
-
+) -> PlanNote {
     // Synopsis of the base table, when the filter sits on a scan.
     let scanned = match input {
         LogicalPlan::Scan { table, .. } => catalog.get(table).ok(),
@@ -597,27 +370,27 @@ fn plan_filter(
         }
     });
     let reordered = infos.windows(2).any(|w| w[0].index > w[1].index);
-    let combined_sel: f64 = infos.iter().map(|c| c.selectivity).product();
+    let selectivities: Vec<f64> = infos.iter().map(|c| c.selectivity).collect();
+    let combined_sel: f64 = selectivities.iter().product();
 
     // Rebuild the predicate left-deep in the chosen order: the executor
     // evaluates conjuncts left to right with short-circuiting.
-    let ordered: Vec<ScalarExpr> = infos.iter().map(|c| c.expr.clone()).collect();
-    let predicate = and_chain(ordered);
+    *predicate = and_chain(infos.into_iter().map(|c| c.expr));
 
     // Per-zone access path + cost, when the synopsis can prune.
     let mut access = None;
-    let mut cost_us = ie.cost_us + ie.rows * infos.len() as f64 * consts.eval_tuple_us;
+    let mut cost_us = ie.cost_us + ie.rows * selectivities.len() as f64 * consts.eval_tuple_us;
     if let (Some(table), Some(syn)) = (&scanned, synopsis) {
-        if let Some(pruner) = PruningPredicate::extract(&predicate) {
+        if let Some(pruner) = PruningPredicate::extract(predicate) {
             let a = access_plan(&pruner, syn, table.row_count());
             // Eval zones pay materialize + short-circuit conjunct
             // evaluation (conjunct i only sees rows surviving 0..i);
             // accept zones pay a gather; skipped zones pay nothing.
             let mut eval_per_row = 0.0;
             let mut alive = 1.0;
-            for c in &infos {
+            for sel in &selectivities {
                 eval_per_row += alive * consts.eval_tuple_us;
-                alive *= c.selectivity;
+                alive *= sel;
             }
             cost_us = a.zones_total() as f64 * consts.zone_decide_us
                 + a.rows_accept as f64 * consts.accept_tuple_us
@@ -626,13 +399,10 @@ fn plan_filter(
         }
     }
 
-    PhysicalNode::Filter {
-        input: Box::new(phys_input),
-        predicate,
-        selectivity: combined_sel,
-        access,
-        reordered,
+    PlanNote {
         est: Estimate { rows: (ie.rows * combined_sel).max(0.0), cost_us },
+        filter: Some(FilterNote { selectivity: combined_sel, access, reordered }),
+        zone_agg: None,
     }
 }
 
@@ -674,19 +444,21 @@ fn access_plan(
 }
 
 /// Price the zone-aggregate pushdown path for a global aggregate whose
-/// input is a base scan (optionally filtered). Eligibility is decided
-/// by [`crate::exec::agg_pushdown_grid`] — the executor's own rule — so
+/// input is a base scan (optionally filtered, with that filter's priced
+/// `access` path). Eligibility is decided by
+/// [`crate::exec::agg_pushdown_grid`] — the executor's own rule — so
 /// the planner never advertises a path execution won't take.
-fn plan_zone_agg(
+fn price_zone_agg(
     catalog: &Catalog,
-    input: &PhysicalNode,
+    input: &LogicalPlan,
+    access: Option<AccessPlan>,
     group_by: &[String],
     aggs: &[AggSpec],
 ) -> Option<ZoneAggPath> {
-    let (table, predicate, access) = match input {
-        PhysicalNode::Scan { table, .. } => (table, None, None),
-        PhysicalNode::Filter { input, predicate, access, .. } => match &**input {
-            PhysicalNode::Scan { table, .. } => (table, Some(predicate), *access),
+    let (table, predicate) = match input {
+        LogicalPlan::Scan { table, .. } => (table, None),
+        LogicalPlan::Filter { input, predicate } => match &**input {
+            LogicalPlan::Scan { table, .. } => (table, Some(predicate)),
             _ => return None,
         },
         _ => return None,
@@ -716,17 +488,15 @@ fn plan_zone_agg(
 }
 
 /// Left-deep AND chain over `exprs` (len ≥ 1).
-fn and_chain(mut exprs: Vec<ScalarExpr>) -> ScalarExpr {
-    let mut it = exprs.drain(..);
-    let first = it.next().expect("predicate has at least one conjunct");
-    it.fold(first, |acc, e| ScalarExpr::And(Box::new(acc), Box::new(e)))
+fn and_chain(mut exprs: impl Iterator<Item = ScalarExpr>) -> ScalarExpr {
+    let first = exprs.next().expect("predicate has at least one conjunct");
+    exprs.fold(first, |acc, e| ScalarExpr::And(Box::new(acc), Box::new(e)))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::optimize::optimize;
-    use crate::plan::LogicalPlan;
     use crate::sql::parse_select;
     use lawsdb_storage::TableBuilder;
 
@@ -749,19 +519,31 @@ mod tests {
         plan_physical(catalog, &plan, &CostConstants::default())
     }
 
-    fn find_filter(node: &PhysicalNode) -> Option<&PhysicalNode> {
-        match node {
-            PhysicalNode::Filter { .. } => Some(node),
-            PhysicalNode::Scan { .. } | PhysicalNode::EmptyScan { .. } => None,
-            PhysicalNode::Join { left, right, .. } => {
-                find_filter(left).or_else(|| find_filter(right))
+    /// Every node of the plan with its note, in preorder.
+    fn noted(plan: &PhysicalPlan) -> Vec<(&LogicalPlan, PlanNote)> {
+        fn walk<'p>(node: &'p LogicalPlan, out: &mut Vec<&'p LogicalPlan>) {
+            out.push(node);
+            for input in node.inputs() {
+                walk(input, out);
             }
-            PhysicalNode::Aggregate { input, .. }
-            | PhysicalNode::Project { input, .. }
-            | PhysicalNode::Distinct { input, .. }
-            | PhysicalNode::Sort { input, .. }
-            | PhysicalNode::Limit { input, .. } => find_filter(input),
         }
+        let mut nodes = Vec::new();
+        walk(plan.logical(), &mut nodes);
+        assert_eq!(nodes.len(), plan.notes().len(), "one note per node");
+        nodes.into_iter().zip(plan.notes().iter().copied()).collect()
+    }
+
+    /// The plan's (only) filter: its predicate, filter note and estimate.
+    fn filter_of(plan: &PhysicalPlan) -> (&ScalarExpr, FilterNote, Estimate) {
+        noted(plan)
+            .into_iter()
+            .find_map(|(node, note)| match node {
+                LogicalPlan::Filter { predicate, .. } => {
+                    Some((predicate, note.filter.expect("filters carry a FilterNote"), note.est))
+                }
+                _ => None,
+            })
+            .expect("no filter in plan")
     }
 
     #[test]
@@ -770,11 +552,8 @@ mod tests {
         // `k < 8` keeps ~8/512 rows; `k < 400` keeps ~400/512. The
         // cost-based order flips them.
         let plan = physical_for(&catalog, "SELECT k FROM t WHERE k < 400 AND k < 8");
-        let Some(PhysicalNode::Filter { predicate, reordered, .. }) = find_filter(&plan.root)
-        else {
-            panic!("no filter in plan");
-        };
-        assert!(*reordered, "expected conjunct reorder");
+        let (predicate, note, _) = filter_of(&plan);
+        assert!(note.reordered, "expected conjunct reorder");
         assert_eq!(format!("{predicate}"), "((k < 8) AND (k < 400))");
     }
 
@@ -782,11 +561,8 @@ mod tests {
     fn already_ordered_conjuncts_stay_put() {
         let catalog = zoned_catalog();
         let plan = physical_for(&catalog, "SELECT k FROM t WHERE k < 8 AND k < 400");
-        let Some(PhysicalNode::Filter { predicate, reordered, .. }) = find_filter(&plan.root)
-        else {
-            panic!("no filter in plan");
-        };
-        assert!(!*reordered);
+        let (predicate, note, _) = filter_of(&plan);
+        assert!(!note.reordered);
         assert_eq!(format!("{predicate}"), "((k < 8) AND (k < 400))");
     }
 
@@ -796,10 +572,8 @@ mod tests {
         // k < 50 cuts into the first of 8 zones (Eval); the other 7
         // zones have min >= 64 and are refuted outright.
         let plan = physical_for(&catalog, "SELECT k FROM t WHERE k < 50");
-        let Some(PhysicalNode::Filter { access, est, .. }) = find_filter(&plan.root) else {
-            panic!("no filter in plan");
-        };
-        let a = access.expect("synopsis present, expected an access plan");
+        let (_, note, est) = filter_of(&plan);
+        let a = note.access.expect("synopsis present, expected an access plan");
         assert_eq!(a.zones_total(), 8);
         assert_eq!(a.zones_eval, 1);
         assert_eq!(a.zones_skip_data, 7);
@@ -850,54 +624,74 @@ mod tests {
         // Unfiltered global aggregate: every zone answers from its
         // materialized partial, the scan is elided entirely.
         let plan = physical_for(&catalog, "SELECT COUNT(*), SUM(k) FROM t");
-        let PhysicalNode::Aggregate { zone_agg, est, .. } = &plan.root else {
-            panic!("expected Aggregate root, got {:?}", plan.root);
-        };
-        let z = zone_agg.expect("eligible aggregate gets a zone_agg path");
+        assert!(matches!(plan.logical(), LogicalPlan::Aggregate { .. }), "{:?}", plan.logical());
+        let root = plan.notes()[0];
+        let z = root.zone_agg.expect("eligible aggregate gets a zone_agg path");
         assert_eq!(z.zones_pushed, 8);
         assert_eq!(z.rows_fused, 0);
         assert!(plan.explain().contains("zone_agg[push=8 fused_rows=0]"), "{}", plan.explain());
         // 8 constant-time folds price far below a 512-row scan+agg.
         let consts = CostConstants::default();
-        assert!(est.cost_us < 512.0 * consts.scan_tuple_us, "cost {}", est.cost_us);
+        assert!(root.est.cost_us < 512.0 * consts.scan_tuple_us, "cost {}", root.est.cost_us);
 
         // Range filter: interior zones push, the boundary zone fuses.
         let plan = physical_for(&catalog, "SELECT SUM(k) FROM t WHERE k < 100");
-        let PhysicalNode::Aggregate { zone_agg, .. } = &plan.root else {
-            panic!("expected Aggregate root");
-        };
-        let z = zone_agg.expect("filtered aggregate still eligible");
+        assert!(matches!(plan.logical(), LogicalPlan::Aggregate { .. }));
+        let z = plan.notes()[0].zone_agg.expect("filtered aggregate still eligible");
         assert_eq!(z.zones_pushed, 1, "zone 0 accepted wholesale by k < 100");
         assert_eq!(z.rows_fused, 64, "zone 1 straddles the bound");
 
         // GROUP BY keeps the scan grammar: no pushdown advertised.
         let plan = physical_for(&catalog, "SELECT k, COUNT(*) FROM t GROUP BY k");
-        fn find_agg(n: &PhysicalNode) -> Option<&Option<ZoneAggPath>> {
-            match n {
-                PhysicalNode::Aggregate { zone_agg, .. } => Some(zone_agg),
-                PhysicalNode::Project { input, .. }
-                | PhysicalNode::Sort { input, .. }
-                | PhysicalNode::Limit { input, .. }
-                | PhysicalNode::Distinct { input, .. }
-                | PhysicalNode::Filter { input, .. } => find_agg(input),
-                _ => None,
-            }
-        }
-        assert_eq!(find_agg(&plan.root), Some(&None));
+        let aggs: Vec<PlanNote> = noted(&plan)
+            .into_iter()
+            .filter(|(node, _)| matches!(node, LogicalPlan::Aggregate { .. }))
+            .map(|(_, note)| note)
+            .collect();
+        assert_eq!(aggs.len(), 1);
+        assert_eq!(aggs[0].zone_agg, None);
+    }
+
+    /// The nine query shapes `tests/optimizer_equivalence.rs::queries`
+    /// enumerates (that file is pinned unedited, so the texts are kept
+    /// in step by hand), at fixed literals over [`zoned_catalog`]'s
+    /// columns.
+    const SHAPES: [&str; 9] = [
+        "SELECT k, u FROM t WHERE k < 340 AND k < 300 AND u > 12.5",
+        "SELECT k, u FROM t WHERE u <= 12.5 AND k >= 300 AND k != 303",
+        "SELECT k FROM t WHERE k <= 320 AND k = 300",
+        "SELECT k, u FROM t WHERE k > 300 AND (u < 12.5 OR u > 17.5)",
+        "SELECT k, u FROM t WHERE NOT (u < 12.5) AND k BETWEEN 300 AND 325",
+        "SELECT COUNT(*) AS n, SUM(u) AS s, MIN(u) AS lo, MAX(u) AS hi \
+         FROM t WHERE u > 12.5 AND k < 300 AND k >= 270",
+        "SELECT k, COUNT(*) AS n FROM t WHERE k < 300 AND u != 12.5 \
+         GROUP BY k ORDER BY k DESC LIMIT 7",
+        "SELECT k, u FROM t WHERE k < 300 LIMIT 0",
+        "SELECT COUNT(*) AS n FROM t LIMIT 0",
+    ];
+
+    /// Cut a rendered line back to what the logical renderer prints.
+    fn strip_notes(line: &str) -> &str {
+        let cut = [" · est_", " zones["].iter().filter_map(|m| line.find(m)).min();
+        &line[..cut.unwrap_or(line.len())]
     }
 
     #[test]
-    fn lowering_round_trips_through_the_executor() {
+    fn annotated_explain_is_the_logical_explain_plus_suffixes() {
         let catalog = zoned_catalog();
-        let sql = "SELECT k FROM t WHERE k < 8 AND u < 50.0";
-        let stmt = parse_select(sql).unwrap();
-        let logical = optimize(&LogicalPlan::from_statement(&stmt).unwrap());
-        let plan = plan_physical(&catalog, &logical, &CostConstants::default());
-        let opts = ExecOptions::default();
-        let a = execute_physical_with(&catalog, &plan, &opts).unwrap();
-        let b = crate::exec::execute_plan_with(&catalog, &logical, &opts).unwrap();
-        assert_eq!(a.table.row_count(), b.table.row_count());
-        assert_eq!(a.rows_scanned, b.rows_scanned);
+        for sql in SHAPES {
+            let plan = physical_for(&catalog, sql);
+            // `noted` walks the tree and asserts one note per node.
+            assert!(!noted(&plan).is_empty(), "{sql}");
+            let (annotated, bare) = (plan.explain(), plan.logical().explain());
+            assert_eq!(annotated.lines().count(), bare.lines().count(), "{sql}");
+            for (a, b) in annotated.lines().zip(bare.lines()) {
+                assert_eq!(strip_notes(a), b, "{sql}");
+                // Every node line is annotated; Pruning lines carry
+                // only the zone access path.
+                assert!(a.contains(" · est_") != b.trim_start().starts_with("Pruning"), "{a}");
+            }
+        }
     }
 
     #[test]

@@ -186,122 +186,126 @@ impl LogicalPlan {
 
     fn collect_columns(&self, out: &mut Vec<String>) {
         match self {
-            LogicalPlan::Scan { .. } | LogicalPlan::EmptyScan { .. } => {}
-            LogicalPlan::Join { left, right, left_col, right_col } => {
+            LogicalPlan::Join { left_col, right_col, .. } => {
                 out.push(left_col.clone());
                 out.push(right_col.clone());
-                left.collect_columns(out);
-                right.collect_columns(out);
             }
-            LogicalPlan::Filter { input, predicate } => {
-                out.extend(predicate.columns());
-                input.collect_columns(out);
-            }
-            LogicalPlan::Aggregate { input, group_by, aggs } => {
+            LogicalPlan::Filter { predicate, .. } => out.extend(predicate.columns()),
+            LogicalPlan::Aggregate { group_by, aggs, .. } => {
                 out.extend(group_by.iter().cloned());
-                for a in aggs {
-                    if let Some(e) = &a.arg {
-                        out.extend(e.columns());
-                    }
-                }
-                input.collect_columns(out);
+                out.extend(aggs.iter().filter_map(|a| a.arg.as_ref()).flat_map(|e| e.columns()));
             }
-            LogicalPlan::Project { input, exprs, .. } => {
-                for (e, _) in exprs {
-                    out.extend(e.columns());
-                }
-                input.collect_columns(out);
+            LogicalPlan::Project { exprs, .. } => {
+                out.extend(exprs.iter().flat_map(|(e, _)| e.columns()));
             }
-            LogicalPlan::Sort { input, keys } => {
-                out.extend(keys.iter().map(|k| k.column.clone()));
-                input.collect_columns(out);
-            }
-            LogicalPlan::Distinct { input } => input.collect_columns(out),
-            LogicalPlan::Limit { input, .. } => input.collect_columns(out),
+            LogicalPlan::Sort { keys, .. } => out.extend(keys.iter().map(|k| k.column.clone())),
+            LogicalPlan::Scan { .. }
+            | LogicalPlan::EmptyScan { .. }
+            | LogicalPlan::Distinct { .. }
+            | LogicalPlan::Limit { .. } => {}
+        }
+        for input in self.inputs() {
+            input.collect_columns(out);
+        }
+    }
+
+    /// This node's inputs in EXPLAIN (preorder) order.
+    pub fn inputs(&self) -> Vec<&LogicalPlan> {
+        match self {
+            LogicalPlan::Scan { .. } | LogicalPlan::EmptyScan { .. } => Vec::new(),
+            LogicalPlan::Join { left, right, .. } => vec![left, right],
+            LogicalPlan::Filter { input, .. }
+            | LogicalPlan::Aggregate { input, .. }
+            | LogicalPlan::Project { input, .. }
+            | LogicalPlan::Distinct { input }
+            | LogicalPlan::Sort { input, .. }
+            | LogicalPlan::Limit { input, .. } => vec![input],
         }
     }
 
     /// Pretty-print the plan tree (EXPLAIN-style, one node per line).
     pub fn explain(&self) -> String {
+        self.explain_annotated(None)
+    }
+
+    /// The one EXPLAIN renderer. `annotate`, when given, is asked once
+    /// per node — by preorder index — for two suffixes: one for the
+    /// node's own line and one for the `Pruning` line a filter over a
+    /// scan emits. Suffixes are appended, never restructure a line:
+    /// consumers index EXPLAIN output by line.
+    pub fn explain_annotated(
+        &self,
+        annotate: Option<&dyn Fn(usize) -> (String, String)>,
+    ) -> String {
         let mut s = String::new();
-        self.explain_into(&mut s, 0);
+        self.explain_into(&mut s, 0, &mut 0, annotate);
         s
     }
 
-    fn explain_into(&self, out: &mut String, depth: usize) {
+    fn explain_into(
+        &self,
+        out: &mut String,
+        depth: usize,
+        next: &mut usize,
+        annotate: Option<&dyn Fn(usize) -> (String, String)>,
+    ) {
         let pad = "  ".repeat(depth);
-        match self {
+        let (ann, pruning_ann) = annotate.map(|f| f(*next)).unwrap_or_default();
+        *next += 1;
+        let scan_cols = |projection: &Option<Vec<String>>| match projection {
+            None => "*".to_string(),
+            Some(cols) => cols.join(", "),
+        };
+        let head = match self {
             LogicalPlan::Scan { table, projection } => {
-                match projection {
-                    None => out.push_str(&format!("{pad}Scan {table} [*]\n")),
-                    Some(cols) => {
-                        out.push_str(&format!("{pad}Scan {table} [{}]\n", cols.join(", ")))
-                    }
-                }
+                format!("Scan {table} [{}]", scan_cols(projection))
             }
             LogicalPlan::EmptyScan { table, projection } => {
-                match projection {
-                    None => out.push_str(&format!("{pad}EmptyScan {table} [*]\n")),
-                    Some(cols) => {
-                        out.push_str(&format!("{pad}EmptyScan {table} [{}]\n", cols.join(", ")))
-                    }
-                }
+                format!("EmptyScan {table} [{}]", scan_cols(projection))
             }
-            LogicalPlan::Join { left, right, left_col, right_col } => {
-                out.push_str(&format!("{pad}Join on {left_col} = {right_col}\n"));
-                left.explain_into(out, depth + 1);
-                right.explain_into(out, depth + 1);
+            LogicalPlan::Join { left_col, right_col, .. } => {
+                format!("Join on {left_col} = {right_col}")
             }
-            LogicalPlan::Filter { input, predicate } => {
-                out.push_str(&format!("{pad}Filter {predicate}\n"));
-                // Surface what the executor will be able to prune: the
-                // sargable conjuncts a scan below this filter checks
-                // against zone maps before any IO.
-                if matches!(&**input, LogicalPlan::Scan { .. }) {
-                    if let Some(p) = crate::pruning::PruningPredicate::extract(predicate) {
-                        out.push_str(&format!(
-                            "{pad}  Pruning [{}]{}\n",
-                            p.describe(),
-                            if p.exact { " (exact)" } else { "" }
-                        ));
-                    }
-                }
-                input.explain_into(out, depth + 1);
+            LogicalPlan::Filter { predicate, .. } => format!("Filter {predicate}"),
+            LogicalPlan::Aggregate { group_by, aggs, .. } => {
+                let aggs: Vec<&str> = aggs.iter().map(|a| a.name.as_str()).collect();
+                format!("Aggregate group_by=[{}] aggs=[{}]", group_by.join(", "), aggs.join(", "))
             }
-            LogicalPlan::Aggregate { input, group_by, aggs } => {
-                let aggs: Vec<String> = aggs.iter().map(|a| a.name.clone()).collect();
-                out.push_str(&format!(
-                    "{pad}Aggregate group_by=[{}] aggs=[{}]\n",
-                    group_by.join(", "),
-                    aggs.join(", ")
-                ));
-                input.explain_into(out, depth + 1);
-            }
-            LogicalPlan::Project { input, exprs, star } => {
+            LogicalPlan::Project { exprs, star, .. } => {
                 let mut items: Vec<String> = Vec::new();
                 if *star {
                     items.push("*".to_string());
                 }
                 items.extend(exprs.iter().map(|(e, n)| format!("{e} AS {n}")));
-                out.push_str(&format!("{pad}Project [{}]\n", items.join(", ")));
-                input.explain_into(out, depth + 1);
+                format!("Project [{}]", items.join(", "))
             }
-            LogicalPlan::Sort { input, keys } => {
+            LogicalPlan::Sort { keys, .. } => {
                 let keys: Vec<String> = keys
                     .iter()
                     .map(|k| format!("{}{}", k.column, if k.desc { " DESC" } else { "" }))
                     .collect();
-                out.push_str(&format!("{pad}Sort [{}]\n", keys.join(", ")));
-                input.explain_into(out, depth + 1);
+                format!("Sort [{}]", keys.join(", "))
             }
-            LogicalPlan::Distinct { input } => {
-                out.push_str(&format!("{pad}Distinct\n"));
-                input.explain_into(out, depth + 1);
+            LogicalPlan::Distinct { .. } => "Distinct".to_string(),
+            LogicalPlan::Limit { n, .. } => format!("Limit {n}"),
+        };
+        out.push_str(&format!("{pad}{head}{ann}\n"));
+        // Surface what the executor will be able to prune: the sargable
+        // conjuncts a scan below this filter checks against zone maps
+        // before any IO.
+        if let LogicalPlan::Filter { input, predicate } = self {
+            if matches!(&**input, LogicalPlan::Scan { .. }) {
+                if let Some(p) = crate::pruning::PruningPredicate::extract(predicate) {
+                    out.push_str(&format!(
+                        "{pad}  Pruning [{}]{}{pruning_ann}\n",
+                        p.describe(),
+                        if p.exact { " (exact)" } else { "" }
+                    ));
+                }
             }
-            LogicalPlan::Limit { input, n } => {
-                out.push_str(&format!("{pad}Limit {n}\n"));
-                input.explain_into(out, depth + 1);
-            }
+        }
+        for input in self.inputs() {
+            input.explain_into(out, depth + 1, next, annotate);
         }
     }
 }

@@ -111,7 +111,6 @@ impl From<TransportError> for ClientError {
 pub struct Client<S> {
     stream: S,
     session: u64,
-    version: u32,
 }
 
 impl<S: Read + Write> Client<S> {
@@ -124,9 +123,7 @@ impl<S: Read + Write> Client<S> {
     pub fn connect_with(mut stream: S, options: SessionOptions) -> Result<Client<S>, ClientError> {
         write_frame(&mut stream, &Frame::Hello { protocol_version: PROTOCOL_VERSION, options })?;
         match read_frame(&mut stream)? {
-            Some(Frame::HelloAck { session, protocol_version }) => {
-                Ok(Client { stream, session, version: protocol_version })
-            }
+            Some(Frame::HelloAck { session, .. }) => Ok(Client { stream, session }),
             Some(Frame::Error(e)) => Err(ClientError::Server(e)),
             Some(other) => {
                 Err(ClientError::Unexpected { expected: "HelloAck", got: format!("{other:?}") })
@@ -139,11 +136,6 @@ impl<S: Read + Write> Client<S> {
     /// [`Client::cancel`] to cancel this session's running query.
     pub fn session_id(&self) -> u64 {
         self.session
-    }
-
-    /// The protocol version the server acknowledged for this session.
-    pub fn negotiated_version(&self) -> u32 {
-        self.version
     }
 
     fn roundtrip(&mut self, request: &Frame) -> Result<Frame, ClientError> {

@@ -36,8 +36,8 @@ pub use client::{AdmissionRetry, Client, ClientError};
 pub use error::{ProtocolError, TransportError, WireError};
 pub use pipe::{duplex, PipeStream};
 pub use protocol::{
-    read_frame, write_frame, write_frame_versioned, Frame, QueryMode, SessionOptions, StatsFormat,
-    WireResult, MAX_FRAME_BYTES, MAX_TRACE_DEPTH, MIN_PROTOCOL_VERSION, PROTOCOL_VERSION,
+    read_frame, write_frame, Frame, QueryMode, SessionOptions, StatsFormat, WireResult,
+    MAX_FRAME_BYTES, MAX_TRACE_DEPTH, PROTOCOL_VERSION,
 };
 pub use server::{Server, ServerConfig, TcpHandle};
 pub use session::SessionDirectory;

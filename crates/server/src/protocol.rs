@@ -23,17 +23,12 @@ use lawsdb_storage::bitmap::Bitmap;
 use lawsdb_storage::{Column, DataType, Field, Schema, Table};
 use std::io::{Read, Write};
 
-/// Protocol version spoken by this build. Version 2 added query ids,
-/// the `Query` trace flag, the trace tree on `ResultSet`, and the
-/// `SlowLog` request. The server negotiates down to
-/// [`MIN_PROTOCOL_VERSION`]: a v1 [`Frame::Hello`] is accepted and the
-/// session speaks v1 (no trace fields on the wire); anything outside
-/// the supported range is answered with a protocol error and the
-/// session is closed.
+/// The one protocol version this build speaks. Version 2 added query
+/// ids, the `Query` trace flag, the trace tree on `ResultSet`, and the
+/// `SlowLog` request. There is no negotiation: a [`Frame::Hello`]
+/// naming any other version is answered with a structured
+/// `VersionMismatch` protocol error and the session is closed.
 pub const PROTOCOL_VERSION: u32 = 2;
-
-/// Oldest protocol version the server still speaks.
-pub const MIN_PROTOCOL_VERSION: u32 = 1;
 
 /// Decode-side cap on trace-tree nesting; deeper claims are rejected
 /// (a real profile nests plan depth + a few cluster levels, nowhere
@@ -152,8 +147,7 @@ pub struct WireResult {
     /// Server-minted query id (v2; 0 when the peer spoke v1). Links
     /// this result to histogram exemplars and the slow-query log.
     pub query_id: u64,
-    /// The full distributed trace, present when the query asked for one
-    /// (v2 only; v1 peers never see it).
+    /// The full distributed trace, present when the query asked for one.
     pub trace: Option<TraceNode>,
 }
 
@@ -163,9 +157,7 @@ pub enum Frame {
     // ---- client → server ------------------------------------------
     /// Session handshake; must be the first frame on a connection.
     Hello {
-        /// Client's protocol version; must fall within
-        /// [`MIN_PROTOCOL_VERSION`]`..=`[`PROTOCOL_VERSION`] — the
-        /// session then speaks the client's version.
+        /// Client's protocol version; must equal [`PROTOCOL_VERSION`].
         protocol_version: u32,
         /// Initial session options.
         options: SessionOptions,
@@ -176,9 +168,7 @@ pub enum Frame {
         mode: QueryMode,
         /// SQL text.
         sql: String,
-        /// Ask for the full distributed trace on the result (v2; the
-        /// flag is trailing-optional on the wire, so v1 frames decode
-        /// with `false`).
+        /// Ask for the full distributed trace on the result.
         trace: bool,
     },
     /// Replace this session's options.
@@ -684,7 +674,7 @@ fn read_flight_record(r: &mut Reader<'_>) -> Result<FlightRecord, ProtocolError>
 
 // ---- results and errors -------------------------------------------
 
-fn put_result(out: &mut Vec<u8>, r: &WireResult, version: u32) {
+fn put_result(out: &mut Vec<u8>, r: &WireResult) {
     put_table(out, &r.table);
     put_u64(out, r.rows_scanned);
     put_bool(out, r.approximate);
@@ -695,17 +685,13 @@ fn put_result(out: &mut Vec<u8>, r: &WireResult, version: u32) {
     }
     put_u64(out, r.service_us);
     put_u64(out, r.queue_us);
-    // v2 extends the body in place (ResultSet is last-in-frame, so old
-    // decoders reading a v1 body simply stop here).
-    if version >= 2 {
-        put_u64(out, r.query_id);
-        match &r.trace {
-            Some(t) => {
-                out.push(1);
-                put_trace_node(out, t);
-            }
-            None => out.push(0),
+    put_u64(out, r.query_id);
+    match &r.trace {
+        Some(t) => {
+            out.push(1);
+            put_trace_node(out, t);
         }
+        None => out.push(0),
     }
 }
 
@@ -724,13 +710,8 @@ fn read_result(r: &mut Reader<'_>) -> Result<WireResult, ProtocolError> {
     }
     let service_us = r.u64()?;
     let queue_us = r.u64()?;
-    // Trailing-optional v2 extension: a v1 body ends here, defaulting
-    // the trace fields; a v2 body carries them explicitly.
-    let (query_id, trace) = if r.remaining() > 0 {
-        (r.u64()?, r.opt(|r| read_trace_node(r, 0))?)
-    } else {
-        (0, None)
-    };
+    let query_id = r.u64()?;
+    let trace = r.opt(|r| read_trace_node(r, 0))?;
     Ok(WireResult {
         table,
         rows_scanned,
@@ -797,16 +778,8 @@ fn read_wire_error(r: &mut Reader<'_>) -> Result<WireError, ProtocolError> {
 // ---- frames -------------------------------------------------------
 
 impl Frame {
-    /// Encode this frame's payload (tag byte + body, no length prefix)
-    /// at the current [`PROTOCOL_VERSION`].
+    /// Encode this frame's payload (tag byte + body, no length prefix).
     pub fn encode(&self) -> Vec<u8> {
-        self.encode_versioned(PROTOCOL_VERSION)
-    }
-
-    /// Encode for a negotiated protocol version. Only `ResultSet`
-    /// bodies differ: a v1 peer gets the v1 body (no query id, no
-    /// trace), everything else is version-invariant.
-    pub fn encode_versioned(&self, version: u32) -> Vec<u8> {
         let mut out = Vec::new();
         match self {
             Frame::Hello { protocol_version, options } => {
@@ -818,8 +791,6 @@ impl Frame {
                 out.push(0x02);
                 out.push(mode.tag());
                 put_str(&mut out, sql);
-                // Trailing-optional: absent in frames from v1 clients,
-                // decoded as `false`.
                 put_bool(&mut out, *trace);
             }
             Frame::SetOptions { options } => {
@@ -849,7 +820,7 @@ impl Frame {
             }
             Frame::ResultSet(r) => {
                 out.push(0x82);
-                put_result(&mut out, r, version);
+                put_result(&mut out, r);
             }
             Frame::Error(e) => {
                 out.push(0x83);
@@ -888,13 +859,11 @@ impl Frame {
         let tag = r.u8()?;
         let frame = match tag {
             0x01 => Frame::Hello { protocol_version: r.u32()?, options: read_options(&mut r)? },
-            0x02 => {
-                let mode = QueryMode::from_tag(r.u8()?)?;
-                let sql = r.str_()?;
-                // Trailing-optional trace flag (absent before v2).
-                let trace = if r.remaining() > 0 { r.bool_()? } else { false };
-                Frame::Query { mode, sql, trace }
-            }
+            0x02 => Frame::Query {
+                mode: QueryMode::from_tag(r.u8()?)?,
+                sql: r.str_()?,
+                trace: r.bool_()?,
+            },
             0x03 => Frame::SetOptions { options: read_options(&mut r)? },
             0x04 => Frame::Stats {
                 format: match r.u8()? {
@@ -937,19 +906,9 @@ impl Frame {
     }
 }
 
-/// Write one length-prefixed frame at the current protocol version.
+/// Write one length-prefixed frame.
 pub fn write_frame<W: Write>(w: &mut W, frame: &Frame) -> Result<(), TransportError> {
-    write_frame_versioned(w, frame, PROTOCOL_VERSION)
-}
-
-/// Write one length-prefixed frame encoded for a negotiated version
-/// (sessions speaking v1 must not emit v2 result bodies).
-pub fn write_frame_versioned<W: Write>(
-    w: &mut W,
-    frame: &Frame,
-    version: u32,
-) -> Result<(), TransportError> {
-    let payload = frame.encode_versioned(version);
+    let payload = frame.encode();
     if payload.len() > MAX_FRAME_BYTES {
         return Err(TransportError::Protocol(ProtocolError::Oversized {
             what: "outgoing frame",
@@ -962,13 +921,12 @@ pub fn write_frame_versioned<W: Write>(
     Ok(())
 }
 
-/// Encoded size of a result body at `version`, without assembling the
-/// full frame. The session's `server.encode` span charges the payload
+/// Encoded size of a result body, without assembling the full frame. The session's `server.encode` span charges the payload
 /// it is about to ship, measured *before* the trace tree is attached —
 /// a trace cannot contain the cost of encoding itself.
-pub(crate) fn encoded_result_len(r: &WireResult, version: u32) -> usize {
+pub(crate) fn encoded_result_len(r: &WireResult) -> usize {
     let mut out = Vec::new();
-    put_result(&mut out, r, version);
+    put_result(&mut out, r);
     out.len() + 1 // + the frame tag byte
 }
 
@@ -1078,31 +1036,6 @@ mod tests {
     }
 
     #[test]
-    fn v1_result_body_decodes_with_default_trace_fields() {
-        let result = WireResult {
-            table: sample_table(),
-            rows_scanned: 7,
-            approximate: false,
-            error_bound: None,
-            degraded: Vec::new(),
-            service_us: 11,
-            queue_us: 3,
-            query_id: 42,
-            trace: Some(sample_trace()),
-        };
-        let frame = Frame::ResultSet(Box::new(result));
-        // A v1 encoding drops the trace fields; decode restores the
-        // defaults (id 0, no trace) and everything else survives.
-        let decoded = Frame::decode(&frame.encode_versioned(1)).unwrap();
-        let Frame::ResultSet(d) = decoded else { panic!("not a result set") };
-        assert_eq!(d.query_id, 0);
-        assert_eq!(d.trace, None);
-        assert_eq!(d.service_us, 11);
-        assert_eq!(d.queue_us, 3);
-        assert_eq!(d.table, sample_table());
-    }
-
-    #[test]
     fn slowlog_frames_roundtrip() {
         let req = Frame::SlowLog { n: 5 };
         assert_eq!(Frame::decode(&req.encode()).unwrap(), req);
@@ -1127,17 +1060,31 @@ mod tests {
     }
 
     #[test]
-    fn query_trace_flag_is_trailing_optional() {
-        // A v1-era Query body (no trailing flag byte) decodes with
-        // trace=false.
+    fn bodies_without_the_v2_fields_are_truncated_not_defaulted() {
+        // A v1-era Query body (no trace flag byte) is an error now.
         let mut payload = vec![0x02, 0u8];
         put_str(&mut payload, "SELECT 1");
-        assert_eq!(
-            Frame::decode(&payload).unwrap(),
-            Frame::Query { mode: QueryMode::Exact, sql: "SELECT 1".into(), trace: false }
-        );
+        assert!(matches!(Frame::decode(&payload), Err(ProtocolError::Truncated { .. })));
         let traced = Frame::Query { mode: QueryMode::Exact, sql: "SELECT 1".into(), trace: true };
         assert_eq!(Frame::decode(&traced.encode()).unwrap(), traced);
+        // So is a result body that stops before the query id (9 bytes:
+        // the id's last 8 plus the absent-trace tag).
+        let result = Frame::ResultSet(Box::new(WireResult {
+            table: sample_table(),
+            rows_scanned: 7,
+            approximate: false,
+            error_bound: None,
+            degraded: Vec::new(),
+            service_us: 11,
+            queue_us: 3,
+            query_id: 42,
+            trace: None,
+        }));
+        let bytes = result.encode();
+        assert!(matches!(
+            Frame::decode(&bytes[..bytes.len() - 9]),
+            Err(ProtocolError::Truncated { .. })
+        ));
     }
 
     #[test]

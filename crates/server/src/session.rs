@@ -20,11 +20,12 @@
 
 use crate::admission::AdmissionPermit;
 use crate::error::{
-    cluster_error_to_wire, core_error_to_wire, query_error_kind, TransportError, WireError,
+    cluster_error_to_wire, core_error_to_wire, query_error_kind, ProtocolError, TransportError,
+    WireError,
 };
 use crate::protocol::{
-    encoded_result_len, read_frame, read_frame_payload, write_frame, write_frame_versioned, Frame,
-    QueryMode, SessionOptions, StatsFormat, WireResult, MIN_PROTOCOL_VERSION, PROTOCOL_VERSION,
+    encoded_result_len, read_frame, read_frame_payload, write_frame, Frame, QueryMode,
+    SessionOptions, StatsFormat, WireResult, PROTOCOL_VERSION,
 };
 use crate::server::Server;
 use lawsdb_core::{Answer, AnswerMode, LawsDb};
@@ -160,24 +161,20 @@ pub(crate) fn run_session<S: Read + Write>(server: &Arc<Server>, mut stream: S) 
 }
 
 fn serve_registered<S: Read + Write>(server: &Arc<Server>, stream: &mut S, session_id: u64) {
-    // Handshake: the first frame must be a Hello inside the supported
-    // version window. The session then speaks the *client's* version —
-    // a v1 client never sees v2 result bodies (trace extension).
-    let (mut options, negotiated) = match read_frame(stream) {
+    // Handshake: the first frame must be a Hello naming this build's
+    // protocol version; any other version is refused and the session
+    // closes.
+    let mut options = match read_frame(stream) {
         Ok(Some(Frame::Hello { protocol_version, options })) => {
-            if !(MIN_PROTOCOL_VERSION..=PROTOCOL_VERSION).contains(&protocol_version) {
-                let _ = write_frame(
-                    stream,
-                    &Frame::Error(WireError::Protocol {
-                        detail: format!(
-                            "protocol version mismatch: client {protocol_version}, \
-                             server {PROTOCOL_VERSION}"
-                        ),
-                    }),
-                );
+            if protocol_version != PROTOCOL_VERSION {
+                let mismatch = ProtocolError::VersionMismatch {
+                    client: protocol_version,
+                    server: PROTOCOL_VERSION,
+                };
+                reply_transport_error(server, stream, &TransportError::Protocol(mismatch));
                 return;
             }
-            (options.merged_over(server.config().default_options()), protocol_version)
+            options.merged_over(server.config().default_options())
         }
         Ok(Some(_)) => {
             let _ = write_frame(
@@ -194,13 +191,8 @@ fn serve_registered<S: Read + Write>(server: &Arc<Server>, stream: &mut S, sessi
             return;
         }
     };
-    if write_frame_versioned(
-        stream,
-        &Frame::HelloAck { session: session_id, protocol_version: negotiated },
-        negotiated,
-    )
-    .is_err()
-    {
+    let ack = Frame::HelloAck { session: session_id, protocol_version: PROTOCOL_VERSION };
+    if write_frame(stream, &ack).is_err() {
         return;
     }
 
@@ -221,7 +213,7 @@ fn serve_registered<S: Read + Write>(server: &Arc<Server>, stream: &mut S, sessi
         let decode_us = clock.now_micros().saturating_sub(decode_started);
         let reply = match decoded {
             Ok(Frame::Query { mode, sql, trace }) => {
-                let wire = WireContext { trace, negotiated, decode_us, frame_bytes: payload.len() };
+                let wire = WireContext { trace, decode_us, frame_bytes: payload.len() };
                 run_query(server, session_id, &options, mode, &sql, wire)
             }
             Ok(Frame::SetOptions { options: new }) => {
@@ -241,18 +233,17 @@ fn serve_registered<S: Read + Write>(server: &Arc<Server>, stream: &mut S, sessi
                 Frame::CancelAck { delivered: server.sessions().cancel(session) }
             }
             Ok(Frame::Close) => {
-                let _ = write_frame_versioned(stream, &Frame::Goodbye, negotiated);
+                let _ = write_frame(stream, &Frame::Goodbye);
                 return;
             }
             Ok(other) => {
                 // A server→client frame arriving at the server is a
                 // protocol violation: answer and close this session.
-                let _ = write_frame_versioned(
+                let _ = write_frame(
                     stream,
                     &Frame::Error(WireError::Protocol {
                         detail: format!("unexpected frame from client: {other:?}"),
                     }),
-                    negotiated,
                 );
                 server.metrics_hooks().protocol_errors.inc();
                 return;
@@ -262,7 +253,7 @@ fn serve_registered<S: Read + Write>(server: &Arc<Server>, stream: &mut S, sessi
                 return;
             }
         };
-        if write_frame_versioned(stream, &reply, negotiated).is_err() {
+        if write_frame(stream, &reply).is_err() {
             return;
         }
     }
@@ -285,8 +276,6 @@ fn reply_transport_error<S: Read + Write>(server: &Arc<Server>, stream: &mut S, 
 struct WireContext {
     /// The client requested the full trace tree on its result.
     trace: bool,
-    /// Negotiated protocol version for this session.
-    negotiated: u32,
     /// Microseconds the frame decode took (server clock).
     decode_us: u64,
     /// Raw payload size of the query frame.
@@ -374,10 +363,10 @@ fn run_query(
                 // trace is attached afterwards: it cannot contain the
                 // cost of encoding itself.
                 let mut span = c.span("server.encode");
-                span.field("bytes", encoded_result_len(&r, wire.negotiated) as u64);
+                span.field("bytes", encoded_result_len(&r) as u64);
             }
             let tree = finish_record(recorder, collector, query_id, sql, mode, None);
-            if wire.trace && wire.negotiated >= 2 {
+            if wire.trace {
                 r.trace = tree;
             }
             Frame::ResultSet(r)

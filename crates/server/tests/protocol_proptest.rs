@@ -17,7 +17,9 @@
 use lawsdb_core::LawsDb;
 use lawsdb_obs::{FieldValue, FlightRecord, TraceNode};
 use lawsdb_server::protocol::{read_frame, Frame, QueryMode, SessionOptions, StatsFormat};
-use lawsdb_server::{Client, ProtocolError, Server, ServerConfig, WireError, WireResult};
+use lawsdb_server::{
+    Client, ProtocolError, Server, ServerConfig, WireError, WireResult, PROTOCOL_VERSION,
+};
 use lawsdb_storage::TableBuilder;
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -229,42 +231,19 @@ fn every_frame_type_roundtrips_over_many_seeds() {
     }
 }
 
-/// The frame with its v2 trailing-optional extensions defaulted — what
-/// a valid v1 body of the same frame decodes to.
-fn strip_v2_extensions(f: &Frame) -> Frame {
-    match f {
-        Frame::Query { mode, sql, .. } => {
-            Frame::Query { mode: *mode, sql: sql.clone(), trace: false }
-        }
-        Frame::ResultSet(r) => {
-            let mut r = r.clone();
-            r.query_id = 0;
-            r.trace = None;
-            Frame::ResultSet(r)
-        }
-        other => other.clone(),
-    }
-}
-
 #[test]
-fn every_strict_prefix_of_a_valid_frame_is_an_error_or_a_v1_body() {
-    // Version compatibility is carried by trailing-optional fields, so
-    // one strict prefix of a v2 Query/ResultSet *is* well-formed: the
-    // one that ends exactly where a v1 body would. Any prefix that
-    // decodes must decode to precisely the extensions-defaulted frame —
-    // anything else is a real ambiguity.
+fn every_strict_prefix_of_a_valid_frame_is_an_error() {
+    // The wire has one version and no optional tails, so no strict
+    // prefix of a well-formed body is itself well-formed.
     let mut rng = Rng(seed() ^ 0x5EED_0001);
     for frame in frame_corpus(&mut rng) {
         let payload = frame.encode();
-        let v1 = strip_v2_extensions(&frame);
         for cut in 0..payload.len() {
-            match Frame::decode(&payload[..cut]) {
-                Err(_) => {}
-                Ok(f) if f == v1 => {}
-                Ok(f) => panic!(
+            if let Ok(f) = Frame::decode(&payload[..cut]) {
+                panic!(
                     "prefix {cut}/{} of {frame:?} decoded as {f:?} — the format is ambiguous",
                     payload.len()
-                ),
+                );
             }
         }
     }
@@ -395,11 +374,7 @@ fn version_mismatch_is_refused_with_a_structured_error() {
 }
 
 #[test]
-fn v1_client_negotiates_and_queries_without_trace_fields() {
-    // A v1-era client: speaks Hello with version 1, sends Query bodies
-    // without the trailing trace flag, and expects v1 result bodies
-    // (no query_id / trace extension). The server must negotiate down
-    // and keep the whole exchange working.
+fn v1_hello_is_refused_with_version_mismatch_and_the_session_closes_cleanly() {
     let server = tiny_server();
     let mut stream = server.connect();
     lawsdb_server::write_frame(
@@ -407,28 +382,19 @@ fn v1_client_negotiates_and_queries_without_trace_fields() {
         &Frame::Hello { protocol_version: 1, options: SessionOptions::default() },
     )
     .unwrap();
+    let expected = ProtocolError::VersionMismatch { client: 1, server: PROTOCOL_VERSION };
     match read_frame(&mut stream).unwrap() {
-        Some(Frame::HelloAck { protocol_version, .. }) => assert_eq!(protocol_version, 1),
-        other => panic!("expected HelloAck, got {other:?}"),
-    }
-    // Hand-built v1 Query body: tag, mode, sql — and no trace byte.
-    let sql = b"SELECT COUNT(*) FROM t";
-    let mut body = vec![0x02u8, 0u8];
-    body.extend_from_slice(&(sql.len() as u32).to_le_bytes());
-    body.extend_from_slice(sql);
-    use std::io::Write;
-    stream.write_all(&(body.len() as u32).to_le_bytes()).unwrap();
-    stream.write_all(&body).unwrap();
-    match read_frame(&mut stream).unwrap() {
-        Some(Frame::ResultSet(r)) => {
-            assert_eq!(r.table.row_count(), 1);
-            // The v1 body carries no trace extension; the decoder
-            // defaults both fields.
-            assert_eq!(r.query_id, 0);
-            assert!(r.trace.is_none());
+        Some(Frame::Error(WireError::Protocol { detail })) => {
+            assert_eq!(detail, expected.to_string());
         }
-        other => panic!("expected ResultSet, got {other:?}"),
+        other => panic!("expected version refusal, got {other:?}"),
     }
+    // The server hung up at a frame boundary — clean EOF, not a
+    // truncated frame — and keeps serving everyone else.
+    assert!(matches!(read_frame(&mut stream), Ok(None)));
+    let mut sibling = Client::connect(server.connect()).unwrap();
+    assert_eq!(sibling.query_exact("SELECT COUNT(*) FROM t").unwrap().table.row_count(), 1);
+    sibling.close().unwrap();
 }
 
 #[test]

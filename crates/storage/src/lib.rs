@@ -43,6 +43,7 @@ pub mod bitmap;
 pub mod buffer;
 pub mod catalog;
 pub mod checksum;
+pub mod codec;
 pub mod column;
 pub mod compress;
 pub mod error;

@@ -6,9 +6,10 @@
 //! stream across fixed-size pages. Little-endian throughout.
 
 use crate::bitmap::Bitmap;
+use crate::codec::Reader;
 use crate::column::Column;
 use crate::error::{Result, StorageError};
-use bytes::{Buf, BufMut, BytesMut};
+use bytes::{BufMut, BytesMut};
 
 /// Type tags in the serialized header.
 const TAG_I64: u8 = 1;
@@ -65,87 +66,45 @@ pub fn encode_column(col: &Column) -> Vec<u8> {
 }
 
 /// Deserialize a column from bytes produced by [`encode_column`].
+/// Total on untrusted bytes: every length claim is checked against the
+/// stream before anything is allocated.
 pub fn decode_column(bytes: &[u8]) -> Result<Column> {
-    let mut buf = bytes;
-    let corrupt = |detail: &str| StorageError::CorruptData {
-        codec: "page",
-        detail: detail.to_string(),
-    };
-    if buf.remaining() < 17 {
-        return Err(corrupt("truncated header"));
-    }
-    let tag = buf.get_u8();
-    let len = buf.get_u64_le() as usize;
-    let nwords = buf.get_u64_le() as usize;
-    if buf.remaining() < nwords * 8 {
-        return Err(corrupt("truncated validity words"));
-    }
-    let mut words = Vec::with_capacity(nwords);
-    for _ in 0..nwords {
-        words.push(buf.get_u64_le());
-    }
+    let mut r = Reader::new("page", bytes);
+    let tag = r.u8()?;
+    let len = r.u64()? as usize;
+    let nwords = r.u64()? as usize;
+    let words = r.vec8(nwords, "validity words", u64::from_le_bytes)?;
     if nwords != len.div_ceil(64) {
-        return Err(corrupt("validity word count does not match row count"));
+        return Err(r.corrupt("validity word count does not match row count"));
     }
     let validity = Bitmap::from_parts(len, words);
     match tag {
         TAG_I64 => {
-            if buf.remaining() < len * 8 {
-                return Err(corrupt("truncated i64 data"));
-            }
-            let mut data = Vec::with_capacity(len);
-            for _ in 0..len {
-                data.push(buf.get_i64_le());
-            }
+            let data = r.vec8(len, "i64 data", i64::from_le_bytes)?;
             Ok(Column::Int64 { data: data.into(), validity })
         }
         TAG_F64 => {
-            if buf.remaining() < len * 8 {
-                return Err(corrupt("truncated f64 data"));
-            }
-            let mut data = Vec::with_capacity(len);
-            for _ in 0..len {
-                data.push(buf.get_f64_le());
-            }
+            let data = r.vec8(len, "f64 data", f64::from_le_bytes)?;
             Ok(Column::Float64 { data: data.into(), validity })
         }
         TAG_STR => {
-            let mut data = Vec::with_capacity(len);
+            // Every string needs at least its 4-byte length prefix.
+            let mut data = Vec::with_capacity(len.min(r.remaining() / 4));
             for _ in 0..len {
-                if buf.remaining() < 4 {
-                    return Err(corrupt("truncated string length"));
-                }
-                let slen = buf.get_u32_le() as usize;
-                if buf.remaining() < slen {
-                    return Err(corrupt("truncated string body"));
-                }
-                let s = std::str::from_utf8(&buf[..slen])
-                    .map_err(|_| corrupt("invalid UTF-8 in string column"))?
-                    .to_string();
-                buf.advance(slen);
-                data.push(s);
+                data.push(r.str_u32("string")?);
             }
             Ok(Column::Str { data: data.into(), validity })
         }
         TAG_BOOL => {
-            if buf.remaining() < 16 {
-                return Err(corrupt("truncated bool header"));
-            }
-            let blen = buf.get_u64_le() as usize;
-            let bwordn = buf.get_u64_le() as usize;
-            if buf.remaining() < bwordn * 8 {
-                return Err(corrupt("truncated bool words"));
-            }
+            let blen = r.u64()? as usize;
+            let bwordn = r.u64()? as usize;
+            let bwords = r.vec8(bwordn, "bool words", u64::from_le_bytes)?;
             if blen != len || bwordn != blen.div_ceil(64) {
-                return Err(corrupt("bool bitmap length mismatch"));
-            }
-            let mut bwords = Vec::with_capacity(bwordn);
-            for _ in 0..bwordn {
-                bwords.push(buf.get_u64_le());
+                return Err(r.corrupt("bool bitmap length mismatch"));
             }
             Ok(Column::Bool { data: Bitmap::from_parts(blen, bwords), validity })
         }
-        other => Err(corrupt(&format!("unknown type tag {other}"))),
+        other => Err(r.corrupt(format!("unknown type tag {other}"))),
     }
 }
 
@@ -182,19 +141,12 @@ pub fn decode_partial_column(
     row0: usize,
     row1: usize,
 ) -> Result<Column> {
-    let corrupt = |detail: &str| StorageError::CorruptData {
-        codec: "page",
-        detail: detail.to_string(),
-    };
-    let mut h = header;
-    if h.remaining() < HEADER_BYTES {
-        return Err(corrupt("truncated header"));
-    }
-    let tag = h.get_u8();
-    let len = h.get_u64_le() as usize;
-    let nwords = h.get_u64_le() as usize;
+    let mut h = Reader::new("page", header);
+    let tag = h.u8()?;
+    let len = h.u64()? as usize;
+    let nwords = h.u64()? as usize;
     if len != total_rows || nwords != len.div_ceil(64) {
-        return Err(corrupt("header does not match catalog row count"));
+        return Err(h.corrupt("header does not match catalog row count"));
     }
     if tag != TAG_I64 && tag != TAG_F64 {
         return Err(StorageError::TypeMismatch {
@@ -205,15 +157,11 @@ pub fn decode_partial_column(
     }
     let n = row1 - row0;
     let w0 = row0 / 64;
-    let w1 = row1.div_ceil(64);
-    if validity.len() != (w1.saturating_sub(w0)) * 8 {
-        return Err(corrupt("validity byte range does not match plan"));
+    let nwords = row1.div_ceil(64).saturating_sub(w0);
+    if validity.len() != nwords * 8 {
+        return Err(h.corrupt("validity byte range does not match plan"));
     }
-    let mut v = validity;
-    let mut words = Vec::with_capacity(w1.saturating_sub(w0));
-    while v.remaining() >= 8 {
-        words.push(v.get_u64_le());
-    }
+    let words = Reader::new("page", validity).vec8(nwords, "validity words", u64::from_le_bytes)?;
     let vbits = Bitmap::from_parts(words.len() * 64, words);
     let vslice = if n == 0 {
         Bitmap::new()
@@ -221,20 +169,14 @@ pub fn decode_partial_column(
         vbits.slice(row0 - w0 * 64, n)
     };
     if data.len() != n * 8 {
-        return Err(corrupt("value byte range does not match plan"));
+        return Err(h.corrupt("value byte range does not match plan"));
     }
-    let mut d = data;
+    let mut d = Reader::new("page", data);
     if tag == TAG_I64 {
-        let mut out = Vec::with_capacity(n);
-        for _ in 0..n {
-            out.push(d.get_i64_le());
-        }
+        let out = d.vec8(n, "i64 data", i64::from_le_bytes)?;
         Ok(Column::Int64 { data: out.into(), validity: vslice })
     } else {
-        let mut out = Vec::with_capacity(n);
-        for _ in 0..n {
-            out.push(d.get_f64_le());
-        }
+        let out = d.vec8(n, "f64 data", f64::from_le_bytes)?;
         Ok(Column::Float64 { data: out.into(), validity: vslice })
     }
 }
@@ -287,6 +229,32 @@ mod tests {
         let mut bad = good.clone();
         bad[0] = 99;
         assert!(decode_column(&bad).is_err());
+    }
+
+    #[test]
+    fn overflowing_length_claims_are_corrupt_data() {
+        // `(1 << 61) * 8` wraps to 0: an unchecked multiply lets the
+        // claim past the length guard and into `Vec::with_capacity`.
+        let huge = (1u64 << 61).to_le_bytes();
+        for tag in [TAG_I64, TAG_F64, TAG_STR, TAG_BOOL] {
+            // Validity word count claims 2^61 words.
+            let mut bytes = vec![tag];
+            bytes.extend_from_slice(&64u64.to_le_bytes());
+            bytes.extend_from_slice(&huge);
+            bytes.extend_from_slice(&[0u8; 64]);
+            let got = decode_column(&bytes);
+            assert!(matches!(got, Err(StorageError::CorruptData { codec: "page", .. })), "tag {tag}");
+        }
+        // Row count claims 2^61 rows over a consistent 2^55 words.
+        let mut bytes = vec![TAG_I64];
+        bytes.extend_from_slice(&huge);
+        bytes.extend_from_slice(&(1u64 << 55).to_le_bytes());
+        assert!(matches!(decode_column(&bytes), Err(StorageError::CorruptData { .. })));
+        // Bool payload word count claims 2^61 words.
+        let mut bytes = encode_column(&Column::from_bool(&[true, false]));
+        let at = HEADER_BYTES + 8 + 8;
+        bytes[at..at + 8].copy_from_slice(&huge);
+        assert!(matches!(decode_column(&bytes), Err(StorageError::CorruptData { .. })));
     }
 
     #[test]

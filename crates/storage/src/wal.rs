@@ -42,6 +42,7 @@
 //! opens to exactly one committed state.
 
 use crate::checksum::crc32;
+use crate::codec::Reader;
 use crate::column::Column;
 use crate::error::{Result, StorageError};
 use crate::io::{BlockDevice, IoStats};
@@ -81,12 +82,8 @@ impl Extent {
         out.extend_from_slice(&self.crc.to_le_bytes());
     }
 
-    fn decode(buf: &[u8], pos: &mut usize) -> Result<Extent> {
-        Ok(Extent {
-            start: get_u64(buf, pos)?,
-            byte_len: get_u64(buf, pos)?,
-            crc: get_u32(buf, pos)?,
-        })
+    fn decode(r: &mut Reader<'_>) -> Result<Extent> {
+        Ok(Extent { start: r.u64()?, byte_len: r.u64()?, crc: r.u32()? })
     }
 }
 
@@ -480,8 +477,7 @@ impl<D: BlockDevice> DurableStore<D> {
                     if want != Some(crc32(&record)) {
                         return Ok(WalScan::Torn);
                     }
-                    let mut pos = 0;
-                    let root = decode_root(&record, &mut pos)?;
+                    let root = decode_root(&record)?;
                     if root.seq != seq {
                         return Ok(WalScan::Torn);
                     }
@@ -524,8 +520,7 @@ impl<D: BlockDevice> DurableStore<D> {
         if crc32(&page[4..SB_HEADER + root_len]) != stored {
             return Ok(None);
         }
-        let mut pos = 0;
-        match decode_root(&page[SB_HEADER..SB_HEADER + root_len], &mut pos) {
+        match decode_root(&page[SB_HEADER..SB_HEADER + root_len]) {
             Ok(root) => Ok(Some(root)),
             Err(_) => Ok(None),
         }
@@ -595,16 +590,15 @@ fn encode_root(root: &Root) -> Vec<u8> {
     out
 }
 
-fn decode_root(buf: &[u8], pos: &mut usize) -> Result<Root> {
-    let seq = get_u64(buf, pos)?;
+fn decode_root(buf: &[u8]) -> Result<Root> {
+    let mut r = Reader::new("wal", buf);
+    let seq = r.u64()?;
     let mut exts = [None, None];
     for slot in &mut exts {
-        *slot = match get_u8(buf, pos)? {
+        *slot = match r.u8()? {
             0 => None,
-            1 => Some(Extent::decode(buf, pos)?),
-            other => {
-                return Err(corrupt(format!("bad extent tag {other}")));
-            }
+            1 => Some(Extent::decode(&mut r)?),
+            other => return Err(r.corrupt(format!("bad extent tag {other}"))),
         };
     }
     let [catalog, directory] = exts;
@@ -628,7 +622,10 @@ fn tag_dtype(tag: u8) -> Result<DataType> {
         2 => Ok(DataType::Float64),
         3 => Ok(DataType::Str),
         4 => Ok(DataType::Bool),
-        other => Err(corrupt(format!("unknown data-type tag {other}"))),
+        other => Err(StorageError::CorruptData {
+            codec: "wal",
+            detail: format!("unknown data-type tag {other}"),
+        }),
     }
 }
 
@@ -650,85 +647,40 @@ fn encode_directory(tables: &BTreeMap<String, StoredTable>) -> Vec<u8> {
 }
 
 fn decode_directory(buf: &[u8]) -> Result<BTreeMap<String, StoredTable>> {
-    let mut pos = 0;
-    let n_tables = get_u32(buf, &mut pos)? as usize;
-    if n_tables > buf.len() {
-        return Err(corrupt("implausible table count".to_string()));
+    let mut r = Reader::new("wal", buf);
+    let n_tables = r.u32()? as usize;
+    if n_tables > r.remaining() {
+        return Err(r.corrupt("implausible table count"));
     }
     let mut tables = BTreeMap::new();
     for _ in 0..n_tables {
-        let name = get_str(buf, &mut pos)?;
-        let rows = get_u64(buf, &mut pos)? as usize;
-        let n_fields = get_u32(buf, &mut pos)? as usize;
-        if n_fields > buf.len() {
-            return Err(corrupt("implausible field count".to_string()));
+        let name = r.str_u32("table name")?;
+        let rows = r.u64()? as usize;
+        let n_fields = r.u32()? as usize;
+        if n_fields > r.remaining() {
+            return Err(r.corrupt("implausible field count"));
         }
         let mut fields = Vec::with_capacity(n_fields);
         let mut columns = Vec::with_capacity(n_fields);
         for _ in 0..n_fields {
-            let fname = get_str(buf, &mut pos)?;
-            let dt = tag_dtype(get_u8(buf, &mut pos)?)?;
-            let nullable = get_u8(buf, &mut pos)? != 0;
+            let fname = r.str_u32("field name")?;
+            let dt = tag_dtype(r.u8()?)?;
+            let nullable = r.u8()? != 0;
             fields.push(if nullable {
                 Field::nullable(fname, dt)
             } else {
                 Field::new(fname, dt)
             });
-            columns.push(Extent::decode(buf, &mut pos)?);
+            columns.push(Extent::decode(&mut r)?);
         }
         tables.insert(name, StoredTable { schema: Schema::new(fields), rows, columns });
     }
     Ok(tables)
 }
 
-// ---- bounds-checked little-endian primitives ----
-
-fn corrupt(detail: String) -> StorageError {
-    StorageError::CorruptData { codec: "wal", detail }
-}
-
 fn put_str(out: &mut Vec<u8>, s: &str) {
     out.extend_from_slice(&(s.len() as u32).to_le_bytes());
     out.extend_from_slice(s.as_bytes());
-}
-
-fn get_str(buf: &[u8], pos: &mut usize) -> Result<String> {
-    let len = get_u32(buf, pos)? as usize;
-    let end = pos
-        .checked_add(len)
-        .filter(|&e| e <= buf.len())
-        .ok_or_else(|| corrupt("truncated string".to_string()))?;
-    let s = std::str::from_utf8(&buf[*pos..end])
-        .map_err(|_| corrupt("invalid UTF-8".to_string()))?
-        .to_string();
-    *pos = end;
-    Ok(s)
-}
-
-fn get_u8(buf: &[u8], pos: &mut usize) -> Result<u8> {
-    let v = *buf.get(*pos).ok_or_else(|| corrupt("truncated u8".to_string()))?;
-    *pos += 1;
-    Ok(v)
-}
-
-fn get_u32(buf: &[u8], pos: &mut usize) -> Result<u32> {
-    let end = pos
-        .checked_add(4)
-        .filter(|&e| e <= buf.len())
-        .ok_or_else(|| corrupt("truncated u32".to_string()))?;
-    let v = u32::from_le_bytes(buf[*pos..end].try_into().expect("4 bytes"));
-    *pos = end;
-    Ok(v)
-}
-
-fn get_u64(buf: &[u8], pos: &mut usize) -> Result<u64> {
-    let end = pos
-        .checked_add(8)
-        .filter(|&e| e <= buf.len())
-        .ok_or_else(|| corrupt("truncated u64".to_string()))?;
-    let v = u64::from_le_bytes(buf[*pos..end].try_into().expect("8 bytes"));
-    *pos = end;
-    Ok(v)
 }
 
 #[cfg(test)]

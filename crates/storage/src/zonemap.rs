@@ -41,9 +41,10 @@
 //! (zero) but carries no sums, and still aggregates correctly: it
 //! contributes nothing, exactly like the scan would.
 
+use crate::codec::Reader;
 use crate::column::Column;
-use crate::error::{Result, StorageError};
-use bytes::{Buf, BufMut, BytesMut};
+use crate::error::Result;
+use bytes::{BufMut, BytesMut};
 use std::collections::BTreeMap;
 
 /// Default zone granularity, in rows.
@@ -631,103 +632,65 @@ impl TableSynopsis {
     /// aggregate partials: `agg` comes back `None` and the read path
     /// simply scans instead of pushing down).
     pub fn from_bytes(bytes: &[u8]) -> Result<TableSynopsis> {
-        let corrupt = |detail: &str| StorageError::CorruptData {
-            codec: "zonemap",
-            detail: detail.to_string(),
-        };
-        let mut buf = bytes;
-        if buf.remaining() < 9 {
-            return Err(corrupt("truncated header"));
+        let mut r = Reader::new("zonemap", bytes);
+        if r.take(4, "magic")? != b"ZMAP" {
+            return Err(r.corrupt("bad magic"));
         }
-        if &buf[..4] != b"ZMAP" {
-            return Err(corrupt("bad magic"));
-        }
-        buf.advance(4);
-        let version = buf.get_u8();
+        let version = r.u8()?;
         if version != 1 && version != 2 {
-            return Err(corrupt("unknown version"));
+            return Err(r.corrupt("unknown version"));
         }
-        let ncols = buf.get_u32_le() as usize;
+        let ncols = r.u32()? as usize;
         let mut columns = BTreeMap::new();
         for _ in 0..ncols {
-            if buf.remaining() < 4 {
-                return Err(corrupt("truncated column name length"));
-            }
-            let nlen = buf.get_u32_le() as usize;
-            if buf.remaining() < nlen {
-                return Err(corrupt("truncated column name"));
-            }
-            let name = std::str::from_utf8(&buf[..nlen])
-                .map_err(|_| corrupt("column name is not UTF-8"))?
-                .to_string();
-            buf.advance(nlen);
-            if buf.remaining() < 13 {
-                return Err(corrupt("truncated column zone header"));
-            }
-            let source = match buf.get_u8() {
+            let name = r.str_u32("column name")?;
+            let source = match r.u8()? {
                 0 => ZoneSource::Data,
                 1 => ZoneSource::Model,
-                _ => return Err(corrupt("bad zone source tag")),
+                _ => return Err(r.corrupt("bad zone source tag")),
             };
-            let zone_rows = buf.get_u64_le() as usize;
+            let zone_rows = r.u64()? as usize;
             if zone_rows == 0 {
-                return Err(corrupt("zero zone_rows"));
+                return Err(r.corrupt("zero zone_rows"));
             }
-            let nentries = buf.get_u32_le() as usize;
+            let nentries = r.u32()? as usize;
             let mut entries = Vec::with_capacity(nentries.min(4096));
             for _ in 0..nentries {
-                if buf.remaining() < 25 {
-                    return Err(corrupt("truncated zone entries"));
-                }
-                let rows = buf.get_u32_le();
-                let null_count = buf.get_u32_le();
-                let min = buf.get_f64_le();
-                let max = buf.get_f64_le();
-                let constant = match buf.get_u8() {
+                let rows = r.u32()?;
+                let null_count = r.u32()?;
+                let min = r.f64()?;
+                let max = r.f64()?;
+                let constant = match r.u8()? {
                     0 => false,
                     1 => true,
-                    _ => return Err(corrupt("bad constant flag")),
+                    _ => return Err(r.corrupt("bad constant flag")),
                 };
                 if min.is_nan() || max.is_nan() {
-                    return Err(corrupt("NaN zone bound"));
+                    return Err(r.corrupt("NaN zone bound"));
                 }
                 if null_count > rows {
-                    return Err(corrupt("null_count exceeds rows"));
+                    return Err(r.corrupt("null_count exceeds rows"));
                 }
-                let agg = if version >= 2 {
-                    if buf.remaining() < 1 {
-                        return Err(corrupt("truncated agg tag"));
-                    }
-                    let tag = buf.get_u8();
-                    match tag {
-                        0 => None,
-                        1..=3 => {
-                            let need = match tag {
-                                1 => 4,
-                                2 => 12,
-                                _ => 20,
-                            };
-                            if buf.remaining() < need {
-                                return Err(corrupt("truncated agg partials"));
-                            }
-                            let count = buf.get_u32_le();
-                            let sum_f64 = (tag >= 2).then(|| buf.get_f64_le());
-                            let sum_i64 = (tag == 3).then(|| buf.get_i64_le());
-                            if tag == 1 && count > 0 {
-                                return Err(corrupt("agg count without sums"));
-                            }
-                            if tag >= 2 && count == 0 {
-                                return Err(corrupt("agg sums without count"));
-                            }
-                            if count > rows - null_count {
-                                return Err(corrupt("agg count exceeds valid rows"));
-                            }
-                            Some(ZoneAgg { count, sum_f64, sum_i64 })
+                // v1 entries carry no aggregate partials.
+                let agg_tag = if version >= 2 { r.u8()? } else { 0 };
+                let agg = match agg_tag {
+                    0 => None,
+                    tag @ 1..=3 => {
+                        let count = r.u32()?;
+                        let sum_f64 = if tag >= 2 { Some(r.f64()?) } else { None };
+                        let sum_i64 = if tag == 3 { Some(r.i64()?) } else { None };
+                        if tag == 1 && count > 0 {
+                            return Err(r.corrupt("agg count without sums"));
                         }
-                        _ => return Err(corrupt("bad agg tag")),
+                        if tag >= 2 && count == 0 {
+                            return Err(r.corrupt("agg sums without count"));
+                        }
+                        if count > rows - null_count {
+                            return Err(r.corrupt("agg count exceeds valid rows"));
+                        }
+                        Some(ZoneAgg { count, sum_f64, sum_i64 })
                     }
-                } else {
-                    None
+                    _ => return Err(r.corrupt("bad agg tag")),
                 };
                 entries.push(ZoneEntry { rows, null_count, min, max, constant, agg });
             }
@@ -740,6 +703,7 @@ impl TableSynopsis {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::error::StorageError;
 
     fn zones(col: &Column, zone_rows: usize) -> ColumnZones {
         ColumnZones::build(col, zone_rows).unwrap()
@@ -900,6 +864,28 @@ mod tests {
         let mut bad = bytes.clone();
         bad[4] = 9; // version
         assert!(TableSynopsis::from_bytes(&bad).is_err());
+    }
+
+    #[test]
+    fn maximal_length_claims_are_corrupt_data() {
+        let mut s = TableSynopsis::new();
+        s.insert("a", zones(&Column::from_i64((0..10).collect()), 4));
+        let bytes = s.to_bytes();
+        // Offsets of the three length fields in a one-column image:
+        // column count, name length, entry count.
+        let name_len = 9;
+        let entries = name_len + 4 + "a".len() + 1 + 8;
+        for at in [5, name_len, entries] {
+            let mut bad = bytes.clone();
+            bad[at..at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+            assert!(
+                matches!(
+                    TableSynopsis::from_bytes(&bad),
+                    Err(StorageError::CorruptData { codec: "zonemap", .. })
+                ),
+                "length field at {at}"
+            );
+        }
     }
 
     #[test]

@@ -160,6 +160,24 @@ fn cluster_and_durable_surface() {
 }
 
 #[test]
+fn explain_keeps_pruning_and_zone_agg_annotations_on_their_lines() {
+    let (db, _, _) = fixture();
+    let text = db
+        .explain("SELECT COUNT(*) AS n, SUM(nu) AS s FROM measurements WHERE source < 100")
+        .unwrap();
+    let lines: Vec<&str> = text.lines().map(str::trim_start).collect();
+    assert!(
+        lines.len() == 4
+            && lines[0].starts_with("Aggregate group_by=[] aggs=[n, s] · est_rows=1 ")
+            && lines[0].contains(" zone_agg[push=")
+            && lines[1].starts_with("Filter (source < 100) · est_rows=")
+            && lines[2].starts_with("Pruning [source < 100] (exact) zones[eval=")
+            && lines[3].starts_with("Scan measurements [nu, source] · est_rows="),
+        "{text}"
+    );
+}
+
+#[test]
 fn model_tier_pruning_is_live() {
     let (db, _, _) = fixture();
     // No source is that bright: `prediction ± max residual` refutes

@@ -5,17 +5,21 @@
 //! problem (scanning a large table on disk) into a CPU-bound problem
 //! (recalculating all the values from the model)."
 //!
-//! The measurements table is laid out on the simulated block device; the
-//! exact path reads its pages through the pager (counted exactly), the
+//! The measurements table is stored in the durable store the server and
+//! the cluster replicas serve from, on the simulated block device; the
+//! exact path reads its pages back (counted exactly by the device), the
 //! model path touches zero pages. We report page counts, measured CPU
 //! time, and end-to-end time under three device profiles.
 
 use crate::Scale;
-use lawsdb_core::LawsDb;
+use lawsdb_core::{DurableDb, LawsDb};
 use lawsdb_data::lofar::{LofarConfig, LofarDataset};
 use lawsdb_fit::FitOptions;
 use lawsdb_storage::io::DeviceProfile;
-use lawsdb_storage::pager::Pager;
+use lawsdb_storage::{SimulatedDevice, Table};
+
+/// Device page size (8 KiB).
+const PAGE_BYTES: usize = 8192;
 
 /// One device profile's end-to-end comparison.
 #[derive(Debug, Clone)]
@@ -47,19 +51,28 @@ pub struct E5Report {
     pub devices: Vec<DevicePoint>,
 }
 
-/// Run the zero-IO experiment: `SELECT AVG(intensity) … WHERE nu = 0.15`.
-pub fn run(scale: Scale) -> E5Report {
+fn dataset(scale: Scale) -> LofarDataset {
     let cfg = LofarConfig {
         noise_rel: 0.05,
         anomaly_fraction: 0.0,
         ..LofarConfig::with_sources(scale.lofar_sources())
     };
-    let data = LofarDataset::generate(&cfg);
+    LofarDataset::generate(&cfg)
+}
 
-    // Lay the table out on the simulated device (8 KiB pages, cold
-    // cache so every page is a device read).
-    let mut pager = Pager::new(8192, 0);
-    pager.store_table(&data.table).expect("store");
+/// Store `table` in a freshly recovered durable store. It keeps no page
+/// cache, so every read is a device read.
+fn durable(table: &Table) -> DurableDb<SimulatedDevice> {
+    let mut store = DurableDb::new(SimulatedDevice::new(PAGE_BYTES));
+    store.recover().expect("format");
+    store.store_table(table).expect("store");
+    store
+}
+
+/// Run the zero-IO experiment: `SELECT AVG(intensity) … WHERE nu = 0.15`.
+pub fn run(scale: Scale) -> E5Report {
+    let data = dataset(scale);
+    let store = durable(&data.table);
 
     // Model capture (in-memory engine for the approximate path).
     let mut db = LawsDb::new();
@@ -75,19 +88,20 @@ pub fn run(scale: Scale) -> E5Report {
 
     let sql = "SELECT AVG(intensity) AS v FROM measurements WHERE nu = 0.15";
 
-    // Exact path: pull the needed pages through the pager, then execute.
-    pager.reset();
+    // Exact path: read the table's pages back from the store, then execute.
+    store.device().reset_stats();
     let (exact_value, exact_cpu_us) = crate::time_us(|| {
-        let table = pager.read_table("measurements").expect("paged read");
+        let table = store.read_table("measurements").expect("durable read");
         let catalog = lawsdb_storage::Catalog::new();
         catalog.register(table).expect("fresh");
         let r = lawsdb_query::execute(&catalog, sql).expect("exact query");
         r.table.column("v").expect("col").f64_data().expect("f64")[0]
     });
-    let io = pager.stats();
+    let io = store.stats();
 
-    // Approximate path.
+    // Approximate path, between two reads of the same device counters.
     let (answer, approx_cpu_us) = crate::time_us(|| db.query_approx(sql).expect("model answers"));
+    let approx_pages = store.stats().pages_read - io.pages_read;
     let approx_value = answer.table.column("value").or_else(|_| answer.table.column("v"))
         .expect("col")
         .f64_data()
@@ -115,7 +129,7 @@ pub fn run(scale: Scale) -> E5Report {
 
     E5Report {
         pages_read_exact: io.pages_read,
-        pages_read_approx: answer.rows_scanned as u64, // 0 by construction
+        pages_read_approx: approx_pages,
         exact_cpu_us,
         approx_cpu_us,
         relative_error,
@@ -154,7 +168,14 @@ mod tests {
     #[test]
     fn model_path_is_zero_io_and_accurate() {
         let r = run(Scale::Small);
-        assert!(r.pages_read_exact > 0);
+        // The exact scan reads every page of every column extent once.
+        let data = dataset(Scale::Small);
+        let store = durable(&data.table);
+        let extent_pages: u64 = (0..data.table.schema().len())
+            .map(|i| store.column_pages("measurements", i).unwrap().1.div_ceil(PAGE_BYTES as u64))
+            .sum();
+        assert!(extent_pages > 0);
+        assert_eq!(r.pages_read_exact, extent_pages);
         assert_eq!(r.pages_read_approx, 0);
         assert!(r.relative_error < 0.05, "err {}", r.relative_error);
         // The slower the device, the bigger the win.

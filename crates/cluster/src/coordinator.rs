@@ -481,10 +481,10 @@ impl Cluster {
                 sp.field("replica", r as u64);
             }
             let mut table = rep.fetch().map_err(|e| AttemptError::Replica(e.to_string()))?;
-            // The durable store rebuilds synopses on its own default
-            // grid; re-map onto the global zone grid so the shard's
-            // pruning and zone-aggregate decisions are exactly the
-            // global engine's.
+            // The durable store persists no synopsis, so the table comes
+            // back without one; build it on the global zone grid so the
+            // shard's pruning and zone-aggregate decisions are exactly
+            // the global engine's.
             table.rebuild_synopsis_with(self.zone_rows);
             if let Some(sp) = span.as_mut() {
                 sp.field("rows", table.row_count() as u64);

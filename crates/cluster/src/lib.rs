@@ -6,14 +6,14 @@
 //! group key; every shard is replicated N ways, each replica behind its
 //! own crash-safe [`DurableDb`](lawsdb_core::DurableDb) on a seeded
 //! [`FaultyDevice`](lawsdb_storage::FaultyDevice). The
-//! [`Cluster`](coordinator::Cluster) coordinator scatters partial
+//! [`Cluster`] coordinator scatters partial
 //! aggregation to the shards and merges the partials in deterministic
 //! global morsel order, so answers are **bit-identical** to the
 //! unsharded engine at any shard count, replica choice, or thread count
 //! (see `lawsdb_query::partial` for the merge-determinism argument).
 //!
 //! Robustness is the headline: a deterministic, counter-based
-//! [`HealthTracker`](health::HealthTracker) drives automatic replica
+//! [`HealthTracker`] drives automatic replica
 //! failover; when *every* replica of a shard is down, the coordinator
 //! degrades to the shard's captured model (within a configured residual
 //! bound, surfaced as

@@ -240,10 +240,7 @@ impl<D: BlockDevice> DurableDb<D> {
     ) -> Result<(Table, Vec<DegradeReason>)> {
         match self.store.read_table(name) {
             Ok(t) => return Ok((t, Vec::new())),
-            Err(
-                lawsdb_storage::StorageError::ChecksumMismatch { .. }
-                | lawsdb_storage::StorageError::CorruptData { .. },
-            ) => {}
+            Err(lawsdb_storage::StorageError::CorruptData { .. }) => {}
             Err(e) => return Err(CoreError::Storage(e)),
         }
         // Salvage pass: read column by column.

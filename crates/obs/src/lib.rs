@@ -2,7 +2,7 @@
 //! registry, and per-query execution profiles.
 //!
 //! Dependency-free by design — this crate sits below `lawsdb-storage`
-//! in the build graph so every layer (pager, WAL, retry, morsel
+//! in the build graph so every layer (durable store, WAL, retry, morsel
 //! executor, governor, pruning, fit diagnostics, resilience ladder)
 //! reports through the same pipe. Three pillars:
 //!

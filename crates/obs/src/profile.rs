@@ -318,7 +318,7 @@ impl Drop for ProfileSpan {
 }
 
 /// Internal assembly node: children carry their seq until ordering is
-/// finalized, then [`strip`](ProfileNode::strip) removes it.
+/// finalized, then `strip` removes it.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ProfileNode {
     /// Span/point name from the dotted taxonomy (DESIGN.md §12).

@@ -5,8 +5,8 @@
 //! 1. **Constant folding** — predicates and projection expressions fold
 //!    constant subtrees (`x > 1 + 2` → `x > 3`).
 //! 2. **Projection pruning** — every scan is narrowed to the columns the
-//!    plan actually references, so the pager reads only those extents
-//!    (a real IO saving under the simulated device).
+//!    plan actually references, so the executor touches only those
+//!    columns.
 //! 3. **Trivial-limit elision** — nested limits fold to the tighter
 //!    bound, and `LIMIT 0` collapses every scan beneath it to an
 //!    [`LogicalPlan::EmptyScan`] of the same shape: the schema survives

@@ -1,7 +1,7 @@
 //! Shard-side partial aggregation and coordinator-side merge for the
 //! sharded scatter-gather execution layer (`lawsdb-cluster`).
 //!
-//! The single-engine aggregate pipeline folds one [`GroupPartial`] per
+//! The single-engine aggregate pipeline folds one `GroupPartial` per
 //! morsel and merges them in morsel order — that merge order is the
 //! whole bit-identity story for floating-point `SUM`/`AVG` (IEEE-754
 //! addition is not associative, so `(a+b)+(c+d)` and `((a+b)+c)+d`

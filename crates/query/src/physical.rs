@@ -652,48 +652,6 @@ mod tests {
         assert_eq!(aggs[0].zone_agg, None);
     }
 
-    /// The nine query shapes `tests/optimizer_equivalence.rs::queries`
-    /// enumerates (that file is pinned unedited, so the texts are kept
-    /// in step by hand), at fixed literals over [`zoned_catalog`]'s
-    /// columns.
-    const SHAPES: [&str; 9] = [
-        "SELECT k, u FROM t WHERE k < 340 AND k < 300 AND u > 12.5",
-        "SELECT k, u FROM t WHERE u <= 12.5 AND k >= 300 AND k != 303",
-        "SELECT k FROM t WHERE k <= 320 AND k = 300",
-        "SELECT k, u FROM t WHERE k > 300 AND (u < 12.5 OR u > 17.5)",
-        "SELECT k, u FROM t WHERE NOT (u < 12.5) AND k BETWEEN 300 AND 325",
-        "SELECT COUNT(*) AS n, SUM(u) AS s, MIN(u) AS lo, MAX(u) AS hi \
-         FROM t WHERE u > 12.5 AND k < 300 AND k >= 270",
-        "SELECT k, COUNT(*) AS n FROM t WHERE k < 300 AND u != 12.5 \
-         GROUP BY k ORDER BY k DESC LIMIT 7",
-        "SELECT k, u FROM t WHERE k < 300 LIMIT 0",
-        "SELECT COUNT(*) AS n FROM t LIMIT 0",
-    ];
-
-    /// Cut a rendered line back to what the logical renderer prints.
-    fn strip_notes(line: &str) -> &str {
-        let cut = [" · est_", " zones["].iter().filter_map(|m| line.find(m)).min();
-        &line[..cut.unwrap_or(line.len())]
-    }
-
-    #[test]
-    fn annotated_explain_is_the_logical_explain_plus_suffixes() {
-        let catalog = zoned_catalog();
-        for sql in SHAPES {
-            let plan = physical_for(&catalog, sql);
-            // `noted` walks the tree and asserts one note per node.
-            assert!(!noted(&plan).is_empty(), "{sql}");
-            let (annotated, bare) = (plan.explain(), plan.logical().explain());
-            assert_eq!(annotated.lines().count(), bare.lines().count(), "{sql}");
-            for (a, b) in annotated.lines().zip(bare.lines()) {
-                assert_eq!(strip_notes(a), b, "{sql}");
-                // Every node line is annotated; Pruning lines carry
-                // only the zone access path.
-                assert!(a.contains(" · est_") != b.trim_start().starts_with("Pruning"), "{a}");
-            }
-        }
-    }
-
     #[test]
     fn unknown_table_degrades_to_zero_estimates() {
         let catalog = Catalog::new();

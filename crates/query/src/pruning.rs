@@ -27,7 +27,7 @@ use lawsdb_storage::zonemap::{PredOp, TableSynopsis, ZoneSource};
 use std::sync::Arc;
 
 /// Per-query scan-pruning counters, in zones (the pruning granule:
-/// [`lawsdb_storage::DEFAULT_ZONE_ROWS`] rows, one or more pager pages).
+/// [`lawsdb_storage::DEFAULT_ZONE_ROWS`] rows, one or more device pages).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ScanStats {
     /// Zones the scans covered before pruning.

@@ -69,6 +69,16 @@ fn queries(thr: f64, key: i64) -> Vec<String> {
     ]
 }
 
+fn node_count(plan: &LogicalPlan) -> usize {
+    1 + plan.inputs().into_iter().map(node_count).sum::<usize>()
+}
+
+/// Cut a rendered physical line back to what the logical renderer prints.
+fn strip_notes(line: &str) -> &str {
+    let cut = [" · est_", " zones["].iter().filter_map(|m| line.find(m)).min();
+    &line[..cut.unwrap_or(line.len())]
+}
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: 32, ..ProptestConfig::default() })]
 
@@ -88,6 +98,19 @@ proptest! {
             let stmt = parse_select(&sql).unwrap();
             let heuristic = optimize(&LogicalPlan::from_statement(&stmt).unwrap());
             let physical = plan_physical(&catalog, &heuristic, &CostConstants::default());
+            // The physical plan annotates the logical tree it holds: one
+            // note per node, and its explain is the logical explain plus
+            // suffixes — estimates on every node line, zone access paths
+            // alone on Pruning lines.
+            let logical = physical.logical();
+            prop_assert_eq!(physical.notes().len(), node_count(logical), "{}", sql);
+            let (annotated, bare) = (physical.explain(), logical.explain());
+            prop_assert_eq!(annotated.lines().count(), bare.lines().count(), "{}", sql);
+            for (a, b) in annotated.lines().zip(bare.lines()) {
+                prop_assert_eq!(strip_notes(a), b, "{}", sql);
+                let pruning = b.trim_start().starts_with("Pruning");
+                prop_assert!(a.contains(" · est_") != pruning, "{}", a);
+            }
             let a = execute_physical_with(&catalog, &physical, &opts).unwrap();
             let b = execute_plan_with(&catalog, &heuristic, &opts).unwrap();
             // Reordering never changes which zones are pruned (same

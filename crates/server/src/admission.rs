@@ -11,7 +11,7 @@
 //! allowed to say "no" in. It never hangs and never panics.
 //!
 //! Every decision is counted in the engine's
-//! [`MetricsRegistry`](lawsdb_obs::MetricsRegistry) under the
+//! [`MetricsRegistry`] under the
 //! `lawsdb_server_*` namespace: `admitted`, `queued`, `rejected`,
 //! `queue_timeout` counters, `active_queries` (+ high-water peak)
 //! gauges, and a `queue_wait_us` histogram.

@@ -1,7 +1,7 @@
 //! # lawsdb-server — the multi-session front end
 //!
 //! Turns one embedded [`LawsDb`](lawsdb_core::LawsDb) into a server:
-//! concurrent client sessions over a shared engine (one pager cache,
+//! concurrent client sessions over a shared engine (one table catalog,
 //! one model catalog, one plan cache), with every query passing
 //! through global admission control before it can touch a core.
 //!

@@ -4,7 +4,7 @@
 //! Connections arrive three ways, all ending in the same session loop:
 //!
 //! * [`Server::connect`] — in-process loopback over a
-//!   [`PipeStream`](crate::pipe::PipeStream) pair (tests, benches,
+//!   [`PipeStream`] pair (tests, benches,
 //!   embedded use);
 //! * [`Server::serve_stream`] — any `Read + Write + Send` stream the
 //!   caller already owns;

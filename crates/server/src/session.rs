@@ -1,5 +1,5 @@
 //! The session layer: one thread per client connection, all sessions
-//! sharing one [`LawsDb`] (one pager cache, one model catalog, one
+//! sharing one [`LawsDb`] (one table catalog, one model catalog, one
 //! plan cache, one metrics registry).
 //!
 //! A session owns its [`SessionOptions`] (layered over the server's

@@ -5,7 +5,7 @@ use std::fmt;
 /// Result alias for this crate.
 pub type Result<T> = std::result::Result<T, StorageError>;
 
-/// Errors produced by the columnar store, pager and codecs.
+/// Errors produced by the columnar store, the durable store and codecs.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum StorageError {
     /// A column was addressed by a name the schema does not contain.
@@ -53,7 +53,10 @@ pub enum StorageError {
         /// The missing page id.
         page: u64,
     },
-    /// A codec met bytes it cannot decode.
+    /// A codec met bytes it cannot decode, or (`codec: "blob"`) a
+    /// durable-store extent failed its CRC: its bytes must not be
+    /// trusted, and the caller should fall back to model-based
+    /// reconstruction or degrade the result.
     CorruptData {
         /// Which codec failed.
         codec: &'static str,
@@ -77,18 +80,6 @@ pub enum StorageError {
     InvalidTable {
         /// Explanation.
         reason: &'static str,
-    },
-    /// A page's content no longer matches the checksum recorded when it
-    /// was written. The page is quarantined: its bytes must not be
-    /// trusted, and the caller should fall back to model-based
-    /// reconstruction or degrade the result.
-    ChecksumMismatch {
-        /// The corrupt page.
-        page: u64,
-        /// CRC-32 recorded at write time.
-        expected: u32,
-        /// CRC-32 of the bytes actually read.
-        got: u32,
     },
     /// A device-level IO failure: an oversized write, an injected
     /// fault, or any operation attempted after a simulated crash.
@@ -129,11 +120,6 @@ impl fmt::Display for StorageError {
                 write!(f, "duplicate column name {name:?}")
             }
             StorageError::InvalidTable { reason } => write!(f, "invalid table: {reason}"),
-            StorageError::ChecksumMismatch { page, expected, got } => write!(
-                f,
-                "page {page} checksum mismatch (expected {expected:#010x}, got {got:#010x}); \
-                 page quarantined"
-            ),
             StorageError::Io { op, page, detail } => {
                 write!(f, "io error during {op} of page {page}: {detail}")
             }

@@ -47,7 +47,7 @@ impl DeviceProfile {
 /// Cumulative access counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct IoStats {
-    /// Pages read from the device (cache misses only).
+    /// Pages read from the device.
     pub pages_read: u64,
     /// Pages written.
     pub pages_written: u64,
@@ -55,8 +55,6 @@ pub struct IoStats {
     pub bytes_read: u64,
     /// Bytes written.
     pub bytes_written: u64,
-    /// Reads satisfied by the page cache (no device access).
-    pub cache_hits: u64,
 }
 
 impl IoStats {
@@ -66,8 +64,7 @@ impl IoStats {
     }
 }
 
-/// The block-device abstraction the pager and the durability layer
-/// write through.
+/// The block-device abstraction the durability layer writes through.
 ///
 /// [`SimulatedDevice`] is the plain implementation;
 /// [`crate::fault::FaultyDevice`] wraps one and injects scheduled
@@ -102,7 +99,7 @@ pub trait BlockDevice {
 /// An in-memory "device" of fixed-size pages with atomic counters.
 ///
 /// Thread-safe for counting; page content operations take `&mut self`
-/// because the pager is the only writer.
+/// because the store that owns the device is its only writer.
 #[derive(Debug)]
 pub struct SimulatedDevice {
     page_size: usize,
@@ -184,20 +181,19 @@ impl SimulatedDevice {
 
     /// Uncounted mutable access to a page's raw content — the
     /// fault-injection twin of [`peek_page`](SimulatedDevice::peek_page),
-    /// letting a harness corrupt stored bytes behind the pager's back.
+    /// letting a harness corrupt stored bytes behind the store's back.
     /// Never a data path.
     pub fn poke_page(&mut self, id: u64) -> Option<&mut [u8]> {
         self.pages.get_mut(id as usize).map(Vec::as_mut_slice)
     }
 
-    /// Current counters (cache hits are tracked by the pager, not here).
+    /// Current counters.
     pub fn stats(&self) -> IoStats {
         IoStats {
             pages_read: self.pages_read.load(Ordering::Relaxed),
             pages_written: self.pages_written.load(Ordering::Relaxed),
             bytes_read: self.bytes_read.load(Ordering::Relaxed),
             bytes_written: self.bytes_written.load(Ordering::Relaxed),
-            cache_hits: 0,
         }
     }
 
@@ -303,7 +299,6 @@ mod tests {
             pages_written: 0,
             bytes_read: 2_000_000,
             bytes_written: 0,
-            cache_hits: 0,
         };
         // 2 ops × 100 µs + 2 MB / 1 MB/s = 200 + 2,000,000 µs... note
         // bandwidth is MB/s so bytes/bandwidth is in µs when bytes are in

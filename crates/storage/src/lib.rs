@@ -8,12 +8,14 @@
 //! * **Typed columns** ([`column::Column`]) with validity bitmaps, in a
 //!   row-major-free, scan-friendly layout; tables ([`table::Table`]) and
 //!   a concurrent [`catalog::Catalog`].
-//! * A **paged layout** ([`page`], [`pager::Pager`]) over a *simulated IO
-//!   device* ([`io::SimulatedDevice`]) with configurable bandwidth and
-//!   latency and exact page-read accounting. The device model is what
-//!   lets the benchmark suite reproduce the paper's "zero-IO scan" claim
-//!   quantitatively: an approximate, model-backed answer touches zero
-//!   pages, while an exact scan pays `pages × (latency + size/bandwidth)`.
+//! * A **paged layout** ([`page`]: one encoded byte stream per column,
+//!   split across fixed-size pages by the durable store below) over a
+//!   *simulated IO device* ([`io::SimulatedDevice`]) with configurable
+//!   bandwidth and latency and exact page-read accounting. The device
+//!   model is what lets the benchmark suite reproduce the paper's
+//!   "zero-IO scan" claim quantitatively: an approximate, model-backed
+//!   answer touches zero pages, while an exact scan pays
+//!   `pages × (latency + size/bandwidth)`.
 //! * A family of **compression codecs** ([`compress`]): delta, zigzag +
 //!   varint, bit-packing, run-length, dictionary, frame-of-reference, an
 //!   LZSS + Huffman general-purpose baseline (standing in for gzip in the
@@ -21,10 +23,11 @@
 //!   paper's "true semantic compression": store residuals between
 //!   observed and model-predicted values and recompute the original
 //!   data losslessly.
-//! * A **durability layer** ([`wal::DurableStore`]): write-ahead log +
-//!   shadow paging + dual CRC-guarded superblocks, so every table and
-//!   catalog commit is atomic and `recover()` lands on exactly the pre-
-//!   or post-commit state after a crash. A deterministic fault-injecting
+//! * A **durability layer** ([`wal::DurableStore`]), the one stored-table
+//!   layout: write-ahead log + shadow paging + dual CRC-guarded
+//!   superblocks, so every table and catalog commit is atomic and
+//!   `recover()` lands on exactly the pre- or post-commit state after a
+//!   crash. A deterministic fault-injecting
 //!   device ([`fault::FaultyDevice`]) crash-tests the protocol at every
 //!   device operation.
 //!
@@ -50,7 +53,6 @@ pub mod error;
 pub mod fault;
 pub mod io;
 pub mod page;
-pub mod pager;
 pub mod retry;
 pub mod schema;
 pub mod stats;

@@ -2,13 +2,14 @@
 //!
 //! A column is serialized into one contiguous byte stream — a small
 //! header (type tag, row count, validity length) followed by the
-//! validity words and the raw value data — and the pager splits that
-//! stream across fixed-size pages. Little-endian throughout.
+//! validity words and the raw value data — and the durable store
+//! ([`crate::wal::DurableStore`]) splits that stream across fixed-size
+//! pages. Little-endian throughout.
 
 use crate::bitmap::Bitmap;
 use crate::codec::Reader;
 use crate::column::Column;
-use crate::error::{Result, StorageError};
+use crate::error::Result;
 use bytes::{BufMut, BytesMut};
 
 /// Type tags in the serialized header.
@@ -108,82 +109,10 @@ pub fn decode_column(bytes: &[u8]) -> Result<Column> {
     }
 }
 
-/// The three byte ranges of an encoded fixed-width (Int64/Float64)
-/// column stream needed to materialize rows `[row0, row1)`: header,
-/// covering validity words, and value data. The pager reads exactly
-/// these ranges — pages outside them are never touched, which is what
-/// makes zone-map pruning zero-IO at page granularity.
-pub fn partial_read_plan(
-    total_rows: usize,
-    row0: usize,
-    row1: usize,
-) -> [(usize, usize); 3] {
-    debug_assert!(row0 <= row1 && row1 <= total_rows);
-    let w0 = row0 / 64;
-    let w1 = row1.div_ceil(64);
-    let validity = (HEADER_BYTES + w0 * 8, HEADER_BYTES + w1 * 8);
-    let data_start = HEADER_BYTES + total_rows.div_ceil(64) * 8;
-    [
-        (0, HEADER_BYTES),
-        validity,
-        (data_start + row0 * 8, data_start + row1 * 8),
-    ]
-}
-
-/// Assemble rows `[row0, row1)` of a fixed-width column from the bytes
-/// of a [`partial_read_plan`]. `header`/`validity`/`data` must be the
-/// exact ranges the plan named.
-pub fn decode_partial_column(
-    header: &[u8],
-    validity: &[u8],
-    data: &[u8],
-    total_rows: usize,
-    row0: usize,
-    row1: usize,
-) -> Result<Column> {
-    let mut h = Reader::new("page", header);
-    let tag = h.u8()?;
-    let len = h.u64()? as usize;
-    let nwords = h.u64()? as usize;
-    if len != total_rows || nwords != len.div_ceil(64) {
-        return Err(h.corrupt("header does not match catalog row count"));
-    }
-    if tag != TAG_I64 && tag != TAG_F64 {
-        return Err(StorageError::TypeMismatch {
-            op: "partial column read",
-            expected: "fixed-width numeric",
-            got: if tag == TAG_STR { "Str" } else { "Bool/unknown" },
-        });
-    }
-    let n = row1 - row0;
-    let w0 = row0 / 64;
-    let nwords = row1.div_ceil(64).saturating_sub(w0);
-    if validity.len() != nwords * 8 {
-        return Err(h.corrupt("validity byte range does not match plan"));
-    }
-    let words = Reader::new("page", validity).vec8(nwords, "validity words", u64::from_le_bytes)?;
-    let vbits = Bitmap::from_parts(words.len() * 64, words);
-    let vslice = if n == 0 {
-        Bitmap::new()
-    } else {
-        vbits.slice(row0 - w0 * 64, n)
-    };
-    if data.len() != n * 8 {
-        return Err(h.corrupt("value byte range does not match plan"));
-    }
-    let mut d = Reader::new("page", data);
-    if tag == TAG_I64 {
-        let out = d.vec8(n, "i64 data", i64::from_le_bytes)?;
-        Ok(Column::Int64 { data: out.into(), validity: vslice })
-    } else {
-        let out = d.vec8(n, "f64 data", f64::from_le_bytes)?;
-        Ok(Column::Float64 { data: out.into(), validity: vslice })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::error::StorageError;
 
     fn roundtrip(c: &Column) {
         let bytes = encode_column(c);
@@ -255,44 +184,6 @@ mod tests {
         let at = HEADER_BYTES + 8 + 8;
         bytes[at..at + 8].copy_from_slice(&huge);
         assert!(matches!(decode_column(&bytes), Err(StorageError::CorruptData { .. })));
-    }
-
-    #[test]
-    fn partial_decode_matches_full_decode() {
-        let cols = [
-            Column::from_i64((0..300).collect()),
-            Column::from_f64((0..300).map(|i| i as f64 * 0.25).collect()),
-            Column::from_f64_opt((0..300).map(|i| (i % 7 != 0).then_some(i as f64)).collect()),
-        ];
-        for c in &cols {
-            let bytes = encode_column(c);
-            for &(r0, r1) in &[(0, 300), (0, 0), (1, 2), (60, 70), (63, 65), (128, 300), (299, 300)] {
-                let [h, v, d] = partial_read_plan(300, r0, r1);
-                let got = decode_partial_column(
-                    &bytes[h.0..h.1],
-                    &bytes[v.0..v.1],
-                    &bytes[d.0..d.1],
-                    300,
-                    r0,
-                    r1,
-                )
-                .unwrap();
-                let want = c.slice(r0, r1 - r0).unwrap();
-                assert_eq!(got, want, "rows [{r0},{r1})");
-            }
-        }
-    }
-
-    #[test]
-    fn partial_decode_rejects_strings_and_bad_headers() {
-        let s = encode_column(&Column::from_str(vec!["a".into(), "b".into()]));
-        let [h, v, d] = partial_read_plan(2, 0, 1);
-        assert!(decode_partial_column(&s[h.0..h.1], &s[v.0..v.1], &s[d.0..d.1.min(s.len())], 2, 0, 1)
-            .is_err());
-        let i = encode_column(&Column::from_i64(vec![1, 2]));
-        // Catalog says 3 rows but the stream was encoded with 2.
-        assert!(decode_partial_column(&i[0..17], &[0u8; 8], &[0u8; 8], 3, 0, 1).is_err());
-        assert!(decode_partial_column(&[], &[], &[], 0, 0, 0).is_err());
     }
 
     #[test]

@@ -264,8 +264,7 @@ impl<D: BlockDevice> DurableStore<D> {
     }
 
     /// Replace a stored table (or store it fresh) in one atomic commit.
-    /// The old version's pages are abandoned, exactly like
-    /// [`crate::pager::Pager::replace_table`].
+    /// The old version's pages are abandoned, never freed.
     pub fn replace_table(&mut self, table: &Table) -> Result<()> {
         self.ensure_open()?;
         let stored = self.write_table_blobs(table)?;

@@ -5,8 +5,8 @@
 //! minimum and maximum valid value, the null count, and whether the
 //! zone is constant. A scan with a sargable comparison predicate can
 //! then prove a zone irrelevant — no row in it can satisfy the
-//! predicate — and skip it without touching the values (for paged
-//! tables: without any pager IO). This is the paper's "zero-IO scan"
+//! predicate — and skip it without touching the values (for stored
+//! tables: without any page IO). This is the paper's "zero-IO scan"
 //! made mechanical: the synopsis answers the page-relevance question,
 //! the pages themselves are never read.
 //!
@@ -41,10 +41,7 @@
 //! (zero) but carries no sums, and still aggregates correctly: it
 //! contributes nothing, exactly like the scan would.
 
-use crate::codec::Reader;
 use crate::column::Column;
-use crate::error::Result;
-use bytes::{BufMut, BytesMut};
 use std::collections::BTreeMap;
 
 /// Default zone granularity, in rows.
@@ -187,8 +184,8 @@ pub struct ZoneEntry {
     /// comparison decides all rows.
     pub constant: bool,
     /// Materialized aggregate partials. `Some` for exact data zones
-    /// built by the current write path; `None` for model zones (no
-    /// exact values to sum) and synopses persisted before format v2.
+    /// built by the write path; `None` for model zones (no exact values
+    /// to sum).
     pub agg: Option<ZoneAgg>,
 }
 
@@ -530,8 +527,9 @@ impl ColumnZones {
 /// Zone maps for a whole table, keyed by column name.
 ///
 /// Built at write time ([`crate::table::TableBuilder::build`],
-/// [`crate::table::Table::append_rows`]) and persisted alongside the
-/// paged representation by [`crate::pager::Pager::store_table`].
+/// [`crate::table::Table::append_rows`]). Never persisted: a table read
+/// back from [`crate::wal::DurableStore`] carries no synopsis, and the
+/// caller rebuilds one on its own zone grid.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct TableSynopsis {
     columns: BTreeMap<String, ColumnZones>,
@@ -573,137 +571,11 @@ impl TableSynopsis {
     pub fn estimate_selectivity(&self, column: &str, op: PredOp, rhs: f64) -> Option<f64> {
         self.columns.get(column).map(|z| z.estimate_selectivity(op, rhs))
     }
-
-    /// Serialize for persistence alongside the paged table.
-    ///
-    /// Format v2: the 25-byte fixed entry of v1 (`rows`, `null_count`,
-    /// `min`, `max`, `constant`) followed by an aggregate-synopsis tag:
-    /// `0` = none, `1` = count only (all-NULL/NaN zone: sums absent),
-    /// `2` = count + f64 sum, `3` = count + f64 + i64 sums.
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let mut buf = BytesMut::new();
-        buf.put_slice(b"ZMAP");
-        buf.put_u8(2); // version
-        buf.put_u32_le(self.columns.len() as u32);
-        for (name, zones) in &self.columns {
-            buf.put_u32_le(name.len() as u32);
-            buf.put_slice(name.as_bytes());
-            buf.put_u8(match zones.source {
-                ZoneSource::Data => 0,
-                ZoneSource::Model => 1,
-            });
-            buf.put_u64_le(zones.zone_rows as u64);
-            buf.put_u32_le(zones.entries.len() as u32);
-            for e in &zones.entries {
-                buf.put_u32_le(e.rows);
-                buf.put_u32_le(e.null_count);
-                buf.put_f64_le(e.min);
-                buf.put_f64_le(e.max);
-                buf.put_u8(e.constant as u8);
-                match &e.agg {
-                    None => buf.put_u8(0),
-                    Some(a) => {
-                        match (a.sum_f64, a.sum_i64) {
-                            (None, _) => {
-                                buf.put_u8(1);
-                                buf.put_u32_le(a.count);
-                            }
-                            (Some(f), None) => {
-                                buf.put_u8(2);
-                                buf.put_u32_le(a.count);
-                                buf.put_f64_le(f);
-                            }
-                            (Some(f), Some(i)) => {
-                                buf.put_u8(3);
-                                buf.put_u32_le(a.count);
-                                buf.put_f64_le(f);
-                                buf.put_i64_le(i);
-                            }
-                        };
-                    }
-                }
-            }
-        }
-        buf.to_vec()
-    }
-
-    /// Deserialize; corruption is an error, never a panic. Accepts the
-    /// current v2 format and legacy v1 synopses (whose entries carry no
-    /// aggregate partials: `agg` comes back `None` and the read path
-    /// simply scans instead of pushing down).
-    pub fn from_bytes(bytes: &[u8]) -> Result<TableSynopsis> {
-        let mut r = Reader::new("zonemap", bytes);
-        if r.take(4, "magic")? != b"ZMAP" {
-            return Err(r.corrupt("bad magic"));
-        }
-        let version = r.u8()?;
-        if version != 1 && version != 2 {
-            return Err(r.corrupt("unknown version"));
-        }
-        let ncols = r.u32()? as usize;
-        let mut columns = BTreeMap::new();
-        for _ in 0..ncols {
-            let name = r.str_u32("column name")?;
-            let source = match r.u8()? {
-                0 => ZoneSource::Data,
-                1 => ZoneSource::Model,
-                _ => return Err(r.corrupt("bad zone source tag")),
-            };
-            let zone_rows = r.u64()? as usize;
-            if zone_rows == 0 {
-                return Err(r.corrupt("zero zone_rows"));
-            }
-            let nentries = r.u32()? as usize;
-            let mut entries = Vec::with_capacity(nentries.min(4096));
-            for _ in 0..nentries {
-                let rows = r.u32()?;
-                let null_count = r.u32()?;
-                let min = r.f64()?;
-                let max = r.f64()?;
-                let constant = match r.u8()? {
-                    0 => false,
-                    1 => true,
-                    _ => return Err(r.corrupt("bad constant flag")),
-                };
-                if min.is_nan() || max.is_nan() {
-                    return Err(r.corrupt("NaN zone bound"));
-                }
-                if null_count > rows {
-                    return Err(r.corrupt("null_count exceeds rows"));
-                }
-                // v1 entries carry no aggregate partials.
-                let agg_tag = if version >= 2 { r.u8()? } else { 0 };
-                let agg = match agg_tag {
-                    0 => None,
-                    tag @ 1..=3 => {
-                        let count = r.u32()?;
-                        let sum_f64 = if tag >= 2 { Some(r.f64()?) } else { None };
-                        let sum_i64 = if tag == 3 { Some(r.i64()?) } else { None };
-                        if tag == 1 && count > 0 {
-                            return Err(r.corrupt("agg count without sums"));
-                        }
-                        if tag >= 2 && count == 0 {
-                            return Err(r.corrupt("agg sums without count"));
-                        }
-                        if count > rows - null_count {
-                            return Err(r.corrupt("agg count exceeds valid rows"));
-                        }
-                        Some(ZoneAgg { count, sum_f64, sum_i64 })
-                    }
-                    _ => return Err(r.corrupt("bad agg tag")),
-                };
-                entries.push(ZoneEntry { rows, null_count, min, max, constant, agg });
-            }
-            columns.insert(name, ColumnZones { source, zone_rows, entries });
-        }
-        Ok(TableSynopsis { columns })
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::error::StorageError;
 
     fn zones(col: &Column, zone_rows: usize) -> ColumnZones {
         ColumnZones::build(col, zone_rows).unwrap()
@@ -836,56 +708,6 @@ mod tests {
         let z = ColumnZones::from_model_bounds(&preds, 0.1, 2);
         assert!(z.entries[0].may_match(PredOp::Gt, 1e300));
         assert!(z.entries[0].may_match(PredOp::Lt, -1e300));
-    }
-
-    #[test]
-    fn synopsis_roundtrips_through_bytes() {
-        let mut s = TableSynopsis::new();
-        s.insert("a", zones(&Column::from_i64((0..10).collect()), 4));
-        s.insert(
-            "b",
-            ColumnZones::from_model_bounds(&[1.0, 2.0, f64::INFINITY], 0.25, 2),
-        );
-        let bytes = s.to_bytes();
-        let back = TableSynopsis::from_bytes(&bytes).unwrap();
-        assert_eq!(back, s);
-    }
-
-    #[test]
-    fn corrupt_synopsis_is_rejected_not_panicking() {
-        let mut s = TableSynopsis::new();
-        s.insert("a", zones(&Column::from_i64((0..10).collect()), 4));
-        let bytes = s.to_bytes();
-        assert!(TableSynopsis::from_bytes(&[]).is_err());
-        assert!(TableSynopsis::from_bytes(b"XMAP").is_err());
-        for cut in 1..bytes.len() {
-            assert!(TableSynopsis::from_bytes(&bytes[..cut]).is_err(), "cut {cut}");
-        }
-        let mut bad = bytes.clone();
-        bad[4] = 9; // version
-        assert!(TableSynopsis::from_bytes(&bad).is_err());
-    }
-
-    #[test]
-    fn maximal_length_claims_are_corrupt_data() {
-        let mut s = TableSynopsis::new();
-        s.insert("a", zones(&Column::from_i64((0..10).collect()), 4));
-        let bytes = s.to_bytes();
-        // Offsets of the three length fields in a one-column image:
-        // column count, name length, entry count.
-        let name_len = 9;
-        let entries = name_len + 4 + "a".len() + 1 + 8;
-        for at in [5, name_len, entries] {
-            let mut bad = bytes.clone();
-            bad[at..at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
-            assert!(
-                matches!(
-                    TableSynopsis::from_bytes(&bad),
-                    Err(StorageError::CorruptData { codec: "zonemap", .. })
-                ),
-                "length field at {at}"
-            );
-        }
     }
 
     #[test]
@@ -1044,7 +866,7 @@ mod tests {
         // Model zones have no certificate at all.
         let model = ColumnZones::from_model_bounds(&[5.0, 6.0], 0.0, 2);
         assert!(!model.entries[0].satisfies_all(PredOp::Ge, 0.0));
-        // Legacy entries without agg: only the constant flag certifies.
+        // Entries without agg: only the constant flag certifies.
         let legacy = ZoneEntry {
             rows: 4,
             null_count: 0,
@@ -1056,67 +878,5 @@ mod tests {
         assert!(!legacy.satisfies_all(PredOp::Ge, 0.0));
         let konst = ZoneEntry { constant: true, max: 1.0, ..legacy };
         assert!(konst.satisfies_all(PredOp::Ge, 0.0));
-    }
-
-    #[test]
-    fn v2_roundtrip_preserves_aggregate_partials() {
-        let mut s = TableSynopsis::new();
-        s.insert("i", zones(&Column::from_i64(vec![1, 2, 3, 4, 5]), 2));
-        s.insert("f", zones(&Column::from_f64_opt(vec![Some(-0.0), None, None, None]), 2));
-        s.insert("m", ColumnZones::from_model_bounds(&[1.0, 2.0], 0.25, 2));
-        let back = TableSynopsis::from_bytes(&s.to_bytes()).unwrap();
-        assert_eq!(back, s);
-        // NaN sums (inf + -inf overflow artifacts) round-trip by bits.
-        let mut z = zones(&Column::from_f64(vec![1.0]), 2);
-        z.entries[0].agg = Some(ZoneAgg {
-            count: 1,
-            sum_f64: Some(f64::NAN),
-            sum_i64: None,
-        });
-        let mut s2 = TableSynopsis::new();
-        s2.insert("n", z);
-        let back2 = TableSynopsis::from_bytes(&s2.to_bytes()).unwrap();
-        assert_eq!(back2, s2);
-    }
-
-    #[test]
-    fn legacy_v1_synopses_decode_without_partials() {
-        // Hand-build a v1 image: same layout, no agg tag per entry.
-        let mut buf = Vec::new();
-        buf.extend_from_slice(b"ZMAP");
-        buf.push(1); // version
-        buf.extend_from_slice(&1u32.to_le_bytes()); // one column
-        buf.extend_from_slice(&1u32.to_le_bytes());
-        buf.push(b'a');
-        buf.push(0); // ZoneSource::Data
-        buf.extend_from_slice(&4u64.to_le_bytes()); // zone_rows
-        buf.extend_from_slice(&1u32.to_le_bytes()); // one entry
-        buf.extend_from_slice(&3u32.to_le_bytes()); // rows
-        buf.extend_from_slice(&0u32.to_le_bytes()); // null_count
-        buf.extend_from_slice(&1.0f64.to_le_bytes());
-        buf.extend_from_slice(&2.0f64.to_le_bytes());
-        buf.push(0); // constant
-        let s = TableSynopsis::from_bytes(&buf).unwrap();
-        let e = &s.column("a").unwrap().entries[0];
-        assert_eq!((e.rows, e.min, e.max), (3, 1.0, 2.0));
-        assert!(e.agg.is_none(), "v1 entries carry no partials");
-    }
-
-    #[test]
-    fn inconsistent_agg_partials_are_rejected() {
-        let mut s = TableSynopsis::new();
-        s.insert("a", zones(&Column::from_i64(vec![1, 2]), 4));
-        let good = s.to_bytes();
-        // The entry sits at the end: ...25 fixed bytes, tag, count, sums.
-        // Corrupt the count (4 bytes after the tag) to exceed the rows.
-        let mut bad = good.clone();
-        let count_at = bad.len() - 20; // tag-3 entry tail: count, f64, i64
-        bad[count_at..count_at + 4].copy_from_slice(&99u32.to_le_bytes());
-        assert!(TableSynopsis::from_bytes(&bad).is_err());
-        // An unknown agg tag is corruption, not silence.
-        let mut badtag = good;
-        let tag_at = badtag.len() - 21;
-        badtag[tag_at] = 7;
-        assert!(TableSynopsis::from_bytes(&badtag).is_err());
     }
 }

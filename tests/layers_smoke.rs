@@ -155,7 +155,18 @@ fn cluster_and_durable_surface() {
     // Restart: what was acknowledged is what comes back.
     let mut durable = DurableDb::new(durable.into_device());
     durable.recover().unwrap();
-    assert_eq!(durable.read_table(TABLE).unwrap().row_count(), table.row_count());
+    // Honest accounting: a read charges one full device page per page
+    // of every column extent, and charges it again on every read.
+    let pages: u64 = (0..table.schema().len())
+        .map(|i| durable.column_pages(TABLE, i).unwrap().1.div_ceil(4096))
+        .sum();
+    for _ in 0..2 {
+        let before = durable.stats();
+        assert_eq!(durable.read_table(TABLE).unwrap().row_count(), table.row_count());
+        let after = durable.stats();
+        assert_eq!(after.pages_read - before.pages_read, pages);
+        assert_eq!(after.bytes_read - before.bytes_read, pages * 4096);
+    }
     assert_eq!(durable.load_models().unwrap().len(), db.models().len());
 }
 

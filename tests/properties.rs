@@ -60,15 +60,16 @@ proptest! {
             ],
             1..300,
         ),
-        page_size in 64usize..1024,
+        page_size in 128usize..1024,
     ) {
-        use lawsdb::storage::pager::Pager;
+        use lawsdb::storage::{wal::DurableStore, SimulatedDevice};
         let mut b = TableBuilder::new("t");
         b.add_f64("v", values.clone());
         let table = b.build().unwrap();
-        let mut pager = Pager::new(page_size, 4);
-        pager.store_table(&table).unwrap();
-        let back = pager.read_table("t").unwrap();
+        let mut store = DurableStore::new(SimulatedDevice::new(page_size), 8);
+        store.recover().unwrap();
+        store.store_table(&table).unwrap();
+        let back = store.read_table("t").unwrap();
         let col = back.column("v").unwrap().f64_data().unwrap();
         prop_assert_eq!(col.len(), values.len());
         for (a, b) in col.iter().zip(&values) {

@@ -172,7 +172,6 @@ fn demo_slowlog() {
                 shards: 3,
                 replicas: 2,
                 scheme: PartitionScheme::Hash { key: "source".to_string() },
-                morsel_rows: 32,
                 fail_threshold: 1,
                 probe_after: 1,
                 max_abs_residual: 1e-6,

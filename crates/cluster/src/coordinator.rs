@@ -3,17 +3,15 @@
 //! A [`Cluster`] owns the shards, their replicas, the health matrix,
 //! and the per-shard captured models. A query takes one of two routes:
 //!
-//! * **Scatter-gather** — for the aggregate pipeline shape
-//!   `[LIMIT] [ORDER BY] AGG(SCAN | FILTER(SCAN))` over range shards,
-//!   or over hash shards when the GROUP BY contains the hash key. Each
-//!   shard computes per-global-morsel partial aggregates locally
-//!   (`lawsdb_query::partial`); the coordinator merges them in global
-//!   morsel order and assembles the answer — bit-identical to the
-//!   unsharded engine by the argument in that module.
-//! * **Gather-execute** — every other single-table shape: the
+//! * **Scatter-gather** — every aggregate pipeline shape
+//!   `[LIMIT] [ORDER BY] AGG(SCAN | FILTER(SCAN))`, under either
+//!   partitioning. Each shard runs the engine's aggregate pipeline on
+//!   its rows (`lawsdb_query::partial`); the coordinator merges the
+//!   shards' partials and assembles the answer. Accumulators hold exact
+//!   sums, so the merge is bit-identical to the unsharded engine.
+//! * **Gather-execute** — every non-aggregate single-table shape: the
 //!   coordinator fetches all shards, reassembles the global table in
-//!   original row order (synopsis rebuilt on the global zone grid), and
-//!   runs the engine on it. Trivially bit-identical.
+//!   original row order, and runs the engine on it.
 //!
 //! Joins are refused ([`ClusterError::Unsupported`]): shard-local joins
 //! are not equivalent to global joins under either partitioning.
@@ -21,8 +19,8 @@
 //! Per-shard failures walk the replica list under the
 //! [`HealthTracker`]'s direction; when every replica of a shard is
 //! down, a hash-sharded aggregate within the model-soundness envelope
-//! (AVG/MIN/MAX, no LIMIT, residual bound within
-//! [`ClusterConfig::max_abs_residual`]) degrades to the shard's
+//! (GROUP BY on the shard key, AVG/MIN/MAX, no LIMIT, residual bound
+//! within [`ClusterConfig::max_abs_residual`]) degrades to the shard's
 //! captured model, surfaced as
 //! [`DegradeReason::ShardModelFallback`]; anything else returns the
 //! structured [`ClusterError::PartialResult`]. Never a panic, never a
@@ -41,8 +39,7 @@ use lawsdb_query::plan::AggSpec;
 use lawsdb_query::sql::{AggFunc, OrderBy};
 use lawsdb_query::{
     assemble_partials, execute_with, limit_rows, merge_shard_partials, parse_select,
-    shard_partials_contiguous, shard_partials_sparse, sort_rows, ExecOptions, LogicalPlan,
-    QueryError, ShardPartials,
+    shard_partials, sort_rows, ExecOptions, LogicalPlan, QueryError, ShardPartials,
 };
 use lawsdb_storage::{Catalog, FaultMode, Schema, Table, Value};
 use parking_lot::Mutex;
@@ -62,9 +59,6 @@ pub struct ClusterConfig {
     pub replicas: usize,
     /// How rows map to shards.
     pub scheme: PartitionScheme,
-    /// Morsel size every query runs at. Fixed per cluster because range
-    /// shard boundaries are aligned to it at partition time.
-    pub morsel_rows: usize,
     /// Consecutive failures before a replica is marked `Down`.
     pub fail_threshold: u32,
     /// Selections a `Down` replica is skipped before being probed.
@@ -80,7 +74,6 @@ impl Default for ClusterConfig {
             shards: 4,
             replicas: 2,
             scheme: PartitionScheme::Range,
-            morsel_rows: lawsdb_query::morsel::DEFAULT_MORSEL_ROWS,
             fail_threshold: 2,
             probe_after: 2,
             max_abs_residual: 1e-3,
@@ -133,7 +126,6 @@ pub struct Cluster {
     cfg: ClusterConfig,
     table_name: String,
     schema: Schema,
-    zone_rows: usize,
     total_rows: usize,
     /// Zero-row table with the global schema — the seed for gather-path
     /// reassembly (and the answer shape when the table is empty).
@@ -169,8 +161,7 @@ impl Cluster {
                 detail: "a shard needs at least one replica".to_string(),
             });
         }
-        let zone_rows = partition::global_zone_rows(table);
-        let parts = partition::partition(table, &cfg.scheme, cfg.shards, cfg.morsel_rows)?;
+        let parts = partition::partition(table, &cfg.scheme, cfg.shards)?;
         let mut shards = Vec::with_capacity(parts.len());
         for part in parts {
             let mut replicas = Vec::with_capacity(cfg.replicas);
@@ -207,7 +198,6 @@ impl Cluster {
             )),
             table_name: table.name().to_string(),
             schema: table.schema().clone(),
-            zone_rows,
             total_rows: table.row_count(),
             template: table.slice(0, 0)?,
             shards,
@@ -248,9 +238,7 @@ impl Cluster {
         Ok(())
     }
 
-    /// Execute `sql` across the cluster. `opts.morsel_rows` is
-    /// overridden by the cluster's configured morsel size (shard
-    /// alignment depends on it); every other knob passes through.
+    /// Execute `sql` across the cluster; every shard runs under `opts`.
     pub fn query(&self, sql: &str, opts: &ExecOptions) -> Result<ClusterAnswer> {
         let stmt = parse_select(sql)?;
         if stmt.join.is_some() {
@@ -264,7 +252,6 @@ impl Cluster {
             });
         }
         let mut opts = opts.clone();
-        opts.morsel_rows = self.cfg.morsel_rows;
         // The coordinator owns the profile context: cluster phase spans
         // (shard/fetch/execute/gather/merge) are opened here and the
         // engine's plan tree is re-attached underneath the execute
@@ -273,26 +260,14 @@ impl Cluster {
         let plan = LogicalPlan::from_statement(&stmt)?;
         let started = Instant::now();
         let answer = match decompose(&plan) {
-            Some(shape) if self.scatter_eligible(&shape) => {
-                self.scatter_gather(sql, &shape, &opts, ctx.as_ref())
-            }
-            _ => self.gather_execute(sql, &opts, ctx.as_ref()),
+            Some(shape) => self.scatter_gather(sql, &shape, &opts, ctx.as_ref()),
+            None => self.gather_execute(sql, &opts, ctx.as_ref()),
         };
         self.metrics
             .query_us
             .observe_with_exemplar(started.elapsed().as_micros() as u64, opts.query_id);
         self.publish_health();
         answer
-    }
-
-    fn scatter_eligible(&self, shape: &AggShape) -> bool {
-        match &self.cfg.scheme {
-            PartitionScheme::Range => true,
-            PartitionScheme::Hash { key } => {
-                !shape.group_by.is_empty()
-                    && shape.group_by.iter().any(|g| g.eq_ignore_ascii_case(key))
-            }
-        }
     }
 
     fn scatter_gather(
@@ -412,17 +387,20 @@ impl Cluster {
         Err(QueryError::InvalidAggregate { reason: format!("row {row} is in no shard") })
     }
 
-    /// Walk the shard's replicas under health direction; first success
-    /// wins. Every failed attempt followed by another is a failover,
-    /// recorded both in metrics and — under a profile context — as a
-    /// `cluster.failover` point in the trace.
-    fn run_shard(
+    /// Walk shard `s`'s replicas under health direction, calling
+    /// `attempt(replica)` on each one `try_now` admits; the first success
+    /// wins. A replica error moves on to the next replica, and every
+    /// failed attempt followed by another is a failover — recorded both
+    /// in metrics and, under a profile context, as a `cluster.failover`
+    /// point. Health outcomes (`record_ok` / `record_fail`) and the
+    /// `cluster.attempt.fail` / `cluster.health.probe` points are
+    /// recorded here, once, for both routes.
+    fn walk_replicas<T>(
         &self,
         s: usize,
-        shape: &AggShape,
-        opts: &ExecOptions,
         ctx: Option<&ProfileContext>,
-    ) -> std::result::Result<(Table, ShardPartials), AttemptError> {
+        mut attempt: impl FnMut(usize) -> std::result::Result<T, AttemptError>,
+    ) -> std::result::Result<T, AttemptError> {
         let mut last = format!("all {} replicas unavailable", self.cfg.replicas);
         let mut failed_before = false;
         for r in 0..self.cfg.replicas {
@@ -436,16 +414,11 @@ impl Cluster {
                     c.point("cluster.failover", fields![replica = r as u64]);
                 }
             }
-            match self.attempt(s, r, shape, opts, ctx) {
+            match attempt(r) {
                 Ok(v) => {
                     self.health.lock().record_ok(s, r);
-                    if probing {
-                        if let Some(c) = ctx {
-                            c.point(
-                                "cluster.health.probe",
-                                fields![replica = r as u64, outcome = "ok"],
-                            );
-                        }
+                    if let (Some(c), true) = (ctx, probing) {
+                        c.point("cluster.health.probe", fields![replica = r as u64, outcome = "ok"]);
                     }
                     return Ok(v);
                 }
@@ -466,74 +439,70 @@ impl Cluster {
         Err(AttemptError::Replica(last))
     }
 
-    fn attempt(
+    /// Read replica `r`'s copy of a shard inside a `cluster.fetch` span.
+    /// The gather route fails an armed `Gather` injection here, before
+    /// the span records the row count.
+    fn fetch_from(
+        r: usize,
+        rep: &mut Replica,
+        ctx: Option<&ProfileContext>,
+        gather_route: bool,
+    ) -> std::result::Result<Table, AttemptError> {
+        let mut span = ctx.map(|c| c.span("cluster.fetch"));
+        if let Some(sp) = span.as_mut() {
+            sp.field("replica", r as u64);
+        }
+        let table = rep.fetch().map_err(|e| AttemptError::Replica(e.to_string()))?;
+        if gather_route && rep.take_injection(Phase::Gather) {
+            return Err(AttemptError::Replica("injected failure at gather".to_string()));
+        }
+        if let Some(sp) = span.as_mut() {
+            sp.field("rows", table.row_count() as u64);
+        }
+        Ok(table)
+    }
+
+    /// Compute shard `s`'s partial aggregates, with replica failover.
+    fn run_shard(
         &self,
         s: usize,
-        r: usize,
         shape: &AggShape,
         opts: &ExecOptions,
         ctx: Option<&ProfileContext>,
     ) -> std::result::Result<(Table, ShardPartials), AttemptError> {
-        let mut rep = self.shards[s].replicas[r].lock();
-        let table = {
-            let mut span = ctx.map(|c| c.span("cluster.fetch"));
-            if let Some(sp) = span.as_mut() {
-                sp.field("replica", r as u64);
+        self.walk_replicas(s, ctx, |r| {
+            let mut rep = self.shards[s].replicas[r].lock();
+            let mut table = Self::fetch_from(r, &mut rep, ctx, false)?;
+            // The durable store persists no synopsis; build one for the
+            // shard's own pruning and zone-aggregate pushdown.
+            table.rebuild_synopsis();
+            if rep.take_injection(Phase::Execute) {
+                return Err(AttemptError::Replica("injected failure at execute".to_string()));
             }
-            let mut table = rep.fetch().map_err(|e| AttemptError::Replica(e.to_string()))?;
-            // The durable store persists no synopsis, so the table comes
-            // back without one; build it on the global zone grid so the
-            // shard's pruning and zone-aggregate decisions are exactly
-            // the global engine's.
-            table.rebuild_synopsis_with(self.zone_rows);
-            if let Some(sp) = span.as_mut() {
-                sp.field("rows", table.row_count() as u64);
-            }
-            table
-        };
-        if rep.take_injection(Phase::Execute) {
-            return Err(AttemptError::Replica("injected failure at execute".to_string()));
-        }
-        let sp = {
-            let span = ctx.map(|c| c.span("cluster.execute"));
-            match &self.shards[s].rows {
-                RowAssignment::Contiguous { start } => shard_partials_contiguous(
+            let partials = {
+                let span = ctx.map(|c| c.span("cluster.execute"));
+                let rows = &self.shards[s].rows;
+                shard_partials(
                     &table,
-                    *start,
+                    |i| rows.global_row(i),
                     shape.predicate.as_ref(),
                     &shape.group_by,
                     &shape.aggs,
-                    // Re-attach the engine's plan/morsel/zone spans under
+                    // Re-attach the engine's morsel/zone leaves under
                     // this shard's execute span.
-                    &ExecOptions {
-                        profile: span.as_ref().map(|sp| sp.child()),
-                        ..opts.clone()
-                    },
-                ),
-                RowAssignment::Sparse(rows) => shard_partials_sparse(
-                    &table,
-                    rows,
-                    shape.predicate.as_ref(),
-                    &shape.group_by,
-                    &shape.aggs,
-                    &ExecOptions {
-                        profile: span.as_ref().map(|sp| sp.child()),
-                        ..opts.clone()
-                    },
-                ),
-            }
-            // Execution errors are deterministic functions of the
-            // shard's data — the same error would come back from every
-            // replica.
-            .map_err(|e| AttemptError::Fatal(ClusterError::Query(e)))?
-        };
-        {
+                    &ExecOptions { profile: span.as_ref().map(|sp| sp.child()), ..opts.clone() },
+                )
+                // Execution errors are deterministic functions of the
+                // shard's data — the same error would come back from
+                // every replica.
+                .map_err(|e| AttemptError::Fatal(ClusterError::Query(e)))?
+            };
             let _span = ctx.map(|c| c.span("cluster.gather"));
             if rep.take_injection(Phase::Gather) {
                 return Err(AttemptError::Replica("injected failure at gather".to_string()));
             }
-        }
-        Ok((table, sp))
+            Ok((table, partials))
+        })
     }
 
     /// Fetch a shard's table with replica failover (gather path).
@@ -542,73 +511,17 @@ impl Cluster {
         s: usize,
         ctx: Option<&ProfileContext>,
     ) -> std::result::Result<Table, String> {
-        let mut last = format!("all {} replicas unavailable", self.cfg.replicas);
-        let mut failed_before = false;
-        for r in 0..self.cfg.replicas {
-            let probing = self.health.lock().state(s, r) == ReplicaState::Down;
-            if !self.health.lock().try_now(s, r) {
-                continue;
-            }
-            if failed_before {
-                self.metrics.failovers.inc();
-                if let Some(c) = ctx {
-                    c.point("cluster.failover", fields![replica = r as u64]);
-                }
-            }
-            let mut rep = self.shards[s].replicas[r].lock();
-            let mut span = ctx.map(|c| c.span("cluster.fetch"));
-            if let Some(sp) = span.as_mut() {
-                sp.field("replica", r as u64);
-            }
-            match rep.fetch() {
-                Ok(t) => {
-                    if rep.take_injection(Phase::Gather) {
-                        self.health.lock().record_fail(s, r);
-                        drop(span);
-                        if let Some(c) = ctx {
-                            c.point(
-                                if probing { "cluster.health.probe" } else { "cluster.attempt.fail" },
-                                fields![replica = r as u64, error = "injected failure at gather"],
-                            );
-                        }
-                        last = format!("replica {r}: injected failure at gather");
-                        failed_before = true;
-                        continue;
-                    }
-                    self.health.lock().record_ok(s, r);
-                    if let Some(sp) = span.as_mut() {
-                        sp.field("rows", t.row_count() as u64);
-                    }
-                    if probing {
-                        drop(span);
-                        if let Some(c) = ctx {
-                            c.point(
-                                "cluster.health.probe",
-                                fields![replica = r as u64, outcome = "ok"],
-                            );
-                        }
-                    }
-                    return Ok(t);
-                }
-                Err(e) => {
-                    self.health.lock().record_fail(s, r);
-                    drop(span);
-                    if let Some(c) = ctx {
-                        c.point(
-                            if probing { "cluster.health.probe" } else { "cluster.attempt.fail" },
-                            fields![replica = r as u64, error = e.to_string()],
-                        );
-                    }
-                    last = format!("replica {r}: {e}");
-                    failed_before = true;
-                }
-            }
-        }
-        Err(last)
+        self.walk_replicas(s, ctx, |r| {
+            Self::fetch_from(r, &mut self.shards[s].replicas[r].lock(), ctx, true)
+        })
+        .map_err(|e| match e {
+            AttemptError::Replica(detail) => detail,
+            AttemptError::Fatal(e) => e.to_string(),
+        })
     }
 
-    /// The gather-execute route: reassemble the global table in
-    /// original row order and run the engine on it.
+    /// The gather-execute route for non-aggregate shapes: reassemble the
+    /// global table in original row order and run the engine on it.
     fn gather_execute(
         &self,
         sql: &str,
@@ -663,7 +576,7 @@ impl Cluster {
                 global = global.take(&pos)?;
             }
         }
-        global.rebuild_synopsis_with(self.zone_rows);
+        global.rebuild_synopsis();
         let catalog = Catalog::new();
         catalog.register(global)?;
         drop(gather_span);
@@ -684,21 +597,27 @@ impl Cluster {
     }
 
     /// Answer a lost shard from its captured model, if sound:
-    /// hash-partitioned (groups are shard-local, so model rows append
-    /// disjointly), AVG/MIN/MAX only (reconstruction loses row
-    /// multiplicity, so COUNT/SUM are out), no LIMIT (a per-shard
-    /// LIMIT is not the global LIMIT), and the model's residual bound
-    /// within policy.
+    /// hash-partitioned with the shard key in the GROUP BY (only then are
+    /// the shard's groups its own, so model rows append disjointly),
+    /// AVG/MIN/MAX only (reconstruction loses row multiplicity, so
+    /// COUNT/SUM are out), no LIMIT (a per-shard LIMIT is not the global
+    /// LIMIT), and the model's residual bound within policy.
     fn model_answer(
         &self,
         s: usize,
         shape: &AggShape,
         sql: &str,
     ) -> std::result::Result<(Table, Option<f64>), String> {
-        if !matches!(self.cfg.scheme, PartitionScheme::Hash { .. }) {
+        let PartitionScheme::Hash { key } = &self.cfg.scheme else {
             return Err(
                 "range shards interleave groups, so a per-shard model cannot stand in".to_string()
             );
+        };
+        if !shape.group_by.iter().any(|g| g.eq_ignore_ascii_case(key)) {
+            return Err(format!(
+                "the GROUP BY does not contain the shard key {key}, so the shard's model rows \
+                 would not be disjoint from the other shards' groups"
+            ));
         }
         if shape.limit.is_some() {
             return Err("LIMIT cannot be applied per shard".to_string());

@@ -7,10 +7,10 @@
 //! own crash-safe [`DurableDb`](lawsdb_core::DurableDb) on a seeded
 //! [`FaultyDevice`](lawsdb_storage::FaultyDevice). The
 //! [`Cluster`] coordinator scatters partial
-//! aggregation to the shards and merges the partials in deterministic
-//! global morsel order, so answers are **bit-identical** to the
-//! unsharded engine at any shard count, replica choice, or thread count
-//! (see `lawsdb_query::partial` for the merge-determinism argument).
+//! aggregation to the shards and merges the partials; aggregates keep
+//! exact sums, so answers are **bit-identical** to the unsharded engine
+//! at any shard count, partitioning, replica choice, morsel size or
+//! thread count (see `lawsdb_query::partial`).
 //!
 //! Robustness is the headline: a deterministic, counter-based
 //! [`HealthTracker`] drives automatic replica

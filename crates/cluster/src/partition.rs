@@ -1,25 +1,21 @@
-//! Table partitioning: contiguous range shards aligned to the morsel
-//! grid, or hash shards on a group key.
+//! Table partitioning: contiguous range shards, or hash shards on a
+//! group key.
 //!
-//! Alignment is what makes range sharding bit-identical: shard
-//! boundaries fall on multiples of `lcm(morsel_rows, zone_rows)`, so a
-//! shard's local morsels *are* the global morsels and its rebuilt zone
-//! synopsis carries exactly the zone entries the global table's does
-//! over the same rows (the build fold is the same row-order IEEE-754
-//! sequence). Hash shards keep, per shard, the strictly increasing list
-//! of original global row indices — the coordinator needs it to split
-//! partials at global morsel boundaries and to reassemble rows in
-//! global order.
+//! Any split is as good as any other for exact answers: aggregates hold
+//! exact sums, so partials merge to the same bits whatever the shard
+//! boundaries. Every shard keeps where its rows sit in the global table
+//! — a start row, or the strictly increasing list of original row
+//! indices — so the coordinator can order groups by global first row
+//! and reassemble rows in global order.
 
 use crate::{ClusterError, Result};
 use lawsdb_query::group_key_hash;
-use lawsdb_storage::zonemap::DEFAULT_ZONE_ROWS;
 use lawsdb_storage::Table;
 
 /// How rows map to shards.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum PartitionScheme {
-    /// Contiguous row ranges, morsel-aligned.
+    /// Contiguous row ranges of (nearly) equal size.
     Range,
     /// Hash of the named group-key column.
     Hash {
@@ -40,8 +36,17 @@ pub enum RowAssignment {
     Sparse(Vec<usize>),
 }
 
-/// One shard's data: its slice of the table (synopsis rebuilt on the
-/// global grid) plus the row assignment.
+impl RowAssignment {
+    /// The global row of the shard's local row `local`.
+    pub fn global_row(&self, local: usize) -> usize {
+        match self {
+            RowAssignment::Contiguous { start } => start + local,
+            RowAssignment::Sparse(rows) => rows[local],
+        }
+    }
+}
+
+/// One shard's data: its slice of the table plus the row assignment.
 #[derive(Debug)]
 pub struct ShardData {
     /// The shard's rows as a standalone table.
@@ -50,63 +55,28 @@ pub struct ShardData {
     pub rows: RowAssignment,
 }
 
-/// The zone granularity the global table is mapped at (the minimum
-/// across columns, which is also the grid `plan_agg_pushdown` folds at).
-pub fn global_zone_rows(table: &Table) -> usize {
-    table
-        .synopsis()
-        .and_then(|s| {
-            table
-                .schema()
-                .fields()
-                .iter()
-                .filter_map(|f| s.column(&f.name).map(|z| z.zone_rows))
-                .min()
-        })
-        .unwrap_or(DEFAULT_ZONE_ROWS)
-}
-
-fn gcd(a: usize, b: usize) -> usize {
-    if b == 0 { a } else { gcd(b, a % b) }
-}
-
-/// Least common multiple of the morsel and zone grids — the row quantum
-/// range-shard boundaries must align to.
-pub fn alignment_quantum(morsel_rows: usize, zone_rows: usize) -> usize {
-    morsel_rows / gcd(morsel_rows, zone_rows) * zone_rows
-}
-
 /// Split `table` into `shards` partitions under `scheme`. Range shards
-/// are balanced in whole alignment quanta (trailing shards may be
-/// empty for small tables); hash shards scatter rows by the grouping
-/// hash of the key column.
-pub fn partition(
-    table: &Table,
-    scheme: &PartitionScheme,
-    shards: usize,
-    morsel_rows: usize,
-) -> Result<Vec<ShardData>> {
+/// differ in size by at most one row (trailing shards are empty for
+/// tables with fewer rows than shards); hash shards scatter rows by the
+/// grouping hash of the key column.
+pub fn partition(table: &Table, scheme: &PartitionScheme, shards: usize) -> Result<Vec<ShardData>> {
     if shards == 0 {
         return Err(ClusterError::Unsupported {
             detail: "cluster needs at least one shard".to_string(),
         });
     }
-    let zone_rows = global_zone_rows(table);
     match scheme {
         PartitionScheme::Range => {
-            let quantum = alignment_quantum(morsel_rows, zone_rows);
             let rows = table.row_count();
-            let units = rows.div_ceil(quantum);
             let mut out = Vec::with_capacity(shards);
-            let mut unit = 0usize;
+            let mut start = 0;
             for s in 0..shards {
-                let count = units / shards + usize::from(s < units % shards);
-                let start = (unit * quantum).min(rows);
-                let len = ((unit + count) * quantum).min(rows) - start;
-                unit += count;
-                let mut t = table.slice(start, len)?;
-                t.rebuild_synopsis_with(zone_rows);
-                out.push(ShardData { table: t, rows: RowAssignment::Contiguous { start } });
+                let len = rows / shards + usize::from(s < rows % shards);
+                out.push(ShardData {
+                    table: table.slice(start, len)?,
+                    rows: RowAssignment::Contiguous { start },
+                });
+                start += len;
             }
             Ok(out)
         }
@@ -117,13 +87,15 @@ pub fn partition(
                 let h = group_key_hash(&col.value(row)?);
                 rowsets[(h % shards as u64) as usize].push(row);
             }
-            let mut out = Vec::with_capacity(shards);
-            for rows in rowsets {
-                let mut t = table.take(&rows)?;
-                t.rebuild_synopsis_with(zone_rows);
-                out.push(ShardData { table: t, rows: RowAssignment::Sparse(rows) });
-            }
-            Ok(out)
+            rowsets
+                .into_iter()
+                .map(|rows| {
+                    Ok(ShardData {
+                        table: table.take(&rows)?,
+                        rows: RowAssignment::Sparse(rows),
+                    })
+                })
+                .collect()
         }
     }
 }
@@ -137,26 +109,23 @@ mod tests {
         let mut b = TableBuilder::new("t");
         b.add_i64("g", (0..rows as i64).map(|i| i % 5).collect());
         b.add_f64("v", (0..rows).map(|i| i as f64 * 0.25).collect());
-        let mut t = b.build().unwrap();
-        t.rebuild_synopsis_with(32);
-        t
+        b.build().unwrap()
     }
 
     #[test]
-    fn range_shards_are_aligned_and_cover_everything() {
+    fn range_shards_are_balanced_and_cover_everything() {
         let t = fixture(1000);
-        let parts = partition(&t, &PartitionScheme::Range, 3, 64).unwrap();
+        let parts = partition(&t, &PartitionScheme::Range, 3).unwrap();
         assert_eq!(parts.len(), 3);
         let mut covered = 0;
         for p in &parts {
-            let RowAssignment::Contiguous { start } = p.rows else { panic!("range shard") };
-            assert_eq!(start % 64, 0, "aligned to lcm(64, 32) = 64");
+            let RowAssignment::Contiguous { start } = p.rows else {
+                panic!("range shard")
+            };
             assert_eq!(start, covered);
+            assert!((333..=334).contains(&p.table.row_count()));
+            assert_eq!(p.rows.global_row(1), start + 1);
             covered += p.table.row_count();
-            // Synopsis rebuilt on the global grid.
-            if p.table.row_count() > 0 {
-                assert_eq!(p.table.synopsis().unwrap().column("v").unwrap().zone_rows, 32);
-            }
         }
         assert_eq!(covered, 1000);
     }
@@ -164,11 +133,13 @@ mod tests {
     #[test]
     fn hash_shards_keep_groups_whole_and_rows_increasing() {
         let t = fixture(500);
-        let parts = partition(&t, &PartitionScheme::Hash { key: "g".into() }, 4, 64).unwrap();
+        let parts = partition(&t, &PartitionScheme::Hash { key: "g".into() }, 4).unwrap();
         let mut total = 0;
         let mut group_shard = std::collections::HashMap::new();
         for (si, p) in parts.iter().enumerate() {
-            let RowAssignment::Sparse(rows) = &p.rows else { panic!("hash shard") };
+            let RowAssignment::Sparse(rows) = &p.rows else {
+                panic!("hash shard")
+            };
             assert!(rows.windows(2).all(|w| w[0] < w[1]));
             total += rows.len();
             let g = p.table.column("g").unwrap();
@@ -183,9 +154,9 @@ mod tests {
 
     #[test]
     fn tiny_tables_leave_trailing_shards_empty_without_panic() {
-        let t = fixture(40);
-        let parts = partition(&t, &PartitionScheme::Range, 4, 64).unwrap();
-        assert_eq!(parts[0].table.row_count(), 40);
-        assert!(parts[1..].iter().all(|p| p.table.row_count() == 0));
+        let t = fixture(2);
+        let parts = partition(&t, &PartitionScheme::Range, 4).unwrap();
+        let sizes: Vec<usize> = parts.iter().map(|p| p.table.row_count()).collect();
+        assert_eq!(sizes, vec![1, 1, 0, 0]);
     }
 }

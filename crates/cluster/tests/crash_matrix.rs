@@ -62,7 +62,6 @@ fn cluster(table: &Table) -> (Cluster, MetricsRegistry) {
         shards: 3,
         replicas: 2,
         scheme: PartitionScheme::Hash { key: "source".to_string() },
-        morsel_rows: 32,
         fail_threshold: 1,
         probe_after: 1,
         max_abs_residual: 1e-6,
@@ -94,6 +93,7 @@ const AVG_SQL: &str =
     "SELECT source, AVG(intensity) AS m FROM measurements GROUP BY source ORDER BY source";
 const SUM_SQL: &str =
     "SELECT source, SUM(intensity) AS s FROM measurements GROUP BY source ORDER BY source";
+const GLOBAL_AVG_SQL: &str = "SELECT AVG(intensity) FROM measurements";
 
 /// Single-replica failure: every (mode × shard × phase) cell fails over
 /// to the healthy replica and answers bit-identically.
@@ -207,6 +207,13 @@ fn total_shard_loss_degrades_soundly() {
                 assert!(detail.contains("SUM"), "detail should name the unsound aggregate: {detail}");
             }
             other => panic!("shard {s}: SUM under total loss must be PartialResult, got {other:?}"),
+        }
+
+        // Global AVG: its one group spans every shard, so the lost
+        // shard's model rows would land as a second row. Refused.
+        match cluster.query(GLOBAL_AVG_SQL, &opts) {
+            Err(ClusterError::PartialResult { shard, .. }) => assert_eq!(shard, s),
+            other => panic!("shard {s}: global AVG under total loss must be PartialResult, got {other:?}"),
         }
 
         // Heal the shard for the next iteration.

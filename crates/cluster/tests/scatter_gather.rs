@@ -100,7 +100,6 @@ proptest! {
             shards,
             replicas: 2,
             scheme,
-            morsel_rows,
             fail_threshold: 1,
             probe_after: 0,
             ..ClusterConfig::default()

@@ -3,8 +3,10 @@
 //! The executor recognizes `Scan → Filter → Aggregate` pipeline shapes
 //! and runs them morsel-at-a-time on a scoped worker pool (see
 //! [`crate::morsel`]); per-morsel partial states merge in morsel order,
-//! so results are bit-identical for any thread count. Every other plan
-//! node runs serially on its (possibly parallel-computed) input.
+//! which keeps row and group order serial, and aggregates keep exact
+//! sums, so results are bit-identical for any thread count or morsel
+//! size. Every other plan node runs serially on its (possibly
+//! parallel-computed) input.
 
 use crate::error::{QueryError, Result};
 use crate::governor::Governor;
@@ -15,6 +17,7 @@ use crate::pruning::{PruningPredicate, ScanStats, ScanStatsCollector, ZoneDecisi
 use crate::sexpr::{PredMask, ScalarExpr};
 use crate::sql::{parse_select, AggFunc, OrderBy};
 use lawsdb_obs::fields;
+use lawsdb_storage::column::NumericAggState;
 use lawsdb_storage::schema::{DataType, Field, Schema};
 use lawsdb_storage::zonemap::{ColumnZones, ZoneSource};
 use lawsdb_storage::{Catalog, Column, Table, Value};
@@ -322,8 +325,8 @@ fn pruner_for(predicate: Option<&ScalarExpr>, opts: &ExecOptions) -> Option<Prun
 /// decision for each — the one place the executor consults the pruner.
 ///
 /// With a pruner and a synopsis the chunks come from
-/// [`PruningPredicate::plan_range`] on `grid` (the pruner's own grid
-/// when `None`); the zone counters go to `opts.stats` and one `zone`
+/// [`PruningPredicate::plan_range`] on the pruner's grid; the zone
+/// counters go to `opts.stats` and one `zone`
 /// profile leaf per chunk records the deciding tier (`skip_zonemap` =
 /// write-time data zones, `skip_model` = model-derived bounds,
 /// `accept_all` = compressed-domain acceptance; leaves index by chunk
@@ -335,7 +338,6 @@ fn pruner_for(predicate: Option<&ScalarExpr>, opts: &ExecOptions) -> Option<Prun
 fn zone_chunks(
     t: &Table,
     pruner: Option<&PruningPredicate>,
-    grid: Option<usize>,
     filtered: bool,
     opts: &ExecOptions,
     offset: usize,
@@ -347,8 +349,7 @@ fn zone_chunks(
         return vec![(offset, len, all)];
     };
     let mut stats = ScanStats::default();
-    let grid = grid.unwrap_or_else(|| pruner.grid(synopsis));
-    let chunks = pruner.plan_range(synopsis, grid, offset, len, &mut stats);
+    let chunks = pruner.plan_range(synopsis, pruner.grid(synopsis), offset, len, &mut stats);
     if let Some(c) = &opts.stats {
         c.add(&stats);
     }
@@ -382,7 +383,7 @@ fn parallel_filter(t: &Table, predicate: &ScalarExpr, opts: &ExecOptions) -> Res
     let conjuncts = predicate.conjuncts();
     let locals = parallel_morsels(t.row_count(), opts, |offset, len| {
         let mut keep = Vec::new();
-        for (o, l, d) in zone_chunks(t, pruner.as_ref(), None, true, opts, offset, len) {
+        for (o, l, d) in zone_chunks(t, pruner.as_ref(), true, opts, offset, len) {
             match d {
                 ZoneDecision::Skip(_) => {}
                 ZoneDecision::AcceptAll => keep.extend(o..o + l),
@@ -600,99 +601,60 @@ fn hash_join(
 
 // ----------------------------------------------------------- aggregate
 
-#[derive(Debug, Clone)]
+/// One aggregate's running state. Numbers fold into a
+/// [`NumericAggState`] (exact sum, sign-ordered ±0 bounds), so the state
+/// is a function of the multiset of rows it has seen: partials merge in
+/// any order to the same bits. `num.count` also counts `*` rows and
+/// strings.
+#[derive(Debug, Clone, Default)]
 pub(crate) struct Accumulator {
-    count: u64,
-    sum: f64,
-    min: f64,
-    max: f64,
-    min_str: Option<String>,
-    max_str: Option<String>,
+    num: NumericAggState,
+    /// `[MIN, MAX]` of a string argument. Boxed: a GROUP BY holds one
+    /// accumulator per group and aggregate, nearly all numeric.
+    strs: Option<Box<[String; 2]>>,
 }
 
 impl Accumulator {
-    pub(crate) fn new() -> Accumulator {
-        Accumulator {
-            count: 0,
-            sum: 0.0,
-            min: f64::INFINITY,
-            max: f64::NEG_INFINITY,
-            min_str: None,
-            max_str: None,
-        }
-    }
-
-    fn add_num(&mut self, v: f64) {
-        self.count += 1;
-        self.sum += v;
-        if v < self.min {
-            self.min = v;
-        }
-        if v > self.max {
-            self.max = v;
-        }
-    }
-
     fn add_str(&mut self, s: &str) {
-        self.count += 1;
-        if self.min_str.as_deref().is_none_or(|m| s < m) {
-            self.min_str = Some(s.to_string());
-        }
-        if self.max_str.as_deref().is_none_or(|m| s > m) {
-            self.max_str = Some(s.to_string());
+        self.num.count += 1;
+        self.merge_strs(&[s, s]);
+    }
+
+    fn merge_strs(&mut self, [lo, hi]: &[&str; 2]) {
+        match &mut self.strs {
+            None => self.strs = Some(Box::new([lo.to_string(), hi.to_string()])),
+            Some(b) => {
+                if *lo < b[0].as_str() {
+                    b[0] = lo.to_string();
+                }
+                if *hi > b[1].as_str() {
+                    b[1] = hi.to_string();
+                }
+            }
         }
     }
 
-    /// Combine with the accumulator of a later, disjoint row range.
-    /// Merging per-morsel partials in morsel order reproduces the exact
-    /// floating-point sum the single-threaded morselized pass computes.
+    /// Combine with the accumulator of any other set of rows.
     pub(crate) fn merge(&mut self, other: &Accumulator) {
-        self.count += other.count;
-        self.sum += other.sum;
-        if other.min < self.min {
-            self.min = other.min;
-        }
-        if other.max > self.max {
-            self.max = other.max;
-        }
-        if let Some(s) = &other.min_str {
-            if self.min_str.as_deref().is_none_or(|m| s.as_str() < m) {
-                self.min_str = Some(s.clone());
-            }
-        }
-        if let Some(s) = &other.max_str {
-            if self.max_str.as_deref().is_none_or(|m| s.as_str() > m) {
-                self.max_str = Some(s.clone());
-            }
+        self.num.merge(&other.num);
+        if let Some(b) = &other.strs {
+            self.merge_strs(&[b[0].as_str(), b[1].as_str()]);
         }
     }
 
     pub(crate) fn finish(&self, func: AggFunc) -> Value {
+        let num = |v: f64| if self.num.count == 0 { Value::Null } else { Value::Float(v) };
         match func {
-            AggFunc::Count => Value::Int(self.count as i64),
-            AggFunc::Sum => {
-                if self.count == 0 {
-                    Value::Null
-                } else {
-                    Value::Float(self.sum)
-                }
-            }
-            AggFunc::Avg => {
-                if self.count == 0 {
-                    Value::Null
-                } else {
-                    Value::Float(self.sum / self.count as f64)
-                }
-            }
-            AggFunc::Min => match &self.min_str {
-                Some(s) => Value::Str(s.clone()),
-                None if self.count > 0 => Value::Float(self.min),
-                None => Value::Null,
+            AggFunc::Count => Value::Int(self.num.count as i64),
+            AggFunc::Sum => num(self.num.sum.value()),
+            AggFunc::Avg => self.num.mean().map_or(Value::Null, Value::Float),
+            AggFunc::Min => match &self.strs {
+                Some(b) => Value::Str(b[0].clone()),
+                None => num(self.num.min),
             },
-            AggFunc::Max => match &self.max_str {
-                Some(s) => Value::Str(s.clone()),
-                None if self.count > 0 => Value::Float(self.max),
-                None => Value::Null,
+            AggFunc::Max => match &self.strs {
+                Some(b) => Value::Str(b[1].clone()),
+                None => num(self.num.max),
             },
         }
     }
@@ -761,37 +723,23 @@ pub(crate) struct GroupPartial {
 ///
 /// Eligible shapes are global (no GROUP BY) aggregates whose every
 /// argument is `*` or a bare Int64/Float64 column carrying exact data
-/// zones. For those, the pipeline switches to the *zone-unit grammar*:
-/// each morsel splits at the `grid` into units, every unit folds into a
-/// fresh accumulator, and unit partials merge in unit order (then
-/// morsel order). Because the grammar is a function of the query and
-/// the table — never of [`ExecOptions`] — the pruned and unpruned runs
-/// produce the same partial structure, and a unit partial taken from
-/// the materialized zone synopsis (built by the identical row-order
-/// fold) substitutes bit-for-bit for the scanned one.
+/// zones. Each morsel folds into one accumulator per aggregate: a zone
+/// the pruner accepts wholesale folds its materialized [`ZoneAgg`]
+/// partial, and every other row runs the fused filter+aggregate kernel.
+/// Both produce exact sums, so which rows take which path never shows
+/// in the answer.
+///
+/// [`ZoneAgg`]: lawsdb_storage::zonemap::ZoneAgg
 struct AggPushdown<'t> {
-    /// Unit granularity: the finest `zone_rows` among the argument
-    /// columns and the pruning predicate's columns, so units line up
-    /// with both the synopsis zones and the pruner's chunk grid.
-    grid: usize,
-    /// One entry per aggregate argument.
-    specs: Vec<PushSpec<'t>>,
+    /// The distinct argument columns, with their zones.
+    columns: Vec<(String, &'t ColumnZones)>,
+    /// Per aggregate: `None` for `*`, else an index into `columns`.
+    args: Vec<Option<usize>>,
 }
 
-/// How one aggregate argument participates in pushdown.
-enum PushSpec<'t> {
-    /// `COUNT(*)`: the unit's row count is the partial.
-    Star,
-    /// Bare numeric column with exact data zones.
-    Column { name: String, zones: &'t ColumnZones },
-}
-
-/// Decide pushdown eligibility and the unit grid. Must depend only on
-/// the table and the query (see [`AggPushdown`]); `opts.pruning` in
-/// particular must not influence the result.
+/// Decide pushdown eligibility.
 fn plan_agg_pushdown<'t>(
     t: &'t Table,
-    predicate: Option<&ScalarExpr>,
     group_by: &[String],
     args: &[AggArg],
 ) -> Option<AggPushdown<'t>> {
@@ -799,173 +747,127 @@ fn plan_agg_pushdown<'t>(
         return None;
     }
     let synopsis = t.synopsis()?;
-    let mut specs = Vec::with_capacity(args.len());
-    let mut grid: Option<usize> = None;
+    let mut push = AggPushdown { columns: Vec::new(), args: Vec::with_capacity(args.len()) };
     for a in args {
-        match a {
-            AggArg::Star => specs.push(PushSpec::Star),
-            AggArg::Numeric(ScalarExpr::Column(c)) => {
-                let zones = synopsis.column(c)?;
-                // Bool columns aggregate through the 0/1 coercion path,
-                // which the fused numeric kernel does not speak.
-                let numeric = t
-                    .column(c)
-                    .map(|col| {
-                        matches!(col.data_type(), DataType::Int64 | DataType::Float64)
-                    })
-                    .unwrap_or(false);
-                if zones.source != ZoneSource::Data || !numeric {
-                    return None;
-                }
-                grid = Some(grid.map_or(zones.zone_rows, |g| g.min(zones.zone_rows)));
-                specs.push(PushSpec::Column { name: c.clone(), zones });
+        let c = match a {
+            AggArg::Star => {
+                push.args.push(None);
+                continue;
             }
+            AggArg::Numeric(ScalarExpr::Column(c)) => c,
             _ => return None,
-        }
-    }
-    // Fold in the pruning predicate's grid unconditionally — the
-    // unpruned baseline must chunk exactly like the pruned run plans.
-    let pred_grid = predicate
-        .and_then(PruningPredicate::extract)
-        .map(|p| p.grid(synopsis));
-    let grid = [grid, pred_grid]
-        .into_iter()
-        .flatten()
-        .min()
-        .unwrap_or(lawsdb_storage::DEFAULT_ZONE_ROWS);
-    Some(AggPushdown { grid, specs })
-}
-
-/// Plan-time view of pushdown eligibility: the unit grid the executor
-/// would fold at, or `None` when the query shape is not eligible. The
-/// physical planner uses this to price the zone-aggregate access path
-/// against the row scan with the *same* eligibility rule the executor
-/// applies, so EXPLAIN never advertises a path execution won't take.
-pub(crate) fn agg_pushdown_grid(
-    t: &Table,
-    predicate: Option<&ScalarExpr>,
-    group_by: &[String],
-    aggs: &[AggSpec],
-) -> Option<usize> {
-    let args = prepare_agg_args(t, aggs).ok()?;
-    plan_agg_pushdown(t, predicate, group_by, &args).map(|p| p.grid)
-}
-
-/// Split `[offset, offset + len)` at multiples of `grid`.
-fn grid_units(offset: usize, len: usize, grid: usize) -> impl Iterator<Item = (usize, usize)> {
-    let end = offset + len;
-    let mut pos = offset;
-    std::iter::from_fn(move || {
-        if pos >= end {
+        };
+        let zones = synopsis.column(c)?;
+        // Bool columns aggregate through the 0/1 coercion path, which
+        // the fused numeric kernel does not speak.
+        let numeric = t
+            .column(c)
+            .map(|col| matches!(col.data_type(), DataType::Int64 | DataType::Float64))
+            .unwrap_or(false);
+        if zones.source != ZoneSource::Data || !numeric {
             return None;
         }
-        let unit_end = ((pos / grid + 1) * grid).min(end);
-        let unit = (pos, unit_end - pos);
-        pos = unit_end;
-        Some(unit)
-    })
+        let i = push.columns.iter().position(|(n, _)| n == c).unwrap_or_else(|| {
+            push.columns.push((c.clone(), zones));
+            push.columns.len() - 1
+        });
+        push.args.push(Some(i));
+    }
+    Some(push)
+}
+
+/// Plan-time view of pushdown: the zones the executor would fold from
+/// their partials if `rows` rows were accepted wholesale, or `None` when
+/// the query shape is not eligible. The physical planner prices the
+/// zone-aggregate access path with this — the executor's own rule — so
+/// EXPLAIN never advertises a path execution won't take.
+pub(crate) fn agg_pushdown_zones(
+    t: &Table,
+    group_by: &[String],
+    aggs: &[AggSpec],
+    rows: usize,
+) -> Option<usize> {
+    let args = prepare_agg_args(t, aggs).ok()?;
+    let push = plan_agg_pushdown(t, group_by, &args)?;
+    Some(push.columns.iter().map(|(_, z)| rows.div_ceil(z.zone_rows)).max().unwrap_or(0))
 }
 
 impl AggPushdown<'_> {
-    /// The unit's partial folded straight from the materialized zone
-    /// synopses — zero page reads, zero per-row work — or `None` when
-    /// some argument lacks a usable partial for this exact unit (unit
-    /// clipped by a morsel boundary, `zone_rows` coarser than the grid,
-    /// or a legacy entry without `agg`); the caller scans instead.
-    ///
-    /// Only correct for accepted units: every row passes the filter, so
-    /// the scan this substitutes would have created the global group
-    /// (units are non-empty) and folded exactly these values in row
-    /// order. All-NULL/NaN zones carry `count == 0` and no sums; the
-    /// accumulator stays at `sum = 0.0, min = +inf, max = -inf`,
-    /// contributing nothing — exactly like the scan.
-    fn zone_partial(&self, offset: usize, len: usize) -> Option<GroupPartial> {
-        let mut accs = Vec::with_capacity(self.specs.len());
-        for spec in &self.specs {
-            let mut acc = Accumulator::new();
-            match spec {
-                PushSpec::Star => acc.count = len as u64,
-                PushSpec::Column { zones, .. } => {
-                    if !offset.is_multiple_of(zones.zone_rows) {
-                        return None;
-                    }
-                    let e = zones.entries.get(offset / zones.zone_rows)?;
-                    if e.rows as usize != len {
-                        return None;
-                    }
-                    let a = e.agg.as_ref()?;
-                    acc.count = a.count as u64;
-                    acc.sum = a.sum_f64.unwrap_or(0.0);
-                    acc.min = e.min;
-                    acc.max = e.max;
-                }
-            }
-            accs.push(acc);
-        }
-        Some(GroupPartial {
-            keys: vec![Vec::new()],
-            first_rows: vec![offset],
-            accs: vec![accs],
-        })
-    }
-
-    /// Scan one unit with the fused filter+aggregate kernel: evaluate
-    /// the selection mask once, then a single pass per column through
-    /// [`lawsdb_storage::NumericAggState`] — no intermediate
-    /// `Option<f64>` materialization. Folds run in row order with
-    /// keep-first min/max, so the partial is bit-identical to both the
-    /// accumulator scan and the build-time zone fold.
-    fn scan_unit(
+    /// Fold the accepted rows `[o, o + l)` into `accs`: each argument
+    /// column folds the partials of its zones that lie wholly inside the
+    /// range — zero page reads, zero per-row work — and scans the rows of
+    /// zones the range clips. Returns the zones folded (per column; a
+    /// table's columns share one zone grid).
+    fn fold_accepted(
         &self,
         t: &Table,
-        offset: usize,
-        len: usize,
-        predicate: Option<&ScalarExpr>,
-    ) -> Result<GroupPartial> {
-        let m = t.slice(offset, len)?;
-        let mask = predicate
-            .map(|p| eval_conjuncts_mask(&p.conjuncts(), &m))
-            .transpose()?;
-        let sel = mask.as_ref().map(|pm| pm.truth());
-        let (passing, first) = match sel {
-            Some(b) => (b.count_set(), b.iter_set().next().unwrap_or(0)),
-            None => (len, 0),
-        };
-        if passing == 0 {
-            return Ok(GroupPartial {
-                keys: Vec::new(),
-                first_rows: Vec::new(),
-                accs: Vec::new(),
-            });
-        }
-        let mut accs = Vec::with_capacity(self.specs.len());
-        for spec in &self.specs {
-            let mut acc = Accumulator::new();
-            match spec {
-                PushSpec::Star => acc.count = passing as u64,
-                PushSpec::Column { name, .. } => {
-                    let s = m.column(name)?.numeric_agg(sel)?;
-                    acc.count = s.count;
-                    acc.sum = s.sum;
-                    acc.min = s.min.unwrap_or(f64::INFINITY);
-                    acc.max = s.max.unwrap_or(f64::NEG_INFINITY);
+        o: usize,
+        l: usize,
+        accs: &mut [Accumulator],
+    ) -> Result<usize> {
+        let mut folded = 0;
+        let mut states = Vec::with_capacity(self.columns.len());
+        for (name, zones) in &self.columns {
+            let mut state = NumericAggState::default();
+            let mut n = 0;
+            for zi in zones.zones_for(o, l) {
+                let (zs, ze) = zones.zone_range(zi);
+                match zones.entries[zi].agg_state().filter(|_| zs >= o && ze <= o + l) {
+                    Some(s) => {
+                        state.merge(&s);
+                        n += 1;
+                    }
+                    None => {
+                        let (s, e) = (zs.max(o), ze.min(o + l));
+                        state.merge(&t.column(name)?.slice(s, e - s)?.numeric_agg(None)?);
+                    }
                 }
             }
-            accs.push(acc);
+            folded = folded.max(n);
+            states.push(state);
         }
-        Ok(GroupPartial {
-            keys: vec![Vec::new()],
-            first_rows: vec![offset + first],
-            accs: vec![accs],
-        })
+        self.apply(accs, l, &states);
+        Ok(folded)
+    }
+
+    /// Scan `[o, o + l)` with the fused filter+aggregate kernel:
+    /// evaluate the selection mask once, then a single pass per column
+    /// through [`NumericAggState`] — no intermediate `Option<f64>`
+    /// materialization.
+    fn scan(
+        &self,
+        t: &Table,
+        o: usize,
+        l: usize,
+        predicate: Option<&ScalarExpr>,
+        accs: &mut [Accumulator],
+    ) -> Result<()> {
+        let m = t.slice(o, l)?;
+        let mask = predicate.map(|p| eval_conjuncts_mask(&p.conjuncts(), &m)).transpose()?;
+        let sel = mask.as_ref().map(|pm| pm.truth());
+        let states = self
+            .columns
+            .iter()
+            .map(|(name, _)| Ok(m.column(name)?.numeric_agg(sel)?))
+            .collect::<Result<Vec<_>>>()?;
+        self.apply(accs, sel.map_or(l, |b| b.count_set()), &states);
+        Ok(())
+    }
+
+    /// Fold per-column states into the aggregates; `*` counts `rows`.
+    fn apply(&self, accs: &mut [Accumulator], rows: usize, states: &[NumericAggState]) {
+        for (arg, acc) in self.args.iter().zip(accs) {
+            match arg {
+                None => acc.num.count += rows as u64,
+                Some(c) => acc.num.merge(&states[*c]),
+            }
+        }
     }
 }
 
 /// Running group-and-accumulate state for one morsel. Zone pruning
-/// feeds a morsel to [`Self::accumulate`] in several row-range chunks;
-/// sharing the accumulators across chunks keeps every floating-point
-/// add in the exact order a single unchunked pass would perform it, so
-/// pruned aggregates stay bit-identical to the exhaustive scan.
+/// feeds a morsel to [`Self::accumulate`] in several row-range chunks,
+/// which all share one group table.
 struct MorselAccumulator<'a> {
     group_by: &'a [String],
     args: &'a [AggArg],
@@ -990,23 +892,10 @@ impl<'a> MorselAccumulator<'a> {
     }
 }
 
-/// Group-and-accumulate one morsel (`m` is the zero-copy slice starting
-/// at global row `offset`). The optional predicate mask is fused in:
-/// only known-TRUE rows feed the accumulators.
-pub(crate) fn accumulate_morsel(
-    m: &Table,
-    offset: usize,
-    predicate: Option<&ScalarExpr>,
-    group_by: &[String],
-    args: &[AggArg],
-    n_aggs: usize,
-) -> Result<GroupPartial> {
-    let mut acc = MorselAccumulator::new(group_by, args, n_aggs);
-    acc.accumulate(m, offset, predicate)?;
-    Ok(acc.finish())
-}
-
 impl MorselAccumulator<'_> {
+    /// Group-and-accumulate one chunk (`m` is the zero-copy slice
+    /// starting at row `offset`). The optional predicate mask is fused
+    /// in: only known-TRUE rows feed the accumulators.
     fn accumulate(
         &mut self,
         m: &Table,
@@ -1052,7 +941,7 @@ impl MorselAccumulator<'_> {
             if part.accs.is_empty() {
                 part.keys.push(Vec::new());
                 part.first_rows.push(offset + row);
-                part.accs.push(vec![Accumulator::new(); n_aggs]);
+                part.accs.push(vec![Accumulator::default(); n_aggs]);
             }
             0
         } else {
@@ -1067,17 +956,17 @@ impl MorselAccumulator<'_> {
                     groups.insert(key.clone(), g);
                     part.keys.push(key);
                     part.first_rows.push(offset + row);
-                    part.accs.push(vec![Accumulator::new(); n_aggs]);
+                    part.accs.push(vec![Accumulator::default(); n_aggs]);
                     g
                 }
             }
         };
         for (ai, data) in arg_data.iter().enumerate() {
             match data {
-                ArgData::Star => part.accs[gid][ai].count += 1,
+                ArgData::Star => part.accs[gid][ai].num.count += 1,
                 ArgData::Numeric(vals) => {
                     if let Some(v) = vals[row] {
-                        part.accs[gid][ai].add_num(v);
+                        part.accs[gid][ai].num.update(v);
                     }
                 }
                 ArgData::Strings(vals) => {
@@ -1092,9 +981,11 @@ impl MorselAccumulator<'_> {
     }
 }
 
-/// Fold per-morsel partials, in morsel order, into one global state.
-/// First-encounter group order is preserved: morsel 0's groups come
-/// first, exactly as a serial pass over the same rows would see them.
+/// Fold partials into one state; a group keeps its smallest first row.
+/// Passed in morsel order, first-encounter group order is preserved:
+/// morsel 0's groups come first, exactly as a serial pass over the same
+/// rows would see them. The accumulators merge to the same bits in any
+/// order.
 pub(crate) fn merge_partials(parts: Vec<GroupPartial>) -> GroupPartial {
     let mut groups: HashMap<Vec<KeyPart>, usize> = HashMap::new();
     let mut out = GroupPartial { keys: Vec::new(), first_rows: Vec::new(), accs: Vec::new() };
@@ -1104,6 +995,7 @@ pub(crate) fn merge_partials(parts: Vec<GroupPartial>) -> GroupPartial {
         {
             match groups.get(&key) {
                 Some(&g) => {
+                    out.first_rows[g] = out.first_rows[g].min(first);
                     for (mine, theirs) in out.accs[g].iter_mut().zip(&accs) {
                         mine.merge(theirs);
                     }
@@ -1132,7 +1024,7 @@ fn assemble_aggregate(
     // Global aggregate over an empty input still yields one row.
     if group_by.is_empty() && part.accs.is_empty() {
         part.first_rows.push(usize::MAX);
-        part.accs.push(vec![Accumulator::new(); aggs.len()]);
+        part.accs.push(vec![Accumulator::default(); aggs.len()]);
     }
     let mut fields = Vec::new();
     let mut cols = Vec::new();
@@ -1157,25 +1049,21 @@ fn assemble_aggregate(
 /// Morsel-parallel aggregation over a scanned table, with an optional
 /// fused filter predicate.
 ///
-/// Two accumulation grammars, chosen by [`plan_agg_pushdown`] from the
-/// query shape and the table alone (never from `opts`):
+/// Each morsel splits into zone chunks ([`zone_chunks`]); skipped
+/// chunks vanish, and the rest fold into the morsel's accumulators:
 ///
-/// * **Zone-unit grammar** (pushdown-eligible global aggregates): each
-///   morsel splits at the synopsis grid; every unit folds into a fresh
-///   accumulator and unit partials merge in unit order, then morsel
-///   order. Accepted units substitute their materialized [`ZoneAgg`]
-///   partials (`zones_agg_synopsis` counts them — zero page reads,
-///   zero per-row work); `Eval` units run the fused vectorized
-///   filter+aggregate kernel ([`AggPushdown::scan_unit`]); skipped
-///   zones contribute nothing. The unpruned baseline scans the same
-///   units with the same kernel, so answers stay bit-identical at any
-///   thread count, morsel size, or pruning setting.
-/// * **Shared-accumulator grammar** (grouped or non-bare-column
-///   aggregates): one accumulator per morsel shared across the
-///   surviving chunks, exactly as before — skipped zones hold no
-///   predicate-TRUE rows, accept-all zones accumulate without
-///   evaluating the mask, and merge order keeps sums bit-identical to
-///   the unpruned plan.
+/// * **Pushdown-eligible global aggregates** ([`plan_agg_pushdown`])
+///   keep one accumulator per aggregate. Accepted zones fold their
+///   materialized [`ZoneAgg`] partials (`zones_agg_synopsis` counts
+///   them — zero page reads, zero per-row work); every other row runs
+///   the fused vectorized filter+aggregate kernel.
+/// * **Everything else** (grouped or non-bare-column aggregates) shares
+///   one group table across the morsel's chunks; accept-all chunks
+///   accumulate without evaluating the mask.
+///
+/// Accumulators hold exact sums and sign-ordered bounds, so the answer
+/// is the same at any thread count, morsel size, zone grid or pruning
+/// setting.
 ///
 /// [`ZoneAgg`]: lawsdb_storage::zonemap::ZoneAgg
 fn aggregate_pipeline(
@@ -1185,38 +1073,31 @@ fn aggregate_pipeline(
     aggs: &[AggSpec],
     opts: &ExecOptions,
 ) -> Result<Table> {
-    let (group_by, parts) = aggregate_partials(t, predicate, group_by, aggs, opts)?;
-    assemble_aggregate(t, &group_by, aggs, merge_partials(parts))
+    let (group_by, groups) = aggregate_groups(t, predicate, group_by, aggs, opts)?;
+    assemble_aggregate(t, &group_by, aggs, groups)
 }
 
 /// The pipeline body of [`aggregate_pipeline`], stopping before the
-/// final merge: normalized GROUP BY names plus one [`GroupPartial`] per
-/// morsel, in morsel order. The sharded scatter-gather coordinator
-/// (`crate::partial`) runs this per shard and merges the partials in
-/// global morsel order, which is what keeps cluster answers bit-identical
-/// to the single-engine fold.
-pub(crate) fn aggregate_partials(
+/// output table: normalized GROUP BY names plus the merged groups, in
+/// first-encounter order. The sharded scatter-gather coordinator
+/// (`crate::partial`) runs this per shard and merges the shards' groups.
+pub(crate) fn aggregate_groups(
     t: &Table,
     predicate: Option<&ScalarExpr>,
     group_by: &[String],
     aggs: &[AggSpec],
     opts: &ExecOptions,
-) -> Result<(Vec<String>, Vec<GroupPartial>)> {
+) -> Result<(Vec<String>, GroupPartial)> {
     let group_by: Vec<String> = group_by
         .iter()
         .map(|g| normalize_name(t.schema(), g))
         .collect::<Result<_>>()?;
     let args = prepare_agg_args(t, aggs)?;
-    let push = plan_agg_pushdown(t, predicate, &group_by, &args);
+    let push = plan_agg_pushdown(t, &group_by, &args);
     let pruner = pruner_for(predicate, opts);
-    let grid = push.as_ref().map(|p| p.grid);
     let parts = parallel_morsels(t.row_count(), opts, |offset, len| {
-        let chunks =
-            zone_chunks(t, pruner.as_ref(), grid, predicate.is_some(), opts, offset, len);
+        let chunks = zone_chunks(t, pruner.as_ref(), predicate.is_some(), opts, offset, len);
         let Some(push) = &push else {
-            // One shared accumulator for every surviving chunk, so the
-            // add order matches an unchunked pass over this morsel
-            // exactly (see [`MorselAccumulator`]).
             let mut acc = MorselAccumulator::new(&group_by, &args, aggs.len());
             for (o, l, d) in chunks {
                 let pred = match d {
@@ -1228,42 +1109,27 @@ pub(crate) fn aggregate_partials(
             }
             return Ok(acc.finish());
         };
-        // Zone-unit grammar: skipped chunks vanish; accepted units
-        // answer from their materialized partial when one fits the unit
-        // exactly and scan unfiltered otherwise; Eval units (and the
-        // unpruned baseline, same units) run the fused kernel.
-        let mut units: Vec<GroupPartial> = Vec::new();
+        let mut accs = vec![Accumulator::default(); aggs.len()];
         let mut pushed = 0;
         for (o, l, d) in chunks {
-            let (accepted, pred) = match d {
-                ZoneDecision::Skip(_) => continue,
-                ZoneDecision::AcceptAll => (true, None),
-                ZoneDecision::Eval => (false, predicate),
-            };
-            for (uo, ul) in grid_units(o, l, push.grid) {
-                let partial = if accepted { push.zone_partial(uo, ul) } else { None };
-                match partial {
-                    Some(p) => {
-                        pushed += 1;
-                        if let Some(ctx) = &opts.profile {
-                            ctx.leaf(
-                                "zone",
-                                uo as u64,
-                                fields![rows = ul, decision = "agg_synopsis"],
-                            );
-                        }
-                        units.push(p);
+            match d {
+                ZoneDecision::Skip(_) => {}
+                ZoneDecision::AcceptAll => {
+                    let zones = push.fold_accepted(t, o, l, &mut accs)?;
+                    if let (Some(ctx), true) = (&opts.profile, zones > 0) {
+                        ctx.leaf("zone", o as u64, fields![rows = l, zones, decision = "agg_synopsis"]);
                     }
-                    None => units.push(push.scan_unit(t, uo, ul, pred)?),
+                    pushed += zones;
                 }
+                ZoneDecision::Eval => push.scan(t, o, l, predicate, &mut accs)?,
             }
         }
         if let (Some(c), true) = (&opts.stats, pushed > 0) {
             c.add(&ScanStats { zones_agg_synopsis: pushed, ..ScanStats::default() });
         }
-        Ok(merge_partials(units))
+        Ok(GroupPartial { keys: vec![Vec::new()], first_rows: vec![offset], accs: vec![accs] })
     })?;
-    Ok((group_by, parts))
+    Ok((group_by, merge_partials(parts)))
 }
 
 /// Aggregate an already-materialized input table (non-pipeline shapes:
@@ -1964,24 +1830,20 @@ mod pruning_exec_tests {
     #[test]
     fn pushdown_is_bit_identical_across_threads_and_morsel_sizes() {
         let c = zoned_catalog();
-        // v's sums are float-inexact (i/3.0), so any merge-order drift
-        // between the pushed and scanned paths would show in the bits.
+        // v's sums are float-inexact (i/3.0), so a sum that depended on
+        // the order of its adds would show in the bits.
         let sql = "SELECT SUM(v) AS s, AVG(v) AS a, MIN(v) AS lo, MAX(v) AS hi, \
                    SUM(k) AS sk FROM z";
+        let (_, want) = rows(sql, &ExecOptions::unpruned(), &c);
         // Pushed == scanned at every configuration, including morsel
-        // sizes that clip units at non-grid boundaries (96).
+        // sizes that clip zones (96).
         for (threads, morsel_rows) in [(1, 64), (4, 128), (4, 96), (2, 512), (3, 100_000)] {
-            let opts = ExecOptions { threads, morsel_rows, ..ExecOptions::default() };
-            let (_, got) = rows(sql, &opts, &c);
-            let opts = ExecOptions { threads, morsel_rows, ..ExecOptions::unpruned() };
-            let (_, want) = rows(sql, &opts, &c);
-            assert_eq!(got, want, "threads={threads} morsel_rows={morsel_rows}");
+            for base in [ExecOptions::default(), ExecOptions::unpruned()] {
+                let opts = ExecOptions { threads, morsel_rows, ..base };
+                let (_, got) = rows(sql, &opts, &c);
+                assert_eq!(got, want, "threads={threads} morsel_rows={morsel_rows}");
+            }
         }
-        // Thread count never changes the merge structure: morsel
-        // partials merge in morsel order whatever ran them.
-        let one = ExecOptions { threads: 1, morsel_rows: 128, ..ExecOptions::default() };
-        let four = ExecOptions { threads: 4, morsel_rows: 128, ..ExecOptions::default() };
-        assert_eq!(rows(sql, &one, &c).1, rows(sql, &four, &c).1);
     }
 
     #[test]

@@ -56,8 +56,8 @@ pub use lawsdb_obs::{ProfileCollector, ProfileContext, QueryProfile};
 pub use governor::{CancelToken, Governor, ResourceBudget};
 pub use morsel::ExecOptions;
 pub use partial::{
-    assemble_partials, group_key_hash, limit_rows, merge_shard_partials,
-    shard_partials_contiguous, shard_partials_sparse, sort_rows, MergedPartials, ShardPartials,
+    assemble_partials, group_key_hash, limit_rows, merge_shard_partials, shard_partials,
+    sort_rows, ShardPartials,
 };
 pub use physical::{
     execute_physical_with, plan_physical, AccessPlan, Estimate, PhysicalPlan, PlanNote,

@@ -1,205 +1,71 @@
 //! Shard-side partial aggregation and coordinator-side merge for the
 //! sharded scatter-gather execution layer (`lawsdb-cluster`).
 //!
-//! The single-engine aggregate pipeline folds one `GroupPartial` per
-//! morsel and merges them in morsel order — that merge order is the
-//! whole bit-identity story for floating-point `SUM`/`AVG` (IEEE-754
-//! addition is not associative, so `(a+b)+(c+d)` and `((a+b)+c)+d`
-//! differ in the last ulp). A sharded execution is bit-identical to the
-//! unsharded engine exactly when it reproduces the same per-morsel
-//! partials and merges them in the same global morsel order:
+//! Every aggregate accumulator holds an exact sum and sign-ordered
+//! bounds (`lawsdb_storage::column::NumericAggState`), so a group's
+//! state is a function of the multiset of its rows: partials over any
+//! split of the table merge, in any order, to the bits the single
+//! engine computes. A shard therefore runs the engine's own pipeline on
+//! its rows ([`shard_partials`]), whatever the partitioning, and reports
+//! one merged partial; a group split across shards — any group of a
+//! global aggregate, or of a GROUP BY that misses the hash key — simply
+//! merges across them.
 //!
-//! * **Contiguous (range) shards** aligned to a multiple of
-//!   `morsel_rows` run the engine's own pipeline locally; their
-//!   per-morsel partials *are* the global ones, shifted by the shard's
-//!   start row ([`shard_partials_contiguous`]).
-//! * **Sparse (hash) shards** carry the original global row index of
-//!   every local row. Each contiguous run of local rows falling inside
-//!   one global morsel accumulates into its own cell
-//!   ([`shard_partials_sparse`]); because a hash shard holds *all* rows
-//!   of each of its groups, the per-group fold order matches the global
-//!   scan. This requires a non-empty GROUP BY whose groups are wholly
-//!   shard-local (partitioning hashed on a group key); global
-//!   aggregates over sparse shards must gather rows instead.
-//!
-//! [`merge_shard_partials`] merges all cells in global morsel order
-//! (stable within a morsel, which only matters for disjoint groups) and
-//! then orders groups by ascending first-occurrence row — precisely the
+//! [`merge_shard_partials`] merges the shards' groups and orders them by
+//! ascending first-occurrence row in the global table — the
 //! first-encounter order a serial scan of the global table produces.
 
 use crate::error::{QueryError, Result};
 use crate::exec::{
-    accumulate_morsel, aggregate_partials, column_from_values, mark_nulls, merge_partials,
-    normalize_expr, normalize_name, prepare_agg_args, sort, Accumulator, GroupPartial, KeyPart,
+    aggregate_groups, column_from_values, mark_nulls, merge_partials, normalize_expr,
+    normalize_name, sort, Accumulator, GroupPartial, KeyPart,
 };
 use crate::morsel::ExecOptions;
 use crate::plan::AggSpec;
-use lawsdb_obs::fields;
 use crate::sexpr::ScalarExpr;
 use crate::sql::OrderBy;
 use lawsdb_storage::{Column, DataType, Field, Schema, Table, Value};
 
-/// Opaque per-morsel partial aggregates of one shard, keyed by *global*
-/// morsel index and carrying *global* first-occurrence rows.
+/// The partial aggregate of one shard, or of several merged: its groups,
+/// each carrying its *global* first-occurrence row.
 #[derive(Debug)]
 pub struct ShardPartials {
-    cells: Vec<(usize, GroupPartial)>,
-    /// Base-table rows this shard scanned to produce the partials.
-    pub rows_scanned: usize,
-}
-
-/// Partial-aggregate a contiguous (range) shard whose rows are the
-/// global rows `[start, start + shard.row_count())`. `start` must be a
-/// multiple of `opts.morsel_rows` so shard-local morsels coincide with
-/// global morsels. Runs the engine's own pipeline grammars (zone-unit
-/// pushdown included, when the shard table carries a synopsis on the
-/// same grid as the global table).
-pub fn shard_partials_contiguous(
-    shard: &Table,
-    start: usize,
-    predicate: Option<&ScalarExpr>,
-    group_by: &[String],
-    aggs: &[AggSpec],
-    opts: &ExecOptions,
-) -> Result<ShardPartials> {
-    if !start.is_multiple_of(opts.morsel_rows) {
-        return Err(QueryError::InvalidAggregate {
-            reason: format!(
-                "shard start {start} is not aligned to morsel_rows {}",
-                opts.morsel_rows
-            ),
-        });
-    }
-    let predicate = predicate.map(|p| normalize_expr(p, shard.schema())).transpose()?;
-    let (_, parts) = aggregate_partials(shard, predicate.as_ref(), group_by, aggs, opts)?;
-    let base = start / opts.morsel_rows;
-    let cells = parts
-        .into_iter()
-        .enumerate()
-        .map(|(i, mut p)| {
-            for r in &mut p.first_rows {
-                *r += start;
-            }
-            (base + i, p)
-        })
-        .collect();
-    Ok(ShardPartials { cells, rows_scanned: shard.row_count() })
-}
-
-/// Partial-aggregate a sparse (hash) shard. `orig_rows[i]` is the
-/// global row index of the shard's local row `i` and must be strictly
-/// increasing (a hash partition built by one scan of the global table
-/// is). Each run of local rows inside one global morsel folds into its
-/// own cell, so per-group accumulation reproduces the global engine's
-/// morsel boundaries exactly.
-///
-/// Requires a non-empty GROUP BY: the bit-identity argument needs every
-/// group wholly inside one shard, which only the partition key
-/// guarantees. Route global aggregates through the gather path instead.
-///
-/// Morsel geometry comes from `opts.morsel_rows`; an active
-/// `opts.profile` context records one `morsel` leaf per folded run, so
-/// a distributed trace shows the same execution grammar the single
-/// engine's profile does.
-pub fn shard_partials_sparse(
-    shard: &Table,
-    orig_rows: &[usize],
-    predicate: Option<&ScalarExpr>,
-    group_by: &[String],
-    aggs: &[AggSpec],
-    opts: &ExecOptions,
-) -> Result<ShardPartials> {
-    let morsel_rows = opts.morsel_rows;
-    if group_by.is_empty() {
-        return Err(QueryError::InvalidAggregate {
-            reason: "sparse shard partials need a GROUP BY; gather rows for global aggregates"
-                .to_string(),
-        });
-    }
-    if orig_rows.len() != shard.row_count() {
-        return Err(QueryError::InvalidAggregate {
-            reason: format!(
-                "row map covers {} rows but shard has {}",
-                orig_rows.len(),
-                shard.row_count()
-            ),
-        });
-    }
-    debug_assert!(orig_rows.windows(2).all(|w| w[0] < w[1]), "row map must be increasing");
-    let predicate = predicate.map(|p| normalize_expr(p, shard.schema())).transpose()?;
-    let group_by: Vec<String> = group_by
-        .iter()
-        .map(|g| normalize_name(shard.schema(), g))
-        .collect::<Result<_>>()?;
-    let args = prepare_agg_args(shard, aggs)?;
-    let mut cells = Vec::new();
-    let mut i = 0;
-    while i < orig_rows.len() {
-        let morsel = orig_rows[i] / morsel_rows;
-        let mut j = i + 1;
-        while j < orig_rows.len() && orig_rows[j] / morsel_rows == morsel {
-            j += 1;
-        }
-        let run = shard.slice(i, j - i)?;
-        let mut p =
-            accumulate_morsel(&run, i, predicate.as_ref(), &group_by, &args, aggs.len())?;
-        for r in &mut p.first_rows {
-            *r = orig_rows[*r];
-        }
-        if let Some(ctx) = &opts.profile {
-            ctx.leaf("morsel", morsel as u64, fields![rows = (j - i) as u64]);
-        }
-        cells.push((morsel, p));
-        i = j;
-    }
-    Ok(ShardPartials { cells, rows_scanned: shard.row_count() })
-}
-
-/// Merged global group state, groups ordered by ascending first-occurrence
-/// row (the single engine's output order).
-pub struct MergedPartials {
     part: GroupPartial,
-    /// Total base-table rows scanned across every shard.
+    /// Base-table rows scanned to produce the partials.
     pub rows_scanned: usize,
 }
 
-impl MergedPartials {
-    /// Number of distinct groups.
-    pub fn group_count(&self) -> usize {
-        self.part.keys.len()
+/// Partial-aggregate one shard with the engine's own pipeline (zone
+/// pruning and zone-aggregate pushdown included). `global_row(i)` is the
+/// global row index of the shard's local row `i` and must increase with
+/// `i`, so group order survives the mapping.
+pub fn shard_partials(
+    shard: &Table,
+    global_row: impl Fn(usize) -> usize,
+    predicate: Option<&ScalarExpr>,
+    group_by: &[String],
+    aggs: &[AggSpec],
+    opts: &ExecOptions,
+) -> Result<ShardPartials> {
+    let predicate = predicate.map(|p| normalize_expr(p, shard.schema())).transpose()?;
+    let (_, mut part) = aggregate_groups(shard, predicate.as_ref(), group_by, aggs, opts)?;
+    for r in &mut part.first_rows {
+        *r = global_row(*r);
     }
-
-    /// Global first-occurrence row of each group, in output order.
-    pub fn first_rows(&self) -> &[usize] {
-        &self.part.first_rows
-    }
+    Ok(ShardPartials { part, rows_scanned: shard.row_count() })
 }
 
-/// Merge shard partials in deterministic global order: cells sort
-/// stably by global morsel index (shard submission order breaks ties,
-/// which only interleaves disjoint groups), fold via the engine's
-/// morsel-order merge, then order groups by ascending first row.
-pub fn merge_shard_partials(shards: Vec<ShardPartials>) -> MergedPartials {
-    let mut rows_scanned = 0;
-    let mut cells: Vec<(usize, GroupPartial)> = Vec::new();
-    for s in shards {
-        rows_scanned += s.rows_scanned;
-        cells.extend(s.cells);
-    }
-    cells.sort_by_key(|(m, _)| *m);
-    let merged = merge_partials(cells.into_iter().map(|(_, p)| p).collect());
-    let mut idx: Vec<usize> = (0..merged.keys.len()).collect();
-    idx.sort_by_key(|&i| merged.first_rows[i]);
-    let mut part =
-        GroupPartial { keys: Vec::new(), first_rows: Vec::new(), accs: Vec::new() };
-    let mut keys: Vec<Option<Vec<KeyPart>>> = merged.keys.into_iter().map(Some).collect();
-    let mut accs: Vec<Option<Vec<Accumulator>>> = merged.accs.into_iter().map(Some).collect();
-    for i in idx {
-        part.keys.push(keys[i].take().expect("each group reordered once"));
-        part.first_rows.push(merged.first_rows[i]);
-        part.accs.push(accs[i].take().expect("each group reordered once"));
-    }
-    MergedPartials { part, rows_scanned }
+/// Merge shard partials (in any order) and order the groups by
+/// ascending global first row — the single engine's output order.
+pub fn merge_shard_partials(shards: Vec<ShardPartials>) -> ShardPartials {
+    let rows_scanned = shards.iter().map(|s| s.rows_scanned).sum();
+    let merged = merge_partials(shards.into_iter().map(|s| s.part).collect());
+    let mut groups: Vec<_> =
+        merged.keys.into_iter().zip(merged.first_rows).zip(merged.accs).collect();
+    groups.sort_by_key(|((_, first), _)| *first);
+    let (keyed, accs): (Vec<_>, _) = groups.into_iter().unzip();
+    let (keys, first_rows) = keyed.into_iter().unzip();
+    ShardPartials { part: GroupPartial { keys, first_rows, accs }, rows_scanned }
 }
 
 /// Assemble the merged groups into the engine-shaped result table:
@@ -211,7 +77,7 @@ pub fn assemble_partials(
     schema: &Schema,
     group_by: &[String],
     aggs: &[AggSpec],
-    merged: MergedPartials,
+    merged: ShardPartials,
     mut key_value: impl FnMut(usize, &str) -> Result<Value>,
 ) -> Result<Table> {
     let group_by: Vec<String> = group_by
@@ -222,7 +88,7 @@ pub fn assemble_partials(
     // Global aggregate over an empty input still yields one row.
     if group_by.is_empty() && part.accs.is_empty() {
         part.first_rows.push(usize::MAX);
-        part.accs.push(vec![Accumulator::new(); aggs.len()]);
+        part.accs.push(vec![Accumulator::default(); aggs.len()]);
     }
     let mut fields = Vec::new();
     let mut cols = Vec::new();
@@ -332,14 +198,17 @@ mod tests {
     fn fixture(rows: usize) -> Table {
         let mut b = TableBuilder::new("t");
         let mut g = Vec::new();
+        let mut h = Vec::new();
         let mut v = Vec::new();
         let mut state = 0x5DEECE66Du64;
         for i in 0..rows {
             state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
             g.push((i % 7) as i64);
+            h.push((i % 5) as i64);
             v.push(((state >> 11) as f64 / (1u64 << 53) as f64) * 2000.0 - 1000.0 + 0.1);
         }
         b.add_i64("g", g);
+        b.add_i64("h", h);
         b.add_f64("v", v);
         let mut t = b.build().unwrap();
         t.rebuild_synopsis_with(16);
@@ -381,85 +250,84 @@ mod tests {
             .collect()
     }
 
+    /// Answer `sql` by partial-aggregating each shard (`rowsets[s]` are
+    /// its global rows, increasing) and merging — shards in reverse, on
+    /// their own zone grid and morsel size, to show neither matters.
+    fn sharded(t: &Table, sql: &str, rowsets: &[Vec<usize>]) -> Table {
+        let (group_by, aggs, pred) = agg_parts(sql);
+        let opts = ExecOptions { threads: 1, morsel_rows: 24, ..ExecOptions::default() };
+        let mut shards = Vec::new();
+        for rows in rowsets.iter().rev() {
+            let mut s = t.take(rows).unwrap();
+            s.rebuild_synopsis_with(7);
+            shards.push(
+                shard_partials(&s, |i| rows[i], pred.as_ref(), &group_by, &aggs, &opts).unwrap(),
+            );
+        }
+        let merged = merge_shard_partials(shards);
+        assemble_partials(t.schema(), &group_by, &aggs, merged, |row, col| {
+            Ok(t.column(col).unwrap().value(row).unwrap())
+        })
+        .unwrap()
+    }
+
     #[test]
-    fn contiguous_shards_merge_bit_identically() {
-        let t = fixture(500);
+    fn range_shards_merge_bit_identically() {
         let catalog = Catalog::new();
-        let t = catalog.register(t).unwrap();
+        let t = catalog.register(fixture(500)).unwrap();
         let opts = ExecOptions { threads: 2, morsel_rows: 64, ..ExecOptions::default() };
+        // Boundaries aligned to nothing in particular.
+        let rowsets: Vec<Vec<usize>> = [0..101, 101..317, 317..500].map(Vec::from_iter).into();
         for sql in [
             "SELECT g, SUM(v), COUNT(*) FROM t GROUP BY g",
             "SELECT SUM(v), AVG(v), MIN(v), MAX(v) FROM t",
             "SELECT g, AVG(v) FROM t WHERE v > 0.0 GROUP BY g",
         ] {
             let expect = execute_with(&catalog, sql, &opts).unwrap();
-            let (group_by, aggs, pred) = agg_parts(sql);
-            // Three shards split at morsel-aligned rows 0/128/320.
-            let splits = [(0usize, 128usize), (128, 192), (320, 180)];
-            let mut shards = Vec::new();
-            for (start, len) in splits {
-                let mut s = t.slice(start, len).unwrap();
-                s.rebuild_synopsis_with(16);
-                shards.push(
-                    shard_partials_contiguous(&s, start, pred.as_ref(), &group_by, &aggs, &opts)
-                        .unwrap(),
-                );
-            }
-            let merged = merge_shard_partials(shards);
-            let got = assemble_partials(t.schema(), &group_by, &aggs, merged, |row, col| {
-                Ok(t.column(col).unwrap().value(row).unwrap())
-            })
-            .unwrap();
-            assert_eq!(bits(&got), bits(&expect.table), "{sql}");
+            assert_eq!(bits(&sharded(&t, sql, &rowsets)), bits(&expect.table), "{sql}");
         }
     }
 
+    /// Hash-partition the fixture's rows on `g` into three shards.
+    fn hash_rowsets(t: &Table) -> Vec<Vec<usize>> {
+        let mut rowsets: Vec<Vec<usize>> = vec![Vec::new(); 3];
+        let gcol = t.column("g").unwrap();
+        for row in 0..t.row_count() {
+            let h = group_key_hash(&gcol.value(row).unwrap());
+            rowsets[(h % 3) as usize].push(row);
+        }
+        rowsets
+    }
+
     #[test]
-    fn sparse_shards_merge_bit_identically() {
-        let t = fixture(400);
+    fn hash_shards_merge_bit_identically() {
         let catalog = Catalog::new();
-        let t = catalog.register(t).unwrap();
+        let t = catalog.register(fixture(400)).unwrap();
         let opts = ExecOptions { threads: 1, morsel_rows: 32, ..ExecOptions::default() };
         for sql in [
             "SELECT g, SUM(v), COUNT(*), MIN(v) FROM t GROUP BY g",
             "SELECT g, AVG(v) FROM t WHERE v > -200.0 GROUP BY g",
+            // A GROUP BY without the hash key: its groups span shards.
+            "SELECT h, SUM(v), MAX(v) FROM t GROUP BY h",
         ] {
             let expect = execute_with(&catalog, sql, &opts).unwrap();
-            let (group_by, aggs, pred) = agg_parts(sql);
-            // Hash-partition rows on g into 3 shards.
-            let n_shards = 3;
-            let mut rowsets: Vec<Vec<usize>> = vec![Vec::new(); n_shards];
-            let gcol = t.column("g").unwrap();
-            for row in 0..t.row_count() {
-                let h = group_key_hash(&gcol.value(row).unwrap());
-                rowsets[(h % n_shards as u64) as usize].push(row);
-            }
-            let mut shards = Vec::new();
-            for rows in &rowsets {
-                let s = t.take(rows).unwrap();
-                shards.push(
-                    shard_partials_sparse(&s, rows, pred.as_ref(), &group_by, &aggs, &opts)
-                        .unwrap(),
-                );
-            }
-            let merged = merge_shard_partials(shards);
-            let got = assemble_partials(t.schema(), &group_by, &aggs, merged, |row, col| {
-                Ok(t.column(col).unwrap().value(row).unwrap())
-            })
-            .unwrap();
-            assert_eq!(bits(&got), bits(&expect.table), "{sql}");
+            assert_eq!(bits(&sharded(&t, sql, &hash_rowsets(&t))), bits(&expect.table), "{sql}");
         }
     }
 
     #[test]
-    fn sparse_global_aggregates_are_refused() {
-        let t = fixture(40);
-        let (group_by, aggs, _) = agg_parts("SELECT SUM(v) FROM t");
-        let rows: Vec<usize> = (0..40).collect();
-        let opts = ExecOptions { threads: 1, morsel_rows: 32, ..ExecOptions::default() };
-        let err =
-            shard_partials_sparse(&t, &rows, None, &group_by, &aggs, &opts).unwrap_err();
-        assert!(matches!(err, QueryError::InvalidAggregate { .. }));
+    fn hash_shard_global_aggregates_are_bit_identical() {
+        let catalog = Catalog::new();
+        let t = catalog.register(fixture(400)).unwrap();
+        let opts = ExecOptions { threads: 2, morsel_rows: 48, ..ExecOptions::default() };
+        for sql in [
+            "SELECT COUNT(*), SUM(v), AVG(v), MIN(v), MAX(v) FROM t",
+            "SELECT SUM(v), AVG(v) FROM t WHERE v > 100.5",
+            "SELECT MIN(v), COUNT(v) FROM t WHERE v > 5000.0",
+        ] {
+            let expect = execute_with(&catalog, sql, &opts).unwrap();
+            assert_eq!(bits(&sharded(&t, sql, &hash_rowsets(&t))), bits(&expect.table), "{sql}");
+        }
     }
 
     #[test]

@@ -90,9 +90,7 @@ impl AccessPlan {
 /// `Eval` zones run the fused filter+aggregate kernel.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct ZoneAggPath {
-    /// Unit granularity the executor folds at.
-    pub grid: usize,
-    /// Units expected to substitute materialized partials.
+    /// Zones expected to substitute materialized partials.
     pub zones_pushed: usize,
     /// Rows expected to run the fused scan kernel instead.
     pub rows_fused: usize,
@@ -446,7 +444,7 @@ fn access_plan(
 /// Price the zone-aggregate pushdown path for a global aggregate whose
 /// input is a base scan (optionally filtered, with that filter's priced
 /// `access` path). Eligibility is decided by
-/// [`crate::exec::agg_pushdown_grid`] — the executor's own rule — so
+/// [`crate::exec::agg_pushdown_zones`] — the executor's own rule — so
 /// the planner never advertises a path execution won't take.
 fn price_zone_agg(
     catalog: &Catalog,
@@ -464,27 +462,16 @@ fn price_zone_agg(
         _ => return None,
     };
     let t = catalog.get(table).ok()?;
-    let grid = crate::exec::agg_pushdown_grid(&t, predicate, group_by, aggs)?;
-    let path = match (predicate, access) {
-        // No filter: every unit answers from its materialized partial.
-        (None, _) => ZoneAggPath {
-            grid,
-            zones_pushed: t.row_count().div_ceil(grid.max(1)),
-            rows_fused: 0,
-        },
-        // Pruned filter: accepted rows push, Eval rows run the fused
-        // kernel, skipped rows vanish.
-        (Some(_), Some(a)) => ZoneAggPath {
-            grid,
-            zones_pushed: a.rows_accept.div_ceil(grid.max(1)),
-            rows_fused: a.rows_eval,
-        },
-        // Unsargable filter: same grammar, but every unit scans.
-        (Some(_), None) => {
-            ZoneAggPath { grid, zones_pushed: 0, rows_fused: t.row_count() }
-        }
+    // No filter: every zone answers from its partial. Pruned filter:
+    // accepted rows push, Eval rows run the fused kernel, skipped rows
+    // vanish. Unsargable filter: every row scans.
+    let (accepted, rows_fused) = match (predicate, access) {
+        (None, _) => (t.row_count(), 0),
+        (Some(_), Some(a)) => (a.rows_accept, a.rows_eval),
+        (Some(_), None) => (0, t.row_count()),
     };
-    Some(path)
+    let zones_pushed = crate::exec::agg_pushdown_zones(&t, group_by, aggs, accepted)?;
+    Some(ZoneAggPath { zones_pushed, rows_fused })
 }
 
 /// Left-deep AND chain over `exprs` (len ≥ 1).

@@ -71,7 +71,6 @@ fn traced_server() -> (Arc<Server>, Arc<Cluster>) {
                 shards: 3,
                 replicas: 2,
                 scheme: PartitionScheme::Hash { key: "source".to_string() },
-                morsel_rows: 32,
                 fail_threshold: 1,
                 probe_after: 1,
                 max_abs_residual: 1e-6,

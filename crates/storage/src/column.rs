@@ -3,72 +3,64 @@
 use crate::bitmap::Bitmap;
 use crate::buffer::Buffer;
 use crate::error::{Result, StorageError};
+use crate::exact::ExactSum;
 use crate::value::{DataType, Value};
 
-/// Partial numeric-aggregate state over one column, produced by
-/// [`Column::numeric_agg`].
+/// Numeric-aggregate state — COUNT, exact SUM, MIN, MAX — over a set of
+/// values, produced by [`Column::numeric_agg`] and by the zone-map build.
 ///
-/// States from disjoint row ranges combine with [`NumericAggState::merge`],
-/// which is how the morsel-parallel executor folds per-morsel partials
-/// into a full-column aggregate. NULL rows and NaN values are excluded
-/// (they are "missing observations", matching `to_f64_lossy`).
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
+/// Every field is a function of the multiset of values folded in: the
+/// sum is an [`ExactSum`], and MIN/MAX break the `±0.0` tie by sign
+/// (MIN keeps `-0.0`, MAX keeps `+0.0`) instead of by arrival order. So
+/// states over any partition of the values, merged in any order, equal
+/// the state of one pass. NULL rows and NaN values are excluded (they
+/// are "missing observations", matching `to_f64_lossy`).
+#[derive(Debug, Clone, PartialEq)]
 pub struct NumericAggState {
     /// Number of non-missing values seen.
     pub count: u64,
-    /// Sum of non-missing values.
-    pub sum: f64,
-    /// Minimum, `None` until a value is seen.
-    pub min: Option<f64>,
-    /// Maximum, `None` until a value is seen.
-    pub max: Option<f64>,
+    /// Exact sum of non-missing values.
+    pub sum: ExactSum,
+    /// Minimum; `+inf` until a value is seen.
+    pub min: f64,
+    /// Maximum; `-inf` until a value is seen.
+    pub max: f64,
+}
+
+impl Default for NumericAggState {
+    fn default() -> NumericAggState {
+        NumericAggState {
+            count: 0,
+            sum: ExactSum::new(),
+            min: f64::INFINITY,
+            max: f64::NEG_INFINITY,
+        }
+    }
 }
 
 impl NumericAggState {
-    /// Fold one value in.
-    ///
-    /// Min/max use keep-first strict comparisons (`v < min` / `v > max`)
-    /// rather than `f64::min`/`f64::max`: on a `-0.0`/`+0.0` tie the
-    /// first value seen wins, which is the exact behavior of the
-    /// executor's accumulator and the zone-map build fold — the three
-    /// must agree bit-for-bit for aggregate pushdown to substitute one
-    /// for another.
+    /// Fold one non-NaN value in.
     #[inline]
     pub fn update(&mut self, v: f64) {
         self.count += 1;
-        self.sum += v;
-        match self.min {
-            Some(m) if !(v < m) => {}
-            _ => self.min = Some(v),
-        }
-        match self.max {
-            Some(m) if !(v > m) => {}
-            _ => self.max = Some(v),
-        }
+        self.sum.add(v);
+        // `total_cmp` orders -0.0 below +0.0 (and agrees with `<` on
+        // every other non-NaN pair).
+        self.min = std::cmp::min_by(self.min, v, f64::total_cmp);
+        self.max = std::cmp::max_by(self.max, v, f64::total_cmp);
     }
 
-    /// Combine with the state of a *later*, disjoint row range (the
-    /// earlier side's bound wins ties, keeping row-order semantics).
+    /// Combine with the state of any other set of values.
     pub fn merge(&mut self, other: &NumericAggState) {
         self.count += other.count;
-        self.sum += other.sum;
-        self.min = match (self.min, other.min) {
-            (Some(a), Some(b)) => Some(if b < a { b } else { a }),
-            (a, b) => a.or(b),
-        };
-        self.max = match (self.max, other.max) {
-            (Some(a), Some(b)) => Some(if b > a { b } else { a }),
-            (a, b) => a.or(b),
-        };
+        self.sum.merge(&other.sum);
+        self.min = std::cmp::min_by(self.min, other.min, f64::total_cmp);
+        self.max = std::cmp::max_by(self.max, other.max, f64::total_cmp);
     }
 
     /// Mean of the values seen, `None` when empty.
     pub fn mean(&self) -> Option<f64> {
-        if self.count == 0 {
-            None
-        } else {
-            Some(self.sum / self.count as f64)
-        }
+        (self.count > 0).then(|| self.sum.value() / self.count as f64)
     }
 }
 
@@ -636,9 +628,9 @@ mod tests {
         ]);
         let s = c.numeric_agg(None).unwrap();
         assert_eq!(s.count, 3);
-        assert_eq!(s.sum, 2.0);
-        assert_eq!(s.min, Some(-3.0));
-        assert_eq!(s.max, Some(4.0));
+        assert_eq!(s.sum.value(), 2.0);
+        assert_eq!(s.min, -3.0);
+        assert_eq!(s.max, 4.0);
         assert_eq!(s.mean(), Some(2.0 / 3.0));
     }
 
@@ -648,9 +640,9 @@ mod tests {
         let sel = Bitmap::from_fn(4, |i| i % 2 == 1); // rows 1, 3
         let s = c.numeric_agg(Some(&sel)).unwrap();
         assert_eq!(s.count, 2);
-        assert_eq!(s.sum, 60.0);
-        assert_eq!(s.min, Some(20.0));
-        assert_eq!(s.max, Some(40.0));
+        assert_eq!(s.sum.value(), 60.0);
+        assert_eq!(s.min, 20.0);
+        assert_eq!(s.max, 40.0);
         let wrong_len = Bitmap::filled(3, true);
         assert!(c.numeric_agg(Some(&wrong_len)).is_err());
         assert!(Column::from_str(vec!["a".into()]).numeric_agg(None).is_err());
@@ -663,9 +655,9 @@ mod tests {
             .collect();
         let c = Column::from_f64_opt(vals);
         let whole = c.numeric_agg(None).unwrap();
-        // Morsel-style: aggregate disjoint slices, merge in order.
+        // Morsel-style: aggregate disjoint slices, merge in any order.
         let mut merged = NumericAggState::default();
-        for start in (0..100).step_by(33) {
+        for start in (0..100).step_by(33).rev() {
             let len = (100 - start).min(33);
             let part = c.slice(start, len).unwrap().numeric_agg(None).unwrap();
             merged.merge(&part);
@@ -675,6 +667,15 @@ mod tests {
         let mut empty = NumericAggState::default();
         empty.merge(&whole);
         assert_eq!(empty, whole);
+    }
+
+    #[test]
+    fn numeric_agg_breaks_signed_zero_ties_by_sign() {
+        for values in [vec![0.0, -0.0], vec![-0.0, 0.0]] {
+            let s = Column::from_f64(values).numeric_agg(None).unwrap();
+            assert_eq!(s.min.to_bits(), (-0.0f64).to_bits());
+            assert_eq!(s.max.to_bits(), 0.0f64.to_bits());
+        }
     }
 
     #[test]

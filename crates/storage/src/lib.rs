@@ -23,6 +23,9 @@
 //!   paper's "true semantic compression": store residuals between
 //!   observed and model-predicted values and recompute the original
 //!   data losslessly.
+//! * An **exactly-rounded sum** ([`exact::ExactSum`]) behind every
+//!   exact SUM/AVG: the answer is a function of the multiset of inputs,
+//!   whatever the order, partitioning or merge tree.
 //! * A **durability layer** ([`wal::DurableStore`]), the one stored-table
 //!   layout: write-ahead log + shadow paging + dual CRC-guarded
 //!   superblocks, so every table and catalog commit is atomic and
@@ -50,6 +53,7 @@ pub mod codec;
 pub mod column;
 pub mod compress;
 pub mod error;
+pub mod exact;
 pub mod fault;
 pub mod io;
 pub mod page;
@@ -66,6 +70,7 @@ pub use catalog::Catalog;
 pub use checksum::crc32;
 pub use column::Column;
 pub use error::{Result, StorageError};
+pub use exact::ExactSum;
 pub use fault::{FaultMode, FaultSchedule, FaultyDevice};
 pub use io::{BlockDevice, DeviceProfile, IoStats, SimulatedDevice};
 pub use retry::{RetryPolicy, RetryStats, RetryingDevice};

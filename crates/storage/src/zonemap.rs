@@ -32,16 +32,17 @@
 //! synopsis to certify the zone is NaN-free.
 //!
 //! Data zones also carry a per-zone **aggregate synopsis**
-//! ([`ZoneAgg`]): the count of aggregate-visible values and their
-//! in-row-order f64 (and, for integer sources, exact i64) sums. The
-//! same exclusion rule applies — NULL rows and NaN values are invisible
-//! to SQL aggregates (the expression layer maps NaN to NULL) — so an
-//! accepted zone can contribute COUNT/SUM/AVG/MIN/MAX partials with
-//! zero IO and zero per-row work. An all-NULL/NaN zone keeps its count
-//! (zero) but carries no sums, and still aggregates correctly: it
-//! contributes nothing, exactly like the scan would.
+//! ([`ZoneAgg`]): the count of aggregate-visible values and their exact
+//! sum. The same exclusion rule applies — NULL rows and NaN values are
+//! invisible to SQL aggregates (the expression layer maps NaN to NULL) —
+//! so an accepted zone can contribute COUNT/SUM/AVG/MIN/MAX partials
+//! with zero IO and zero per-row work. An all-NULL/NaN zone has count
+//! zero and the empty sum: it contributes nothing, exactly like the scan
+//! would.
 
-use crate::column::Column;
+use crate::bitmap::Bitmap;
+use crate::column::{Column, NumericAggState};
+use crate::exact::ExactSum;
 use std::collections::BTreeMap;
 
 /// Default zone granularity, in rows.
@@ -129,37 +130,16 @@ const CONTINUOUS_EQ_SELECTIVITY: f64 = 0.05;
 /// [`ZoneEntry::null_count`] this gives the full count / non-null
 /// count / visible-count triple.
 ///
-/// `sum_f64` is the f64 sum folded **in row order** starting from
-/// `0.0` — the exact order (and therefore the exact bits) a scan-time
-/// accumulator produces over the same zone, which is what keeps pushed
-/// answers bit-identical to full scans. `sum_i64` is the wrapping
-/// exact integer sum for integer-valued sources (Int64 and Bool 0/1
-/// columns); it is not subject to f64 rounding and serves consumers
-/// that want exactness over bit-replay. Invariant: when `count == 0`
-/// (an all-NULL/NaN zone) both sums are absent — the count is still
-/// present, and aggregation stays correct because such a zone
-/// contributes nothing, exactly like the scan would.
-#[derive(Debug, Clone, Copy)]
+/// `sum` is their [`ExactSum`]: a function of the zone's values alone,
+/// not of the order they were added in, so a zone's partial stands in
+/// for scanning it on any morsel grid, thread count or shard layout. An
+/// all-NULL/NaN zone has `count == 0` and the empty sum.
+#[derive(Debug, Clone, PartialEq)]
 pub struct ZoneAgg {
-    /// Aggregate-visible values (non-NULL, non-NaN) folded into sums.
+    /// Aggregate-visible values (non-NULL, non-NaN) in the sum.
     pub count: u32,
-    /// Row-order f64 sum of visible values; `None` when `count == 0`.
-    /// May be non-finite (overflow to ±inf, or NaN via `inf + -inf`)
-    /// even though the inputs never are.
-    pub sum_f64: Option<f64>,
-    /// Wrapping i64 sum for integer-valued sources; `None` for float
-    /// columns or when `count == 0`.
-    pub sum_i64: Option<i64>,
-}
-
-impl PartialEq for ZoneAgg {
-    fn eq(&self, other: &ZoneAgg) -> bool {
-        // Sums compare by bits: the whole point of the row-order fold
-        // is bit-level reproducibility (and NaN sums must round-trip).
-        self.count == other.count
-            && self.sum_f64.map(f64::to_bits) == other.sum_f64.map(f64::to_bits)
-            && self.sum_i64 == other.sum_i64
-    }
+    /// Exact sum of the visible values.
+    pub sum: ExactSum,
 }
 
 /// Synopsis of one zone of one column.
@@ -169,7 +149,9 @@ impl PartialEq for ZoneAgg {
 /// are *excluded* from the bounds, `[min, max]` refutes predicates
 /// soundly but cannot by itself certify that every row satisfies one —
 /// see [`ZoneEntry::satisfies_all`] for the certified accept path.
-#[derive(Debug, Clone, Copy, PartialEq)]
+/// A `±0.0` tie resolves by sign: `min` keeps `-0.0`, `max` keeps
+/// `+0.0`, as in [`NumericAggState`].
+#[derive(Debug, Clone, PartialEq)]
 pub struct ZoneEntry {
     /// Rows in this zone (the final zone of a column may be short).
     pub rows: u32,
@@ -213,6 +195,16 @@ impl ZoneEntry {
     #[inline]
     pub fn has_values(&self) -> bool {
         self.min <= self.max
+    }
+
+    /// The zone's COUNT/SUM/MIN/MAX state, when it carries partials.
+    pub fn agg_state(&self) -> Option<NumericAggState> {
+        self.agg.as_ref().map(|a| NumericAggState {
+            count: a.count.into(),
+            sum: a.sum.clone(),
+            min: self.min,
+            max: self.max,
+        })
     }
 
     /// Could *any* row in this zone satisfy `value <op> rhs`?
@@ -358,82 +350,18 @@ impl ColumnZones {
     /// bounds for numeric comparison pruning and return `None`.
     pub fn build(col: &Column, zone_rows: usize) -> Option<ColumnZones> {
         assert!(zone_rows > 0, "zone_rows must be positive");
-        let n = col.len();
-        let validity = col.validity();
-        let all_valid = validity.all_set();
-        let value_at: Box<dyn Fn(usize) -> f64> = match col {
-            Column::Int64 { data, .. } => Box::new(move |i| data[i] as f64),
-            Column::Float64 { data, .. } => Box::new(move |i| data[i]),
-            Column::Bool { data, .. } => {
-                Box::new(move |i| if data.get(i) { 1.0 } else { 0.0 })
+        let entries = match col {
+            Column::Int64 { data, validity } => {
+                data_zones(data.len(), zone_rows, validity, |i| data[i] as f64)
+            }
+            Column::Float64 { data, validity } => {
+                data_zones(data.len(), zone_rows, validity, |i| data[i])
+            }
+            Column::Bool { data, validity } => {
+                data_zones(data.len(), zone_rows, validity, |i| if data.get(i) { 1.0 } else { 0.0 })
             }
             Column::Str { .. } => return None,
         };
-        // Exact integer view for the wrapping i64 sum; floats have none.
-        let int_at: Option<Box<dyn Fn(usize) -> i64>> = match col {
-            Column::Int64 { data, .. } => Some(Box::new(move |i| data[i])),
-            Column::Bool { data, .. } => Some(Box::new(move |i| data.get(i) as i64)),
-            _ => None,
-        };
-        let mut entries = Vec::with_capacity(n.div_ceil(zone_rows).max(1));
-        let mut start = 0;
-        loop {
-            let end = (start + zone_rows).min(n);
-            let mut min = f64::INFINITY;
-            let mut max = f64::NEG_INFINITY;
-            let mut nulls = 0u32;
-            let mut saw_nan = false;
-            let mut count = 0u32;
-            let mut sum_f = 0.0f64;
-            let mut sum_i = 0i64;
-            for i in start..end {
-                if !all_valid && !validity.get(i) {
-                    nulls += 1;
-                    continue;
-                }
-                let v = value_at(i);
-                if v.is_nan() {
-                    // NaN never satisfies a comparison and is invisible
-                    // to aggregates (the expression layer maps it to
-                    // NULL); exclude it from the bounds and the sums but
-                    // poison the constant flag.
-                    saw_nan = true;
-                    continue;
-                }
-                if v < min {
-                    min = v;
-                }
-                if v > max {
-                    max = v;
-                }
-                // Row-order fold from 0.0: bitwise the same sum a
-                // scan-time accumulator computes over this zone.
-                count += 1;
-                sum_f += v;
-                if let Some(ia) = &int_at {
-                    sum_i = sum_i.wrapping_add(ia(i));
-                }
-            }
-            // Constant ⇔ every row is valid, non-NaN, and equal.
-            let constant = end > start && nulls == 0 && !saw_nan && min == max;
-            let agg = ZoneAgg {
-                count,
-                sum_f64: (count > 0).then_some(sum_f),
-                sum_i64: (count > 0 && int_at.is_some()).then_some(sum_i),
-            };
-            entries.push(ZoneEntry {
-                rows: (end - start) as u32,
-                null_count: nulls,
-                min,
-                max,
-                constant,
-                agg: Some(agg),
-            });
-            start = end;
-            if start >= n {
-                break;
-            }
-        }
         Some(ColumnZones { source: ZoneSource::Data, zone_rows, entries })
     }
 
@@ -521,6 +449,57 @@ impl ColumnZones {
             .map(|e| e.selectivity(op, rhs) * e.rows as f64)
             .sum();
         (expected / total as f64).clamp(0.0, 1.0)
+    }
+}
+
+/// Exact data zones over `n` rows whose value at row `i` is
+/// `value_at(i)` (monomorphized per column type: this loop runs over
+/// every value on every write).
+fn data_zones(
+    n: usize,
+    zone_rows: usize,
+    validity: &Bitmap,
+    value_at: impl Fn(usize) -> f64,
+) -> Vec<ZoneEntry> {
+    let all_valid = validity.all_set();
+    let mut entries = Vec::with_capacity(n.div_ceil(zone_rows).max(1));
+    let mut start = 0;
+    loop {
+        let end = (start + zone_rows).min(n);
+        let mut state = NumericAggState::default();
+        let mut nulls = 0u32;
+        let mut saw_nan = false;
+        for i in start..end {
+            if !all_valid && !validity.get(i) {
+                nulls += 1;
+                continue;
+            }
+            let v = value_at(i);
+            if v.is_nan() {
+                // NaN never satisfies a comparison and is invisible to
+                // aggregates (the expression layer maps it to NULL);
+                // exclude it from the bounds and the sum but poison the
+                // constant flag.
+                saw_nan = true;
+                continue;
+            }
+            state.update(v);
+        }
+        let NumericAggState { count, sum, min, max } = state;
+        // Constant ⇔ every row is valid, non-NaN, and equal.
+        let constant = end > start && nulls == 0 && !saw_nan && min == max;
+        entries.push(ZoneEntry {
+            rows: (end - start) as u32,
+            null_count: nulls,
+            min,
+            max,
+            constant,
+            agg: Some(ZoneAgg { count: count as u32, sum }),
+        });
+        start = end;
+        if start >= n {
+            return entries;
+        }
     }
 }
 
@@ -762,21 +741,18 @@ mod tests {
     }
 
     #[test]
-    fn build_materializes_row_order_aggregate_partials() {
+    fn build_materializes_exact_aggregate_partials() {
+        let sums = |z: &ColumnZones| -> Vec<(u32, f64)> {
+            z.entries.iter().map(|e| e.agg.as_ref().map(|a| (a.count, a.sum.value())).unwrap()).collect()
+        };
         let c = Column::from_i64(vec![1, 2, 3, 4, 10, 20]);
-        let z = zones(&c, 4);
-        let a0 = z.entries[0].agg.unwrap();
-        assert_eq!((a0.count, a0.sum_f64, a0.sum_i64), (4, Some(10.0), Some(10)));
-        let a1 = z.entries[1].agg.unwrap();
-        assert_eq!((a1.count, a1.sum_f64, a1.sum_i64), (2, Some(30.0), Some(30)));
-        // Floats carry no i64 sum.
-        let f = zones(&Column::from_f64(vec![0.5, 1.5]), 4);
-        let af = f.entries[0].agg.unwrap();
-        assert_eq!((af.count, af.sum_f64, af.sum_i64), (2, Some(2.0), None));
-        // Bools sum as 0/1 with an exact integer view.
-        let b = zones(&Column::from_bool(&[true, false, true]), 4);
-        let ab = b.entries[0].agg.unwrap();
-        assert_eq!((ab.count, ab.sum_f64, ab.sum_i64), (3, Some(2.0), Some(2)));
+        assert_eq!(sums(&zones(&c, 4)), vec![(4, 10.0), (2, 30.0)]);
+        assert_eq!(sums(&zones(&Column::from_f64(vec![0.5, 1.5]), 4)), vec![(2, 2.0)]);
+        // Bools sum as 0/1.
+        assert_eq!(sums(&zones(&Column::from_bool(&[true, false, true]), 4)), vec![(3, 2.0)]);
+        // The sum is exactly rounded: a row-order fold would give 0.0.
+        let f = zones(&Column::from_f64(vec![1e16, 1.0, -1e16]), 4);
+        assert_eq!(sums(&f), vec![(3, 1.0)]);
     }
 
     #[test]
@@ -786,54 +762,32 @@ mod tests {
         let c = Column::from_f64_opt(vec![Some(1.0), None, Some(f64::NAN), Some(-2.0)]);
         let z = zones(&c, 4);
         let e = &z.entries[0];
-        let a = e.agg.unwrap();
+        let a = e.agg.as_ref().unwrap();
         assert_eq!(a.count, 2);
-        assert_eq!(a.sum_f64, Some(-1.0));
+        assert_eq!(a.sum.value(), -1.0);
         assert!(a.count < e.rows - e.null_count, "NaN must not count");
     }
 
     #[test]
-    fn all_null_zone_keeps_count_but_no_sums() {
-        let c = Column::from_f64_opt(vec![None, None, None]);
-        let z = zones(&c, 4);
-        let e = &z.entries[0];
-        let a = e.agg.unwrap();
-        assert_eq!((a.count, a.sum_f64, a.sum_i64), (0, None, None));
+    fn all_null_zone_keeps_count_and_an_empty_sum() {
+        let empty = ZoneAgg { count: 0, sum: ExactSum::new() };
+        let z = zones(&Column::from_f64_opt(vec![None, None, None]), 4);
+        assert_eq!(z.entries[0].agg, Some(empty.clone()));
         // And an all-NaN zone looks the same to aggregates.
         let n = zones(&Column::from_f64(vec![f64::NAN, f64::NAN]), 4);
-        let an = n.entries[0].agg.unwrap();
-        assert_eq!((an.count, an.sum_f64), (0, None));
+        assert_eq!(n.entries[0].agg, Some(empty));
     }
 
     #[test]
-    fn negative_zero_sums_match_the_accumulator_fold() {
-        // The fold starts from +0.0 exactly like a scan-time
-        // accumulator, so `0.0 + -0.0 = +0.0` applies to the first
-        // value too: a zone of -0.0s sums to +0.0 in both places —
-        // bitwise agreement is what matters, not sign preservation.
+    fn signed_zeros_resolve_by_sign_not_by_row_order() {
         let z = zones(&Column::from_f64(vec![-0.0, -0.0]), 4);
-        let a = z.entries[0].agg.unwrap();
-        assert_eq!(a.sum_f64.map(f64::to_bits), Some(0.0f64.to_bits()));
-        // Bitwise equality still distinguishes genuinely different sums
-        // (a -0.0 sum can arrive via hand-built synopses).
-        let neg = ZoneAgg { sum_f64: Some(-0.0), ..a };
-        assert_ne!(neg, a);
-        // min/max keep-first folds preserve -0.0 (-0.0 < 0.0 is false,
-        // so the first-seen zero wins) — again matching the scan.
-        let p = zones(&Column::from_f64(vec![0.0, -0.0]), 4);
-        assert_eq!(p.entries[0].min.to_bits(), 0.0f64.to_bits());
-        let q = zones(&Column::from_f64(vec![-0.0, 0.0]), 4);
-        assert_eq!(q.entries[0].min.to_bits(), (-0.0f64).to_bits());
-    }
-
-    #[test]
-    fn integer_sums_wrap_instead_of_truncating() {
-        let c = Column::from_i64(vec![i64::MAX, 1]);
-        let z = zones(&c, 4);
-        let a = z.entries[0].agg.unwrap();
-        assert_eq!(a.sum_i64, Some(i64::MIN));
-        // The f64 fold rounds; the i64 view is the exact complement.
-        assert_eq!(a.sum_f64, Some(i64::MAX as f64 + 1.0));
+        let a = z.entries[0].agg.as_ref().unwrap();
+        assert_eq!(a.sum.value().to_bits(), 0.0f64.to_bits(), "an exact zero reads +0.0");
+        for values in [vec![0.0, -0.0], vec![-0.0, 0.0]] {
+            let e = &zones(&Column::from_f64(values), 4).entries[0];
+            assert_eq!(e.min.to_bits(), (-0.0f64).to_bits());
+            assert_eq!(e.max.to_bits(), 0.0f64.to_bits());
+        }
     }
 
     #[test]

@@ -211,6 +211,69 @@ fn unfiltered_aggregates_answer_from_zone_partials() {
     assert!(r.scan_stats.zones_agg_synopsis > 0, "{:?}", r.scan_stats);
 }
 
+/// Rows with floats as raw bits: equal strings ⇔ equal bits.
+fn fingerprint(t: &Table) -> String {
+    (0..t.row_count())
+        .map(|r| {
+            let cells: Vec<String> = t
+                .row(r)
+                .unwrap()
+                .iter()
+                .map(|v| match v {
+                    lawsdb::storage::Value::Float(x) => format!("f{:016x}", x.to_bits()),
+                    other => format!("{other:?}"),
+                })
+                .collect();
+            cells.join(" ")
+        })
+        .collect::<Vec<_>>()
+        .join("\n")
+}
+
+#[test]
+fn exact_aggregates_are_a_function_of_the_data() {
+    const GLOBAL: &str = "SELECT COUNT(*) AS n, SUM(intensity) AS s, AVG(intensity) AS a, \
+                          MIN(intensity) AS lo FROM measurements";
+    let filtered = format!("{GLOBAL} WHERE nu > 0.13");
+    let cfg =
+        LofarConfig { noise_rel: 0.02, anomaly_fraction: 0.0, ..LofarConfig::with_sources(200) };
+    let table = LofarDataset::generate(&cfg).table;
+    let mut db = LawsDb::new();
+    db.quality.min_r2 = 0.0;
+    db.register_table(table.clone()).unwrap();
+    // One fingerprint per query, the same at every thread count and
+    // morsel size (which also moves where zones are folded vs scanned).
+    let prints = |db: &LawsDb| -> Vec<String> {
+        [GLOBAL, filtered.as_str()]
+            .map(|sql| {
+                let runs: Vec<String> = [(1, 4096), (4, 4096), (1, 65536), (4, 65536)]
+                    .map(|(threads, morsel_rows)| {
+                        let exec = ExecOptions { threads, morsel_rows, ..ExecOptions::default() };
+                        fingerprint(&db.query_with(sql, &exec).unwrap().table)
+                    })
+                    .into();
+                assert!(runs.iter().all(|r| *r == runs[0]), "{sql}: {runs:#?}");
+                runs[0].clone()
+            })
+            .into()
+    };
+    let before = prints(&db);
+    // Capture swaps the response column's data zones for model zones,
+    // so the aggregates stop folding zone partials and scan instead.
+    let mut session = db.session();
+    let frame = session.frame(TABLE).unwrap();
+    session.fit(&frame, "intensity ~ p * nu ^ alpha", FitOptions::grouped_by("source")).unwrap();
+    assert_eq!(prints(&db), before, "capturing a model must not move an exact answer");
+
+    // Hash shards scatter the global aggregate and merge the partials.
+    let collector = lawsdb::query::ProfileCollector::new();
+    let exec = ExecOptions { profile: Some(collector.context()), ..ExecOptions::default() };
+    let sharded = hash_cluster(&db, &table).query(&filtered, &exec).unwrap();
+    assert_eq!(fingerprint(&sharded.table), before[1]);
+    let profile = collector.build("query");
+    assert!(!profile.find("cluster.merge").is_empty(), "not the scatter route");
+}
+
 #[test]
 fn traced_cluster_query_attributes_to_canonical_layers() {
     let (_, mut client) = served();

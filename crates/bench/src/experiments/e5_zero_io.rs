@@ -15,6 +15,7 @@ use crate::Scale;
 use lawsdb_core::{DurableDb, LawsDb};
 use lawsdb_data::lofar::{LofarConfig, LofarDataset};
 use lawsdb_fit::FitOptions;
+use lawsdb_query::{execute_with, ExecOptions};
 use lawsdb_storage::io::DeviceProfile;
 use lawsdb_storage::{SimulatedDevice, Table};
 
@@ -94,7 +95,7 @@ pub fn run(scale: Scale) -> E5Report {
         let table = store.read_table("measurements").expect("durable read");
         let catalog = lawsdb_storage::Catalog::new();
         catalog.register(table).expect("fresh");
-        let r = lawsdb_query::execute(&catalog, sql).expect("exact query");
+        let r = execute_with(&catalog, sql, &ExecOptions::default()).expect("exact query");
         r.table.column("v").expect("col").f64_data().expect("f64")[0]
     });
     let io = store.stats();

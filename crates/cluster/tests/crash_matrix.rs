@@ -18,8 +18,8 @@ use lawsdb_query::{execute_with, ExecOptions};
 use lawsdb_storage::{Catalog, FaultMode, Table, TableBuilder, Value};
 
 fn seed() -> u64 {
-    let s = lawsdb_core::resilience::fault_seed();
-    println!("LAWSDB_FAULT_SEED = {s:#x} (set to reproduce)");
+    let s = lawsdb_storage::fault::fault_seed();
+    println!("LAWSDB_FAULT_SEED={s} (set to reproduce)");
     s
 }
 

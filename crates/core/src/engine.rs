@@ -2,7 +2,7 @@
 
 use crate::error::{CoreError, Result};
 use crate::resilience::{
-    fault_seed, sample_rows, DegradeReason, HealthCounters, HealthSnapshot, ResilientAnswer,
+    sample_rows, DegradeReason, HealthCounters, HealthSnapshot, ResilientAnswer,
 };
 use crate::session::Session;
 use lawsdb_approx::legal::build_legal_filter;
@@ -370,7 +370,7 @@ impl LawsDb {
             return None;
         }
         let bound = model.max_abs_residual?;
-        let seed = fault_seed() ^ a.model.0;
+        let seed = lawsdb_storage::fault::fault_seed() ^ a.model.0;
         let idx = sample_rows(seed, table.row_count(), DRIFT_SAMPLE_ROWS);
         if idx.is_empty() {
             return None;

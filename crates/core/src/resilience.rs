@@ -17,9 +17,10 @@
 //! and only if no model covers the lost column does the read degrade to
 //! a partial table carrying a warning.
 //!
-//! The drift sampler is seeded from `LAWSDB_FAULT_SEED`, so every
-//! degradation decision is reproducible from a printed seed — the same
-//! discipline the crash matrix uses.
+//! The drift sampler is seeded from `LAWSDB_FAULT_SEED` (read by
+//! [`lawsdb_storage::fault::fault_seed`]), so every degradation
+//! decision is reproducible from a printed seed — the same discipline
+//! the crash matrix uses.
 
 use crate::engine::Answer;
 use lawsdb_models::model::ModelId;
@@ -241,17 +242,6 @@ impl HealthCounters {
     }
 }
 
-/// The fault seed every deterministic resilience decision derives from:
-/// `LAWSDB_FAULT_SEED` when set and parseable, a fixed default
-/// otherwise. Shared with the storage crate's fault injector so one
-/// printed seed reproduces a whole scenario.
-pub fn fault_seed() -> u64 {
-    std::env::var("LAWSDB_FAULT_SEED")
-        .ok()
-        .and_then(|s| s.trim().parse().ok())
-        .unwrap_or(0xC0FFEE)
-}
-
 /// SplitMix64 — the same tiny deterministic generator the fault
 /// injector uses, so sampled row sets are reproducible from the seed.
 pub(crate) fn splitmix64(state: &mut u64) -> u64 {
@@ -325,14 +315,5 @@ mod tests {
         assert_eq!(s.stale_demotions, 1);
         assert_eq!(s.drift_demotions, 1);
         assert_eq!(s.approx_answers, 0);
-    }
-
-    #[test]
-    fn default_seed_applies_without_env() {
-        // Can't unset the var safely under parallel tests; just check
-        // the parse path on the default.
-        if std::env::var("LAWSDB_FAULT_SEED").is_err() {
-            assert_eq!(fault_seed(), 0xC0FFEE);
-        }
     }
 }

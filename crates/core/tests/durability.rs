@@ -161,18 +161,16 @@ fn fault_free_workload_survives_restart() {
 #[test]
 fn models_survive_crashes_at_every_device_operation() {
     let fx = fixture();
-    let seed: u64 = match std::env::var("LAWSDB_FAULT_SEED") {
-        Ok(s) => s.trim().parse().expect("LAWSDB_FAULT_SEED must be a u64"),
-        Err(_) => 0x10F4_A21D,
-    };
+    let seed = lawsdb_storage::fault::fault_seed();
+    println!("LAWSDB_FAULT_SEED={seed} (set to reproduce)");
     let (_, _, total_ops) = run_workload(&fx, FaultSchedule::none());
-    println!("engine crash matrix: {total_ops} crash points, seed {seed:#x}");
+    println!("engine crash matrix: {total_ops} crash points");
     for crash_op in 0..total_ops {
         let mode = FaultMode::ALL[crash_op as usize % FaultMode::ALL.len()];
         let (commits_ok, image, _) =
             run_workload(&fx, FaultSchedule::crash_at(crash_op, mode, seed));
         assert!(commits_ok < 4, "crash at {crash_op} must interrupt the workload");
-        let context = format!("engine crash at op {crash_op} ({mode:?}, seed {seed:#x})");
+        let context = format!("engine crash at op {crash_op} ({mode:?}, seed {seed})");
         assert_state(&fx, image, commits_ok, &context);
     }
 }

@@ -21,6 +21,7 @@ use lawsdb_storage::column::NumericAggState;
 use lawsdb_storage::schema::{DataType, Field, Schema};
 use lawsdb_storage::zonemap::{ColumnZones, ZoneSource};
 use lawsdb_storage::{Catalog, Column, Table, Value};
+use std::cmp::Ordering;
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -41,12 +42,6 @@ pub struct QueryResult {
     pub scan_stats: ScanStats,
 }
 
-/// Parse, plan, optimize and execute a SELECT statement with default
-/// [`ExecOptions`] (one worker per available core).
-pub fn execute(catalog: &Catalog, sql: &str) -> Result<QueryResult> {
-    execute_with(catalog, sql, &ExecOptions::default())
-}
-
 /// Parse, plan, optimize and execute a SELECT statement with explicit
 /// execution options.
 pub fn execute_with(catalog: &Catalog, sql: &str, opts: &ExecOptions) -> Result<QueryResult> {
@@ -56,8 +51,15 @@ pub fn execute_with(catalog: &Catalog, sql: &str, opts: &ExecOptions) -> Result<
     execute_plan_with(catalog, &plan, opts)
 }
 
-/// Execute an already-built logical plan with explicit options.
-pub fn execute_plan_with(
+/// [`execute_with`] under default options: the unit tests' shorthand.
+#[cfg(test)]
+pub(crate) fn execute(catalog: &Catalog, sql: &str) -> Result<QueryResult> {
+    execute_with(catalog, sql, &ExecOptions::default())
+}
+
+/// Execute an already-built logical plan with explicit options (the
+/// body of both public entry points).
+pub(crate) fn execute_plan_with(
     catalog: &Catalog,
     plan: &LogicalPlan,
     opts: &ExecOptions,
@@ -1226,22 +1228,41 @@ pub(crate) fn sort(t: &Table, keys: &[OrderBy]) -> Result<Table> {
             let va = &key_vals[ki][a];
             let vb = &key_vals[ki][b];
             let ord = match (va.is_null(), vb.is_null()) {
-                (true, true) => std::cmp::Ordering::Equal,
+                (true, true) => Ordering::Equal,
                 // NULLs sort last regardless of direction.
-                (true, false) => return std::cmp::Ordering::Greater,
-                (false, true) => return std::cmp::Ordering::Less,
-                (false, false) => {
-                    va.sql_cmp(vb).unwrap_or(std::cmp::Ordering::Equal)
-                }
+                (true, false) => return Ordering::Greater,
+                (false, true) => return Ordering::Less,
+                (false, false) => order_cmp(va, vb),
             };
             let ord = if *desc { ord.reverse() } else { ord };
-            if ord != std::cmp::Ordering::Equal {
+            if ord != Ordering::Equal {
                 return ord;
             }
         }
-        std::cmp::Ordering::Equal
+        Ordering::Equal
     });
     Ok(t.take(&idx)?)
+}
+
+/// ORDER BY's total order on two non-NULL values of one column: ints as
+/// `i64`; floats by [`f64::total_cmp`] (so −0.0 before +0.0), with every
+/// NaN, of either sign, after +inf and tied with the other NaNs.
+/// Predicates compare with `sql_cmp`, which has no answer for NaN; a
+/// sort comparator built on it is not an order at all.
+fn order_cmp(a: &Value, b: &Value) -> Ordering {
+    match (a, b) {
+        (Value::Int(x), Value::Int(y)) => x.cmp(y),
+        (Value::Str(x), Value::Str(y)) => x.cmp(y),
+        (Value::Bool(x), Value::Bool(y)) => x.cmp(y),
+        // Floats (and the int/float mix no single column holds).
+        _ => {
+            let (x, y) = (a.as_f64().unwrap_or(f64::NAN), b.as_f64().unwrap_or(f64::NAN));
+            match (x.is_nan(), y.is_nan()) {
+                (false, false) => x.total_cmp(&y),
+                (x_nan, y_nan) => x_nan.cmp(&y_nan),
+            }
+        }
+    }
 }
 
 #[cfg(test)]
@@ -1334,6 +1355,30 @@ mod tests {
                 Value::Float(1.0),
                 Value::Null
             ]
+        );
+    }
+
+    #[test]
+    fn order_by_is_a_total_order_over_nan_and_signed_zeros() {
+        // Regression: NaN used to tie with every number, so `1.0` could
+        // land between `-0.0` and NaN and the output was not sorted.
+        let (nan, inf) = (f64::NAN, f64::INFINITY);
+        let v = [1.0, nan, -0.0, 9.0, inf, 0.0, -nan, -2.5, -inf, 1.0, nan, 0.5];
+        let c = Catalog::new();
+        let mut b = TableBuilder::new("t");
+        b.add_i64("k", (0..12).collect());
+        b.add_f64_opt("v", v.iter().enumerate().map(|(i, &x)| (i != 3).then_some(x)).collect());
+        c.register(b.build().unwrap()).unwrap();
+        let keys = |sql: &str| {
+            let r = execute(&c, sql).unwrap();
+            r.table.column("k").unwrap().i64_data().unwrap().to_vec()
+        };
+        // NaNs of either sign after +inf, tied in input order; NULL last.
+        assert_eq!(keys("SELECT k, v FROM t ORDER BY v"), [8, 7, 2, 5, 11, 0, 9, 4, 1, 6, 10, 3]);
+        // DESC reverses the non-NULL order only.
+        assert_eq!(
+            keys("SELECT k, v FROM t ORDER BY v DESC"),
+            [1, 6, 10, 4, 0, 9, 11, 5, 2, 7, 8, 3]
         );
     }
 

@@ -51,7 +51,7 @@ pub mod sql;
 
 pub use cost::CostConstants;
 pub use error::{QueryError, Result};
-pub use exec::{execute, execute_plan_with, execute_with, QueryResult};
+pub use exec::{execute_with, QueryResult};
 pub use lawsdb_obs::{ProfileCollector, ProfileContext, QueryProfile};
 pub use governor::{CancelToken, Governor, ResourceBudget};
 pub use morsel::ExecOptions;
@@ -70,7 +70,7 @@ pub use sql::parse_select;
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::exec::execute;
     use lawsdb_storage::{Catalog, TableBuilder, Value};
 
     fn catalog() -> Catalog {

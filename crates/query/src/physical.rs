@@ -15,7 +15,8 @@
 //!   ties), so the executor's short-circuit evaluation drops rows as
 //!   early as possible. SQL `AND` is Kleene: commutative and
 //!   associative over `(truth, known)` masks, so any reordering is
-//!   result-preserving — `tests/optimizer_equivalence.rs` pins this.
+//!   result-preserving — the root package's `tests/equivalence.rs`
+//!   driver holds every priced plan to the naive interpreter's bits.
 //!
 //! The result, [`PhysicalPlan`], is the logical plan plus a note table:
 //! the tree the executor runs (conjuncts in priced order) and one

@@ -26,7 +26,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Duration;
 
 fn seed() -> u64 {
-    let s = lawsdb_core::resilience::fault_seed();
+    let s = lawsdb_storage::fault::fault_seed();
     println!("LAWSDB_FAULT_SEED={s}");
     s
 }

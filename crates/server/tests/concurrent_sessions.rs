@@ -31,7 +31,7 @@ impl Rng {
 }
 
 fn seed() -> u64 {
-    let s = lawsdb_core::resilience::fault_seed();
+    let s = lawsdb_storage::fault::fault_seed();
     println!("LAWSDB_FAULT_SEED={s}");
     s
 }

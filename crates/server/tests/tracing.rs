@@ -17,8 +17,8 @@ use lawsdb_storage::{Table, TableBuilder};
 use std::sync::Arc;
 
 fn seed() -> u64 {
-    let s = lawsdb_core::resilience::fault_seed();
-    println!("LAWSDB_FAULT_SEED = {s:#x} (set to reproduce)");
+    let s = lawsdb_storage::fault::fault_seed();
+    println!("LAWSDB_FAULT_SEED={s} (set to reproduce)");
     s
 }
 

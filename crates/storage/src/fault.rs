@@ -84,6 +84,33 @@ impl FaultSchedule {
     }
 }
 
+/// The seed every seeded test and every deterministic resilience
+/// decision derives from: `LAWSDB_FAULT_SEED` when set, `0xC0FFEE`
+/// otherwise. The variable takes decimal or `0x`-prefixed hex; seeded
+/// tests print it back as `LAWSDB_FAULT_SEED=<decimal>`, so a logged
+/// line pasted into the shell reproduces the run.
+///
+/// # Panics
+///
+/// When the variable is set but is neither form — a typo must not
+/// quietly run the default seed.
+pub fn fault_seed() -> u64 {
+    match std::env::var("LAWSDB_FAULT_SEED") {
+        Ok(s) => parse_seed(&s).unwrap_or_else(|| {
+            panic!("LAWSDB_FAULT_SEED={s:?} is neither a decimal nor a 0x-prefixed hex u64")
+        }),
+        Err(_) => 0xC0FFEE,
+    }
+}
+
+fn parse_seed(s: &str) -> Option<u64> {
+    let s = s.trim();
+    match s.strip_prefix("0x").or_else(|| s.strip_prefix("0X")) {
+        Some(hex) => u64::from_str_radix(hex, 16).ok(),
+        None => s.parse().ok(),
+    }
+}
+
 /// SplitMix64 — the same deterministic generator the shims use.
 fn splitmix(state: u64) -> u64 {
     let mut z = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
@@ -307,6 +334,15 @@ mod tests {
         inner.allocate();
         inner.allocate();
         FaultyDevice::new(inner, schedule)
+    }
+
+    #[test]
+    fn seeds_parse_as_decimal_or_hex() {
+        assert_eq!(parse_seed("12648430"), Some(0xC0FFEE));
+        assert_eq!(parse_seed(" 0xc0ffee\n"), Some(0xC0FFEE));
+        assert_eq!(parse_seed("0XC0FFEE"), Some(0xC0FFEE));
+        assert_eq!(parse_seed("c0ffee"), None);
+        assert_eq!(parse_seed("-1"), None);
     }
 
     #[test]

@@ -22,13 +22,11 @@ const PAGE_SIZE: usize = 256;
 const WAL_PAGES: usize = 8;
 
 type Step = Box<dyn Fn(&mut DurableStore<FaultyDevice>) -> lawsdb_storage::Result<()>>;
-const DEFAULT_SEED: u64 = 0xC1D2_2015;
 
 fn base_seed() -> u64 {
-    match std::env::var("LAWSDB_FAULT_SEED") {
-        Ok(s) => s.trim().parse().expect("LAWSDB_FAULT_SEED must be a u64"),
-        Err(_) => DEFAULT_SEED,
-    }
+    let s = lawsdb_storage::fault::fault_seed();
+    println!("LAWSDB_FAULT_SEED={s} (set to reproduce)");
+    s
 }
 
 fn law_table(version: u32) -> Table {
@@ -135,13 +133,13 @@ fn golden_run_commits_everything() {
 fn every_crash_point_recovers_to_pre_or_post_state() {
     let seed = base_seed();
     let (_, _, total_ops) = run_workload(FaultSchedule::none());
-    println!("crash matrix: {total_ops} crash points, seed {seed:#x}");
+    println!("crash matrix: {total_ops} crash points, seed {seed}");
     for crash_op in 0..total_ops {
         let mode = FaultMode::ALL[crash_op as usize % FaultMode::ALL.len()];
         let schedule = FaultSchedule::crash_at(crash_op, mode, seed);
         let (commits_ok, image, _) = run_workload(schedule);
         assert!(commits_ok < 5, "crash at {crash_op} must bite before the workload finishes");
-        let context = format!("crash at op {crash_op} ({mode:?}, seed {seed:#x})");
+        let context = format!("crash at op {crash_op} ({mode:?}, seed {seed})");
         assert_recovers_cleanly(image, commits_ok, &context);
     }
 }

@@ -11,14 +11,10 @@
 use lawsdb_storage::column::NumericAggState;
 use lawsdb_storage::ExactSum;
 
-const DEFAULT_SEED: u64 = 0xC1D2_2015;
 const CASES: usize = 300;
 
 fn seed() -> u64 {
-    let s = match std::env::var("LAWSDB_FAULT_SEED") {
-        Ok(s) => s.trim().parse().expect("LAWSDB_FAULT_SEED must be a u64"),
-        Err(_) => DEFAULT_SEED,
-    };
+    let s = lawsdb_storage::fault::fault_seed();
     println!("LAWSDB_FAULT_SEED={s} (set to reproduce)");
     s
 }

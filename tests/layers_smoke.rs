@@ -5,7 +5,11 @@
 //! here, so a change to the engine's surface that would break the
 //! benchmark breaks this file first. The last three tests pin the
 //! structural facts the benchmark's `query.*` and `trace.*` numbers
-//! stand on.
+//! stand on. Exact answers are held to the naive interpreter in
+//! `oracle/`, the same one `tests/equivalence.rs` drives every path
+//! against.
+
+mod oracle;
 
 use lawsdb::cluster::{Cluster, ClusterConfig, PartitionScheme};
 use lawsdb::core::{AnswerMode, DurableDb, FitOptions, LawsDb};
@@ -15,6 +19,7 @@ use lawsdb::obs::{attribute_layers, global_metrics, LAYERS};
 use lawsdb::query::{execute_with, parse_select, ExecOptions};
 use lawsdb::server::{Client, PipeStream, QueryMode, Server, ServerConfig};
 use lawsdb::storage::{Column, SimulatedDevice, Table};
+use oracle::fingerprint;
 use std::sync::Arc;
 
 const TABLE: &str = "measurements";
@@ -40,10 +45,9 @@ fn fixture() -> (LawsDb, Table, ModelId) {
     (db, table, report.model)
 }
 
-/// The benchmark's oracle: one thread, pruning off, heuristic plan.
-fn reference(db: &LawsDb, sql: &str) -> Table {
-    let opts = ExecOptions { threads: 1, pruning: false, ..ExecOptions::default() };
-    execute_with(db.tables(), sql, &opts).unwrap().table
+/// The exact answer's fingerprint, from the naive interpreter.
+fn reference(db: &LawsDb, sql: &str) -> String {
+    oracle::answer(&db.table(TABLE).unwrap(), sql).fingerprint()
 }
 
 /// The benchmark's cluster shape, smaller: hash shards on `source`,
@@ -83,10 +87,14 @@ fn embedded_engine_surface() {
     db.physical_plan(GROUP_AGG).unwrap();
     assert_eq!((db.plan_cache().hit_count(), db.plan_cache().miss_count()), (1, 1));
 
-    // Exact answers are bit-identical to the oracle.
+    // Exact answers carry the interpreter's bits, through the engine and
+    // through the benchmark's own reference (one thread, pruning off).
     let exec = ExecOptions { threads: 1, ..ExecOptions::default() };
+    let bench_reference = ExecOptions { pruning: false, ..exec.clone() };
     for sql in [POINT, SRC_AVG, GROUP_AGG] {
-        assert_eq!(db.query_with(sql, &exec).unwrap().table, reference(&db, sql), "{sql}");
+        assert_eq!(fingerprint(&db.query_with(sql, &exec).unwrap().table), reference(&db, sql));
+        let r = execute_with(db.tables(), sql, &bench_reference).unwrap();
+        assert_eq!(fingerprint(&r.table), reference(&db, sql), "{sql}");
     }
 
     // The model answers without touching a row, through either door.
@@ -116,7 +124,7 @@ fn every_query_mode_through_the_wire() {
     let (db, mut client) = served();
 
     let exact = client.query(QueryMode::Exact, GROUP_AGG).unwrap();
-    assert_eq!(exact.table, reference(&db, GROUP_AGG));
+    assert_eq!(fingerprint(&exact.table), reference(&db, GROUP_AGG));
     assert!(!exact.approximate);
     let sharded = client.query(QueryMode::Cluster, GROUP_AGG).unwrap();
     assert_eq!(sharded.table, exact.table);
@@ -140,7 +148,7 @@ fn cluster_and_durable_surface() {
     assert_eq!(cluster.config().shards, 2);
     let exec = ExecOptions { threads: 1, ..ExecOptions::default() };
     let a = cluster.query(GROUP_AGG, &exec).unwrap();
-    assert_eq!(a.table, reference(&db, GROUP_AGG));
+    assert_eq!(fingerprint(&a.table), reference(&db, GROUP_AGG));
     assert!(a.degraded.is_empty() && !a.approximate);
     assert!(cluster.fetch_ops(0, 0).unwrap() > 0);
 
@@ -205,29 +213,10 @@ fn unfiltered_aggregates_answer_from_zone_partials() {
     // data zones for model zones, which carry no partials.
     let sql = "SELECT COUNT(*) AS n, SUM(nu) AS s, MAX(source) AS hi FROM measurements";
     let r = db.query(sql).unwrap();
-    assert_eq!(r.table, reference(&db, sql));
+    assert_eq!(fingerprint(&r.table), reference(&db, sql));
     assert_eq!(r.table.row(0).unwrap()[0], lawsdb::storage::Value::Int(table.row_count() as i64));
     assert_eq!(r.scan_stats.pages_total, 0, "{:?}", r.scan_stats);
     assert!(r.scan_stats.zones_agg_synopsis > 0, "{:?}", r.scan_stats);
-}
-
-/// Rows with floats as raw bits: equal strings ⇔ equal bits.
-fn fingerprint(t: &Table) -> String {
-    (0..t.row_count())
-        .map(|r| {
-            let cells: Vec<String> = t
-                .row(r)
-                .unwrap()
-                .iter()
-                .map(|v| match v {
-                    lawsdb::storage::Value::Float(x) => format!("f{:016x}", x.to_bits()),
-                    other => format!("{other:?}"),
-                })
-                .collect();
-            cells.join(" ")
-        })
-        .collect::<Vec<_>>()
-        .join("\n")
 }
 
 #[test]
@@ -253,6 +242,7 @@ fn exact_aggregates_are_a_function_of_the_data() {
                     })
                     .into();
                 assert!(runs.iter().all(|r| *r == runs[0]), "{sql}: {runs:#?}");
+                assert_eq!(runs[0], oracle::answer(&table, sql).fingerprint(), "{sql}");
                 runs[0].clone()
             })
             .into()

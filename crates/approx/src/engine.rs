@@ -155,7 +155,26 @@ impl ApproxEngine {
                 reason: "joins are not answerable from a single model".to_string(),
             });
         }
-        let model = self.resolve_model(&stmt)?;
+        let referenced = referenced_columns(&stmt);
+        let model = self.resolve_model(&stmt.table, &referenced)?;
+        // The virtual relation holds the group column, the variables and
+        // the response; a statement naming anything else is the base
+        // table's to answer.
+        let group_column = match &model.params {
+            ModelParams::Grouped { group_column, .. } => Some(group_column),
+            ModelParams::Global { .. } => None,
+        };
+        let reconstructs = |c: &str| {
+            let c = c.split_once('.').map_or(c, |(_, plain)| plain);
+            c == model.coverage.response
+                || model.coverage.variables.iter().any(|v| v == c)
+                || group_column.is_some_and(|g| g == c)
+        };
+        if let Some(c) = referenced.iter().find(|c| !reconstructs(c)) {
+            return Err(ApproxError::NotAnswerable {
+                reason: format!("model {} does not reconstruct column {c:?}", model.id.0),
+            });
+        }
         let constraints = extract_constraints(stmt.predicate.as_ref());
 
         // Try the closed-form path first: aggregate-only query over a
@@ -237,30 +256,15 @@ impl ApproxEngine {
         })
     }
 
-    /// Find the model whose response column the query references.
-    fn resolve_model(&self, stmt: &SelectStatement) -> Result<Arc<CapturedModel>> {
-        let mut referenced: Vec<String> = Vec::new();
-        for item in &stmt.items {
-            match item {
-                SelectItem::Star => {}
-                SelectItem::Expr { expr, .. } => referenced.extend(expr.columns()),
-                SelectItem::Agg { arg: Some(e), .. } => referenced.extend(e.columns()),
-                SelectItem::Agg { arg: None, .. } => {}
-            }
-        }
-        if let Some(p) = &stmt.predicate {
-            referenced.extend(p.columns());
-        }
-        for col in &referenced {
-            if let Ok(m) = self.models.best_for(&stmt.table, col, self.allow_stale) {
+    /// Find the model whose response is one of the referenced columns.
+    fn resolve_model(&self, table: &str, referenced: &[String]) -> Result<Arc<CapturedModel>> {
+        for col in referenced {
+            if let Ok(m) = self.models.best_for(table, col, self.allow_stale) {
                 return Ok(m);
             }
         }
         Err(ApproxError::NotAnswerable {
-            reason: format!(
-                "no active model covers any referenced column of {:?}",
-                stmt.table
-            ),
+            reason: format!("no active model covers any referenced column of {table:?}"),
         })
     }
 
@@ -614,6 +618,23 @@ fn linearize(rhs: &Expr, var: &str, names: &[String], values: &[f64]) -> Option<
     let at_zero = lawsdb_expr::simplify::simplify(&bound.substitute(var, &Expr::Num(0.0)));
     let intercept = at_zero.as_const()?;
     Some((intercept, slope))
+}
+
+/// Every column the statement names: in its SELECT list, its WHERE and
+/// its GROUP BY. (ORDER BY names output columns.)
+fn referenced_columns(stmt: &SelectStatement) -> Vec<String> {
+    let mut out: Vec<String> = Vec::new();
+    for item in &stmt.items {
+        match item {
+            SelectItem::Expr { expr, .. } | SelectItem::Agg { arg: Some(expr), .. } => {
+                out.extend(expr.columns())
+            }
+            SelectItem::Star | SelectItem::Agg { arg: None, .. } => {}
+        }
+    }
+    out.extend(stmt.predicate.iter().flat_map(ScalarExpr::columns));
+    out.extend(stmt.group_by.iter().cloned());
+    out
 }
 
 /// Extract per-column constraints from a *conjunctive* predicate.

@@ -19,6 +19,7 @@ use crate::error::{CoreError, Result};
 use crate::resilience::DegradeReason;
 use lawsdb_models::bridge::predict_table;
 use lawsdb_models::{CapturedModel, ModelCatalog};
+use lawsdb_storage::codec::Reader;
 use lawsdb_storage::compress::{residual, varint};
 use lawsdb_storage::wal::DurableStore;
 use lawsdb_storage::{BlockDevice, Column, IoStats, RecoveryReport, Table};
@@ -123,41 +124,24 @@ pub fn decompress_column(
     table: &Table,
 ) -> Result<Vec<f64>> {
     let mut predicted = predict_table(model, table)?;
-    let mut pos = 0usize;
-    let n_exc = varint::get_u64(&compressed.payload, &mut pos)
-        .map_err(CoreError::Storage)? as usize;
-    let mut exceptions = Vec::with_capacity(n_exc);
-    let mut prev = 0u64;
+    let mut r = Reader::new("compressed column", &compressed.payload);
+    // Each exception is a row delta varint and 8 value bytes.
+    let n_exc = r.varint_u64()?;
+    let mut exceptions = Vec::with_capacity(r.claim(n_exc, 9, "exception")?);
+    let mut row = 0u64;
     for _ in 0..n_exc {
-        let delta = varint::get_u64(&compressed.payload, &mut pos)
-            .map_err(CoreError::Storage)?;
-        let idx = (prev + delta) as usize;
-        prev += delta;
-        let bytes: [u8; 8] = compressed
-            .payload
-            .get(pos..pos + 8)
-            .ok_or_else(|| CoreError::CompressionState {
-                detail: "truncated exception list".to_string(),
-            })?
-            .try_into()
-            .expect("8 bytes sliced");
-        pos += 8;
-        exceptions.push((idx, f64::from_le_bytes(bytes)));
+        // Delta-coded row indices; raw value bits.
+        let delta = r.varint_u64()?;
+        row = row.checked_add(delta).ok_or_else(|| r.corrupt("exception row overflows"))?;
+        exceptions.push((row as usize, r.f64()?));
     }
-    for (i, p) in predicted.iter_mut().enumerate() {
-        if p.is_nan() {
-            *p = 0.0; // must mirror the encode-side baseline
-        }
-        let _ = i;
+    for p in predicted.iter_mut().filter(|p| p.is_nan()) {
+        *p = 0.0; // must mirror the encode-side baseline
     }
-    let body = &compressed.payload[pos..];
+    let body = r.rest();
     let mut values = match compressed.mode {
-        CompressionMode::Lossless => {
-            residual::decode_lossless(body, &predicted).map_err(CoreError::Storage)?
-        }
-        CompressionMode::Quantized { .. } => {
-            residual::decode_quantized(body, &predicted).map_err(CoreError::Storage)?
-        }
+        CompressionMode::Lossless => residual::decode_lossless(body, &predicted)?,
+        CompressionMode::Quantized { .. } => residual::decode_quantized(body, &predicted)?,
     };
     for (idx, v) in exceptions {
         if idx >= values.len() {

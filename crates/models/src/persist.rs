@@ -22,9 +22,9 @@
 //!
 //! The whole-image checksum (format v2) means *any* truncation or byte
 //! flip of a stored image is a structured [`ModelError`], never a
-//! silently wrong model — the property the corruption proptests pin
-//! down. For crash safety the image rides the storage durability layer
-//! via [`ModelCatalog::save_to_store`] /
+//! silently wrong model — the property the root `tests/hostile_bytes.rs`
+//! driver pins down. For crash safety the image rides the storage
+//! durability layer via [`ModelCatalog::save_to_store`] /
 //! [`ModelCatalog::load_from_store`].
 
 use crate::catalog::ModelCatalog;
@@ -74,11 +74,8 @@ fn get_opt_str(r: &mut Reader<'_>) -> Result<Option<String>> {
 /// A varint element count; anything beyond the bytes left is bogus
 /// (every element takes at least one), so reject before allocating.
 fn get_count(r: &mut Reader<'_>, what: &str) -> Result<usize> {
-    let n = r.varint_u64()? as usize;
-    if n > r.remaining() {
-        return Err(r.corrupt(format!("implausible {what} count")).into());
-    }
-    Ok(n)
+    let n = r.varint_u64()?;
+    Ok(r.claim(n, 1, what)?)
 }
 
 fn encode_model(out: &mut Vec<u8>, m: &CapturedModel) {

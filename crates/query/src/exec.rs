@@ -90,7 +90,7 @@ pub(crate) fn execute_plan_with(
                 pages_total = scan_stats.pages_total,
                 pruned_zonemap = scan_stats.pages_pruned_zonemap,
                 pruned_model = scan_stats.pages_pruned_model,
-                compressed_eval = scan_stats.pages_compressed_eval,
+                accepted = scan_stats.zones_accepted,
                 zones_agg_synopsis = scan_stats.zones_agg_synopsis,
             ],
         );
@@ -331,7 +331,7 @@ fn pruner_for(predicate: Option<&ScalarExpr>, opts: &ExecOptions) -> Option<Prun
 /// counters go to `opts.stats` and one `zone`
 /// profile leaf per chunk records the deciding tier (`skip_zonemap` =
 /// write-time data zones, `skip_model` = model-derived bounds,
-/// `accept_all` = compressed-domain acceptance; leaves index by chunk
+/// `accept_all` = bounds prove every row passes; leaves index by chunk
 /// offset, so sibling order is worker-schedule-independent). Without
 /// them the morsel is one chunk and nothing is planned or counted: with
 /// pruning on and no filter at all every row is trivially accepted
@@ -1041,8 +1041,8 @@ fn assemble_aggregate(
     }
     for (ai, a) in aggs.iter().enumerate() {
         let values: Vec<Value> = part.accs.iter().map(|g| g[ai].finish(a.func)).collect();
-        let col = column_from_values(&values);
-        fields.push(Field::nullable(a.name.clone(), col.data_type()));
+        let (field, col) = aggregate_column(t.schema(), a, &values);
+        fields.push(field);
         cols.push(col);
     }
     Ok(Table::new("result", Schema::new(fields), cols)?)
@@ -1147,51 +1147,43 @@ fn aggregate(t: &Table, group_by: &[String], aggs: &[AggSpec]) -> Result<Table> 
     )
 }
 
-/// Build a column from dynamic values, inferring the narrowest type.
-pub fn column_from_values(values: &[Value]) -> Column {
-    let mut saw_float = false;
-    let mut saw_int = false;
-    let mut saw_str = false;
-    let mut saw_bool = false;
-    for v in values {
-        match v {
-            Value::Float(_) => saw_float = true,
-            Value::Int(_) => saw_int = true,
-            Value::Str(_) => saw_str = true,
-            Value::Bool(_) => saw_bool = true,
-            Value::Null => {}
-        }
-    }
-    if saw_str {
-        let data: Vec<String> = values
-            .iter()
-            .map(|v| v.as_str().unwrap_or("").to_string())
-            .collect();
-        let mut col = Column::from_str(data);
-        mark_nulls(&mut col, values);
-        col
-    } else if saw_float {
-        let mut col =
-            Column::from_f64_opt(values.iter().map(|v| v.as_f64()).collect());
-        mark_nulls(&mut col, values);
-        col
-    } else if saw_int {
-        Column::from_i64_opt(values.iter().map(|v| v.as_i64()).collect())
-    } else if saw_bool {
-        let data: Vec<bool> = values
-            .iter()
-            .map(|v| matches!(v, Value::Bool(true)))
-            .collect();
-        let mut col = Column::from_bool(&data);
-        mark_nulls(&mut col, values);
-        col
-    } else {
-        // All NULL.
-        Column::from_f64_opt(vec![None; values.len()])
-    }
+/// An aggregate's output column. Its type follows from the function
+/// and argument, never from the values, so zero groups or all-NULL
+/// groups type it the same: COUNT is Int64, MIN/MAX over a string
+/// column is Str, everything else is Float64.
+pub(crate) fn aggregate_column(schema: &Schema, a: &AggSpec, values: &[Value]) -> (Field, Column) {
+    let over_strings = || match &a.arg {
+        Some(ScalarExpr::Column(c)) => normalize_name(schema, c)
+            .is_ok_and(|c| schema.field(&c).is_some_and(|f| f.data_type == DataType::Str)),
+        _ => false,
+    };
+    let dtype = match a.func {
+        AggFunc::Count => DataType::Int64,
+        AggFunc::Min | AggFunc::Max if over_strings() => DataType::Str,
+        _ => DataType::Float64,
+    };
+    (Field::nullable(a.name.clone(), dtype), column_from_typed(dtype, values))
 }
 
-pub(crate) fn mark_nulls(col: &mut Column, values: &[Value]) {
+/// Build a column of a known type from dynamic values — the same shape
+/// `Column::take` over a source column of that type produces.
+pub(crate) fn column_from_typed(dtype: DataType, values: &[Value]) -> Column {
+    let mut col = match dtype {
+        DataType::Int64 => Column::from_i64_opt(values.iter().map(|v| v.as_i64()).collect()),
+        DataType::Float64 => Column::from_f64_opt(values.iter().map(|v| v.as_f64()).collect()),
+        DataType::Str => {
+            Column::from_str(values.iter().map(|v| v.as_str().unwrap_or("").to_string()).collect())
+        }
+        DataType::Bool => {
+            let bits: Vec<bool> = values.iter().map(|v| matches!(v, Value::Bool(true))).collect();
+            Column::from_bool(&bits)
+        }
+    };
+    mark_nulls(&mut col, values);
+    col
+}
+
+fn mark_nulls(col: &mut Column, values: &[Value]) {
     let validity = match col {
         Column::Int64 { validity, .. }
         | Column::Float64 { validity, .. }
@@ -1383,6 +1375,26 @@ mod tests {
     }
 
     #[test]
+    fn aggregate_types_follow_the_function_not_the_rows() {
+        // Regression: types were inferred from the values, so zero
+        // groups made COUNT Float64, and so did an all-NULL string MIN.
+        let c = Catalog::new();
+        let mut b = TableBuilder::new("t");
+        b.add_i64("g", vec![1, 2]);
+        b.add_str("s", vec!["a".into(), "b".into()]);
+        c.register(b.build().unwrap()).unwrap();
+        let types = |sql: &str| -> Vec<DataType> {
+            let r = execute(&c, sql).unwrap();
+            r.table.schema().fields().iter().map(|f| f.data_type).collect()
+        };
+        use DataType::*;
+        let sql = "SELECT g, COUNT(*) AS n, MIN(s) AS lo, SUM(g) AS sg FROM t \
+                   WHERE g > 5 GROUP BY g";
+        assert_eq!(types(sql), [Int64, Int64, Str, Float64]);
+        assert_eq!(types("SELECT COUNT(s) AS n, MAX(s) AS hi FROM t WHERE g > 5"), [Int64, Str]);
+    }
+
+    #[test]
     fn limit_caps_rows() {
         let r = execute(&catalog(), "SELECT * FROM m LIMIT 2").unwrap();
         assert_eq!(r.table.row_count(), 2);
@@ -1484,17 +1496,6 @@ mod tests {
     fn rows_scanned_counts_join_inputs() {
         let r = execute(&catalog(), "SELECT source FROM m JOIN sources ON source = id").unwrap();
         assert_eq!(r.rows_scanned, 5 + 3);
-    }
-
-    #[test]
-    fn column_from_values_inference() {
-        let c = column_from_values(&[Value::Int(1), Value::Null, Value::Int(3)]);
-        assert_eq!(c.data_type(), DataType::Int64);
-        assert_eq!(c.null_count(), 1);
-        let c = column_from_values(&[Value::Int(1), Value::Float(2.5)]);
-        assert_eq!(c.data_type(), DataType::Float64);
-        let c = column_from_values(&[Value::Null, Value::Null]);
-        assert_eq!(c.null_count(), 2);
     }
 
     #[test]
@@ -1704,7 +1705,7 @@ mod pruning_exec_tests {
         // Zone 3 is constant g=3 with no NULLs: accepted without
         // per-row evaluation; the other 7 zones are refuted.
         assert_eq!(pruned.scan_stats.pages_pruned_zonemap, 7);
-        assert_eq!(pruned.scan_stats.pages_compressed_eval, 1);
+        assert_eq!(pruned.scan_stats.zones_accepted, 1);
     }
 
     #[test]

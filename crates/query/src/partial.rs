@@ -17,14 +17,14 @@
 
 use crate::error::{QueryError, Result};
 use crate::exec::{
-    aggregate_groups, column_from_values, mark_nulls, merge_partials, normalize_expr,
+    aggregate_column, aggregate_groups, column_from_typed, merge_partials, normalize_expr,
     normalize_name, sort, Accumulator, GroupPartial, KeyPart,
 };
 use crate::morsel::ExecOptions;
 use crate::plan::AggSpec;
 use crate::sexpr::ScalarExpr;
 use crate::sql::OrderBy;
-use lawsdb_storage::{Column, DataType, Field, Schema, Table, Value};
+use lawsdb_storage::{Field, Schema, Table, Value};
 
 /// The partial aggregate of one shard, or of several merged: its groups,
 /// each carrying its *global* first-occurrence row.
@@ -107,39 +107,11 @@ pub fn assemble_partials(
     }
     for (ai, a) in aggs.iter().enumerate() {
         let values: Vec<Value> = part.accs.iter().map(|g| g[ai].finish(a.func)).collect();
-        let col = column_from_values(&values);
-        fields.push(Field::nullable(a.name.clone(), col.data_type()));
+        let (field, col) = aggregate_column(schema, a, &values);
+        fields.push(field);
         cols.push(col);
     }
     Ok(Table::new("result", Schema::new(fields), cols)?)
-}
-
-/// Build a column of a known type from dynamic values — the same shape
-/// `Column::take` over the source column would produce, so assembled
-/// key columns match the single engine's bit for bit.
-fn column_from_typed(dtype: DataType, values: &[Value]) -> Column {
-    match dtype {
-        DataType::Int64 => Column::from_i64_opt(values.iter().map(|v| v.as_i64()).collect()),
-        DataType::Float64 => {
-            let mut col = Column::from_f64_opt(values.iter().map(|v| v.as_f64()).collect());
-            mark_nulls(&mut col, values);
-            col
-        }
-        DataType::Str => {
-            let data: Vec<String> =
-                values.iter().map(|v| v.as_str().unwrap_or("").to_string()).collect();
-            let mut col = Column::from_str(data);
-            mark_nulls(&mut col, values);
-            col
-        }
-        DataType::Bool => {
-            let data: Vec<bool> =
-                values.iter().map(|v| matches!(v, Value::Bool(true))).collect();
-            let mut col = Column::from_bool(&data);
-            mark_nulls(&mut col, values);
-            col
-        }
-    }
 }
 
 /// The engine's ORDER BY (NULLs last, stable), exposed for the

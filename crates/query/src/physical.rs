@@ -8,8 +8,8 @@
 //! additionally:
 //!
 //! - walks the table synopsis zone-by-zone to build an [`AccessPlan`]
-//!   (how many zones will be skipped outright, answered wholesale from
-//!   compressed-domain bounds, or evaluated row-at-a-time), pricing
+//!   (how many zones will be skipped outright, accepted wholesale from
+//!   their bounds, or evaluated row-at-a-time), pricing
 //!   exact page scans against the accept/skip paths the pruner exposes;
 //! - reorders AND-connected conjuncts most-selective-first (stable on
 //!   ties), so the executor's short-circuit evaluation drops rows as
@@ -53,7 +53,7 @@ pub struct Estimate {
 pub struct AccessPlan {
     /// Zone-aligned chunks the executor will evaluate row-at-a-time.
     pub zones_eval: usize,
-    /// Chunks taken wholesale from compressed-domain bounds.
+    /// Chunks accepted wholesale from their bounds.
     pub zones_accept: usize,
     /// Chunks skipped by exact write-time zone maps.
     pub zones_skip_data: usize,

@@ -14,11 +14,11 @@
 //! evaluates TRUE for a NULL or NaN operand — a skipped zone never
 //! loses a row the filter would have kept.
 //!
-//! Three tiers share this path (see DESIGN.md §10): exact write-time
-//! zones ([`ZoneSource::Data`]), model-derived `prediction ± residual`
-//! zones ([`ZoneSource::Model`]), and constant zones whose single
-//! comparison decides every row at once (the in-memory analogue of the
-//! compressed-domain kernels in `lawsdb_storage::compress`).
+//! Two synopsis tiers share this path (see DESIGN.md §10): exact
+//! write-time zones ([`ZoneSource::Data`]) and model-derived
+//! `prediction ± residual` zones ([`ZoneSource::Model`]). Both skip
+//! zones; a data zone whose bounds prove every row satisfies every
+//! conjunct is also accepted wholesale, with no row evaluated.
 
 use crate::sexpr::ScalarExpr;
 use lawsdb_expr::ast::CmpOp;
@@ -36,12 +36,11 @@ pub struct ScanStats {
     pub pages_pruned_zonemap: usize,
     /// Zones skipped by model-derived `prediction ± residual` bounds.
     pub pages_pruned_model: usize,
-    /// Zones answered wholesale from the synopsis (constant zones, or
-    /// non-constant zones whose interval plus NULL/NaN-freedom
-    /// certificate proves every row satisfies the predicate — see
-    /// [`lawsdb_storage::zonemap::ZoneEntry::satisfies_all`]) or a
-    /// compressed-domain kernel, without per-row predicate evaluation.
-    pub pages_compressed_eval: usize,
+    /// Zones accepted wholesale: their bounds plus NULL/NaN-freedom
+    /// certificate prove every row satisfies the predicate (see
+    /// [`lawsdb_storage::zonemap::ZoneEntry::satisfies_all`]), so no
+    /// row is evaluated.
+    pub zones_accepted: usize,
     /// Zones whose aggregate partials were folded straight out of the
     /// materialized zone synopsis: zero page reads, zero per-row work.
     pub zones_agg_synopsis: usize,
@@ -55,7 +54,7 @@ impl ScanStats {
             pages_total: self.pages_total - earlier.pages_total,
             pages_pruned_zonemap: self.pages_pruned_zonemap - earlier.pages_pruned_zonemap,
             pages_pruned_model: self.pages_pruned_model - earlier.pages_pruned_model,
-            pages_compressed_eval: self.pages_compressed_eval - earlier.pages_compressed_eval,
+            zones_accepted: self.zones_accepted - earlier.zones_accepted,
             zones_agg_synopsis: self.zones_agg_synopsis - earlier.zones_agg_synopsis,
         }
     }
@@ -82,7 +81,7 @@ pub struct ScanStatsCollector {
     total: Arc<Counter>,
     zonemap: Arc<Counter>,
     model: Arc<Counter>,
-    compressed: Arc<Counter>,
+    accepted: Arc<Counter>,
     agg_synopsis: Arc<Counter>,
 }
 
@@ -100,7 +99,7 @@ impl ScanStatsCollector {
             total: registry.counter("lawsdb_query_pages_total"),
             zonemap: registry.counter("lawsdb_query_pages_pruned_zonemap"),
             model: registry.counter("lawsdb_query_pages_pruned_model"),
-            compressed: registry.counter("lawsdb_query_pages_compressed_eval"),
+            accepted: registry.counter("lawsdb_query_zones_accepted"),
             agg_synopsis: registry.counter("lawsdb_query_zones_agg_synopsis"),
         }
     }
@@ -110,7 +109,7 @@ impl ScanStatsCollector {
         self.total.add(s.pages_total as u64);
         self.zonemap.add(s.pages_pruned_zonemap as u64);
         self.model.add(s.pages_pruned_model as u64);
-        self.compressed.add(s.pages_compressed_eval as u64);
+        self.accepted.add(s.zones_accepted as u64);
         self.agg_synopsis.add(s.zones_agg_synopsis as u64);
     }
 
@@ -120,7 +119,7 @@ impl ScanStatsCollector {
             pages_total: self.total.get() as usize,
             pages_pruned_zonemap: self.zonemap.get() as usize,
             pages_pruned_model: self.model.get() as usize,
-            pages_compressed_eval: self.compressed.get() as usize,
+            zones_accepted: self.accepted.get() as usize,
             zones_agg_synopsis: self.agg_synopsis.get() as usize,
         }
     }
@@ -266,7 +265,7 @@ impl PruningPredicate {
             match d {
                 ZoneDecision::Skip(ZoneSource::Data) => stats.pages_pruned_zonemap += 1,
                 ZoneDecision::Skip(ZoneSource::Model) => stats.pages_pruned_model += 1,
-                ZoneDecision::AcceptAll => stats.pages_compressed_eval += 1,
+                ZoneDecision::AcceptAll => stats.zones_accepted += 1,
                 ZoneDecision::Eval => {}
             }
             match out.last_mut() {
@@ -422,7 +421,7 @@ mod tests {
         );
         assert_eq!(stats.pages_total, 3);
         assert_eq!(stats.pages_pruned_zonemap, 2);
-        assert_eq!(stats.pages_compressed_eval, 1);
+        assert_eq!(stats.zones_accepted, 1);
         // Unaligned sub-range: decisions still per zone-aligned chunk.
         let mut s2 = ScanStats::default();
         let chunks = p.plan_range(&syn, 4, 2, 8, &mut s2);
@@ -441,7 +440,7 @@ mod tests {
                         pages_total: 10,
                         pages_pruned_zonemap: 3,
                         pages_pruned_model: 2,
-                        pages_compressed_eval: 1,
+                        zones_accepted: 1,
                         zones_agg_synopsis: 5,
                     })
                 });
@@ -450,7 +449,7 @@ mod tests {
         let snap = c.snapshot();
         assert_eq!(snap.pages_total, 40);
         assert_eq!(snap.pages_pruned(), 20);
-        assert_eq!(snap.pages_compressed_eval, 4);
+        assert_eq!(snap.zones_accepted, 4);
         assert_eq!(snap.zones_agg_synopsis, 20);
     }
 

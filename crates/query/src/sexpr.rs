@@ -34,15 +34,6 @@ impl PredMask {
         }
     }
 
-    /// Wrap an all-known truth bitmap. Compressed-domain kernels
-    /// (`lawsdb_storage::compress::*::eval_cmp`) produce these:
-    /// comparisons over stored, non-null encoded values are never
-    /// UNKNOWN.
-    pub fn from_truth(truth: Bitmap) -> PredMask {
-        let known = Bitmap::filled(truth.len(), true);
-        PredMask { truth, known }
-    }
-
     /// Build from per-row three-valued results.
     pub fn from_options(vals: &[Option<bool>]) -> PredMask {
         PredMask {

@@ -2,9 +2,9 @@
 //!
 //! Three layers, kept distinct on purpose:
 //!
-//! * [`ProtocolError`] — a byte stream that is not a well-formed frame.
-//!   Pure data (`Clone + PartialEq`), produced only by decoding, so the
-//!   proptest corruption suite can assert on exact variants.
+//! * [`ProtocolError`] — a byte stream that is not a well-formed frame,
+//!   or a peer speaking another protocol version. Pure data
+//!   (`Clone + PartialEq`), produced only by framing and decoding.
 //! * [`TransportError`] — a protocol error *or* an IO failure while
 //!   moving frames; what the framed read/write functions return.
 //! * [`WireError`] — the failure vocabulary that crosses the wire:
@@ -12,42 +12,18 @@
 //!   (with stable kind names), protocol violations, server faults.
 
 use lawsdb_query::QueryError;
+use lawsdb_storage::StorageError;
 use std::fmt;
 
-/// A malformed frame. Every variant is a refusal, never a panic.
+/// A malformed frame or a refused handshake. Every variant is a
+/// refusal, never a panic.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ProtocolError {
-    /// The payload ended before a field it promised.
-    Truncated {
-        /// Bytes the next field needed.
-        needed: usize,
-        /// Bytes actually left.
-        available: usize,
-    },
-    /// A claimed length no valid frame could carry.
-    Oversized {
-        /// Which field made the claim.
-        what: &'static str,
-        /// The claimed size.
-        claimed: u64,
-    },
-    /// An unknown discriminant byte.
-    BadTag {
-        /// Which field was being decoded.
-        context: &'static str,
-        /// The byte found.
-        tag: u8,
-    },
-    /// A string field was not valid UTF-8.
-    BadUtf8,
-    /// Bytes left over after a complete frame body.
-    TrailingBytes {
-        /// How many.
-        count: usize,
-    },
-    /// A decoded table failed the engine's shape validation.
-    BadTable {
-        /// The storage layer's explanation.
+    /// Bytes that are not a frame: a truncated or oversized frame, an
+    /// unknown tag, bad UTF-8, an implausible count, trailing bytes or
+    /// an inconsistent table — the decoding cursor's message.
+    Corrupt {
+        /// What was wrong.
         detail: String,
     },
     /// The client spoke a different protocol version.
@@ -62,20 +38,7 @@ pub enum ProtocolError {
 impl fmt::Display for ProtocolError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            ProtocolError::Truncated { needed, available } => {
-                write!(f, "truncated frame: needed {needed} bytes, {available} available")
-            }
-            ProtocolError::Oversized { what, claimed } => {
-                write!(f, "oversized claim: {what} = {claimed}")
-            }
-            ProtocolError::BadTag { context, tag } => {
-                write!(f, "bad {context} tag 0x{tag:02X}")
-            }
-            ProtocolError::BadUtf8 => write!(f, "string field is not valid UTF-8"),
-            ProtocolError::TrailingBytes { count } => {
-                write!(f, "{count} trailing bytes after frame body")
-            }
-            ProtocolError::BadTable { detail } => write!(f, "malformed table: {detail}"),
+            ProtocolError::Corrupt { detail } => write!(f, "malformed frame: {detail}"),
             ProtocolError::VersionMismatch { client, server } => {
                 write!(f, "protocol version mismatch: client {client}, server {server}")
             }
@@ -84,6 +47,16 @@ impl fmt::Display for ProtocolError {
 }
 
 impl std::error::Error for ProtocolError {}
+
+impl From<StorageError> for ProtocolError {
+    fn from(e: StorageError) -> ProtocolError {
+        let detail = match e {
+            StorageError::CorruptData { detail, .. } => detail,
+            other => other.to_string(),
+        };
+        ProtocolError::Corrupt { detail }
+    }
+}
 
 /// A failure while moving frames over a stream.
 #[derive(Debug)]

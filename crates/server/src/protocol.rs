@@ -5,30 +5,33 @@
 //! is the frame tag, the rest is the tag-specific body. Integers are
 //! little-endian, floats are IEEE-754 bit patterns, strings are
 //! `u32 length + UTF-8 bytes`, options are a one-byte presence flag,
-//! vectors are `u32 count + elements`.
+//! vectors are `u32 count + elements`. A result table is its name, then
+//! per column the field the WAL directory also writes
+//! ([`lawsdb_storage::codec::put_field`]) and the column in the store's
+//! own layout ([`lawsdb_storage::page::put_column`]).
 //!
-//! Decoding is *total*: [`Frame::decode`] consumes an untrusted byte
-//! slice and returns a structured [`ProtocolError`] on any malformed
-//! input — truncation, unknown tags, bad UTF-8, inconsistent table
-//! shapes, oversized claims — and never panics or over-allocates
-//! (every claimed length is checked against the bytes actually
-//! present before any allocation). The proptest suite in
-//! `tests/protocol_proptest.rs` pins both directions: encode∘decode is
-//! the identity for every frame type, and decode survives random,
-//! truncated and bit-flipped streams.
+//! Decoding is *total*: [`Frame::decode`] reads an untrusted byte slice
+//! through the storage layer's one bounds-checked cursor
+//! ([`lawsdb_storage::codec::Reader`]), which checks every claimed
+//! length against the bytes actually present before allocating, and
+//! returns [`ProtocolError::Corrupt`] on any malformed input — it never
+//! panics or over-allocates. The root `tests/hostile_bytes.rs` driver
+//! feeds it, with every other decoder, seeded hostile bytes.
 
 use crate::error::{ProtocolError, TransportError, WireError};
 use lawsdb_obs::{FieldValue, FlightRecord, TraceNode};
-use lawsdb_storage::bitmap::Bitmap;
-use lawsdb_storage::{Column, DataType, Field, Schema, Table};
+use lawsdb_storage::codec::{put_field, put_str, Reader};
+use lawsdb_storage::{page, Schema, StorageError, Table};
 use std::io::{Read, Write};
 
-/// The one protocol version this build speaks. Version 2 added query
-/// ids, the `Query` trace flag, the trace tree on `ResultSet`, and the
-/// `SlowLog` request. There is no negotiation: a [`Frame::Hello`]
-/// naming any other version is answered with a structured
-/// `VersionMismatch` protocol error and the session is closed.
-pub const PROTOCOL_VERSION: u32 = 2;
+type Result<T, E = StorageError> = std::result::Result<T, E>;
+
+/// The one protocol version this build speaks. Version 3 carries result
+/// columns in the store's column layout. There is no negotiation: a
+/// [`Frame::Hello`] naming any other version is answered with a
+/// structured `VersionMismatch` protocol error and the session is
+/// closed.
+pub const PROTOCOL_VERSION: u32 = 3;
 
 /// Decode-side cap on trace-tree nesting; deeper claims are rejected
 /// (a real profile nests plan depth + a few cluster levels, nowhere
@@ -38,10 +41,6 @@ pub const MAX_TRACE_DEPTH: usize = 64;
 /// Hard cap on a single frame's payload. Larger claims are rejected
 /// before any allocation happens.
 pub const MAX_FRAME_BYTES: usize = 64 << 20;
-
-/// Cap on columns in a wire-encoded table (a decode-side sanity bound;
-/// the engine never produces result sets remotely this wide).
-const MAX_WIRE_COLUMNS: u64 = 4096;
 
 /// How a [`Frame::Query`] should be executed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -83,14 +82,14 @@ impl QueryMode {
         }
     }
 
-    fn from_tag(tag: u8) -> Result<QueryMode, ProtocolError> {
-        match tag {
+    fn read(r: &mut Reader<'_>) -> Result<QueryMode> {
+        match r.u8()? {
             0 => Ok(QueryMode::Exact),
             1 => Ok(QueryMode::Resilient),
             2 => Ok(QueryMode::Adaptive),
             3 => Ok(QueryMode::Explain),
             4 => Ok(QueryMode::Cluster),
-            _ => Err(ProtocolError::BadTag { context: "query mode", tag }),
+            tag => Err(r.corrupt(format!("unknown query mode tag {tag}"))),
         }
     }
 }
@@ -144,8 +143,8 @@ pub struct WireResult {
     pub service_us: u64,
     /// Time spent waiting in the admission queue, microseconds.
     pub queue_us: u64,
-    /// Server-minted query id (v2; 0 when the peer spoke v1). Links
-    /// this result to histogram exemplars and the slow-query log.
+    /// Server-minted query id. Links this result to histogram
+    /// exemplars and the slow-query log.
     pub query_id: u64,
     /// The full distributed trace, present when the query asked for one.
     pub trace: Option<TraceNode>,
@@ -246,166 +245,50 @@ fn put_u64(out: &mut Vec<u8>, v: u64) {
     out.extend_from_slice(&v.to_le_bytes());
 }
 
-fn put_str(out: &mut Vec<u8>, s: &str) {
-    put_u32(out, s.len() as u32);
-    out.extend_from_slice(s.as_bytes());
-}
-
-fn put_bool(out: &mut Vec<u8>, v: bool) {
-    out.push(v as u8);
-}
-
-fn put_opt_u32(out: &mut Vec<u8>, v: Option<u32>) {
-    match v {
-        Some(v) => {
-            out.push(1);
-            put_u32(out, v);
-        }
-        None => out.push(0),
+fn put_opt<T>(out: &mut Vec<u8>, v: Option<T>, put: impl FnOnce(&mut Vec<u8>, T)) {
+    out.push(v.is_some() as u8);
+    if let Some(v) = v {
+        put(out, v);
     }
 }
 
-fn put_opt_u64(out: &mut Vec<u8>, v: Option<u64>) {
-    match v {
-        Some(v) => {
-            out.push(1);
-            put_u64(out, v);
-        }
-        None => out.push(0),
+fn put_list<T>(out: &mut Vec<u8>, items: &[T], put: impl Fn(&mut Vec<u8>, &T)) {
+    put_u32(out, items.len() as u32);
+    for item in items {
+        put(out, item);
     }
 }
 
-fn put_opt_bool(out: &mut Vec<u8>, v: Option<bool>) {
-    match v {
-        Some(v) => {
-            out.push(1);
-            put_bool(out, v);
-        }
-        None => out.push(0),
-    }
+/// A `u32`-counted list whose elements each take at least `min_bytes`.
+fn read_list<T>(
+    r: &mut Reader<'_>,
+    min_bytes: usize,
+    what: &str,
+    mut read: impl FnMut(&mut Reader<'_>) -> Result<T>,
+) -> Result<Vec<T>> {
+    (0..r.count(min_bytes, what)?).map(|_| read(r)).collect()
 }
 
-fn put_opt_f64(out: &mut Vec<u8>, v: Option<f64>) {
-    match v {
-        Some(v) => {
-            out.push(1);
-            put_u64(out, v.to_bits());
-        }
-        None => out.push(0),
-    }
-}
-
-fn put_bitmap(out: &mut Vec<u8>, bits: &Bitmap, len: usize) {
-    let mut byte = 0u8;
-    for i in 0..len {
-        if bits.get(i) {
-            byte |= 1 << (i % 8);
-        }
-        if i % 8 == 7 {
-            out.push(byte);
-            byte = 0;
-        }
-    }
-    if !len.is_multiple_of(8) {
-        out.push(byte);
-    }
-}
-
-/// Bounds-checked reader over a fully-buffered frame payload. Every
-/// accessor returns [`ProtocolError::Truncated`] instead of reading
-/// past the end, so no combination of claimed lengths can panic.
-struct Reader<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Reader<'a> {
-    fn new(buf: &'a [u8]) -> Reader<'a> {
-        Reader { buf, pos: 0 }
-    }
-
-    fn remaining(&self) -> usize {
-        self.buf.len() - self.pos
-    }
-
-    fn bytes(&mut self, n: usize) -> Result<&'a [u8], ProtocolError> {
-        if self.remaining() < n {
-            return Err(ProtocolError::Truncated { needed: n, available: self.remaining() });
-        }
-        let s = &self.buf[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(s)
-    }
-
-    fn u8(&mut self) -> Result<u8, ProtocolError> {
-        Ok(self.bytes(1)?[0])
-    }
-
-    fn u32(&mut self) -> Result<u32, ProtocolError> {
-        let b = self.bytes(4)?;
-        Ok(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
-    }
-
-    fn u64(&mut self) -> Result<u64, ProtocolError> {
-        let b = self.bytes(8)?;
-        Ok(u64::from_le_bytes([b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7]]))
-    }
-
-    fn f64(&mut self) -> Result<f64, ProtocolError> {
-        Ok(f64::from_bits(self.u64()?))
-    }
-
-    fn bool_(&mut self) -> Result<bool, ProtocolError> {
-        match self.u8()? {
-            0 => Ok(false),
-            1 => Ok(true),
-            tag => Err(ProtocolError::BadTag { context: "bool", tag }),
-        }
-    }
-
-    fn str_(&mut self) -> Result<String, ProtocolError> {
-        let len = self.u32()? as usize;
-        let bytes = self.bytes(len)?;
-        String::from_utf8(bytes.to_vec()).map_err(|_| ProtocolError::BadUtf8)
-    }
-
-    fn opt<T>(
-        &mut self,
-        read: impl FnOnce(&mut Self) -> Result<T, ProtocolError>,
-    ) -> Result<Option<T>, ProtocolError> {
-        match self.u8()? {
-            0 => Ok(None),
-            1 => Ok(Some(read(self)?)),
-            tag => Err(ProtocolError::BadTag { context: "option flag", tag }),
-        }
-    }
-
-    fn bitmap(&mut self, rows: usize) -> Result<Bitmap, ProtocolError> {
-        let bytes = self.bytes(rows.div_ceil(8))?;
-        let mut bm = Bitmap::new();
-        for i in 0..rows {
-            bm.push(bytes[i / 8] & (1 << (i % 8)) != 0);
-        }
-        Ok(bm)
-    }
+fn read_str(r: &mut Reader<'_>) -> Result<String> {
+    r.str_u32("string")
 }
 
 // ---- session options ----------------------------------------------
 
 fn put_options(out: &mut Vec<u8>, o: &SessionOptions) {
-    put_opt_u32(out, o.threads);
-    put_opt_u32(out, o.morsel_rows);
-    put_opt_bool(out, o.pruning);
-    put_opt_u64(out, o.deadline_ms);
-    put_opt_u64(out, o.memory_bytes);
-    put_opt_u64(out, o.max_rows);
+    put_opt(out, o.threads, put_u32);
+    put_opt(out, o.morsel_rows, put_u32);
+    put_opt(out, o.pruning, |out, v| out.push(v as u8));
+    put_opt(out, o.deadline_ms, put_u64);
+    put_opt(out, o.memory_bytes, put_u64);
+    put_opt(out, o.max_rows, put_u64);
 }
 
-fn read_options(r: &mut Reader<'_>) -> Result<SessionOptions, ProtocolError> {
+fn read_options(r: &mut Reader<'_>) -> Result<SessionOptions> {
     Ok(SessionOptions {
         threads: r.opt(Reader::u32)?,
         morsel_rows: r.opt(Reader::u32)?,
-        pruning: r.opt(Reader::bool_)?,
+        pruning: r.opt(Reader::bool)?,
         deadline_ms: r.opt(Reader::u64)?,
         memory_bytes: r.opt(Reader::u64)?,
         max_rows: r.opt(Reader::u64)?,
@@ -414,116 +297,29 @@ fn read_options(r: &mut Reader<'_>) -> Result<SessionOptions, ProtocolError> {
 
 // ---- table --------------------------------------------------------
 
-fn column_type_tag(c: &Column) -> u8 {
-    match c {
-        Column::Int64 { .. } => 0,
-        Column::Float64 { .. } => 1,
-        Column::Str { .. } => 2,
-        Column::Bool { .. } => 3,
-    }
-}
+/// The fewest bytes a column takes: an empty name, its type tag and
+/// nullable byte, then the column layout's header.
+const MIN_COLUMN_BYTES: usize = 4 + 2 + page::HEADER_BYTES;
 
+/// The table name, then per column its field and its bytes in the
+/// store's column layout, written straight into `out`.
 fn put_table(out: &mut Vec<u8>, t: &Table) {
     put_str(out, t.name());
     put_u32(out, t.columns().len() as u32);
-    put_u64(out, t.row_count() as u64);
-    let rows = t.row_count();
     for (field, col) in t.schema().fields().iter().zip(t.columns()) {
-        put_str(out, &field.name);
-        out.push(column_type_tag(col));
-        put_bool(out, field.nullable);
-        put_bitmap(out, col.validity(), rows);
-        match col {
-            Column::Int64 { data, .. } => {
-                for &v in data.iter() {
-                    put_u64(out, v as u64);
-                }
-            }
-            Column::Float64 { data, .. } => {
-                for &v in data.iter() {
-                    put_u64(out, v.to_bits());
-                }
-            }
-            Column::Str { data, .. } => {
-                for v in data.iter() {
-                    put_str(out, v);
-                }
-            }
-            Column::Bool { data, .. } => put_bitmap(out, data, rows),
-        }
+        put_field(out, field);
+        page::put_column(out, col);
     }
 }
 
-fn read_table(r: &mut Reader<'_>) -> Result<Table, ProtocolError> {
-    let name = r.str_()?;
-    let ncols = r.u32()? as u64;
-    let nrows64 = r.u64()?;
-    if ncols > MAX_WIRE_COLUMNS {
-        return Err(ProtocolError::Oversized { what: "table columns", claimed: ncols });
-    }
-    // A row needs at least one validity bit on the wire, so any claim
-    // beyond 8× the remaining bytes is provably bogus — reject before
-    // looping, let alone allocating.
-    if nrows64 > (r.remaining() as u64).saturating_mul(8).max(1) {
-        return Err(ProtocolError::Oversized { what: "table rows", claimed: nrows64 });
-    }
-    let nrows = nrows64 as usize;
-    let mut fields = Vec::new();
-    let mut columns = Vec::new();
-    for _ in 0..ncols {
-        let fname = r.str_()?;
-        let tag = r.u8()?;
-        let nullable = r.bool_()?;
-        let validity = r.bitmap(nrows)?;
-        let (dtype, col) = match tag {
-            0 => {
-                let raw = r.bytes(nrows.checked_mul(8).ok_or(ProtocolError::Oversized {
-                    what: "int column bytes",
-                    claimed: nrows64,
-                })?)?;
-                let data: Vec<i64> = raw
-                    .chunks_exact(8)
-                    .map(|b| i64::from_le_bytes([b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7]]))
-                    .collect();
-                (DataType::Int64, Column::Int64 { data: data.into(), validity })
-            }
-            1 => {
-                let raw = r.bytes(nrows.checked_mul(8).ok_or(ProtocolError::Oversized {
-                    what: "float column bytes",
-                    claimed: nrows64,
-                })?)?;
-                let data: Vec<f64> = raw
-                    .chunks_exact(8)
-                    .map(|b| {
-                        f64::from_bits(u64::from_le_bytes([
-                            b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7],
-                        ]))
-                    })
-                    .collect();
-                (DataType::Float64, Column::Float64 { data: data.into(), validity })
-            }
-            2 => {
-                let mut data = Vec::new();
-                for _ in 0..nrows {
-                    data.push(r.str_()?);
-                }
-                (DataType::Str, Column::Str { data: data.into(), validity })
-            }
-            3 => {
-                let data = r.bitmap(nrows)?;
-                (DataType::Bool, Column::Bool { data, validity })
-            }
-            tag => return Err(ProtocolError::BadTag { context: "column type", tag }),
-        };
-        fields.push(if nullable {
-            Field::nullable(fname, dtype)
-        } else {
-            Field::new(fname, dtype)
-        });
-        columns.push(col);
+fn read_table(r: &mut Reader<'_>) -> Result<Table> {
+    let name = r.str_u32("table name")?;
+    let (mut fields, mut columns) = (Vec::new(), Vec::new());
+    for _ in 0..r.count(MIN_COLUMN_BYTES, "column")? {
+        fields.push(r.field()?);
+        columns.push(page::read_column(r)?);
     }
     Table::new(name, Schema::new(fields), columns)
-        .map_err(|e| ProtocolError::BadTable { detail: e.to_string() })
 }
 
 // ---- trace trees and flight records -------------------------------
@@ -544,7 +340,7 @@ fn put_field_value(out: &mut Vec<u8>, v: &FieldValue) {
         }
         FieldValue::Bool(x) => {
             out.push(3);
-            put_bool(out, *x);
+            out.push(*x as u8);
         }
         FieldValue::Str(x) => {
             out.push(4);
@@ -553,64 +349,49 @@ fn put_field_value(out: &mut Vec<u8>, v: &FieldValue) {
     }
 }
 
-fn read_field_value(r: &mut Reader<'_>) -> Result<FieldValue, ProtocolError> {
+fn read_field_value(r: &mut Reader<'_>) -> Result<FieldValue> {
     match r.u8()? {
         0 => Ok(FieldValue::U64(r.u64()?)),
-        1 => Ok(FieldValue::I64(r.u64()? as i64)),
+        1 => Ok(FieldValue::I64(r.i64()?)),
         2 => Ok(FieldValue::F64(r.f64()?)),
-        3 => Ok(FieldValue::Bool(r.bool_()?)),
-        4 => Ok(FieldValue::Str(r.str_()?)),
-        tag => Err(ProtocolError::BadTag { context: "field value", tag }),
+        3 => Ok(FieldValue::Bool(r.bool()?)),
+        4 => Ok(FieldValue::Str(read_str(r)?)),
+        tag => Err(r.corrupt(format!("unknown field value tag {tag}"))),
     }
 }
 
 fn put_trace_node(out: &mut Vec<u8>, n: &TraceNode) {
     put_str(out, &n.name);
     put_u64(out, n.start_us);
-    put_opt_u64(out, n.duration_us);
-    put_opt_u64(out, n.index);
-    put_u32(out, n.fields.len() as u32);
-    for (k, v) in &n.fields {
+    put_opt(out, n.duration_us, put_u64);
+    put_opt(out, n.index, put_u64);
+    put_list(out, &n.fields, |out, (k, v)| {
         put_str(out, k);
         put_field_value(out, v);
-    }
-    put_u32(out, n.children.len() as u32);
-    for c in &n.children {
-        put_trace_node(out, c);
-    }
+    });
+    put_list(out, &n.children, put_trace_node);
 }
 
-fn read_trace_node(r: &mut Reader<'_>, depth: usize) -> Result<TraceNode, ProtocolError> {
+fn read_trace_node(r: &mut Reader<'_>, depth: usize) -> Result<TraceNode> {
     if depth > MAX_TRACE_DEPTH {
-        return Err(ProtocolError::Oversized { what: "trace depth", claimed: depth as u64 });
+        return Err(r.corrupt(format!("trace nested deeper than {MAX_TRACE_DEPTH}")));
     }
-    let name = r.str_()?;
-    let start_us = r.u64()?;
-    let duration_us = r.opt(Reader::u64)?;
-    let index = r.opt(Reader::u64)?;
-    let nfields = r.u32()? as usize;
-    // A field needs at least a length + tag on the wire; any claim
-    // beyond the remaining bytes is bogus — reject before allocating.
-    if nfields > r.remaining() {
-        return Err(ProtocolError::Oversized { what: "trace fields", claimed: nfields as u64 });
-    }
-    let mut fields = Vec::with_capacity(nfields);
-    for _ in 0..nfields {
-        let k = r.str_()?;
-        fields.push((k, read_field_value(r)?));
-    }
-    let nchildren = r.u32()? as usize;
-    if nchildren > r.remaining() {
-        return Err(ProtocolError::Oversized {
-            what: "trace children",
-            claimed: nchildren as u64,
-        });
-    }
-    let mut children = Vec::with_capacity(nchildren);
-    for _ in 0..nchildren {
-        children.push(read_trace_node(r, depth + 1)?);
-    }
-    Ok(TraceNode { name, start_us, duration_us, index, fields, children })
+    Ok(TraceNode {
+        name: read_str(r)?,
+        start_us: r.u64()?,
+        duration_us: r.opt(Reader::u64)?,
+        index: r.opt(Reader::u64)?,
+        // A field is at least a key length and a value tag + byte.
+        fields: read_list(r, 6, "trace field", |r| Ok((read_str(r)?, read_field_value(r)?)))?,
+        // A node is at least a name length, a start, two flags and two
+        // counts.
+        children: read_list(r, 22, "trace child", |r| read_trace_node(r, depth + 1))?,
+    })
+}
+
+/// The trace tail of a result body: a presence byte, then the tree.
+pub(crate) fn put_trace_tail(out: &mut Vec<u8>, trace: Option<&TraceNode>) {
+    put_opt(out, trace, put_trace_node);
 }
 
 fn put_flight_record(out: &mut Vec<u8>, rec: &FlightRecord) {
@@ -618,110 +399,59 @@ fn put_flight_record(out: &mut Vec<u8>, rec: &FlightRecord) {
     put_str(out, &rec.sql);
     put_str(out, &rec.mode);
     put_u64(out, rec.total_us);
-    match &rec.error {
-        Some(e) => {
-            out.push(1);
-            put_str(out, e);
-        }
-        None => out.push(0),
-    }
-    put_u32(out, rec.layers.len() as u32);
-    for (layer, us) in &rec.layers {
+    put_opt(out, rec.error.as_deref(), put_str);
+    put_list(out, &rec.layers, |out, (layer, us)| {
         put_str(out, layer);
         put_u64(out, *us);
-    }
+    });
     put_str(out, &rec.dominant_layer);
     put_u64(out, rec.dominant_us);
-    match &rec.trace {
-        Some(t) => {
-            out.push(1);
-            put_trace_node(out, t);
-        }
-        None => out.push(0),
-    }
+    put_trace_tail(out, rec.trace.as_ref());
 }
 
-fn read_flight_record(r: &mut Reader<'_>) -> Result<FlightRecord, ProtocolError> {
-    let query_id = r.u64()?;
-    let sql = r.str_()?;
-    let mode = r.str_()?;
-    let total_us = r.u64()?;
-    let error = r.opt(Reader::str_)?;
-    let nlayers = r.u32()? as usize;
-    if nlayers > r.remaining() {
-        return Err(ProtocolError::Oversized { what: "layer list", claimed: nlayers as u64 });
-    }
-    let mut layers = Vec::with_capacity(nlayers);
-    for _ in 0..nlayers {
-        let layer = r.str_()?;
-        layers.push((layer, r.u64()?));
-    }
-    let dominant_layer = r.str_()?;
-    let dominant_us = r.u64()?;
-    let trace = r.opt(|r| read_trace_node(r, 0))?;
+fn read_flight_record(r: &mut Reader<'_>) -> Result<FlightRecord> {
     Ok(FlightRecord {
-        query_id,
-        sql,
-        mode,
-        total_us,
-        error,
-        layers,
-        dominant_layer,
-        dominant_us,
-        trace,
+        query_id: r.u64()?,
+        sql: read_str(r)?,
+        mode: read_str(r)?,
+        total_us: r.u64()?,
+        error: r.opt(read_str)?,
+        layers: read_list(r, 12, "layer", |r| Ok((read_str(r)?, r.u64()?)))?,
+        dominant_layer: read_str(r)?,
+        dominant_us: r.u64()?,
+        trace: r.opt(|r| read_trace_node(r, 0))?,
     })
 }
 
 // ---- results and errors -------------------------------------------
 
-fn put_result(out: &mut Vec<u8>, r: &WireResult) {
-    put_table(out, &r.table);
-    put_u64(out, r.rows_scanned);
-    put_bool(out, r.approximate);
-    put_opt_f64(out, r.error_bound);
-    put_u32(out, r.degraded.len() as u32);
-    for d in &r.degraded {
-        put_str(out, d);
-    }
-    put_u64(out, r.service_us);
-    put_u64(out, r.queue_us);
-    put_u64(out, r.query_id);
-    match &r.trace {
-        Some(t) => {
-            out.push(1);
-            put_trace_node(out, t);
-        }
-        None => out.push(0),
-    }
+/// A `ResultSet` payload up to, not including, its trace tail — what
+/// the session measures before it attaches the trace, which cannot
+/// contain the cost of encoding itself.
+pub(crate) fn encode_result_head(r: &WireResult) -> Vec<u8> {
+    let mut out = vec![0x82];
+    put_table(&mut out, &r.table);
+    put_u64(&mut out, r.rows_scanned);
+    out.push(r.approximate as u8);
+    put_opt(&mut out, r.error_bound, |out, v| put_u64(out, v.to_bits()));
+    put_list(&mut out, &r.degraded, |out, d| put_str(out, d));
+    put_u64(&mut out, r.service_us);
+    put_u64(&mut out, r.queue_us);
+    put_u64(&mut out, r.query_id);
+    out
 }
 
-fn read_result(r: &mut Reader<'_>) -> Result<WireResult, ProtocolError> {
-    let table = read_table(r)?;
-    let rows_scanned = r.u64()?;
-    let approximate = r.bool_()?;
-    let error_bound = r.opt(Reader::f64)?;
-    let n = r.u32()? as usize;
-    if n > r.remaining() {
-        return Err(ProtocolError::Oversized { what: "degraded list", claimed: n as u64 });
-    }
-    let mut degraded = Vec::with_capacity(n);
-    for _ in 0..n {
-        degraded.push(r.str_()?);
-    }
-    let service_us = r.u64()?;
-    let queue_us = r.u64()?;
-    let query_id = r.u64()?;
-    let trace = r.opt(|r| read_trace_node(r, 0))?;
+fn read_result(r: &mut Reader<'_>) -> Result<WireResult> {
     Ok(WireResult {
-        table,
-        rows_scanned,
-        approximate,
-        error_bound,
-        degraded,
-        service_us,
-        queue_us,
-        query_id,
-        trace,
+        table: read_table(r)?,
+        rows_scanned: r.u64()?,
+        approximate: r.bool()?,
+        error_bound: r.opt(Reader::f64)?,
+        degraded: read_list(r, 4, "degraded rung", read_str)?,
+        service_us: r.u64()?,
+        queue_us: r.u64()?,
+        query_id: r.u64()?,
+        trace: r.opt(|r| read_trace_node(r, 0))?,
     })
 }
 
@@ -759,7 +489,7 @@ fn put_wire_error(out: &mut Vec<u8>, e: &WireError) {
     }
 }
 
-fn read_wire_error(r: &mut Reader<'_>) -> Result<WireError, ProtocolError> {
+fn read_wire_error(r: &mut Reader<'_>) -> Result<WireError> {
     match r.u8()? {
         0 => Ok(WireError::Rejected {
             active: r.u32()?,
@@ -768,10 +498,10 @@ fn read_wire_error(r: &mut Reader<'_>) -> Result<WireError, ProtocolError> {
         }),
         1 => Ok(WireError::QueueTimeout { waited_ms: r.u64()?, budget_ms: r.u64()? }),
         2 => Ok(WireError::SessionLimit { active: r.u32()?, max: r.u32()? }),
-        3 => Ok(WireError::Query { kind: r.str_()?, detail: r.str_()? }),
-        4 => Ok(WireError::Protocol { detail: r.str_()? }),
-        5 => Ok(WireError::Server { detail: r.str_()? }),
-        tag => Err(ProtocolError::BadTag { context: "error kind", tag }),
+        3 => Ok(WireError::Query { kind: read_str(r)?, detail: read_str(r)? }),
+        4 => Ok(WireError::Protocol { detail: read_str(r)? }),
+        5 => Ok(WireError::Server { detail: read_str(r)? }),
+        tag => Err(r.corrupt(format!("unknown error kind tag {tag}"))),
     }
 }
 
@@ -791,7 +521,7 @@ impl Frame {
                 out.push(0x02);
                 out.push(mode.tag());
                 put_str(&mut out, sql);
-                put_bool(&mut out, *trace);
+                out.push(*trace as u8);
             }
             Frame::SetOptions { options } => {
                 out.push(0x03);
@@ -819,8 +549,8 @@ impl Frame {
                 put_u32(&mut out, *protocol_version);
             }
             Frame::ResultSet(r) => {
-                out.push(0x82);
-                put_result(&mut out, r);
+                out = encode_result_head(r);
+                put_trace_tail(&mut out, r.trace.as_ref());
             }
             Frame::Error(e) => {
                 out.push(0x83);
@@ -837,15 +567,12 @@ impl Frame {
             Frame::OptionsAck => out.push(0x86),
             Frame::CancelAck { delivered } => {
                 out.push(0x87);
-                put_bool(&mut out, *delivered);
+                out.push(*delivered as u8);
             }
             Frame::Goodbye => out.push(0x88),
             Frame::SlowLogReply { entries } => {
                 out.push(0x89);
-                put_u32(&mut out, entries.len() as u32);
-                for e in entries {
-                    put_flight_record(&mut out, e);
-                }
+                put_list(&mut out, entries, put_flight_record);
             }
         }
         out
@@ -855,84 +582,72 @@ impl Frame {
     /// two length prefixes). Total: returns a structured error on any
     /// malformed input, never panics, and rejects trailing garbage.
     pub fn decode(payload: &[u8]) -> Result<Frame, ProtocolError> {
-        let mut r = Reader::new(payload);
-        let tag = r.u8()?;
-        let frame = match tag {
-            0x01 => Frame::Hello { protocol_version: r.u32()?, options: read_options(&mut r)? },
-            0x02 => Frame::Query {
-                mode: QueryMode::from_tag(r.u8()?)?,
-                sql: r.str_()?,
-                trace: r.bool_()?,
-            },
-            0x03 => Frame::SetOptions { options: read_options(&mut r)? },
-            0x04 => Frame::Stats {
-                format: match r.u8()? {
-                    0 => StatsFormat::Prometheus,
-                    1 => StatsFormat::Json,
-                    tag => return Err(ProtocolError::BadTag { context: "stats format", tag }),
-                },
-            },
-            0x05 => Frame::Cancel { session: r.u64()? },
-            0x06 => Frame::Close,
-            0x07 => Frame::SlowLog { n: r.u32()? },
-            0x81 => Frame::HelloAck { session: r.u64()?, protocol_version: r.u32()? },
-            0x82 => Frame::ResultSet(Box::new(read_result(&mut r)?)),
-            0x83 => Frame::Error(read_wire_error(&mut r)?),
-            0x84 => Frame::StatsReply { text: r.str_()? },
-            0x85 => Frame::ExplainReply { text: r.str_()? },
-            0x86 => Frame::OptionsAck,
-            0x87 => Frame::CancelAck { delivered: r.bool_()? },
-            0x88 => Frame::Goodbye,
-            0x89 => {
-                let n = r.u32()? as usize;
-                if n > r.remaining() {
-                    return Err(ProtocolError::Oversized {
-                        what: "slowlog entries",
-                        claimed: n as u64,
-                    });
-                }
-                let mut entries = Vec::with_capacity(n);
-                for _ in 0..n {
-                    entries.push(read_flight_record(&mut r)?);
-                }
-                Frame::SlowLogReply { entries }
-            }
-            tag => return Err(ProtocolError::BadTag { context: "frame", tag }),
-        };
-        if r.remaining() != 0 {
-            return Err(ProtocolError::TrailingBytes { count: r.remaining() });
-        }
+        let mut r = Reader::new("wire", payload);
+        let frame = read_body(&mut r)?;
+        r.end()?;
         Ok(frame)
     }
 }
 
+fn read_body(r: &mut Reader<'_>) -> Result<Frame> {
+    Ok(match r.u8()? {
+        0x01 => Frame::Hello { protocol_version: r.u32()?, options: read_options(r)? },
+        0x02 => Frame::Query {
+            mode: QueryMode::read(r)?,
+            sql: read_str(r)?,
+            trace: r.bool()?,
+        },
+        0x03 => Frame::SetOptions { options: read_options(r)? },
+        0x04 => Frame::Stats {
+            format: match r.u8()? {
+                0 => StatsFormat::Prometheus,
+                1 => StatsFormat::Json,
+                tag => return Err(r.corrupt(format!("unknown stats format tag {tag}"))),
+            },
+        },
+        0x05 => Frame::Cancel { session: r.u64()? },
+        0x06 => Frame::Close,
+        0x07 => Frame::SlowLog { n: r.u32()? },
+        0x81 => Frame::HelloAck { session: r.u64()?, protocol_version: r.u32()? },
+        0x82 => Frame::ResultSet(Box::new(read_result(r)?)),
+        0x83 => Frame::Error(read_wire_error(r)?),
+        0x84 => Frame::StatsReply { text: read_str(r)? },
+        0x85 => Frame::ExplainReply { text: read_str(r)? },
+        0x86 => Frame::OptionsAck,
+        0x87 => Frame::CancelAck { delivered: r.bool()? },
+        0x88 => Frame::Goodbye,
+        // A record is at least three u64s, three string lengths, a list
+        // count and two option flags.
+        0x89 => {
+            Frame::SlowLogReply { entries: read_list(r, 42, "slowlog entry", read_flight_record)? }
+        }
+        tag => return Err(r.corrupt(format!("unknown frame tag 0x{tag:02X}"))),
+    })
+}
+
 /// Write one length-prefixed frame.
 pub fn write_frame<W: Write>(w: &mut W, frame: &Frame) -> Result<(), TransportError> {
-    let payload = frame.encode();
+    write_payload(w, &frame.encode())
+}
+
+/// Write one already-encoded frame payload behind its length prefix.
+pub(crate) fn write_payload<W: Write>(w: &mut W, payload: &[u8]) -> Result<(), TransportError> {
     if payload.len() > MAX_FRAME_BYTES {
-        return Err(TransportError::Protocol(ProtocolError::Oversized {
-            what: "outgoing frame",
-            claimed: payload.len() as u64,
-        }));
+        return Err(corrupt(format!("outgoing frame of {} bytes exceeds the cap", payload.len())));
     }
     w.write_all(&(payload.len() as u32).to_le_bytes()).map_err(TransportError::io)?;
-    w.write_all(&payload).map_err(TransportError::io)?;
+    w.write_all(payload).map_err(TransportError::io)?;
     w.flush().map_err(TransportError::io)?;
     Ok(())
 }
 
-/// Encoded size of a result body, without assembling the full frame. The session's `server.encode` span charges the payload
-/// it is about to ship, measured *before* the trace tree is attached —
-/// a trace cannot contain the cost of encoding itself.
-pub(crate) fn encoded_result_len(r: &WireResult) -> usize {
-    let mut out = Vec::new();
-    put_result(&mut out, r);
-    out.len() + 1 // + the frame tag byte
+fn corrupt(detail: String) -> TransportError {
+    TransportError::Protocol(ProtocolError::Corrupt { detail })
 }
 
 /// Read one length-prefixed frame. `Ok(None)` is a clean end-of-stream
 /// exactly at a frame boundary; EOF anywhere inside a frame is a
-/// [`ProtocolError::Truncated`].
+/// [`ProtocolError::Corrupt`].
 pub fn read_frame<R: Read>(r: &mut R) -> Result<Option<Frame>, TransportError> {
     match read_frame_payload(r)? {
         None => Ok(None),
@@ -952,29 +667,20 @@ pub(crate) fn read_frame_payload<R: Read>(r: &mut R) -> Result<Option<Vec<u8>>, 
             if got == 0 {
                 return Ok(None);
             }
-            return Err(TransportError::Protocol(ProtocolError::Truncated {
-                needed: 4,
-                available: got,
-            }));
+            return Err(corrupt(format!("stream ended {got} bytes into a frame length")));
         }
         got += n;
     }
     let len = u32::from_le_bytes(len_buf) as usize;
     if len > MAX_FRAME_BYTES {
-        return Err(TransportError::Protocol(ProtocolError::Oversized {
-            what: "incoming frame",
-            claimed: len as u64,
-        }));
+        return Err(corrupt(format!("incoming frame of {len} bytes exceeds the cap")));
     }
     let mut payload = vec![0u8; len];
     let mut filled = 0;
     while filled < len {
         let n = r.read(&mut payload[filled..]).map_err(TransportError::io)?;
         if n == 0 {
-            return Err(TransportError::Protocol(ProtocolError::Truncated {
-                needed: len,
-                available: filled,
-            }));
+            return Err(corrupt(format!("stream ended {filled} bytes into a {len}-byte frame")));
         }
         filled += n;
     }
@@ -984,7 +690,7 @@ pub(crate) fn read_frame_payload<R: Read>(r: &mut R) -> Result<Option<Vec<u8>>, 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lawsdb_storage::TableBuilder;
+    use lawsdb_storage::{DataType, Field, TableBuilder};
 
     fn sample_table() -> Table {
         let mut b = TableBuilder::new("t");
@@ -1053,38 +759,23 @@ mod tests {
             }],
         };
         assert_eq!(Frame::decode(&reply.encode()).unwrap(), reply);
-        assert_eq!(
-            Frame::decode(&Frame::SlowLogReply { entries: Vec::new() }.encode()).unwrap(),
-            Frame::SlowLogReply { entries: Vec::new() }
-        );
-    }
-
-    #[test]
-    fn bodies_without_the_v2_fields_are_truncated_not_defaulted() {
-        // A v1-era Query body (no trace flag byte) is an error now.
-        let mut payload = vec![0x02, 0u8];
-        put_str(&mut payload, "SELECT 1");
-        assert!(matches!(Frame::decode(&payload), Err(ProtocolError::Truncated { .. })));
-        let traced = Frame::Query { mode: QueryMode::Exact, sql: "SELECT 1".into(), trace: true };
-        assert_eq!(Frame::decode(&traced.encode()).unwrap(), traced);
-        // So is a result body that stops before the query id (9 bytes:
-        // the id's last 8 plus the absent-trace tag).
-        let result = Frame::ResultSet(Box::new(WireResult {
-            table: sample_table(),
-            rows_scanned: 7,
-            approximate: false,
-            error_bound: None,
-            degraded: Vec::new(),
-            service_us: 11,
-            queue_us: 3,
-            query_id: 42,
+        // The smallest record, so the entry-count guard's per-entry
+        // minimum is exactly what a record can take.
+        let smallest = FlightRecord {
+            query_id: 0,
+            sql: String::new(),
+            mode: String::new(),
+            total_us: 0,
+            error: None,
+            layers: Vec::new(),
+            dominant_layer: String::new(),
+            dominant_us: 0,
             trace: None,
-        }));
-        let bytes = result.encode();
-        assert!(matches!(
-            Frame::decode(&bytes[..bytes.len() - 9]),
-            Err(ProtocolError::Truncated { .. })
-        ));
+        };
+        for entries in [Vec::new(), vec![smallest]] {
+            let reply = Frame::SlowLogReply { entries };
+            assert_eq!(Frame::decode(&reply.encode()).unwrap(), reply);
+        }
     }
 
     #[test]
@@ -1111,10 +802,8 @@ mod tests {
             query_id: 1,
             trace: Some(chain(MAX_TRACE_DEPTH + 1)),
         }));
-        assert!(matches!(
-            Frame::decode(&deep.encode()),
-            Err(ProtocolError::Oversized { what: "trace depth", .. })
-        ));
+        let err = Frame::decode(&deep.encode()).unwrap_err();
+        assert_eq!(err.to_string(), "malformed frame: trace nested deeper than 64");
     }
 
     #[test]
@@ -1139,27 +828,31 @@ mod tests {
     fn decode_rejects_trailing_garbage_and_bad_tags() {
         let mut payload = Frame::Close.encode();
         payload.push(0xFF);
-        assert!(matches!(
-            Frame::decode(&payload),
-            Err(ProtocolError::TrailingBytes { count: 1 })
-        ));
-        assert!(matches!(
-            Frame::decode(&[0x7F]),
-            Err(ProtocolError::BadTag { context: "frame", .. })
-        ));
-        assert!(matches!(Frame::decode(&[]), Err(ProtocolError::Truncated { .. })));
+        let detail = |bytes: &[u8]| match Frame::decode(bytes) {
+            Err(ProtocolError::Corrupt { detail }) => detail,
+            other => panic!("expected a corrupt frame, got {other:?}"),
+        };
+        assert_eq!(detail(&payload), "1 trailing bytes");
+        assert_eq!(detail(&[0x7F]), "unknown frame tag 0x7F");
+        assert_eq!(detail(&[]), "truncated u8");
     }
 
     #[test]
     fn oversized_claims_are_rejected_before_allocation() {
-        // A ResultSet claiming u64::MAX rows in a tiny payload.
+        // A ResultSet claiming u32::MAX columns in a tiny payload.
+        let mut payload = vec![0x82];
+        put_str(&mut payload, "t");
+        put_u32(&mut payload, u32::MAX);
+        let err = Frame::decode(&payload).unwrap_err();
+        assert_eq!(err.to_string(), "malformed frame: implausible column count 4294967295");
+        // One column claiming u64::MAX rows.
         let mut payload = vec![0x82];
         put_str(&mut payload, "t");
         put_u32(&mut payload, 1);
+        put_field(&mut payload, &Field::new("v", DataType::Float64));
+        payload.push(lawsdb_storage::codec::type_tag(DataType::Float64));
         put_u64(&mut payload, u64::MAX);
-        assert!(matches!(
-            Frame::decode(&payload),
-            Err(ProtocolError::Oversized { what: "table rows", .. })
-        ));
+        put_u64(&mut payload, 1 << 58);
+        assert!(Frame::decode(&payload).is_err());
     }
 }

@@ -24,8 +24,8 @@ use crate::error::{
     WireError,
 };
 use crate::protocol::{
-    encoded_result_len, read_frame, read_frame_payload, write_frame, Frame, QueryMode,
-    SessionOptions, StatsFormat, WireResult, PROTOCOL_VERSION,
+    encode_result_head, put_trace_tail, read_frame, read_frame_payload, write_frame,
+    write_payload, Frame, QueryMode, SessionOptions, StatsFormat, WireResult, PROTOCOL_VERSION,
 };
 use crate::server::Server;
 use lawsdb_core::{Answer, AnswerMode, LawsDb};
@@ -218,19 +218,20 @@ fn serve_registered<S: Read + Write>(server: &Arc<Server>, stream: &mut S, sessi
             }
             Ok(Frame::SetOptions { options: new }) => {
                 options = new.merged_over(server.config().default_options());
-                Frame::OptionsAck
+                Frame::OptionsAck.encode()
             }
             Ok(Frame::Stats { format }) => Frame::StatsReply {
                 text: match format {
                     StatsFormat::Prometheus => server.db().stats_prometheus(),
                     StatsFormat::Json => server.db().stats_json(),
                 },
-            },
+            }
+            .encode(),
             Ok(Frame::SlowLog { n }) => {
-                Frame::SlowLogReply { entries: server.recorder().worst(n as usize) }
+                Frame::SlowLogReply { entries: server.recorder().worst(n as usize) }.encode()
             }
             Ok(Frame::Cancel { session }) => {
-                Frame::CancelAck { delivered: server.sessions().cancel(session) }
+                Frame::CancelAck { delivered: server.sessions().cancel(session) }.encode()
             }
             Ok(Frame::Close) => {
                 let _ = write_frame(stream, &Frame::Goodbye);
@@ -253,7 +254,7 @@ fn serve_registered<S: Read + Write>(server: &Arc<Server>, stream: &mut S, sessi
                 return;
             }
         };
-        if write_frame(stream, &reply).is_err() {
+        if write_payload(stream, &reply).is_err() {
             return;
         }
     }
@@ -282,7 +283,7 @@ struct WireContext {
     frame_bytes: usize,
 }
 
-/// Admit, execute, and package one query.
+/// Admit, execute, and encode one query's reply payload.
 fn run_query(
     server: &Arc<Server>,
     session_id: u64,
@@ -290,7 +291,7 @@ fn run_query(
     mode: QueryMode,
     sql: &str,
     wire: WireContext,
-) -> Frame {
+) -> Vec<u8> {
     let hooks = server.metrics_hooks();
     hooks.queries.inc();
     let clock = Arc::clone(server.clock());
@@ -331,7 +332,7 @@ fn run_query(
             hooks.query_errors.inc();
             let err = e.to_wire();
             finish_record(recorder, collector, query_id, sql, mode, Some(err.to_string()));
-            return Frame::Error(err);
+            return Frame::Error(err).encode();
         }
     };
     let exec = ExecOptions {
@@ -358,27 +359,27 @@ fn run_query(
             r.service_us = service_us;
             r.queue_us = queue_us;
             r.query_id = query_id;
-            if let Some(c) = &ctx {
-                // Charge the encode of the body about to ship. The
-                // trace is attached afterwards: it cannot contain the
-                // cost of encoding itself.
-                let mut span = c.span("server.encode");
-                span.field("bytes", encoded_result_len(&r) as u64);
+            // Encode the body once, charging it to `server.encode`. The
+            // trace is appended afterwards: it cannot contain the cost
+            // of encoding itself.
+            let mut span = ctx.as_ref().map(|c| c.span("server.encode"));
+            let mut payload = encode_result_head(&r);
+            if let Some(span) = &mut span {
+                span.field("bytes", payload.len() as u64);
             }
+            drop(span);
             let tree = finish_record(recorder, collector, query_id, sql, mode, None);
-            if wire.trace {
-                r.trace = tree;
-            }
-            Frame::ResultSet(r)
+            put_trace_tail(&mut payload, tree.as_ref().filter(|_| wire.trace));
+            payload
         }
         Ok(other) => {
             finish_record(recorder, collector, query_id, sql, mode, None);
-            other
+            other.encode()
         }
         Err(e) => {
             hooks.query_errors.inc();
             finish_record(recorder, collector, query_id, sql, mode, Some(e.to_string()));
-            Frame::Error(e)
+            Frame::Error(e).encode()
         }
     }
 }

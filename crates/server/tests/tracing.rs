@@ -4,15 +4,18 @@
 //! attempts, and total-loss model fallback into a single tree — pinned
 //! byte-identical across runs under a `MockClock` — and the same query
 //! lands in the slow-query flight recorder with its dominant layer
-//! correctly attributed.
+//! correctly attributed. The encode span charges the result body the
+//! session ships, encoded once.
 //!
 //! Faults are seeded: `LAWSDB_FAULT_SEED=<seed>` is printed, and
 //! re-running with it set reproduces the exact shard choices.
 
 use lawsdb_cluster::{Cluster, ClusterConfig, PartitionScheme};
 use lawsdb_core::LawsDb;
-use lawsdb_obs::{dominant_layer, MockClock, RecorderConfig, TraceNode, LAYERS};
-use lawsdb_server::{Client, ClientError, QueryMode, Server, ServerConfig, WireError};
+use lawsdb_obs::{dominant_layer, FieldValue, MockClock, RecorderConfig, TraceNode, LAYERS};
+use lawsdb_server::{
+    Client, ClientError, Frame, QueryMode, Server, ServerConfig, WireError, WireResult,
+};
 use lawsdb_storage::{Table, TableBuilder};
 use std::sync::Arc;
 
@@ -260,5 +263,29 @@ fn recorder_capacity_zero_disables_profiling_but_tracing_still_works() {
     let traced = c.query_traced(QueryMode::Exact, "SELECT COUNT(*) FROM t").unwrap();
     assert!(traced.trace.is_some(), "explicit trace requests bypass the disabled recorder");
     assert!(c.slowlog(8).unwrap().is_empty());
+    c.close().unwrap();
+}
+
+#[test]
+fn encode_span_charges_the_shipped_payload_less_the_trace_tail() {
+    let db = LawsDb::new();
+    let mut b = TableBuilder::new("t");
+    b.add_i64("g", (0..100).collect());
+    b.add_str("s", (0..100).map(|i| format!("row {i}")).collect());
+    db.register_table(b.build().unwrap()).unwrap();
+    let server = Server::new(Arc::new(db), ServerConfig::default());
+    let mut c = Client::connect(server.connect()).unwrap();
+    let r = c.query_traced(QueryMode::Exact, "SELECT g, s FROM t").unwrap();
+    let trace = r.trace.clone().expect("a traced query carries its tree");
+    let charged = match trace.find("server.encode")[0].field("bytes") {
+        Some(FieldValue::U64(n)) => *n as usize,
+        other => panic!("server.encode carries no byte count: {other:?}"),
+    };
+    // The shipped payload re-encodes byte for byte; its tail is the
+    // trace's presence byte and the tree.
+    let shipped = Frame::ResultSet(Box::new(r.clone())).encode().len();
+    let untraced = Frame::ResultSet(Box::new(WireResult { trace: None, ..r })).encode().len();
+    let tail = 1 + (shipped - untraced);
+    assert_eq!(charged, shipped - tail);
     c.close().unwrap();
 }

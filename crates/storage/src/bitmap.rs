@@ -83,29 +83,6 @@ impl Bitmap {
         }
     }
 
-    /// Set bits `[start, end)` in one word-speed pass (run-level kernel
-    /// path: an accepted RLE run sets its whole range at once).
-    pub fn set_range(&mut self, start: usize, end: usize) {
-        assert!(start <= end && end <= self.len, "range [{start}, {end}) out of bounds");
-        if start == end {
-            return;
-        }
-        let words = Arc::make_mut(&mut self.words);
-        let (w0, b0) = (start / 64, start % 64);
-        let (w1, b1) = ((end - 1) / 64, (end - 1) % 64 + 1);
-        let head = u64::MAX << b0;
-        let tail = if b1 == 64 { u64::MAX } else { (1u64 << b1) - 1 };
-        if w0 == w1 {
-            words[w0] |= head & tail;
-        } else {
-            words[w0] |= head;
-            for w in &mut words[w0 + 1..w1] {
-                *w = u64::MAX;
-            }
-            words[w1] |= tail;
-        }
-    }
-
     /// Number of set bits.
     pub fn count_set(&self) -> usize {
         self.words.iter().map(|w| w.count_ones() as usize).sum()
@@ -310,26 +287,6 @@ mod tests {
     #[should_panic(expected = "out of range")]
     fn get_out_of_range_panics() {
         Bitmap::filled(3, true).get(3);
-    }
-
-    #[test]
-    fn set_range_matches_per_bit_sets() {
-        for &(start, end) in &[(0, 0), (0, 1), (3, 61), (0, 64), (63, 65), (10, 200), (64, 128)] {
-            let mut fast = Bitmap::filled(200, false);
-            fast.set_range(start, end);
-            let slow = Bitmap::from_fn(200, |i| i >= start && i < end);
-            assert_eq!(fast, slow, "[{start}, {end})");
-        }
-        let mut b = Bitmap::filled(100, false);
-        b.set_range(10, 20);
-        b.set_range(15, 30); // overlapping ranges accumulate
-        assert_eq!(b.count_set(), 20);
-    }
-
-    #[test]
-    #[should_panic(expected = "out of bounds")]
-    fn set_range_rejects_overflow() {
-        Bitmap::filled(10, false).set_range(5, 11);
     }
 
     #[test]

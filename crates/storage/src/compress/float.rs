@@ -7,6 +7,7 @@
 //! exactly when the model predicts better than "same as last time".
 
 use super::varint;
+use crate::codec::Reader;
 use crate::error::Result;
 
 /// Encode an f64 slice.
@@ -24,22 +25,17 @@ pub fn encode(values: &[f64]) -> Vec<u8> {
 
 /// Decode a buffer produced by [`encode`].
 pub fn decode(buf: &[u8]) -> Result<Vec<f64>> {
-    let mut pos = 0;
-    let n = varint::get_u64(buf, &mut pos)? as usize;
-    if n > buf.len().saturating_mul(10) {
-        return Err(crate::StorageError::CorruptData {
-            codec: "float-xor",
-            detail: format!("implausible length {n}"),
-        });
-    }
+    let mut r = Reader::new("float-xor", buf);
+    // Every value takes at least one varint byte.
+    let n = r.varint_u64()?;
+    let n = r.claim(n, 1, "value")?;
     let mut out = Vec::with_capacity(n);
     let mut prev = 0u64;
     for _ in 0..n {
-        let x = varint::get_u64(buf, &mut pos)?;
-        let bits = x ^ prev;
-        out.push(f64::from_bits(bits));
-        prev = bits;
+        prev ^= r.varint_u64()?;
+        out.push(f64::from_bits(prev));
     }
+    r.end()?;
     Ok(out)
 }
 

@@ -7,7 +7,8 @@
 //! makes the decoder table-driven and the header compact.
 
 use super::varint;
-use crate::error::{Result, StorageError};
+use crate::codec::Reader;
+use crate::error::Result;
 
 /// Encode a byte stream.
 pub fn encode(data: &[u8]) -> Vec<u8> {
@@ -41,21 +42,31 @@ pub fn encode(data: &[u8]) -> Vec<u8> {
 
 /// Decode a buffer produced by [`encode`].
 pub fn decode(buf: &[u8]) -> Result<Vec<u8>> {
-    let corrupt = |d: &str| StorageError::CorruptData { codec: "huffman", detail: d.to_string() };
-    if buf.len() < 256 {
-        return Err(corrupt("missing code-length table"));
+    let mut r = Reader::new("huffman", buf);
+    let lengths: [u8; 256] =
+        r.take(256, "code-length table")?.try_into().expect("took 256 bytes");
+    // A code fits the decoder's `u32` only up to 32 bits, and lengths
+    // over-subscribing the code space (Kraft sum > 1) would overflow
+    // the canonical assignment: neither comes from `encode`.
+    let kraft: u64 = lengths.iter().filter(|&&l| l > 0).map(|&l| 1u64 << (32 - l.min(32))).sum();
+    if lengths.iter().any(|&l| l > 32) || kraft > 1 << 32 {
+        return Err(r.corrupt("code lengths do not form a prefix code"));
     }
-    let lengths: [u8; 256] = buf[..256].try_into().expect("length checked");
-    let mut pos = 256;
-    let n = varint::get_u64(buf, &mut pos)? as usize;
+    let n = r.varint_u64()?;
+    let body = r.rest();
+    // Every symbol takes at least one bit.
+    if n > body.len() as u64 * 8 {
+        return Err(r.corrupt(format!("{n} symbols cannot fit {} bytes", body.len())));
+    }
+    let n = n as usize;
     if n == 0 {
         return Ok(Vec::new());
     }
     let codes = canonical_codes(&lengths);
-    // Decoding table: for each (length, canonical code) → symbol.
-    // Max code length from our builder is < 64; a sorted lookup per
-    // length keeps this simple and fast enough for the baseline.
-    let mut by_len: Vec<Vec<(u32, u8)>> = vec![Vec::new(); 65];
+    // Decoding table: for each (length, canonical code) → symbol. A
+    // sorted lookup per length keeps this simple and fast enough for
+    // the baseline.
+    let mut by_len: Vec<Vec<(u32, u8)>> = vec![Vec::new(); 33];
     for sym in 0..256usize {
         let (code, len) = codes[sym];
         if len > 0 {
@@ -67,29 +78,24 @@ pub fn decode(buf: &[u8]) -> Result<Vec<u8>> {
     }
     let mut out = Vec::with_capacity(n);
     let mut bitpos = 0usize;
-    let body = &buf[pos..];
     let total_bits = body.len() * 8;
     'outer: while out.len() < n {
         let mut code: u32 = 0;
-        let mut len: usize = 0;
-        loop {
+        for len in 1..=32 {
             if bitpos >= total_bits {
-                return Err(corrupt("bitstream exhausted mid-symbol"));
+                return Err(r.corrupt("bitstream exhausted mid-symbol"));
             }
             let bit = (body[bitpos / 8] >> (bitpos % 8)) & 1;
             bitpos += 1;
             // Our writer emits code LSB-first, so bit k of the code is
             // the k-th bit read.
-            code |= (bit as u32) << len;
-            len += 1;
-            if len > 64 {
-                return Err(corrupt("code longer than any table entry"));
-            }
+            code |= (bit as u32) << (len - 1);
             if let Ok(idx) = by_len[len].binary_search_by_key(&code, |&(c, _)| c) {
                 out.push(by_len[len][idx].1);
                 continue 'outer;
             }
         }
+        return Err(r.corrupt("bits match no code"));
     }
     Ok(out)
 }
@@ -163,14 +169,14 @@ fn canonical_codes(lengths: &[u8; 256]) -> [(u32, u8); 256] {
     // Sort symbols by (length, symbol).
     let mut order: Vec<usize> = (0..256).filter(|&s| lengths[s] > 0).collect();
     order.sort_by_key(|&s| (lengths[s], s));
-    let mut code: u32 = 0;
+    let mut code: u64 = 0;
     let mut prev_len = 0u8;
     for &sym in &order {
         let len = lengths[sym];
         code <<= len - prev_len;
         // Reverse the canonical code's bits so the LSB-first bit writer
         // and reader agree on prefix-freeness.
-        let rev = code.reverse_bits() >> (32 - len as u32);
+        let rev = (code as u32).reverse_bits() >> (32 - len as u32);
         codes[sym] = (rev, len);
         code += 1;
         prev_len = len;

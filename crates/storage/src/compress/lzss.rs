@@ -8,6 +8,8 @@
 //! → token i is a match). Literal = 1 raw byte. Match = 3 bytes:
 //! `len − 4`, then distance as little-endian u16 (1..=65535).
 
+use crate::codec::Reader;
+
 const MIN_MATCH: usize = 4;
 const MAX_MATCH: usize = 259;
 const WINDOW: usize = 65_535;
@@ -97,39 +99,32 @@ pub fn compress(data: &[u8]) -> Vec<u8> {
 
 /// Decompress a buffer produced by [`compress`].
 pub fn decompress(buf: &[u8]) -> crate::Result<Vec<u8>> {
-    let corrupt = |d: &str| crate::StorageError::CorruptData {
-        codec: "lzss",
-        detail: d.to_string(),
-    };
-    let mut pos = 0;
-    let n = super::varint::get_u64(buf, &mut pos)? as usize;
-    if n > buf.len().saturating_mul(MAX_MATCH).saturating_add(1) {
-        return Err(corrupt("implausible length"));
+    let mut r = Reader::new("lzss", buf);
+    // No input byte yields more than MAX_MATCH output bytes.
+    let n = r.varint_u64()?;
+    if n > (r.remaining() as u64).saturating_mul(MAX_MATCH as u64) {
+        return Err(r.corrupt(format!("implausible length {n}")));
     }
+    let n = n as usize;
     let mut out = Vec::with_capacity(n);
     let mut flags = 0u8;
     let mut flag_count = 8u8; // force a flag-byte read first
     while out.len() < n {
         if flag_count == 8 {
-            flags = *buf.get(pos).ok_or_else(|| corrupt("missing flag byte"))?;
-            pos += 1;
+            flags = r.u8()?;
             flag_count = 0;
         }
         let is_match = flags & (1 << flag_count) != 0;
         flag_count += 1;
         if is_match {
-            if pos + 3 > buf.len() {
-                return Err(corrupt("truncated match token"));
-            }
-            let len = buf[pos] as usize + MIN_MATCH;
-            let dist =
-                u16::from_le_bytes([buf[pos + 1], buf[pos + 2]]) as usize;
-            pos += 3;
+            let token = r.take(3, "match token")?;
+            let len = token[0] as usize + MIN_MATCH;
+            let dist = u16::from_le_bytes([token[1], token[2]]) as usize;
             if dist == 0 || dist > out.len() {
-                return Err(corrupt("match distance out of range"));
+                return Err(r.corrupt("match distance out of range"));
             }
             if out.len() + len > n {
-                return Err(corrupt("match overruns declared length"));
+                return Err(r.corrupt("match overruns declared length"));
             }
             // Byte-by-byte copy: overlapping matches (dist < len) are
             // legal and meaningful, so no memcpy.
@@ -139,9 +134,7 @@ pub fn decompress(buf: &[u8]) -> crate::Result<Vec<u8>> {
                 out.push(b);
             }
         } else {
-            let b = *buf.get(pos).ok_or_else(|| corrupt("truncated literal"))?;
-            pos += 1;
-            out.push(b);
+            out.push(r.u8()?);
         }
     }
     Ok(out)

@@ -1,27 +1,26 @@
 //! Compression codecs.
 //!
-//! Two families, mirroring the paper's Section 4.1 comparison:
+//! Two families, mirroring the paper's Section 4.1 comparison (E4):
 //!
 //! * **Generic** codecs — what a database applies without understanding
-//!   the data: [`varint`]/zigzag, [`delta`], [`bitpack`], [`rle`],
-//!   [`dict`]ionary coding, the Gorilla-style XOR [`float`] codec, and a
-//!   from-scratch [`lzss`] + [`huffman`] pipeline standing in for gzip
-//!   (the SPARTAN paper's baseline; this environment has no zlib).
+//!   the data: the Gorilla-style XOR [`float`] codec and a from-scratch
+//!   [`lzss`] + [`huffman`] pipeline standing in for gzip (the SPARTAN
+//!   paper's baseline; this environment has no zlib), over
+//!   [`varint`]/zigzag integers.
 //! * **Semantic** codec — [`residual`]: store only the differences
 //!   between model-predicted and observed values. With a well-fitted
 //!   model the residual stream is near-zero and compresses far better
 //!   than any generic transform, and reconstruction is bit-exact
 //!   ("recompute the original dataset without loss of information").
+//!
+//! Every decoder reads through [`crate::codec::Reader`], the cursor the
+//! page, WAL, zonemap, model-catalog and wire decoders share, so each
+//! is total on hostile bytes the same way.
 
-pub mod bitpack;
-pub mod delta;
-pub mod dict;
 pub mod float;
-pub mod for_;
 pub mod huffman;
 pub mod lzss;
 pub mod residual;
-pub mod rle;
 pub mod varint;
 
 /// Outcome of compressing one buffer, for benchmark reporting.

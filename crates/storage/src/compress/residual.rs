@@ -23,7 +23,11 @@
 //! layer stays model-agnostic; `lawsdb-models` supplies the predictions.
 
 use super::varint;
+use crate::codec::Reader;
 use crate::error::{Result, StorageError};
+
+/// The quantized code that announces an exception: raw bits follow.
+const SENTINEL: i64 = i64::MIN;
 
 fn check_lengths(codec: &'static str, observed: usize, predicted: usize) -> Result<()> {
     if observed != predicted {
@@ -48,14 +52,11 @@ pub fn encode_lossless(observed: &[f64], predicted: &[f64]) -> Result<Vec<u8>> {
 
 /// Bit-exact reconstruction from [`encode_lossless`] output.
 pub fn decode_lossless(buf: &[u8], predicted: &[f64]) -> Result<Vec<f64>> {
-    let mut pos = 0;
-    let n = varint::get_u64(buf, &mut pos)? as usize;
-    check_lengths("residual-lossless", n, predicted.len())?;
-    let mut out = Vec::with_capacity(n);
-    for &p in predicted {
-        let x = varint::get_u64(buf, &mut pos)?;
-        out.push(f64::from_bits(p.to_bits() ^ x));
-    }
+    let mut r = Reader::new("residual-lossless", buf);
+    check_lengths("residual-lossless", r.varint_u64()? as usize, predicted.len())?;
+    let out = predicted.iter().map(|&p| Ok(f64::from_bits(p.to_bits() ^ r.varint_u64()?)));
+    let out = out.collect::<Result<_>>()?;
+    r.end()?;
     Ok(out)
 }
 
@@ -75,8 +76,6 @@ pub fn encode_quantized(observed: &[f64], predicted: &[f64], eps: f64) -> Result
     let mut out = Vec::with_capacity(observed.len() + 17);
     varint::put_u64(&mut out, observed.len() as u64);
     out.extend_from_slice(&eps.to_le_bytes());
-    // Reserve the most negative zigzag code as the exception sentinel.
-    const SENTINEL: i64 = i64::MIN;
     for (&o, &p) in observed.iter().zip(predicted) {
         let r = (o - p) / eps;
         if r.is_finite() && r.abs() < 9.0e18 {
@@ -96,34 +95,15 @@ pub fn encode_quantized(observed: &[f64], predicted: &[f64], eps: f64) -> Result
 /// Reconstruct approximate values (within `eps/2`) from
 /// [`encode_quantized`] output.
 pub fn decode_quantized(buf: &[u8], predicted: &[f64]) -> Result<Vec<f64>> {
-    let corrupt = |d: &str| StorageError::CorruptData {
-        codec: "residual-quantized",
-        detail: d.to_string(),
-    };
-    let mut pos = 0;
-    let n = varint::get_u64(buf, &mut pos)? as usize;
-    check_lengths("residual-quantized", n, predicted.len())?;
-    if buf.len() < pos + 8 {
-        return Err(corrupt("missing eps"));
-    }
-    let eps = f64::from_le_bytes(buf[pos..pos + 8].try_into().expect("8 bytes checked"));
-    pos += 8;
-    const SENTINEL: i64 = i64::MIN;
-    let mut out = Vec::with_capacity(n);
-    for &p in predicted {
-        let q = varint::get_i64(buf, &mut pos)?;
-        if q == SENTINEL {
-            if buf.len() < pos + 8 {
-                return Err(corrupt("truncated exception value"));
-            }
-            let raw =
-                f64::from_le_bytes(buf[pos..pos + 8].try_into().expect("8 bytes checked"));
-            pos += 8;
-            out.push(raw);
-        } else {
-            out.push(p + q as f64 * eps);
-        }
-    }
+    let mut r = Reader::new("residual-quantized", buf);
+    check_lengths("residual-quantized", r.varint_u64()? as usize, predicted.len())?;
+    let eps = r.f64()?;
+    let out = predicted.iter().map(|&p| match r.varint_i64()? {
+        SENTINEL => r.f64(),
+        q => Ok(p + q as f64 * eps),
+    });
+    let out = out.collect::<Result<_>>()?;
+    r.end()?;
     Ok(out)
 }
 

@@ -1,6 +1,6 @@
-//! LEB128 variable-length integers and zigzag signed mapping.
-
-use crate::error::{Result, StorageError};
+//! LEB128 variable-length integers and zigzag signed mapping. The read
+//! side is [`crate::codec::Reader::varint_u64`] /
+//! [`crate::codec::Reader::varint_i64`].
 
 /// Append a u64 as LEB128.
 pub fn put_u64(out: &mut Vec<u8>, mut v: u64) {
@@ -12,30 +12,6 @@ pub fn put_u64(out: &mut Vec<u8>, mut v: u64) {
             return;
         }
         out.push(byte | 0x80);
-    }
-}
-
-/// Read a LEB128 u64 from `buf[*pos..]`, advancing `pos`.
-pub fn get_u64(buf: &[u8], pos: &mut usize) -> Result<u64> {
-    let mut v: u64 = 0;
-    let mut shift = 0u32;
-    loop {
-        let byte = *buf.get(*pos).ok_or(StorageError::CorruptData {
-            codec: "varint",
-            detail: "truncated".to_string(),
-        })?;
-        *pos += 1;
-        if shift >= 64 || (shift == 63 && byte > 1) {
-            return Err(StorageError::CorruptData {
-                codec: "varint",
-                detail: "overflow".to_string(),
-            });
-        }
-        v |= ((byte & 0x7F) as u64) << shift;
-        if byte & 0x80 == 0 {
-            return Ok(v);
-        }
-        shift += 7;
     }
 }
 
@@ -56,25 +32,9 @@ pub fn put_i64(out: &mut Vec<u8>, v: i64) {
     put_u64(out, zigzag(v));
 }
 
-/// Read a zigzag LEB128 i64.
-pub fn get_i64(buf: &[u8], pos: &mut usize) -> Result<i64> {
-    Ok(unzigzag(get_u64(buf, pos)?))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn u64_roundtrip_edge_values() {
-        for v in [0u64, 1, 127, 128, 300, u32::MAX as u64, u64::MAX] {
-            let mut out = Vec::new();
-            put_u64(&mut out, v);
-            let mut pos = 0;
-            assert_eq!(get_u64(&out, &mut pos).unwrap(), v);
-            assert_eq!(pos, out.len());
-        }
-    }
 
     #[test]
     fn small_values_take_one_byte() {
@@ -95,31 +55,5 @@ mod tests {
         for v in [0i64, 1, -1, 42, -42, i64::MAX, i64::MIN] {
             assert_eq!(unzigzag(zigzag(v)), v);
         }
-    }
-
-    #[test]
-    fn i64_roundtrip() {
-        for v in [0i64, -1, 1, i64::MIN, i64::MAX, -123456789] {
-            let mut out = Vec::new();
-            put_i64(&mut out, v);
-            let mut pos = 0;
-            assert_eq!(get_i64(&out, &mut pos).unwrap(), v);
-        }
-    }
-
-    #[test]
-    fn truncated_input_errors() {
-        let mut out = Vec::new();
-        put_u64(&mut out, u64::MAX);
-        let mut pos = 0;
-        assert!(get_u64(&out[..out.len() - 1], &mut pos).is_err());
-    }
-
-    #[test]
-    fn overlong_encoding_errors() {
-        // 11 continuation bytes cannot be a valid u64.
-        let bad = vec![0x80u8; 10];
-        let mut pos = 0;
-        assert!(get_u64(&bad, &mut pos).is_err());
     }
 }

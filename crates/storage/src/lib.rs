@@ -16,13 +16,16 @@
 //!   "zero-IO scan" claim quantitatively: an approximate, model-backed
 //!   answer touches zero pages, while an exact scan pays
 //!   `pages × (latency + size/bandwidth)`.
-//! * A family of **compression codecs** ([`compress`]): delta, zigzag +
-//!   varint, bit-packing, run-length, dictionary, frame-of-reference, an
-//!   LZSS + Huffman general-purpose baseline (standing in for gzip in the
-//!   SPARTAN-style comparison), and the **model-residual codec** — the
-//!   paper's "true semantic compression": store residuals between
+//! * **Compression codecs** ([`compress`]): zigzag + varint, XOR floats,
+//!   an LZSS + Huffman general-purpose baseline (standing in for gzip in
+//!   the SPARTAN-style comparison), and the **model-residual codec** —
+//!   the paper's "true semantic compression": store residuals between
 //!   observed and model-predicted values and recompute the original
 //!   data losslessly.
+//! * **One read cursor** ([`codec::Reader`]) behind every decoder of
+//!   untrusted bytes — page, WAL, zonemap, model catalog, the codecs
+//!   above and the server's wire protocol — so every length claim is
+//!   checked before anything is allocated, in one place.
 //! * An **exactly-rounded sum** ([`exact::ExactSum`]) behind every
 //!   exact SUM/AVG: the answer is a function of the multiset of inputs,
 //!   whatever the order, partitioning or merge tree.

@@ -1,112 +1,115 @@
-//! Column chunk ⇄ byte serialization for the paged store.
+//! Column ⇄ byte serialization: the one column layout.
 //!
 //! A column is serialized into one contiguous byte stream — a small
-//! header (type tag, row count, validity length) followed by the
-//! validity words and the raw value data — and the durable store
-//! ([`crate::wal::DurableStore`]) splits that stream across fixed-size
-//! pages. Little-endian throughout.
+//! header (type tag, row count, validity word count) followed by the
+//! validity words and the raw value data (a Bool column's data is words
+//! too). The durable store ([`crate::wal::DurableStore`]) splits that
+//! stream across fixed-size pages, and the server's wire protocol
+//! writes the same bytes into a result frame. Little-endian throughout.
 
 use crate::bitmap::Bitmap;
-use crate::codec::Reader;
+use crate::codec::{put_str, type_tag, Reader};
 use crate::column::Column;
 use crate::error::Result;
-use bytes::{BufMut, BytesMut};
-
-/// Type tags in the serialized header.
-const TAG_I64: u8 = 1;
-const TAG_F64: u8 = 2;
-const TAG_STR: u8 = 3;
-const TAG_BOOL: u8 = 4;
+use crate::schema::DataType;
 
 /// Size of the fixed stream header (tag + row count + validity words).
 pub const HEADER_BYTES: usize = 17;
 
-/// Serialize a column into bytes.
-pub fn encode_column(col: &Column) -> Vec<u8> {
-    let mut buf = BytesMut::with_capacity(col.byte_size() + 64);
-    let (len, words) = col.validity().to_parts();
-    let tag = match col {
-        Column::Int64 { .. } => TAG_I64,
-        Column::Float64 { .. } => TAG_F64,
-        Column::Str { .. } => TAG_STR,
-        Column::Bool { .. } => TAG_BOOL,
-    };
-    buf.put_u8(tag);
-    buf.put_u64_le(len as u64);
-    buf.put_u64_le(words.len() as u64);
+fn put_words(out: &mut Vec<u8>, bits: &Bitmap) {
+    let (len, words) = bits.to_parts();
+    out.extend_from_slice(&(len as u64).to_le_bytes());
+    out.extend_from_slice(&(words.len() as u64).to_le_bytes());
     for &w in words {
-        buf.put_u64_le(w);
+        out.extend_from_slice(&w.to_le_bytes());
     }
+}
+
+/// Append a column's stream to `out`.
+pub fn put_column(out: &mut Vec<u8>, col: &Column) {
+    out.reserve(col.byte_size() + 64);
+    out.push(type_tag(col.data_type()));
+    put_words(out, col.validity());
     match col {
         Column::Int64 { data, .. } => {
-            for &v in data {
-                buf.put_i64_le(v);
+            for &v in data.iter() {
+                out.extend_from_slice(&v.to_le_bytes());
             }
         }
         Column::Float64 { data, .. } => {
-            for &v in data {
-                buf.put_f64_le(v);
+            for &v in data.iter() {
+                out.extend_from_slice(&v.to_le_bytes());
             }
         }
         Column::Str { data, .. } => {
-            for s in data {
-                buf.put_u32_le(s.len() as u32);
-                buf.put_slice(s.as_bytes());
+            for s in data.iter() {
+                put_str(out, s);
             }
         }
-        Column::Bool { data, .. } => {
-            let (blen, bwords) = data.to_parts();
-            buf.put_u64_le(blen as u64);
-            buf.put_u64_le(bwords.len() as u64);
-            for &w in bwords {
-                buf.put_u64_le(w);
-            }
-        }
+        Column::Bool { data, .. } => put_words(out, data),
     }
-    buf.to_vec()
 }
 
-/// Deserialize a column from bytes produced by [`encode_column`].
-/// Total on untrusted bytes: every length claim is checked against the
-/// stream before anything is allocated.
-pub fn decode_column(bytes: &[u8]) -> Result<Column> {
-    let mut r = Reader::new("page", bytes);
-    let tag = r.u8()?;
+/// Serialize a column into bytes.
+pub fn encode_column(col: &Column) -> Vec<u8> {
+    let mut out = Vec::new();
+    put_column(&mut out, col);
+    out
+}
+
+/// A bitmap written by `put_words`, of `rows` bits when given. Bits
+/// past the length must be clear, so every bitmap has one encoding.
+fn read_words(r: &mut Reader<'_>, rows: Option<usize>, what: &str) -> Result<Bitmap> {
     let len = r.u64()? as usize;
     let nwords = r.u64()? as usize;
-    let words = r.vec8(nwords, "validity words", u64::from_le_bytes)?;
-    if nwords != len.div_ceil(64) {
-        return Err(r.corrupt("validity word count does not match row count"));
+    let words = r.vec8(nwords, what, u64::from_le_bytes)?;
+    if nwords != len.div_ceil(64) || rows.is_some_and(|rows| rows != len) {
+        return Err(r.corrupt(format!("{what} do not match the row count")));
     }
-    let validity = Bitmap::from_parts(len, words);
-    match tag {
-        TAG_I64 => {
+    if words.last().is_some_and(|&w| !len.is_multiple_of(64) && w >> (len % 64) != 0) {
+        return Err(r.corrupt(format!("{what} set bits past the row count")));
+    }
+    Ok(Bitmap::from_parts(len, words))
+}
+
+/// Read one column written by [`put_column`]. Total on untrusted bytes:
+/// every length claim is checked against the stream before anything is
+/// allocated.
+pub fn read_column(r: &mut Reader<'_>) -> Result<Column> {
+    let dtype = r.data_type()?;
+    let validity = read_words(r, None, "validity words")?;
+    let len = validity.len();
+    Ok(match dtype {
+        DataType::Int64 => {
             let data = r.vec8(len, "i64 data", i64::from_le_bytes)?;
-            Ok(Column::Int64 { data: data.into(), validity })
+            Column::Int64 { data: data.into(), validity }
         }
-        TAG_F64 => {
+        DataType::Float64 => {
             let data = r.vec8(len, "f64 data", f64::from_le_bytes)?;
-            Ok(Column::Float64 { data: data.into(), validity })
+            Column::Float64 { data: data.into(), validity }
         }
-        TAG_STR => {
+        DataType::Str => {
             // Every string needs at least its 4-byte length prefix.
-            let mut data = Vec::with_capacity(len.min(r.remaining() / 4));
+            let mut data = Vec::with_capacity(r.claim(len as u64, 4, "string")?);
             for _ in 0..len {
                 data.push(r.str_u32("string")?);
             }
-            Ok(Column::Str { data: data.into(), validity })
+            Column::Str { data: data.into(), validity }
         }
-        TAG_BOOL => {
-            let blen = r.u64()? as usize;
-            let bwordn = r.u64()? as usize;
-            let bwords = r.vec8(bwordn, "bool words", u64::from_le_bytes)?;
-            if blen != len || bwordn != blen.div_ceil(64) {
-                return Err(r.corrupt("bool bitmap length mismatch"));
-            }
-            Ok(Column::Bool { data: Bitmap::from_parts(blen, bwords), validity })
+        DataType::Bool => {
+            let data = read_words(r, Some(len), "bool words")?;
+            Column::Bool { data, validity }
         }
-        other => Err(r.corrupt(format!("unknown type tag {other}"))),
-    }
+    })
+}
+
+/// Deserialize a column from exactly the bytes [`encode_column`]
+/// produced.
+pub fn decode_column(bytes: &[u8]) -> Result<Column> {
+    let mut r = Reader::new("page", bytes);
+    let col = read_column(&mut r)?;
+    r.end()?;
+    Ok(col)
 }
 
 #[cfg(test)]
@@ -158,6 +161,14 @@ mod tests {
         let mut bad = good.clone();
         bad[0] = 99;
         assert!(decode_column(&bad).is_err());
+        // A validity bit past the three rows, and a trailing byte: each
+        // column has exactly one encoding.
+        let mut bad = good.clone();
+        bad[HEADER_BYTES] |= 1 << 3;
+        assert!(decode_column(&bad).is_err());
+        let mut bad = good.clone();
+        bad.push(0);
+        assert!(decode_column(&bad).is_err());
     }
 
     #[test]
@@ -165,7 +176,7 @@ mod tests {
         // `(1 << 61) * 8` wraps to 0: an unchecked multiply lets the
         // claim past the length guard and into `Vec::with_capacity`.
         let huge = (1u64 << 61).to_le_bytes();
-        for tag in [TAG_I64, TAG_F64, TAG_STR, TAG_BOOL] {
+        for tag in 1..=4u8 {
             // Validity word count claims 2^61 words.
             let mut bytes = vec![tag];
             bytes.extend_from_slice(&64u64.to_le_bytes());
@@ -175,7 +186,7 @@ mod tests {
             assert!(matches!(got, Err(StorageError::CorruptData { codec: "page", .. })), "tag {tag}");
         }
         // Row count claims 2^61 rows over a consistent 2^55 words.
-        let mut bytes = vec![TAG_I64];
+        let mut bytes = vec![type_tag(DataType::Int64)];
         bytes.extend_from_slice(&huge);
         bytes.extend_from_slice(&(1u64 << 55).to_le_bytes());
         assert!(matches!(decode_column(&bytes), Err(StorageError::CorruptData { .. })));

@@ -42,12 +42,12 @@
 //! opens to exactly one committed state.
 
 use crate::checksum::crc32;
-use crate::codec::Reader;
+use crate::codec::{put_field, put_str, Reader};
 use crate::column::Column;
 use crate::error::{Result, StorageError};
 use crate::io::{BlockDevice, IoStats};
 use crate::page::{decode_column, encode_column};
-use crate::schema::{DataType, Field, Schema};
+use crate::schema::Schema;
 use crate::table::Table;
 use lawsdb_obs::{event, global_metrics};
 use std::collections::BTreeMap;
@@ -606,28 +606,6 @@ fn decode_root(buf: &[u8]) -> Result<Root> {
 
 // ---- table-directory serialization ----
 
-fn dtype_tag(dt: DataType) -> u8 {
-    match dt {
-        DataType::Int64 => 1,
-        DataType::Float64 => 2,
-        DataType::Str => 3,
-        DataType::Bool => 4,
-    }
-}
-
-fn tag_dtype(tag: u8) -> Result<DataType> {
-    match tag {
-        1 => Ok(DataType::Int64),
-        2 => Ok(DataType::Float64),
-        3 => Ok(DataType::Str),
-        4 => Ok(DataType::Bool),
-        other => Err(StorageError::CorruptData {
-            codec: "wal",
-            detail: format!("unknown data-type tag {other}"),
-        }),
-    }
-}
-
 fn encode_directory(tables: &BTreeMap<String, StoredTable>) -> Vec<u8> {
     let mut out = Vec::new();
     out.extend_from_slice(&(tables.len() as u32).to_le_bytes());
@@ -636,9 +614,7 @@ fn encode_directory(tables: &BTreeMap<String, StoredTable>) -> Vec<u8> {
         out.extend_from_slice(&(t.rows as u64).to_le_bytes());
         out.extend_from_slice(&(t.schema.len() as u32).to_le_bytes());
         for (field, ext) in t.schema.fields().iter().zip(&t.columns) {
-            put_str(&mut out, &field.name);
-            out.push(dtype_tag(field.data_type));
-            out.push(field.nullable as u8);
+            put_field(&mut out, field);
             ext.encode(&mut out);
         }
     }
@@ -647,39 +623,19 @@ fn encode_directory(tables: &BTreeMap<String, StoredTable>) -> Vec<u8> {
 
 fn decode_directory(buf: &[u8]) -> Result<BTreeMap<String, StoredTable>> {
     let mut r = Reader::new("wal", buf);
-    let n_tables = r.u32()? as usize;
-    if n_tables > r.remaining() {
-        return Err(r.corrupt("implausible table count"));
-    }
     let mut tables = BTreeMap::new();
-    for _ in 0..n_tables {
+    for _ in 0..r.count(1, "table")? {
         let name = r.str_u32("table name")?;
         let rows = r.u64()? as usize;
-        let n_fields = r.u32()? as usize;
-        if n_fields > r.remaining() {
-            return Err(r.corrupt("implausible field count"));
-        }
-        let mut fields = Vec::with_capacity(n_fields);
-        let mut columns = Vec::with_capacity(n_fields);
+        let n_fields = r.count(1, "field")?;
+        let (mut fields, mut columns) = (Vec::new(), Vec::new());
         for _ in 0..n_fields {
-            let fname = r.str_u32("field name")?;
-            let dt = tag_dtype(r.u8()?)?;
-            let nullable = r.u8()? != 0;
-            fields.push(if nullable {
-                Field::nullable(fname, dt)
-            } else {
-                Field::new(fname, dt)
-            });
+            fields.push(r.field()?);
             columns.push(Extent::decode(&mut r)?);
         }
         tables.insert(name, StoredTable { schema: Schema::new(fields), rows, columns });
     }
     Ok(tables)
-}
-
-fn put_str(out: &mut Vec<u8>, s: &str) {
-    out.extend_from_slice(&(s.len() as u32).to_le_bytes());
-    out.extend_from_slice(s.as_bytes());
 }
 
 #[cfg(test)]

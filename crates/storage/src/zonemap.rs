@@ -48,8 +48,7 @@ use std::collections::BTreeMap;
 /// Default zone granularity, in rows.
 pub const DEFAULT_ZONE_ROWS: usize = 4096;
 
-/// Comparison operator vocabulary shared by zone pruning and the
-/// compressed-domain predicate kernels (`compress::*::eval_cmp`).
+/// Comparison operator vocabulary of zone pruning.
 ///
 /// Storage cannot depend on the expression crate, so this mirrors the
 /// sargable subset of its comparison ops; the query layer maps onto it.
@@ -83,33 +82,6 @@ impl PredOp {
             PredOp::Eq => lhs == rhs,
             PredOp::Ne => !lhs.is_nan() && !rhs.is_nan() && lhs != rhs,
         }
-    }
-
-    /// Apply to a total ordering of `lhs` relative to `rhs` (integer,
-    /// packed-code, and string kernels all reduce to this).
-    #[inline]
-    pub fn eval_ord(self, ord: std::cmp::Ordering) -> bool {
-        use std::cmp::Ordering::*;
-        match self {
-            PredOp::Lt => ord == Less,
-            PredOp::Le => ord != Greater,
-            PredOp::Gt => ord == Greater,
-            PredOp::Ge => ord != Less,
-            PredOp::Eq => ord == Equal,
-            PredOp::Ne => ord != Equal,
-        }
-    }
-
-    /// Apply to integer operands (compressed-domain kernels).
-    #[inline]
-    pub fn eval_i64(self, lhs: i64, rhs: i64) -> bool {
-        self.eval_ord(lhs.cmp(&rhs))
-    }
-
-    /// Apply to unsigned operands (packed-domain kernels).
-    #[inline]
-    pub fn eval_u64(self, lhs: u64, rhs: u64) -> bool {
-        self.eval_ord(lhs.cmp(&rhs))
     }
 }
 

@@ -17,9 +17,11 @@
 //!    killed per a mask and one failure injected at a random phase.
 //!
 //! It runs all seven again after `capture_model`, and paths 4–6 after an
-//! append. Every exact answer must carry the oracle's bits, and
-//! `rows_scanned` must agree across the single-engine paths. A model's
-//! point lookup must land within its `max_abs_residual` of the oracle.
+//! append. Every exact answer must carry the oracle's bits and column
+//! types, and `rows_scanned` must agree across the single-engine paths.
+//! A model's point lookup must land within its `max_abs_residual` of the
+//! oracle, and a query naming a column the model does not reconstruct
+//! must degrade to the exact rung with `NoModel`.
 //!
 //! Seeded: `LAWSDB_FAULT_SEED=<seed>` is printed, and a failure names
 //! the seed, the case and the SQL.
@@ -290,8 +292,9 @@ fn tail(r: &mut Rng, outputs: &[&str]) -> String {
 }
 
 /// Shapes over the captured response: point aggregates at observed
-/// `(g, x)` pairs, which a model answers by one lookup, and filters the
-/// model's zones can refute.
+/// `(g, x)` pairs, which a model answers by one lookup, filters the
+/// model's zones can refute, and last an aggregate that also names `k`,
+/// which the model does not reconstruct.
 fn model_queries(r: &mut Rng, t: &Table) -> Vec<String> {
     let mut sql: Vec<String> = (0..2)
         .map(|_| {
@@ -302,6 +305,7 @@ fn model_queries(r: &mut Rng, t: &Table) -> Vec<String> {
     let bound = 0.5 + 8.0 * r.unit();
     sql.push(format!("SELECT g, x, y FROM t WHERE y > {bound:.2} ORDER BY y DESC LIMIT 7"));
     sql.push(format!("SELECT COUNT(*) AS n, MAX(y) AS hi FROM t WHERE y < {bound:.2}"));
+    sql.push(format!("SELECT g, SUM(y) AS s FROM t WHERE k >= {} GROUP BY g", r.below(64)));
     sql
 }
 
@@ -368,9 +372,17 @@ fn run_case(seed: u64, case: u64) -> usize {
         run.bound = Some(m.max_abs_residual.unwrap_or_else(|| run.fail("capture", "", "no bound")));
         let extra = model_queries(&mut r, &run.table);
         point = Some(extra[0].clone());
+        let unmodelled = extra[extra.len() - 1].clone();
         sql.extend(extra);
         for s in &sql {
             run.every_path(s);
+        }
+        // The model cannot answer it, so the ladder degrades, exactly.
+        let path = "5 Resilient, unmodelled column";
+        let a = run.db.answer(&unmodelled, AnswerMode::Resilient, &run.db.exec);
+        let a = run.ok(path, &unmodelled, a);
+        if !matches!(a.degraded.as_slice(), [DegradeReason::NoModel { .. }]) {
+            run.fail(path, &unmodelled, &format!("{:?}", a.degraded));
         }
     }
 

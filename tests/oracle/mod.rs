@@ -34,12 +34,12 @@
 //! - **Columns** come in SELECT-list order (`*` is the table's columns).
 //!   A name is the alias, else the column's name, else the engine's
 //!   rendering of the item. A bare column keeps its type, a predicate
-//!   is Bool, COUNT is Int64, and everything else is Float64.
+//!   is Bool, COUNT is Int64, MIN and MAX of a string column are Str,
+//!   and everything else is Float64 — with or without rows.
 //!
-//! Two engine behaviours differ from these rules. An aggregate lists
+//! One engine behaviour differs from these rules: an aggregate lists
 //! its GROUP BY columns first, selected or not, so the driver's grammar
-//! selects exactly those, first. An aggregate with no rows to show types
-//! COUNT Float64, so column types are compared only on non-empty results.
+//! selects exactly those, first.
 
 use lawsdb::expr::ast::CmpOp;
 use lawsdb::query::parse_select;
@@ -64,15 +64,10 @@ impl Relation {
         }
     }
 
-    /// Names (typed when there are rows), then one line per row with
-    /// floats as raw bits: equal strings ⇔ equal schema, rows and bits.
+    /// Typed names, then one line per row with floats as raw bits:
+    /// equal strings ⇔ equal schema, rows and bits.
     pub fn fingerprint(&self) -> String {
-        let typed = !self.rows.is_empty();
-        let names: Vec<String> = self
-            .columns
-            .iter()
-            .map(|(n, t)| if typed { format!("{n}:{t}") } else { n.clone() })
-            .collect();
+        let names: Vec<String> = self.columns.iter().map(|(n, t)| format!("{n}:{t}")).collect();
         let mut out = vec![names.join(" ")];
         for row in &self.rows {
             let cells: Vec<String> = row
@@ -182,6 +177,11 @@ fn aggregate(stmt: &SelectStatement, input: &Relation, kept: &[Scope]) -> Relati
                 (item.output_name(), expr_type(e, input))
             }
             SelectItem::Agg { func: AggFunc::Count, .. } => (item.output_name(), DataType::Int64),
+            SelectItem::Agg { func: AggFunc::Min | AggFunc::Max, arg: Some(e), .. }
+                if expr_type(e, input) == DataType::Str =>
+            {
+                (item.output_name(), DataType::Str)
+            }
             SelectItem::Agg { .. } => (item.output_name(), DataType::Float64),
             other => panic!("neither aggregated nor a GROUP BY column: {other:?}"),
         })

@@ -39,7 +39,7 @@ use lawsdb_models::{CapturedModel, ModelCatalog, ModelParams};
 use lawsdb_query::morsel::parallel_morsels;
 use lawsdb_query::sql::{AggFunc, SelectItem, SelectStatement};
 use lawsdb_query::{parse_select, ExecOptions, PruningPredicate, ScalarExpr};
-use lawsdb_storage::zonemap::{PredOp, ZoneEntry};
+use lawsdb_storage::zonemap::PredOp;
 use lawsdb_storage::{Catalog, Table, TableBuilder};
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -374,7 +374,7 @@ impl ApproxEngine {
             // whole predicted range refutes a response conjunct, none of
             // its rows can survive the SQL filter — skip reconstruction.
             // A non-finite prediction makes the range unbounded (never
-            // prunable), mirroring model-synopsis zone construction.
+            // prunable).
             if !pure_point && !response_conjuncts.is_empty() && grid_rows > 0 {
                 let mut lo = f64::INFINITY;
                 let mut hi = f64::NEG_INFINITY;
@@ -387,11 +387,10 @@ impl ApproxEngine {
                     lo = lo.min(p);
                     hi = hi.max(p);
                 }
-                if !unbounded && lo <= hi {
-                    let entry = ZoneEntry::bounded(grid_rows as u32, lo, hi);
-                    if response_conjuncts.iter().any(|&(op, rhs)| !entry.may_match(op, rhs)) {
-                        return Ok(out);
-                    }
+                if !unbounded
+                    && response_conjuncts.iter().any(|&(op, rhs)| !op.may_match(lo, hi, rhs))
+                {
+                    return Ok(out);
                 }
             }
             let mut combo = vec![0.0; vars.len()];

@@ -10,9 +10,9 @@
 //! ```
 //!
 //! Each subcommand spins up a demo engine — `t(x, y = 2x)` with a
-//! captured linear law, so zone-map *and* model pruning both have
-//! something to do — runs a short mixed workload through the resilient
-//! path, and renders the asked-for view: the engine's metrics registry
+//! captured linear law, so the resilient ladder has a model to try and
+//! the zone maps of both columns have ranges to refute — runs a short
+//! mixed workload through the resilient path, and renders the asked-for view: the engine's metrics registry
 //! as Prometheus text (`prom`) or JSON (`json`), the cost-based
 //! physical plan with estimated rows/cost per node (`plan`), or the
 //! per-query profile tree for one statement (`explain`). The same
@@ -50,7 +50,7 @@ fn demo_engine() -> LawsDb {
 }
 
 /// A short mixed workload so the exposition has non-zero counters:
-/// a model-pruned range scan and an aggregate.
+/// a zone-pruned range scan and an aggregate.
 fn warm(db: &LawsDb) {
     for sql in [
         "SELECT y FROM t WHERE x >= 15000 AND y <= 32000",

@@ -45,6 +45,24 @@ fn plan_prints_the_cost_annotated_tree() {
 }
 
 #[test]
+fn explain_prints_zone_verdicts() {
+    // README's EXPLAIN ANALYZE sample is this command's output.
+    let text = stdout(&["explain"]);
+    let decisions: Vec<&str> = text
+        .split("decision=")
+        .skip(1)
+        .filter_map(|rest| rest.split_whitespace().next())
+        .collect();
+    assert!(decisions.contains(&"skip_zonemap") && decisions.contains(&"eval"), "{text}");
+    let verdicts = ["skip_zonemap", "accept_all", "eval"];
+    assert!(decisions.iter().all(|d| verdicts.contains(d)), "{text}");
+    let stats = text.lines().find(|l| l.contains("scan.stats ")).expect("a scan.stats line");
+    let fields: Vec<&str> =
+        stats.split_whitespace().filter_map(|w| w.split_once('=').map(|(k, _)| k)).collect();
+    assert_eq!(fields, ["pages_total", "pruned_zonemap", "accepted", "zones_agg_synopsis"]);
+}
+
+#[test]
 fn slowlog_prints_deterministic_flight_records_with_an_in_trace_failover() {
     let text = stdout(&["slowlog"]);
     for needle in [

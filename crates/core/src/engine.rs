@@ -26,6 +26,10 @@ use std::sync::Arc;
 /// on every model-path answer.
 const DRIFT_SAMPLE_ROWS: usize = 16;
 
+/// Bits per key of the legal-combination Bloom filter capture builds
+/// for a grouped model (≈ 1 % false positives).
+const LEGAL_FILTER_BITS_PER_KEY: usize = 10;
+
 /// The quality gate applied to every captured model before it becomes
 /// usable (Section 3, step 2: "Judge the quality of the model").
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -95,9 +99,6 @@ pub struct LawsDb {
     approx: RwLock<ApproxEngine>,
     /// Quality gate for captured models.
     pub quality: QualityPolicy,
-    /// Bits per key for auto-built legal-combination Bloom filters;
-    /// `None` disables auto-building.
-    pub legal_filter_bits_per_key: Option<usize>,
     /// Knobs for the exact query path: worker thread count (0 = one per
     /// core) and morsel size. Results are identical for any setting.
     pub exec: ExecOptions,
@@ -138,7 +139,6 @@ impl LawsDb {
             approx: RwLock::new(ApproxEngine::new(Arc::clone(&models))),
             models,
             quality: QualityPolicy::default(),
-            legal_filter_bits_per_key: Some(10),
             exec,
             health: HealthCounters::for_registry(&metrics),
             cost: CostConstants::default(),
@@ -465,51 +465,21 @@ impl LawsDb {
         if !passed {
             return Err(CoreError::QualityRejected { r2, min_r2: self.quality.min_r2 });
         }
-        // Attach model-synopsis zones to the response column (the
-        // paper's Tier-2 pruning: `prediction ± max residual` refutes
-        // predicates without reading the column). Whole-table models
-        // only — a partial model's bound says nothing about rows
-        // outside its predicate — and only while the fitted snapshot is
-        // still current. Best-effort: a failed attach keeps the model.
-        if stored.coverage.predicate.is_none() {
-            if let (Some(bound), Ok(current)) =
-                (stored.max_abs_residual, self.table(table_name))
-            {
-                if current.row_count() == stored.coverage.rows_at_fit {
-                    if let Ok(preds) = lawsdb_models::bridge::predict_table(&stored, &current) {
-                        let response = &stored.coverage.response;
-                        let zone_rows = current
-                            .synopsis()
-                            .and_then(|s| s.column(response))
-                            .map(|z| z.zone_rows)
-                            .unwrap_or(lawsdb_storage::DEFAULT_ZONE_ROWS);
-                        let zones = lawsdb_storage::ColumnZones::from_model_bounds(
-                            &preds, bound, zone_rows,
-                        );
-                        if let Ok(zoned) = current.with_model_zones(response, zones) {
-                            self.tables.replace(zoned);
-                        }
-                    }
-                }
-            }
-        }
         // Build the legal-combination Bloom filter from the observed
         // rows (Section 4.2's compressed lookup structure).
-        if let Some(bpk) = self.legal_filter_bits_per_key {
-            if let Some(g) = group_column {
-                if let (Ok(groups), Ok(var_views)) = (
-                    table.column(g).and_then(|c| c.i64_data().map(<[i64]>::to_vec)),
-                    stored
-                        .coverage
-                        .variables
-                        .iter()
-                        .map(|v| table.column(v).and_then(|c| c.f64_data().map(<[f64]>::to_vec)))
-                        .collect::<lawsdb_storage::Result<Vec<_>>>(),
-                ) {
-                    let slices: Vec<&[f64]> = var_views.iter().map(Vec::as_slice).collect();
-                    let bf = build_legal_filter(&groups, &slices, bpk);
-                    self.approx.write().register_legal_filter(stored.id, bf);
-                }
+        if let Some(g) = group_column {
+            if let (Ok(groups), Ok(var_views)) = (
+                table.column(g).and_then(|c| c.i64_data().map(<[i64]>::to_vec)),
+                stored
+                    .coverage
+                    .variables
+                    .iter()
+                    .map(|v| table.column(v).and_then(|c| c.f64_data().map(<[f64]>::to_vec)))
+                    .collect::<lawsdb_storage::Result<Vec<_>>>(),
+            ) {
+                let slices: Vec<&[f64]> = var_views.iter().map(Vec::as_slice).collect();
+                let bf = build_legal_filter(&groups, &slices, LEGAL_FILTER_BITS_PER_KEY);
+                self.approx.write().register_legal_filter(stored.id, bf);
             }
         }
         Ok(stored)
@@ -725,48 +695,24 @@ mod tests {
     }
 
     #[test]
-    fn capture_attaches_model_zones_that_prune_exact_scans() {
+    fn capture_leaves_the_table_and_its_zones_in_place() {
         let db = lofar_db();
-        db.capture_model(
-            "measurements",
-            "intensity ~ p * nu ^ alpha",
-            Some("source"),
-            &RawFitOptions::default(),
-        )
-        .unwrap();
-        // The response column's zones now carry model provenance.
-        let t = db.table("measurements").unwrap();
-        let z = t.synopsis().unwrap().column("intensity").unwrap();
-        assert_eq!(z.source, lawsdb_storage::ZoneSource::Model);
-        // An exact scan refuted by `prediction ± residual` does no
-        // per-row work, attributed to the model tier.
+        let before = db.table("measurements").unwrap();
+        let formula = "intensity ~ p * nu ^ alpha";
+        db.capture_model("measurements", formula, Some("source"), &RawFitOptions::default())
+            .unwrap();
+        let partial = RawFitOptions::default().with_initial("alpha", -0.7);
+        db.capture_model_where("measurements", formula, Some("source"), "nu >= 0.16", &partial)
+            .unwrap();
+        assert!(Arc::ptr_eq(&before, &db.table("measurements").unwrap()));
+        // An exact scan the data zones refute does no per-row work…
         let r = db.query("SELECT intensity FROM measurements WHERE intensity > 1000").unwrap();
         assert_eq!(r.table.row_count(), 0);
-        assert!(r.scan_stats.pages_pruned_model > 0, "{:?}", r.scan_stats);
-        // A satisfiable scan still answers exactly.
-        let r = db.query("SELECT intensity FROM measurements WHERE intensity > 1").unwrap();
-        let exact =
-            db.query("SELECT COUNT(*) AS n FROM measurements WHERE intensity > 1").unwrap();
-        assert_eq!(
-            lawsdb_storage::Value::Int(r.table.row_count() as i64),
-            exact.table.row(0).unwrap()[0]
-        );
-    }
-
-    #[test]
-    fn partial_capture_leaves_data_zones_untouched() {
-        let db = lofar_db();
-        db.capture_model_where(
-            "measurements",
-            "intensity ~ p * nu ^ alpha",
-            Some("source"),
-            "nu >= 0.16",
-            &RawFitOptions::default().with_initial("alpha", -0.7),
-        )
-        .unwrap();
-        let t = db.table("measurements").unwrap();
-        let z = t.synopsis().unwrap().column("intensity").unwrap();
-        assert_eq!(z.source, lawsdb_storage::ZoneSource::Data);
+        assert!(r.scan_stats.pages_pruned_zonemap > 0, "{:?}", r.scan_stats);
+        // …and an unfiltered aggregate of the response reads no page.
+        let r = db.query("SELECT SUM(intensity) AS s FROM measurements").unwrap();
+        assert_eq!(r.scan_stats.pages_total, 0, "{:?}", r.scan_stats);
+        assert!(r.scan_stats.zones_agg_synopsis > 0, "{:?}", r.scan_stats);
     }
 
     #[test]
@@ -1029,10 +975,9 @@ mod tests {
         let sql = "SELECT intensity FROM measurements WHERE source = 0 AND nu = 0.15";
         db.query(sql).unwrap();
         let epoch = db.stats_epoch();
-        // Capturing a model changes what the planner may assume
-        // (model-backed zones, approx coverage), so the epoch moves
-        // even though no base rows changed. Note capture also attaches
-        // model zones to the table, bumping the table epoch too.
+        // Capturing a model changes what the ladder may assume (approx
+        // coverage), so the epoch moves even though no base rows
+        // changed and the table is untouched.
         let m = db
             .capture_model(
                 "measurements",

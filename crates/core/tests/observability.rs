@@ -1,7 +1,7 @@
 //! End-to-end acceptance for the unified observability layer: one
 //! resilient query under full instrumentation produces a single
 //! `QueryProfile` tree containing morsel timings, pruning decisions per
-//! zone source, governor charges, bridged retry/quarantine events and
+//! zone, governor charges, bridged retry/quarantine events and
 //! the degradation reason — and a `MockClock` run of the same query is
 //! byte-identical across executions.
 //!
@@ -21,9 +21,9 @@ use std::sync::{Arc, Mutex, PoisonError};
 
 static LOCK: Mutex<()> = Mutex::new(());
 
-/// An engine over `t(x, y = 2x)` with a captured linear model whose
-/// `prediction ± residual` zones replace `y`'s data zones, budgeted so
-/// the governor is armed on every query.
+/// An engine over `t(x, y = 2x)` with a captured linear model (which
+/// cannot answer a range scan, so the ladder degrades to the exact
+/// rung), budgeted so the governor is armed on every query.
 fn zoned_engine(n: usize, exec: ExecOptions) -> LawsDb {
     let mut b = TableBuilder::new("t");
     b.add_f64("x", (0..n).map(|i| i as f64).collect());
@@ -49,9 +49,9 @@ fn answer_collected(
     (r, collector.build("query"))
 }
 
-/// The paper-shaped range query: `x`'s *data* zones refute the low
-/// ranges, `y`'s *model* zones refute the high ones, and the middle
-/// zone needs per-row evaluation.
+/// The paper-shaped range query: `x`'s zones refute the low ranges,
+/// `y`'s zones refute the high ones, and the middle zone needs per-row
+/// evaluation.
 const SQL: &str = "SELECT y FROM t WHERE x >= 15000 AND y <= 32000";
 
 #[test]
@@ -111,16 +111,14 @@ fn resilient_query_profile_unifies_every_signal() {
     assert!(!morsels.is_empty());
     assert!(morsels.iter().all(|m| m.field("duration_us").is_some()));
 
-    // (3) Pruning decisions attributed per zone source: x's data zones
-    // refute the low ranges, y's model zones the high ones.
+    // (3) Pruning decisions per zone: x's zones refute the low ranges,
+    // y's the high one, and the middle zone is evaluated.
     let decisions: Vec<&str> = p
         .find("zone")
         .iter()
         .filter_map(|z| z.field("decision").and_then(FieldValue::as_str))
         .collect();
-    assert!(decisions.contains(&"skip_zonemap"), "{decisions:?}");
-    assert!(decisions.contains(&"skip_model"), "{decisions:?}");
-    assert!(decisions.contains(&"eval"), "{decisions:?}");
+    assert_eq!(decisions, ["skip_zonemap", "eval", "skip_zonemap"], "{p}");
 
     // (4) Governor charges and the end-of-query summary.
     let charges = p.find("governor.rows");
@@ -145,7 +143,6 @@ fn resilient_query_profile_unifies_every_signal() {
         "plan.filter",
         "morsel #",
         "skip_zonemap",
-        "skip_model",
         "governor.rows",
         "storage.page.quarantine",
     ] {
@@ -189,10 +186,10 @@ fn engine_metrics_registry_sees_health_and_pruning() {
         lawsdb_core::Answer::Exact(q) => q,
         lawsdb_core::Answer::Approx(_) => unreachable!(),
     };
-    assert!(exact.scan_stats.pages_pruned_model > 0);
+    assert!(exact.scan_stats.pages_pruned_zonemap > 0);
     assert_eq!(
-        snap.counter("lawsdb_query_pages_pruned_model"),
-        exact.scan_stats.pages_pruned_model as u64
+        snap.counter("lawsdb_query_pages_pruned_zonemap"),
+        exact.scan_stats.pages_pruned_zonemap as u64
     );
     assert_eq!(
         snap.counter("lawsdb_query_pages_total"),

@@ -41,11 +41,12 @@ fn capture_domains(table: &Table, variables: &[String]) -> Vec<(String, Vec<f64>
 }
 
 /// Largest |actual − predicted| over rows of `table` where both are
-/// finite — the model-synopsis pruning bound. `None` when no row has
-/// both finite (then the model bounds nothing). Rows the model cannot
-/// predict (NaN prediction: unfitted group, missing input) are simply
-/// excluded here; zone construction marks their zones unbounded, so the
-/// bound stays sound.
+/// finite — the bound the drift guard, the cluster's shard-model
+/// fallback and quarantined-column re-derive hold a model to. `None`
+/// when no row has both finite (then the model bounds nothing). Rows
+/// with a non-finite actual (`±inf`, NaN) or prediction (unfitted
+/// group, missing input) are excluded, so the bound says nothing about
+/// them: it is not a synopsis a scan could prune with.
 pub fn max_abs_residual(model: &CapturedModel, table: &Table) -> Result<Option<f64>> {
     let preds = predict_table(model, table)?;
     let actual = table.column(&model.coverage.response)?.to_f64_lossy()?;

@@ -150,10 +150,11 @@ pub struct CapturedModel {
     /// Pooled R² over the coverage (grouped: 1 − ΣRSS/ΣTSS).
     pub overall_r2: f64,
     /// Largest |actual − predicted| observed over the fitted rows, if
-    /// any row had both values finite. This is the model-synopsis
-    /// pruning bound: every stored response value lies within
-    /// `prediction ± max_abs_residual`, so a scan can refute a
-    /// predicate against the model without reading the column.
+    /// any row had both values finite. Every finite response value at
+    /// fit time lies within `prediction ± max_abs_residual`; the drift
+    /// guard, the cluster's shard-model fallback and quarantined-column
+    /// re-derive check against it. Scans do not prune with it: the
+    /// zone maps built from the data are never looser.
     pub max_abs_residual: Option<f64>,
     /// Lifecycle state.
     pub state: ModelState,

@@ -19,7 +19,7 @@ use crate::sql::{parse_select, AggFunc, OrderBy};
 use lawsdb_obs::fields;
 use lawsdb_storage::column::NumericAggState;
 use lawsdb_storage::schema::{DataType, Field, Schema};
-use lawsdb_storage::zonemap::{ColumnZones, ZoneSource};
+use lawsdb_storage::zonemap::ColumnZones;
 use lawsdb_storage::{Catalog, Column, Table, Value};
 use std::cmp::Ordering;
 use std::collections::HashMap;
@@ -89,7 +89,6 @@ pub(crate) fn execute_plan_with(
             fields![
                 pages_total = scan_stats.pages_total,
                 pruned_zonemap = scan_stats.pages_pruned_zonemap,
-                pruned_model = scan_stats.pages_pruned_model,
                 accepted = scan_stats.zones_accepted,
                 zones_agg_synopsis = scan_stats.zones_agg_synopsis,
             ],
@@ -329,10 +328,10 @@ fn pruner_for(predicate: Option<&ScalarExpr>, opts: &ExecOptions) -> Option<Prun
 /// With a pruner and a synopsis the chunks come from
 /// [`PruningPredicate::plan_range`] on the pruner's grid; the zone
 /// counters go to `opts.stats` and one `zone`
-/// profile leaf per chunk records the deciding tier (`skip_zonemap` =
-/// write-time data zones, `skip_model` = model-derived bounds,
-/// `accept_all` = bounds prove every row passes; leaves index by chunk
-/// offset, so sibling order is worker-schedule-independent). Without
+/// profile leaf per chunk records the verdict (`skip_zonemap` = bounds
+/// refute a conjunct, `accept_all` = bounds prove every row passes,
+/// `eval`; leaves index by chunk offset, so sibling order is
+/// worker-schedule-independent). Without
 /// them the morsel is one chunk and nothing is planned or counted: with
 /// pruning on and no filter at all every row is trivially accepted
 /// (`AcceptAll`, so an aggregate can answer from the synopsis with
@@ -358,8 +357,7 @@ fn zone_chunks(
     if let Some(ctx) = &opts.profile {
         for &(o, l, d) in &chunks {
             let decision = match d {
-                ZoneDecision::Skip(ZoneSource::Data) => "skip_zonemap",
-                ZoneDecision::Skip(ZoneSource::Model) => "skip_model",
+                ZoneDecision::Skip => "skip_zonemap",
                 ZoneDecision::AcceptAll => "accept_all",
                 ZoneDecision::Eval => "eval",
             };
@@ -387,7 +385,7 @@ fn parallel_filter(t: &Table, predicate: &ScalarExpr, opts: &ExecOptions) -> Res
         let mut keep = Vec::new();
         for (o, l, d) in zone_chunks(t, pruner.as_ref(), true, opts, offset, len) {
             match d {
-                ZoneDecision::Skip(_) => {}
+                ZoneDecision::Skip => {}
                 ZoneDecision::AcceptAll => keep.extend(o..o + l),
                 ZoneDecision::Eval => {
                     let mask = eval_conjuncts_mask(&conjuncts, &t.slice(o, l)?)?;
@@ -724,8 +722,8 @@ pub(crate) struct GroupPartial {
 /// Zone-synopsis aggregate pushdown plan for one eligible query.
 ///
 /// Eligible shapes are global (no GROUP BY) aggregates whose every
-/// argument is `*` or a bare Int64/Float64 column carrying exact data
-/// zones. Each morsel folds into one accumulator per aggregate: a zone
+/// argument is `*` or a bare Int64/Float64 column carrying zones. Each
+/// morsel folds into one accumulator per aggregate: a zone
 /// the pruner accepts wholesale folds its materialized [`ZoneAgg`]
 /// partial, and every other row runs the fused filter+aggregate kernel.
 /// Both produce exact sums, so which rows take which path never shows
@@ -766,7 +764,7 @@ fn plan_agg_pushdown<'t>(
             .column(c)
             .map(|col| matches!(col.data_type(), DataType::Int64 | DataType::Float64))
             .unwrap_or(false);
-        if zones.source != ZoneSource::Data || !numeric {
+        if !numeric {
             return None;
         }
         let i = push.columns.iter().position(|(n, _)| n == c).unwrap_or_else(|| {
@@ -814,15 +812,12 @@ impl AggPushdown<'_> {
             let mut n = 0;
             for zi in zones.zones_for(o, l) {
                 let (zs, ze) = zones.zone_range(zi);
-                match zones.entries[zi].agg_state().filter(|_| zs >= o && ze <= o + l) {
-                    Some(s) => {
-                        state.merge(&s);
-                        n += 1;
-                    }
-                    None => {
-                        let (s, e) = (zs.max(o), ze.min(o + l));
-                        state.merge(&t.column(name)?.slice(s, e - s)?.numeric_agg(None)?);
-                    }
+                if zs >= o && ze <= o + l {
+                    state.merge(&zones.entries[zi].agg_state());
+                    n += 1;
+                } else {
+                    let (s, e) = (zs.max(o), ze.min(o + l));
+                    state.merge(&t.column(name)?.slice(s, e - s)?.numeric_agg(None)?);
                 }
             }
             folded = folded.max(n);
@@ -1103,7 +1098,7 @@ pub(crate) fn aggregate_groups(
             let mut acc = MorselAccumulator::new(&group_by, &args, aggs.len());
             for (o, l, d) in chunks {
                 let pred = match d {
-                    ZoneDecision::Skip(_) => continue,
+                    ZoneDecision::Skip => continue,
                     ZoneDecision::AcceptAll => None,
                     ZoneDecision::Eval => predicate,
                 };
@@ -1115,7 +1110,7 @@ pub(crate) fn aggregate_groups(
         let mut pushed = 0;
         for (o, l, d) in chunks {
             match d {
-                ZoneDecision::Skip(_) => {}
+                ZoneDecision::Skip => {}
                 ZoneDecision::AcceptAll => {
                     let zones = push.fold_accepted(t, o, l, &mut accs)?;
                     if let (Some(ctx), true) = (&opts.profile, zones > 0) {
@@ -1643,7 +1638,6 @@ mod distinct_tests {
 mod pruning_exec_tests {
     use super::*;
     use crate::morsel::ExecOptions;
-    use lawsdb_storage::zonemap::ColumnZones;
     use lawsdb_storage::TableBuilder;
 
     /// 512 rows in 8 zones of 64: `k` strictly increasing (disjoint
@@ -1706,31 +1700,6 @@ mod pruning_exec_tests {
         // per-row evaluation; the other 7 zones are refuted.
         assert_eq!(pruned.scan_stats.pages_pruned_zonemap, 7);
         assert_eq!(pruned.scan_stats.zones_accepted, 1);
-    }
-
-    #[test]
-    fn model_zones_prune_and_are_attributed_to_the_model_tier() {
-        let n = 256usize;
-        let mut b = TableBuilder::new("mt");
-        b.add_f64("x", (0..n).map(|i| i as f64).collect());
-        b.add_f64("y", (0..n).map(|i| 2.0 * i as f64).collect());
-        let mut t = b.build().unwrap();
-        t.rebuild_synopsis_with(64);
-        // Model y ≈ 2x with max |residual| 0.5 replaces y's data zones.
-        let preds: Vec<f64> = (0..n).map(|i| 2.0 * i as f64).collect();
-        let t = t.with_model_zones("y", ColumnZones::from_model_bounds(&preds, 0.5, 64)).unwrap();
-        let c = Catalog::new();
-        c.register(t).unwrap();
-
-        let sql = "SELECT x FROM mt WHERE y > 1000";
-        let (pruned, got) = rows(sql, &ExecOptions::default(), &c);
-        let (_, want) = rows(sql, &ExecOptions::unpruned(), &c);
-        assert_eq!(got, want);
-        // max(y) = 510, so y > 1000 is refuted everywhere — by the
-        // model bounds, since they replaced the data zones.
-        assert!(got.is_empty());
-        assert_eq!(pruned.scan_stats.pages_pruned_model, 4);
-        assert_eq!(pruned.scan_stats.pages_pruned_zonemap, 0);
     }
 
     #[test]
@@ -1805,7 +1774,7 @@ mod pruning_exec_tests {
         assert_eq!(morsels.len(), 4, "512 rows / 128-row morsels");
         let offsets: Vec<Option<u64>> = morsels.iter().map(|m| m.index).collect();
         assert_eq!(offsets, vec![Some(0), Some(128), Some(256), Some(384)]);
-        // Zone decisions carry the pruning-tier attribution.
+        // Zone decisions carry the pruning verdict.
         let zones = p.find("zone");
         assert!(zones.iter().any(|z| {
             z.field("decision").and_then(FieldValue::as_str) == Some("skip_zonemap")

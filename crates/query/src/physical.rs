@@ -31,7 +31,6 @@ use crate::morsel::ExecOptions;
 use crate::plan::{AggSpec, LogicalPlan};
 use crate::pruning::{PruningConjunct, PruningPredicate, ScanStats, ZoneDecision};
 use crate::sexpr::ScalarExpr;
-use lawsdb_storage::zonemap::ZoneSource;
 use lawsdb_storage::Catalog;
 
 /// Selectivity assumed for conjuncts the synopsis cannot estimate
@@ -55,10 +54,8 @@ pub struct AccessPlan {
     pub zones_eval: usize,
     /// Chunks accepted wholesale from their bounds.
     pub zones_accept: usize,
-    /// Chunks skipped by exact write-time zone maps.
-    pub zones_skip_data: usize,
-    /// Chunks skipped by model-derived bounds.
-    pub zones_skip_model: usize,
+    /// Chunks skipped by their zone map.
+    pub zones_skip: usize,
     /// Rows inside Eval chunks.
     pub rows_eval: usize,
     /// Rows inside AcceptAll chunks.
@@ -70,16 +67,14 @@ pub struct AccessPlan {
 impl AccessPlan {
     /// Total zone-aligned chunks consulted.
     pub fn zones_total(&self) -> usize {
-        self.zones_eval + self.zones_accept + self.zones_skip_data + self.zones_skip_model
+        self.zones_eval + self.zones_accept + self.zones_skip
     }
 
     /// Compact render folded into the EXPLAIN Pruning line.
     fn describe(&self) -> String {
         format!(
             "zones[eval={} accept={} skip={}]",
-            self.zones_eval,
-            self.zones_accept,
-            self.zones_skip_data + self.zones_skip_model
+            self.zones_eval, self.zones_accept, self.zones_skip
         )
     }
 }
@@ -429,12 +424,8 @@ fn access_plan(
                 a.zones_accept += zones;
                 a.rows_accept += len;
             }
-            ZoneDecision::Skip(ZoneSource::Data) => {
-                a.zones_skip_data += zones;
-                a.rows_skipped += len;
-            }
-            ZoneDecision::Skip(ZoneSource::Model) => {
-                a.zones_skip_model += zones;
+            ZoneDecision::Skip => {
+                a.zones_skip += zones;
                 a.rows_skipped += len;
             }
         }
@@ -564,7 +555,7 @@ mod tests {
         let a = note.access.expect("synopsis present, expected an access plan");
         assert_eq!(a.zones_total(), 8);
         assert_eq!(a.zones_eval, 1);
-        assert_eq!(a.zones_skip_data, 7);
+        assert_eq!(a.zones_skip, 7);
         assert_eq!(a.rows_skipped, 448);
         // Cardinality estimate should land near the true 64 rows.
         assert!(est.rows > 32.0 && est.rows < 128.0, "est.rows = {}", est.rows);

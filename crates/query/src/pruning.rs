@@ -14,16 +14,15 @@
 //! evaluates TRUE for a NULL or NaN operand — a skipped zone never
 //! loses a row the filter would have kept.
 //!
-//! Two synopsis tiers share this path (see DESIGN.md §10): exact
-//! write-time zones ([`ZoneSource::Data`]) and model-derived
-//! `prediction ± residual` zones ([`ZoneSource::Model`]). Both skip
-//! zones; a data zone whose bounds prove every row satisfies every
-//! conjunct is also accepted wholesale, with no row evaluated.
+//! There is one synopsis (see DESIGN.md §10): the zones the write path
+//! builds from the stored values. A zone whose bounds prove every row
+//! satisfies every conjunct is also accepted wholesale, with no row
+//! evaluated.
 
 use crate::sexpr::ScalarExpr;
 use lawsdb_expr::ast::CmpOp;
 use lawsdb_obs::{Counter, MetricsRegistry};
-use lawsdb_storage::zonemap::{PredOp, TableSynopsis, ZoneSource};
+use lawsdb_storage::zonemap::{PredOp, TableSynopsis};
 use std::sync::Arc;
 
 /// Per-query scan-pruning counters, in zones (the pruning granule:
@@ -32,10 +31,8 @@ use std::sync::Arc;
 pub struct ScanStats {
     /// Zones the scans covered before pruning.
     pub pages_total: usize,
-    /// Zones skipped by exact write-time zone maps.
+    /// Zones skipped by their zone map.
     pub pages_pruned_zonemap: usize,
-    /// Zones skipped by model-derived `prediction ± residual` bounds.
-    pub pages_pruned_model: usize,
     /// Zones accepted wholesale: their bounds plus NULL/NaN-freedom
     /// certificate prove every row satisfies the predicate (see
     /// [`lawsdb_storage::zonemap::ZoneEntry::satisfies_all`]), so no
@@ -53,15 +50,9 @@ impl ScanStats {
         ScanStats {
             pages_total: self.pages_total - earlier.pages_total,
             pages_pruned_zonemap: self.pages_pruned_zonemap - earlier.pages_pruned_zonemap,
-            pages_pruned_model: self.pages_pruned_model - earlier.pages_pruned_model,
             zones_accepted: self.zones_accepted - earlier.zones_accepted,
             zones_agg_synopsis: self.zones_agg_synopsis - earlier.zones_agg_synopsis,
         }
-    }
-
-    /// Zones skipped by either pruning tier.
-    pub fn pages_pruned(&self) -> usize {
-        self.pages_pruned_zonemap + self.pages_pruned_model
     }
 }
 
@@ -80,7 +71,6 @@ impl ScanStats {
 pub struct ScanStatsCollector {
     total: Arc<Counter>,
     zonemap: Arc<Counter>,
-    model: Arc<Counter>,
     accepted: Arc<Counter>,
     agg_synopsis: Arc<Counter>,
 }
@@ -98,7 +88,6 @@ impl ScanStatsCollector {
         ScanStatsCollector {
             total: registry.counter("lawsdb_query_pages_total"),
             zonemap: registry.counter("lawsdb_query_pages_pruned_zonemap"),
-            model: registry.counter("lawsdb_query_pages_pruned_model"),
             accepted: registry.counter("lawsdb_query_zones_accepted"),
             agg_synopsis: registry.counter("lawsdb_query_zones_agg_synopsis"),
         }
@@ -108,7 +97,6 @@ impl ScanStatsCollector {
     pub fn add(&self, s: &ScanStats) {
         self.total.add(s.pages_total as u64);
         self.zonemap.add(s.pages_pruned_zonemap as u64);
-        self.model.add(s.pages_pruned_model as u64);
         self.accepted.add(s.zones_accepted as u64);
         self.agg_synopsis.add(s.zones_agg_synopsis as u64);
     }
@@ -118,7 +106,6 @@ impl ScanStatsCollector {
         ScanStats {
             pages_total: self.total.get() as usize,
             pages_pruned_zonemap: self.zonemap.get() as usize,
-            pages_pruned_model: self.model.get() as usize,
             zones_accepted: self.accepted.get() as usize,
             zones_agg_synopsis: self.agg_synopsis.get() as usize,
         }
@@ -174,10 +161,10 @@ fn flip(op: PredOp) -> PredOp {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ZoneDecision {
     /// Some conjunct is unsatisfiable over the zone: skip it entirely.
-    Skip(ZoneSource),
+    Skip,
     /// Every conjunct provably holds for every row (`exact` predicates
     /// only): constant zones decide with one comparison, and
-    /// non-constant data zones qualify when their interval plus the
+    /// non-constant zones qualify when their interval plus the
     /// aggregate synopsis' NULL/NaN-freedom certificate proves
     /// whole-zone satisfaction. Take all rows without evaluating —
     /// and aggregate queries fold such zones straight from their
@@ -220,7 +207,7 @@ impl PruningPredicate {
         for c in &self.conjuncts {
             if let Some(z) = synopsis.column(&c.column) {
                 if !z.range_may_match(offset, len, c.op, c.rhs) {
-                    return ZoneDecision::Skip(z.source);
+                    return ZoneDecision::Skip;
                 }
             }
         }
@@ -263,8 +250,7 @@ impl PruningPredicate {
             stats.pages_total += 1;
             let d = self.decide(synopsis, pos, clen);
             match d {
-                ZoneDecision::Skip(ZoneSource::Data) => stats.pages_pruned_zonemap += 1,
-                ZoneDecision::Skip(ZoneSource::Model) => stats.pages_pruned_model += 1,
+                ZoneDecision::Skip => stats.pages_pruned_zonemap += 1,
                 ZoneDecision::AcceptAll => stats.zones_accepted += 1,
                 ZoneDecision::Eval => {}
             }
@@ -389,7 +375,7 @@ mod tests {
         syn.insert("a", zones);
         let p = PruningPredicate::extract(&cmp(CmpOp::Eq, "a", 1.0)).unwrap();
         assert_eq!(p.decide(&syn, 0, 4), ZoneDecision::AcceptAll);
-        assert_eq!(p.decide(&syn, 4, 4), ZoneDecision::Skip(ZoneSource::Data));
+        assert_eq!(p.decide(&syn, 4, 4), ZoneDecision::Skip);
         let p2 = PruningPredicate::extract(&cmp(CmpOp::Gt, "a", 6.0)).unwrap();
         assert_eq!(p2.decide(&syn, 4, 4), ZoneDecision::Eval);
     }
@@ -414,9 +400,9 @@ mod tests {
         assert_eq!(
             chunks,
             vec![
-                (0, 4, ZoneDecision::Skip(ZoneSource::Data)),
+                (0, 4, ZoneDecision::Skip),
                 (4, 4, ZoneDecision::AcceptAll),
-                (8, 4, ZoneDecision::Skip(ZoneSource::Data)),
+                (8, 4, ZoneDecision::Skip),
             ]
         );
         assert_eq!(stats.pages_total, 3);
@@ -439,7 +425,6 @@ mod tests {
                     c.add(&ScanStats {
                         pages_total: 10,
                         pages_pruned_zonemap: 3,
-                        pages_pruned_model: 2,
                         zones_accepted: 1,
                         zones_agg_synopsis: 5,
                     })
@@ -448,7 +433,7 @@ mod tests {
         });
         let snap = c.snapshot();
         assert_eq!(snap.pages_total, 40);
-        assert_eq!(snap.pages_pruned(), 20);
+        assert_eq!(snap.pages_pruned_zonemap, 12);
         assert_eq!(snap.zones_accepted, 4);
         assert_eq!(snap.zones_agg_synopsis, 20);
     }
@@ -462,7 +447,7 @@ mod tests {
         // a >= 5: zone 1's min proves every row qualifies.
         let p = PruningPredicate::extract(&cmp(CmpOp::Ge, "a", 5.0)).unwrap();
         assert_eq!(p.decide(&syn, 4, 4), ZoneDecision::AcceptAll);
-        assert_eq!(p.decide(&syn, 0, 4), ZoneDecision::Skip(ZoneSource::Data));
+        assert_eq!(p.decide(&syn, 0, 4), ZoneDecision::Skip);
         // a >= 3 splits zone 0: bounds can't certify, so per-row eval.
         let p2 = PruningPredicate::extract(&cmp(CmpOp::Ge, "a", 3.0)).unwrap();
         assert_eq!(p2.decide(&syn, 0, 4), ZoneDecision::Eval);

@@ -81,6 +81,4 @@ pub use schema::{DataType, Field, Schema};
 pub use table::{Table, TableBuilder};
 pub use value::Value;
 pub use wal::{DurableStore, RecoveryReport, StoredTable};
-pub use zonemap::{
-    ColumnZones, PredOp, TableSynopsis, ZoneEntry, ZoneSource, DEFAULT_ZONE_ROWS,
-};
+pub use zonemap::{ColumnZones, PredOp, TableSynopsis, ZoneEntry, DEFAULT_ZONE_ROWS};

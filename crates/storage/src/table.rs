@@ -4,7 +4,7 @@ use crate::column::Column;
 use crate::error::{Result, StorageError};
 use crate::schema::{DataType, Field, Schema};
 use crate::value::Value;
-use crate::zonemap::{ColumnZones, TableSynopsis, ZoneSource, DEFAULT_ZONE_ROWS};
+use crate::zonemap::{ColumnZones, TableSynopsis, DEFAULT_ZONE_ROWS};
 use std::sync::Arc;
 
 /// An immutable-by-convention columnar table.
@@ -100,35 +100,6 @@ impl Table {
         self.synopsis = Some(Arc::new(s));
     }
 
-    /// New table whose `column` zones are replaced by model-provenance
-    /// bounds (`prediction ± residual_bound`). This is the semantic-
-    /// compression view: once a model covers the column, its synopsis
-    /// comes from the model, not from materialized pages, and pruning
-    /// against it is accounted as zero-IO model pruning.
-    ///
-    /// Errors when the column does not exist or the bounds do not cover
-    /// the table's rows.
-    pub fn with_model_zones(&self, column: &str, zones: ColumnZones) -> Result<Table> {
-        if self.schema.index_of(column).is_none() {
-            return Err(StorageError::ColumnNotFound { name: column.to_string() });
-        }
-        if zones.source != ZoneSource::Model {
-            return Err(StorageError::InvalidTable {
-                reason: "with_model_zones requires model-provenance zones",
-            });
-        }
-        if zones.row_count() != self.rows {
-            return Err(StorageError::InvalidTable {
-                reason: "model zone bounds do not cover the table's rows",
-            });
-        }
-        let mut s = self.synopsis.as_deref().cloned().unwrap_or_default();
-        s.insert(column.to_string(), zones);
-        let mut t = self.clone();
-        t.synopsis = Some(Arc::new(s));
-        Ok(t)
-    }
-
     /// Table name.
     pub fn name(&self) -> &str {
         &self.name
@@ -205,8 +176,7 @@ impl Table {
         }
         self.rows += n;
         // Appending is a write: refresh the synopsis so zone bounds keep
-        // covering every row. Model-provenance zones are dropped (the
-        // engine invalidates covering models on append anyway).
+        // covering every row.
         if self.synopsis.is_some() {
             self.rebuild_synopsis();
         }
@@ -456,24 +426,6 @@ mod tests {
         let s = p.synopsis().unwrap();
         assert!(s.column("nu").is_some());
         assert!(s.column("intensity").is_none());
-    }
-
-    #[test]
-    fn model_zones_replace_data_zones() {
-        use crate::zonemap::{ColumnZones, PredOp, ZoneSource};
-        let t = lofar_like();
-        let zones = ColumnZones::from_model_bounds(&[0.2, 0.3, 1.5, 1.5], 0.1, 4096);
-        let t2 = t.with_model_zones("intensity", zones).unwrap();
-        let z = t2.synopsis().unwrap().column("intensity").unwrap();
-        assert_eq!(z.source, ZoneSource::Model);
-        assert!(!z.range_may_match(0, 4, PredOp::Gt, 2.0));
-        // Equality ignores the synopsis.
-        assert_eq!(t, t2);
-        // Wrong coverage or missing column is an error.
-        let short = ColumnZones::from_model_bounds(&[0.2], 0.1, 4096);
-        assert!(t.with_model_zones("intensity", short).is_err());
-        let ok = ColumnZones::from_model_bounds(&[0.2, 0.3, 1.5, 1.5], 0.1, 4096);
-        assert!(t.with_model_zones("zz", ok).is_err());
     }
 
     #[test]

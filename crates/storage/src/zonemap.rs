@@ -10,15 +10,12 @@
 //! made mechanical: the synopsis answers the page-relevance question,
 //! the pages themselves are never read.
 //!
-//! Two provenances share the representation ([`ZoneSource`]):
-//!
-//! * **Data** zones are exact min/max computed from the stored values.
-//! * **Model** zones are `prediction ± max-absolute-residual` bounds
-//!   derived from a captured model covering the column. They bound
-//!   every stored value (the residual bound is computed against the
-//!   same snapshot), so pruning against them is exactly as sound, but
-//!   they exist *without* the column being materialized — a
-//!   semantically compressed column still supports pruning.
+//! Every zone is built from the stored values. A captured model's
+//! `prediction ± max_abs_residual` band adds nothing to it: where the
+//! band is sound it contains the zone's `[min, max]`, so it never
+//! refutes a predicate the data zone keeps, and where it is not (a
+//! `±inf` value the residual bound skips) it would drop rows a filter
+//! keeps.
 //!
 //! NaN/NULL policy: NaN values and NULL rows are excluded from min/max.
 //! This is sound for pruning because a comparison predicate is never
@@ -31,7 +28,7 @@
 //! ([`ZoneEntry::satisfies_all`]) additionally needs the aggregate
 //! synopsis to certify the zone is NaN-free.
 //!
-//! Data zones also carry a per-zone **aggregate synopsis**
+//! Each zone also carries an **aggregate synopsis**
 //! ([`ZoneAgg`]): the count of aggregate-visible values and their exact
 //! sum. The same exclusion rule applies — NULL rows and NaN values are
 //! invisible to SQL aggregates (the expression layer maps NaN to NULL) —
@@ -81,6 +78,24 @@ impl PredOp {
             PredOp::Ge => lhs >= rhs,
             PredOp::Eq => lhs == rhs,
             PredOp::Ne => !lhs.is_nan() && !rhs.is_nan() && lhs != rhs,
+        }
+    }
+
+    /// Could some value in `[min, max]` satisfy `value <op> rhs`?
+    ///
+    /// `false` is a proof; `true` is merely "cannot rule it out". An
+    /// empty interval (`min > max`) and a NaN literal match nothing.
+    pub fn may_match(self, min: f64, max: f64, rhs: f64) -> bool {
+        if rhs.is_nan() || min > max {
+            return false;
+        }
+        match self {
+            PredOp::Lt => min < rhs,
+            PredOp::Le => min <= rhs,
+            PredOp::Gt => max > rhs,
+            PredOp::Ge => max >= rhs,
+            PredOp::Eq => min <= rhs && rhs <= max,
+            PredOp::Ne => !(min == max && min == rhs),
         }
     }
 }
@@ -137,46 +152,25 @@ pub struct ZoneEntry {
     /// Constant zones admit whole-zone predicate evaluation: one
     /// comparison decides all rows.
     pub constant: bool,
-    /// Materialized aggregate partials. `Some` for exact data zones
-    /// built by the write path; `None` for model zones (no exact values
-    /// to sum).
-    pub agg: Option<ZoneAgg>,
+    /// Materialized aggregate partials.
+    pub agg: ZoneAgg,
 }
 
 impl ZoneEntry {
-    /// A zone with no bounded values (prunes against any comparison).
-    pub fn empty(rows: u32, null_count: u32) -> ZoneEntry {
-        ZoneEntry {
-            rows,
-            null_count,
-            min: f64::INFINITY,
-            max: f64::NEG_INFINITY,
-            constant: false,
-            agg: None,
-        }
-    }
-
-    /// A zone whose rows are only known to lie in `[lo, hi]` (model
-    /// bounds; unknown null structure, so never constant and never
-    /// carrying aggregate partials).
-    pub fn bounded(rows: u32, lo: f64, hi: f64) -> ZoneEntry {
-        ZoneEntry { rows, null_count: 0, min: lo, max: hi, constant: false, agg: None }
-    }
-
     /// True when the zone holds at least one bounded value.
     #[inline]
     pub fn has_values(&self) -> bool {
         self.min <= self.max
     }
 
-    /// The zone's COUNT/SUM/MIN/MAX state, when it carries partials.
-    pub fn agg_state(&self) -> Option<NumericAggState> {
-        self.agg.as_ref().map(|a| NumericAggState {
-            count: a.count.into(),
-            sum: a.sum.clone(),
+    /// The zone's COUNT/SUM/MIN/MAX state.
+    pub fn agg_state(&self) -> NumericAggState {
+        NumericAggState {
+            count: self.agg.count.into(),
+            sum: self.agg.sum.clone(),
             min: self.min,
             max: self.max,
-        })
+        }
     }
 
     /// Could *any* row in this zone satisfy `value <op> rhs`?
@@ -185,23 +179,13 @@ impl ZoneEntry {
     /// "cannot rule it out". Sound only for predicates that no NULL or
     /// NaN row can satisfy — true of every comparison operator here.
     pub fn may_match(&self, op: PredOp, rhs: f64) -> bool {
-        if rhs.is_nan() || !self.has_values() {
-            return false;
-        }
-        match op {
-            PredOp::Lt => self.min < rhs,
-            PredOp::Le => self.min <= rhs,
-            PredOp::Gt => self.max > rhs,
-            PredOp::Ge => self.max >= rhs,
-            PredOp::Eq => self.min <= rhs && rhs <= self.max,
-            PredOp::Ne => !(self.min == self.max && self.min == rhs),
-        }
+        op.may_match(self.min, self.max, rhs)
     }
 
     /// For a constant zone, the single comparison that decides every
     /// row: `Some(true)` means all rows match, `Some(false)` none do.
     /// `None` when the zone is not constant (per-row evaluation
-    /// required). Only meaningful for exact (`ZoneSource::Data`) zones.
+    /// required).
     pub fn decides_all(&self, op: PredOp, rhs: f64) -> Option<bool> {
         if self.constant && self.null_count == 0 && self.rows > 0 {
             Some(op.eval(self.min, rhs))
@@ -218,22 +202,11 @@ impl ZoneEntry {
     ///
     /// The certificate needs more than the bounds: NULL rows and NaN
     /// values are excluded from `[min, max]` yet fail every comparison,
-    /// so the zone must be proven free of both. `null_count == 0` rules
-    /// out NULLs; NaN-freedom comes from the aggregate synopsis
-    /// (`agg.count` counts non-NULL *non-NaN* values, so it equals
-    /// `rows` exactly when no NaN hides outside the bounds) or from the
-    /// `constant` flag, whose construction already excludes NaN. Model
-    /// zones carry neither certificate (`bounded()` claims zero nulls
-    /// without knowing the null structure) and are never accepted.
+    /// so the zone must be proven free of both. The aggregate synopsis
+    /// proves it: `agg.count` counts non-NULL *non-NaN* values, so it
+    /// equals `rows` exactly when no row hides outside the bounds.
     pub fn satisfies_all(&self, op: PredOp, rhs: f64) -> bool {
-        if rhs.is_nan() || self.rows == 0 || self.null_count > 0 || !self.has_values() {
-            return false;
-        }
-        let nan_free = match &self.agg {
-            Some(a) => a.count == self.rows,
-            None => self.constant,
-        };
-        if !nan_free {
+        if rhs.is_nan() || self.agg.count != self.rows || !self.has_values() {
             return false;
         }
         match op {
@@ -274,7 +247,7 @@ impl ZoneEntry {
             (width + 1.0).recip().min(1.0)
         };
         let frac = if !width.is_finite() {
-            // Unbounded (model said nothing): even odds.
+            // Unbounded (a ±inf value): even odds.
             0.5
         } else if width <= 0.0 {
             // Point interval that may_match admitted: everything matches
@@ -297,20 +270,9 @@ impl ZoneEntry {
     }
 }
 
-/// Where a column's zone bounds came from.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ZoneSource {
-    /// Exact min/max computed from stored values at write time.
-    Data,
-    /// `prediction ± max-abs-residual` bounds from a captured model.
-    Model,
-}
-
 /// The zone map of one column.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ColumnZones {
-    /// Provenance of the bounds.
-    pub source: ZoneSource,
     /// Zone granularity in rows.
     pub zone_rows: usize,
     /// One entry per zone, in row order.
@@ -318,7 +280,7 @@ pub struct ColumnZones {
 }
 
 impl ColumnZones {
-    /// Build exact data zones for a column. Strings carry no usable
+    /// Build the zones of a column from its values. Strings carry no usable
     /// bounds for numeric comparison pruning and return `None`.
     pub fn build(col: &Column, zone_rows: usize) -> Option<ColumnZones> {
         assert!(zone_rows > 0, "zone_rows must be positive");
@@ -334,50 +296,7 @@ impl ColumnZones {
             }
             Column::Str { .. } => return None,
         };
-        Some(ColumnZones { source: ZoneSource::Data, zone_rows, entries })
-    }
-
-    /// Build model-provenance zones from per-row predictions and a max
-    /// absolute residual: every stored value of row `i` lies in
-    /// `[pred[i] - bound, pred[i] + bound]`. Rows with non-finite
-    /// predictions make their zone unbounded (never prunable) — the
-    /// model says nothing about them.
-    pub fn from_model_bounds(preds: &[f64], bound: f64, zone_rows: usize) -> ColumnZones {
-        assert!(zone_rows > 0, "zone_rows must be positive");
-        let n = preds.len();
-        let mut entries = Vec::with_capacity(n.div_ceil(zone_rows).max(1));
-        let mut start = 0;
-        loop {
-            let end = (start + zone_rows).min(n);
-            let mut lo = f64::INFINITY;
-            let mut hi = f64::NEG_INFINITY;
-            let mut unbounded = false;
-            for &p in &preds[start..end] {
-                if !p.is_finite() {
-                    unbounded = true;
-                    break;
-                }
-                if p < lo {
-                    lo = p;
-                }
-                if p > hi {
-                    hi = p;
-                }
-            }
-            let entry = if unbounded || !bound.is_finite() {
-                ZoneEntry::bounded((end - start) as u32, f64::NEG_INFINITY, f64::INFINITY)
-            } else if lo > hi {
-                ZoneEntry::empty((end - start) as u32, 0)
-            } else {
-                ZoneEntry::bounded((end - start) as u32, lo - bound, hi + bound)
-            };
-            entries.push(entry);
-            start = end;
-            if start >= n {
-                break;
-            }
-        }
-        ColumnZones { source: ZoneSource::Model, zone_rows, entries }
+        Some(ColumnZones { zone_rows, entries })
     }
 
     /// Total rows covered.
@@ -466,7 +385,7 @@ fn data_zones(
             min,
             max,
             constant,
-            agg: Some(ZoneAgg { count: count as u32, sum }),
+            agg: ZoneAgg { count: count as u32, sum },
         });
         start = end;
         if start >= n {
@@ -532,6 +451,12 @@ mod tests {
         ColumnZones::build(col, zone_rows).unwrap()
     }
 
+    /// A NaN-free zone over `[min, max]` (its partial's sum is unused).
+    fn entry(rows: u32, null_count: u32, min: f64, max: f64, constant: bool) -> ZoneEntry {
+        let agg = ZoneAgg { count: rows - null_count, sum: ExactSum::new() };
+        ZoneEntry { rows, null_count, min, max, constant, agg }
+    }
+
     #[test]
     fn build_records_min_max_per_zone() {
         let c = Column::from_i64((0..10).collect());
@@ -591,7 +516,7 @@ mod tests {
 
     #[test]
     fn may_match_interval_logic() {
-        let e = ZoneEntry { rows: 4, null_count: 0, min: 10.0, max: 20.0, constant: false, agg: None };
+        let e = entry(4, 0, 10.0, 20.0, false);
         assert!(!e.may_match(PredOp::Lt, 10.0));
         assert!(e.may_match(PredOp::Le, 10.0));
         assert!(e.may_match(PredOp::Lt, 10.5));
@@ -603,7 +528,7 @@ mod tests {
         // NaN literal: no row can satisfy any comparison against it.
         assert!(!e.may_match(PredOp::Lt, f64::NAN));
         // Constant zone and != its value: provably empty.
-        let k = ZoneEntry { rows: 4, null_count: 0, min: 3.0, max: 3.0, constant: true, agg: None };
+        let k = entry(4, 0, 3.0, 3.0, true);
         assert!(!k.may_match(PredOp::Ne, 3.0));
         assert!(k.may_match(PredOp::Ne, 4.0));
     }
@@ -643,27 +568,17 @@ mod tests {
     }
 
     #[test]
-    fn model_bounds_widen_by_residual() {
-        let preds = vec![10.0, 12.0, 30.0, 31.0];
-        let z = ColumnZones::from_model_bounds(&preds, 0.5, 2);
-        assert_eq!(z.source, ZoneSource::Model);
-        assert_eq!((z.entries[0].min, z.entries[0].max), (9.5, 12.5));
-        assert_eq!((z.entries[1].min, z.entries[1].max), (29.5, 31.5));
-        // Model zones never claim constantness.
-        assert_eq!(z.entries[0].decides_all(PredOp::Eq, 10.0), None);
-    }
-
-    #[test]
-    fn non_finite_predictions_make_zone_unprunable() {
-        let preds = vec![1.0, f64::NAN];
-        let z = ColumnZones::from_model_bounds(&preds, 0.1, 2);
+    fn infinite_values_bound_their_zone() {
+        // +inf is a value like any other: the zone keeps it in `max`, so
+        // a filter that +inf satisfies is never refuted.
+        let z = zones(&Column::from_f64(vec![1.0, f64::INFINITY]), 2);
         assert!(z.entries[0].may_match(PredOp::Gt, 1e300));
-        assert!(z.entries[0].may_match(PredOp::Lt, -1e300));
+        assert!(!z.entries[0].may_match(PredOp::Lt, -1e300));
     }
 
     #[test]
     fn selectivity_interpolates_and_respects_proofs() {
-        let e = ZoneEntry { rows: 100, null_count: 0, min: 0.0, max: 100.0, constant: false, agg: None };
+        let e = entry(100, 0, 0.0, 100.0, false);
         // Hard refutation → exactly zero.
         assert_eq!(e.selectivity(PredOp::Gt, 200.0), 0.0);
         // Linear interpolation on ranges.
@@ -676,15 +591,15 @@ mod tests {
         assert!(eq > 0.0 && eq < 0.05, "{eq}");
         // On a fractional-width (continuous) domain the integer
         // heuristic would claim ~0.94; the default kicks in instead.
-        let f = ZoneEntry { rows: 100, null_count: 0, min: 0.12, max: 0.18, constant: false, agg: None };
+        let f = entry(100, 0, 0.12, 0.18, false);
         assert_eq!(f.selectivity(PredOp::Eq, 0.15), 0.05);
         assert_eq!(f.selectivity(PredOp::Ne, 0.15), 0.95);
         // Constant zones decide exactly.
-        let k = ZoneEntry { rows: 10, null_count: 0, min: 7.0, max: 7.0, constant: true, agg: None };
+        let k = entry(10, 0, 7.0, 7.0, true);
         assert_eq!(k.selectivity(PredOp::Eq, 7.0), 1.0);
         assert_eq!(k.selectivity(PredOp::Eq, 8.0), 0.0);
         // NULLs scale the estimate down.
-        let h = ZoneEntry { rows: 10, null_count: 5, min: 0.0, max: 10.0, constant: false, agg: None };
+        let h = entry(10, 5, 0.0, 10.0, false);
         assert!(h.selectivity(PredOp::Ge, 0.0) <= 0.5 + 1e-9);
     }
 
@@ -715,7 +630,7 @@ mod tests {
     #[test]
     fn build_materializes_exact_aggregate_partials() {
         let sums = |z: &ColumnZones| -> Vec<(u32, f64)> {
-            z.entries.iter().map(|e| e.agg.as_ref().map(|a| (a.count, a.sum.value())).unwrap()).collect()
+            z.entries.iter().map(|e| (e.agg.count, e.agg.sum.value())).collect()
         };
         let c = Column::from_i64(vec![1, 2, 3, 4, 10, 20]);
         assert_eq!(sums(&zones(&c, 4)), vec![(4, 10.0), (2, 30.0)]);
@@ -734,7 +649,7 @@ mod tests {
         let c = Column::from_f64_opt(vec![Some(1.0), None, Some(f64::NAN), Some(-2.0)]);
         let z = zones(&c, 4);
         let e = &z.entries[0];
-        let a = e.agg.as_ref().unwrap();
+        let a = &e.agg;
         assert_eq!(a.count, 2);
         assert_eq!(a.sum.value(), -1.0);
         assert!(a.count < e.rows - e.null_count, "NaN must not count");
@@ -744,28 +659,22 @@ mod tests {
     fn all_null_zone_keeps_count_and_an_empty_sum() {
         let empty = ZoneAgg { count: 0, sum: ExactSum::new() };
         let z = zones(&Column::from_f64_opt(vec![None, None, None]), 4);
-        assert_eq!(z.entries[0].agg, Some(empty.clone()));
+        assert_eq!(z.entries[0].agg, empty);
         // And an all-NaN zone looks the same to aggregates.
         let n = zones(&Column::from_f64(vec![f64::NAN, f64::NAN]), 4);
-        assert_eq!(n.entries[0].agg, Some(empty));
+        assert_eq!(n.entries[0].agg, empty);
     }
 
     #[test]
     fn signed_zeros_resolve_by_sign_not_by_row_order() {
         let z = zones(&Column::from_f64(vec![-0.0, -0.0]), 4);
-        let a = z.entries[0].agg.as_ref().unwrap();
+        let a = &z.entries[0].agg;
         assert_eq!(a.sum.value().to_bits(), 0.0f64.to_bits(), "an exact zero reads +0.0");
         for values in [vec![0.0, -0.0], vec![-0.0, 0.0]] {
             let e = &zones(&Column::from_f64(values), 4).entries[0];
             assert_eq!(e.min.to_bits(), (-0.0f64).to_bits());
             assert_eq!(e.max.to_bits(), 0.0f64.to_bits());
         }
-    }
-
-    #[test]
-    fn model_zones_carry_no_aggregate_partials() {
-        let z = ColumnZones::from_model_bounds(&[1.0, 2.0], 0.5, 2);
-        assert!(z.entries.iter().all(|e| e.agg.is_none()));
     }
 
     #[test]
@@ -789,20 +698,5 @@ mod tests {
         // One NaN: hides outside the bounds, fails every comparison.
         let with_nan = zones(&Column::from_f64(vec![1.0, f64::NAN]), 4);
         assert!(!with_nan.entries[0].satisfies_all(PredOp::Ge, 0.0));
-        // Model zones have no certificate at all.
-        let model = ColumnZones::from_model_bounds(&[5.0, 6.0], 0.0, 2);
-        assert!(!model.entries[0].satisfies_all(PredOp::Ge, 0.0));
-        // Entries without agg: only the constant flag certifies.
-        let legacy = ZoneEntry {
-            rows: 4,
-            null_count: 0,
-            min: 1.0,
-            max: 2.0,
-            constant: false,
-            agg: None,
-        };
-        assert!(!legacy.satisfies_all(PredOp::Ge, 0.0));
-        let konst = ZoneEntry { constant: true, max: 1.0, ..legacy };
-        assert!(konst.satisfies_all(PredOp::Ge, 0.0));
     }
 }

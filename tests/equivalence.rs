@@ -16,8 +16,9 @@
 //! 7. a `Cluster` on hash or range shards, 1–8 of them, with replica 0
 //!    killed per a mask and one failure injected at a random phase.
 //!
-//! It runs all seven again after `capture_model`, and paths 4–6 after an
-//! append. Every exact answer must carry the oracle's bits and column
+//! It runs all seven again after `capture_model`, which must leave the
+//! unfiltered aggregate answering from zone partials, and paths 4–6
+//! after an append. Every exact answer must carry the oracle's bits and column
 //! types, and `rows_scanned` must agree across the single-engine paths.
 //! A model's point lookup must land within its `max_abs_residual` of the
 //! oracle, and a query naming a column the model does not reconstruct
@@ -189,11 +190,12 @@ fn rows(r: &mut Rng, n: usize, laws: &[(f64, f64)], zone_rows: usize, sorted: bo
     ]
 }
 
-/// An unfiltered aggregate of bare columns: with no model and default
-/// morsels it must answer from zone partials alone.
+/// An unfiltered aggregate of bare columns, the captured response `y`
+/// among them: at default morsels it must answer from zone partials
+/// alone, before capture and after.
 const PUSHED: &str = "SELECT COUNT(*) AS n, COUNT(v) AS nv, SUM(v) AS s, AVG(v) AS m, \
-                      MIN(v) AS lo, MAX(v) AS hi, SUM(k) AS sk, MIN(k) AS klo, MAX(k) AS khi \
-                      FROM t";
+                      MIN(v) AS lo, MAX(v) AS hi, SUM(k) AS sk, MIN(k) AS klo, MAX(k) AS khi, \
+                      SUM(y) AS sy, MAX(y) AS yhi FROM t";
 
 #[rustfmt::skip]
 const AGGS: [&str; 12] = [
@@ -292,9 +294,9 @@ fn tail(r: &mut Rng, outputs: &[&str]) -> String {
 }
 
 /// Shapes over the captured response: point aggregates at observed
-/// `(g, x)` pairs, which a model answers by one lookup, filters the
-/// model's zones can refute, and last an aggregate that also names `k`,
-/// which the model does not reconstruct.
+/// `(g, x)` pairs, which a model answers by one lookup, filters on the
+/// response, and last an aggregate that also names `k`, which the model
+/// does not reconstruct.
 fn model_queries(r: &mut Rng, t: &Table) -> Vec<String> {
     let mut sql: Vec<String> = (0..2)
         .map(|_| {
@@ -370,6 +372,7 @@ fn run_case(seed: u64, case: u64) -> usize {
         let m = run.db.capture_model("t", "y ~ p * x ^ alpha", Some("g"), &options);
         let m = run.ok("capture", "", m);
         run.bound = Some(m.max_abs_residual.unwrap_or_else(|| run.fail("capture", "", "no bound")));
+        run.pushed_from_zone_partials();
         let extra = model_queries(&mut r, &run.table);
         point = Some(extra[0].clone());
         let unmodelled = extra[extra.len() - 1].clone();
@@ -539,8 +542,8 @@ impl Run {
         self.same("6 wire cluster", sql, want, &w.table);
     }
 
-    /// With no model and default morsels, the unfiltered aggregate of
-    /// bare columns reads zone partials and no page.
+    /// At default morsels, the unfiltered aggregate of bare columns
+    /// reads zone partials and no page.
     fn pushed_from_zone_partials(&self) {
         let stats = Arc::new(ScanStatsCollector::default());
         let opts = ExecOptions { stats: Some(Arc::clone(&stats)), ..ExecOptions::default() };

@@ -18,7 +18,7 @@ use lawsdb::models::ModelId;
 use lawsdb::obs::{attribute_layers, global_metrics, LAYERS};
 use lawsdb::query::{execute_with, parse_select, ExecOptions};
 use lawsdb::server::{Client, PipeStream, QueryMode, Server, ServerConfig};
-use lawsdb::storage::{Column, SimulatedDevice, Table};
+use lawsdb::storage::{Column, SimulatedDevice, Table, TableBuilder, Value};
 use oracle::fingerprint;
 use std::sync::Arc;
 
@@ -197,24 +197,44 @@ fn explain_keeps_pruning_and_zone_agg_annotations_on_their_lines() {
 }
 
 #[test]
-fn model_tier_pruning_is_live() {
+fn capture_keeps_the_data_synopsis() {
+    // One `y = +inf` row on the line `y = 1 + 2x`. The model's residual
+    // bound skips non-finite values, so no `prediction ± bound` band
+    // holds that row; the data zone does.
+    let x: Vec<f64> = (0..400).map(f64::from).collect();
+    let mut y: Vec<f64> = x.iter().map(|x| 1.0 + 2.0 * x).collect();
+    y[200] = f64::INFINITY;
+    let mut b = TableBuilder::new("t");
+    b.add_f64("x", x).add_f64("y", y);
+    let db = LawsDb::new();
+    db.register_table(b.build().unwrap()).unwrap();
+    let huge = "SELECT COUNT(*) AS n FROM t WHERE y > 1e300";
+    let count = |db: &LawsDb| db.query(huge).unwrap().table.row(0).unwrap()[0].clone();
+    assert_eq!(count(&db), Value::Int(1));
+    db.capture_model("t", "y ~ a + b * x", None, &Default::default()).unwrap();
+    assert_eq!(count(&db), Value::Int(1), "capture must not drop the +inf row");
+
+    // The fixture's response column still answers its unfiltered
+    // aggregates from zone partials after capture…
     let (db, _, _) = fixture();
-    // No source is that bright: `prediction ± max residual` refutes
-    // every zone without reading the column.
+    let sql = "SELECT COUNT(*) AS n, SUM(intensity) AS s FROM measurements";
+    let r = db.query(sql).unwrap();
+    assert_eq!(fingerprint(&r.table), reference(&db, sql));
+    let s = r.scan_stats;
+    assert!(s.pages_total == 0 && s.zones_agg_synopsis > 0, "{s:?}");
+    // …and its data zones refute what no source reaches.
     let r = db.query("SELECT intensity FROM measurements WHERE intensity > 1000000").unwrap();
     assert_eq!(r.table.row_count(), 0);
-    assert!(r.scan_stats.pages_pruned_model > 0, "{:?}", r.scan_stats);
+    assert!(r.scan_stats.pages_pruned_zonemap > 0, "{:?}", r.scan_stats);
 }
 
 #[test]
 fn unfiltered_aggregates_answer_from_zone_partials() {
     let (db, table, _) = fixture();
-    // Over `nu`, not `intensity`: capture swapped the response column's
-    // data zones for model zones, which carry no partials.
-    let sql = "SELECT COUNT(*) AS n, SUM(nu) AS s, MAX(source) AS hi FROM measurements";
+    let sql = "SELECT COUNT(*) AS n, SUM(intensity) AS s, MAX(source) AS hi FROM measurements";
     let r = db.query(sql).unwrap();
     assert_eq!(fingerprint(&r.table), reference(&db, sql));
-    assert_eq!(r.table.row(0).unwrap()[0], lawsdb::storage::Value::Int(table.row_count() as i64));
+    assert_eq!(r.table.row(0).unwrap()[0], Value::Int(table.row_count() as i64));
     assert_eq!(r.scan_stats.pages_total, 0, "{:?}", r.scan_stats);
     assert!(r.scan_stats.zones_agg_synopsis > 0, "{:?}", r.scan_stats);
 }
@@ -248,8 +268,6 @@ fn exact_aggregates_are_a_function_of_the_data() {
             .into()
     };
     let before = prints(&db);
-    // Capture swaps the response column's data zones for model zones,
-    // so the aggregates stop folding zone partials and scan instead.
     let mut session = db.session();
     let frame = session.frame(TABLE).unwrap();
     session.fit(&frame, "intensity ~ p * nu ^ alpha", FitOptions::grouped_by("source")).unwrap();

@@ -6,9 +6,10 @@
 //! * **Scatter-gather** — every aggregate pipeline shape
 //!   `[LIMIT] [ORDER BY] AGG(SCAN | FILTER(SCAN))`, under either
 //!   partitioning. Each shard runs the engine's aggregate pipeline on
-//!   its rows (`lawsdb_query::partial`); the coordinator merges the
-//!   shards' partials and assembles the answer. Accumulators hold exact
-//!   sums, so the merge is bit-identical to the unsharded engine.
+//!   its resident rows (`lawsdb_query::partial`); the coordinator merges
+//!   the shards' partials and assembles the answer. Accumulators hold
+//!   exact sums, so the merge is bit-identical to the unsharded engine.
+//!   Hash-key equality asks only the shard that owns the key.
 //! * **Gather-execute** — every non-aggregate single-table shape: the
 //!   coordinator fetches all shards, reassembles the global table in
 //!   original row order, and runs the engine on it.
@@ -38,15 +39,17 @@ use lawsdb_obs::{fields, Counter, Gauge, Histogram, MetricsRegistry, ProfileCont
 use lawsdb_query::plan::AggSpec;
 use lawsdb_query::sql::{AggFunc, OrderBy};
 use lawsdb_query::{
-    assemble_partials, execute_with, limit_rows, merge_shard_partials, parse_select,
-    shard_partials, sort_rows, ExecOptions, LogicalPlan, QueryError, ShardPartials,
+    assemble_partials, execute_with, group_key_hash, limit_rows, merge_shard_partials,
+    parse_select, shard_partials, sort_rows, ExecOptions, LogicalPlan, PruningPredicate,
+    QueryError, ShardPartials,
 };
-use lawsdb_storage::{Catalog, FaultMode, Schema, Table, Value};
+use lawsdb_storage::zonemap::PredOp;
+use lawsdb_storage::{Catalog, DataType, FaultMode, Schema, Table, Value};
 use parking_lot::Mutex;
 
 use crate::health::{HealthTracker, ReplicaState};
 use crate::partition::{self, PartitionScheme, RowAssignment};
-use crate::replica::Replica;
+use crate::replica::{Replica, ReplicaError};
 pub use crate::replica::Phase;
 use crate::{ClusterError, Result};
 
@@ -149,6 +152,12 @@ enum AttemptError {
     Replica(String),
     /// Deterministic failure — retrying elsewhere gives the same error.
     Fatal(ClusterError),
+}
+
+impl From<ReplicaError> for AttemptError {
+    fn from(e: ReplicaError) -> Self {
+        AttemptError::Replica(e.to_string())
+    }
 }
 
 impl Cluster {
@@ -278,7 +287,8 @@ impl Cluster {
         ctx: Option<&ProfileContext>,
     ) -> Result<ClusterAnswer> {
         let mut partials: Vec<ShardPartials> = Vec::new();
-        let mut tables: Vec<Option<Table>> = (0..self.shards.len()).map(|_| None).collect();
+        let mut tables: Vec<Option<Arc<Table>>> = vec![None; self.shards.len()];
+        let routed = self.route(shape);
         let mut degraded = Vec::new();
         let mut model_tables = Vec::new();
         let mut error_bound: Option<f64> = None;
@@ -286,7 +296,7 @@ impl Cluster {
         // (shards, tables, health, metrics), not an iteration over one.
         #[allow(clippy::needless_range_loop)]
         for s in 0..self.shards.len() {
-            if self.shards[s].row_count == 0 {
+            if self.shards[s].row_count == 0 || routed.is_some_and(|t| t != s) {
                 continue;
             }
             self.metrics.shard_queries.inc();
@@ -357,11 +367,33 @@ impl Cluster {
         Ok(ClusterAnswer { table: out, rows_scanned, degraded, approximate, error_bound })
     }
 
+    /// The shard owning `key = literal`, a top-level conjunct, when SQL
+    /// equality implies equal grouping hashes: an `Int64` key compares
+    /// as `f64`, exact only below 2^53; equal non-NaN floats hash alike.
+    fn route(&self, shape: &AggShape) -> Option<usize> {
+        let PartitionScheme::Hash { key } = &self.cfg.scheme else {
+            return None;
+        };
+        let dtype = self.schema.field(key)?.data_type;
+        let sound = |lit: f64| match dtype {
+            DataType::Int64 => lit.fract() == 0.0 && lit.abs() < 9_007_199_254_740_992.0,
+            DataType::Float64 => !lit.is_nan(),
+            _ => false,
+        };
+        let pruner = PruningPredicate::extract(shape.predicate.as_ref()?)?;
+        let lit = pruner
+            .conjuncts
+            .iter()
+            .find(|c| c.column == *key && c.op == PredOp::Eq && sound(c.rhs))?
+            .rhs;
+        Some((group_key_hash(&Value::Float(lit)) % self.shards.len() as u64) as usize)
+    }
+
     /// Resolve a group key value by global first-encounter row: find
     /// the owning shard, read from its fetched table.
     fn key_value(
         &self,
-        tables: &[Option<Table>],
+        tables: &[Option<Arc<Table>>],
         row: usize,
         col: &str,
     ) -> lawsdb_query::Result<Value> {
@@ -404,8 +436,13 @@ impl Cluster {
         let mut last = format!("all {} replicas unavailable", self.cfg.replicas);
         let mut failed_before = false;
         for r in 0..self.cfg.replicas {
-            let probing = self.health.lock().state(s, r) == ReplicaState::Down;
-            if !self.health.lock().try_now(s, r) {
+            // One lock for both reads, so a concurrent query cannot flip
+            // the state in between and mislabel this attempt.
+            let (probing, admitted) = {
+                let mut health = self.health.lock();
+                (health.state(s, r) == ReplicaState::Down, health.try_now(s, r))
+            };
+            if !admitted {
                 continue;
             }
             if failed_before {
@@ -439,22 +476,24 @@ impl Cluster {
         Err(AttemptError::Replica(last))
     }
 
-    /// Read replica `r`'s copy of a shard inside a `cluster.fetch` span.
-    /// The gather route fails an armed `Gather` injection here, before
-    /// the span records the row count.
+    /// Take replica `r`'s copy of shard `s` inside a `cluster.fetch`
+    /// span. The gather route fails an armed `Gather` injection here,
+    /// before the span records the row count. Every replica lock here
+    /// and in `run_shard` lasts one call, never a shard's execution.
     fn fetch_from(
+        &self,
+        s: usize,
         r: usize,
-        rep: &mut Replica,
         ctx: Option<&ProfileContext>,
         gather_route: bool,
-    ) -> std::result::Result<Table, AttemptError> {
+    ) -> std::result::Result<Arc<Table>, AttemptError> {
         let mut span = ctx.map(|c| c.span("cluster.fetch"));
         if let Some(sp) = span.as_mut() {
             sp.field("replica", r as u64);
         }
-        let table = rep.fetch().map_err(|e| AttemptError::Replica(e.to_string()))?;
-        if gather_route && rep.take_injection(Phase::Gather) {
-            return Err(AttemptError::Replica("injected failure at gather".to_string()));
+        let table = self.shards[s].replicas[r].lock().fetch()?;
+        if gather_route {
+            self.shards[s].replicas[r].lock().take_injection(Phase::Gather)?;
         }
         if let Some(sp) = span.as_mut() {
             sp.field("rows", table.row_count() as u64);
@@ -469,16 +508,10 @@ impl Cluster {
         shape: &AggShape,
         opts: &ExecOptions,
         ctx: Option<&ProfileContext>,
-    ) -> std::result::Result<(Table, ShardPartials), AttemptError> {
+    ) -> std::result::Result<(Arc<Table>, ShardPartials), AttemptError> {
         self.walk_replicas(s, ctx, |r| {
-            let mut rep = self.shards[s].replicas[r].lock();
-            let mut table = Self::fetch_from(r, &mut rep, ctx, false)?;
-            // The durable store persists no synopsis; build one for the
-            // shard's own pruning and zone-aggregate pushdown.
-            table.rebuild_synopsis();
-            if rep.take_injection(Phase::Execute) {
-                return Err(AttemptError::Replica("injected failure at execute".to_string()));
-            }
+            let table = self.fetch_from(s, r, ctx, false)?;
+            self.shards[s].replicas[r].lock().take_injection(Phase::Execute)?;
             let partials = {
                 let span = ctx.map(|c| c.span("cluster.execute"));
                 let rows = &self.shards[s].rows;
@@ -498,9 +531,7 @@ impl Cluster {
                 .map_err(|e| AttemptError::Fatal(ClusterError::Query(e)))?
             };
             let _span = ctx.map(|c| c.span("cluster.gather"));
-            if rep.take_injection(Phase::Gather) {
-                return Err(AttemptError::Replica("injected failure at gather".to_string()));
-            }
+            self.shards[s].replicas[r].lock().take_injection(Phase::Gather)?;
             Ok((table, partials))
         })
     }
@@ -510,10 +541,8 @@ impl Cluster {
         &self,
         s: usize,
         ctx: Option<&ProfileContext>,
-    ) -> std::result::Result<Table, String> {
-        self.walk_replicas(s, ctx, |r| {
-            Self::fetch_from(r, &mut self.shards[s].replicas[r].lock(), ctx, true)
-        })
+    ) -> std::result::Result<Arc<Table>, String> {
+        self.walk_replicas(s, ctx, |r| self.fetch_from(s, r, ctx, true))
         .map_err(|e| match e {
             AttemptError::Replica(detail) => detail,
             AttemptError::Fatal(e) => e.to_string(),
@@ -528,7 +557,7 @@ impl Cluster {
         opts: &ExecOptions,
         ctx: Option<&ProfileContext>,
     ) -> Result<ClusterAnswer> {
-        let mut fetched: Vec<(usize, Table)> = Vec::new();
+        let mut fetched: Vec<(usize, Arc<Table>)> = Vec::new();
         for s in 0..self.shards.len() {
             if self.shards[s].row_count == 0 {
                 continue;
@@ -726,7 +755,8 @@ impl Cluster {
         self.shards[s].replicas[r].lock().fault_fired()
     }
 
-    /// Device ops one shard fetch consumes on this replica.
+    /// Device ops the replica's next fetch pays: 0 while its shard is
+    /// resident, a full read once a heal or an armed fault drops it.
     pub fn fetch_ops(&self, s: usize, r: usize) -> Result<u64> {
         self.shards[s].replicas[r].lock().fetch_ops().map_err(|e| {
             ClusterError::PartialResult { shard: s, detail: e.to_string() }
@@ -758,4 +788,36 @@ fn decompose(plan: &LogicalPlan) -> Option<AggShape> {
         return None;
     }
     Some(AggShape { group_by: group_by.clone(), aggs: aggs.clone(), predicate, order, limit })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// `k = 2^53` also matches 2^53 + 1, since an `Int64` key compares
+    /// as `f64`; with the two keys on different shards, it must scatter.
+    #[test]
+    fn key_literals_past_2_pow_53_scatter() {
+        let big = 1i64 << 53;
+        let shard_of = |k: i64, n: u64| group_key_hash(&Value::Int(k)) % n;
+        let shards = (2..16).find(|&n| shard_of(big, n) != shard_of(big + 1, n)).unwrap() as usize;
+        let mut b = lawsdb_storage::TableBuilder::new("t");
+        b.add_i64("k", vec![big, big + 1, 7, 7, -3]).add_f64("v", vec![1.0, 2.0, 4.0, 8.0, 16.0]);
+        let (table, registry, catalog) = (b.build().unwrap(), MetricsRegistry::new(), Catalog::new());
+        let scheme = PartitionScheme::Hash { key: "k".to_string() };
+        let cfg = ClusterConfig { shards, scheme, ..ClusterConfig::default() };
+        let cluster = Cluster::new(&table, cfg, &registry).unwrap();
+        catalog.register(table).unwrap();
+        let queries = || registry.snapshot().counter("lawsdb_cluster_shard_queries");
+        let all = (0..shards).filter(|&s| cluster.shard_rows(s) > 0).count() as u64;
+        let opts = ExecOptions::default();
+        for (lit, asked, n) in [("9007199254740992", all, 2), ("7", 1, 2), ("7.5", all, 0)] {
+            let sql = format!("SELECT COUNT(*) AS n, SUM(v) AS s FROM t WHERE k = {lit}");
+            let before = queries();
+            let got = cluster.query(&sql, &opts).unwrap().table;
+            assert_eq!(got, execute_with(&catalog, &sql, &opts).unwrap().table, "{sql}");
+            let seen = (got.row(0).unwrap()[0].clone(), queries() - before);
+            assert_eq!(seen, (Value::Int(n), asked), "{sql}");
+        }
+    }
 }

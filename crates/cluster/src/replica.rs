@@ -1,6 +1,8 @@
 //! One replica of one shard: a crash-safe [`DurableDb`] over a seeded
-//! [`FaultyDevice`], plus the deterministic fault-arming machinery the
-//! cluster crash matrix drives.
+//! [`FaultyDevice`], the shard it read kept resident, plus the
+//! deterministic fault-arming machinery the cluster crash matrix drives.
+//! Rebuilding the device (arming a fault, healing) drops the resident
+//! copy, so the next fetch reads the store again.
 //!
 //! Device faults are *read-path* faults here: the replica's table is
 //! stored durably at creation, and queries only read. To arm a fault
@@ -9,6 +11,8 @@
 //! consumes — measured, not guessed, by probe recoveries on the same
 //! device state (recovery is idempotent, so its op count is a constant
 //! of the device image once it has run at least once).
+
+use std::sync::Arc;
 
 use lawsdb_core::storage_mgr::DurableDb;
 use lawsdb_storage::{FaultMode, FaultSchedule, FaultyDevice, SimulatedDevice, Table};
@@ -66,12 +70,15 @@ impl std::fmt::Display for ReplicaError {
 /// fine-grained op axis to land faults on.
 pub const REPLICA_PAGE_SIZE: usize = 256;
 
-/// One replica: its durable store, the table name it holds, and the
-/// failure knobs the crash matrix turns.
+/// One replica: its durable store, the table name it holds, the shard
+/// as last read, and the failure knobs the crash matrix turns.
 pub struct Replica {
     /// `None` only transiently while re-arming the device.
     db: Option<DurableDb<FaultyDevice>>,
     table: String,
+    /// The shard as the store last returned it, synopsis built; dropped
+    /// whenever the device is rebuilt.
+    resident: Option<Arc<Table>>,
     killed: bool,
     fail_next: Option<Phase>,
 }
@@ -86,20 +93,29 @@ impl Replica {
         Ok(Replica {
             db: Some(db),
             table: table.name().to_string(),
+            resident: None,
             killed: false,
             fail_next: None,
         })
     }
 
-    /// Read the shard's table. Fails if the replica is killed, a
-    /// `Fetch` injection is pending, or the device faults.
-    pub fn fetch(&mut self) -> Result<Table, ReplicaError> {
+    /// The shard's table: the resident copy, or else read from the store
+    /// with its synopsis built, and kept. Fails if the replica is killed,
+    /// a `Fetch` injection is pending, or the device faults.
+    pub fn fetch(&mut self) -> Result<Arc<Table>, ReplicaError> {
         if self.killed {
             return Err(ReplicaError::Killed);
         }
-        if self.take_injection(Phase::Fetch) {
-            return Err(ReplicaError::Injected(Phase::Fetch));
+        self.take_injection(Phase::Fetch)?;
+        if let Some(table) = &self.resident {
+            return Ok(Arc::clone(table));
         }
+        let mut table = self.read()?;
+        table.rebuild_synopsis();
+        Ok(Arc::clone(self.resident.insert(Arc::new(table))))
+    }
+
+    fn read(&self) -> Result<Table, ReplicaError> {
         let db = self.db.as_ref().expect("replica device present");
         db.read_table(&self.table)
             .map_err(|e| ReplicaError::Device(e.to_string()))
@@ -124,14 +140,13 @@ impl Replica {
         self.fail_next = Some(phase);
     }
 
-    /// Consume a pending injection for `phase`, if any.
-    pub fn take_injection(&mut self, phase: Phase) -> bool {
+    /// Consume a pending injection for `phase`, if any, as its failure.
+    pub fn take_injection(&mut self, phase: Phase) -> Result<(), ReplicaError> {
         if self.fail_next == Some(phase) {
             self.fail_next = None;
-            true
-        } else {
-            false
+            return Err(ReplicaError::Injected(phase));
         }
+        Ok(())
     }
 
     /// Did the armed device fault actually fire?
@@ -144,13 +159,17 @@ impl Replica {
         self.db.as_ref().and_then(|db| db.device().unfired_fault())
     }
 
-    /// Device ops one fetch consumes right now (measured, so crash
+    /// Device ops the next fetch pays: 0 while the shard is resident,
+    /// else one store read, measured without keeping it (so crash
     /// schedules can target the read path precisely).
-    pub fn fetch_ops(&mut self) -> Result<u64, ReplicaError> {
-        let before = self.db.as_ref().expect("replica device present").device().op_count();
-        self.fetch()?;
-        let after = self.db.as_ref().expect("replica device present").device().op_count();
-        Ok(after - before)
+    pub fn fetch_ops(&self) -> Result<u64, ReplicaError> {
+        if self.resident.is_some() {
+            return Ok(0);
+        }
+        let ops = || self.db.as_ref().expect("replica device present").device().op_count();
+        let before = ops();
+        self.read()?;
+        Ok(ops() - before)
     }
 
     /// Arm a device fault `op_offset` read ops into the *next* fetch.
@@ -194,6 +213,7 @@ impl Replica {
     }
 
     fn take_device(&mut self) -> SimulatedDevice {
+        self.resident = None;
         self.db
             .take()
             .expect("replica device present")
@@ -240,8 +260,8 @@ mod tests {
         let mut r = Replica::create(&t).unwrap();
         r.inject(Phase::Execute);
         assert!(r.fetch().is_ok(), "execute injection must not trip fetch");
-        assert!(r.take_injection(Phase::Execute));
-        assert!(!r.take_injection(Phase::Execute), "one-shot");
+        assert!(r.take_injection(Phase::Execute).is_err());
+        assert!(r.take_injection(Phase::Execute).is_ok(), "one-shot");
         r.inject(Phase::Fetch);
         assert!(matches!(r.fetch(), Err(ReplicaError::Injected(Phase::Fetch))));
         assert!(r.fetch().is_ok(), "consumed");
@@ -268,6 +288,9 @@ mod tests {
     fn fault_beyond_the_read_window_stays_unfired() {
         let t = fixture();
         let mut r = Replica::create(&t).unwrap();
+        r.fetch().unwrap();
+        assert_eq!(r.fetch_ops().unwrap(), 0, "a resident shard reads nothing");
+        r.heal().unwrap();
         let ops = r.fetch_ops().unwrap();
         r.arm_read_fault(FaultMode::IoError, 7, ops + 1_000).unwrap();
         assert_eq!(r.fetch().unwrap().row_count(), 200);

@@ -2,13 +2,15 @@
 //! phase) cell, reproducible from `LAWSDB_FAULT_SEED`.
 //!
 //! Per cell, one replica of the target shard is broken — `Fetch` cells
-//! arm a real device fault (the mode) at a seed-chosen op inside the
-//! read window; `Execute`/`Gather` cells arm a coordinator-level
-//! injection (device modes cannot fire there: those phases never touch
-//! the device) — and the query must fail over and return **bit-identical**
-//! answers. Total-loss cells kill every replica of a shard: an
-//! AVG query degrades to the shard's captured model within the residual
-//! bound, a SUM query returns the structured partial-result error.
+//! arm a real device fault (the mode) at a seed-chosen op inside a cold
+//! replica's read window, and arming drops the resident shard, so the
+//! fault fires on the next query; `Execute`/`Gather` cells arm a
+//! coordinator-level injection (device modes cannot fire there: those
+//! phases never touch the device) — and the query must fail over and
+//! return **bit-identical** answers. Total-loss cells kill every
+//! replica of a shard: an AVG query degrades to the shard's captured
+//! model within the residual bound, a SUM query returns the structured
+//! partial-result error.
 //! Nothing ever panics or hangs.
 
 use lawsdb_cluster::{Cluster, ClusterConfig, ClusterError, PartitionScheme, Phase};
@@ -118,7 +120,9 @@ fn single_replica_failure_cells_are_bit_identical() {
                 match phase {
                     Phase::Fetch => {
                         // A real device fault, landing at a seed-chosen
-                        // op inside the fetch's read window.
+                        // op inside the read window of a cold replica
+                        // (a resident one reads nothing).
+                        cluster.heal_replica(s, 0).unwrap();
                         let window = cluster.fetch_ops(s, 0).unwrap();
                         let offset = splitmix64(&mut state) % window;
                         cluster.arm_read_fault(s, 0, mode, splitmix64(&mut state), offset).unwrap();
@@ -137,6 +141,7 @@ fn single_replica_failure_cells_are_bit_identical() {
                 let after = registry.snapshot().counter("lawsdb_cluster_failovers");
                 assert!(after > before, "{mode:?}×shard{s}×{phase:?}: failover not counted");
                 if phase == Phase::Fetch {
+                    // Fired, so arming dropped the resident shard.
                     assert!(
                         cluster.replica_fault_fired(s, 0),
                         "{mode:?}×shard{s}: armed device fault never fired"

@@ -16,6 +16,10 @@
 //! 7. a `Cluster` on hash or range shards, 1–8 of them, with replica 0
 //!    killed per a mask and one failure injected at a random phase.
 //!
+//! Besides the generated queries, every case runs an unfiltered
+//! aggregate and two global aggregates behind equality on the hash key,
+//! one the cluster routes to a single shard and one it must scatter.
+//!
 //! It runs all seven again after `capture_model`, which must leave the
 //! unfiltered aggregate answering from zone partials, and paths 4–6
 //! after an append. Every exact answer must carry the oracle's bits and column
@@ -144,7 +148,10 @@ impl Case {
                 kill_mask: r.next() as u32 & ((1 << shards) - 1),
                 inject: (r.below(shards), *r.pick(&[Phase::Fetch, Phase::Execute, Phase::Gather])),
             },
-            sql: std::iter::once(PUSHED.to_string()).chain((0..8).map(|_| query(r))).collect(),
+            sql: [PUSHED.to_string(), routed(r.below(GROUPS + 1) as f64), routed(1.5)]
+                .into_iter()
+                .chain((0..8).map(|_| query(r)))
+                .collect(),
         }
     }
 }
@@ -196,6 +203,14 @@ fn rows(r: &mut Rng, n: usize, laws: &[(f64, f64)], zone_rows: usize, sorted: bo
 const PUSHED: &str = "SELECT COUNT(*) AS n, COUNT(v) AS nv, SUM(v) AS s, AVG(v) AS m, \
                       MIN(v) AS lo, MAX(v) AS hi, SUM(k) AS sk, MIN(k) AS klo, MAX(k) AS khi, \
                       SUM(y) AS sy, MAX(y) AS yhi FROM t";
+
+/// A global aggregate behind equality on `g`, the hash key when a case
+/// shards by hash: the cluster asks only the shard that owns `g`.
+/// `g = GROUPS` matches no row, and `g = 1.5` is a literal an integer
+/// key must not route on.
+fn routed(g: f64) -> String {
+    format!("SELECT COUNT(*) AS n, SUM(v) AS s, AVG(y) AS m FROM t WHERE g = {g}")
+}
 
 #[rustfmt::skip]
 const AGGS: [&str; 12] = [

@@ -150,7 +150,18 @@ fn cluster_and_durable_surface() {
     let a = cluster.query(GROUP_AGG, &exec).unwrap();
     assert_eq!(fingerprint(&a.table), reference(&db, GROUP_AGG));
     assert!(a.degraded.is_empty() && !a.approximate);
+    // A warm replica fetches nothing; a healed one reads its shard again.
+    assert_eq!(cluster.fetch_ops(0, 0).unwrap(), 0);
+    cluster.heal_replica(0, 0).unwrap();
     assert!(cluster.fetch_ops(0, 0).unwrap() > 0);
+    // Equality on the hash key asks one shard; the GROUP BY asks both.
+    let shard_queries = || db.metrics().snapshot().counter("lawsdb_cluster_shard_queries");
+    for (sql, shards) in [(SRC_AVG, 1), (GROUP_AGG, 2)] {
+        let before = shard_queries();
+        let a = cluster.query(sql, &exec).unwrap();
+        assert_eq!(fingerprint(&a.table), reference(&db, sql), "{sql}");
+        assert_eq!(shard_queries() - before, shards, "{sql}");
+    }
 
     let commits = global_metrics().counter("lawsdb_storage_wal_commits");
     let before = commits.get();

@@ -3,8 +3,8 @@
 //!
 //! Per cell, one replica of the target shard is broken — `Fetch` cells
 //! arm a real device fault (the mode) at a seed-chosen op inside a cold
-//! replica's read window, and arming drops the resident shard, so the
-//! fault fires on the next query; `Execute`/`Gather` cells arm a
+//! replica's read window, on a replica warmed after measuring it, and
+//! arming drops the resident shard, so the fault fires on the next query; `Execute`/`Gather` cells arm a
 //! coordinator-level injection (device modes cannot fire there: those
 //! phases never touch the device) — and the query must fail over and
 //! return **bit-identical** answers. Total-loss cells kill every
@@ -121,9 +121,14 @@ fn single_replica_failure_cells_are_bit_identical() {
                     Phase::Fetch => {
                         // A real device fault, landing at a seed-chosen
                         // op inside the read window of a cold replica
-                        // (a resident one reads nothing).
+                        // (a resident one reads nothing). The window is
+                        // measured cold, then the replica is warmed, so
+                        // the fault can only fire if arming drops the
+                        // resident shard.
                         cluster.heal_replica(s, 0).unwrap();
                         let window = cluster.fetch_ops(s, 0).unwrap();
+                        cluster.query(AVG_SQL, &opts).unwrap();
+                        assert_eq!(cluster.fetch_ops(s, 0).unwrap(), 0, "shard{s}: warm before arming");
                         let offset = splitmix64(&mut state) % window;
                         cluster.arm_read_fault(s, 0, mode, splitmix64(&mut state), offset).unwrap();
                     }
@@ -141,7 +146,8 @@ fn single_replica_failure_cells_are_bit_identical() {
                 let after = registry.snapshot().counter("lawsdb_cluster_failovers");
                 assert!(after > before, "{mode:?}×shard{s}×{phase:?}: failover not counted");
                 if phase == Phase::Fetch {
-                    // Fired, so arming dropped the resident shard.
+                    // Fired on a replica that was warm when armed, so
+                    // arming dropped the resident shard.
                     assert!(
                         cluster.replica_fault_fired(s, 0),
                         "{mode:?}×shard{s}: armed device fault never fired"

@@ -8,18 +8,17 @@
 //! size. Every other plan node runs serially on its (possibly
 //! parallel-computed) input.
 
+use crate::aggregate::{aggregate, aggregate_pipeline, KeyPart};
 use crate::error::{QueryError, Result};
 use crate::governor::Governor;
 use crate::morsel::{morsel_ranges, parallel_morsels, ExecOptions};
 use crate::optimize::optimize;
-use crate::plan::{AggSpec, LogicalPlan};
+use crate::plan::LogicalPlan;
 use crate::pruning::{PruningPredicate, ScanStats, ScanStatsCollector, ZoneDecision};
 use crate::sexpr::{PredMask, ScalarExpr};
-use crate::sql::{parse_select, AggFunc, OrderBy};
+use crate::sql::{parse_select, OrderBy};
 use lawsdb_obs::fields;
-use lawsdb_storage::column::NumericAggState;
-use lawsdb_storage::schema::{DataType, Field, Schema};
-use lawsdb_storage::zonemap::ColumnZones;
+use lawsdb_storage::schema::{Field, Schema};
 use lawsdb_storage::{Catalog, Column, Table, Value};
 use std::cmp::Ordering;
 use std::collections::HashMap;
@@ -318,7 +317,7 @@ fn scan_pipeline(plan: &LogicalPlan) -> Option<ScanPipeline<'_>> {
 }
 
 /// The sargable part of a filter, when these options allow pruning.
-fn pruner_for(predicate: Option<&ScalarExpr>, opts: &ExecOptions) -> Option<PruningPredicate> {
+pub(crate) fn pruner_for(predicate: Option<&ScalarExpr>, opts: &ExecOptions) -> Option<PruningPredicate> {
     predicate.filter(|_| opts.pruning).and_then(PruningPredicate::extract)
 }
 
@@ -336,7 +335,7 @@ fn pruner_for(predicate: Option<&ScalarExpr>, opts: &ExecOptions) -> Option<Prun
 /// pruning on and no filter at all every row is trivially accepted
 /// (`AcceptAll`, so an aggregate can answer from the synopsis with
 /// `pages_total == 0`), otherwise every row is evaluated (`Eval`).
-fn zone_chunks(
+pub(crate) fn zone_chunks(
     t: &Table,
     pruner: Option<&PruningPredicate>,
     filtered: bool,
@@ -407,7 +406,7 @@ fn parallel_filter(t: &Table, predicate: &ScalarExpr, opts: &ExecOptions) -> Res
 /// final truth mask is empty no matter what the remaining conjuncts
 /// say — and only truth bits select rows. The planner orders the
 /// conjuncts most-selective-first so this early-out fires often.
-fn eval_conjuncts_mask(conjuncts: &[&ScalarExpr], m: &Table) -> Result<PredMask> {
+pub(crate) fn eval_conjuncts_mask(conjuncts: &[&ScalarExpr], m: &Table) -> Result<PredMask> {
     let (first, rest) = conjuncts.split_first().expect("predicate has >= 1 conjunct");
     let mut mask = first.eval_mask(m)?;
     for c in rest {
@@ -500,35 +499,7 @@ pub(crate) fn normalize_expr(expr: &ScalarExpr, schema: &Schema) -> Result<Scala
     })
 }
 
-// ------------------------------------------------------------- hashing
-
-/// Hashable, comparable rendering of a group/join key value.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub(crate) enum KeyPart {
-    Null,
-    Int(i64),
-    /// Floats keyed by bit pattern (NaN groups with NaN; −0.0 ≠ 0.0 is
-    /// acceptable for grouping).
-    Float(u64),
-    Str(String),
-    Bool(bool),
-}
-
-impl KeyPart {
-    pub(crate) fn from_value(v: &Value) -> KeyPart {
-        match v {
-            Value::Null => KeyPart::Null,
-            Value::Int(i) => KeyPart::Int(*i),
-            // Integral floats join/group with equal ints.
-            Value::Float(f) if f.fract() == 0.0 && f.is_finite() && f.abs() < 9.0e18 => {
-                KeyPart::Int(*f as i64)
-            }
-            Value::Float(f) => KeyPart::Float(f.to_bits()),
-            Value::Str(s) => KeyPart::Str(s.clone()),
-            Value::Bool(b) => KeyPart::Bool(*b),
-        }
-    }
-}
+// ---------------------------------------------------------------- join
 
 fn hash_join(
     left: &Table,
@@ -599,599 +570,6 @@ fn hash_join(
     Ok(Table::new("result", Schema::new(fields), cols)?)
 }
 
-// ----------------------------------------------------------- aggregate
-
-/// One aggregate's running state. Numbers fold into a
-/// [`NumericAggState`] (exact sum, sign-ordered ±0 bounds), so the state
-/// is a function of the multiset of rows it has seen: partials merge in
-/// any order to the same bits. `num.count` also counts `*` rows and
-/// strings.
-#[derive(Debug, Clone, Default)]
-pub(crate) struct Accumulator {
-    num: NumericAggState,
-    /// `[MIN, MAX]` of a string argument. Boxed: a GROUP BY holds one
-    /// accumulator per group and aggregate, nearly all numeric.
-    strs: Option<Box<[String; 2]>>,
-}
-
-impl Accumulator {
-    fn add_str(&mut self, s: &str) {
-        self.num.count += 1;
-        self.merge_strs(&[s, s]);
-    }
-
-    fn merge_strs(&mut self, [lo, hi]: &[&str; 2]) {
-        match &mut self.strs {
-            None => self.strs = Some(Box::new([lo.to_string(), hi.to_string()])),
-            Some(b) => {
-                if *lo < b[0].as_str() {
-                    b[0] = lo.to_string();
-                }
-                if *hi > b[1].as_str() {
-                    b[1] = hi.to_string();
-                }
-            }
-        }
-    }
-
-    /// Combine with the accumulator of any other set of rows.
-    pub(crate) fn merge(&mut self, other: &Accumulator) {
-        self.num.merge(&other.num);
-        if let Some(b) = &other.strs {
-            self.merge_strs(&[b[0].as_str(), b[1].as_str()]);
-        }
-    }
-
-    pub(crate) fn finish(&self, func: AggFunc) -> Value {
-        let num = |v: f64| if self.num.count == 0 { Value::Null } else { Value::Float(v) };
-        match func {
-            AggFunc::Count => Value::Int(self.num.count as i64),
-            AggFunc::Sum => num(self.num.sum.value()),
-            AggFunc::Avg => self.num.mean().map_or(Value::Null, Value::Float),
-            AggFunc::Min => match &self.strs {
-                Some(b) => Value::Str(b[0].clone()),
-                None => num(self.num.min),
-            },
-            AggFunc::Max => match &self.strs {
-                Some(b) => Value::Str(b[1].clone()),
-                None => num(self.num.max),
-            },
-        }
-    }
-}
-
-/// Aggregate argument plan: what to evaluate per morsel. Strings go
-/// through the Value path (for MIN/MAX on strings).
-pub(crate) enum AggArg {
-    Star,
-    Numeric(ScalarExpr),
-    Strings(String),
-}
-
-/// Per-morsel evaluated argument data.
-enum ArgData {
-    Star,
-    Numeric(Vec<Option<f64>>),
-    Strings(Vec<Option<String>>),
-}
-
-/// Resolve aggregate argument expressions against the input schema and
-/// reject invalid shapes (e.g. SUM over strings) before any morsel runs.
-pub(crate) fn prepare_agg_args(t: &Table, aggs: &[AggSpec]) -> Result<Vec<AggArg>> {
-    let mut args = Vec::with_capacity(aggs.len());
-    for a in aggs {
-        match &a.arg {
-            None => args.push(AggArg::Star),
-            Some(e) => {
-                let e = normalize_expr(e, t.schema())?;
-                // String column? Only a bare column can be stringy here.
-                let stringy = matches!(
-                    &e,
-                    ScalarExpr::Column(c)
-                        if t.column(c).map(|col| col.data_type() == DataType::Str).unwrap_or(false)
-                );
-                if stringy {
-                    if !matches!(a.func, AggFunc::Min | AggFunc::Max | AggFunc::Count) {
-                        return Err(QueryError::InvalidAggregate {
-                            reason: format!("{} over a string column", a.func.name()),
-                        });
-                    }
-                    let ScalarExpr::Column(c) = e else { unreachable!() };
-                    args.push(AggArg::Strings(c));
-                } else {
-                    args.push(AggArg::Numeric(e));
-                }
-            }
-        }
-    }
-    Ok(args)
-}
-
-/// Partial aggregation state of one morsel: groups in first-encounter
-/// order, each with the global row index of its first row and one
-/// accumulator per aggregate.
-#[derive(Debug)]
-pub(crate) struct GroupPartial {
-    pub(crate) keys: Vec<Vec<KeyPart>>,
-    pub(crate) first_rows: Vec<usize>,
-    pub(crate) accs: Vec<Vec<Accumulator>>,
-}
-
-// ------------------------------------------------- aggregate pushdown
-
-/// Zone-synopsis aggregate pushdown plan for one eligible query.
-///
-/// Eligible shapes are global (no GROUP BY) aggregates whose every
-/// argument is `*` or a bare Int64/Float64 column carrying zones. Each
-/// morsel folds into one accumulator per aggregate: a zone
-/// the pruner accepts wholesale folds its materialized [`ZoneAgg`]
-/// partial, and every other row runs the fused filter+aggregate kernel.
-/// Both produce exact sums, so which rows take which path never shows
-/// in the answer.
-///
-/// [`ZoneAgg`]: lawsdb_storage::zonemap::ZoneAgg
-struct AggPushdown<'t> {
-    /// The distinct argument columns, with their zones.
-    columns: Vec<(String, &'t ColumnZones)>,
-    /// Per aggregate: `None` for `*`, else an index into `columns`.
-    args: Vec<Option<usize>>,
-}
-
-/// Decide pushdown eligibility.
-fn plan_agg_pushdown<'t>(
-    t: &'t Table,
-    group_by: &[String],
-    args: &[AggArg],
-) -> Option<AggPushdown<'t>> {
-    if !group_by.is_empty() {
-        return None;
-    }
-    let synopsis = t.synopsis()?;
-    let mut push = AggPushdown { columns: Vec::new(), args: Vec::with_capacity(args.len()) };
-    for a in args {
-        let c = match a {
-            AggArg::Star => {
-                push.args.push(None);
-                continue;
-            }
-            AggArg::Numeric(ScalarExpr::Column(c)) => c,
-            _ => return None,
-        };
-        let zones = synopsis.column(c)?;
-        // Bool columns aggregate through the 0/1 coercion path, which
-        // the fused numeric kernel does not speak.
-        let numeric = t
-            .column(c)
-            .map(|col| matches!(col.data_type(), DataType::Int64 | DataType::Float64))
-            .unwrap_or(false);
-        if !numeric {
-            return None;
-        }
-        let i = push.columns.iter().position(|(n, _)| n == c).unwrap_or_else(|| {
-            push.columns.push((c.clone(), zones));
-            push.columns.len() - 1
-        });
-        push.args.push(Some(i));
-    }
-    Some(push)
-}
-
-/// Plan-time view of pushdown: the zones the executor would fold from
-/// their partials if `rows` rows were accepted wholesale, or `None` when
-/// the query shape is not eligible. The physical planner prices the
-/// zone-aggregate access path with this — the executor's own rule — so
-/// EXPLAIN never advertises a path execution won't take.
-pub(crate) fn agg_pushdown_zones(
-    t: &Table,
-    group_by: &[String],
-    aggs: &[AggSpec],
-    rows: usize,
-) -> Option<usize> {
-    let args = prepare_agg_args(t, aggs).ok()?;
-    let push = plan_agg_pushdown(t, group_by, &args)?;
-    Some(push.columns.iter().map(|(_, z)| rows.div_ceil(z.zone_rows)).max().unwrap_or(0))
-}
-
-impl AggPushdown<'_> {
-    /// Fold the accepted rows `[o, o + l)` into `accs`: each argument
-    /// column folds the partials of its zones that lie wholly inside the
-    /// range — zero page reads, zero per-row work — and scans the rows of
-    /// zones the range clips. Returns the zones folded (per column; a
-    /// table's columns share one zone grid).
-    fn fold_accepted(
-        &self,
-        t: &Table,
-        o: usize,
-        l: usize,
-        accs: &mut [Accumulator],
-    ) -> Result<usize> {
-        let mut folded = 0;
-        let mut states = Vec::with_capacity(self.columns.len());
-        for (name, zones) in &self.columns {
-            let mut state = NumericAggState::default();
-            let mut n = 0;
-            for zi in zones.zones_for(o, l) {
-                let (zs, ze) = zones.zone_range(zi);
-                if zs >= o && ze <= o + l {
-                    state.merge(&zones.entries[zi].agg_state());
-                    n += 1;
-                } else {
-                    let (s, e) = (zs.max(o), ze.min(o + l));
-                    state.merge(&t.column(name)?.slice(s, e - s)?.numeric_agg(None)?);
-                }
-            }
-            folded = folded.max(n);
-            states.push(state);
-        }
-        self.apply(accs, l, &states);
-        Ok(folded)
-    }
-
-    /// Scan `[o, o + l)` with the fused filter+aggregate kernel:
-    /// evaluate the selection mask once, then a single pass per column
-    /// through [`NumericAggState`] — no intermediate `Option<f64>`
-    /// materialization.
-    fn scan(
-        &self,
-        t: &Table,
-        o: usize,
-        l: usize,
-        predicate: Option<&ScalarExpr>,
-        accs: &mut [Accumulator],
-    ) -> Result<()> {
-        let m = t.slice(o, l)?;
-        let mask = predicate.map(|p| eval_conjuncts_mask(&p.conjuncts(), &m)).transpose()?;
-        let sel = mask.as_ref().map(|pm| pm.truth());
-        let states = self
-            .columns
-            .iter()
-            .map(|(name, _)| Ok(m.column(name)?.numeric_agg(sel)?))
-            .collect::<Result<Vec<_>>>()?;
-        self.apply(accs, sel.map_or(l, |b| b.count_set()), &states);
-        Ok(())
-    }
-
-    /// Fold per-column states into the aggregates; `*` counts `rows`.
-    fn apply(&self, accs: &mut [Accumulator], rows: usize, states: &[NumericAggState]) {
-        for (arg, acc) in self.args.iter().zip(accs) {
-            match arg {
-                None => acc.num.count += rows as u64,
-                Some(c) => acc.num.merge(&states[*c]),
-            }
-        }
-    }
-}
-
-/// Running group-and-accumulate state for one morsel. Zone pruning
-/// feeds a morsel to [`Self::accumulate`] in several row-range chunks,
-/// which all share one group table.
-struct MorselAccumulator<'a> {
-    group_by: &'a [String],
-    args: &'a [AggArg],
-    n_aggs: usize,
-    groups: HashMap<Vec<KeyPart>, usize>,
-    part: GroupPartial,
-}
-
-impl<'a> MorselAccumulator<'a> {
-    fn new(group_by: &'a [String], args: &'a [AggArg], n_aggs: usize) -> Self {
-        MorselAccumulator {
-            group_by,
-            args,
-            n_aggs,
-            groups: HashMap::new(),
-            part: GroupPartial { keys: Vec::new(), first_rows: Vec::new(), accs: Vec::new() },
-        }
-    }
-
-    fn finish(self) -> GroupPartial {
-        self.part
-    }
-}
-
-impl MorselAccumulator<'_> {
-    /// Group-and-accumulate one chunk (`m` is the zero-copy slice
-    /// starting at row `offset`). The optional predicate mask is fused
-    /// in: only known-TRUE rows feed the accumulators.
-    fn accumulate(
-        &mut self,
-        m: &Table,
-        offset: usize,
-        predicate: Option<&ScalarExpr>,
-    ) -> Result<()> {
-        let (group_by, args, n_aggs) = (self.group_by, self.args, self.n_aggs);
-        let mask = predicate.map(|p| eval_conjuncts_mask(&p.conjuncts(), m)).transpose()?;
-    let mut arg_data = Vec::with_capacity(args.len());
-    for a in args {
-        arg_data.push(match a {
-            AggArg::Star => ArgData::Star,
-            AggArg::Numeric(e) => ArgData::Numeric(e.eval_numeric(m)?),
-            AggArg::Strings(c) => {
-                let col = m.column(c)?;
-                let mut vals = Vec::with_capacity(m.row_count());
-                for i in 0..m.row_count() {
-                    vals.push(match col.value(i)? {
-                        Value::Str(s) => Some(s),
-                        _ => None,
-                    });
-                }
-                ArgData::Strings(vals)
-            }
-        });
-    }
-    let key_cols: Vec<&Column> = group_by
-        .iter()
-        .map(|g| m.column(g))
-        .collect::<lawsdb_storage::Result<_>>()?;
-    let (groups, part) = (&mut self.groups, &mut self.part);
-    let global = group_by.is_empty();
-    for row in 0..m.row_count() {
-        if let Some(mask) = &mask {
-            if !mask.truth().get(row) {
-                continue;
-            }
-        }
-        // Global aggregates (no GROUP BY) have exactly one group; skip
-        // the per-row key materialization and hash probe — this is the
-        // hot path for `SELECT COUNT/SUM/AVG(..) FROM t WHERE ..`.
-        let gid = if global {
-            if part.accs.is_empty() {
-                part.keys.push(Vec::new());
-                part.first_rows.push(offset + row);
-                part.accs.push(vec![Accumulator::default(); n_aggs]);
-            }
-            0
-        } else {
-            let key: Vec<KeyPart> = key_cols
-                .iter()
-                .map(|c| c.value(row).map(|v| KeyPart::from_value(&v)))
-                .collect::<lawsdb_storage::Result<_>>()?;
-            match groups.get(&key) {
-                Some(&g) => g,
-                None => {
-                    let g = part.keys.len();
-                    groups.insert(key.clone(), g);
-                    part.keys.push(key);
-                    part.first_rows.push(offset + row);
-                    part.accs.push(vec![Accumulator::default(); n_aggs]);
-                    g
-                }
-            }
-        };
-        for (ai, data) in arg_data.iter().enumerate() {
-            match data {
-                ArgData::Star => part.accs[gid][ai].num.count += 1,
-                ArgData::Numeric(vals) => {
-                    if let Some(v) = vals[row] {
-                        part.accs[gid][ai].num.update(v);
-                    }
-                }
-                ArgData::Strings(vals) => {
-                    if let Some(s) = &vals[row] {
-                        part.accs[gid][ai].add_str(s);
-                    }
-                }
-            }
-        }
-    }
-    Ok(())
-    }
-}
-
-/// Fold partials into one state; a group keeps its smallest first row.
-/// Passed in morsel order, first-encounter group order is preserved:
-/// morsel 0's groups come first, exactly as a serial pass over the same
-/// rows would see them. The accumulators merge to the same bits in any
-/// order.
-pub(crate) fn merge_partials(parts: Vec<GroupPartial>) -> GroupPartial {
-    let mut groups: HashMap<Vec<KeyPart>, usize> = HashMap::new();
-    let mut out = GroupPartial { keys: Vec::new(), first_rows: Vec::new(), accs: Vec::new() };
-    for part in parts {
-        for ((key, first), accs) in
-            part.keys.into_iter().zip(part.first_rows).zip(part.accs)
-        {
-            match groups.get(&key) {
-                Some(&g) => {
-                    out.first_rows[g] = out.first_rows[g].min(first);
-                    for (mine, theirs) in out.accs[g].iter_mut().zip(&accs) {
-                        mine.merge(theirs);
-                    }
-                }
-                None => {
-                    groups.insert(key.clone(), out.keys.len());
-                    out.keys.push(key);
-                    out.first_rows.push(first);
-                    out.accs.push(accs);
-                }
-            }
-        }
-    }
-    out
-}
-
-/// Assemble the output table from merged group state: group key columns
-/// (gathered from each group's first row) in declared order, then one
-/// column per aggregate.
-fn assemble_aggregate(
-    t: &Table,
-    group_by: &[String],
-    aggs: &[AggSpec],
-    mut part: GroupPartial,
-) -> Result<Table> {
-    // Global aggregate over an empty input still yields one row.
-    if group_by.is_empty() && part.accs.is_empty() {
-        part.first_rows.push(usize::MAX);
-        part.accs.push(vec![Accumulator::default(); aggs.len()]);
-    }
-    let mut fields = Vec::new();
-    let mut cols = Vec::new();
-    for g in group_by {
-        let src = t.column(g)?;
-        fields.push(Field {
-            name: g.clone(),
-            data_type: src.data_type(),
-            nullable: true,
-        });
-        cols.push(src.take(&part.first_rows)?);
-    }
-    for (ai, a) in aggs.iter().enumerate() {
-        let values: Vec<Value> = part.accs.iter().map(|g| g[ai].finish(a.func)).collect();
-        let (field, col) = aggregate_column(t.schema(), a, &values);
-        fields.push(field);
-        cols.push(col);
-    }
-    Ok(Table::new("result", Schema::new(fields), cols)?)
-}
-
-/// Morsel-parallel aggregation over a scanned table, with an optional
-/// fused filter predicate.
-///
-/// Each morsel splits into zone chunks ([`zone_chunks`]); skipped
-/// chunks vanish, and the rest fold into the morsel's accumulators:
-///
-/// * **Pushdown-eligible global aggregates** ([`plan_agg_pushdown`])
-///   keep one accumulator per aggregate. Accepted zones fold their
-///   materialized [`ZoneAgg`] partials (`zones_agg_synopsis` counts
-///   them — zero page reads, zero per-row work); every other row runs
-///   the fused vectorized filter+aggregate kernel.
-/// * **Everything else** (grouped or non-bare-column aggregates) shares
-///   one group table across the morsel's chunks; accept-all chunks
-///   accumulate without evaluating the mask.
-///
-/// Accumulators hold exact sums and sign-ordered bounds, so the answer
-/// is the same at any thread count, morsel size, zone grid or pruning
-/// setting.
-///
-/// [`ZoneAgg`]: lawsdb_storage::zonemap::ZoneAgg
-fn aggregate_pipeline(
-    t: &Table,
-    predicate: Option<&ScalarExpr>,
-    group_by: &[String],
-    aggs: &[AggSpec],
-    opts: &ExecOptions,
-) -> Result<Table> {
-    let (group_by, groups) = aggregate_groups(t, predicate, group_by, aggs, opts)?;
-    assemble_aggregate(t, &group_by, aggs, groups)
-}
-
-/// The pipeline body of [`aggregate_pipeline`], stopping before the
-/// output table: normalized GROUP BY names plus the merged groups, in
-/// first-encounter order. The sharded scatter-gather coordinator
-/// (`crate::partial`) runs this per shard and merges the shards' groups.
-pub(crate) fn aggregate_groups(
-    t: &Table,
-    predicate: Option<&ScalarExpr>,
-    group_by: &[String],
-    aggs: &[AggSpec],
-    opts: &ExecOptions,
-) -> Result<(Vec<String>, GroupPartial)> {
-    let group_by: Vec<String> = group_by
-        .iter()
-        .map(|g| normalize_name(t.schema(), g))
-        .collect::<Result<_>>()?;
-    let args = prepare_agg_args(t, aggs)?;
-    let push = plan_agg_pushdown(t, &group_by, &args);
-    let pruner = pruner_for(predicate, opts);
-    let parts = parallel_morsels(t.row_count(), opts, |offset, len| {
-        let chunks = zone_chunks(t, pruner.as_ref(), predicate.is_some(), opts, offset, len);
-        let Some(push) = &push else {
-            let mut acc = MorselAccumulator::new(&group_by, &args, aggs.len());
-            for (o, l, d) in chunks {
-                let pred = match d {
-                    ZoneDecision::Skip => continue,
-                    ZoneDecision::AcceptAll => None,
-                    ZoneDecision::Eval => predicate,
-                };
-                acc.accumulate(&t.slice(o, l)?, o, pred)?;
-            }
-            return Ok(acc.finish());
-        };
-        let mut accs = vec![Accumulator::default(); aggs.len()];
-        let mut pushed = 0;
-        for (o, l, d) in chunks {
-            match d {
-                ZoneDecision::Skip => {}
-                ZoneDecision::AcceptAll => {
-                    let zones = push.fold_accepted(t, o, l, &mut accs)?;
-                    if let (Some(ctx), true) = (&opts.profile, zones > 0) {
-                        ctx.leaf("zone", o as u64, fields![rows = l, zones, decision = "agg_synopsis"]);
-                    }
-                    pushed += zones;
-                }
-                ZoneDecision::Eval => push.scan(t, o, l, predicate, &mut accs)?,
-            }
-        }
-        if let (Some(c), true) = (&opts.stats, pushed > 0) {
-            c.add(&ScanStats { zones_agg_synopsis: pushed, ..ScanStats::default() });
-        }
-        Ok(GroupPartial { keys: vec![Vec::new()], first_rows: vec![offset], accs: vec![accs] })
-    })?;
-    Ok((group_by, merge_partials(parts)))
-}
-
-/// Aggregate an already-materialized input table (non-pipeline shapes:
-/// joins, nested aggregates, ...). One morsel covering the whole table,
-/// so this is the plain serial pass.
-fn aggregate(t: &Table, group_by: &[String], aggs: &[AggSpec]) -> Result<Table> {
-    aggregate_pipeline(
-        t,
-        None,
-        group_by,
-        aggs,
-        &ExecOptions { threads: 1, morsel_rows: usize::MAX, ..ExecOptions::default() },
-    )
-}
-
-/// An aggregate's output column. Its type follows from the function
-/// and argument, never from the values, so zero groups or all-NULL
-/// groups type it the same: COUNT is Int64, MIN/MAX over a string
-/// column is Str, everything else is Float64.
-pub(crate) fn aggregate_column(schema: &Schema, a: &AggSpec, values: &[Value]) -> (Field, Column) {
-    let over_strings = || match &a.arg {
-        Some(ScalarExpr::Column(c)) => normalize_name(schema, c)
-            .is_ok_and(|c| schema.field(&c).is_some_and(|f| f.data_type == DataType::Str)),
-        _ => false,
-    };
-    let dtype = match a.func {
-        AggFunc::Count => DataType::Int64,
-        AggFunc::Min | AggFunc::Max if over_strings() => DataType::Str,
-        _ => DataType::Float64,
-    };
-    (Field::nullable(a.name.clone(), dtype), column_from_typed(dtype, values))
-}
-
-/// Build a column of a known type from dynamic values — the same shape
-/// `Column::take` over a source column of that type produces.
-pub(crate) fn column_from_typed(dtype: DataType, values: &[Value]) -> Column {
-    let mut col = match dtype {
-        DataType::Int64 => Column::from_i64_opt(values.iter().map(|v| v.as_i64()).collect()),
-        DataType::Float64 => Column::from_f64_opt(values.iter().map(|v| v.as_f64()).collect()),
-        DataType::Str => {
-            Column::from_str(values.iter().map(|v| v.as_str().unwrap_or("").to_string()).collect())
-        }
-        DataType::Bool => {
-            let bits: Vec<bool> = values.iter().map(|v| matches!(v, Value::Bool(true))).collect();
-            Column::from_bool(&bits)
-        }
-    };
-    mark_nulls(&mut col, values);
-    col
-}
-
-fn mark_nulls(col: &mut Column, values: &[Value]) {
-    let validity = match col {
-        Column::Int64 { validity, .. }
-        | Column::Float64 { validity, .. }
-        | Column::Str { validity, .. }
-        | Column::Bool { validity, .. } => validity,
-    };
-    for (i, v) in values.iter().enumerate() {
-        if v.is_null() {
-            validity.set(i, false);
-        }
-    }
-}
-
 // ---------------------------------------------------------------- sort
 
 pub(crate) fn sort(t: &Table, keys: &[OrderBy]) -> Result<Table> {
@@ -1255,6 +633,7 @@ fn order_cmp(a: &Value, b: &Value) -> Ordering {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use lawsdb_storage::schema::DataType;
     use lawsdb_storage::TableBuilder;
 
     fn catalog() -> Catalog {
@@ -1557,7 +936,7 @@ mod tests {
 #[cfg(test)]
 mod name_resolution_tests {
     use super::*;
-    use lawsdb_storage::schema::{Field, Schema};
+    use lawsdb_storage::schema::{DataType, Field, Schema};
 
     #[test]
     fn ambiguous_suffix_is_rejected() {

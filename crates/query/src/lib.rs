@@ -35,6 +35,7 @@
 // tests are exempt (unwrap on known-good fixtures is idiomatic there).
 #![cfg_attr(not(test), warn(clippy::unwrap_used))]
 
+mod aggregate;
 pub mod cost;
 pub mod error;
 pub mod exec;

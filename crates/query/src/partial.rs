@@ -16,10 +16,11 @@
 //! first-encounter order a serial scan of the global table produces.
 
 use crate::error::{QueryError, Result};
-use crate::exec::{
-    aggregate_column, aggregate_groups, column_from_typed, merge_partials, normalize_expr,
-    normalize_name, sort, Accumulator, GroupPartial, KeyPart,
+use crate::aggregate::{
+    aggregate_column, aggregate_groups, column_from_typed, merge_partials, Accumulator,
+    GroupPartial, KeyPart,
 };
+use crate::exec::{normalize_expr, normalize_name, sort};
 use crate::morsel::ExecOptions;
 use crate::plan::AggSpec;
 use crate::sexpr::ScalarExpr;

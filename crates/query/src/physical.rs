@@ -436,7 +436,7 @@ fn access_plan(
 /// Price the zone-aggregate pushdown path for a global aggregate whose
 /// input is a base scan (optionally filtered, with that filter's priced
 /// `access` path). Eligibility is decided by
-/// [`crate::exec::agg_pushdown_zones`] — the executor's own rule — so
+/// [`crate::aggregate::agg_pushdown_zones`] — the executor's own rule — so
 /// the planner never advertises a path execution won't take.
 fn price_zone_agg(
     catalog: &Catalog,
@@ -462,7 +462,7 @@ fn price_zone_agg(
         (Some(_), Some(a)) => (a.rows_accept, a.rows_eval),
         (Some(_), None) => (0, t.row_count()),
     };
-    let zones_pushed = crate::exec::agg_pushdown_zones(&t, group_by, aggs, accepted)?;
+    let zones_pushed = crate::aggregate::agg_pushdown_zones(&t, group_by, aggs, accepted)?;
     Some(ZoneAggPath { zones_pushed, rows_fused })
 }
 

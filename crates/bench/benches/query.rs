@@ -118,9 +118,12 @@ const MORSEL_QUERIES: &[(&str, &str)] = &[
          FROM points WHERE v > 0.2",
     ),
     ("group_agg", "SELECT g, COUNT(*) AS n, SUM(v) AS s FROM points GROUP BY g"),
+    ("group_agg_wide", "SELECT h, COUNT(*) AS n, SUM(v) AS s FROM points GROUP BY h"),
 ];
 
-/// Deterministic synthetic table: `g` (64 groups), `v`, `w`.
+/// Deterministic synthetic table: `g` (64 groups), `h` (5,000 groups,
+/// as many as the benchmark fixture has sources), `v`, `w`. Both keys
+/// interleave (`i % groups`), so no run of equal keys helps a kernel.
 fn morsel_dataset(rows: usize) -> Catalog {
     let mut state = 0x9e3779b97f4a7c15u64;
     let mut next = move || {
@@ -128,15 +131,18 @@ fn morsel_dataset(rows: usize) -> Catalog {
         (state >> 11) as f64 / (1u64 << 53) as f64
     };
     let mut g = Vec::with_capacity(rows);
+    let mut h = Vec::with_capacity(rows);
     let mut v = Vec::with_capacity(rows);
     let mut w = Vec::with_capacity(rows);
     for i in 0..rows {
         g.push((i % 64) as i64);
+        h.push((i % 5000) as i64);
         v.push(next() * 2.0);
         w.push(next());
     }
     let mut b = TableBuilder::new("points");
     b.add_i64("g", g);
+    b.add_i64("h", h);
     b.add_f64("v", v);
     b.add_f64("w", w);
     let c = Catalog::new();

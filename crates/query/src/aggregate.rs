@@ -13,18 +13,21 @@ use lawsdb_obs::fields;
 use lawsdb_storage::column::NumericAggState;
 use lawsdb_storage::schema::{DataType, Field, Schema};
 use lawsdb_storage::zonemap::ColumnZones;
+use lawsdb_storage::bitmap::Bitmap;
 use lawsdb_storage::{Column, Table, Value};
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
-// ------------------------------------------------------------- hashing
+// --------------------------------------------------------- group table
 
-/// Hashable, comparable rendering of a group/join key value.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+/// A group/join key cell under the grouping rule: NULL is its own key,
+/// an integral finite float with |f| < 9e18 is the equal int (so −0.0,
+/// +0.0 and 0 are one key), and any other float is its bit pattern (so
+/// each NaN payload is its own key).
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub(crate) enum KeyPart {
     Null,
     Int(i64),
-    /// Floats keyed by bit pattern (NaN groups with NaN; −0.0 ≠ 0.0 is
-    /// acceptable for grouping).
     Float(u64),
     Str(String),
     Bool(bool),
@@ -35,14 +38,200 @@ impl KeyPart {
         match v {
             Value::Null => KeyPart::Null,
             Value::Int(i) => KeyPart::Int(*i),
-            // Integral floats join/group with equal ints.
-            Value::Float(f) if f.fract() == 0.0 && f.is_finite() && f.abs() < 9.0e18 => {
-                KeyPart::Int(*f as i64)
-            }
-            Value::Float(f) => KeyPart::Float(f.to_bits()),
+            Value::Float(f) => float_part(*f),
             Value::Str(s) => KeyPart::Str(s.clone()),
             Value::Bool(b) => KeyPart::Bool(*b),
         }
+    }
+}
+
+fn float_part(f: f64) -> KeyPart {
+    if f.fract() == 0.0 && f.is_finite() && f.abs() < 9.0e18 {
+        KeyPart::Int(f as i64)
+    } else {
+        KeyPart::Float(f.to_bits())
+    }
+}
+
+/// The hash of one key cell. Equal parts hash equal, and the column
+/// loops of [`hash_column`] produce the same value for each cell.
+pub(crate) fn hash_key_part(k: &KeyPart) -> u64 {
+    match k {
+        KeyPart::Null => mix(0x6e75_6c6c),
+        KeyPart::Int(i) => mix(*i as u64),
+        KeyPart::Float(bits) => mix(bits ^ 0x9e37_79b9_7f4a_7c15),
+        KeyPart::Str(s) => hash_str(s),
+        KeyPart::Bool(b) => mix(0xb001 + *b as u64),
+    }
+}
+
+/// A multi-column key's hash: each column's part folded in, in order.
+fn combine(h: u64, part: u64) -> u64 {
+    (h ^ part).wrapping_mul(0xff51_afd7_ed55_8ccd)
+}
+
+/// The murmur3 finalizer: every input bit reaches every output bit.
+fn mix(mut x: u64) -> u64 {
+    x ^= x >> 33;
+    x = x.wrapping_mul(0xc4ce_b9fe_1a85_ec53);
+    x ^ (x >> 33)
+}
+
+fn hash_str(s: &str) -> u64 {
+    mix(s.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| (h ^ b as u64).wrapping_mul(0x100_0000_01b3)))
+}
+
+/// Fold every row's cell of `col` into `hashes`, one typed loop per
+/// column type.
+fn hash_column(col: &Column, hashes: &mut [u64]) {
+    let validity = col.validity();
+    let null = hash_key_part(&KeyPart::Null);
+    let mut fold = |i: usize, part: u64| {
+        hashes[i] = combine(hashes[i], if validity.get(i) { part } else { null });
+    };
+    match col {
+        Column::Int64 { data, .. } => {
+            data.iter().enumerate().for_each(|(i, &v)| fold(i, hash_key_part(&KeyPart::Int(v))))
+        }
+        Column::Float64 { data, .. } => {
+            data.iter().enumerate().for_each(|(i, &v)| fold(i, hash_key_part(&float_part(v))))
+        }
+        Column::Str { data, .. } => {
+            data.iter().enumerate().for_each(|(i, s)| fold(i, hash_str(s)))
+        }
+        Column::Bool { data, .. } => {
+            (0..data.len()).for_each(|i| fold(i, hash_key_part(&KeyPart::Bool(data.get(i)))))
+        }
+    }
+}
+
+/// The key part of one cell, read from the raw buffers.
+fn cell_part(col: &Column, row: usize) -> KeyPart {
+    if !col.validity().get(row) {
+        return KeyPart::Null;
+    }
+    match col {
+        Column::Int64 { data, .. } => KeyPart::Int(data[row]),
+        Column::Float64 { data, .. } => float_part(data[row]),
+        Column::Str { data, .. } => KeyPart::Str(data[row].clone()),
+        Column::Bool { data, .. } => KeyPart::Bool(data.get(row)),
+    }
+}
+
+/// `cell_part(col, row) == *k`, without copying a string cell.
+fn cell_eq(col: &Column, row: usize, k: &KeyPart) -> bool {
+    match col {
+        Column::Str { data, validity } if validity.get(row) => {
+            matches!(k, KeyPart::Str(s) if *s == data[row])
+        }
+        _ => cell_part(col, row) == *k,
+    }
+}
+
+/// The id of a row the selection dropped: it belongs to no group.
+pub(crate) const NO_GROUP: u32 = u32::MAX;
+
+/// Hands a precomputed key hash to the map unchanged.
+#[derive(Default)]
+struct PassThrough(u64);
+
+impl Hasher for PassThrough {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, _: &[u8]) {
+        unreachable!("the group table hashes keys itself");
+    }
+
+    fn write_u64(&mut self, h: u64) {
+        self.0 = h;
+    }
+}
+
+/// Group ids by key, in first-encounter order. The map holds each hash's
+/// newest group and `next` chains the older groups sharing that hash;
+/// every hit is checked against the stored key, so distinct keys never
+/// share a group whatever their hashes. A key is copied out once per
+/// new group, never per row.
+#[derive(Default)]
+pub(crate) struct GroupTable {
+    heads: HashMap<u64, u32, BuildHasherDefault<PassThrough>>,
+    next: Vec<u32>,
+    pub(crate) keys: Vec<Vec<KeyPart>>,
+}
+
+impl GroupTable {
+    fn find(&self, hash: u64, eq: impl Fn(&[KeyPart]) -> bool) -> Option<u32> {
+        let mut g = *self.heads.get(&hash)?;
+        while !eq(&self.keys[g as usize]) {
+            g = self.next[g as usize];
+            if g == NO_GROUP {
+                return None;
+            }
+        }
+        Some(g)
+    }
+
+    fn insert(&mut self, hash: u64, key: Vec<KeyPart>) -> u32 {
+        let g = u32::try_from(self.keys.len()).expect("fewer than 2^32 - 1 groups");
+        self.next.push(self.heads.insert(hash, g).unwrap_or(NO_GROUP));
+        self.keys.push(key);
+        g
+    }
+
+    /// The group of `key` (whose hash is `hash`) and whether it is new.
+    pub(crate) fn group_of(&mut self, hash: u64, key: Vec<KeyPart>) -> (u32, bool) {
+        match self.find(hash, |k| *k == key[..]) {
+            Some(g) => (g, false),
+            None => (self.insert(hash, key), true),
+        }
+    }
+
+    /// The group id of each of `n` rows keyed by the columns `keys`
+    /// ([`NO_GROUP`] for rows `sel` drops). `opened(row)` runs for each
+    /// row that opens a group, in row order.
+    pub(crate) fn group_ids(
+        &mut self,
+        keys: &[&Column],
+        n: usize,
+        sel: Option<&Bitmap>,
+        opened: impl FnMut(usize),
+    ) -> Vec<u32> {
+        let mut hashes = vec![0; n];
+        for col in keys {
+            hash_column(col, &mut hashes);
+        }
+        self.probe(keys, &hashes, sel, opened)
+    }
+
+    /// [`Self::group_ids`] under precomputed row hashes.
+    fn probe(
+        &mut self,
+        keys: &[&Column],
+        hashes: &[u64],
+        sel: Option<&Bitmap>,
+        mut opened: impl FnMut(usize),
+    ) -> Vec<u32> {
+        let mut ids = vec![NO_GROUP; hashes.len()];
+        let mut probe_row = |row: usize| {
+            // No key columns: one group, and no probe once it exists.
+            let found = if keys.is_empty() && !self.keys.is_empty() {
+                Some(0)
+            } else {
+                let eq = |k: &[KeyPart]| keys.iter().zip(k).all(|(c, k)| cell_eq(c, row, k));
+                self.find(hashes[row], eq)
+            };
+            ids[row] = found.unwrap_or_else(|| {
+                opened(row);
+                self.insert(hashes[row], keys.iter().map(|c| cell_part(c, row)).collect())
+            });
+        };
+        match sel {
+            Some(sel) => sel.iter_set().for_each(&mut probe_row),
+            None => (0..hashes.len()).for_each(probe_row),
+        }
+        ids
     }
 }
 
@@ -107,19 +296,12 @@ impl Accumulator {
     }
 }
 
-/// Aggregate argument plan: what to evaluate per morsel. Strings go
-/// through the Value path (for MIN/MAX on strings).
+/// Aggregate argument plan: what to evaluate per morsel. A string
+/// column (MIN/MAX/COUNT only) is named, and folds its raw strings.
 pub(crate) enum AggArg {
     Star,
     Numeric(ScalarExpr),
     Strings(String),
-}
-
-/// Per-morsel evaluated argument data.
-enum ArgData {
-    Star,
-    Numeric(Vec<Option<f64>>),
-    Strings(Vec<Option<String>>),
 }
 
 /// Resolve aggregate argument expressions against the input schema and
@@ -155,13 +337,13 @@ pub(crate) fn prepare_agg_args(t: &Table, aggs: &[AggSpec]) -> Result<Vec<AggArg
 }
 
 /// Partial aggregation state of one morsel: groups in first-encounter
-/// order, each with the global row index of its first row and one
-/// accumulator per aggregate.
+/// order, each with the global row index of its first row, and one
+/// accumulator per aggregate per group, group-major.
 #[derive(Debug)]
 pub(crate) struct GroupPartial {
     pub(crate) keys: Vec<Vec<KeyPart>>,
     pub(crate) first_rows: Vec<usize>,
-    pub(crate) accs: Vec<Vec<Accumulator>>,
+    pub(crate) accs: Vec<Accumulator>,
 }
 
 // ------------------------------------------------- aggregate pushdown
@@ -315,145 +497,147 @@ impl AggPushdown<'_> {
 struct MorselAccumulator<'a> {
     group_by: &'a [String],
     args: &'a [AggArg],
-    n_aggs: usize,
-    groups: HashMap<Vec<KeyPart>, usize>,
-    part: GroupPartial,
+    table: GroupTable,
+    first_rows: Vec<usize>,
+    accs: Vec<Accumulator>,
 }
 
 impl<'a> MorselAccumulator<'a> {
-    fn new(group_by: &'a [String], args: &'a [AggArg], n_aggs: usize) -> Self {
+    fn new(group_by: &'a [String], args: &'a [AggArg]) -> Self {
         MorselAccumulator {
             group_by,
             args,
-            n_aggs,
-            groups: HashMap::new(),
-            part: GroupPartial { keys: Vec::new(), first_rows: Vec::new(), accs: Vec::new() },
+            table: GroupTable::default(),
+            first_rows: Vec::new(),
+            accs: Vec::new(),
         }
     }
 
     fn finish(self) -> GroupPartial {
-        self.part
+        GroupPartial { keys: self.table.keys, first_rows: self.first_rows, accs: self.accs }
     }
-}
 
-impl MorselAccumulator<'_> {
     /// Group-and-accumulate one chunk (`m` is the zero-copy slice
-    /// starting at row `offset`). The optional predicate mask is fused
-    /// in: only known-TRUE rows feed the accumulators.
+    /// starting at row `offset`): assign every row its group id, then
+    /// fold each aggregate's argument one column at a time. The optional
+    /// predicate mask is fused in: only known-TRUE rows get a group.
     fn accumulate(
         &mut self,
         m: &Table,
         offset: usize,
         predicate: Option<&ScalarExpr>,
     ) -> Result<()> {
-        let (group_by, args, n_aggs) = (self.group_by, self.args, self.n_aggs);
         let mask = predicate.map(|p| eval_conjuncts_mask(&p.conjuncts(), m)).transpose()?;
-    let mut arg_data = Vec::with_capacity(args.len());
-    for a in args {
-        arg_data.push(match a {
-            AggArg::Star => ArgData::Star,
-            AggArg::Numeric(e) => ArgData::Numeric(e.eval_numeric(m)?),
-            AggArg::Strings(c) => {
-                let col = m.column(c)?;
-                let mut vals = Vec::with_capacity(m.row_count());
-                for i in 0..m.row_count() {
-                    vals.push(match col.value(i)? {
-                        Value::Str(s) => Some(s),
-                        _ => None,
-                    });
-                }
-                ArgData::Strings(vals)
-            }
-        });
+        let key_cols: Vec<&Column> = self
+            .group_by
+            .iter()
+            .map(|g| m.column(g))
+            .collect::<lawsdb_storage::Result<_>>()?;
+        let n_aggs = self.args.len();
+        let (first_rows, accs) = (&mut self.first_rows, &mut self.accs);
+        let ids = self.table.group_ids(
+            &key_cols,
+            m.row_count(),
+            mask.as_ref().map(|pm| pm.truth()),
+            |row| {
+                first_rows.push(offset + row);
+                accs.resize(accs.len() + n_aggs, Accumulator::default());
+            },
+        );
+        for (ai, arg) in self.args.iter().enumerate() {
+            fold_arg(arg, m, &ids, accs, |g| g as usize * n_aggs + ai)?;
+        }
+        Ok(())
     }
-    let key_cols: Vec<&Column> = group_by
-        .iter()
-        .map(|g| m.column(g))
-        .collect::<lawsdb_storage::Result<_>>()?;
-    let (groups, part) = (&mut self.groups, &mut self.part);
-    let global = group_by.is_empty();
-    for row in 0..m.row_count() {
-        if let Some(mask) = &mask {
-            if !mask.truth().get(row) {
-                continue;
+}
+
+/// Fold one aggregate's argument over a chunk: row `i` goes to the
+/// accumulator `slot(ids[i])`. Bare numeric columns read their raw
+/// buffer and validity, as [`Column::numeric_agg`] does; NULL and NaN
+/// are skipped.
+fn fold_arg(
+    arg: &AggArg,
+    m: &Table,
+    ids: &[u32],
+    accs: &mut [Accumulator],
+    slot: impl Fn(u32) -> usize,
+) -> Result<()> {
+    fn fold(
+        ids: &[u32],
+        accs: &mut [Accumulator],
+        slot: impl Fn(u32) -> usize,
+        value: impl Fn(usize) -> Option<f64>,
+    ) {
+        for (i, &g) in ids.iter().enumerate() {
+            if let (true, Some(v)) = (g != NO_GROUP, value(i)) {
+                accs[slot(g)].num.update(v);
             }
         }
-        // Global aggregates (no GROUP BY) have exactly one group; skip
-        // the per-row key materialization and hash probe — this is the
-        // hot path for `SELECT COUNT/SUM/AVG(..) FROM t WHERE ..`.
-        let gid = if global {
-            if part.accs.is_empty() {
-                part.keys.push(Vec::new());
-                part.first_rows.push(offset + row);
-                part.accs.push(vec![Accumulator::default(); n_aggs]);
-            }
-            0
-        } else {
-            let key: Vec<KeyPart> = key_cols
-                .iter()
-                .map(|c| c.value(row).map(|v| KeyPart::from_value(&v)))
-                .collect::<lawsdb_storage::Result<_>>()?;
-            match groups.get(&key) {
-                Some(&g) => g,
-                None => {
-                    let g = part.keys.len();
-                    groups.insert(key.clone(), g);
-                    part.keys.push(key);
-                    part.first_rows.push(offset + row);
-                    part.accs.push(vec![Accumulator::default(); n_aggs]);
-                    g
+    }
+    let rows = || ids.iter().enumerate().filter(|&(_, &g)| g != NO_GROUP);
+    match arg {
+        AggArg::Star => rows().for_each(|(_, &g)| accs[slot(g)].num.count += 1),
+        AggArg::Numeric(e) => {
+            let raw = match e {
+                ScalarExpr::Column(c) => Some(m.column(c)?),
+                _ => None,
+            };
+            match raw {
+                Some(Column::Float64 { data, validity }) => {
+                    fold(ids, accs, slot, |i| Some(data[i]).filter(|v| validity.get(i) && !v.is_nan()))
+                }
+                Some(Column::Int64 { data, validity }) => {
+                    fold(ids, accs, slot, |i| validity.get(i).then(|| data[i] as f64))
+                }
+                _ => {
+                    let vals = e.eval_numeric(m)?;
+                    fold(ids, accs, slot, |i| vals[i])
                 }
             }
-        };
-        for (ai, data) in arg_data.iter().enumerate() {
-            match data {
-                ArgData::Star => part.accs[gid][ai].num.count += 1,
-                ArgData::Numeric(vals) => {
-                    if let Some(v) = vals[row] {
-                        part.accs[gid][ai].num.update(v);
-                    }
-                }
-                ArgData::Strings(vals) => {
-                    if let Some(s) = &vals[row] {
-                        part.accs[gid][ai].add_str(s);
-                    }
+        }
+        AggArg::Strings(c) => {
+            let col = m.column(c)?;
+            let data = col.str_data()?;
+            for (i, &g) in rows() {
+                if col.validity().get(i) {
+                    accs[slot(g)].add_str(&data[i]);
                 }
             }
         }
     }
     Ok(())
-    }
 }
 
-/// Fold partials into one state; a group keeps its smallest first row.
-/// Passed in morsel order, first-encounter group order is preserved:
-/// morsel 0's groups come first, exactly as a serial pass over the same
-/// rows would see them. The accumulators merge to the same bits in any
+/// Fold partials, passed in any order, into one state whose groups come
+/// in ascending first row: the first-encounter order of a serial pass
+/// over the same rows. The accumulators merge to the same bits in any
 /// order.
-pub(crate) fn merge_partials(parts: Vec<GroupPartial>) -> GroupPartial {
-    let mut groups: HashMap<Vec<KeyPart>, usize> = HashMap::new();
-    let mut out = GroupPartial { keys: Vec::new(), first_rows: Vec::new(), accs: Vec::new() };
-    for part in parts {
-        for ((key, first), accs) in
-            part.keys.into_iter().zip(part.first_rows).zip(part.accs)
-        {
-            match groups.get(&key) {
-                Some(&g) => {
-                    out.first_rows[g] = out.first_rows[g].min(first);
-                    for (mine, theirs) in out.accs[g].iter_mut().zip(&accs) {
-                        mine.merge(theirs);
-                    }
-                }
-                None => {
-                    groups.insert(key.clone(), out.keys.len());
-                    out.keys.push(key);
-                    out.first_rows.push(first);
-                    out.accs.push(accs);
-                }
+pub(crate) fn merge_partials(mut parts: Vec<GroupPartial>) -> GroupPartial {
+    let mut order: Vec<(usize, usize)> = (0..parts.len())
+        .flat_map(|p| (0..parts[p].first_rows.len()).map(move |i| (p, i)))
+        .collect();
+    // Stable, and the engine's morsel partials arrive already sorted.
+    order.sort_by_key(|&(p, i)| parts[p].first_rows[i]);
+    let mut table = GroupTable::default();
+    let (mut first_rows, mut accs) = (Vec::new(), Vec::<Accumulator>::new());
+    for (p, i) in order {
+        let part = &mut parts[p];
+        let n = part.accs.len() / part.keys.len();
+        let key = std::mem::take(&mut part.keys[i]);
+        let hash = key.iter().fold(0, |h, k| combine(h, hash_key_part(k)));
+        let theirs = &part.accs[i * n..(i + 1) * n];
+        match table.group_of(hash, key) {
+            (g, false) => {
+                let mine = &mut accs[g as usize * n..(g as usize + 1) * n];
+                mine.iter_mut().zip(theirs).for_each(|(mine, theirs)| mine.merge(theirs));
+            }
+            (_, true) => {
+                first_rows.push(part.first_rows[i]);
+                accs.extend_from_slice(theirs);
             }
         }
     }
-    out
+    GroupPartial { keys: table.keys, first_rows, accs }
 }
 
 /// Assemble the output table from merged group state: group key columns
@@ -466,9 +650,9 @@ fn assemble_aggregate(
     mut part: GroupPartial,
 ) -> Result<Table> {
     // Global aggregate over an empty input still yields one row.
-    if group_by.is_empty() && part.accs.is_empty() {
+    if group_by.is_empty() && part.first_rows.is_empty() {
         part.first_rows.push(usize::MAX);
-        part.accs.push(vec![Accumulator::default(); aggs.len()]);
+        part.accs = vec![Accumulator::default(); aggs.len()];
     }
     let mut fields = Vec::new();
     let mut cols = Vec::new();
@@ -482,7 +666,8 @@ fn assemble_aggregate(
         cols.push(src.take(&part.first_rows)?);
     }
     for (ai, a) in aggs.iter().enumerate() {
-        let values: Vec<Value> = part.accs.iter().map(|g| g[ai].finish(a.func)).collect();
+        let values: Vec<Value> =
+            part.accs.iter().skip(ai).step_by(aggs.len()).map(|acc| acc.finish(a.func)).collect();
         let (field, col) = aggregate_column(t.schema(), a, &values);
         fields.push(field);
         cols.push(col);
@@ -542,7 +727,7 @@ pub(crate) fn aggregate_groups(
     let parts = parallel_morsels(t.row_count(), opts, |offset, len| {
         let chunks = zone_chunks(t, pruner.as_ref(), predicate.is_some(), opts, offset, len);
         let Some(push) = &push else {
-            let mut acc = MorselAccumulator::new(&group_by, &args, aggs.len());
+            let mut acc = MorselAccumulator::new(&group_by, &args);
             for (o, l, d) in chunks {
                 let pred = match d {
                     ZoneDecision::Skip => continue,
@@ -571,7 +756,7 @@ pub(crate) fn aggregate_groups(
         if let (Some(c), true) = (&opts.stats, pushed > 0) {
             c.add(&ScanStats { zones_agg_synopsis: pushed, ..ScanStats::default() });
         }
-        Ok(GroupPartial { keys: vec![Vec::new()], first_rows: vec![offset], accs: vec![accs] })
+        Ok(GroupPartial { keys: vec![Vec::new()], first_rows: vec![offset], accs })
     })?;
     Ok((group_by, merge_partials(parts)))
 }
@@ -636,5 +821,86 @@ fn mark_nulls(col: &mut Column, values: &[Value]) {
         if v.is_null() {
             validity.set(i, false);
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use lawsdb_storage::{Catalog, TableBuilder};
+
+    #[test]
+    fn keys_forced_onto_one_hash_keep_their_own_groups() {
+        let mut t = GroupTable::default();
+        assert_eq!(t.group_of(7, vec![KeyPart::Int(1)]), (0, true));
+        assert_eq!(t.group_of(7, vec![KeyPart::Str("1".into())]), (1, true));
+        assert_eq!(t.group_of(7, vec![KeyPart::Int(1)]), (0, false));
+        assert_eq!(t.group_of(7, vec![KeyPart::Str("1".into())]), (1, false));
+        // The column probe with every row forced onto hash 0.
+        let col = Column::from_i64(vec![5, 3, 5, 9, 3]);
+        let mut t = GroupTable::default();
+        let mut opened = Vec::new();
+        let ids = t.probe(&[&col], &[0; 5], None, |row| opened.push(row));
+        assert_eq!(ids, [0, 1, 0, 2, 1]);
+        assert_eq!(opened, [0, 1, 3]);
+        assert_eq!(t.keys, [[KeyPart::Int(5)], [KeyPart::Int(3)], [KeyPart::Int(9)]]);
+    }
+
+    #[test]
+    fn column_hashes_equal_hash_key_part_of_each_cell() {
+        use Value::{Bool, Float, Int, Null, Str};
+        let (nan, inf) = (f64::NAN, f64::INFINITY);
+        let payload = f64::from_bits(nan.to_bits() | 1);
+        let floats = [nan, -nan, payload, -payload, -0.0, 0.0, 2.0, 2.5, inf, -inf, 9.5e18];
+        let cols = [
+            column_from_typed(
+                DataType::Float64,
+                &floats.iter().map(|&f| Float(f)).chain([Null]).collect::<Vec<_>>(),
+            ),
+            column_from_typed(DataType::Int64, &[Int(2), Int(0), Null, Int(-1), Int(i64::MIN)]),
+            column_from_typed(DataType::Str, &[Str("b".into()), Null, Str(String::new())]),
+            column_from_typed(DataType::Bool, &[Bool(true), Null, Bool(false)]),
+        ];
+        for col in &cols {
+            let mut hashes = vec![0; col.len()];
+            hash_column(col, &mut hashes);
+            for (row, &h) in hashes.iter().enumerate() {
+                let part = KeyPart::from_value(&col.value(row).unwrap());
+                assert_eq!(h, combine(0, hash_key_part(&part)), "{col:?} row {row}");
+                assert!(cell_eq(col, row, &part), "{col:?} row {row}");
+            }
+        }
+        // The rule: ±0.0 are 0, 2.0 is 2, and each NaN payload is its own key.
+        assert_eq!([float_part(-0.0), float_part(0.0)], [KeyPart::Int(0), KeyPart::Int(0)]);
+        assert_eq!(float_part(2.0), KeyPart::Int(2));
+        let nans: Vec<KeyPart> = [nan, -nan, payload].map(float_part).into();
+        assert!(nans.iter().enumerate().all(|(i, a)| nans[..i].iter().all(|b| a != b)));
+    }
+
+    #[test]
+    fn group_by_string_and_bool_columns_in_first_encounter_order() {
+        use Value::{Bool, Int, Null, Str};
+        let s = |v: &str| Str(v.into());
+        let mut b = TableBuilder::new("t");
+        let strs = [s("b"), s("a"), Null, s("b"), s("a"), s("b")];
+        b.add_column(Field::nullable("s", DataType::Str), column_from_typed(DataType::Str, &strs));
+        let bools = [Bool(true), Bool(false), Bool(true), Null, Bool(false), Bool(true)];
+        b.add_column(Field::nullable("f", DataType::Bool), column_from_typed(DataType::Bool, &bools));
+        let c = Catalog::new();
+        c.register(b.build().unwrap()).unwrap();
+        // Two-row morsels: the groups also merge across morsels.
+        let opts = ExecOptions { threads: 1, morsel_rows: 2, ..ExecOptions::default() };
+        let rows = |sql: &str| {
+            let t = crate::exec::execute_with(&c, sql, &opts).unwrap().table;
+            (0..t.row_count()).map(|i| t.row(i).unwrap()).collect::<Vec<_>>()
+        };
+        assert_eq!(
+            rows("SELECT s, COUNT(*) AS n FROM t GROUP BY s"),
+            [vec![s("b"), Int(3)], vec![s("a"), Int(2)], vec![Null, Int(1)]]
+        );
+        assert_eq!(
+            rows("SELECT f, COUNT(*) AS n FROM t GROUP BY f"),
+            [vec![Bool(true), Int(3)], vec![Bool(false), Int(2)], vec![Null, Int(1)]]
+        );
     }
 }

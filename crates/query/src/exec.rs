@@ -8,7 +8,7 @@
 //! size. Every other plan node runs serially on its (possibly
 //! parallel-computed) input.
 
-use crate::aggregate::{aggregate, aggregate_pipeline, KeyPart};
+use crate::aggregate::{aggregate, aggregate_pipeline, GroupTable, NO_GROUP};
 use crate::error::{QueryError, Result};
 use crate::governor::Governor;
 use crate::morsel::{morsel_ranges, parallel_morsels, ExecOptions};
@@ -18,10 +18,10 @@ use crate::pruning::{PruningPredicate, ScanStats, ScanStatsCollector, ZoneDecisi
 use crate::sexpr::{PredMask, ScalarExpr};
 use crate::sql::{parse_select, OrderBy};
 use lawsdb_obs::fields;
+use lawsdb_storage::bitmap::Bitmap;
 use lawsdb_storage::schema::{Field, Schema};
 use lawsdb_storage::{Catalog, Column, Table, Value};
 use std::cmp::Ordering;
-use std::collections::HashMap;
 use std::sync::Arc;
 
 /// Result of executing a query: the output table plus the exact number
@@ -245,19 +245,10 @@ fn exec_node(
         }
         LogicalPlan::Distinct { input } => {
             let t = exec(catalog, input, scanned, opts)?;
-            let mut seen: std::collections::HashSet<Vec<KeyPart>> =
-                std::collections::HashSet::new();
+            // Every row keyed by all its cells; each group keeps its first.
+            let cols: Vec<&Column> = t.columns().iter().collect();
             let mut keep = Vec::new();
-            for row in 0..t.row_count() {
-                let key: Vec<KeyPart> = t
-                    .row(row)?
-                    .iter()
-                    .map(KeyPart::from_value)
-                    .collect();
-                if seen.insert(key) {
-                    keep.push(row);
-                }
-            }
+            GroupTable::default().group_ids(&cols, t.row_count(), None, |row| keep.push(row));
             charge_take(opts, &t, keep.len())?;
             Ok(t.take(&keep)?)
         }
@@ -521,27 +512,31 @@ fn hash_join(
     let lcol = left.column(&lkey)?;
     let rcol = right.column(&rkey)?;
 
-    // Build on the right side.
-    let mut build: HashMap<KeyPart, Vec<usize>> = HashMap::new();
-    for i in 0..right.row_count() {
-        let v = rcol.value(i)?;
-        if v.is_null() {
-            continue; // NULL never joins
+    // Build on the right side, then probe the left through the same
+    // table: a left row lands in a right group only when the keys are
+    // equal under the grouping rule. NULL and NaN never join, since
+    // `k = k` is UNKNOWN for both.
+    let joinable = |c: &Column| match c {
+        Column::Float64 { data, validity } => {
+            Bitmap::from_fn(data.len(), |i| validity.get(i) && !data[i].is_nan())
         }
-        build.entry(KeyPart::from_value(&v)).or_default().push(i);
+        _ => c.validity().clone(),
+    };
+    let mut table = GroupTable::default();
+    let mut build: Vec<Vec<usize>> = Vec::new();
+    let rids = table.group_ids(&[rcol], right.row_count(), Some(&joinable(rcol)), |_| {
+        build.push(Vec::new())
+    });
+    for (r, &g) in rids.iter().enumerate().filter(|&(_, &g)| g != NO_GROUP) {
+        build[g as usize].push(r);
     }
+    let lids = table.group_ids(&[lcol], left.row_count(), Some(&joinable(lcol)), |_| {});
     let mut lidx = Vec::new();
     let mut ridx = Vec::new();
-    for i in 0..left.row_count() {
-        let v = lcol.value(i)?;
-        if v.is_null() {
-            continue;
-        }
-        if let Some(rows) = build.get(&KeyPart::from_value(&v)) {
-            for &r in rows {
-                lidx.push(i);
-                ridx.push(r);
-            }
+    for (i, &g) in lids.iter().enumerate() {
+        for &r in build.get(g as usize).into_iter().flatten() {
+            lidx.push(i);
+            ridx.push(r);
         }
     }
 
@@ -822,6 +817,40 @@ mod tests {
         .unwrap();
         assert_eq!(r.table.row_count(), 2);
         assert_eq!(r.table.row(0).unwrap()[1], Value::Str("quasar".to_string()));
+    }
+
+    #[test]
+    fn join_keys_group_like_group_by_but_nan_never_joins() {
+        // Regression: two NaN keys joined, though `k = k` is UNKNOWN for NaN.
+        let nan = f64::NAN;
+        let c = Catalog::new();
+        let mut a = TableBuilder::new("a");
+        a.add_i64("x", (0..6).collect());
+        a.add_f64_opt("k", vec![Some(nan), Some(-0.0), None, Some(2.0), Some(0.5), Some(-nan)]);
+        let mut b = TableBuilder::new("b");
+        b.add_i64("y", (0..5).collect());
+        b.add_f64_opt("j", vec![Some(-nan), Some(0.0), None, Some(0.5), Some(2.0)]);
+        let mut d = TableBuilder::new("d");
+        d.add_i64("z", (0..4).collect());
+        d.add_column(
+            Field::nullable("i", DataType::Int64),
+            Column::from_i64_opt(vec![Some(2), Some(0), None, Some(7)]),
+        );
+        for mut t in [a, b, d] {
+            c.register(t.build().unwrap()).unwrap();
+        }
+        let pairs = |sql: &str| {
+            let t = execute(&c, sql).unwrap().table;
+            (0..t.row_count()).map(|r| t.row(r).unwrap()).collect::<Vec<_>>()
+        };
+        use Value::Int;
+        assert_eq!(
+            pairs("SELECT x, y FROM a JOIN b ON k = j"),
+            [[Int(1), Int(1)], [Int(3), Int(4)], [Int(4), Int(3)]]
+        );
+        // Integral floats join the equal int, from either side.
+        assert_eq!(pairs("SELECT x, z FROM a JOIN d ON k = i"), [[Int(1), Int(1)], [Int(3), Int(0)]]);
+        assert_eq!(pairs("SELECT z, x FROM d JOIN a ON i = k"), [[Int(0), Int(3)], [Int(1), Int(1)]]);
     }
 
     #[test]

@@ -15,11 +15,11 @@
 //! ascending first-occurrence row in the global table — the
 //! first-encounter order a serial scan of the global table produces.
 
-use crate::error::{QueryError, Result};
 use crate::aggregate::{
     aggregate_column, aggregate_groups, column_from_typed, merge_partials, Accumulator,
     GroupPartial, KeyPart,
 };
+use crate::error::{QueryError, Result};
 use crate::exec::{normalize_expr, normalize_name, sort};
 use crate::morsel::ExecOptions;
 use crate::plan::AggSpec;
@@ -56,17 +56,12 @@ pub fn shard_partials(
     Ok(ShardPartials { part, rows_scanned: shard.row_count() })
 }
 
-/// Merge shard partials (in any order) and order the groups by
-/// ascending global first row — the single engine's output order.
+/// Merge shard partials (in any order); the groups come in ascending
+/// global first row — the single engine's output order.
 pub fn merge_shard_partials(shards: Vec<ShardPartials>) -> ShardPartials {
     let rows_scanned = shards.iter().map(|s| s.rows_scanned).sum();
-    let merged = merge_partials(shards.into_iter().map(|s| s.part).collect());
-    let mut groups: Vec<_> =
-        merged.keys.into_iter().zip(merged.first_rows).zip(merged.accs).collect();
-    groups.sort_by_key(|((_, first), _)| *first);
-    let (keyed, accs): (Vec<_>, _) = groups.into_iter().unzip();
-    let (keys, first_rows) = keyed.into_iter().unzip();
-    ShardPartials { part: GroupPartial { keys, first_rows, accs }, rows_scanned }
+    let part = merge_partials(shards.into_iter().map(|s| s.part).collect());
+    ShardPartials { part, rows_scanned }
 }
 
 /// Assemble the merged groups into the engine-shaped result table:
@@ -87,9 +82,9 @@ pub fn assemble_partials(
         .collect::<Result<_>>()?;
     let mut part = merged.part;
     // Global aggregate over an empty input still yields one row.
-    if group_by.is_empty() && part.accs.is_empty() {
+    if group_by.is_empty() && part.first_rows.is_empty() {
         part.first_rows.push(usize::MAX);
-        part.accs.push(vec![Accumulator::default(); aggs.len()]);
+        part.accs = vec![Accumulator::default(); aggs.len()];
     }
     let mut fields = Vec::new();
     let mut cols = Vec::new();
@@ -107,7 +102,8 @@ pub fn assemble_partials(
         cols.push(column_from_typed(dtype, &values));
     }
     for (ai, a) in aggs.iter().enumerate() {
-        let values: Vec<Value> = part.accs.iter().map(|g| g[ai].finish(a.func)).collect();
+        let values: Vec<Value> =
+            part.accs.iter().skip(ai).step_by(aggs.len()).map(|acc| acc.finish(a.func)).collect();
         let (field, col) = aggregate_column(schema, a, &values);
         fields.push(field);
         cols.push(col);

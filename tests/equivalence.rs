@@ -240,7 +240,10 @@ fn query(r: &mut Rng) -> String {
         let distinct = if r.one_in(4) { "DISTINCT " } else { "" };
         format!("SELECT {distinct}{} FROM t{filter}{}", select.join(", "), tail(r, &outputs))
     } else {
-        let groups: [&[&str]; 6] = [&[], &[], &["g"], &["k"], &["v"], &["g", "k"]];
+        #[rustfmt::skip]
+        let groups: [&[&str]; 9] = [
+            &[], &[], &["g"], &["k"], &["v"], &["x"], &["g", "k"], &["v", "g"], &["g", "k", "v"],
+        ];
         let group = *r.pick(&groups);
         let aggs: Vec<String> =
             (0..1 + r.below(4)).map(|i| format!("{} AS a{i}", r.pick(&AGGS))).collect();

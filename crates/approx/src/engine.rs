@@ -40,7 +40,8 @@ use lawsdb_query::morsel::parallel_morsels;
 use lawsdb_query::sql::{AggFunc, SelectItem, SelectStatement};
 use lawsdb_query::{parse_select, ExecOptions, PruningPredicate, ScalarExpr};
 use lawsdb_storage::zonemap::PredOp;
-use lawsdb_storage::{Catalog, Table, TableBuilder};
+use lawsdb_storage::schema::{DataType, Field};
+use lawsdb_storage::{Catalog, Column, Table, TableBuilder};
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -121,8 +122,6 @@ pub struct ApproxEngine {
     legal_filters: HashMap<u64, BloomFilter>,
     /// Cap on reconstructed tuples per query.
     pub enumeration_cap: usize,
-    /// Whether stale models may answer (with their recorded quality).
-    pub allow_stale: bool,
     /// Parallel-execution knobs; reconstruction fans `predict_batch`
     /// out over group keys and the residual SQL runs through the
     /// morsel-parallel executor. Results are identical for any setting.
@@ -136,7 +135,6 @@ impl ApproxEngine {
             models,
             legal_filters: HashMap::new(),
             enumeration_cap: 10_000_000,
-            allow_stale: false,
             exec: ExecOptions::default(),
         }
     }
@@ -259,7 +257,7 @@ impl ApproxEngine {
     /// Find the model whose response is one of the referenced columns.
     fn resolve_model(&self, table: &str, referenced: &[String]) -> Result<Arc<CapturedModel>> {
         for col in referenced {
-            if let Ok(m) = self.models.best_for(table, col, self.allow_stale) {
+            if let Ok(m) = self.models.best_for(table, col, false) {
                 return Ok(m);
             }
         }
@@ -507,6 +505,8 @@ impl ApproxEngine {
             _ => return Ok(None),
         };
         let _ = arg;
+        // The answer's column is named and typed as the exact path's.
+        let out = Field::nullable(stmt.items[0].output_name(), func.result_type(false));
         let agg = match func {
             AggFunc::Count => Aggregate::Count,
             AggFunc::Sum => Aggregate::Sum,
@@ -527,7 +527,7 @@ impl ApproxEngine {
             Some(cs) => Some(cs),
             None if stmt.predicate.is_none() => {
                 // No predicate at all: empty constraint map.
-                return self.analytic_over(model, agg, domain, &DimConstraint::default(), None);
+                return self.analytic_over(model, agg, out, domain, &DimConstraint::default(), None);
             }
             None => None, // disjunctive predicate: bail to enumeration
         }) else {
@@ -544,13 +544,14 @@ impl ApproxEngine {
         }
         let var_c = cs.get(var).cloned().unwrap_or_default();
         let group_c = group_col.as_ref().and_then(|g| cs.get(g)).cloned();
-        self.analytic_over(model, agg, domain, &var_c, group_c.as_ref())
+        self.analytic_over(model, agg, out, domain, &var_c, group_c.as_ref())
     }
 
     fn analytic_over(
         &self,
         model: &CapturedModel,
         agg: Aggregate,
+        out: Field,
         domain: &[f64],
         var_c: &DimConstraint,
         group_c: Option<&DimConstraint>,
@@ -590,9 +591,14 @@ impl ApproxEngine {
             return Ok(None); // constraint excluded every group
         }
         let value = linear_aggregate_groups(&groups, agg)?;
-        let mut tb = TableBuilder::new("result");
-        tb.add_f64("value", vec![value]);
-        let table = tb.build().map_err(ApproxError::Storage)?;
+        let column = match out.data_type {
+            DataType::Int64 => Column::from_i64(vec![value.round() as i64]),
+            _ => Column::from_f64(vec![value]),
+        };
+        let table = TableBuilder::new("result")
+            .add_column(out, column)
+            .build()
+            .map_err(ApproxError::Storage)?;
         Ok(Some(ApproxAnswer {
             table,
             rows_scanned: 0,
@@ -986,17 +992,16 @@ mod tests {
         let a = engine.answer("SELECT MAX(temp) FROM load").unwrap();
         assert_eq!(a.strategy, Strategy::AnalyticAggregate);
         assert_eq!(a.tuples_reconstructed, 0, "nothing materialized");
-        let got = a.table.column("value").unwrap().f64_data().unwrap()[0];
+        let got = a.table.column("max(temp)").unwrap().f64_data().unwrap()[0];
         // Max = sensor 2 at hour 23: 30 + 46 = 76.
         assert!((got - 76.0).abs() < 1e-6, "{got}");
         // AVG: mean over sensors of (10(k+1) + 2·11.5) = 20 + 23 = 43.
-        let a = engine.answer("SELECT AVG(temp) FROM load").unwrap();
-        let got = a.table.column("value").unwrap().f64_data().unwrap()[0];
+        let a = engine.answer("SELECT AVG(temp) AS mean FROM load").unwrap();
+        let got = a.table.column("mean").unwrap().f64_data().unwrap()[0];
         assert!((got - 43.0).abs() < 1e-6, "{got}");
         // COUNT over the reconstruction = 3 × 24.
         let a = engine.answer("SELECT COUNT(temp) FROM load").unwrap();
-        let got = a.table.column("value").unwrap().f64_data().unwrap()[0];
-        assert_eq!(got, 72.0);
+        assert_eq!(a.table.column("count(temp)").unwrap().i64_data().unwrap()[0], 72);
     }
 
     #[test]
@@ -1026,7 +1031,7 @@ mod tests {
             .answer("SELECT MIN(temp) FROM load WHERE sensor = 1 AND hour >= 12")
             .unwrap();
         assert_eq!(a.strategy, Strategy::AnalyticAggregate);
-        let got = a.table.column("value").unwrap().f64_data().unwrap()[0];
+        let got = a.table.column("min(temp)").unwrap().f64_data().unwrap()[0];
         // Sensor 1: 20 + 2·12 = 44.
         assert!((got - 44.0).abs() < 1e-6, "{got}");
     }
@@ -1041,19 +1046,14 @@ mod tests {
     }
 
     #[test]
-    fn allow_stale_widens_model_resolution() {
+    fn stale_model_does_not_answer() {
         let (models, id, _) = lofar_setup();
         models.set_state(id, lawsdb_models::ModelState::Stale).unwrap();
-        let strict = ApproxEngine::new(Arc::clone(&models));
-        assert!(strict
-            .answer("SELECT intensity FROM measurements WHERE source = 1 AND nu = 0.15")
-            .is_err());
-        let mut lax = ApproxEngine::new(models);
-        lax.allow_stale = true;
-        let a = lax
-            .answer("SELECT intensity FROM measurements WHERE source = 1 AND nu = 0.15")
-            .unwrap();
-        assert_eq!(a.table.row_count(), 1);
+        let engine = ApproxEngine::new(models);
+        assert!(matches!(
+            engine.answer("SELECT intensity FROM measurements WHERE source = 1 AND nu = 0.15"),
+            Err(ApproxError::NotAnswerable { .. })
+        ));
     }
 
     #[test]

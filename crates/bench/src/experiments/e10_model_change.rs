@@ -109,8 +109,8 @@ pub fn run(scale: Scale) -> E10Report {
         )
         .expect("append");
 
-    // Stale model still *can* compress (allow_stale semantics), but
-    // badly — measure it against the changed table.
+    // Stale model still *can* compress (compression never consults the
+    // model's state), but badly — measure it against the changed table.
     let changed = db.table("measurements").expect("registered");
     let bytes_stale = compress_column(&model, &changed, CompressionMode::Quantized { eps: EPS })
         .expect("compress with stale model")

@@ -103,10 +103,7 @@ pub fn run(scale: Scale) -> E5Report {
     // Approximate path, between two reads of the same device counters.
     let (answer, approx_cpu_us) = crate::time_us(|| db.query_approx(sql).expect("model answers"));
     let approx_pages = store.stats().pages_read - io.pages_read;
-    let approx_value = answer.table.column("value").or_else(|_| answer.table.column("v"))
-        .expect("col")
-        .f64_data()
-        .expect("f64")[0];
+    let approx_value = answer.table.column("v").expect("col").f64_data().expect("f64")[0];
 
     let relative_error = ((approx_value - exact_value) / exact_value).abs();
 

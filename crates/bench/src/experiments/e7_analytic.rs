@@ -70,7 +70,7 @@ pub fn run() -> E7Report {
         let (answer, analytic_us) =
             crate::time_us(|| db.query_approx(&sql).expect("analytic answers"));
         assert_eq!(answer.strategy, Strategy::AnalyticAggregate, "{agg} not analytic");
-        let analytic = answer.table.column("value").expect("col").f64_data().expect("f64")[0];
+        let analytic = answer.table.column("v").expect("col").to_f64_lossy().expect("numeric")[0];
         let rel_error = if exact != 0.0 { ((analytic - exact) / exact).abs() } else { 0.0 };
         aggregates.push(AggPoint { agg, exact, analytic, exact_us, analytic_us, rel_error });
     }

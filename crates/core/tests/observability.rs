@@ -1,6 +1,6 @@
 //! End-to-end acceptance for the unified observability layer: one
 //! resilient query under full instrumentation produces a single
-//! `QueryProfile` tree containing morsel timings, pruning decisions per
+//! `TraceNode` tree containing morsel timings, pruning decisions per
 //! zone, governor charges, bridged retry/quarantine events and
 //! the degradation reason — and a `MockClock` run of the same query is
 //! byte-identical across executions.
@@ -11,7 +11,7 @@
 use lawsdb_core::{AnswerMode, DurableDb, LawsDb, ResilientAnswer};
 use lawsdb_fit::FitOptions as RawFitOptions;
 use lawsdb_obs::trace::{tracer, FieldValue};
-use lawsdb_obs::{MockClock, ProfileCollector, QueryProfile, RingBufferSink};
+use lawsdb_obs::{MockClock, ProfileCollector, RingBufferSink, TraceNode};
 use lawsdb_query::governor::ResourceBudget;
 use lawsdb_query::ExecOptions;
 use lawsdb_storage::fault::{FaultMode, FaultSchedule, FaultyDevice};
@@ -43,7 +43,7 @@ fn zoned_engine(n: usize, exec: ExecOptions) -> LawsDb {
 fn answer_collected(
     db: &LawsDb,
     collector: &Arc<ProfileCollector>,
-) -> (ResilientAnswer, QueryProfile) {
+) -> (ResilientAnswer, TraceNode) {
     let exec = ExecOptions { profile: Some(collector.context()), ..db.exec.clone() };
     let r = db.answer(SQL, AnswerMode::Resilient, &exec).expect("query runs");
     (r, collector.build("query"))
@@ -95,7 +95,7 @@ fn resilient_query_profile_unifies_every_signal() {
     tracer().uninstall();
 
     assert!(!r.answer.is_approximate(), "range query degrades to exact");
-    assert_eq!(p.root.name, "query");
+    assert_eq!(p.name, "query");
 
     // (1) The degradation decision, with its reason.
     let degrades = p.find("resilient.degrade");

@@ -4,16 +4,22 @@
 //! Dependency-free by design — this crate sits below `lawsdb-storage`
 //! in the build graph so every layer (durable store, WAL, retry, morsel
 //! executor, governor, pruning, fit diagnostics, resilience ladder)
-//! reports through the same pipe. Three pillars:
+//! reports through the same pipe. Four parts:
 //!
-//! - [`trace`]: span/event API over a ring-buffer sink with monotonic
+//! - [`trace`]: `event!` points over a ring-buffer sink with monotonic
 //!   timestamps from a mockable [`Clock`]. Zero cost when no subscriber
 //!   is installed: one relaxed atomic load per emit site.
 //! - [`metrics`]: named counters/gauges/histograms with sharded atomics
 //!   and Prometheus-text + JSON exposition.
-//! - [`profile`]: `EXPLAIN ANALYZE`-style [`QueryProfile`] trees
-//!   assembled from executor spans, morsel leaves, pruning decisions,
-//!   governor charges, and bridged storage events.
+//! - [`profile`]: one query's spans and points, recorded through a
+//!   [`ProfileContext`] and assembled by [`ProfileCollector::build`]
+//!   into one [`TraceNode`] tree — executor spans, morsel leaves,
+//!   pruning decisions, governor charges, bridged storage events, and
+//!   on a server the decode/queue/encode spans. `EXPLAIN ANALYZE`
+//!   renders it, a traced wire reply carries it, and the flight
+//!   recorder keeps it: there is no second tree type.
+//! - [`record`]: per-layer attribution of a [`TraceNode`]
+//!   ([`attribute_layers`]) and the slow-query [`FlightRecorder`].
 //!
 //! See DESIGN.md §12 for the span taxonomy and metric naming scheme
 //! (`lawsdb_<crate>_<name>`).
@@ -31,9 +37,8 @@ pub use metrics::{
     global as global_metrics, Counter, Gauge, Histogram, HistogramSnapshot,
     MetricsRegistry, RegistrySnapshot,
 };
-pub use profile::{ProfileCollector, ProfileContext, ProfileSpan, ProfileTreeNode, QueryProfile};
+pub use profile::{ProfileCollector, ProfileContext, ProfileSpan, TraceNode};
 pub use record::{
-    attribute_layers, dominant_layer, FlightRecord, FlightRecorder, RecorderConfig,
-    TraceNode, LAYERS,
+    attribute_layers, dominant_layer, FlightRecord, FlightRecorder, RecorderConfig, LAYERS,
 };
-pub use trace::{tracer, Event, FieldValue, RingBufferSink, SpanGuard, Tracer};
+pub use trace::{tracer, Event, FieldValue, RingBufferSink, Tracer};

@@ -3,10 +3,11 @@
 //! A [`ProfileCollector`] accumulates flat span/point entries from any
 //! thread (workers record morsel leaves through cloned
 //! [`ProfileContext`] handles) and [`ProfileCollector::build`]
-//! assembles them into one [`QueryProfile`] tree. The collector also
-//! remembers the global tracer's cursor at creation, so events emitted
-//! far below the executor — storage retries, page quarantines — are
-//! bridged into the tree as root-level points.
+//! assembles them into one [`TraceNode`] tree — the same owned tree a
+//! traced wire reply carries and the flight recorder keeps. The
+//! collector also remembers the global tracer's cursor at creation, so
+//! events emitted far below the executor — storage retries, page
+//! quarantines — are bridged into the tree as root-level points.
 //!
 //! Children sort by `(index, arrival)`: leaves carrying an explicit
 //! index (morsel offsets) come first in index order regardless of which
@@ -107,138 +108,86 @@ impl ProfileCollector {
 
     /// Assemble everything recorded so far — plus tracer events bridged
     /// since this collector was created — into one tree rooted at
-    /// `root_name`.
-    pub fn build(&self, root_name: &'static str) -> QueryProfile {
-        struct Pending {
-            node: ProfileNode,
-            parent: NodeId,
-            seq: u64,
-        }
+    /// `root_name`. The root runs from the earliest span start recorded
+    /// (the collector's creation, or an earlier
+    /// [`ProfileContext::timed_span`]) to this call.
+    pub fn build(&self, root_name: &str) -> TraceNode {
         let end_us = self.clock.now_micros();
         let entries = self.entries();
-        let mut pending: Vec<Pending> = Vec::new();
-        let mut by_id: Vec<(NodeId, usize)> = Vec::new();
-        for (seq, e) in entries.iter().enumerate() {
+        // Every node in arrival order, paired with its parent's
+        // position; the root is position 0 and `slot[id]` is span
+        // `id`'s position. An id is minted before its Begin is pushed,
+        // so every id in `entries` is below `next_id`.
+        let mut slot = vec![0usize; self.next_id.load(Ordering::Relaxed) as usize];
+        let mut nodes = vec![(0, node(root_name, self.start_us, None, &[]))];
+        let mut root_start = self.start_us;
+        for e in entries.iter() {
             match e {
                 Entry::Begin { id, parent, name, start_us } => {
-                    by_id.push((*id, pending.len()));
-                    pending.push(Pending {
-                        node: ProfileNode {
-                            name,
-                            start_us: *start_us,
-                            duration_us: None,
-                            index: None,
-                            fields: Vec::new(),
-                            children: Vec::new(),
-                        },
-                        parent: *parent,
-                        seq: seq as u64,
-                    });
+                    root_start = root_start.min(*start_us);
+                    slot[id.0 as usize] = nodes.len();
+                    nodes.push((slot[parent.0 as usize], node(name, *start_us, None, &[])));
                 }
                 Entry::End { id, end_us, fields } => {
-                    if let Some(&(_, slot)) = by_id.iter().find(|(i, _)| i == id) {
-                        let p = &mut pending[slot];
-                        p.node.duration_us =
-                            Some(end_us.saturating_sub(p.node.start_us));
-                        p.node.fields = fields.clone();
-                    }
+                    let span = &mut nodes[slot[id.0 as usize]].1;
+                    span.duration_us = Some(end_us.saturating_sub(span.start_us));
+                    span.fields = owned(fields);
                 }
                 Entry::Point { parent, name, at_us, index, fields } => {
-                    pending.push(Pending {
-                        node: ProfileNode {
-                            name,
-                            start_us: *at_us,
-                            duration_us: None,
-                            index: *index,
-                            fields: fields.clone(),
-                            children: Vec::new(),
-                        },
-                        parent: *parent,
-                        seq: seq as u64,
-                    });
+                    nodes.push((slot[parent.0 as usize], node(name, *at_us, *index, fields)));
                 }
             }
         }
-        let bridge_base = entries.len() as u64;
         drop(entries);
         // Bridge tracer events that fired while this profile was live.
         // Their timestamps come from the subscriber's clock (different
         // origin), so they are attached as points and never contribute
         // to the root duration.
-        for (i, ev) in tracer().events_since(self.ring_from).into_iter().enumerate() {
-            pending.push(Pending {
-                node: ProfileNode {
-                    name: ev.name,
-                    start_us: ev.timestamp_us,
-                    duration_us: None,
-                    index: None,
-                    fields: ev.fields,
-                    children: Vec::new(),
-                },
-                parent: ROOT,
-                seq: bridge_base + i as u64,
-            });
+        for ev in tracer().events_since(self.ring_from) {
+            nodes.push((0, node(ev.name, ev.timestamp_us, None, &ev.fields)));
         }
-        // Assemble bottom-up: later entries can only be children of
-        // earlier Begins (or the root), so one reverse pass suffices.
-        let mut root = ProfileNode {
-            name: root_name,
-            start_us: self.start_us,
-            duration_us: Some(end_us.saturating_sub(self.start_us)),
-            index: None,
-            fields: Vec::new(),
-            children: Vec::new(),
-        };
-        // Collect children per parent, sorted deterministically.
-        let mut order: Vec<usize> = (0..pending.len()).collect();
-        order.sort_by_key(|&i| {
-            (pending[i].node.index.unwrap_or(u64::MAX), pending[i].seq)
-        });
-        // Attach deepest-first: a child Begin always has a larger seq
-        // than its parent Begin, so walking seq-descending and moving
-        // each node into its parent keeps subtrees intact.
-        let mut by_seq: Vec<usize> = (0..pending.len()).collect();
-        by_seq.sort_by_key(|&i| std::cmp::Reverse(pending[i].seq));
-        let rank: std::collections::HashMap<u64, usize> = order
-            .iter()
-            .enumerate()
-            .map(|(rank, &i)| (pending[i].seq, rank))
-            .collect();
-        for &i in &by_seq {
-            let parent = pending[i].parent;
-            let node = std::mem::replace(
-                &mut pending[i].node,
-                ProfileNode {
-                    name: "",
-                    start_us: 0,
-                    duration_us: None,
-                    index: None,
-                    fields: Vec::new(),
-                    children: Vec::new(),
-                },
-            );
-            let seq = pending[i].seq;
-            if parent == ROOT {
-                root.children.push((node, seq));
-            } else if let Some(&(_, slot)) = by_id.iter().find(|(id, _)| *id == parent) {
-                pending[slot].node.children.push((node, seq));
-            } else {
-                root.children.push((node, seq));
-            }
+        nodes[0].1.start_us = root_start;
+        nodes[0].1.duration_us = Some(end_us.saturating_sub(root_start));
+        // Every node arrives after its parent, so taking nodes from the
+        // back moves each one into its parent once its own children are
+        // in.
+        while nodes.len() > 1 {
+            let (parent, mut child) = nodes.swap_remove(nodes.len() - 1);
+            order_children(&mut child);
+            nodes[parent].1.children.push(child);
         }
-        fn finish(
-            node: &mut ProfileNode,
-            rank: &std::collections::HashMap<u64, usize>,
-        ) {
-            node.children
-                .sort_by_key(|(_, seq)| rank.get(seq).copied().unwrap_or(usize::MAX));
-            for (c, _) in &mut node.children {
-                finish(c, rank);
-            }
-        }
-        finish(&mut root, &rank);
-        QueryProfile { root: root.strip() }
+        let (_, mut root) = nodes.swap_remove(0);
+        order_children(&mut root);
+        root
     }
+}
+
+fn node(
+    name: &str,
+    start_us: u64,
+    index: Option<u64>,
+    fields: &[(&'static str, FieldValue)],
+) -> TraceNode {
+    TraceNode {
+        name: name.to_string(),
+        start_us,
+        duration_us: None,
+        index,
+        fields: owned(fields),
+        children: Vec::new(),
+    }
+}
+
+fn owned(fields: &[(&'static str, FieldValue)]) -> Vec<(String, FieldValue)> {
+    fields.iter().map(|(k, v)| (k.to_string(), v.clone())).collect()
+}
+
+/// Children arrive newest first: reversing restores arrival order, and
+/// a stable sort on the index then yields `(index, arrival)` order with
+/// unindexed siblings last.
+fn order_children(n: &mut TraceNode) {
+    n.children.reverse();
+    n.children.sort_by_key(|c| c.index.unwrap_or(u64::MAX));
 }
 
 /// A cheap, cloneable handle for recording into one collector under a
@@ -271,6 +220,24 @@ impl ProfileContext {
             id,
             fields: Vec::new(),
         }
+    }
+
+    /// Record a child span the caller already timed on the collector's
+    /// clock — work that finished before the collector existed, such as
+    /// the server's frame decode. A start before the collector's own
+    /// moves the root's start back to it.
+    pub fn timed_span(
+        &self,
+        name: &'static str,
+        start_us: u64,
+        end_us: u64,
+        fields: Vec<(&'static str, FieldValue)>,
+    ) {
+        let c = &self.collector;
+        let id = NodeId(c.next_id.fetch_add(1, Ordering::Relaxed));
+        let mut entries = c.entries();
+        entries.push(Entry::Begin { id, parent: self.parent, name, start_us });
+        entries.push(Entry::End { id, end_us, fields });
     }
 
     /// Record an instantaneous child point.
@@ -317,42 +284,15 @@ impl Drop for ProfileSpan {
     }
 }
 
-/// Internal assembly node: children carry their seq until ordering is
-/// finalized, then `strip` removes it.
+/// One node of a query's trace tree: what [`ProfileCollector::build`]
+/// returns, what a traced wire reply carries (names and keys are owned,
+/// so the tree crosses a process boundary), and what a
+/// [`FlightRecord`](crate::FlightRecord) keeps. `Display` renders the
+/// tree.
 #[derive(Debug, Clone, PartialEq)]
-pub struct ProfileNode {
-    /// Span/point name from the dotted taxonomy (DESIGN.md §12).
-    pub name: &'static str,
-    /// Microseconds on the collector clock when this node started.
-    pub start_us: u64,
-    /// Span length; `None` for points and never-closed spans.
-    pub duration_us: Option<u64>,
-    /// Explicit sibling ordering key (morsel offset), if any.
-    pub index: Option<u64>,
-    /// Typed key/value payload.
-    pub fields: Vec<(&'static str, FieldValue)>,
-    /// Ordered children (seq tags dropped by `strip`).
-    children: Vec<(ProfileNode, u64)>,
-}
-
-impl ProfileNode {
-    fn strip(self) -> ProfileTreeNode {
-        ProfileTreeNode {
-            name: self.name,
-            start_us: self.start_us,
-            duration_us: self.duration_us,
-            index: self.index,
-            fields: self.fields,
-            children: self.children.into_iter().map(|(c, _)| c.strip()).collect(),
-        }
-    }
-}
-
-/// One node of a finished [`QueryProfile`] tree.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ProfileTreeNode {
-    /// Span/point name from the dotted taxonomy (DESIGN.md §12).
-    pub name: &'static str,
+pub struct TraceNode {
+    /// Span/point name from the dotted taxonomy (DESIGN.md §12, §17).
+    pub name: String,
     /// Microseconds on the collector clock when this node started.
     pub start_us: u64,
     /// Span length; `None` for points.
@@ -360,25 +300,25 @@ pub struct ProfileTreeNode {
     /// Explicit sibling ordering key (morsel offset), if any.
     pub index: Option<u64>,
     /// Typed key/value payload.
-    pub fields: Vec<(&'static str, FieldValue)>,
-    /// Children, deterministically ordered.
-    pub children: Vec<ProfileTreeNode>,
+    pub fields: Vec<(String, FieldValue)>,
+    /// Children, in `(index, arrival)` order.
+    pub children: Vec<TraceNode>,
 }
 
-impl ProfileTreeNode {
+impl TraceNode {
     /// Look up a field by key.
     pub fn field(&self, key: &str) -> Option<&FieldValue> {
-        self.fields.iter().find(|(k, _)| *k == key).map(|(_, v)| v)
+        self.fields.iter().find(|(k, _)| k == key).map(|(_, v)| v)
     }
 
     /// Every node in this subtree (preorder) named `name`.
-    pub fn find<'a>(&'a self, name: &str) -> Vec<&'a ProfileTreeNode> {
+    pub fn find<'a>(&'a self, name: &str) -> Vec<&'a TraceNode> {
         let mut out = Vec::new();
         self.collect(name, &mut out);
         out
     }
 
-    fn collect<'a>(&'a self, name: &str, out: &mut Vec<&'a ProfileTreeNode>) {
+    fn collect<'a>(&'a self, name: &str, out: &mut Vec<&'a TraceNode>) {
         if self.name == name {
             out.push(self);
         }
@@ -387,13 +327,20 @@ impl ProfileTreeNode {
         }
     }
 
-    fn render(&self, prefix: &str, is_last: bool, is_root: bool, out: &mut String) {
+    /// The rendered tree (same as `Display`).
+    pub fn render(&self) -> String {
+        let mut out = String::new();
+        self.render_into("", true, true, &mut out);
+        out
+    }
+
+    fn render_into(&self, prefix: &str, is_last: bool, is_root: bool, out: &mut String) {
         if is_root {
-            out.push_str(self.name);
+            out.push_str(&self.name);
         } else {
             out.push_str(prefix);
             out.push_str(if is_last { "└─ " } else { "├─ " });
-            out.push_str(self.name);
+            out.push_str(&self.name);
         }
         if let Some(i) = self.index {
             out.push_str(&format!(" #{i}"));
@@ -412,35 +359,12 @@ impl ProfileTreeNode {
         };
         let n = self.children.len();
         for (i, c) in self.children.iter().enumerate() {
-            c.render(&child_prefix, i + 1 == n, false, out);
+            c.render_into(&child_prefix, i + 1 == n, false, out);
         }
     }
 }
 
-/// An `EXPLAIN ANALYZE`-style execution profile: one deterministic tree
-/// unifying executor spans, morsel leaves, pruning decisions, governor
-/// charges and bridged storage events. `Display` renders the tree.
-#[derive(Debug, Clone, PartialEq)]
-pub struct QueryProfile {
-    /// The root node (whole-query span).
-    pub root: ProfileTreeNode,
-}
-
-impl QueryProfile {
-    /// Every node named `name`, preorder.
-    pub fn find(&self, name: &str) -> Vec<&ProfileTreeNode> {
-        self.root.find(name)
-    }
-
-    /// The rendered tree (same as `Display`).
-    pub fn render(&self) -> String {
-        let mut out = String::new();
-        self.root.render("", true, true, &mut out);
-        out
-    }
-}
-
-impl std::fmt::Display for QueryProfile {
+impl std::fmt::Display for TraceNode {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str(&self.render())
     }
@@ -469,6 +393,7 @@ mod tests {
 
     #[test]
     fn nested_spans_build_a_tree_with_durations() {
+        let _g = crate::trace::tests::tracer_lock();
         let clock = Arc::new(MockClock::new(10));
         let col = ProfileCollector::with_clock(clock);
         let ctx = col.context();
@@ -481,8 +406,8 @@ mod tests {
             }
         }
         let profile = col.build("query");
-        assert_eq!(profile.root.name, "query");
-        let exec = &profile.root.children[0];
+        assert_eq!(profile.name, "query");
+        let exec = &profile.children[0];
         assert_eq!(exec.name, "exec");
         assert_eq!(exec.field("rows").and_then(FieldValue::as_u64), Some(5));
         assert!(exec.duration_us.is_some());
@@ -494,6 +419,7 @@ mod tests {
 
     #[test]
     fn indexed_leaves_order_by_index_not_arrival() {
+        let _g = crate::trace::tests::tracer_lock();
         let col = ProfileCollector::with_clock(Arc::new(MockClock::new(1)));
         let ctx = col.context();
         // Simulate out-of-order worker completion.
@@ -503,7 +429,7 @@ mod tests {
         ctx.point("note", Vec::new());
         let profile = col.build("query");
         let names: Vec<(&str, Option<u64>)> =
-            profile.root.children.iter().map(|c| (c.name, c.index)).collect();
+            profile.children.iter().map(|c| (c.name.as_str(), c.index)).collect();
         assert_eq!(
             names,
             vec![
@@ -517,6 +443,7 @@ mod tests {
 
     #[test]
     fn mock_clock_runs_are_byte_identical() {
+        let _g = crate::trace::tests::tracer_lock();
         let run = || {
             let col = ProfileCollector::with_clock(Arc::new(MockClock::new(3)));
             let ctx = col.context();
@@ -534,8 +461,28 @@ mod tests {
     }
 
     #[test]
+    fn timed_span_keeps_its_times_and_widens_the_root() {
+        let _g = crate::trace::tests::tracer_lock();
+        let clock = Arc::new(MockClock::new(5));
+        let decode_start = clock.now_micros();
+        let decode_end = clock.now_micros();
+        let col = ProfileCollector::with_clock(clock);
+        let ctx = col.context();
+        ctx.timed_span("decode", decode_start, decode_end, crate::fields![bytes = 9u64]);
+        drop(ctx.span("exec"));
+        let tree = col.build("query");
+        let decode = tree.find("decode")[0];
+        assert_eq!((decode.start_us, decode.duration_us), (decode_start, Some(5)));
+        assert_eq!(decode.field("bytes").and_then(FieldValue::as_u64), Some(9));
+        // Readings: decode 0 and 5, collector 10, exec 15 and 20,
+        // build 25. The root starts at the decode, not the collector.
+        assert_eq!((tree.start_us, tree.duration_us), (0, Some(25)));
+    }
+
+    #[test]
     fn bridged_tracer_events_attach_to_root() {
         use crate::trace::{tracer, RingBufferSink};
+        let _g = crate::trace::tests::tracer_lock();
         let sink = RingBufferSink::new(16);
         tracer().install(Arc::clone(&sink), Arc::new(MockClock::new(1)));
         // An event from *before* the collector existed must not bridge.
@@ -552,6 +499,7 @@ mod tests {
 
     #[test]
     fn render_shows_tree_structure_and_fields() {
+        let _g = crate::trace::tests::tracer_lock();
         let col = ProfileCollector::with_clock(Arc::new(MockClock::new(5)));
         let ctx = col.context();
         {

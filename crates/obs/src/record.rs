@@ -1,13 +1,6 @@
-//! Slow-query flight recorder: owned trace trees, per-layer tail
-//! attribution, and a bounded ring of the worst queries a server has
-//! served.
-//!
-//! [`QueryProfile`] trees borrow `&'static str` names from
-//! instrumentation sites, which cannot cross a process boundary. A
-//! [`TraceNode`] is the owned mirror that survives the wire: it
-//! round-trips through the protocol codec and renders byte-identically
-//! to the profile it was built from, so a client-side trace is
-//! indistinguishable from the server-side original.
+//! Slow-query flight recorder: per-layer tail attribution over a
+//! query's [`TraceNode`] tree, and a bounded ring of the worst queries a
+//! server has served.
 //!
 //! [`attribute_layers`] folds a trace into per-layer totals (queue,
 //! decode, fetch, execute, gather, merge, encode) by summing the
@@ -21,117 +14,9 @@
 //! latency threshold, with errors always admitted when configured.
 //! See DESIGN.md §17.
 
-use crate::profile::{ProfileTreeNode, QueryProfile};
-use crate::trace::FieldValue;
+use crate::profile::TraceNode;
 use std::collections::VecDeque;
 use std::sync::{Mutex, PoisonError};
-
-/// One node of an owned, wire-transportable trace tree. Field-for-field
-/// mirror of [`ProfileTreeNode`] with owned strings.
-#[derive(Debug, Clone, PartialEq)]
-pub struct TraceNode {
-    /// Span/point name from the dotted taxonomy (DESIGN.md §17).
-    pub name: String,
-    /// Microseconds on the collector clock when this node started.
-    pub start_us: u64,
-    /// Span length; `None` for points.
-    pub duration_us: Option<u64>,
-    /// Explicit sibling ordering key (morsel offset), if any.
-    pub index: Option<u64>,
-    /// Typed key/value payload.
-    pub fields: Vec<(String, FieldValue)>,
-    /// Children, in the profile's deterministic order.
-    pub children: Vec<TraceNode>,
-}
-
-impl From<&ProfileTreeNode> for TraceNode {
-    fn from(n: &ProfileTreeNode) -> TraceNode {
-        TraceNode {
-            name: n.name.to_string(),
-            start_us: n.start_us,
-            duration_us: n.duration_us,
-            index: n.index,
-            fields: n
-                .fields
-                .iter()
-                .map(|(k, v)| (k.to_string(), v.clone()))
-                .collect(),
-            children: n.children.iter().map(TraceNode::from).collect(),
-        }
-    }
-}
-
-impl From<&QueryProfile> for TraceNode {
-    fn from(p: &QueryProfile) -> TraceNode {
-        TraceNode::from(&p.root)
-    }
-}
-
-impl TraceNode {
-    /// Look up a field by key.
-    pub fn field(&self, key: &str) -> Option<&FieldValue> {
-        self.fields.iter().find(|(k, _)| k == key).map(|(_, v)| v)
-    }
-
-    /// Every node in this subtree (preorder) named `name`.
-    pub fn find<'a>(&'a self, name: &str) -> Vec<&'a TraceNode> {
-        let mut out = Vec::new();
-        self.collect(name, &mut out);
-        out
-    }
-
-    fn collect<'a>(&'a self, name: &str, out: &mut Vec<&'a TraceNode>) {
-        if self.name == name {
-            out.push(self);
-        }
-        for c in &self.children {
-            c.collect(name, out);
-        }
-    }
-
-    /// The rendered tree — byte-identical to
-    /// [`QueryProfile::render`] on the profile this node was built from.
-    pub fn render(&self) -> String {
-        let mut out = String::new();
-        self.render_into("", true, true, &mut out);
-        out
-    }
-
-    fn render_into(&self, prefix: &str, is_last: bool, is_root: bool, out: &mut String) {
-        if is_root {
-            out.push_str(&self.name);
-        } else {
-            out.push_str(prefix);
-            out.push_str(if is_last { "└─ " } else { "├─ " });
-            out.push_str(&self.name);
-        }
-        if let Some(i) = self.index {
-            out.push_str(&format!(" #{i}"));
-        }
-        if let Some(d) = self.duration_us {
-            out.push_str(&format!(" ({d} us)"));
-        }
-        for (k, v) in &self.fields {
-            out.push_str(&format!(" {k}={v}"));
-        }
-        out.push('\n');
-        let child_prefix = if is_root {
-            String::new()
-        } else {
-            format!("{prefix}{}", if is_last { "   " } else { "│  " })
-        };
-        let n = self.children.len();
-        for (i, c) in self.children.iter().enumerate() {
-            c.render_into(&child_prefix, i + 1 == n, false, out);
-        }
-    }
-}
-
-impl std::fmt::Display for TraceNode {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(&self.render())
-    }
-}
 
 /// Canonical layer order for attribution output and dominant-layer
 /// tie-breaks: the order a query moves through the stack.
@@ -343,7 +228,8 @@ mod tests {
     use crate::profile::ProfileCollector;
     use std::sync::Arc;
 
-    fn sample_profile() -> QueryProfile {
+    fn sample_trace() -> TraceNode {
+        let _g = crate::trace::tests::tracer_lock();
         let col = ProfileCollector::with_clock(Arc::new(MockClock::new(7)));
         let ctx = col.context();
         {
@@ -356,27 +242,6 @@ mod tests {
         }
         ctx.point("resilient.degrade", crate::fields![reason = "drift"]);
         col.build("query")
-    }
-
-    #[test]
-    fn trace_node_renders_byte_identical_to_the_profile() {
-        let p = sample_profile();
-        let t = TraceNode::from(&p);
-        assert_eq!(t.render(), p.render());
-        assert_eq!(t.to_string(), p.to_string());
-    }
-
-    #[test]
-    fn trace_node_find_and_field_mirror_the_profile() {
-        let p = sample_profile();
-        let t = TraceNode::from(&p);
-        assert_eq!(t.find("morsel").len(), 1);
-        assert_eq!(
-            t.find("morsel")[0].field("rows").and_then(FieldValue::as_u64),
-            Some(3)
-        );
-        assert_eq!(t.find("server.admission").len(), 1);
-        assert!(t.find("no.such.span").is_empty());
     }
 
     #[test]
@@ -432,7 +297,7 @@ mod tests {
             ..RecorderConfig::default()
         });
         for (id, us) in [(1u64, 50u64), (2, 500), (3, 5), (4, 300)] {
-            let mut t = TraceNode::from(&sample_profile());
+            let mut t = sample_trace();
             t.duration_us = Some(us);
             assert!(rec.observe(FlightRecord::from_trace(id, "SELECT 1", "exact", None, t)));
         }
@@ -453,7 +318,7 @@ mod tests {
             min_total_us: 100,
             record_errors: true,
         });
-        let mut fast = TraceNode::from(&sample_profile());
+        let mut fast = sample_trace();
         fast.duration_us = Some(10);
         let mut slow = fast.clone();
         slow.duration_us = Some(100);
@@ -476,7 +341,7 @@ mod tests {
             ..RecorderConfig::default()
         });
         assert!(!rec.enabled());
-        let t = TraceNode::from(&sample_profile());
+        let t = sample_trace();
         assert!(!rec.observe(FlightRecord::from_trace(1, "q", "exact", None, t)));
         assert!(rec.is_empty());
     }

@@ -1,4 +1,9 @@
-//! Structured tracing: spans and events over a ring-buffer sink.
+//! Structured tracing: point events over a ring-buffer sink.
+//!
+//! The global tracer carries only `event!` points — what storage and
+//! fit emit far from any query. Timed spans belong to a query's
+//! profile ([`ProfileContext::span`](crate::ProfileContext::span)),
+//! where they nest into its one tree.
 //!
 //! The process-wide [`Tracer`] is disabled until a subscriber is
 //! installed; every emit site pays exactly one relaxed atomic load on
@@ -317,61 +322,11 @@ impl Tracer {
     pub fn events_since(&self, cursor: u64) -> Vec<Event> {
         self.installed().as_ref().map_or_else(Vec::new, |i| i.sink.events_since(cursor))
     }
-
-    /// Open a span: an RAII guard that emits one event carrying a
-    /// `duration_us` field when dropped. Inert (no clock read, no
-    /// allocation) when disabled at open time.
-    #[inline]
-    pub fn span(
-        &'static self,
-        name: &'static str,
-        fields: impl FnOnce() -> Vec<(&'static str, FieldValue)>,
-    ) -> SpanGuard {
-        if !self.is_enabled() {
-            return SpanGuard { tracer: self, name, start_us: 0, fields: Vec::new(), active: false };
-        }
-        let start_us =
-            self.installed().as_ref().map_or(0, |i| i.clock.now_micros());
-        SpanGuard { tracer: self, name, start_us, fields: fields(), active: true }
-    }
 }
 
 impl Default for Tracer {
     fn default() -> Self {
         Self::new()
-    }
-}
-
-/// RAII span handle from [`Tracer::span`]; emits on drop.
-#[derive(Debug)]
-pub struct SpanGuard {
-    tracer: &'static Tracer,
-    name: &'static str,
-    start_us: u64,
-    fields: Vec<(&'static str, FieldValue)>,
-    active: bool,
-}
-
-impl SpanGuard {
-    /// Attach an outcome field before the span closes.
-    pub fn field(&mut self, key: &'static str, value: impl Into<FieldValue>) {
-        if self.active {
-            self.fields.push((key, value.into()));
-        }
-    }
-}
-
-impl Drop for SpanGuard {
-    fn drop(&mut self) {
-        if !self.active {
-            return;
-        }
-        let mut fields = std::mem::take(&mut self.fields);
-        if let Some(ins) = self.tracer.installed().as_ref() {
-            let end = ins.clock.now_micros();
-            fields.push(("duration_us", FieldValue::U64(end.saturating_sub(self.start_us))));
-            ins.sink.record(self.name, end, fields);
-        }
     }
 }
 
@@ -402,24 +357,6 @@ macro_rules! event {
     };
 }
 
-/// Open a span on the global tracer: `let _s = span!("scan", table, pages);`
-/// emits one `scan` event with a `duration_us` field when the guard
-/// drops.
-#[macro_export]
-macro_rules! span {
-    ($name:expr $(,)?) => {
-        $crate::trace::tracer().span($name, ::std::vec::Vec::new)
-    };
-    ($name:expr, $($key:ident $(= $val:expr)?),+ $(,)?) => {
-        $crate::trace::tracer().span($name, || ::std::vec![
-            $((
-                stringify!($key),
-                $crate::trace::FieldValue::from($crate::__field_value!($key $(= $val)?)),
-            )),+
-        ])
-    };
-}
-
 #[doc(hidden)]
 #[macro_export]
 macro_rules! __field_value {
@@ -432,16 +369,21 @@ macro_rules! __field_value {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::clock::MockClock;
 
-    /// Tests share the global tracer; serialize the ones that install.
-    static LOCK: Mutex<()> = Mutex::new(());
+    /// Unit tests share the global tracer: the ones that install it, and
+    /// the ones that build profiles (which bridge its events into their
+    /// root), serialize here.
+    pub(crate) fn tracer_lock() -> std::sync::MutexGuard<'static, ()> {
+        static LOCK: Mutex<()> = Mutex::new(());
+        LOCK.lock().unwrap_or_else(PoisonError::into_inner)
+    }
 
     #[test]
     fn disabled_tracer_emits_nothing_and_never_calls_fields() {
-        let _g = LOCK.lock().unwrap_or_else(PoisonError::into_inner);
+        let _g = tracer_lock();
         tracer().uninstall();
         let mut called = false;
         tracer().emit("x", || {
@@ -454,7 +396,7 @@ mod tests {
 
     #[test]
     fn events_round_trip_with_fields_and_sequence() {
-        let _g = LOCK.lock().unwrap_or_else(PoisonError::into_inner);
+        let _g = tracer_lock();
         let sink = RingBufferSink::new(16);
         tracer().install(Arc::clone(&sink), Arc::new(MockClock::new(5)));
         crate::event!("a", n = 1u64);
@@ -492,26 +434,8 @@ mod tests {
     }
 
     #[test]
-    fn span_emits_duration_on_drop() {
-        let _g = LOCK.lock().unwrap_or_else(PoisonError::into_inner);
-        let sink = RingBufferSink::new(16);
-        tracer().install(Arc::clone(&sink), Arc::new(MockClock::new(7)));
-        {
-            let mut s = crate::span!("work", items = 3u64);
-            s.field("outcome", "ok");
-        }
-        tracer().uninstall();
-        let evs = sink.drain();
-        assert_eq!(evs.len(), 1);
-        assert_eq!(evs[0].name, "work");
-        // MockClock step 7: start read 0, end read 7.
-        assert_eq!(evs[0].field("duration_us"), Some(&FieldValue::U64(7)));
-        assert_eq!(evs[0].field("outcome").and_then(FieldValue::as_str), Some("ok"));
-    }
-
-    #[test]
     fn bare_identifier_field_shorthand() {
-        let _g = LOCK.lock().unwrap_or_else(PoisonError::into_inner);
+        let _g = tracer_lock();
         let sink = RingBufferSink::new(4);
         tracer().install(Arc::clone(&sink), Arc::new(MockClock::new(1)));
         let pages = 9usize;

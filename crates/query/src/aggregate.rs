@@ -784,11 +784,7 @@ pub(crate) fn aggregate_column(schema: &Schema, a: &AggSpec, values: &[Value]) -
             .is_ok_and(|c| schema.field(&c).is_some_and(|f| f.data_type == DataType::Str)),
         _ => false,
     };
-    let dtype = match a.func {
-        AggFunc::Count => DataType::Int64,
-        AggFunc::Min | AggFunc::Max if over_strings() => DataType::Str,
-        _ => DataType::Float64,
-    };
+    let dtype = a.func.result_type(over_strings());
     (Field::nullable(a.name.clone(), dtype), column_from_typed(dtype, values))
 }
 

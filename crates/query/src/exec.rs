@@ -63,10 +63,11 @@ pub(crate) fn execute_plan_with(
     plan: &LogicalPlan,
     opts: &ExecOptions,
 ) -> Result<QueryResult> {
-    // Always collect pruning stats; a caller-supplied collector keeps
-    // accumulating across queries, so report this query as a delta.
-    let collector: Arc<ScanStatsCollector> = opts.stats.clone().unwrap_or_default();
-    let before = collector.snapshot();
+    // This run counts its zones privately: a caller-supplied collector
+    // may be shared by concurrent queries, so it only receives this
+    // run's totals, once, whether the run succeeds or fails.
+    let collector = Arc::new(ScanStatsCollector::default());
+    let shared = opts.stats.clone();
     // Arm the governor *here* so the deadline clock measures this
     // query; `arm` returns None for unlimited budgets, keeping the
     // common unbudgeted path free of governor checks entirely.
@@ -80,8 +81,12 @@ pub(crate) fn execute_plan_with(
     // token or an already-expired deadline.
     opts.governor_check()?;
     let mut scanned = 0usize;
-    let table = exec(catalog, plan, &mut scanned, &opts)?;
-    let scan_stats = collector.snapshot().since(&before);
+    let table = exec(catalog, plan, &mut scanned, &opts);
+    let scan_stats = collector.snapshot();
+    if let Some(shared) = shared {
+        shared.add(&scan_stats);
+    }
+    let table = table?;
     if let Some(ctx) = &opts.profile {
         ctx.point(
             "scan.stats",
@@ -1157,6 +1162,43 @@ mod pruning_exec_tests {
     }
 
     #[test]
+    fn concurrent_adds_to_a_shared_sink_stay_out_of_a_querys_stats() {
+        use std::sync::atomic::{AtomicBool, Ordering::Relaxed};
+        let c = zoned_catalog();
+        let sql = "SELECT k FROM z WHERE k < 64";
+        let solo = execute(&c, sql).unwrap().scan_stats;
+        let sink = Arc::new(ScanStatsCollector::default());
+        let opts = ExecOptions { stats: Some(sink.clone()), ..ExecOptions::default() };
+        let stop = AtomicBool::new(false);
+        let one = ScanStats {
+            pages_total: 1,
+            pages_pruned_zonemap: 1,
+            zones_accepted: 1,
+            zones_agg_synopsis: 1,
+        };
+        // Another session's zones land in the shared sink while this
+        // query runs.
+        let runs: Result<Vec<ScanStats>> = std::thread::scope(|s| {
+            s.spawn(|| {
+                while !stop.load(Relaxed) {
+                    sink.add(&one);
+                }
+            });
+            while sink.snapshot().pages_total == 0 {
+                std::hint::spin_loop();
+            }
+            let runs =
+                (0..50).map(|_| execute_with(&c, sql, &opts).map(|r| r.scan_stats)).collect();
+            stop.store(true, Relaxed);
+            runs
+        });
+        let runs = runs.unwrap();
+        assert!(runs.iter().all(|r| *r == solo), "solo {solo:?}, runs {runs:?}");
+        // The sink still received every run's totals.
+        assert!(sink.snapshot().pages_total >= 50 * solo.pages_total);
+    }
+
+    #[test]
     fn profiled_run_attaches_a_plan_shaped_tree() {
         use lawsdb_obs::FieldValue;
         let c = zoned_catalog();
@@ -1173,7 +1215,7 @@ mod pruning_exec_tests {
         )
         .unwrap();
         let p = collector.build("query");
-        assert_eq!(p.root.name, "query");
+        assert_eq!(p.name, "query");
         // Optimizer pushes the projection above Filter(Scan).
         assert!(!p.find("plan.filter").is_empty());
         assert!(!p.find("plan.scan").is_empty());

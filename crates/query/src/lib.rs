@@ -53,7 +53,7 @@ pub mod sql;
 pub use cost::CostConstants;
 pub use error::{QueryError, Result};
 pub use exec::{execute_with, QueryResult};
-pub use lawsdb_obs::{ProfileCollector, ProfileContext, QueryProfile};
+pub use lawsdb_obs::{ProfileCollector, ProfileContext, TraceNode};
 pub use governor::{CancelToken, Governor, ResourceBudget};
 pub use morsel::ExecOptions;
 pub use partial::{

@@ -43,42 +43,23 @@ pub struct ScanStats {
     pub zones_agg_synopsis: usize,
 }
 
-impl ScanStats {
-    /// Counters in `self` minus `earlier` (per-query deltas from a
-    /// shared collector).
-    pub fn since(&self, earlier: &ScanStats) -> ScanStats {
-        ScanStats {
-            pages_total: self.pages_total - earlier.pages_total,
-            pages_pruned_zonemap: self.pages_pruned_zonemap - earlier.pages_pruned_zonemap,
-            zones_accepted: self.zones_accepted - earlier.zones_accepted,
-            zones_agg_synopsis: self.zones_agg_synopsis - earlier.zones_agg_synopsis,
-        }
-    }
-}
-
 /// Thread-safe accumulator the morsel workers write into; shareable
 /// across queries via [`crate::morsel::ExecOptions::stats`].
 ///
-/// Since the observability refactor this is a thin view over
-/// [`lawsdb_obs`] registry counters (`lawsdb_query_pages_*`): bind one
-/// to an engine's registry with [`ScanStatsCollector::for_registry`]
-/// and the same numbers are readable both per-query (via
-/// [`ScanStats::since`] deltas) and DB-wide (via the registry's
-/// Prometheus/JSON exposition) — one source of truth. The
-/// `Default` collector registers into a private registry and behaves
-/// exactly like the old standalone atomics.
-#[derive(Debug)]
+/// A thin view over [`lawsdb_obs`] counters: bind one to an engine's
+/// registry with [`ScanStatsCollector::for_registry`] and its totals
+/// are the registry's `lawsdb_query_*` counters (Prometheus/JSON
+/// exposition). The `Default` collector's counters are its own. Each
+/// query counts into a private collector and publishes its totals into
+/// the shared one when it finishes, so a query's
+/// [`crate::QueryResult::scan_stats`] never includes a concurrent
+/// query's zones.
+#[derive(Debug, Default)]
 pub struct ScanStatsCollector {
     total: Arc<Counter>,
     zonemap: Arc<Counter>,
     accepted: Arc<Counter>,
     agg_synopsis: Arc<Counter>,
-}
-
-impl Default for ScanStatsCollector {
-    fn default() -> ScanStatsCollector {
-        ScanStatsCollector::for_registry(&MetricsRegistry::new())
-    }
 }
 
 impl ScanStatsCollector {

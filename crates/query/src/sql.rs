@@ -3,6 +3,7 @@
 use crate::error::{QueryError, Result};
 use crate::sexpr::{ArithOp, ScalarExpr};
 use lawsdb_expr::ast::CmpOp;
+use lawsdb_storage::schema::DataType;
 
 /// Aggregate functions.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -28,6 +29,17 @@ impl AggFunc {
             AggFunc::Avg => "AVG",
             AggFunc::Min => "MIN",
             AggFunc::Max => "MAX",
+        }
+    }
+
+    /// The type of this aggregate's result column, given whether its
+    /// argument is a string column: COUNT is Int64, MIN/MAX of strings
+    /// stay Str, everything else is Float64.
+    pub fn result_type(self, over_strings: bool) -> DataType {
+        match self {
+            AggFunc::Count => DataType::Int64,
+            AggFunc::Min | AggFunc::Max if over_strings => DataType::Str,
+            _ => DataType::Float64,
         }
     }
 

@@ -210,10 +210,14 @@ fn serve_registered<S: Read + Write>(server: &Arc<Server>, stream: &mut S, sessi
         let clock = server.clock();
         let decode_started = clock.now_micros();
         let decoded = Frame::decode(&payload);
-        let decode_us = clock.now_micros().saturating_sub(decode_started);
+        let decode_ended = clock.now_micros();
         let reply = match decoded {
             Ok(Frame::Query { mode, sql, trace }) => {
-                let wire = WireContext { trace, decode_us, frame_bytes: payload.len() };
+                let wire = WireContext {
+                    trace,
+                    decode: (decode_started, decode_ended),
+                    frame_bytes: payload.len(),
+                };
                 run_query(server, session_id, &options, mode, &sql, wire)
             }
             Ok(Frame::SetOptions { options: new }) => {
@@ -277,8 +281,8 @@ fn reply_transport_error<S: Read + Write>(server: &Arc<Server>, stream: &mut S, 
 struct WireContext {
     /// The client requested the full trace tree on its result.
     trace: bool,
-    /// Microseconds the frame decode took (server clock).
-    decode_us: u64,
+    /// When the frame decode started and ended (server clock).
+    decode: (u64, u64),
     /// Raw payload size of the query frame.
     frame_bytes: usize,
 }
@@ -304,10 +308,8 @@ fn run_query(
         .then(|| ProfileCollector::with_clock(Arc::clone(&clock)));
     let ctx = collector.as_ref().map(|c| c.context());
     if let Some(c) = &ctx {
-        c.point(
-            "server.decode",
-            fields![us = wire.decode_us, bytes = wire.frame_bytes as u64],
-        );
+        let (started, ended) = wire.decode;
+        c.timed_span("server.decode", started, ended, fields![bytes = wire.frame_bytes as u64]);
     }
     // The session's requested budget, clamped by the server's per-query
     // caps: a client may tighten its limits, never exceed the server's.
@@ -331,7 +333,7 @@ fn run_query(
             server.sessions().clear_cancel(session_id);
             hooks.query_errors.inc();
             let err = e.to_wire();
-            finish_record(recorder, collector, query_id, sql, mode, Some(err.to_string()));
+            finish_record(recorder, collector, query_id, sql, mode, Some(err.to_string()), false);
             return Frame::Error(err).encode();
         }
     };
@@ -368,24 +370,25 @@ fn run_query(
                 span.field("bytes", payload.len() as u64);
             }
             drop(span);
-            let tree = finish_record(recorder, collector, query_id, sql, mode, None);
-            put_trace_tail(&mut payload, tree.as_ref().filter(|_| wire.trace));
+            let tree = finish_record(recorder, collector, query_id, sql, mode, None, wire.trace);
+            put_trace_tail(&mut payload, tree.as_ref());
             payload
         }
         Ok(other) => {
-            finish_record(recorder, collector, query_id, sql, mode, None);
+            finish_record(recorder, collector, query_id, sql, mode, None, false);
             other.encode()
         }
         Err(e) => {
             hooks.query_errors.inc();
-            finish_record(recorder, collector, query_id, sql, mode, Some(e.to_string()));
+            let err = Some(e.to_string());
+            finish_record(recorder, collector, query_id, sql, mode, err, false);
             Frame::Error(e).encode()
         }
     }
 }
 
-/// Assemble the collected profile into a [`TraceNode`], feed the
-/// flight recorder, and hand the tree back for clients that asked.
+/// Build the query's trace tree once and move it into the flight
+/// recorder; a copy comes back only when the client asked for it.
 fn finish_record(
     recorder: &FlightRecorder,
     collector: Option<Arc<ProfileCollector>>,
@@ -393,11 +396,12 @@ fn finish_record(
     sql: &str,
     mode: QueryMode,
     error: Option<String>,
+    reply_trace: bool,
 ) -> Option<TraceNode> {
-    let collector = collector?;
-    let tree = TraceNode::from(&collector.build("query"));
-    recorder.observe(FlightRecord::from_trace(query_id, sql, mode.name(), error, tree.clone()));
-    Some(tree)
+    let tree = collector?.build("query");
+    let reply = reply_trace.then(|| tree.clone());
+    recorder.observe(FlightRecord::from_trace(query_id, sql, mode.name(), error, tree));
+    reply
 }
 
 fn dispatch(

@@ -132,7 +132,7 @@ fn distributed_trace_is_complete_deterministic_and_slowlogged() {
 
     // -- Span taxonomy: every layer of the distributed query is there.
     assert!(!trace.find("server.admission").is_empty(), "missing queue-wait span:\n{trace}");
-    assert!(!trace.find("server.decode").is_empty(), "missing decode point:\n{trace}");
+    assert!(!trace.find("server.decode").is_empty(), "missing decode span:\n{trace}");
     assert!(!trace.find("server.encode").is_empty(), "missing encode span:\n{trace}");
     for phase in ["cluster.fetch", "cluster.execute", "cluster.gather"] {
         assert!(!trace.find(phase).is_empty(), "missing {phase} span:\n{trace}");
@@ -186,6 +186,17 @@ fn distributed_trace_is_complete_deterministic_and_slowlogged() {
     assert!(
         rec.layers.iter().any(|(l, _)| l == "fetch") && rec.layers.iter().any(|(l, _)| l == "execute"),
         "cluster phases must be attributed: {:?}",
+        rec.layers
+    );
+    // Frame decode is a span on the server clock: the decode layer is
+    // credited with it, and the root starts where the decode started,
+    // so the query's total includes it.
+    let decode = trace.find("server.decode")[0];
+    assert_eq!(decode.duration_us, Some(3), "one MockClock step:\n{trace}");
+    assert_eq!(decode.start_us, trace.start_us, "root must start at decode:\n{trace}");
+    assert!(
+        rec.layers.iter().any(|(l, us)| l == "decode" && *us == 3),
+        "decode must be attributed: {:?}",
         rec.layers
     );
 }

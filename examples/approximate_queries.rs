@@ -30,7 +30,7 @@ fn main() {
     // 1. The captured model: analytic closed form, nothing materialized.
     let a = db.query_approx(sql).expect("model answers");
     assert_eq!(a.strategy, Strategy::AnalyticAggregate);
-    let model_v = a.table.column("value").expect("col").f64_data().expect("f64")[0];
+    let model_v = a.table.column("v").expect("col").f64_data().expect("f64")[0];
     println!(
         "model (analytic)  : {:.4}  err {:.4}%  rows scanned 0, tuples materialized 0",
         model_v,

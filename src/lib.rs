@@ -79,7 +79,7 @@ pub mod prelude {
     pub use lawsdb_fit::diagnostics::FitDiagnostics;
     pub use lawsdb_models::catalog::ModelCatalog;
     pub use lawsdb_models::CapturedModel;
-    pub use lawsdb_obs::QueryProfile;
+    pub use lawsdb_obs::TraceNode;
     pub use lawsdb_query::QueryResult;
     pub use lawsdb_server::{Client, Server, ServerConfig};
     pub use lawsdb_storage::table::{Table, TableBuilder};

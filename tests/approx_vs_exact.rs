@@ -126,12 +126,7 @@ fn global_aggregates_match() {
         let e = db.query(&sql).unwrap().table.column("v").unwrap().to_f64_lossy().unwrap()[0];
         let ans = db.query_approx(&sql).unwrap();
         // Either strategy (enumeration or analytic) must agree.
-        let col = ans
-            .table
-            .column("v")
-            .or_else(|_| ans.table.column("value"))
-            .unwrap();
-        let a = col.to_f64_lossy().unwrap()[0];
+        let a = ans.table.column("v").unwrap().to_f64_lossy().unwrap()[0];
         assert!((e - a).abs() <= 1e-6 * (1.0 + e.abs()), "{agg}: exact {e} vs approx {a}");
     }
 }
@@ -145,4 +140,37 @@ fn order_by_and_limit_match() {
          ORDER BY intensity DESC LIMIT 3",
     );
     rows_close(&e, &a);
+}
+
+#[test]
+fn analytic_answers_name_and_type_columns_like_the_exact_path() {
+    use lawsdb::approx::Strategy;
+    // A linear per-sensor law: the model answers global aggregates in
+    // closed form instead of reconstructing rows.
+    let (mut sensor, mut hour, mut temp) = (Vec::new(), Vec::new(), Vec::new());
+    for s in 0..3i64 {
+        for h in 0..24 {
+            sensor.push(s);
+            hour.push(h as f64);
+            temp.push(10.0 * (s + 1) as f64 + 2.0 * h as f64);
+        }
+    }
+    let mut b = TableBuilder::new("load");
+    b.add_i64("sensor", sensor);
+    b.add_f64("hour", hour);
+    b.add_f64("temp", temp);
+    let db = LawsDb::new();
+    db.register_table(b.build().unwrap()).unwrap();
+    db.capture_model("load", "temp ~ a + b * hour", Some("sensor"), &FitOptions::default())
+        .unwrap();
+    for sql in [
+        "SELECT AVG(temp) AS v FROM load",
+        "SELECT MAX(temp) FROM load",
+        "SELECT COUNT(temp) AS n FROM load",
+    ] {
+        let exact = db.query(sql).unwrap().table;
+        let approx = db.query_approx(sql).unwrap();
+        assert_eq!(approx.strategy, Strategy::AnalyticAggregate, "{sql}");
+        assert_eq!(approx.table.schema(), exact.schema(), "{sql}");
+    }
 }

@@ -1,7 +1,7 @@
 //! Criterion micro-benches for the substrates: expression evaluation
 //! (tree-walk vs compiled bytecode), dense linear algebra, the SQL
-//! front-end, Bloom-filter probes, and the anomaly ranking and model-
-//! class baselines of E8/E11.
+//! front-end, Bloom-filter probes, the anomaly ranking and model-class
+//! baselines of E8/E11, and one durable 200-row append.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use lawsdb_expr::{parse_expr, Bindings, CompiledExpr};
@@ -148,8 +148,63 @@ fn bench_anomaly_ranking(c: &mut Criterion) {
     });
 }
 
+/// One durable append: `LawsDb::append_rows` of 200 rows, then
+/// `DurableDb::replace_table` of the grown table. Both are O(batch), so
+/// the time should be flat across table sizes. The store is rebuilt
+/// every 256 appends (outside the timed span) so its directory and the
+/// simulated device stay small.
+fn bench_append(c: &mut Criterion) {
+    use lawsdb_core::{DurableDb, LawsDb};
+    use lawsdb_storage::{Column, SimulatedDevice, TableBuilder};
+    use std::time::{Duration, Instant};
+    const BATCH: usize = 200;
+    let setup = |rows: usize| {
+        let mut b = TableBuilder::new("t");
+        b.add_i64("source", (0..rows as i64).map(|i| i % 1000).collect());
+        b.add_f64("nu", (0..rows).map(|i| 0.12 + 0.02 * (i % 4) as f64).collect());
+        b.add_f64("intensity", (0..rows).map(|i| (i as f64).sqrt()).collect());
+        let db = LawsDb::new();
+        db.register_table(b.build().unwrap()).unwrap();
+        let mut durable = DurableDb::new(SimulatedDevice::new(4096));
+        durable.recover().unwrap();
+        durable.store_table(&db.table("t").unwrap()).unwrap();
+        (db, durable)
+    };
+    let batch = |seq: u64| {
+        vec![
+            Column::from_i64((0..BATCH as i64).map(|i| (i + seq as i64) % 1000).collect()),
+            Column::from_f64(vec![0.15; BATCH]),
+            Column::from_f64((0..BATCH).map(|i| i as f64 + seq as f64).collect()),
+        ]
+    };
+    let mut g = c.benchmark_group("append_200_rows");
+    g.throughput(Throughput::Elements(BATCH as u64));
+    for rows in [50_000, 200_000] {
+        g.bench_function(rows, |b| {
+            b.iter_custom(|iters| {
+                let mut timed = Duration::ZERO;
+                let mut done = 0;
+                while done < iters {
+                    let (db, mut durable) = setup(rows);
+                    for seq in done..iters.min(done + 256) {
+                        let batch = batch(seq);
+                        let started = Instant::now();
+                        db.append_rows("t", &batch).unwrap();
+                        durable.replace_table(&db.table("t").unwrap()).unwrap();
+                        timed += started.elapsed();
+                    }
+                    done = iters.min(done + 256);
+                }
+                timed
+            })
+        });
+    }
+    g.finish();
+}
+
 criterion_group!(
     benches,
+    bench_append,
     bench_expr_eval,
     bench_linalg,
     bench_sql_frontend,

@@ -170,7 +170,8 @@ mod tests {
         let data = dataset(Scale::Small);
         let store = durable(&data.table);
         let extent_pages: u64 = (0..data.table.schema().len())
-            .map(|i| store.column_pages("measurements", i).unwrap().1.div_ceil(PAGE_BYTES as u64))
+            .flat_map(|i| store.column_pages("measurements", i).unwrap())
+            .map(|(_, len)| len.div_ceil(PAGE_BYTES as u64))
             .sum();
         assert!(extent_pages > 0);
         assert_eq!(r.pages_read_exact, extent_pages);

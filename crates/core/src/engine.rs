@@ -488,11 +488,12 @@ impl LawsDb {
     /// Append rows to a base table, invalidating dependent models
     /// (Section 4.1's data-change challenge). Returns the ids marked
     /// stale.
+    ///
+    /// Appends to one table apply one after another, and each costs
+    /// O(batch) unless a reader holds the table's snapshot (see
+    /// [`Catalog::append_rows`]).
     pub fn append_rows(&self, table_name: &str, batch: &[Column]) -> Result<Vec<ModelId>> {
-        let current = self.table(table_name)?;
-        let mut updated = (*current).clone();
-        updated.append_rows(batch)?;
-        self.tables.replace(updated);
+        self.tables.append_rows(table_name, batch)?;
         Ok(self.models.invalidate_table(table_name))
     }
 

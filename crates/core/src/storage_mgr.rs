@@ -328,15 +328,18 @@ impl<D: BlockDevice> DurableDb<D> {
         ModelCatalog::load_from_store(&self.store).map_err(CoreError::Model)
     }
 
-    /// Page range `(start, byte_len)` of one stored column's extent —
-    /// the targeting hook fault-injection tests use to corrupt a
-    /// specific column.
-    pub fn column_pages(&self, name: &str, index: usize) -> Result<(u64, u64)> {
+    /// Page ranges `(start, byte_len)` of one stored column's extents,
+    /// one per segment in row order — the targeting hook
+    /// fault-injection tests use to corrupt a specific column.
+    pub fn column_pages(&self, name: &str, index: usize) -> Result<Vec<(u64, u64)>> {
         let st = self.store.stored_table(name).map_err(CoreError::Storage)?;
-        let ext = st.columns.get(index).ok_or(CoreError::CompressionState {
-            detail: format!("table {name:?} has no column {index}"),
-        })?;
-        Ok((ext.start, ext.byte_len))
+        if index >= st.schema.len() {
+            return Err(CoreError::CompressionState {
+                detail: format!("table {name:?} has no column {index}"),
+            });
+        }
+        let extents = st.segments.iter().map(|g| &g.columns[index]);
+        Ok(extents.map(|e| (e.start, e.byte_len)).collect())
     }
 
     /// Device access counters.
@@ -453,7 +456,7 @@ mod tests {
         let mut db = DurableDb::new(lawsdb_storage::SimulatedDevice::new(256));
         db.recover().unwrap();
         db.store_table(t).unwrap();
-        let (start, _) = db.column_pages("measurements", index).unwrap();
+        let (start, _) = db.column_pages("measurements", index).unwrap()[0];
         let mut dev = db.into_device();
         dev.poke_page(start).unwrap()[0] ^= 0xFF;
         let mut db = DurableDb::new(dev);

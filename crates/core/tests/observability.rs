@@ -83,7 +83,7 @@ fn resilient_query_profile_unifies_every_signal() {
         let mut ddb = DurableDb::new(SimulatedDevice::new(256));
         ddb.recover().expect("fresh device recovers");
         ddb.store_table(&t).expect("stores");
-        let (start, _) = ddb.column_pages("measurements", 0).expect("pages");
+        let (start, _) = ddb.column_pages("measurements", 0).expect("pages")[0];
         let mut dev = ddb.into_device();
         dev.poke_page(start).expect("page exists")[0] ^= 0xFF;
         let mut ddb = DurableDb::new(dev);

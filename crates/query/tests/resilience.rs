@@ -254,7 +254,7 @@ fn quarantined_page_is_answered_from_the_model() {
     let mut db = DurableDb::new(SimulatedDevice::new(256));
     db.recover().unwrap();
     db.store_table(&table).unwrap();
-    let (start, _len) = db.column_pages("measurements", 2).unwrap();
+    let (start, _len) = db.column_pages("measurements", 2).unwrap()[0];
     let mut dev = db.into_device();
     dev.poke_page(start).unwrap()[(seed % 256) as usize] ^= 1 << (seed % 8);
     let mut db = DurableDb::new(dev);

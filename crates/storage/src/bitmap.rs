@@ -65,6 +65,36 @@ impl Bitmap {
         self.len += 1;
     }
 
+    /// Append every bit of `other`. In place when this bitmap solely
+    /// owns its words (amortised `Vec` growth); otherwise the words are
+    /// copied once into room for the result.
+    pub fn extend(&mut self, other: &Bitmap) {
+        let need = (self.len + other.len).div_ceil(64);
+        if Arc::get_mut(&mut self.words).is_none() {
+            let mut words = Vec::with_capacity(need);
+            words.extend_from_slice(&self.words);
+            self.words = Arc::new(words);
+        }
+        let words = Arc::get_mut(&mut self.words).expect("unshared above");
+        words.reserve(need.saturating_sub(words.len()));
+        for i in 0..other.len {
+            let at = self.len + i;
+            if at / 64 == words.len() {
+                words.push(0);
+            }
+            if other.get(i) {
+                words[at / 64] |= 1 << (at % 64);
+            }
+        }
+        self.len += other.len;
+    }
+
+    /// True when no other bitmap shares these words, so
+    /// [`Bitmap::extend`] grows them in place.
+    pub(crate) fn is_unique(&self) -> bool {
+        Arc::strong_count(&self.words) == 1 && Arc::weak_count(&self.words) == 0
+    }
+
     /// Read bit `i`; panics when out of range.
     #[inline]
     pub fn get(&self, i: usize) -> bool {
@@ -86,6 +116,21 @@ impl Bitmap {
     /// Number of set bits.
     pub fn count_set(&self) -> usize {
         self.words.iter().map(|w| w.count_ones() as usize).sum()
+    }
+
+    /// Number of set bits among `[start, end)`, a word at a time.
+    pub fn count_set_in(&self, start: usize, end: usize) -> usize {
+        assert!(start <= end && end <= self.len, "bits [{start}, {end}) out of range");
+        let mut count = 0;
+        let mut at = start;
+        while at < end {
+            let (word, bit) = (at / 64, at % 64);
+            let take = (64 - bit).min(end - at);
+            let mask = if take == 64 { u64::MAX } else { ((1u64 << take) - 1) << bit };
+            count += (self.words[word] & mask).count_ones() as usize;
+            at += take;
+        }
+        count
     }
 
     /// True when every bit is set (an all-valid column can skip null
@@ -272,6 +317,33 @@ mod tests {
                 assert_eq!(s.get(i), b.get(offset + i), "offset {offset} bit {i}");
             }
         }
+    }
+
+    #[test]
+    fn extend_appends_in_place_or_copies_once() {
+        let bits = |n: usize, f: fn(usize) -> bool| Bitmap::from_fn(n, f);
+        for (a, b) in [(0, 5), (63, 2), (64, 64), (70, 130), (5, 0)] {
+            let mut x = bits(a, |i| i % 3 == 0);
+            let shared = x.clone();
+            x.extend(&bits(b, |i| i % 5 != 1));
+            let want = Bitmap::from_fn(a + b, |i| {
+                if i < a { i % 3 == 0 } else { (i - a) % 5 != 1 }
+            });
+            assert_eq!(x, want, "{a} + {b}");
+            assert_eq!(shared.len(), a, "the shared copy is untouched");
+            for end in 0..=x.len() {
+                for start in [0, end / 2, end] {
+                    let naive = (start..end).filter(|&i| x.get(i)).count();
+                    assert_eq!(x.count_set_in(start, end), naive, "[{start}, {end})");
+                }
+            }
+        }
+        let mut owned = bits(10, |_| true);
+        assert!(owned.is_unique());
+        let ptr = owned.words.as_ptr();
+        owned.extend(&bits(1, |_| false));
+        assert!(!owned.get(10));
+        assert_eq!(owned.words.as_ptr(), ptr, "an unshared bitmap grows in place");
     }
 
     #[test]

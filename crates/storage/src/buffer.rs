@@ -3,9 +3,9 @@
 //! A [`Buffer`] is an `Arc`'d vector plus an `(offset, len)` window.
 //! Cloning a buffer or taking a sub-slice is O(1) and never copies
 //! values, which is what makes `Scan`, `project`, and morsel splitting
-//! zero-copy in the executor. Mutation is copy-on-write: in-place when
+//! zero-copy in the executor. Appending is copy-on-write: in place when
 //! the buffer is unshared and covers its whole allocation, otherwise
-//! the window is first materialized into a fresh allocation.
+//! the window is copied once into a fresh allocation.
 
 use std::ops::Deref;
 use std::sync::Arc;
@@ -60,22 +60,34 @@ impl<T> Buffer<T> {
 }
 
 impl<T: Clone> Buffer<T> {
-    /// Run `f` over the owned vector (copy-on-write) and re-sync the
-    /// window to cover the whole vector afterwards.
+    /// Append `more` to the window.
     ///
     /// When this buffer is the sole owner of its allocation and windows
-    /// all of it, mutation is in place; otherwise the window is copied
-    /// out first, so shared readers are never disturbed.
-    pub fn with_mut<R>(&mut self, f: impl FnOnce(&mut Vec<T>) -> R) -> R {
-        if self.offset != 0 || self.len != self.data.len() {
-            let materialized: Vec<T> = self.as_slice().to_vec();
-            *self = Buffer::from_vec(materialized);
+    /// all of it, the vector grows in place (amortised `Vec` growth);
+    /// otherwise the window is copied once into a fresh allocation with
+    /// room for `more`, so shared readers are never disturbed.
+    pub fn extend_from_slice(&mut self, more: &[T]) {
+        if self.offset == 0 && self.len == self.data.len() {
+            if let Some(vec) = Arc::get_mut(&mut self.data) {
+                vec.extend_from_slice(more);
+                self.len = vec.len();
+                return;
+            }
         }
-        let vec = Arc::make_mut(&mut self.data);
-        let r = f(vec);
-        self.offset = 0;
-        self.len = self.data.len();
-        r
+        let mut vec = Vec::with_capacity(self.len + more.len());
+        vec.extend_from_slice(self.as_slice());
+        vec.extend_from_slice(more);
+        *self = Buffer::from_vec(vec);
+    }
+
+    /// True when [`Buffer::extend_from_slice`] grows this buffer in
+    /// place: no other buffer shares the allocation and the window
+    /// covers all of it.
+    pub(crate) fn is_unique(&self) -> bool {
+        Arc::strong_count(&self.data) == 1
+            && Arc::weak_count(&self.data) == 0
+            && self.offset == 0
+            && self.len == self.data.len()
     }
 }
 
@@ -153,27 +165,34 @@ mod tests {
     }
 
     #[test]
-    fn with_mut_copies_only_when_shared() {
+    fn extend_copies_only_when_shared() {
         let mut b = Buffer::from_vec(vec![1, 2, 3]);
+        b.extend_from_slice(&[4]);
+        assert!(b.is_unique());
         let ptr_before = b.as_slice().as_ptr();
-        b.with_mut(|v| v.push(4));
+        b.extend_from_slice(&[]);
         // Sole owner, full window: mutation happened in place.
         assert_eq!(ptr_before, b.as_slice().as_ptr());
         assert_eq!(b.as_slice(), &[1, 2, 3, 4]);
 
         let shared = b.clone();
-        b.with_mut(|v| v.push(5));
-        // Copy-on-write: the clone is untouched.
+        assert!(!b.is_unique());
+        b.extend_from_slice(&[5]);
+        // Copy-on-write, exactly once: the clone is untouched and the
+        // copy has room for the batch and nothing more.
         assert_eq!(shared.as_slice(), &[1, 2, 3, 4]);
         assert_eq!(b.as_slice(), &[1, 2, 3, 4, 5]);
         assert!(!b.shares_allocation_with(&shared));
+        assert_eq!(b.data.capacity(), 5);
+        assert!(b.is_unique());
     }
 
     #[test]
-    fn with_mut_materializes_windows() {
+    fn extend_materializes_windows() {
         let base = Buffer::from_vec(vec![1, 2, 3, 4, 5]);
         let mut s = base.slice(1, 3);
-        s.with_mut(|v| v.push(99));
+        assert!(!s.is_unique());
+        s.extend_from_slice(&[99]);
         assert_eq!(s.as_slice(), &[2, 3, 4, 99]);
         assert_eq!(base.as_slice(), &[1, 2, 3, 4, 5]);
     }

@@ -372,6 +372,10 @@ impl Column {
 
     /// Append another column of the same type (ingest path for the
     /// data-change experiments).
+    ///
+    /// O(`other`) when no other column shares this column's buffers;
+    /// otherwise each shared buffer is copied once into room for the
+    /// batch.
     pub fn append(&mut self, other: &Column) -> Result<()> {
         if self.data_type() != other.data_type() {
             return Err(StorageError::TypeMismatch {
@@ -380,44 +384,47 @@ impl Column {
                 got: other.data_type().name(),
             });
         }
-        let n = other.len();
         match (self, other) {
             (
                 Column::Int64 { data, validity },
                 Column::Int64 { data: od, validity: ov },
             ) => {
-                data.with_mut(|v| v.extend_from_slice(od));
-                for i in 0..n {
-                    validity.push(ov.get(i));
-                }
+                data.extend_from_slice(od);
+                validity.extend(ov);
             }
             (
                 Column::Float64 { data, validity },
                 Column::Float64 { data: od, validity: ov },
             ) => {
-                data.with_mut(|v| v.extend_from_slice(od));
-                for i in 0..n {
-                    validity.push(ov.get(i));
-                }
+                data.extend_from_slice(od);
+                validity.extend(ov);
             }
             (Column::Str { data, validity }, Column::Str { data: od, validity: ov }) => {
-                data.with_mut(|v| v.extend_from_slice(od));
-                for i in 0..n {
-                    validity.push(ov.get(i));
-                }
+                data.extend_from_slice(od);
+                validity.extend(ov);
             }
             (
                 Column::Bool { data, validity },
                 Column::Bool { data: od, validity: ov },
             ) => {
-                for i in 0..n {
-                    data.push(od.get(i));
-                    validity.push(ov.get(i));
-                }
+                data.extend(od);
+                validity.extend(ov);
             }
             _ => unreachable!("type equality checked above"),
         }
         Ok(())
+    }
+
+    /// True when [`Column::append`] grows this column in place: no
+    /// other column shares its value buffer or validity bitmap.
+    pub(crate) fn grows_in_place(&self) -> bool {
+        self.validity().is_unique()
+            && match self {
+                Column::Int64 { data, .. } => data.is_unique(),
+                Column::Float64 { data, .. } => data.is_unique(),
+                Column::Str { data, .. } => data.is_unique(),
+                Column::Bool { data, .. } => data.is_unique(),
+            }
     }
 
     /// Compute count/sum/min/max in one pass over the raw value buffer

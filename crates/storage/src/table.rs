@@ -5,7 +5,15 @@ use crate::error::{Result, StorageError};
 use crate::schema::{DataType, Field, Schema};
 use crate::value::Value;
 use crate::zonemap::{ColumnZones, TableSynopsis, DEFAULT_ZONE_ROWS};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+
+/// Source of content ids: unique within the process, never reused.
+static NEXT_ID: AtomicU64 = AtomicU64::new(1);
+
+fn mint_id() -> u64 {
+    NEXT_ID.fetch_add(1, Ordering::Relaxed)
+}
 
 /// An immutable-by-convention columnar table.
 ///
@@ -18,19 +26,45 @@ use std::sync::Arc;
 /// The synopsis is derived metadata: it never participates in equality,
 /// and row-level derivations (`take`, `slice`) drop it rather than pay
 /// to rebuild it per morsel.
-#[derive(Debug, Clone)]
+///
+/// Every table also carries a content [`id`](Table::id): every
+/// constructor mints a fresh one, `Clone` keeps it, and
+/// [`Table::append_rows`] — the only way to change a table's content —
+/// mints a new one and records the version it extended as its
+/// [`parent`](Table::parent). So two tables with the same id hold the
+/// same content, and a table whose parent is `(id, rows)` holds that
+/// version's `rows` rows unchanged, then its own. The durable store
+/// relies on this to write only the rows an append added.
+#[derive(Clone)]
 pub struct Table {
     name: String,
     schema: Schema,
     columns: Vec<Column>,
     rows: usize,
     synopsis: Option<Arc<TableSynopsis>>,
+    id: u64,
+    parent: Option<(u64, usize)>,
+}
+
+impl std::fmt::Debug for Table {
+    /// Content only, like `==`: two tables holding the same rows print
+    /// the same whatever their ids.
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Table")
+            .field("name", &self.name)
+            .field("schema", &self.schema)
+            .field("columns", &self.columns)
+            .field("rows", &self.rows)
+            .field("synopsis", &self.synopsis)
+            .finish()
+    }
 }
 
 impl PartialEq for Table {
     fn eq(&self, other: &Table) -> bool {
-        // The synopsis is derived metadata, excluded on purpose: a table
-        // read back from pages compares equal to the one stored.
+        // The synopsis and the ids are derived metadata, excluded on
+        // purpose: a table read back from pages compares equal to the
+        // one stored.
         self.name == other.name
             && self.schema == other.schema
             && self.columns == other.columns
@@ -74,7 +108,19 @@ impl Table {
                 });
             }
         }
-        Ok(Table { name, schema, columns, rows, synopsis: None })
+        Ok(Table { name, schema, columns, rows, synopsis: None, id: mint_id(), parent: None })
+    }
+
+    /// Content id: equal ids mean equal content (see the type docs).
+    pub fn id(&self) -> u64 {
+        self.id
+    }
+
+    /// `(id, rows)` of the version this table extended by
+    /// [`Table::append_rows`]: its first `rows` rows are that version's
+    /// rows, unchanged. `None` for a table not made by an append.
+    pub fn parent(&self) -> Option<(u64, usize)> {
+        self.parent
     }
 
     /// The table's zone-map synopsis, when one has been built.
@@ -144,6 +190,12 @@ impl Table {
 
     /// Append a batch of rows given as one column per field, in schema
     /// order. Types and lengths must match.
+    ///
+    /// Costs amortised O(batch) when no other table shares a column
+    /// buffer; otherwise each shared buffer is copied once into room
+    /// for the batch. The table gets a new [`id`](Table::id) and
+    /// records the version it extended as its [`parent`](Table::parent);
+    /// a failed append changes nothing.
     pub fn append_rows(&mut self, batch: &[Column]) -> Result<()> {
         if batch.len() != self.columns.len() {
             return Err(StorageError::InvalidTable {
@@ -174,13 +226,27 @@ impl Table {
         for (mine, theirs) in self.columns.iter_mut().zip(batch) {
             mine.append(theirs).expect("types validated above");
         }
+        self.parent = Some((self.id, self.rows));
+        self.id = mint_id();
         self.rows += n;
-        // Appending is a write: refresh the synopsis so zone bounds keep
+        // Appending is a write: extend each column's zones over the new
+        // rows (on the grid they were built with) so zone bounds keep
         // covering every row.
-        if self.synopsis.is_some() {
-            self.rebuild_synopsis();
+        if let Some(s) = &mut self.synopsis {
+            let s = Arc::make_mut(s);
+            for (f, c) in self.schema.fields().iter().zip(&self.columns) {
+                if let Some(z) = s.column_mut(&f.name) {
+                    z.extend(c);
+                }
+            }
         }
         Ok(())
+    }
+
+    /// True when [`Table::append_rows`] grows every column in place,
+    /// at O(batch) cost: no other table shares a column buffer.
+    pub(crate) fn grows_in_place(&self) -> bool {
+        self.columns.iter().all(Column::grows_in_place)
     }
 
     /// New table with only the named columns (projection).
@@ -302,6 +368,8 @@ impl TableBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::bitmap::Bitmap;
+    use crate::zonemap::ZoneEntry;
 
     fn lofar_like() -> Table {
         let mut b = TableBuilder::new("measurements");
@@ -417,6 +485,92 @@ mod tests {
         let z = t.synopsis().unwrap().column("intensity").unwrap();
         assert_eq!(z.entries[0].max, 99.0);
         assert_eq!(z.row_count(), 5);
+    }
+
+    #[test]
+    fn append_mints_an_id_and_records_its_parent() {
+        let t = lofar_like();
+        assert_eq!(t.parent(), None);
+        let copy = t.clone();
+        assert_eq!(copy.id(), t.id(), "a clone is the same content");
+        let mut grown = t.clone();
+        grown
+            .append_rows(&[
+                Column::from_i64(vec![3]),
+                Column::from_f64(vec![0.16]),
+                Column::from_f64(vec![2.0]),
+            ])
+            .unwrap();
+        assert_ne!(grown.id(), t.id());
+        assert_eq!(grown.parent(), Some((t.id(), 4)));
+        // A failed append changes nothing, the id included.
+        let before = grown.id();
+        assert!(grown.append_rows(&[Column::from_i64(vec![1])]).is_err());
+        assert_eq!(grown.id(), before);
+        // Equality ignores ids: the same rows built again compare equal.
+        let rebuilt = lofar_like();
+        assert_ne!(rebuilt.id(), t.id());
+        assert_eq!(rebuilt, t);
+    }
+
+    /// Rows `[from, from + n)` of a table whose columns cycle through
+    /// NULL, NaN, ±0.0 and ±inf.
+    fn hostile_rows(from: usize, n: usize) -> Vec<Column> {
+        const FLOATS: [Option<f64>; 8] = [
+            Some(1.5),
+            None,
+            Some(f64::NAN),
+            Some(-0.0),
+            Some(0.0),
+            Some(f64::INFINITY),
+            Some(f64::NEG_INFINITY),
+            Some(-2.25),
+        ];
+        let rows = from..from + n;
+        let ints = rows.clone().map(|i| (i % 5 != 3).then_some(i as i64 * 7 - 40));
+        let bool_valid = Bitmap::from_fn(n, |i| (from + i) % 4 != 1);
+        vec![
+            Column::from_i64_opt(ints.collect()),
+            Column::from_f64_opt(rows.map(|i| FLOATS[i % FLOATS.len()]).collect()),
+            Column::Bool { data: Bitmap::from_fn(n, |i| (from + i).is_multiple_of(3)), validity: bool_valid },
+        ]
+    }
+
+    #[test]
+    fn extended_synopsis_equals_a_rebuilt_one() {
+        let schema = Schema::new(vec![
+            Field::nullable("k", DataType::Int64),
+            Field::nullable("f", DataType::Float64),
+            Field::nullable("b", DataType::Bool),
+        ]);
+        for zone_rows in [1, 7, 64, 4096] {
+            // Bases that end on a zone boundary and off one.
+            let bases = [0, 1, zone_rows, 3 * zone_rows, 3 * zone_rows + 2, 5000];
+            for base in bases {
+                let mut t = Table::new("t", schema.clone(), hostile_rows(0, base)).unwrap();
+                t.rebuild_synopsis_with(zone_rows);
+                let mut rows = base;
+                for batch in [1, zone_rows, 200, 0] {
+                    t.append_rows(&hostile_rows(rows, batch)).unwrap();
+                    rows += batch;
+                    let mut rebuilt = t.clone();
+                    rebuilt.rebuild_synopsis_with(zone_rows);
+                    let ctx = format!("zone_rows {zone_rows}, base {base}, {rows} rows");
+                    for name in ["k", "f", "b"] {
+                        let got = t.synopsis().unwrap().column(name).unwrap();
+                        let want = rebuilt.synopsis().unwrap().column(name).unwrap();
+                        assert_eq!(got.zone_rows, zone_rows, "{ctx}: grid kept");
+                        assert_eq!(got, want, "{ctx}: column {name}");
+                        for (g, w) in got.entries.iter().zip(&want.entries) {
+                            let bits = |e: &ZoneEntry| {
+                                (e.min.to_bits(), e.max.to_bits(), e.agg.sum.value().to_bits())
+                            };
+                            assert_eq!(bits(g), bits(w), "{ctx}: column {name}");
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]

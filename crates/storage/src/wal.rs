@@ -14,9 +14,26 @@
 //! ```text
 //! page 0, 1        superblock slots A/B (alternating by commit seq)
 //! page 2..2+W      WAL region (W = wal_pages, one frame per page)
-//! page 2+W..       data area: shadow-written blobs (column images,
+//! page 2+W..       data area: shadow-written blobs (column extents,
 //!                  catalog images, directory images); never overwritten
 //! ```
+//!
+//! ## Tables as segments
+//!
+//! A stored table is a list of [`Segment`]s — runs of consecutive rows,
+//! each one checksummed extent per column — which `read_table` and
+//! `read_column` decode and concatenate in order. `store_table` writes
+//! one segment holding every row. `replace_table(t)` keeps the stored
+//! segments and writes only rows `[stored rows, t.rows)` as one new
+//! segment when `t` extends, by [`Table::append_rows`], the very version
+//! this store last wrote ([`Table::parent`] equals that version's
+//! [`Table::id`] and row count); otherwise it writes every row as the
+//! only segment. Content ids are unique within a process, a clone keeps
+//! its id, and an append mints a new one, so a matching parent proves
+//! the stored rows are the first rows of `t`. The store forgets a
+//! table's id before it writes anything for that table and learns the
+//! new one only after the commit lands; ids are not persisted, so the
+//! first append after `recover` is a full write.
 //!
 //! ## Commit protocol
 //!
@@ -54,7 +71,7 @@ use std::collections::BTreeMap;
 
 const SB_MAGIC: &[u8; 4] = b"LWSB";
 const WAL_MAGIC: &[u8; 4] = b"LWFR";
-const FORMAT_VERSION: u32 = 1;
+const FORMAT_VERSION: u32 = 2;
 const SB_HEADER: usize = 16; // crc + magic + format + root_len
 const FRAME_HEADER: usize = 20; // crc + magic + seq + kind + index + len
 const FRAME_DATA: u8 = 1;
@@ -108,14 +125,25 @@ pub struct RecoveryReport {
     pub seq: u64,
 }
 
-/// One durably stored table: schema + checksummed column extents.
+/// One durably stored table: its schema and a list of segments, which
+/// concatenated in order hold its rows.
 #[derive(Debug, Clone, PartialEq)]
 pub struct StoredTable {
     /// Schema in column order.
     pub schema: Schema,
-    /// Row count.
+    /// Row count: the sum of the segments' rows.
     pub rows: usize,
-    /// One extent per column.
+    /// Row runs in order; never empty.
+    pub segments: Vec<Segment>,
+}
+
+/// One run of consecutive rows of a stored table: one checksummed
+/// extent per column, each holding these rows' encoded column.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Segment {
+    /// Rows in this segment.
+    pub rows: usize,
+    /// One extent per column, in schema order.
     pub columns: Vec<Extent>,
 }
 
@@ -134,6 +162,9 @@ pub struct DurableStore<D: BlockDevice> {
     seq: u64,
     catalog: Option<Extent>,
     tables: BTreeMap<String, StoredTable>,
+    /// [`Table::id`] of the version each table's segments hold, for
+    /// tables this process wrote. Never persisted: ids are per process.
+    written: BTreeMap<String, u64>,
 }
 
 impl<D: BlockDevice> DurableStore<D> {
@@ -149,6 +180,7 @@ impl<D: BlockDevice> DurableStore<D> {
             seq: 0,
             catalog: None,
             tables: BTreeMap::new(),
+            written: BTreeMap::new(),
         }
     }
 
@@ -196,6 +228,7 @@ impl<D: BlockDevice> DurableStore<D> {
             WalScan::Torn => report.rolled_back = true,
             WalScan::Empty => {}
         }
+        self.written.clear();
         match best {
             Some(root) => {
                 self.tables = match &root.directory {
@@ -258,18 +291,25 @@ impl<D: BlockDevice> DurableStore<D> {
         if self.tables.contains_key(table.name()) {
             return Err(StorageError::TableExists { name: table.name().to_string() });
         }
-        let stored = self.write_table_blobs(table)?;
-        self.tables.insert(table.name().to_string(), stored);
-        self.commit()
+        self.write_table(table, 0)
     }
 
     /// Replace a stored table (or store it fresh) in one atomic commit.
-    /// The old version's pages are abandoned, never freed.
+    ///
+    /// When `table` extends by [`Table::append_rows`] the very version
+    /// this store last wrote (its [`Table::parent`] is that version's
+    /// id and row count), the stored segments are kept and only the
+    /// appended rows are written, as one new segment. Otherwise the
+    /// whole table is written as one segment. Pages of a replaced
+    /// version are abandoned, never freed.
     pub fn replace_table(&mut self, table: &Table) -> Result<()> {
         self.ensure_open()?;
-        let stored = self.write_table_blobs(table)?;
-        self.tables.insert(table.name().to_string(), stored);
-        self.commit()
+        let name = table.name();
+        let from = match (self.tables.get(name), self.written.get(name), table.parent()) {
+            (Some(st), Some(&id), Some((parent, rows))) if id == parent && st.rows == rows => rows,
+            _ => 0,
+        };
+        self.write_table(table, from)
     }
 
     /// Drop a stored table in one atomic commit.
@@ -278,17 +318,17 @@ impl<D: BlockDevice> DurableStore<D> {
         if self.tables.remove(name).is_none() {
             return Err(StorageError::TableNotFound { name: name.to_string() });
         }
+        self.written.remove(name);
         self.commit()
     }
 
-    /// Read a stored table back, verifying every column's checksum.
+    /// Read a stored table back, verifying every extent's checksum.
     pub fn read_table(&self, name: &str) -> Result<Table> {
         self.ensure_open()?;
         let st = self.stored_table(name)?;
-        let mut cols = Vec::with_capacity(st.columns.len());
-        for ext in &st.columns {
-            cols.push(decode_column(&self.read_extent(ext)?)?);
-        }
+        let cols = (0..st.schema.len())
+            .map(|i| self.read_segments(st, i))
+            .collect::<Result<Vec<_>>>()?;
         Table::new(name.to_string(), st.schema.clone(), cols)
     }
 
@@ -299,10 +339,10 @@ impl<D: BlockDevice> DurableStore<D> {
     pub fn read_column(&self, name: &str, index: usize) -> Result<Column> {
         self.ensure_open()?;
         let st = self.stored_table(name)?;
-        let ext = st.columns.get(index).ok_or_else(|| StorageError::ColumnNotFound {
-            name: format!("{name}[{index}]"),
-        })?;
-        decode_column(&self.read_extent(ext)?)
+        if index >= st.schema.len() {
+            return Err(StorageError::ColumnNotFound { name: format!("{name}[{index}]") });
+        }
+        self.read_segments(st, index)
     }
 
     /// Durably store the (opaque) model-catalog image in one atomic
@@ -358,14 +398,60 @@ impl<D: BlockDevice> DurableStore<D> {
         }
     }
 
-    /// Shadow-write all columns of `table`, returning its metadata.
-    fn write_table_blobs(&mut self, table: &Table) -> Result<StoredTable> {
+    /// Write rows `[from, rows)` of `table` as one segment, appended to
+    /// the stored segments (which must hold rows `[0, from)`, so `from`
+    /// is 0 for a full write), then commit.
+    fn write_table(&mut self, table: &Table, from: usize) -> Result<()> {
+        let name = table.name();
+        // Until this commit lands, no stored image is known to hold a
+        // version of `table`.
+        self.written.remove(name);
+        let rows = table.row_count() - from;
         let mut columns = Vec::with_capacity(table.columns().len());
         for col in table.columns() {
-            let bytes = encode_column(col);
-            columns.push(self.write_blob(&bytes)?);
+            columns.push(self.write_blob(&encode_column(&col.slice(from, rows)?))?);
         }
-        Ok(StoredTable { schema: table.schema().clone(), rows: table.row_count(), columns })
+        let segment = Segment { rows, columns };
+        match self.tables.get_mut(name) {
+            Some(st) if from > 0 => {
+                st.rows = table.row_count();
+                st.segments.push(segment);
+            }
+            _ => {
+                let st = StoredTable {
+                    schema: table.schema().clone(),
+                    rows: table.row_count(),
+                    segments: vec![segment],
+                };
+                self.tables.insert(name.to_string(), st);
+            }
+        }
+        self.commit()?;
+        self.written.insert(name.to_string(), table.id());
+        Ok(())
+    }
+
+    /// Column `index` of a stored table: its segments' extents, decoded
+    /// and concatenated.
+    fn read_segments(&self, st: &StoredTable, index: usize) -> Result<Column> {
+        let mut out: Option<Column> = None;
+        for seg in &st.segments {
+            let col = decode_column(&self.read_extent(&seg.columns[index])?)?;
+            if col.len() != seg.rows {
+                return Err(StorageError::CorruptData {
+                    codec: "wal",
+                    detail: format!("segment claims {} rows, its column holds {}", seg.rows, col.len()),
+                });
+            }
+            match &mut out {
+                None => out = Some(col),
+                Some(acc) => acc.append(&col)?,
+            }
+        }
+        out.ok_or_else(|| StorageError::CorruptData {
+            codec: "wal",
+            detail: "stored table has no segments".to_string(),
+        })
     }
 
     /// Shadow-write one blob to freshly allocated contiguous pages.
@@ -605,6 +691,9 @@ fn decode_root(buf: &[u8]) -> Result<Root> {
 }
 
 // ---- table-directory serialization ----
+//
+// u32 tables, then per table: name, u64 rows, u32 fields, the fields,
+// u32 segments, then per segment: u64 rows and one extent per field.
 
 fn encode_directory(tables: &BTreeMap<String, StoredTable>) -> Vec<u8> {
     let mut out = Vec::new();
@@ -613,9 +702,15 @@ fn encode_directory(tables: &BTreeMap<String, StoredTable>) -> Vec<u8> {
         put_str(&mut out, name);
         out.extend_from_slice(&(t.rows as u64).to_le_bytes());
         out.extend_from_slice(&(t.schema.len() as u32).to_le_bytes());
-        for (field, ext) in t.schema.fields().iter().zip(&t.columns) {
+        for field in t.schema.fields() {
             put_field(&mut out, field);
-            ext.encode(&mut out);
+        }
+        out.extend_from_slice(&(t.segments.len() as u32).to_le_bytes());
+        for seg in &t.segments {
+            out.extend_from_slice(&(seg.rows as u64).to_le_bytes());
+            for ext in &seg.columns {
+                ext.encode(&mut out);
+            }
         }
     }
     out
@@ -626,15 +721,31 @@ fn decode_directory(buf: &[u8]) -> Result<BTreeMap<String, StoredTable>> {
     let mut tables = BTreeMap::new();
     for _ in 0..r.count(1, "table")? {
         let name = r.str_u32("table name")?;
-        let rows = r.u64()? as usize;
+        let rows = r.u64()?;
         let n_fields = r.count(1, "field")?;
-        let (mut fields, mut columns) = (Vec::new(), Vec::new());
-        for _ in 0..n_fields {
-            fields.push(r.field()?);
-            columns.push(Extent::decode(&mut r)?);
+        let fields = (0..n_fields).map(|_| r.field()).collect::<Result<Vec<_>>>()?;
+        // A segment is its row count plus one 20-byte extent per field.
+        let n_segments = r.count(8 + 20 * n_fields, "segment")?;
+        if n_segments == 0 {
+            return Err(r.corrupt(format!("table {name:?} has no segments")));
         }
-        tables.insert(name, StoredTable { schema: Schema::new(fields), rows, columns });
+        let mut segments = Vec::with_capacity(n_segments);
+        let mut covered = 0u64;
+        for _ in 0..n_segments {
+            let seg_rows = r.u64()?;
+            covered = covered
+                .checked_add(seg_rows)
+                .ok_or_else(|| r.corrupt("segment rows overflow"))?;
+            let columns = (0..n_fields).map(|_| Extent::decode(&mut r)).collect::<Result<_>>()?;
+            segments.push(Segment { rows: seg_rows as usize, columns });
+        }
+        if covered != rows {
+            return Err(r.corrupt(format!("segments hold {covered} rows, table {name:?} {rows}")));
+        }
+        let st = StoredTable { schema: Schema::new(fields), rows: rows as usize, segments };
+        tables.insert(name, st);
     }
+    r.end()?;
     Ok(tables)
 }
 
@@ -708,6 +819,101 @@ mod tests {
         assert_eq!(report.seq, 4);
         assert_eq!(s.table_names(), vec!["a".to_string()]);
         assert_eq!(s.read_table("a").unwrap().row_count(), 20);
+    }
+
+    /// `t` grown by `n` rows through `Table::append_rows`.
+    fn appended(t: &Table, n: usize) -> Table {
+        let base = t.row_count();
+        let mut grown = t.clone();
+        grown
+            .append_rows(&[
+                Column::from_i64((base as i64..(base + n) as i64).map(|i| -i).collect()),
+                Column::from_f64((0..n).map(|i| i as f64 - 0.5).collect()),
+            ])
+            .unwrap();
+        grown
+    }
+
+    #[test]
+    fn an_append_commits_one_tail_segment() {
+        let mut s = open(256);
+        let t0 = demo_table("demo", 300);
+        s.store_table(&t0).unwrap();
+        let t1 = appended(&t0, 5);
+        let before = s.stats().pages_written;
+        s.replace_table(&t1).unwrap();
+        // Two column extents of 5 rows, the directory, one WAL data
+        // frame, the commit frame and the superblock: one page each.
+        assert_eq!(s.stats().pages_written - before, 6);
+        let t2 = appended(&t1, 7);
+        s.replace_table(&t2).unwrap();
+        let st = s.stored_table("demo").unwrap();
+        let rows: Vec<usize> = st.segments.iter().map(|g| g.rows).collect();
+        assert_eq!((st.rows, rows), (312, vec![300, 5, 7]));
+        assert_eq!(s.read_table("demo").unwrap(), t2);
+        assert_eq!(s.read_column("demo", 0).unwrap(), *t2.column("id").unwrap());
+        assert!(s.read_column("demo", 2).is_err());
+        let (mut s, _) = reopen(s);
+        assert_eq!(s.read_table("demo").unwrap(), t2);
+        // Ids are per process: after a restart the first append is
+        // written in full.
+        let t3 = appended(&t2, 1);
+        s.replace_table(&t3).unwrap();
+        assert_eq!(s.stored_table("demo").unwrap().segments.len(), 1);
+        assert_eq!(s.read_table("demo").unwrap(), t3);
+    }
+
+    #[test]
+    fn only_the_written_version_keeps_its_segments() {
+        let mut s = open(256);
+        let t0 = demo_table("demo", 40);
+        s.store_table(&t0).unwrap();
+        // Two appends from one parent: the second is not a child of
+        // what the store holds after the first, so it rewrites in full.
+        let (a, b) = (appended(&t0, 3), appended(&t0, 9));
+        s.replace_table(&a).unwrap();
+        assert_eq!(s.stored_table("demo").unwrap().segments.len(), 2);
+        s.replace_table(&b).unwrap();
+        assert_eq!(s.stored_table("demo").unwrap().segments.len(), 1);
+        assert_eq!(s.read_table("demo").unwrap(), b);
+        // Two appends with no commit between: the grandchild's parent
+        // was never written, so it too rewrites in full.
+        let c = appended(&appended(&b, 2), 2);
+        s.replace_table(&c).unwrap();
+        assert_eq!(s.stored_table("demo").unwrap().segments.len(), 1);
+        // A dropped table forgets its version.
+        s.drop_table("demo").unwrap();
+        s.store_table(&demo_table("demo", 4)).unwrap();
+        let d = appended(&c, 1);
+        s.replace_table(&d).unwrap();
+        assert_eq!(s.stored_table("demo").unwrap().segments.len(), 1);
+        let (s, _) = reopen(s);
+        assert_eq!(s.read_table("demo").unwrap(), d);
+    }
+
+    #[test]
+    fn directory_decoder_is_total() {
+        let mut s = open(256);
+        let t0 = demo_table("demo", 10);
+        s.store_table(&t0).unwrap();
+        s.replace_table(&appended(&t0, 2)).unwrap();
+        let dir = encode_directory(&s.tables);
+        assert_eq!(decode_directory(&dir).unwrap(), s.tables);
+        for cut in 0..dir.len() {
+            assert!(decode_directory(&dir[..cut]).is_err(), "prefix {cut}");
+        }
+        // The table, field and segment counts, each claiming u32::MAX.
+        let fields_at = 4 + 4 + "demo".len() + 8;
+        let segments_at = dir.len() - 2 * (8 + 2 * 20) - 4;
+        for at in [0, fields_at, segments_at] {
+            let mut bad = dir.clone();
+            bad[at..at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+            assert!(decode_directory(&bad).is_err(), "claim at {at}");
+        }
+        // Segments that do not add up to the table's rows.
+        let mut bad = dir.clone();
+        bad[segments_at + 4] ^= 1;
+        assert!(decode_directory(&bad).is_err());
     }
 
     #[test]

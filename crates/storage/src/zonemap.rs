@@ -284,19 +284,22 @@ impl ColumnZones {
     /// bounds for numeric comparison pruning and return `None`.
     pub fn build(col: &Column, zone_rows: usize) -> Option<ColumnZones> {
         assert!(zone_rows > 0, "zone_rows must be positive");
-        let entries = match col {
-            Column::Int64 { data, validity } => {
-                data_zones(data.len(), zone_rows, validity, |i| data[i] as f64)
-            }
-            Column::Float64 { data, validity } => {
-                data_zones(data.len(), zone_rows, validity, |i| data[i])
-            }
-            Column::Bool { data, validity } => {
-                data_zones(data.len(), zone_rows, validity, |i| if data.get(i) { 1.0 } else { 0.0 })
-            }
-            Column::Str { .. } => return None,
-        };
-        Some(ColumnZones { zone_rows, entries })
+        Some(ColumnZones { zone_rows, entries: zone_entries(col, 0, zone_rows)? })
+    }
+
+    /// Extend the zones over rows appended to the column they were
+    /// built from: `col` must hold those rows unchanged, then the new
+    /// ones. Only the last partial zone and the new zones are computed,
+    /// so the cost is O(appended rows + one zone), and the result equals
+    /// `build(col, self.zone_rows)` bit for bit — every zone is the same
+    /// function of the same rows.
+    pub(crate) fn extend(&mut self, col: &Column) {
+        let partial = self.entries.last().is_some_and(|e| (e.rows as usize) < self.zone_rows);
+        let full = self.entries.len() - usize::from(partial);
+        self.entries.truncate(full);
+        let tail = zone_entries(col, full * self.zone_rows, self.zone_rows)
+            .expect("zones are only built for non-string columns");
+        self.entries.extend(tail);
     }
 
     /// Total rows covered.
@@ -343,20 +346,36 @@ impl ColumnZones {
     }
 }
 
-/// Exact data zones over `n` rows whose value at row `i` is
+/// The zones of `col` starting at row `from` (a multiple of
+/// `zone_rows`); `None` for strings.
+fn zone_entries(col: &Column, from: usize, zone_rows: usize) -> Option<Vec<ZoneEntry>> {
+    Some(match col {
+        Column::Int64 { data, validity } => {
+            data_zones(from, data.len(), zone_rows, validity, |i| data[i] as f64)
+        }
+        Column::Float64 { data, validity } => {
+            data_zones(from, data.len(), zone_rows, validity, |i| data[i])
+        }
+        Column::Bool { data, validity } => {
+            data_zones(from, data.len(), zone_rows, validity, |i| if data.get(i) { 1.0 } else { 0.0 })
+        }
+        Column::Str { .. } => return None,
+    })
+}
+
+/// Exact data zones over rows `[from, n)` whose value at row `i` is
 /// `value_at(i)` (monomorphized per column type: this loop runs over
-/// every value on every write).
+/// every value on every build). An empty column gets one empty zone.
 fn data_zones(
+    from: usize,
     n: usize,
     zone_rows: usize,
     validity: &Bitmap,
     value_at: impl Fn(usize) -> f64,
 ) -> Vec<ZoneEntry> {
-    let all_valid = validity.all_set();
-    let mut entries = Vec::with_capacity(n.div_ceil(zone_rows).max(1));
-    let mut start = 0;
-    loop {
+    let zone = |start: usize| {
         let end = (start + zone_rows).min(n);
+        let all_valid = validity.count_set_in(start, end) == end - start;
         let mut state = NumericAggState::default();
         let mut nulls = 0u32;
         let mut saw_nan = false;
@@ -379,27 +398,27 @@ fn data_zones(
         let NumericAggState { count, sum, min, max } = state;
         // Constant ⇔ every row is valid, non-NaN, and equal.
         let constant = end > start && nulls == 0 && !saw_nan && min == max;
-        entries.push(ZoneEntry {
+        ZoneEntry {
             rows: (end - start) as u32,
             null_count: nulls,
             min,
             max,
             constant,
             agg: ZoneAgg { count: count as u32, sum },
-        });
-        start = end;
-        if start >= n {
-            return entries;
         }
+    };
+    if n == 0 {
+        return vec![zone(0)];
     }
+    (from..n).step_by(zone_rows).map(zone).collect()
 }
 
 /// Zone maps for a whole table, keyed by column name.
 ///
-/// Built at write time ([`crate::table::TableBuilder::build`],
-/// [`crate::table::Table::append_rows`]). Never persisted: a table read
-/// back from [`crate::wal::DurableStore`] carries no synopsis, and the
-/// caller rebuilds one on its own zone grid.
+/// Built at write time ([`crate::table::TableBuilder::build`]) and
+/// extended by [`crate::table::Table::append_rows`]. Never persisted: a
+/// table read back from [`crate::wal::DurableStore`] carries no
+/// synopsis, and the caller rebuilds one on its own zone grid.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct TableSynopsis {
     columns: BTreeMap<String, ColumnZones>,
@@ -414,6 +433,11 @@ impl TableSynopsis {
     /// Zones for `column`, if any.
     pub fn column(&self, column: &str) -> Option<&ColumnZones> {
         self.columns.get(column)
+    }
+
+    /// Mutable zones for `column`, if any (the append path extends them).
+    pub(crate) fn column_mut(&mut self, column: &str) -> Option<&mut ColumnZones> {
+        self.columns.get_mut(column)
     }
 
     /// Insert (or replace) the zones of one column.

@@ -16,7 +16,7 @@
 use lawsdb_storage::fault::{FaultMode, FaultSchedule, FaultyDevice};
 use lawsdb_storage::io::SimulatedDevice;
 use lawsdb_storage::wal::DurableStore;
-use lawsdb_storage::{Table, TableBuilder};
+use lawsdb_storage::{Column, Table, TableBuilder};
 
 const PAGE_SIZE: usize = 256;
 const WAL_PAGES: usize = 8;
@@ -50,26 +50,59 @@ fn catalog_image(version: u32) -> Vec<u8> {
     (0..120u32).map(|i| (i.wrapping_mul(7) ^ version) as u8).collect()
 }
 
+/// `table` grown by `rows` rows through `Table::append_rows`, so the
+/// store's commit of it writes one tail segment.
+fn appended(table: &Table, rows: usize) -> Table {
+    let base = table.row_count() as i64;
+    let mut grown = table.clone();
+    grown
+        .append_rows(&[
+            Column::from_i64((base..base + rows as i64).map(|i| i / 3).collect()),
+            Column::from_f64((0..rows).map(|i| -(i as f64).sqrt()).collect()),
+        ])
+        .unwrap();
+    grown
+}
+
+/// The workload's tables by version: `law_table(2)` and two appends
+/// grown from that very instance (a table must descend from the version
+/// the store wrote for its append to commit as a tail segment).
+fn versions() -> [Table; 3] {
+    let v2 = law_table(2);
+    let v3 = appended(&v2, 7);
+    let v4 = appended(&v3, 12);
+    [v2, v3, v4]
+}
+
 /// One workload step = one atomic commit attempt.
 fn steps() -> Vec<Step> {
+    let [v2, v3, v4] = versions();
     vec![
         Box::new(|s| s.store_table(&law_table(1))),
         Box::new(|s| s.put_catalog(&catalog_image(1))),
-        Box::new(|s| s.replace_table(&law_table(2))),
+        Box::new(move |s| s.replace_table(&v2)),
+        Box::new(move |s| s.replace_table(&v3)),
+        Box::new(move |s| s.replace_table(&v4)),
         Box::new(|s| s.store_table(&aux_table())),
         Box::new(|s| s.drop_table("aux")),
     ]
 }
 
+/// Commits in the fault-free workload.
+const COMMITS: u64 = 7;
+
 /// The exact state the store must hold at commit sequence `seq`.
 fn expected_state(seq: u64) -> (Vec<Table>, Option<Vec<u8>>) {
+    let [v2, v3, v4] = versions();
     match seq {
         0 => (vec![], None),
         1 => (vec![law_table(1)], None),
         2 => (vec![law_table(1)], Some(catalog_image(1))),
-        3 => (vec![law_table(2)], Some(catalog_image(1))),
-        4 => (vec![aux_table(), law_table(2)], Some(catalog_image(1))),
-        5 => (vec![law_table(2)], Some(catalog_image(1))),
+        3 => (vec![v2], Some(catalog_image(1))),
+        4 => (vec![v3], Some(catalog_image(1))),
+        5 => (vec![v4], Some(catalog_image(1))),
+        6 => (vec![aux_table(), v4], Some(catalog_image(1))),
+        7 => (vec![v4], Some(catalog_image(1))),
         other => panic!("workload never reaches seq {other}"),
     }
 }
@@ -117,6 +150,11 @@ fn assert_recovers_cleanly(image: SimulatedDevice, commits_ok: u64, context: &st
             .unwrap_or_else(|e| panic!("{context}: reading {:?}: {e}", want.name()));
         assert_eq!(&got, want, "{context}: content of {:?} at seq {seq}", want.name());
     }
+    // The appends committed as tail segments beside `law_table(2)`'s.
+    if seq >= 3 {
+        let segments = store.stored_table("measurements").unwrap().segments.len();
+        assert_eq!(segments as u64, seq.min(5) - 2, "{context}: segments at seq {seq}");
+    }
     let got_catalog = store.catalog().unwrap_or_else(|e| panic!("{context}: catalog: {e}"));
     assert_eq!(got_catalog, catalog, "{context}: catalog image at seq {seq}");
 }
@@ -124,7 +162,7 @@ fn assert_recovers_cleanly(image: SimulatedDevice, commits_ok: u64, context: &st
 #[test]
 fn golden_run_commits_everything() {
     let (commits_ok, image, ops) = run_workload(FaultSchedule::none());
-    assert_eq!(commits_ok, 5, "fault-free run completes all steps");
+    assert_eq!(commits_ok, COMMITS, "fault-free run completes all steps");
     assert!(ops > 20, "workload is non-trivial ({ops} ops)");
     assert_recovers_cleanly(image, commits_ok, "golden");
 }
@@ -138,7 +176,10 @@ fn every_crash_point_recovers_to_pre_or_post_state() {
         let mode = FaultMode::ALL[crash_op as usize % FaultMode::ALL.len()];
         let schedule = FaultSchedule::crash_at(crash_op, mode, seed);
         let (commits_ok, image, _) = run_workload(schedule);
-        assert!(commits_ok < 5, "crash at {crash_op} must bite before the workload finishes");
+        assert!(
+            commits_ok < COMMITS,
+            "crash at {crash_op} must bite before the workload finishes"
+        );
         let context = format!("crash at op {crash_op} ({mode:?}, seed {seed})");
         assert_recovers_cleanly(image, commits_ok, &context);
     }

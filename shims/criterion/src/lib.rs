@@ -1,7 +1,8 @@
 //! Minimal offline stand-in for the `criterion` crate.
 //!
 //! Keeps the same authoring surface (`criterion_group!`, groups,
-//! `bench_function`, `bench_with_input`, `Throughput`) but measures
+//! `bench_function`, `bench_with_input`, `iter`, `iter_custom`,
+//! `Throughput`) but measures
 //! with a plain wall-clock loop: a short warm-up, then timed batches
 //! until a time budget is reached. Results are printed one line per
 //! benchmark as `group/name: mean <time> (<iters> iters)` plus
@@ -73,6 +74,25 @@ impl Bencher {
                 black_box(f());
             }
             total += start.elapsed();
+            iters += batch;
+        }
+        self.mean_secs = total.as_secs_f64() / iters as f64;
+        self.iters_run = iters;
+    }
+}
+
+impl Bencher {
+    /// Time a routine that runs `iters` iterations and returns how long
+    /// they took, as criterion's `iter_custom` does: the routine may
+    /// leave its own setup out of the time it returns.
+    pub fn iter_custom<F: FnMut(u64) -> Duration>(&mut self, mut routine: F) {
+        let first = routine(1).max(Duration::from_nanos(1));
+        let mut total = first;
+        let mut iters: u64 = 1;
+        while total < self.budget {
+            let batch = ((self.budget.as_secs_f64() / 4.0 / first.as_secs_f64()) as u64)
+                .clamp(1, 1_000_000);
+            total += routine(batch);
             iters += batch;
         }
         self.mean_secs = total.as_secs_f64() / iters as f64;

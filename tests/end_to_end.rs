@@ -179,3 +179,38 @@ fn data_change_lifecycle() {
     let v = a.table.column("intensity").unwrap().f64_data().unwrap()[0];
     assert!((v - 1.5 * 0.15_f64.powf(-0.6)).abs() < 0.05);
 }
+
+#[test]
+fn concurrent_appends_keep_every_batch() {
+    // A base table big enough that copying it takes a while, so an
+    // append that read, copied and replaced it without a lock would
+    // let another append's batch slip in between and be lost.
+    const BASE: usize = 200_000;
+    let (threads, appends, rows) = (4i64, 25i64, 10i64);
+    let mut b = lawsdb::storage::TableBuilder::new("events");
+    b.add_i64("marker", vec![0; BASE]);
+    b.add_f64("v", vec![0.5; BASE]);
+    let db = LawsDb::new();
+    db.register_table(b.build().unwrap()).unwrap();
+    std::thread::scope(|s| {
+        for t in 0..threads {
+            let db = &db;
+            s.spawn(move || {
+                for a in 0..appends {
+                    // Each appended row's marker is unique, so the SUM
+                    // tells which batches landed.
+                    let marker = (0..rows).map(|r| 1 + (t * appends + a) * rows + r).collect();
+                    let batch = [
+                        lawsdb::storage::Column::from_i64(marker),
+                        lawsdb::storage::Column::from_f64(vec![1.0; rows as usize]),
+                    ];
+                    db.append_rows("events", &batch).unwrap();
+                }
+            });
+        }
+    });
+    let n = threads * appends * rows;
+    let r = db.query("SELECT COUNT(*) AS n, SUM(marker) AS s FROM events").unwrap();
+    let want = vec![Value::Int(BASE as i64 + n), Value::Float((n * (n + 1) / 2) as f64)];
+    assert_eq!(r.table.row(0).unwrap(), want);
+}

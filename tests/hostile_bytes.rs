@@ -568,17 +568,24 @@ impl Run {
         }
     }
 
-    /// A stored table on a device whose pages are flipped, scribbled,
-    /// cut short or given huge length claims: recovery and `read_table`
-    /// return the table as stored or an `Err`.
+    /// A stored table of two segments (a full write, then an append's
+    /// tail) on a device whose pages are flipped, scribbled, cut short
+    /// or given huge length claims: recovery and `read_table` return
+    /// the table as stored or an `Err`.
     fn store(&self, r: &mut Rng) {
         let name = "DurableStore::read_table";
-        let table = random_table(r);
+        let base = random_table(r);
         let page_size = if r.chance(50) { 128 } else { 256 };
         let mut s = DurableStore::new(SimulatedDevice::new(page_size), 8);
         s.recover().unwrap();
-        s.store_table(&table).unwrap();
-        let extents = s.stored_table(table.name()).unwrap().columns.clone();
+        s.store_table(&base).unwrap();
+        let mut table = base.clone();
+        let tail = base.slice(0, base.row_count().min(1 + r.below(3) as usize)).unwrap();
+        table.append_rows(tail.columns()).unwrap();
+        s.replace_table(&table).unwrap();
+        let segments = &s.stored_table(table.name()).unwrap().segments;
+        assert_eq!(segments.len(), 2, "the append commits a tail segment");
+        let extents: Vec<_> = segments.iter().flat_map(|g| g.columns.clone()).collect();
         let device = s.into_device();
         let ps = device.page_size();
         // Recover a corrupted copy of the device and read the table.

@@ -177,7 +177,8 @@ fn cluster_and_durable_surface() {
     // Honest accounting: a read charges one full device page per page
     // of every column extent, and charges it again on every read.
     let pages: u64 = (0..table.schema().len())
-        .map(|i| durable.column_pages(TABLE, i).unwrap().1.div_ceil(4096))
+        .flat_map(|i| durable.column_pages(TABLE, i).unwrap())
+        .map(|(_, len)| len.div_ceil(4096))
         .sum();
     for _ in 0..2 {
         let before = durable.stats();
@@ -187,6 +188,68 @@ fn cluster_and_durable_surface() {
         assert_eq!(after.bytes_read - before.bytes_read, pages * 4096);
     }
     assert_eq!(durable.load_models().unwrap().len(), db.models().len());
+}
+
+/// `rows` appended LOFAR-shaped rows; `seed` varies their values.
+fn append_batch(rows: usize, seed: i64) -> Vec<Column> {
+    let ints = (0..rows as i64).map(|i| (i * 31 + seed) % 200);
+    let floats = (0..rows).map(|i| 0.12 + 0.01 * (i % 7) as f64);
+    vec![
+        Column::from_i64(ints.collect()),
+        Column::from_f64(floats.collect()),
+        Column::from_f64((0..rows).map(|i| (i as f64 + seed as f64).sqrt()).collect()),
+    ]
+}
+
+#[test]
+fn an_append_commits_in_o_batch_and_reads_back_bit_identical() {
+    // The benchmark's page size and append batch, at two table sizes
+    // 4x apart: the append writes the same pages at both.
+    let pages_per_append = |sources: usize| -> u64 {
+        let cfg = LofarConfig { noise_rel: 0.02, ..LofarConfig::with_sources(sources) };
+        let db = LawsDb::new();
+        db.register_table(LofarDataset::generate(&cfg).table).unwrap();
+        let mut durable = DurableDb::new(SimulatedDevice::new(4096));
+        durable.recover().unwrap();
+        durable.store_table(&db.table(TABLE).unwrap()).unwrap();
+        let mut written = Vec::new();
+        for seed in 0..2 {
+            db.append_rows(TABLE, &append_batch(200, seed)).unwrap();
+            let before = durable.stats().pages_written;
+            durable.replace_table(&db.table(TABLE).unwrap()).unwrap();
+            written.push(durable.stats().pages_written - before);
+        }
+        assert_eq!(written[0], written[1], "{sources} sources: {written:?}");
+        // Restart: the table reads back bit-identical.
+        let live = db.table(TABLE).unwrap();
+        let mut durable = DurableDb::new(durable.into_device());
+        durable.recover().unwrap();
+        assert_eq!(fingerprint(&durable.read_table(TABLE).unwrap()), fingerprint(&live));
+        written[0]
+    };
+    let (small, large) = (pages_per_append(100), pages_per_append(400));
+    assert_eq!(small, large, "an append's pages do not depend on the table's size");
+    assert!(small <= 10, "{small} pages per append");
+
+    // Two divergent appends from one parent: the second is not a child
+    // of what the store holds, so it is written in full, and what reads
+    // back is its own rows.
+    let (_, table, _) = fixture();
+    let mut durable = DurableDb::new(SimulatedDevice::new(4096));
+    durable.recover().unwrap();
+    let before = durable.stats().pages_written;
+    durable.store_table(&table).unwrap();
+    let full = durable.stats().pages_written - before;
+    let (mut a, mut b) = (table.clone(), table.clone());
+    a.append_rows(&append_batch(200, 1)).unwrap();
+    b.append_rows(&append_batch(200, 2)).unwrap();
+    durable.replace_table(&a).unwrap();
+    let before = durable.stats().pages_written;
+    durable.replace_table(&b).unwrap();
+    assert!(durable.stats().pages_written - before >= full, "rewritten in full");
+    let mut durable = DurableDb::new(durable.into_device());
+    durable.recover().unwrap();
+    assert_eq!(fingerprint(&durable.read_table(TABLE).unwrap()), fingerprint(&b));
 }
 
 #[test]

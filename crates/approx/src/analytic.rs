@@ -17,6 +17,8 @@
 //! spectrum, O(1) work regardless of data size.
 
 use crate::error::{ApproxError, Result};
+use lawsdb_expr::Expr;
+use lawsdb_models::{CapturedModel, ModelParams};
 
 /// The input domain an analytic aggregate ranges over.
 #[derive(Debug, Clone, PartialEq)]
@@ -176,6 +178,67 @@ pub fn linear_aggregate_groups(
             Ok(best)
         }
     }
+}
+
+/// Closed-form `agg` of a captured model's response over `points` of
+/// its one input variable, summed over the group `keys` (ignored for an
+/// ungrouped model, whose one vector always answers).
+/// Returns the value and the largest residual SE of the groups it
+/// spans, or `None` when no closed form applies: the model is not
+/// linear in the variable, or no group or no point is admitted (SQL's
+/// aggregate over no rows is NULL, which enumeration yields).
+pub fn model_aggregate(
+    model: &CapturedModel,
+    agg: Aggregate,
+    points: &[f64],
+    keys: &[i64],
+) -> Result<Option<(f64, f64)>> {
+    let [var] = model.coverage.variables.as_slice() else {
+        return Ok(None);
+    };
+    if points.is_empty() {
+        return Ok(None);
+    }
+    let mut groups: Vec<(f64, f64, Domain)> = Vec::new();
+    let mut max_se = 0.0f64;
+    match &model.params {
+        ModelParams::Global { names, values, residual_se, .. } => {
+            let Some((a, b)) = linearize(&model.rhs, var, names, values) else {
+                return Ok(None);
+            };
+            groups.push((a, b, Domain::Points(points.to_vec())));
+            max_se = *residual_se;
+        }
+        ModelParams::Grouped { names, groups: map, .. } => {
+            for key in keys {
+                let g = &map[key];
+                let Some((a, b)) = linearize(&model.rhs, var, names, &g.values) else {
+                    return Ok(None);
+                };
+                groups.push((a, b, Domain::Points(points.to_vec())));
+                max_se = max_se.max(g.residual_se);
+            }
+        }
+    }
+    if groups.is_empty() {
+        return Ok(None);
+    }
+    Ok(Some((linear_aggregate_groups(&groups, agg)?, max_se)))
+}
+
+/// Substitute fitted parameters into the model body and test linearity
+/// in `var`: returns `(intercept, slope)` when `f(x) = intercept +
+/// slope·x` exactly.
+fn linearize(rhs: &Expr, var: &str, names: &[String], values: &[f64]) -> Option<(f64, f64)> {
+    let mut bound = rhs.clone();
+    for (n, v) in names.iter().zip(values) {
+        bound = bound.substitute(n, &Expr::Num(*v));
+    }
+    let d = lawsdb_expr::deriv::differentiate(&bound, var).ok()?;
+    let slope = d.as_const()?;
+    let at_zero = lawsdb_expr::simplify::simplify(&bound.substitute(var, &Expr::Num(0.0)));
+    let intercept = at_zero.as_const()?;
+    Some((intercept, slope))
 }
 
 #[cfg(test)]

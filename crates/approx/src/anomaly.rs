@@ -143,6 +143,7 @@ mod tests {
             max_abs_residual: None,
             state: ModelState::Active,
             legal_filter: None,
+            observed_combos: None,
         }
     }
 

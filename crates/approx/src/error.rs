@@ -25,8 +25,6 @@ pub enum ApproxError {
     },
     /// Underlying model failure.
     Model(lawsdb_models::ModelError),
-    /// Underlying query failure.
-    Query(lawsdb_query::QueryError),
     /// Underlying storage failure.
     Storage(lawsdb_storage::StorageError),
     /// Bad construction parameters (histograms, samples).
@@ -46,7 +44,6 @@ impl fmt::Display for ApproxError {
                 write!(f, "parameter space of {tuples} tuples exceeds cap {cap}")
             }
             ApproxError::Model(e) => write!(f, "model error: {e}"),
-            ApproxError::Query(e) => write!(f, "query error: {e}"),
             ApproxError::Storage(e) => write!(f, "storage error: {e}"),
             ApproxError::BadInput { detail } => write!(f, "bad input: {detail}"),
         }
@@ -57,7 +54,6 @@ impl std::error::Error for ApproxError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             ApproxError::Model(e) => Some(e),
-            ApproxError::Query(e) => Some(e),
             ApproxError::Storage(e) => Some(e),
             _ => None,
         }
@@ -67,11 +63,6 @@ impl std::error::Error for ApproxError {
 impl From<lawsdb_models::ModelError> for ApproxError {
     fn from(e: lawsdb_models::ModelError) -> Self {
         ApproxError::Model(e)
-    }
-}
-impl From<lawsdb_query::QueryError> for ApproxError {
-    fn from(e: lawsdb_query::QueryError) -> Self {
-        ApproxError::Query(e)
     }
 }
 impl From<lawsdb_storage::StorageError> for ApproxError {

@@ -5,24 +5,18 @@
 //! baselines the paper's introduction positions against (sampling and
 //! synopses) and the residual-based anomaly detector.
 //!
-//! * [`engine`] — the **model-backed approximate query engine**. It
-//!   takes the paper's own example queries verbatim:
-//!   `SELECT intensity FROM measurements WHERE source = 42 AND
-//!   wavelength = 0.14` is answered by a parameter lookup plus one model
-//!   evaluation; the predicate variant is answered by **parameter-space
-//!   enumeration** ("calculate all intensity values with the stored set
-//!   of parameters for all sources and the given wavelength") over the
-//!   enumerable domains captured at fit time. Zero base-table rows are
-//!   touched; every answer carries a ±2·SE error bound.
+//! * [`answer`] — what a **model-backed answer** carries. The model
+//!   path itself is a plan leaf: `lawsdb-query`'s `ModelScan` stands
+//!   where a base-table scan would, so the paper's own example queries
+//!   (`SELECT intensity FROM measurements WHERE source = 42 AND
+//!   wavelength = 0.14`, and the predicate variant answered by
+//!   **parameter-space enumeration**) take the engine's one parse, plan
+//!   cache and executor. Zero base-table rows are touched; every answer
+//!   carries a ±2·SE error bound.
 //! * [`analytic`] — closed-form aggregates for **linear** models
 //!   ("for the common class of linear models, we can even … calculate
 //!   analytic solutions for aggregation queries"): min/max/sum/avg/count
 //!   without materializing anything.
-//! * [`legal`] — the **legal-parameter-combination** structure: a
-//!   from-scratch Bloom filter over the observed (group, inputs)
-//!   combinations, so enumeration does not invent tuples that never
-//!   existed ("we could generate a compressed lookup structure (e.g.
-//!   Bloom filters) to encode all legal parameter combinations").
 //! * [`sampling`] — BlinkDB-style uniform sampling with CLT error bars.
 //! * [`histogram`] — equi-width / equi-depth histogram synopses with
 //!   uniform-within-bucket reconstruction.
@@ -32,22 +26,17 @@
 //! * [`explore`] — model exploration: rank the parameter space by the
 //!   model's gradient magnitude ("find interesting subsets of the data
 //!   by analyzing the first derivative of the model function").
-//! * [`inverse`] — inverse prediction à la Zimmer et al. (Section 5):
-//!   given a desired output, find the inputs that produce it, by
-//!   enumerated search or by bisection on monotone 1-D models.
 
 // `!(x < y)` guards are NaN-aware in tolerance/interval validation.
 #![allow(clippy::neg_cmp_op_on_partial_ord)]
 
 pub mod analytic;
 pub mod anomaly;
-pub mod engine;
+pub mod answer;
 pub mod error;
 pub mod explore;
 pub mod histogram;
-pub mod inverse;
-pub mod legal;
 pub mod sampling;
 
-pub use engine::{ApproxAnswer, ApproxEngine, Strategy};
+pub use answer::{ApproxAnswer, Strategy};
 pub use error::{ApproxError, Result};

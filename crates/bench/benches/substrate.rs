@@ -81,7 +81,7 @@ fn bench_sql_frontend(c: &mut Criterion) {
 
 /// E9 kernel: Bloom filter probes.
 fn bench_bloom(c: &mut Criterion) {
-    use lawsdb_approx::legal::{combo_hash, BloomFilter};
+    use lawsdb_models::legal::{combo_hash, BloomFilter};
     let mut bf = BloomFilter::with_bits_per_key(100_000, 10);
     for i in 0..100_000u64 {
         bf.insert(combo_hash(i as i64, &[0.15]));

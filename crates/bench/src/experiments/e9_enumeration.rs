@@ -9,7 +9,7 @@
 //! never-observed tuples).
 
 use crate::Scale;
-use lawsdb_approx::legal::{build_legal_filter, combo_hash};
+use lawsdb_models::legal::{build_legal_filter, combo_hash};
 use lawsdb_core::LawsDb;
 use lawsdb_data::lofar::{LofarConfig, LofarDataset};
 use lawsdb_fit::FitOptions;

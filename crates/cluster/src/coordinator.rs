@@ -30,18 +30,18 @@
 use std::sync::Arc;
 use std::time::Instant;
 
-use lawsdb_approx::ApproxEngine;
 use lawsdb_core::DegradeReason;
 use lawsdb_fit::FitOptions;
 use lawsdb_models::bridge::fit_table_grouped;
 use lawsdb_models::ModelCatalog;
 use lawsdb_obs::{fields, Counter, Gauge, Histogram, MetricsRegistry, ProfileContext};
+use lawsdb_query::optimize::optimize;
 use lawsdb_query::plan::AggSpec;
-use lawsdb_query::sql::{AggFunc, OrderBy};
+use lawsdb_query::sql::{AggFunc, OrderBy, SelectStatement};
 use lawsdb_query::{
     assemble_partials, execute_with, group_key_hash, limit_rows, merge_shard_partials,
-    parse_select, shard_partials, sort_rows, ExecOptions, LogicalPlan, PruningPredicate,
-    QueryError, ShardPartials,
+    parse_select, shard_partials, sort_rows, CostConstants, ExecOptions, LogicalPlan, ModelPlan,
+    PruningPredicate, QueryError, ShardPartials,
 };
 use lawsdb_storage::zonemap::PredOp;
 use lawsdb_storage::{Catalog, DataType, FaultMode, Schema, Table, Value};
@@ -100,8 +100,10 @@ pub struct ClusterAnswer {
     pub error_bound: Option<f64>,
 }
 
+/// A shard's captured model, in a catalog of its own for the model
+/// leaf to resolve against, and the residual bound that gates it.
 struct ShardModel {
-    engine: ApproxEngine,
+    models: ModelCatalog,
     bound: Option<f64>,
 }
 
@@ -237,12 +239,9 @@ impl Cluster {
                     detail: format!("model capture on shard {s}: {e}"),
                 })?;
             let bound = model.max_abs_residual;
-            let catalog = Arc::new(ModelCatalog::new());
-            catalog.store(model);
-            *self.shards[s].model.lock() = Some(ShardModel {
-                engine: ApproxEngine::new(catalog),
-                bound,
-            });
+            let models = ModelCatalog::new();
+            models.store(model);
+            *self.shards[s].model.lock() = Some(ShardModel { models, bound });
         }
         Ok(())
     }
@@ -269,7 +268,7 @@ impl Cluster {
         let plan = LogicalPlan::from_statement(&stmt)?;
         let started = Instant::now();
         let answer = match decompose(&plan) {
-            Some(shape) => self.scatter_gather(sql, &shape, &opts, ctx.as_ref()),
+            Some(shape) => self.scatter_gather(&stmt, &shape, &opts, ctx.as_ref()),
             None => self.gather_execute(sql, &opts, ctx.as_ref()),
         };
         self.metrics
@@ -281,7 +280,7 @@ impl Cluster {
 
     fn scatter_gather(
         &self,
-        sql: &str,
+        stmt: &SelectStatement,
         shape: &AggShape,
         opts: &ExecOptions,
         ctx: Option<&ProfileContext>,
@@ -312,7 +311,7 @@ impl Cluster {
                     partials.push(sp);
                 }
                 Err(AttemptError::Fatal(e)) => return Err(e),
-                Err(AttemptError::Replica(detail)) => match self.model_answer(s, shape, sql) {
+                Err(AttemptError::Replica(detail)) => match self.model_answer(s, shape, stmt) {
                     Ok((mt, bound)) => {
                         self.metrics.model_fallbacks.inc();
                         error_bound = match (error_bound, bound) {
@@ -635,7 +634,7 @@ impl Cluster {
         &self,
         s: usize,
         shape: &AggShape,
-        sql: &str,
+        stmt: &SelectStatement,
     ) -> std::result::Result<(Table, Option<f64>), String> {
         let PartitionScheme::Hash { key } = &self.cfg.scheme else {
             return Err(
@@ -674,7 +673,15 @@ impl Cluster {
                 ))
             }
         }
-        let ans = model.engine.answer(sql).map_err(|e| format!("model cannot answer: {e}"))?;
+        // The engine's own lowering and executor; the leaf reads no
+        // table, so the catalog it is priced and run against is empty.
+        let cannot = |e: &dyn std::fmt::Display| format!("model cannot answer: {e}");
+        let logical = optimize(&LogicalPlan::from_statement(stmt).map_err(|e| cannot(&e))?);
+        let catalog = Catalog::new();
+        let consts = CostConstants::default();
+        let plan = ModelPlan::lower(stmt, &logical, &model.models, &catalog, &consts);
+        let plan = plan.map_err(|e| cannot(&e))?;
+        let ans = plan.run(&catalog, &ExecOptions::default()).map_err(|e| cannot(&e))?;
         Ok((ans.table, ans.error_bound))
     }
 

@@ -5,20 +5,21 @@ use crate::resilience::{
     sample_rows, DegradeReason, HealthCounters, HealthSnapshot, ResilientAnswer,
 };
 use crate::session::Session;
-use lawsdb_approx::legal::build_legal_filter;
-use lawsdb_approx::{ApproxAnswer, ApproxEngine};
+use lawsdb_approx::{ApproxAnswer, ApproxError};
 use lawsdb_fit::FitOptions as RawFitOptions;
 use lawsdb_models::bridge::{
     fit_table, fit_table_grouped, fit_table_grouped_where, fit_table_where,
 };
+use lawsdb_models::legal::build_legal_filter;
 use lawsdb_models::model::ModelId;
 use lawsdb_models::{CapturedModel, ModelCatalog, ModelState};
 use lawsdb_obs::{fields, MetricsRegistry};
+use lawsdb_query::sql::SelectStatement;
 use lawsdb_query::{
-    CostConstants, ExecOptions, PhysicalPlan, PlanCache, QueryResult, ScanStatsCollector,
+    CostConstants, ExecOptions, ModelPlan, PhysicalPlan, PlanCache, QueryResult,
+    ScanStatsCollector,
 };
 use lawsdb_storage::{Catalog, Column, Table};
-use parking_lot::RwLock;
 use std::sync::Arc;
 
 /// Rows sampled by the residual drift check — enough to catch a
@@ -96,7 +97,6 @@ pub enum AnswerMode {
 pub struct LawsDb {
     tables: Catalog,
     models: Arc<ModelCatalog>,
-    approx: RwLock<ApproxEngine>,
     /// Quality gate for captured models.
     pub quality: QualityPolicy,
     /// Knobs for the exact query path: worker thread count (0 = one per
@@ -136,7 +136,6 @@ impl LawsDb {
         };
         LawsDb {
             tables: Catalog::new(),
-            approx: RwLock::new(ApproxEngine::new(Arc::clone(&models))),
             models,
             quality: QualityPolicy::default(),
             exec,
@@ -216,17 +215,35 @@ impl LawsDb {
     /// Parse, optimize, and cost `sql` — or fetch the cached physical
     /// plan when one was built against the current stats epoch.
     pub fn physical_plan(&self, sql: &str) -> Result<Arc<PhysicalPlan>> {
-        let stmt = lawsdb_query::parse_select(sql).map_err(CoreError::Query)?;
+        Ok(self.plan(sql)?.1)
+    }
+
+    /// The one parse and plan-cache lookup behind every entry point;
+    /// the statement comes back too, for lowering the model alternative.
+    fn plan(&self, sql: &str) -> Result<(SelectStatement, Arc<PhysicalPlan>)> {
+        let stmt = lawsdb_query::parse_select(sql)?;
         let key = lawsdb_query::normalize_statement(&stmt);
         let epoch = self.stats_epoch();
         if let Some(plan) = self.plan_cache.get(&key, epoch) {
-            return Ok(plan);
+            return Ok((stmt, plan));
         }
-        let logical = lawsdb_query::LogicalPlan::from_statement(&stmt).map_err(CoreError::Query)?;
+        let logical = lawsdb_query::LogicalPlan::from_statement(&stmt)?;
         let optimized = lawsdb_query::optimize::optimize(&logical);
         let plan = Arc::new(lawsdb_query::plan_physical(&self.tables, &optimized, &self.cost));
         self.plan_cache.put(key, epoch, Arc::clone(&plan));
-        Ok(plan)
+        Ok((stmt, plan))
+    }
+
+    /// The cached plan's model alternative, lowered onto the engine's
+    /// models on the first model request for that plan.
+    fn model_plan<'p>(
+        &self,
+        stmt: &SelectStatement,
+        plan: &'p PhysicalPlan,
+    ) -> std::result::Result<&'p ModelPlan, ApproxError> {
+        plan.model_plan(|| {
+            ModelPlan::lower(stmt, plan.logical(), &self.models, &self.tables, &self.cost)
+        })
     }
 
     /// Execute a query exactly against base tables, using the engine's
@@ -245,22 +262,35 @@ impl LawsDb {
     /// counters keep flowing.
     pub fn query_with(&self, sql: &str, exec: &ExecOptions) -> Result<QueryResult> {
         let plan = self.physical_plan(sql)?;
+        self.run_exact(&plan, exec)
+    }
+
+    fn run_exact(&self, plan: &PhysicalPlan, exec: &ExecOptions) -> Result<QueryResult> {
         let opts = self.resolve_exec(exec);
-        Ok(lawsdb_query::execute_physical_with(&self.tables, &plan, &opts)?)
+        Ok(lawsdb_query::execute_physical_with(&self.tables, plan, &opts)?)
     }
 
     /// EXPLAIN: the cost-based physical plan for a query, one node per
     /// line with estimated rows and cost appended, without executing
     /// it. The line sequence matches the logical
     /// [`lawsdb_query::LogicalPlan::explain`] exactly; estimates are
-    /// appended to each line, never inserted as new lines.
+    /// appended to each line, never inserted as new lines. When a
+    /// captured model can answer the query, its tree follows, rooted
+    /// at column 0 again, with the `ModelScan` leaf where the scan was.
     pub fn explain(&self, sql: &str) -> Result<String> {
-        Ok(self.physical_plan(sql)?.explain())
+        let (stmt, plan) = self.plan(sql)?;
+        let mut text = plan.explain();
+        if let Ok(model) = self.model_plan(&stmt, &plan) {
+            text.push_str(&model.plan.explain());
+        }
+        Ok(text)
     }
 
-    /// Answer a query approximately from captured models (zero-IO).
+    /// Answer a query approximately from captured models (zero-IO): the
+    /// cached plan's model alternative, run under default options.
     pub fn query_approx(&self, sql: &str) -> Result<ApproxAnswer> {
-        Ok(self.approx.read().answer(sql)?)
+        let (stmt, plan) = self.plan(sql)?;
+        Ok(self.model_plan(&stmt, &plan)?.run(&self.tables, &ExecOptions::default())?)
     }
 
     /// The paper's single user-facing act (Fig. 2 steps 4–5): answer
@@ -272,11 +302,12 @@ impl LawsDb {
     /// and counted in [`LawsDb::health`].
     ///
     /// [`AnswerMode::Adaptive`] puts the cost gate in front of the same
-    /// ladder. The exact rung runs under `exec` (the caller's threads,
-    /// budget and cancel token; the model rung is zero-IO and needs none
-    /// of them), and a profile context riding on `exec.profile` collects
-    /// the ladder's own decisions (`resilient.*` points) next to the
-    /// exact rung's plan tree.
+    /// ladder. Both rungs run from the one cached plan. The exact rung
+    /// runs under `exec` (the caller's threads, budget and cancel
+    /// token); the model rung, zero-IO, runs under default options. A
+    /// profile context riding on `exec.profile` collects the ladder's
+    /// own decisions (`resilient.*` points) next to the plan tree of
+    /// whichever rung ran.
     pub fn answer(
         &self,
         sql: &str,
@@ -284,18 +315,26 @@ impl LawsDb {
         exec: &ExecOptions,
     ) -> Result<ResilientAnswer> {
         let ctx = exec.profile.as_ref();
+        let (stmt, plan) = self.plan(sql)?;
         let try_model = match mode {
             AnswerMode::Resilient => true,
             AnswerMode::Adaptive => {
-                let est = self.physical_plan(sql)?.root_estimate();
+                let est = plan.root_estimate();
                 self.cost.model_answer_cost_us(est.rows) <= est.cost_us
             }
         };
         let mut degraded = Vec::new();
         if try_model {
-            let reason = match self.query_approx(sql) {
-                Ok(a) => match self.freshness_guard(&a) {
-                    None => {
+            let opts = ExecOptions { profile: exec.profile.clone(), ..ExecOptions::default() };
+            let reason = match self.model_plan(&stmt, &plan) {
+                Err(
+                    e @ (ApproxError::NotAnswerable { .. }
+                    | ApproxError::EnumerationTooLarge { .. }),
+                ) => DegradeReason::NoModel { detail: e.to_string() },
+                Err(e) => return Err(e.into()),
+                Ok(model) => {
+                    let a = model.run(&self.tables, &opts)?;
+                    let Some(reason) = self.freshness_guard(&a) else {
                         self.health.record_approx();
                         if let Some(ctx) = ctx {
                             ctx.point(
@@ -308,19 +347,12 @@ impl LawsDb {
                             );
                         }
                         return Ok(ResilientAnswer { answer: Answer::Approx(a), degraded });
-                    }
-                    Some(reason) => {
-                        // Demote so the next query doesn't retry the
-                        // model, then answer this one exactly.
-                        let _ = self.models.set_state(a.model, ModelState::Stale);
-                        reason
-                    }
-                },
-                Err(CoreError::Approx(
-                    e @ (lawsdb_approx::ApproxError::NotAnswerable { .. }
-                    | lawsdb_approx::ApproxError::EnumerationTooLarge { .. }),
-                )) => DegradeReason::NoModel { detail: e.to_string() },
-                Err(e) => return Err(e),
+                    };
+                    // Demote so the next query doesn't retry the model,
+                    // then answer this one exactly.
+                    let _ = self.models.set_state(a.model, ModelState::Stale);
+                    reason
+                }
             };
             self.health.record(&reason);
             if let Some(ctx) = ctx {
@@ -331,7 +363,7 @@ impl LawsDb {
             }
             degraded.push(reason);
         }
-        Ok(ResilientAnswer { answer: Answer::Exact(self.query_with(sql, exec)?), degraded })
+        Ok(ResilientAnswer { answer: Answer::Exact(self.run_exact(&plan, exec)?), degraded })
     }
 
     /// Caller options resolved against the engine's defaults: the
@@ -350,7 +382,7 @@ impl LawsDb {
     }
 
     /// Post-hoc staleness verification of the model that produced `a`
-    /// (the approximate engine is zero-IO by design, so the base-table
+    /// (the model leaf is zero-IO by design, so the base-table
     /// comparison has to happen here). Returns the reason to degrade,
     /// or `None` when the model is still current.
     fn freshness_guard(&self, a: &ApproxAnswer) -> Option<DegradeReason> {
@@ -402,8 +434,8 @@ impl LawsDb {
     }
 
     /// Capture a model: fit `formula` against `table` (grouped by
-    /// `group_column` if given), judge it, store it, build its legal
-    /// filter, and return the stored snapshot.
+    /// `group_column` if given), judge it, attach its legal-combination
+    /// filter, store it, and return the stored snapshot.
     ///
     /// Models failing the quality gate are stored `Retired` (or dropped
     /// per policy) and reported as [`CoreError::QualityRejected`].
@@ -461,26 +493,21 @@ impl LawsDb {
             }
             model.state = ModelState::Retired;
         }
+        // The legal-combination Bloom filter of the observed rows
+        // (Section 4.2's compressed lookup structure) rides with the
+        // model, so enumeration never invents a combination.
+        if let (true, Some(g)) = (passed, group_column) {
+            let groups = table.column(g).and_then(|c| c.i64_data());
+            let vars: lawsdb_storage::Result<Vec<&[f64]>> =
+                model.coverage.variables.iter().map(|v| table.column(v)?.f64_data()).collect();
+            if let (Ok(groups), Ok(vars)) = (groups, vars) {
+                let bf = build_legal_filter(groups, &vars, LEGAL_FILTER_BITS_PER_KEY);
+                model.observed_combos = Some(Arc::new(bf));
+            }
+        }
         let stored = self.models.store(model);
         if !passed {
             return Err(CoreError::QualityRejected { r2, min_r2: self.quality.min_r2 });
-        }
-        // Build the legal-combination Bloom filter from the observed
-        // rows (Section 4.2's compressed lookup structure).
-        if let Some(g) = group_column {
-            if let (Ok(groups), Ok(var_views)) = (
-                table.column(g).and_then(|c| c.i64_data().map(<[i64]>::to_vec)),
-                stored
-                    .coverage
-                    .variables
-                    .iter()
-                    .map(|v| table.column(v).and_then(|c| c.f64_data().map(<[f64]>::to_vec)))
-                    .collect::<lawsdb_storage::Result<Vec<_>>>(),
-            ) {
-                let slices: Vec<&[f64]> = var_views.iter().map(Vec::as_slice).collect();
-                let bf = build_legal_filter(&groups, &slices, LEGAL_FILTER_BITS_PER_KEY);
-                self.approx.write().register_legal_filter(stored.id, bf);
-            }
         }
         Ok(stored)
     }

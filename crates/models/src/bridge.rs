@@ -109,6 +109,7 @@ pub fn fit_table(
         max_abs_residual: None,
         state: ModelState::Active,
         legal_filter: None,
+        observed_combos: None,
     };
     model.max_abs_residual = max_abs_residual(&model, table)?;
     Ok(model)
@@ -190,6 +191,7 @@ pub fn fit_table_grouped(
         max_abs_residual: None,
         state: ModelState::Active,
         legal_filter: None,
+        observed_combos: None,
     };
     model.max_abs_residual = max_abs_residual(&model, table)?;
     Ok((model, grouped))

@@ -20,6 +20,10 @@
 //! kept — "a model with a previously poor fit [may become] relevant
 //! again").
 //!
+//! [`legal`] holds the legal-combination Bloom filter a captured model
+//! carries, so parameter-space enumeration does not invent tuples that
+//! never existed.
+//!
 //! Two related-work baselines live here because they are alternative
 //! *model classes*, not query strategies:
 //!
@@ -30,6 +34,7 @@ pub mod bridge;
 pub mod catalog;
 pub mod error;
 pub mod grid;
+pub mod legal;
 pub mod model;
 pub mod persist;
 pub mod piecewise;

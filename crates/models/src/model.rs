@@ -1,9 +1,11 @@
 //! The captured model artifact.
 
 use crate::error::{ModelError, Result};
+use crate::legal::BloomFilter;
 use lawsdb_expr::compile::ExecStack;
 use lawsdb_expr::{parse_expr, Bindings, CompiledExpr, Expr};
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// Opaque model identifier assigned by the catalog.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -163,6 +165,11 @@ pub struct CapturedModel {
     /// legal values of the parameter space … by supplying a filter
     /// function").
     pub legal_filter: Option<Expr>,
+    /// Bloom filter of the (group, variables…) combinations observed at
+    /// capture, so enumeration does not invent tuples that never existed
+    /// (Section 4.2's "compressed lookup structure"). Held in memory
+    /// only: a model loaded from a persisted image has none.
+    pub observed_combos: Option<Arc<BloomFilter>>,
 }
 
 impl CapturedModel {
@@ -345,6 +352,7 @@ mod tests {
             max_abs_residual: None,
             state: ModelState::Active,
             legal_filter: None,
+            observed_combos: None,
         }
     }
 
@@ -440,6 +448,7 @@ mod tests {
             max_abs_residual: None,
             state: ModelState::Active,
             legal_filter: None,
+            observed_combos: None,
         };
         assert_eq!(m.predict_scalar(None, &[("x", 3.0)]).unwrap(), 7.0);
         // Group argument is ignored for global models.

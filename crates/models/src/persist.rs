@@ -236,6 +236,7 @@ fn decode_model(r: &mut Reader<'_>) -> Result<CapturedModel> {
         max_abs_residual,
         state,
         legal_filter,
+        observed_combos: None,
     })
 }
 

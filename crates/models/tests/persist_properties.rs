@@ -87,6 +87,7 @@ fn arb_model() -> impl Strategy<Value = CapturedModel> {
                 max_abs_residual: None,
                 state: [ModelState::Active, ModelState::Stale, ModelState::Retired][state_i],
                 legal_filter,
+                observed_combos: None,
             }
         })
 }

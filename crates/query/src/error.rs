@@ -84,6 +84,8 @@ pub enum QueryError {
     },
     /// Underlying storage failure.
     Storage(StorageError),
+    /// A model leaf failed to evaluate its captured model.
+    Model(lawsdb_models::ModelError),
 }
 
 impl fmt::Display for QueryError {
@@ -114,6 +116,7 @@ impl fmt::Display for QueryError {
                 write!(f, "worker panicked in morsel at row {offset}: {detail}")
             }
             QueryError::Storage(e) => write!(f, "storage error: {e}"),
+            QueryError::Model(e) => write!(f, "model error: {e}"),
         }
     }
 }
@@ -122,6 +125,7 @@ impl std::error::Error for QueryError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             QueryError::Storage(e) => Some(e),
+            QueryError::Model(e) => Some(e),
             _ => None,
         }
     }

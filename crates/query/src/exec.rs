@@ -27,18 +27,29 @@ use std::sync::Arc;
 /// Result of executing a query: the output table plus the exact number
 /// of base-table rows the executor materialized.
 ///
-/// `rows_scanned` is the paper's currency — the approximate engine's
-/// whole point is answering with `rows_scanned == 0`. It deliberately
-/// keeps its pre-pruning meaning (rows the scans covered); the zones
-/// that pruning actually skipped are reported in `scan_stats`.
+/// `rows_scanned` is the paper's currency — the model path's whole
+/// point is answering with `rows_scanned == 0`. It deliberately keeps
+/// its pre-pruning meaning (rows the scans covered); the zones that
+/// pruning actually skipped are reported in `scan_stats`.
 #[derive(Debug, Clone)]
 pub struct QueryResult {
     /// Output rows.
     pub table: Table,
     /// Base-table rows materialized by scans.
     pub rows_scanned: usize,
+    /// Cells materialized by model leaves (the CPU the model path pays
+    /// instead of IO).
+    pub cells_reconstructed: usize,
     /// Zone-level pruning counters for this query.
     pub scan_stats: ScanStats,
+}
+
+/// What a plan's leaves touched: base rows scanned and model cells
+/// reconstructed.
+#[derive(Debug, Default)]
+struct Touched {
+    rows: usize,
+    cells: usize,
 }
 
 /// Parse, plan, optimize and execute a SELECT statement with explicit
@@ -80,8 +91,8 @@ pub(crate) fn execute_plan_with(
     // bare zero-copy scan) must still honour an already-cancelled
     // token or an already-expired deadline.
     opts.governor_check()?;
-    let mut scanned = 0usize;
-    let table = exec(catalog, plan, &mut scanned, &opts);
+    let mut touched = Touched::default();
+    let table = exec(catalog, plan, &mut touched, &opts);
     let scan_stats = collector.snapshot();
     if let Some(shared) = shared {
         shared.add(&scan_stats);
@@ -107,22 +118,27 @@ pub(crate) fn execute_plan_with(
             );
         }
     }
-    Ok(QueryResult { table, rows_scanned: scanned, scan_stats })
+    Ok(QueryResult {
+        table,
+        rows_scanned: touched.rows,
+        cells_reconstructed: touched.cells,
+        scan_stats,
+    })
 }
 
 /// Materialize a base-table scan: zero-copy clone/projection plus the
-/// `rows_scanned` accounting. `scanned` is bumped by the full table row
+/// `rows_scanned` accounting. `touched.rows` is bumped by the full table row
 /// count *before* any filter runs, identically on the serial and
 /// parallel paths.
 fn scan_table(
     catalog: &Catalog,
     table: &str,
     projection: &Option<Vec<String>>,
-    scanned: &mut usize,
+    touched: &mut Touched,
     opts: &ExecOptions,
 ) -> Result<Table> {
     let t = catalog.get(table)?;
-    *scanned += t.row_count();
+    touched.rows += t.row_count();
     // Rows are charged at scan admission, before any filter runs; the
     // scan itself is zero-copy and charges no memory.
     opts.charge_rows(t.row_count())?;
@@ -152,6 +168,7 @@ fn plan_node_name(plan: &LogicalPlan) -> &'static str {
     match plan {
         LogicalPlan::Scan { .. } => "plan.scan",
         LogicalPlan::EmptyScan { .. } => "plan.scan.empty",
+        LogicalPlan::ModelScan(_) => "plan.scan.model",
         LogicalPlan::Join { .. } => "plan.join",
         LogicalPlan::Filter { .. } => "plan.filter",
         LogicalPlan::Aggregate { .. } => "plan.aggregate",
@@ -169,15 +186,15 @@ fn plan_node_name(plan: &LogicalPlan) -> &'static str {
 fn exec(
     catalog: &Catalog,
     plan: &LogicalPlan,
-    scanned: &mut usize,
+    touched: &mut Touched,
     opts: &ExecOptions,
 ) -> Result<Table> {
     let Some(ctx) = &opts.profile else {
-        return exec_node(catalog, plan, scanned, opts);
+        return exec_node(catalog, plan, touched, opts);
     };
     let mut span = ctx.span(plan_node_name(plan));
     let child = ExecOptions { profile: Some(span.child()), ..opts.clone() };
-    let r = exec_node(catalog, plan, scanned, &child);
+    let r = exec_node(catalog, plan, touched, &child);
     match &r {
         Ok(t) => span.field("rows_out", t.row_count() as u64),
         Err(e) => span.field("error", e.to_string()),
@@ -188,12 +205,12 @@ fn exec(
 fn exec_node(
     catalog: &Catalog,
     plan: &LogicalPlan,
-    scanned: &mut usize,
+    touched: &mut Touched,
     opts: &ExecOptions,
 ) -> Result<Table> {
     match plan {
         LogicalPlan::Scan { table, projection } => {
-            scan_table(catalog, table, projection, scanned, opts)
+            scan_table(catalog, table, projection, touched, opts)
         }
         LogicalPlan::EmptyScan { table, projection } => {
             // Statically empty (`LIMIT 0` elision): resolve the schema
@@ -201,31 +218,45 @@ fn exec_node(
             let t = project_known(&*catalog.get(table)?, projection)?;
             Ok(t.take(&[])?)
         }
+        LogicalPlan::ModelScan(m) => {
+            let t = m.materialize(opts)?;
+            touched.cells += t.row_count();
+            project_known(&t, &m.projection)
+        }
         LogicalPlan::Join { left, right, left_col, right_col } => {
-            let lt = exec(catalog, left, scanned, opts)?;
-            let rt = exec(catalog, right, scanned, opts)?;
+            let lt = exec(catalog, left, touched, opts)?;
+            let rt = exec(catalog, right, touched, opts)?;
             hash_join(&lt, &rt, left_col, right_col, opts)
         }
         LogicalPlan::Filter { input, predicate } => {
-            let t = exec(catalog, input, scanned, opts)?;
+            let t = exec(catalog, input, touched, opts)?;
             let predicate = normalize_expr(predicate, t.schema())?;
             parallel_filter(&t, &predicate, opts)
         }
         LogicalPlan::Aggregate { input, group_by, aggs } => {
-            // Pipeline shape Aggregate(Filter?(Scan)): fuse the filter
-            // into the per-morsel aggregation instead of materializing
-            // the filtered table.
-            if let Some((table, projection, predicate)) = scan_pipeline(input) {
-                let t = scan_table(catalog, table, projection, scanned, opts)?;
+            // Pipeline shape Aggregate(Filter?(Scan | ModelScan)): fuse
+            // the filter into the per-morsel aggregation instead of
+            // materializing the filtered table. A model leaf carrying
+            // the analytic rewrite already holds the aggregate's row.
+            if let Some((leaf, predicate)) = scan_pipeline(input) {
+                let t = match leaf {
+                    // The model leaf keeps its own span under the
+                    // aggregate's; a base scan stays part of the kernel.
+                    LogicalPlan::ModelScan(m) => match &m.analytic {
+                        Some(row) => return Ok(row.clone()),
+                        None => exec(catalog, leaf, touched, opts)?,
+                    },
+                    _ => exec_node(catalog, leaf, touched, opts)?,
+                };
                 let predicate =
                     predicate.map(|p| normalize_expr(p, t.schema())).transpose()?;
                 return aggregate_pipeline(&t, predicate.as_ref(), group_by, aggs, opts);
             }
-            let t = exec(catalog, input, scanned, opts)?;
+            let t = exec(catalog, input, touched, opts)?;
             aggregate(&t, group_by, aggs)
         }
         LogicalPlan::Project { input, exprs, star } => {
-            let t = exec(catalog, input, scanned, opts)?;
+            let t = exec(catalog, input, touched, opts)?;
             let mut fields = Vec::new();
             let mut cols = Vec::new();
             if *star {
@@ -243,13 +274,13 @@ fn exec_node(
             Ok(Table::new("result", Schema::new(fields), cols)?)
         }
         LogicalPlan::Sort { input, keys } => {
-            let t = exec(catalog, input, scanned, opts)?;
+            let t = exec(catalog, input, touched, opts)?;
             // Sorting gathers every input row into a fresh table.
             charge_take(opts, &t, t.row_count())?;
             sort(&t, keys)
         }
         LogicalPlan::Distinct { input } => {
-            let t = exec(catalog, input, scanned, opts)?;
+            let t = exec(catalog, input, touched, opts)?;
             // Every row keyed by all its cells; each group keeps its first.
             let cols: Vec<&Column> = t.columns().iter().collect();
             let mut keep = Vec::new();
@@ -258,7 +289,7 @@ fn exec_node(
             Ok(t.take(&keep)?)
         }
         LogicalPlan::Limit { input, n } => {
-            let t = exec(catalog, input, scanned, opts)?;
+            let t = exec(catalog, input, touched, opts)?;
             let keep: Vec<usize> = (0..t.row_count().min(*n)).collect();
             charge_take(opts, &t, keep.len())?;
             Ok(t.take(&keep)?)
@@ -293,21 +324,17 @@ fn charge_take(opts: &ExecOptions, t: &Table, rows: usize) -> Result<()> {
     opts.charge_memory(table_bytes / t.row_count() * rows)
 }
 
-/// A recognized morselizable pipeline tail: `(table, projection,
-/// predicate)`.
-type ScanPipeline<'p> = (&'p str, &'p Option<Vec<String>>, Option<&'p ScalarExpr>);
-
-/// Recognize a morselizable pipeline tail: a bare `Scan`, or
-/// `Filter(Scan)`.
-fn scan_pipeline(plan: &LogicalPlan) -> Option<ScanPipeline<'_>> {
+/// Recognize a morselizable pipeline tail: a bare scan leaf (`Scan` or
+/// `ModelScan`), or `Filter` over one. Returns the leaf and the filter's
+/// predicate.
+fn scan_pipeline(plan: &LogicalPlan) -> Option<(&LogicalPlan, Option<&ScalarExpr>)> {
+    let is_leaf =
+        |p: &LogicalPlan| matches!(p, LogicalPlan::Scan { .. } | LogicalPlan::ModelScan(_));
     match plan {
-        LogicalPlan::Scan { table, projection } => Some((table, projection, None)),
-        LogicalPlan::Filter { input, predicate } => match &**input {
-            LogicalPlan::Scan { table, projection } => {
-                Some((table, projection, Some(predicate)))
-            }
-            _ => None,
-        },
+        LogicalPlan::Filter { input, predicate } if is_leaf(input) => {
+            Some((input, Some(predicate)))
+        }
+        leaf if is_leaf(leaf) => Some((leaf, None)),
         _ => None,
     }
 }
@@ -790,9 +817,9 @@ mod tests {
             // Optimized path: EmptyScan, zero IO.
             let opt = execute_with(&c, sql, &ExecOptions::default()).unwrap();
             // Unoptimized path: full scan, limit drops everything.
-            let mut scanned = 0usize;
+            let mut touched = Touched::default();
             let base =
-                exec(&c, &raw, &mut scanned, &ExecOptions::default()).unwrap();
+                exec(&c, &raw, &mut touched, &ExecOptions::default()).unwrap();
             assert_eq!(opt.table.row_count(), 0, "{sql}");
             assert_eq!(base.row_count(), 0, "{sql}");
             assert_eq!(
@@ -801,7 +828,7 @@ mod tests {
                 "schema must survive elision: {sql}"
             );
             assert_eq!(opt.rows_scanned, 0, "elided plan must do zero IO: {sql}");
-            assert_eq!(scanned, 5, "unoptimized plan scans the table: {sql}");
+            assert_eq!(touched.rows, 5, "unoptimized plan scans the table: {sql}");
         }
     }
 

@@ -17,9 +17,11 @@
 //! ```
 //!
 //! This crate answers them *exactly* (the baseline every approximate
-//! answer is judged against) and exposes the plan structure that the
-//! approximate engine in `lawsdb-approx` rewrites against captured
-//! models. The executor counts the base-table rows it touches —
+//! answer is judged against) and, when a captured model covers the
+//! statement, *from the model*: [`model_scan`] lowers the same plan onto
+//! a [`ModelScan`] leaf that enumerates the model's parameter space
+//! where the scan would read rows, and the same executor runs the rest.
+//! The executor counts the base-table rows it touches —
 //! [`QueryResult::rows_scanned`] — which is the denominator of every
 //! "zero-IO" claim.
 //!
@@ -40,6 +42,7 @@ pub mod cost;
 pub mod error;
 pub mod exec;
 pub mod governor;
+pub mod model_scan;
 pub mod morsel;
 pub mod optimize;
 pub mod partial;
@@ -55,6 +58,7 @@ pub use error::{QueryError, Result};
 pub use exec::{execute_with, QueryResult};
 pub use lawsdb_obs::{ProfileCollector, ProfileContext, TraceNode};
 pub use governor::{CancelToken, Governor, ResourceBudget};
+pub use model_scan::{ModelPlan, ModelScan};
 pub use morsel::ExecOptions;
 pub use partial::{
     assemble_partials, group_key_hash, limit_rows, merge_shard_partials, shard_partials,

@@ -1,0 +1,926 @@
+//! The model leaf: answering from a captured model where a scan would
+//! read base rows.
+//!
+//! PAPER.md §4.2 answers a query by enumerating a model's parameter
+//! space. Here that enumeration is a plan leaf, [`ModelScan`], standing
+//! where the statement's `Scan` stood. [`ModelPlan::lower`] builds it
+//! from the statement and the engine's optimized plan:
+//!
+//! 1. **Resolve** the best active model whose response the statement
+//!    names, and refuse ([`ApproxError::NotAnswerable`]) when the
+//!    statement names a column the model does not reconstruct.
+//! 2. **Constrain** the dimensions from the predicate's conjunctive
+//!    equality and range constraints, with names resolved against the
+//!    model's relation the way the executor resolves them: the group
+//!    column restricts the keys, pinned variables evaluate at the given
+//!    point, and the others fall back to the domains enumerated at fit
+//!    time. An unpinned variable with no domain, or more than
+//!    [`ENUMERATION_CAP`] cells, is refused.
+//! 3. **Rewrite** `Aggregate(ModelScan)` to its closed form when the
+//!    model is linear in its one variable ([`lawsdb_approx::analytic`]):
+//!    the leaf then holds the one-row answer and nothing is enumerated.
+//!
+//! The executor materializes the leaf's relation `(group, variables…,
+//! response)` through `TableBuilder`, one group key per morsel, merged
+//! in key order, with cells outside the model's coverage, illegal
+//! combinations and keys whose predicted range refutes a response
+//! conjunct dropped. Everything above the leaf (filters, aggregates,
+//! sorts, limits) is the ordinary executor. Every answer quotes ±2·the
+//! largest residual SE of the keys it spans.
+
+use crate::cost::CostConstants;
+use crate::error::{QueryError, Result};
+use crate::exec::{normalize_expr, normalize_name};
+use crate::morsel::{parallel_morsels, ExecOptions};
+use crate::physical::{execute_physical_with, plan_physical, PhysicalPlan};
+use crate::plan::LogicalPlan;
+use crate::pruning::PruningPredicate;
+use crate::sexpr::ScalarExpr;
+use crate::sql::{AggFunc, SelectItem, SelectStatement};
+use lawsdb_approx::analytic::{model_aggregate, Aggregate};
+use lawsdb_approx::{ApproxAnswer, ApproxError, Strategy};
+use lawsdb_expr::{Bindings, Expr};
+use lawsdb_models::legal::combo_hash;
+use lawsdb_models::model::ModelId;
+use lawsdb_models::{CapturedModel, ModelCatalog, ModelParams};
+use lawsdb_storage::schema::{DataType, Field, Schema};
+use lawsdb_storage::zonemap::PredOp;
+use lawsdb_storage::{Catalog, Column, Table, TableBuilder};
+use std::collections::HashMap;
+use std::sync::Arc;
+
+/// Most cells one model leaf may enumerate.
+pub const ENUMERATION_CAP: usize = 10_000_000;
+
+/// A plan leaf that reconstructs a modelled table's relation `(group,
+/// variables…, response)` from a captured model instead of reading its
+/// rows. It reads no base row: `rows_scanned` stays 0, and the cells it
+/// materializes are counted in
+/// [`QueryResult::cells_reconstructed`](crate::QueryResult).
+#[derive(Debug, Clone)]
+pub struct ModelScan {
+    /// Columns to materialize, or `None` for all (the replaced scan's).
+    pub projection: Option<Vec<String>>,
+    /// The model snapshot the plan was lowered against.
+    pub model: Arc<CapturedModel>,
+    /// Admitted group keys in key order (`[None]` for a global model).
+    pub keys: Vec<Option<i64>>,
+    /// Per input variable, in coverage order, the values enumerated.
+    pub values: Vec<Vec<f64>>,
+    /// Keys × grid points: the cells enumerated before any is dropped.
+    pub cells: usize,
+    /// Every dimension pinned by equality: a prediction request, which
+    /// bypasses legality.
+    pub point: bool,
+    /// The model's coverage predicate, parsed: cells outside it are
+    /// dropped.
+    pub coverage: Option<Expr>,
+    /// Sargable conjuncts on the response: a key whose predicted range
+    /// refutes one is dropped before its cells materialize (the
+    /// reconstructed response is the prediction, so no residual slack).
+    pub response_conjuncts: Vec<(PredOp, f64)>,
+    /// ±bound the answer quotes: 2·the largest residual SE of the keys.
+    pub bound: Option<f64>,
+    /// The analytic rewrite of the aggregate above this leaf: its
+    /// one-row answer, computed in closed form at lowering.
+    pub analytic: Option<Table>,
+}
+
+/// A leaf equals only itself: it is lowered once per cached plan, and
+/// the model snapshot it holds has no value equality.
+impl PartialEq for ModelScan {
+    fn eq(&self, other: &ModelScan) -> bool {
+        std::ptr::eq(self, other)
+    }
+}
+
+impl ModelScan {
+    /// The EXPLAIN line: `ModelScan t model=<id> cells=<n> bound=±<b>`.
+    pub(crate) fn describe(&self) -> String {
+        let bound = self.bound.map_or("none".to_string(), |b| format!("±{b:.3e}"));
+        let analytic = if self.analytic.is_some() { " analytic" } else { "" };
+        let (table, id, cells) = (&self.model.coverage.table, self.model.id.0, self.cells);
+        format!("ModelScan {table} model={id} cells={cells} bound={bound}{analytic}")
+    }
+
+    /// Materialize the relation: one group key per morsel, merged in key
+    /// order, so the cells come out in key order, then grid order, for
+    /// any thread count.
+    pub(crate) fn materialize(&self, opts: &ExecOptions) -> Result<Table> {
+        let model = &self.model;
+        let vars = &model.coverage.variables;
+        let grid = cartesian(&self.values);
+        let grid_rows = grid.first().map_or(1, Vec::len);
+        let group_column = match &model.params {
+            ModelParams::Grouped { group_column, .. } => Some(group_column),
+            ModelParams::Global { .. } => None,
+        };
+
+        // One key's whole grid predicted in a batch; the grid rows that
+        // survive coverage and legality come back with the predictions.
+        let per_key = |key: Option<i64>| -> Result<(Vec<usize>, Vec<f64>)> {
+            let var_slices: Vec<&[f64]> = grid.iter().map(Vec::as_slice).collect();
+            let pred = model.predict_batch(key, &var_slices).map_err(QueryError::Model)?;
+            // Zone-map pruning over the relation: when the key's whole
+            // predicted range refutes a response conjunct, none of its
+            // cells can pass the filter above. A non-finite prediction
+            // makes the range unbounded (never prunable).
+            if !self.point && !self.response_conjuncts.is_empty() && grid_rows > 0 {
+                let finite = pred.iter().all(|p| p.is_finite());
+                let lo = pred.iter().copied().fold(f64::INFINITY, f64::min);
+                let hi = pred.iter().copied().fold(f64::NEG_INFINITY, f64::max);
+                if finite
+                    && self.response_conjuncts.iter().any(|&(op, rhs)| !op.may_match(lo, hi, rhs))
+                {
+                    return Ok((Vec::new(), pred));
+                }
+            }
+            let mut kept = Vec::new();
+            let mut combo = vec![0.0; vars.len()];
+            for row in 0..grid_rows {
+                for (d, g) in grid.iter().enumerate() {
+                    combo[d] = g[row];
+                }
+                // A partial model must not speak for cells outside its
+                // subset (a point outside it was refused at lowering).
+                if let Some(cov) = &self.coverage {
+                    if !cov.eval(&bindings(model, key, &combo)).map(|v| v != 0.0).unwrap_or(false) {
+                        continue;
+                    }
+                }
+                // Point lookups bypass legality: they are prediction
+                // requests, not relation reconstruction (the paper's own
+                // first query asks for ν = 0.14, a never-observed point).
+                if !self.point {
+                    if let Some(bf) = &model.observed_combos {
+                        if !bf.contains(combo_hash(key.unwrap_or(0), &combo)) {
+                            continue;
+                        }
+                    }
+                    if let Some(f) = &model.legal_filter {
+                        if f.eval(&bindings(model, key, &combo)).map(|v| v == 0.0).unwrap_or(false)
+                        {
+                            continue;
+                        }
+                    }
+                }
+                kept.push(row);
+            }
+            Ok((kept, pred))
+        };
+
+        // One key per morsel, merged in key order; errors surface in key
+        // order, so failures are deterministic too. The leaf's own span
+        // times the fan-out: a trace leaf per key would outweigh the
+        // answer.
+        let key_opts = ExecOptions { morsel_rows: 1, profile: None, ..opts.clone() };
+        let partials = parallel_morsels(self.keys.len(), &key_opts, |offset, _| {
+            Ok(per_key(self.keys[offset]))
+        })?;
+        let (mut col_group, mut col_resp) = (Vec::new(), Vec::new());
+        let mut col_vars: Vec<Vec<f64>> = vec![Vec::new(); vars.len()];
+        for (key, partial) in self.keys.iter().zip(partials) {
+            let (kept, pred) = partial?;
+            for row in kept {
+                col_group.push(key.unwrap_or(0));
+                for (col, g) in col_vars.iter_mut().zip(&grid) {
+                    col.push(g[row]);
+                }
+                col_resp.push(pred[row]);
+            }
+        }
+        let mut tb = TableBuilder::new(model.coverage.table.clone());
+        if let Some(g) = group_column {
+            tb.add_i64(g.clone(), col_group);
+        }
+        for (var, values) in vars.iter().zip(col_vars) {
+            tb.add_f64(var.clone(), values);
+        }
+        tb.add_f64(model.coverage.response.clone(), col_resp);
+        Ok(tb.build()?)
+    }
+}
+
+/// A statement's model alternative: its plan with a [`ModelScan`] leaf
+/// where the scan stood, priced, plus what the answer reports besides
+/// its rows.
+#[derive(Debug, Clone, PartialEq)]
+pub struct ModelPlan {
+    /// The priced tree the executor runs.
+    pub plan: PhysicalPlan,
+    /// How the answer is produced.
+    pub strategy: Strategy,
+    /// The answering model.
+    pub model: ModelId,
+    /// ±bound the answer quotes.
+    pub bound: Option<f64>,
+}
+
+impl ModelPlan {
+    /// Lower `logical`, the statement's optimized plan, onto a model of
+    /// `models`: the statement's scan becomes a [`ModelScan`] and the
+    /// tree is priced against `catalog` as any plan is. Refuses with
+    /// [`ApproxError::NotAnswerable`] or
+    /// [`ApproxError::EnumerationTooLarge`] when no model can stand in.
+    pub fn lower(
+        stmt: &SelectStatement,
+        logical: &LogicalPlan,
+        models: &ModelCatalog,
+        catalog: &Catalog,
+        consts: &CostConstants,
+    ) -> std::result::Result<ModelPlan, ApproxError> {
+        let not_answerable = |reason: String| ApproxError::NotAnswerable { reason };
+        if stmt.join.is_some() {
+            return Err(not_answerable("joins are not answerable from a single model".to_string()));
+        }
+        let referenced = referenced_columns(stmt);
+        let model = referenced
+            .iter()
+            .map(|c| c.split_once('.').map_or(c.as_str(), |(_, plain)| plain))
+            .find_map(|c| models.best_for(&stmt.table, c, false).ok())
+            .ok_or_else(|| {
+                not_answerable(format!(
+                    "no active model covers any referenced column of {:?}",
+                    stmt.table
+                ))
+            })?;
+        // The relation holds the group column, the variables and the
+        // response; a statement naming anything else is the base table's
+        // to answer.
+        let relation = relation_schema(&model);
+        if let Some(c) = referenced.iter().find(|c| normalize_name(&relation, c).is_err()) {
+            return Err(not_answerable(format!(
+                "model {} does not reconstruct column {c:?}",
+                model.id.0
+            )));
+        }
+        let predicate = match &stmt.predicate {
+            Some(p) => {
+                Some(normalize_expr(p, &relation).map_err(|e| not_answerable(e.to_string()))?)
+            }
+            None => None,
+        };
+        let constraints = extract_constraints(predicate.as_ref());
+        let group_column = match &model.params {
+            ModelParams::Grouped { group_column, .. } => Some(group_column.as_str()),
+            ModelParams::Global { .. } => None,
+        };
+        let mut leaf = ModelScan {
+            projection: None,
+            model: Arc::clone(&model),
+            keys: Vec::new(),
+            values: Vec::new(),
+            cells: 0,
+            point: false,
+            coverage: None,
+            response_conjuncts: Vec::new(),
+            bound: None,
+            analytic: None,
+        };
+
+        let group_c = group_column.and_then(|g| constraints.as_ref()?.get(g));
+        let admitted = admitted_keys(&model, group_c);
+        let analytic = analytic(stmt, &model, group_column, constraints.as_ref(), &admitted)?;
+        if let Some((table, max_se)) = analytic {
+            leaf.analytic = Some(table);
+            leaf.bound = Some(2.0 * max_se);
+            return Ok(ModelPlan::priced(
+                logical,
+                leaf,
+                Strategy::AnalyticAggregate,
+                catalog,
+                consts,
+            ));
+        }
+
+        let (keys, keys_pinned) = match group_column {
+            None => (vec![None], true),
+            Some(_) => (
+                admitted.into_iter().map(Some).collect(),
+                group_c.is_some_and(|c| c.pinned().is_some()),
+            ),
+        };
+        let mut vars_pinned = true;
+        for var in &model.coverage.variables {
+            let c = constraints.as_ref().and_then(|cs| cs.get(var));
+            if let Some(v) = c.and_then(DimConstraint::pinned) {
+                leaf.values.push(vec![v]);
+                continue;
+            }
+            vars_pinned = false;
+            let Some(domain) = model.coverage.domain_of(var) else {
+                return Err(not_answerable(format!(
+                    "variable {var:?} is unbound and not enumerable \
+                     (the paper's parameter-space-enumeration limit)"
+                )));
+            };
+            leaf.values
+                .push(domain.iter().copied().filter(|&v| c.is_none_or(|c| c.admits(v))).collect());
+        }
+        let too_large = |tuples| ApproxError::EnumerationTooLarge { tuples, cap: ENUMERATION_CAP };
+        leaf.cells = leaf
+            .values
+            .iter()
+            .try_fold(keys.len(), |n, v| n.checked_mul(v.len()))
+            .ok_or(too_large(usize::MAX))?;
+        if leaf.cells > ENUMERATION_CAP {
+            return Err(too_large(leaf.cells));
+        }
+        leaf.point = keys_pinned && vars_pinned;
+        leaf.coverage = match &model.coverage.predicate {
+            None => None,
+            Some(src) => Some(
+                lawsdb_expr::parse_expr(src)
+                    .map_err(|e| not_answerable(format!("unparseable coverage predicate: {e}")))?,
+            ),
+        };
+        // A point outside a partial model's coverage is refused rather
+        // than answered from an inapplicable model (Section 4.1).
+        if let (true, Some(cov), Some(&key)) = (leaf.point, &leaf.coverage, keys.first()) {
+            let point: Vec<f64> = leaf.values.iter().map(|v| v[0]).collect();
+            if !cov.eval(&bindings(&model, key, &point)).map(|v| v != 0.0).unwrap_or(false) {
+                return Err(not_answerable(format!(
+                    "point lies outside the model's coverage predicate {:?}",
+                    model.coverage.predicate.as_deref().unwrap_or("")
+                )));
+            }
+        }
+        leaf.response_conjuncts = predicate
+            .as_ref()
+            .and_then(PruningPredicate::extract)
+            .map(|p| {
+                p.conjuncts
+                    .into_iter()
+                    .filter(|c| c.column == model.coverage.response)
+                    .map(|c| (c.op, c.rhs))
+                    .collect()
+            })
+            .unwrap_or_default();
+        leaf.bound = max_residual_se(&model, &keys).map(|se| 2.0 * se);
+        leaf.keys = keys;
+        let strategy = if leaf.point { Strategy::PointLookup } else { Strategy::Enumeration };
+        Ok(ModelPlan::priced(logical, leaf, strategy, catalog, consts))
+    }
+
+    fn priced(
+        logical: &LogicalPlan,
+        leaf: ModelScan,
+        strategy: Strategy,
+        catalog: &Catalog,
+        consts: &CostConstants,
+    ) -> ModelPlan {
+        let (model, bound) = (leaf.model.id, leaf.bound);
+        let tree = with_model_leaf(logical, &leaf);
+        ModelPlan { plan: plan_physical(catalog, &tree, consts), strategy, model, bound }
+    }
+
+    /// Run the tree. `catalog` is the one the plan was priced against;
+    /// the model leaf reads none of its tables.
+    pub fn run(&self, catalog: &Catalog, opts: &ExecOptions) -> Result<ApproxAnswer> {
+        let r = execute_physical_with(catalog, &self.plan, opts)?;
+        Ok(ApproxAnswer {
+            table: r.table,
+            rows_scanned: r.rows_scanned,
+            tuples_reconstructed: r.cells_reconstructed,
+            error_bound: self.bound,
+            strategy: self.strategy,
+            model: self.model,
+        })
+    }
+}
+
+/// `logical` with its scan of the modelled table replaced by `leaf`,
+/// which takes over the scan's projection. An `Aggregate` over the scan
+/// (filtered or not) is itself replaced when `leaf` carries the analytic
+/// rewrite: the leaf then answers it in closed form, its constraints
+/// already applied.
+fn with_model_leaf(logical: &LogicalPlan, leaf: &ModelScan) -> LogicalPlan {
+    let model_scan = |projection: &Option<Vec<String>>| {
+        let projection = projection.clone();
+        LogicalPlan::ModelScan(Arc::new(ModelScan { projection, ..leaf.clone() }))
+    };
+    match logical {
+        LogicalPlan::Scan { projection, .. } | LogicalPlan::EmptyScan { projection, .. } => {
+            model_scan(projection)
+        }
+        LogicalPlan::Aggregate { group_by, aggs, .. } if leaf.analytic.is_some() => {
+            let (group_by, aggs) = (group_by.clone(), aggs.clone());
+            LogicalPlan::Aggregate { input: Box::new(model_scan(&None)), group_by, aggs }
+        }
+        other => other.map_inputs(|input| with_model_leaf(input, leaf)),
+    }
+}
+
+/// One cell's inputs bound for the model's coverage and legal filters:
+/// the variables at `point`, the group column at `key`.
+fn bindings(model: &CapturedModel, key: Option<i64>, point: &[f64]) -> Bindings {
+    let mut b = Bindings::new();
+    for (var, v) in model.coverage.variables.iter().zip(point) {
+        b.set(var, *v);
+    }
+    if let (Some(k), ModelParams::Grouped { group_column, .. }) = (key, &model.params) {
+        b.set(group_column, k as f64);
+    }
+    b
+}
+
+/// The schema of the relation a model reconstructs: group column,
+/// variables, response (the order the leaf materializes them in).
+fn relation_schema(model: &CapturedModel) -> Schema {
+    let mut fields = Vec::new();
+    if let ModelParams::Grouped { group_column, .. } = &model.params {
+        fields.push(Field::new(group_column.clone(), DataType::Int64));
+    }
+    for var in &model.coverage.variables {
+        fields.push(Field::new(var.clone(), DataType::Float64));
+    }
+    fields.push(Field::new(model.coverage.response.clone(), DataType::Float64));
+    Schema::new(fields)
+}
+
+/// The closed form of a statement that is exactly one aggregate of the
+/// response, ungrouped, over a model linear in its one enumerable
+/// variable, whose predicate constrains only that variable and the
+/// group column: the one-row answer, named and typed as the exact path
+/// names and types it, and the largest residual SE it spans. `None`
+/// sends the statement to enumeration.
+fn analytic(
+    stmt: &SelectStatement,
+    model: &CapturedModel,
+    group_column: Option<&str>,
+    constraints: Option<&HashMap<String, DimConstraint>>,
+    keys: &[i64],
+) -> std::result::Result<Option<(Table, f64)>, ApproxError> {
+    let [item @ SelectItem::Agg { func, arg: Some(ScalarExpr::Column(c)), .. }] =
+        stmt.items.as_slice()
+    else {
+        return Ok(None);
+    };
+    if !stmt.group_by.is_empty() || *c != model.coverage.response {
+        return Ok(None);
+    }
+    let [var] = model.coverage.variables.as_slice() else {
+        return Ok(None);
+    };
+    let Some(domain) = model.coverage.domain_of(var) else {
+        return Ok(None);
+    };
+    // A disjunctive predicate (no constraint map) goes to enumeration.
+    let none = HashMap::new();
+    let cs = match constraints {
+        Some(cs) => cs,
+        None if stmt.predicate.is_none() => &none,
+        None => return Ok(None),
+    };
+    if cs.keys().any(|col| col != var && Some(col.as_str()) != group_column) {
+        return Ok(None);
+    }
+    let var_c = cs.get(var).cloned().unwrap_or_default();
+    let points: Vec<f64> = domain.iter().copied().filter(|&v| var_c.admits(v)).collect();
+    let agg = match func {
+        AggFunc::Count => Aggregate::Count,
+        AggFunc::Sum => Aggregate::Sum,
+        AggFunc::Avg => Aggregate::Avg,
+        AggFunc::Min => Aggregate::Min,
+        AggFunc::Max => Aggregate::Max,
+    };
+    let Some((value, max_se)) = model_aggregate(model, agg, &points, keys)? else {
+        return Ok(None);
+    };
+    let out = Field::nullable(item.output_name(), func.result_type(false));
+    let column = match out.data_type {
+        DataType::Int64 => Column::from_i64(vec![value.round() as i64]),
+        _ => Column::from_f64(vec![value]),
+    };
+    let table = TableBuilder::new("result").add_column(out, column).build()?;
+    Ok(Some((table, max_se)))
+}
+
+/// A grouped model's keys the group column's constraint admits, in key
+/// order (none for a global model). Equality on integral values below
+/// 2^53 looks its keys up; only those keys compare equal as `f64`, so
+/// the result is the full filtered key list, without sorting every key.
+fn admitted_keys(model: &CapturedModel, c: Option<&DimConstraint>) -> Vec<i64> {
+    let ModelParams::Grouped { groups, .. } = &model.params else {
+        return Vec::new();
+    };
+    let mut keys: Vec<i64> = match c {
+        Some(c) if !c.eq.is_empty() && c.eq.iter().all(|v| v.abs() < 9_007_199_254_740_992.0) => {
+            let integral = c.eq.iter().filter(|v| v.fract() == 0.0).map(|&v| v as i64);
+            integral.filter(|k| groups.contains_key(k)).collect()
+        }
+        _ => groups.keys().copied().collect(),
+    };
+    keys.sort_unstable();
+    keys.dedup();
+    keys.retain(|&k| c.is_none_or(|c| c.admits(k as f64)));
+    keys
+}
+
+/// Per-dimension constraint extracted from a conjunctive predicate.
+#[derive(Debug, Clone, Default)]
+struct DimConstraint {
+    /// Pinned exact values (from `=`).
+    eq: Vec<f64>,
+    /// Range lower bound (from `>`/`>=`, both treated as closed: the
+    /// filter above the leaf re-applies the exact semantics).
+    lo: Option<f64>,
+    /// Range upper bound.
+    hi: Option<f64>,
+}
+
+impl DimConstraint {
+    fn admits(&self, v: f64) -> bool {
+        (self.eq.is_empty() || self.eq.contains(&v))
+            && self.lo.is_none_or(|lo| !(v < lo))
+            && self.hi.is_none_or(|hi| !(v > hi))
+    }
+
+    fn pinned(&self) -> Option<f64> {
+        match self.eq.as_slice() {
+            [v] => Some(*v),
+            _ => None,
+        }
+    }
+}
+
+/// Every column the statement names: in its SELECT list, its WHERE and
+/// its GROUP BY. (ORDER BY names output columns.)
+fn referenced_columns(stmt: &SelectStatement) -> Vec<String> {
+    let mut out: Vec<String> = Vec::new();
+    for item in &stmt.items {
+        match item {
+            SelectItem::Expr { expr, .. } | SelectItem::Agg { arg: Some(expr), .. } => {
+                out.extend(expr.columns())
+            }
+            SelectItem::Star | SelectItem::Agg { arg: None, .. } => {}
+        }
+    }
+    out.extend(stmt.predicate.iter().flat_map(ScalarExpr::columns));
+    out.extend(stmt.group_by.iter().cloned());
+    out
+}
+
+/// Per-column constraints of a *conjunctive* predicate: its sargable
+/// conjuncts, as the scan pruner extracts them. `None` when there is no
+/// predicate, or an AND-ed part is an OR or a NOT (the dimensions then
+/// stay unrestricted and the filter above the leaf does the work).
+fn extract_constraints(predicate: Option<&ScalarExpr>) -> Option<HashMap<String, DimConstraint>> {
+    let predicate = predicate?;
+    if predicate.conjuncts().iter().any(|c| matches!(c, ScalarExpr::Or(..) | ScalarExpr::Not(..))) {
+        return None;
+    }
+    let mut map: HashMap<String, DimConstraint> = HashMap::new();
+    for c in PruningPredicate::extract(predicate).map(|p| p.conjuncts).unwrap_or_default() {
+        let d = map.entry(c.column).or_default();
+        match c.op {
+            PredOp::Eq => d.eq.push(c.rhs),
+            PredOp::Lt | PredOp::Le => d.hi = Some(d.hi.map_or(c.rhs, |h| h.min(c.rhs))),
+            PredOp::Gt | PredOp::Ge => d.lo = Some(d.lo.map_or(c.rhs, |l| l.max(c.rhs))),
+            PredOp::Ne => {} // cannot restrict; the filter handles it
+        }
+    }
+    Some(map)
+}
+
+/// Cartesian product of variable value lists, column-wise: `out[d]` is
+/// the d-th variable's value for every grid point, the first variable
+/// varying slowest.
+fn cartesian(dims: &[Vec<f64>]) -> Vec<Vec<f64>> {
+    let total: usize = dims.iter().map(Vec::len).product();
+    let mut out: Vec<Vec<f64>> = dims.iter().map(|_| Vec::with_capacity(total)).collect();
+    if dims.is_empty() || total == 0 {
+        return out;
+    }
+    let mut repeat = total;
+    for (d, values) in dims.iter().enumerate() {
+        repeat /= values.len();
+        for _ in 0..total / (values.len() * repeat) {
+            for &v in values {
+                out[d].extend(std::iter::repeat_n(v, repeat));
+            }
+        }
+    }
+    out
+}
+
+fn max_residual_se(model: &CapturedModel, keys: &[Option<i64>]) -> Option<f64> {
+    match &model.params {
+        ModelParams::Global { residual_se, .. } => Some(*residual_se),
+        ModelParams::Grouped { groups, .. } => keys
+            .iter()
+            .flatten()
+            .filter_map(|k| groups.get(k).map(|g| g.residual_se))
+            .reduce(f64::max),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::optimize::optimize;
+    use crate::sql::parse_select;
+    use lawsdb_fit::FitOptions;
+    use lawsdb_models::bridge::{fit_table, fit_table_grouped};
+    use lawsdb_models::legal::build_legal_filter;
+    use lawsdb_storage::Value;
+
+    /// Synthetic LOFAR table: 5 sources × 4 frequencies × 10 repeats,
+    /// and its grouped power-law fit (not yet stored).
+    fn lofar() -> (CapturedModel, Table) {
+        let freqs: [f64; 4] = [0.12, 0.15, 0.16, 0.18];
+        let laws: [(f64, f64); 5] =
+            [(2.0, -0.7), (0.5, -1.2), (1.0, 0.3), (3.0, -0.5), (0.8, -0.9)];
+        let (mut src, mut nu, mut intensity) = (Vec::new(), Vec::new(), Vec::new());
+        for (s, &(p, a)) in laws.iter().enumerate() {
+            for _ in 0..10 {
+                for &f in &freqs {
+                    src.push(s as i64);
+                    nu.push(f);
+                    intensity.push(p * f.powf(a));
+                }
+            }
+        }
+        let mut b = TableBuilder::new("measurements");
+        b.add_i64("source", src).add_f64("nu", nu).add_f64("intensity", intensity);
+        let table = b.build().unwrap();
+        let formula = "intensity ~ p * nu ^ alpha";
+        let (model, _) =
+            fit_table_grouped(&table, formula, "source", &FitOptions::default(), 2).unwrap();
+        (model, table)
+    }
+
+    fn catalog_of(model: CapturedModel) -> ModelCatalog {
+        let models = ModelCatalog::new();
+        models.store(model);
+        models
+    }
+
+    fn lofar_models() -> ModelCatalog {
+        catalog_of(lofar().0)
+    }
+
+    /// Lower `sql` onto `models` the way the engine does, from the
+    /// statement's optimized plan.
+    fn lower(models: &ModelCatalog, sql: &str) -> std::result::Result<ModelPlan, ApproxError> {
+        let stmt = parse_select(sql).unwrap();
+        let logical = optimize(&LogicalPlan::from_statement(&stmt).unwrap());
+        ModelPlan::lower(&stmt, &logical, models, &Catalog::new(), &CostConstants::default())
+    }
+
+    fn answer_with(models: &ModelCatalog, sql: &str, opts: &ExecOptions) -> ApproxAnswer {
+        lower(models, sql).unwrap().run(&Catalog::new(), opts).unwrap()
+    }
+
+    fn answer(models: &ModelCatalog, sql: &str) -> ApproxAnswer {
+        answer_with(models, sql, &ExecOptions::default())
+    }
+
+    fn rows(t: &Table) -> Vec<Vec<Value>> {
+        (0..t.row_count()).map(|i| t.row(i).unwrap()).collect()
+    }
+
+    #[test]
+    fn paper_query_one_is_a_zero_io_point_lookup() {
+        let a = answer(
+            &lofar_models(),
+            "SELECT intensity FROM measurements WHERE source = 1 AND nu = 0.14",
+        );
+        assert_eq!(a.strategy, Strategy::PointLookup);
+        assert_eq!((a.rows_scanned, a.table.row_count()), (0, 1));
+        let got = a.table.column("intensity").unwrap().f64_data().unwrap()[0];
+        let want = 0.5 * 0.14_f64.powf(-1.2);
+        assert!((got - want).abs() < 1e-6, "{got} vs {want}");
+        assert!(a.error_bound.is_some());
+    }
+
+    #[test]
+    fn qualified_names_constrain_like_plain_ones() {
+        let models = lofar_models();
+        let plain =
+            answer(&models, "SELECT intensity FROM measurements WHERE source = 1 AND nu = 0.14");
+        let qualified = answer(
+            &models,
+            "SELECT intensity FROM measurements \
+             WHERE measurements.source = 1 AND measurements.nu = 0.14",
+        );
+        assert_eq!(qualified.strategy, Strategy::PointLookup);
+        assert_eq!(qualified.tuples_reconstructed, 1);
+        assert_eq!(qualified.table, plain.table);
+    }
+
+    #[test]
+    fn paper_query_two_enumerates_and_prunes_refuted_keys() {
+        let a = answer(
+            &lofar_models(),
+            "SELECT source, intensity FROM measurements \
+             WHERE nu = 0.15 AND intensity > 1.5 ORDER BY source",
+        );
+        assert_eq!(a.strategy, Strategy::Enumeration);
+        assert_eq!(a.rows_scanned, 0);
+        // p·0.15^α > 1.5 for sources 0, 1, 3, 4; source 2 (≈0.57) is
+        // refuted by its predicted range before its cell materializes.
+        let sources: Vec<Value> = rows(&a.table).into_iter().map(|r| r[0].clone()).collect();
+        assert_eq!(sources, [0, 1, 3, 4].map(Value::Int));
+        assert_eq!(a.tuples_reconstructed, 4);
+    }
+
+    #[test]
+    fn unsatisfiable_response_predicate_reconstructs_nothing() {
+        let a = answer(
+            &lofar_models(),
+            "SELECT source, intensity FROM measurements WHERE intensity > 1000.0",
+        );
+        assert_eq!((a.tuples_reconstructed, a.table.row_count()), (0, 0));
+    }
+
+    #[test]
+    fn enumeration_covers_keys_times_domain_and_aggregates_over_it() {
+        let models = lofar_models();
+        // 5 sources × 4 frequencies, regardless of the 200 base rows.
+        let a = answer(&models, "SELECT source, nu, intensity FROM measurements");
+        assert_eq!((a.table.row_count(), a.tuples_reconstructed), (20, 20));
+        let a = answer(
+            &models,
+            "SELECT source, MAX(intensity) AS peak FROM measurements GROUP BY source ORDER BY source",
+        );
+        assert_eq!(a.table.row_count(), 5);
+        // Source 0 peaks at the lowest frequency: 2·0.12^-0.7.
+        let Value::Float(peak) = a.table.row(0).unwrap()[1] else { panic!() };
+        assert!((peak - 2.0 * 0.12_f64.powf(-0.7)).abs() < 1e-6);
+        // A range restricts the domain {0.12, 0.15, 0.16, 0.18} to 3.
+        let a = answer(
+            &models,
+            "SELECT nu, intensity FROM measurements WHERE source = 2 AND nu >= 0.15",
+        );
+        assert_eq!(a.table.row_count(), 3);
+        // A disjunction restricts nothing; the filter above does.
+        let a = answer(
+            &models,
+            "SELECT source, nu, intensity FROM measurements \
+             WHERE source = 0 OR source = 2 ORDER BY source, nu",
+        );
+        assert_eq!(a.table.row_count(), 8);
+    }
+
+    #[test]
+    fn observed_combinations_gate_enumeration_but_not_points() {
+        let (mut model, table) = lofar();
+        // Pretend source 4 was never observed at nu = 0.18.
+        let src = table.column("source").unwrap().i64_data().unwrap();
+        let nu = table.column("nu").unwrap().f64_data().unwrap();
+        let keep: Vec<usize> =
+            (0..table.row_count()).filter(|&i| !(src[i] == 4 && nu[i] == 0.18)).collect();
+        let groups: Vec<i64> = keep.iter().map(|&i| src[i]).collect();
+        let nus: Vec<f64> = keep.iter().map(|&i| nu[i]).collect();
+        model.observed_combos = Some(Arc::new(build_legal_filter(&groups, &[&nus[..]], 12)));
+        let models = catalog_of(model);
+        let a = answer(&models, "SELECT source, nu, intensity FROM measurements");
+        assert_eq!(a.table.row_count(), 19, "20 combinations minus the unobserved one");
+        assert!(rows(&a.table)
+            .iter()
+            .all(|r| !(r[0] == Value::Int(4) && r[1] == Value::Float(0.18))));
+        // The paper's query 1 asks for nu = 0.14, never observed: a
+        // prediction request is not filtered.
+        let a =
+            answer(&models, "SELECT intensity FROM measurements WHERE source = 0 AND nu = 0.14");
+        assert_eq!(a.table.row_count(), 1);
+    }
+
+    #[test]
+    fn non_enumerable_unbound_dimension_is_not_answerable() {
+        let xs: Vec<f64> =
+            (0..2000).map(|i| i as f64 * 0.001 + (i as f64 * 0.37).sin() * 1e-6).collect();
+        let ys: Vec<f64> = xs.iter().map(|x| 1.0 + 2.0 * x).collect();
+        let mut b = TableBuilder::new("cont");
+        b.add_f64("x", xs).add_f64("y", ys);
+        let models = catalog_of(
+            fit_table(&b.build().unwrap(), "y ~ a + b * x", &FitOptions::default()).unwrap(),
+        );
+        let err = lower(&models, "SELECT x, y FROM cont").unwrap_err();
+        assert!(matches!(err, ApproxError::NotAnswerable { .. }), "{err}");
+        // A pinned x answers fine.
+        let a = answer(&models, "SELECT y FROM cont WHERE x = 0.5");
+        let got = a.table.column("y").unwrap().f64_data().unwrap()[0];
+        assert!((got - 2.0).abs() < 1e-6);
+    }
+
+    /// Three sensors, `temp = 10(k+1) + 2·hour` over hours 0..24.
+    fn linear_models() -> ModelCatalog {
+        let (mut g, mut x, mut y) = (Vec::new(), Vec::new(), Vec::new());
+        for key in 0..3i64 {
+            for h in 0..24 {
+                g.push(key);
+                x.push(h as f64);
+                y.push(10.0 * (key + 1) as f64 + 2.0 * h as f64);
+            }
+        }
+        let mut b = TableBuilder::new("load");
+        b.add_i64("sensor", g).add_f64("hour", x).add_f64("temp", y);
+        let formula = "temp ~ a + b * hour";
+        let (m, _) =
+            fit_table_grouped(&b.build().unwrap(), formula, "sensor", &FitOptions::default(), 1)
+                .unwrap();
+        catalog_of(m)
+    }
+
+    #[test]
+    fn linear_aggregates_answer_in_closed_form() {
+        let models = linear_models();
+        let value = |sql: &str, column: &str| {
+            let a = answer(&models, sql);
+            assert_eq!(
+                (a.strategy, a.tuples_reconstructed),
+                (Strategy::AnalyticAggregate, 0),
+                "{sql}"
+            );
+            a.table.column(column).unwrap().to_f64_lossy().unwrap()[0]
+        };
+        // Max = sensor 2 at hour 23: 30 + 46 = 76.
+        assert!((value("SELECT MAX(temp) FROM load", "max(temp)") - 76.0).abs() < 1e-6);
+        // AVG: mean over sensors of (10(k+1) + 2·11.5) = 20 + 23 = 43.
+        assert!((value("SELECT AVG(temp) AS mean FROM load", "mean") - 43.0).abs() < 1e-6);
+        assert_eq!(value("SELECT COUNT(temp) FROM load", "count(temp)"), 72.0);
+        // Sensor 1 from hour 12: 20 + 2·12 = 44.
+        let sql = "SELECT MIN(temp) FROM load WHERE sensor = 1 AND hour >= 12";
+        assert!((value(sql, "min(temp)") - 44.0).abs() < 1e-6);
+        // The rewrite is the aggregate's lowering: one aggregate over
+        // one model leaf, which EXPLAIN shows with its bound.
+        let text = lower(&models, sql).unwrap().plan.explain();
+        let lines: Vec<&str> = text.lines().map(str::trim_start).collect();
+        assert!(lines[0].starts_with("Aggregate"), "{text}");
+        assert!(lines[1].starts_with("ModelScan load model=1 cells=0 bound=±"), "{text}");
+        assert!(lines[1].contains(" analytic"), "{text}");
+    }
+
+    #[test]
+    fn an_empty_admitted_domain_declines_the_closed_form() {
+        let models = linear_models();
+        for (sql, want) in [
+            ("SELECT AVG(temp) FROM load WHERE hour > 100", Value::Null),
+            ("SELECT SUM(temp) FROM load WHERE hour > 100", Value::Null),
+            ("SELECT MIN(temp) FROM load WHERE hour > 100", Value::Null),
+            ("SELECT COUNT(temp) FROM load WHERE hour > 100", Value::Int(0)),
+        ] {
+            let a = answer(&models, sql);
+            assert_eq!(a.strategy, Strategy::Enumeration, "{sql}");
+            assert_eq!(rows(&a.table), [[want]], "{sql}");
+        }
+    }
+
+    #[test]
+    fn enumeration_past_the_cap_is_refused() {
+        let (mut model, _) = lofar();
+        // 5 sources × (cap / 4) frequencies is past the cap.
+        let wide: Vec<f64> = (0..ENUMERATION_CAP / 4).map(|i| i as f64).collect();
+        model.coverage.domains = vec![("nu".to_string(), wide)];
+        let err =
+            lower(&catalog_of(model), "SELECT source, intensity FROM measurements").unwrap_err();
+        let tuples = 5 * (ENUMERATION_CAP / 4);
+        assert_eq!(err, ApproxError::EnumerationTooLarge { tuples, cap: ENUMERATION_CAP });
+    }
+
+    #[test]
+    fn stale_unmodelled_and_unreconstructed_are_not_answerable() {
+        let models = lofar_models();
+        let sql = "SELECT intensity FROM measurements WHERE source = 1 AND nu = 0.15";
+        let stale = ModelCatalog::new();
+        let id = stale.store(lofar().0).id;
+        stale.set_state(id, lawsdb_models::ModelState::Stale).unwrap();
+        for (models, sql) in [
+            (&stale, sql),
+            (&models, "SELECT a FROM nowhere"),
+            (&models, "SELECT intensity, flux FROM measurements"),
+        ] {
+            let err = lower(models, sql).unwrap_err();
+            assert!(matches!(err, ApproxError::NotAnswerable { .. }), "{sql}: {err}");
+        }
+    }
+
+    #[test]
+    fn reconstruction_is_identical_serial_vs_parallel() {
+        let models = lofar_models();
+        // No ORDER BY: row order must already match, because per-key
+        // partials merge in key order.
+        let sql = "SELECT source, nu, intensity FROM measurements";
+        let a = answer_with(&models, sql, &ExecOptions::serial());
+        let b = answer_with(
+            &models,
+            sql,
+            &ExecOptions { threads: 4, morsel_rows: 1, ..ExecOptions::default() },
+        );
+        assert_eq!(a.tuples_reconstructed, b.tuples_reconstructed);
+        assert_eq!(a.table, b.table);
+    }
+
+    #[test]
+    fn cartesian_product_shape() {
+        let grid = cartesian(&[vec![1.0, 2.0], vec![10.0, 20.0, 30.0]]);
+        assert_eq!(
+            grid,
+            [vec![1.0, 1.0, 1.0, 2.0, 2.0, 2.0], vec![10.0, 20.0, 30.0, 10.0, 20.0, 30.0]]
+        );
+        assert!(cartesian(&[]).is_empty());
+        assert_eq!(cartesian(&[vec![1.0], vec![]]), [Vec::<f64>::new(), Vec::new()]);
+    }
+}

@@ -28,7 +28,9 @@ fn plan_has_star(plan: &LogicalPlan) -> bool {
     match plan {
         // A bare scan pipeline (SELECT *) or an explicit star projection
         // must materialize every column.
-        LogicalPlan::Scan { .. } | LogicalPlan::EmptyScan { .. } => true,
+        LogicalPlan::Scan { .. } | LogicalPlan::EmptyScan { .. } | LogicalPlan::ModelScan(_) => {
+            true
+        }
         LogicalPlan::Project { star, .. } => *star,
         LogicalPlan::Join { .. } => true,
         LogicalPlan::Filter { input, .. }
@@ -41,13 +43,6 @@ fn plan_has_star(plan: &LogicalPlan) -> bool {
 
 fn fold_constants(plan: &LogicalPlan) -> LogicalPlan {
     match plan {
-        LogicalPlan::Scan { .. } | LogicalPlan::EmptyScan { .. } => plan.clone(),
-        LogicalPlan::Join { left, right, left_col, right_col } => LogicalPlan::Join {
-            left: Box::new(fold_constants(left)),
-            right: Box::new(fold_constants(right)),
-            left_col: left_col.clone(),
-            right_col: right_col.clone(),
-        },
         LogicalPlan::Filter { input, predicate } => LogicalPlan::Filter {
             input: Box::new(fold_constants(input)),
             predicate: predicate.fold_constants(),
@@ -69,13 +64,6 @@ fn fold_constants(plan: &LogicalPlan) -> LogicalPlan {
             exprs: exprs.iter().map(|(e, n)| (e.fold_constants(), n.clone())).collect(),
             star: *star,
         },
-        LogicalPlan::Distinct { input } => {
-            LogicalPlan::Distinct { input: Box::new(fold_constants(input)) }
-        }
-        LogicalPlan::Sort { input, keys } => LogicalPlan::Sort {
-            input: Box::new(fold_constants(input)),
-            keys: keys.clone(),
-        },
         LogicalPlan::Limit { input, n } => {
             // Fold nested limits to the tighter bound.
             let inner = fold_constants(input);
@@ -91,6 +79,7 @@ fn fold_constants(plan: &LogicalPlan) -> LogicalPlan {
             let inner = if n == 0 { empty_scans(&inner) } else { inner };
             LogicalPlan::Limit { input: Box::new(inner), n }
         }
+        other => other.map_inputs(fold_constants),
     }
 }
 
@@ -102,113 +91,37 @@ fn empty_scans(plan: &LogicalPlan) -> LogicalPlan {
             table: table.clone(),
             projection: projection.clone(),
         },
-        LogicalPlan::EmptyScan { .. } => plan.clone(),
-        LogicalPlan::Join { left, right, left_col, right_col } => LogicalPlan::Join {
-            left: Box::new(empty_scans(left)),
-            right: Box::new(empty_scans(right)),
-            left_col: left_col.clone(),
-            right_col: right_col.clone(),
-        },
-        LogicalPlan::Filter { input, predicate } => LogicalPlan::Filter {
-            input: Box::new(empty_scans(input)),
-            predicate: predicate.clone(),
-        },
-        LogicalPlan::Aggregate { input, group_by, aggs } => LogicalPlan::Aggregate {
-            input: Box::new(empty_scans(input)),
-            group_by: group_by.clone(),
-            aggs: aggs.clone(),
-        },
-        LogicalPlan::Project { input, exprs, star } => LogicalPlan::Project {
-            input: Box::new(empty_scans(input)),
-            exprs: exprs.clone(),
-            star: *star,
-        },
-        LogicalPlan::Distinct { input } => {
-            LogicalPlan::Distinct { input: Box::new(empty_scans(input)) }
-        }
-        LogicalPlan::Sort { input, keys } => LogicalPlan::Sort {
-            input: Box::new(empty_scans(input)),
-            keys: keys.clone(),
-        },
-        LogicalPlan::Limit { input, n } => {
-            LogicalPlan::Limit { input: Box::new(empty_scans(input)), n: *n }
-        }
+        other => other.map_inputs(empty_scans),
     }
 }
 
 fn prune_scans(plan: &LogicalPlan, needed: &[String], star: bool) -> LogicalPlan {
+    // Keep only needed columns that plausibly belong to the scanned
+    // table (plain names, or `table.col` qualified names). An EmptyScan
+    // reads nothing, but narrowing keeps its schema identical to the
+    // scan it replaced.
+    let narrow = |table: &str, projection: &Option<Vec<String>>| {
+        if star {
+            return projection.clone();
+        }
+        let cols: Vec<String> = needed
+            .iter()
+            .filter_map(|n| match n.split_once('.') {
+                Some((t, c)) if t == table => Some(c.to_string()),
+                Some(_) => None,
+                None => Some(n.clone()),
+            })
+            .collect();
+        if cols.is_empty() { None } else { Some(cols) }
+    };
     match plan {
         LogicalPlan::Scan { table, projection } => {
-            if star {
-                return LogicalPlan::Scan { table: table.clone(), projection: projection.clone() };
-            }
-            // Keep only needed columns that plausibly belong to this
-            // table (plain names, or `table.col` qualified names).
-            let cols: Vec<String> = needed
-                .iter()
-                .filter_map(|n| match n.split_once('.') {
-                    Some((t, c)) if t == table => Some(c.to_string()),
-                    Some(_) => None,
-                    None => Some(n.clone()),
-                })
-                .collect();
-            LogicalPlan::Scan {
-                table: table.clone(),
-                projection: if cols.is_empty() { None } else { Some(cols) },
-            }
+            LogicalPlan::Scan { table: table.clone(), projection: narrow(table, projection) }
         }
-        // Reads nothing, but narrowing keeps its schema identical to
-        // the scan it replaced.
         LogicalPlan::EmptyScan { table, projection } => {
-            if star {
-                return LogicalPlan::EmptyScan {
-                    table: table.clone(),
-                    projection: projection.clone(),
-                };
-            }
-            let cols: Vec<String> = needed
-                .iter()
-                .filter_map(|n| match n.split_once('.') {
-                    Some((t, c)) if t == table => Some(c.to_string()),
-                    Some(_) => None,
-                    None => Some(n.clone()),
-                })
-                .collect();
-            LogicalPlan::EmptyScan {
-                table: table.clone(),
-                projection: if cols.is_empty() { None } else { Some(cols) },
-            }
+            LogicalPlan::EmptyScan { table: table.clone(), projection: narrow(table, projection) }
         }
-        LogicalPlan::Join { left, right, left_col, right_col } => LogicalPlan::Join {
-            left: Box::new(prune_scans(left, needed, star)),
-            right: Box::new(prune_scans(right, needed, star)),
-            left_col: left_col.clone(),
-            right_col: right_col.clone(),
-        },
-        LogicalPlan::Filter { input, predicate } => LogicalPlan::Filter {
-            input: Box::new(prune_scans(input, needed, star)),
-            predicate: predicate.clone(),
-        },
-        LogicalPlan::Aggregate { input, group_by, aggs } => LogicalPlan::Aggregate {
-            input: Box::new(prune_scans(input, needed, star)),
-            group_by: group_by.clone(),
-            aggs: aggs.clone(),
-        },
-        LogicalPlan::Project { input, exprs, star: pstar } => LogicalPlan::Project {
-            input: Box::new(prune_scans(input, needed, star)),
-            exprs: exprs.clone(),
-            star: *pstar,
-        },
-        LogicalPlan::Distinct { input } => {
-            LogicalPlan::Distinct { input: Box::new(prune_scans(input, needed, star)) }
-        }
-        LogicalPlan::Sort { input, keys } => LogicalPlan::Sort {
-            input: Box::new(prune_scans(input, needed, star)),
-            keys: keys.clone(),
-        },
-        LogicalPlan::Limit { input, n } => {
-            LogicalPlan::Limit { input: Box::new(prune_scans(input, needed, star)), n: *n }
-        }
+        other => other.map_inputs(|input| prune_scans(input, needed, star)),
     }
 }
 
@@ -230,7 +143,7 @@ mod tests {
 
     fn find_scan(p: &LogicalPlan) -> &LogicalPlan {
         match p {
-            LogicalPlan::Scan { .. } | LogicalPlan::EmptyScan { .. } => p,
+            LogicalPlan::Scan { .. } | LogicalPlan::EmptyScan { .. } | LogicalPlan::ModelScan(_) => p,
             LogicalPlan::Filter { input, .. }
             | LogicalPlan::Aggregate { input, .. }
             | LogicalPlan::Project { input, .. }

@@ -27,11 +27,14 @@
 use crate::cost::CostConstants;
 use crate::error::Result;
 use crate::exec::{execute_plan_with, QueryResult};
+use crate::model_scan::ModelPlan;
 use crate::morsel::ExecOptions;
 use crate::plan::{AggSpec, LogicalPlan};
 use crate::pruning::{PruningConjunct, PruningPredicate, ScanStats, ZoneDecision};
 use crate::sexpr::ScalarExpr;
+use lawsdb_approx::ApproxError;
 use lawsdb_storage::Catalog;
+use std::sync::{Arc, OnceLock};
 
 /// Selectivity assumed for conjuncts the synopsis cannot estimate
 /// (non-sargable residuals, unknown columns).
@@ -154,11 +157,15 @@ impl PlanNote {
 
 /// A costed physical plan, ready to execute or cache: the optimized
 /// logical tree the executor runs — filter conjuncts already in priced
-/// order — plus one [`PlanNote`] per node, in preorder.
+/// order — plus one [`PlanNote`] per node, in preorder. It also carries,
+/// once asked for, the statement's model alternative under the same
+/// cache entry: the tree lowered onto a model leaf, or why no model can
+/// stand in.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PhysicalPlan {
     logical: LogicalPlan,
     notes: Vec<PlanNote>,
+    model: OnceLock<std::result::Result<Arc<ModelPlan>, ApproxError>>,
 }
 
 impl PhysicalPlan {
@@ -183,6 +190,16 @@ impl PhysicalPlan {
     pub fn explain(&self) -> String {
         self.logical.explain_annotated(Some(&|i| self.notes[i].suffixes()))
     }
+
+    /// The statement's model alternative. `lower` runs on the first
+    /// request only ([`ModelPlan::lower`]); every later request on this
+    /// plan reuses its outcome, so exact-only traffic never pays for it.
+    pub fn model_plan(
+        &self,
+        lower: impl FnOnce() -> std::result::Result<ModelPlan, ApproxError>,
+    ) -> std::result::Result<&ModelPlan, ApproxError> {
+        self.model.get_or_init(|| lower().map(Arc::new)).as_deref().map_err(Clone::clone)
+    }
 }
 
 /// Price a (heuristically optimized) logical plan against the catalog's
@@ -193,7 +210,7 @@ pub fn plan_physical(catalog: &Catalog, plan: &LogicalPlan, consts: &CostConstan
     let mut logical = plan.clone();
     let mut notes = Vec::new();
     price_node(catalog, &mut logical, consts, &mut notes);
-    PhysicalPlan { logical, notes }
+    PhysicalPlan { logical, notes, model: OnceLock::new() }
 }
 
 /// Execute a physical plan. Estimates ride along into the profile (one
@@ -234,6 +251,10 @@ fn price_node(
             Estimate { rows, cost_us: rows * consts.scan_tuple_us }.into()
         }
         LogicalPlan::EmptyScan { .. } => PlanNote::default(),
+        LogicalPlan::ModelScan(m) => {
+            let cells = m.cells as f64;
+            Estimate { rows: cells, cost_us: consts.model_answer_cost_us(cells) }.into()
+        }
         LogicalPlan::Join { left, right, .. } => {
             let le = price_node(catalog, left, consts, notes);
             let re = price_node(catalog, right, consts, notes);

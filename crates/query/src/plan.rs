@@ -1,8 +1,10 @@
 //! Logical query plans.
 
 use crate::error::{QueryError, Result};
+use crate::model_scan::ModelScan;
 use crate::sexpr::ScalarExpr;
 use crate::sql::{AggFunc, OrderBy, SelectItem, SelectStatement};
+use std::sync::Arc;
 
 /// One aggregate output: function, argument (None = `COUNT(*)`), output
 /// column name.
@@ -37,6 +39,10 @@ pub enum LogicalPlan {
         /// Columns to materialize, or `None` for all.
         projection: Option<Vec<String>>,
     },
+    /// A scan answered from a captured model: the leaf enumerates the
+    /// model's parameter space where a `Scan` would read base rows
+    /// (see [`crate::model_scan`]).
+    ModelScan(Arc<ModelScan>),
     /// Inner hash equi-join.
     Join {
         /// Left (FROM) input.
@@ -201,6 +207,7 @@ impl LogicalPlan {
             LogicalPlan::Sort { keys, .. } => out.extend(keys.iter().map(|k| k.column.clone())),
             LogicalPlan::Scan { .. }
             | LogicalPlan::EmptyScan { .. }
+            | LogicalPlan::ModelScan(_)
             | LogicalPlan::Distinct { .. }
             | LogicalPlan::Limit { .. } => {}
         }
@@ -212,7 +219,9 @@ impl LogicalPlan {
     /// This node's inputs in EXPLAIN (preorder) order.
     pub fn inputs(&self) -> Vec<&LogicalPlan> {
         match self {
-            LogicalPlan::Scan { .. } | LogicalPlan::EmptyScan { .. } => Vec::new(),
+            LogicalPlan::Scan { .. } | LogicalPlan::EmptyScan { .. } | LogicalPlan::ModelScan(_) => {
+                Vec::new()
+            }
             LogicalPlan::Join { left, right, .. } => vec![left, right],
             LogicalPlan::Filter { input, .. }
             | LogicalPlan::Aggregate { input, .. }
@@ -220,6 +229,40 @@ impl LogicalPlan {
             | LogicalPlan::Distinct { input }
             | LogicalPlan::Sort { input, .. }
             | LogicalPlan::Limit { input, .. } => vec![input],
+        }
+    }
+
+    /// This node with each input replaced by `f(input)`: the one place
+    /// a rewrite that only cares about some nodes recurses through the
+    /// rest.
+    pub fn map_inputs(&self, mut f: impl FnMut(&LogicalPlan) -> LogicalPlan) -> LogicalPlan {
+        let mut map = |input: &LogicalPlan| Box::new(f(input));
+        match self {
+            LogicalPlan::Scan { .. } | LogicalPlan::EmptyScan { .. } | LogicalPlan::ModelScan(_) => {
+                self.clone()
+            }
+            LogicalPlan::Join { left, right, left_col, right_col } => LogicalPlan::Join {
+                left: map(left),
+                right: map(right),
+                left_col: left_col.clone(),
+                right_col: right_col.clone(),
+            },
+            LogicalPlan::Filter { input, predicate } => {
+                LogicalPlan::Filter { input: map(input), predicate: predicate.clone() }
+            }
+            LogicalPlan::Aggregate { input, group_by, aggs } => LogicalPlan::Aggregate {
+                input: map(input),
+                group_by: group_by.clone(),
+                aggs: aggs.clone(),
+            },
+            LogicalPlan::Project { input, exprs, star } => {
+                LogicalPlan::Project { input: map(input), exprs: exprs.clone(), star: *star }
+            }
+            LogicalPlan::Distinct { input } => LogicalPlan::Distinct { input: map(input) },
+            LogicalPlan::Sort { input, keys } => {
+                LogicalPlan::Sort { input: map(input), keys: keys.clone() }
+            }
+            LogicalPlan::Limit { input, n } => LogicalPlan::Limit { input: map(input), n: *n },
         }
     }
 
@@ -263,6 +306,7 @@ impl LogicalPlan {
             LogicalPlan::EmptyScan { table, projection } => {
                 format!("EmptyScan {table} [{}]", scan_cols(projection))
             }
+            LogicalPlan::ModelScan(m) => m.describe(),
             LogicalPlan::Join { left_col, right_col, .. } => {
                 format!("Join on {left_col} = {right_col}")
             }

@@ -184,6 +184,7 @@ pub fn query_error_kind(e: &QueryError) -> &'static str {
         QueryError::RowLimitExceeded { .. } => "row_limit_exceeded",
         QueryError::WorkerPanic { .. } => "worker_panic",
         QueryError::Storage(_) => "storage",
+        QueryError::Model(_) => "model",
     }
 }
 

@@ -3,7 +3,8 @@
 //! approximate engine is a *rewrite*, and on clean data the rewrite is
 //! semantics-preserving over the reconstructed relation.
 
-use lawsdb::core::LawsDb;
+use lawsdb::approx::Strategy;
+use lawsdb::core::{AnswerMode, LawsDb};
 use lawsdb::fit::FitOptions;
 use lawsdb::prelude::*;
 
@@ -142,11 +143,10 @@ fn order_by_and_limit_match() {
     rows_close(&e, &a);
 }
 
-#[test]
-fn analytic_answers_name_and_type_columns_like_the_exact_path() {
-    use lawsdb::approx::Strategy;
-    // A linear per-sensor law: the model answers global aggregates in
-    // closed form instead of reconstructing rows.
+/// A linear per-sensor law, `temp = 10(s+1) + 2·hour` over hours 0..24:
+/// the model answers global aggregates in closed form instead of
+/// reconstructing rows.
+fn linear_db() -> LawsDb {
     let (mut sensor, mut hour, mut temp) = (Vec::new(), Vec::new(), Vec::new());
     for s in 0..3i64 {
         for h in 0..24 {
@@ -163,6 +163,12 @@ fn analytic_answers_name_and_type_columns_like_the_exact_path() {
     db.register_table(b.build().unwrap()).unwrap();
     db.capture_model("load", "temp ~ a + b * hour", Some("sensor"), &FitOptions::default())
         .unwrap();
+    db
+}
+
+#[test]
+fn analytic_answers_name_and_type_columns_like_the_exact_path() {
+    let db = linear_db();
     for sql in [
         "SELECT AVG(temp) AS v FROM load",
         "SELECT MAX(temp) FROM load",
@@ -173,4 +179,30 @@ fn analytic_answers_name_and_type_columns_like_the_exact_path() {
         assert_eq!(approx.strategy, Strategy::AnalyticAggregate, "{sql}");
         assert_eq!(approx.table.schema(), exact.schema(), "{sql}");
     }
+}
+
+#[test]
+fn an_aggregate_over_no_admitted_point_is_sqls_empty_aggregate() {
+    // No hour exceeds 100: the closed form has no domain to range over,
+    // so the model answers like SQL over no rows, as the exact path does.
+    let db = linear_db();
+    for agg in ["AVG(temp)", "SUM(temp)", "MIN(temp)", "COUNT(temp)"] {
+        let sql = format!("SELECT {agg} AS v FROM load WHERE hour > 100");
+        let exact = db.query(&sql).unwrap().table;
+        assert_eq!(db.query_approx(&sql).unwrap().table, exact, "{sql}");
+        let r = db.answer(&sql, AnswerMode::Resilient, &db.exec).unwrap();
+        assert!(r.answer.is_approximate() && r.degraded.is_empty(), "{sql}");
+        assert_eq!(*r.answer.table(), exact, "{sql}");
+    }
+}
+
+#[test]
+fn qualified_column_names_answer_like_plain_ones() {
+    let db = clean_db();
+    let plain = db.query_approx("SELECT intensity FROM m WHERE source = 7 AND nu = 0.14").unwrap();
+    assert_eq!((plain.strategy, plain.tuples_reconstructed), (Strategy::PointLookup, 1));
+    let qualified =
+        db.query_approx("SELECT intensity FROM m WHERE m.source = 7 AND m.nu = 0.14").unwrap();
+    assert_eq!((qualified.strategy, qualified.tuples_reconstructed), (Strategy::PointLookup, 1));
+    assert_eq!(qualified.table, plain.table);
 }

@@ -25,8 +25,11 @@
 //! after an append. Every exact answer must carry the oracle's bits and column
 //! types, and `rows_scanned` must agree across the single-engine paths.
 //! A model's point lookup must land within its `max_abs_residual` of the
-//! oracle, and a query naming a column the model does not reconstruct
-//! must degrade to the exact rung with `NoModel`.
+//! oracle. Every other model answer must carry the oracle's bits over
+//! the model's relation, rebuilt here one cell at a time: group keys ×
+//! enumerated domain, `predict_scalar`, coverage and legality. A query
+//! naming a column the model does not reconstruct must degrade to the
+//! exact rung with `NoModel`.
 //!
 //! Seeded: `LAWSDB_FAULT_SEED=<seed>` is printed, and a failure names
 //! the seed, the case and the SQL.
@@ -36,7 +39,10 @@ mod oracle;
 use lawsdb::approx::Strategy;
 use lawsdb::cluster::{Cluster, ClusterConfig, PartitionScheme, Phase};
 use lawsdb::core::{Answer, AnswerMode, DegradeReason, LawsDb};
+use lawsdb::expr::{parse_expr, Bindings};
 use lawsdb::fit::FitOptions;
+use lawsdb::models::legal::combo_hash;
+use lawsdb::models::{CapturedModel, ModelParams};
 use lawsdb::obs::MetricsRegistry;
 use lawsdb::query::optimize::optimize;
 use lawsdb::query::{
@@ -54,8 +60,11 @@ const CASES: u64 = 32;
 fn every_exact_path_returns_the_oracles_bits() {
     let seed = fault_seed();
     println!("LAWSDB_FAULT_SEED={seed} (set to reproduce)");
-    let point_checks: usize = (0..CASES).map(|case| run_case(seed, case)).sum();
-    assert!(point_checks > 0, "no model point lookup was checked");
+    let (points, relations) = (0..CASES)
+        .map(|case| run_case(seed, case))
+        .fold((0, 0), |(p, r), (cp, cr)| (p + cp, r + cr));
+    assert!(points > 0, "no model point lookup was checked");
+    assert!(relations > 0, "no model enumeration was checked");
 }
 
 // ------------------------------------------------------------ generator
@@ -358,10 +367,12 @@ struct Run {
     /// The captured model's `max_abs_residual` while it is current.
     bound: Option<f64>,
     point_checks: usize,
+    relation_checks: usize,
 }
 
-/// Runs one case; returns the model point lookups it checked.
-fn run_case(seed: u64, case: u64) -> usize {
+/// Runs one case; returns the model point lookups and the other model
+/// answers it checked.
+fn run_case(seed: u64, case: u64) -> (usize, usize) {
     let mut r = Rng(seed ^ case.wrapping_mul(0xA076_1D64_78BD_642F));
     let c = Case::generate(&mut r);
     let mut db = LawsDb::new();
@@ -373,9 +384,21 @@ fn run_case(seed: u64, case: u64) -> usize {
     server.attach_cluster(Arc::clone(&cluster));
     let client = Client::connect(server.connect()).unwrap();
     let table = c.table.clone();
-    let (bound, point_checks) = (None, 0);
-    let mut run =
-        Run { seed, case, db, server, client, cluster, table, exec: c.exec, bound, point_checks };
+    let (bound, point_checks, relation_checks) = (None, 0, 0);
+    let exec = c.exec;
+    let mut run = Run {
+        seed,
+        case,
+        db,
+        server,
+        client,
+        cluster,
+        table,
+        exec,
+        bound,
+        point_checks,
+        relation_checks,
+    };
 
     for sql in &c.sql {
         run.every_path(sql);
@@ -434,7 +457,7 @@ fn run_case(seed: u64, case: u64) -> usize {
         run.served_paths(s, &want, None);
     }
     run.client.close().unwrap();
-    run.point_checks
+    (run.point_checks, run.relation_checks)
 }
 
 impl Run {
@@ -543,7 +566,12 @@ impl Run {
                     }
                     self.point_checks += 1;
                 }
-                (Answer::Approx(_), Some(_)) => {}
+                (Answer::Approx(x), Some(_)) => {
+                    let model = self.ok(&path, sql, self.db.models().get(x.model));
+                    let relation = oracle::answer(&reconstruction(&model), sql).fingerprint();
+                    self.same(&format!("{path}, model relation"), sql, &relation, &x.table);
+                    self.relation_checks += 1;
+                }
                 (Answer::Approx(_), None) => self.fail(&path, sql, "approximate with no model"),
             }
         }
@@ -572,6 +600,65 @@ impl Run {
             self.fail("2 pushed", PUSHED, &format!("not answered from zone partials: {s:?}"));
         }
     }
+}
+
+/// The relation a model answers over, one cell at a time: every group
+/// key × every enumerated point of the variables, in that order, with
+/// the response from `predict_scalar`, kept when the point is inside
+/// the model's coverage and legal (its legal filter and the Bloom
+/// filter of combinations observed at capture). A query pinning a
+/// variable to a value outside its domain is not rebuilt here; the
+/// grammar pins the variable only in point lookups.
+fn reconstruction(model: &CapturedModel) -> Table {
+    let vars = &model.coverage.variables;
+    let (group, keys) = match &model.params {
+        ModelParams::Grouped { group_column, .. } => {
+            (Some(group_column), model.group_keys().into_iter().map(Some).collect())
+        }
+        ModelParams::Global { .. } => (None, vec![None]),
+    };
+    let domains: Vec<&[f64]> = vars.iter().map(|v| model.coverage.domain_of(v).unwrap()).collect();
+    let points = domains.iter().fold(vec![Vec::new()], |acc, d| {
+        acc.iter().flat_map(|p| d.iter().map(move |&v| [p.clone(), vec![v]].concat())).collect()
+    });
+    let coverage = model.coverage.predicate.as_deref().map(|p| parse_expr(p).unwrap());
+    let (mut gs, mut xs, mut ys) = (Vec::new(), vec![Vec::new(); vars.len()], Vec::new());
+    for key in keys {
+        for point in &points {
+            let mut inputs: Vec<(&str, f64)> =
+                vars.iter().map(String::as_str).zip(point.iter().copied()).collect();
+            if let (Some(g), Some(k)) = (group, key) {
+                inputs.push((g.as_str(), k as f64));
+            }
+            let mut b = Bindings::new();
+            for (n, v) in &inputs {
+                b.set(n, *v);
+            }
+            let covered = coverage.as_ref().is_none_or(|e| e.eval(&b).is_ok_and(|v| v != 0.0));
+            let legal = model.legal_filter.as_ref().is_none_or(|f| f.eval(&b) != Ok(0.0));
+            let observed = model
+                .observed_combos
+                .as_ref()
+                .is_none_or(|bf| bf.contains(combo_hash(key.unwrap_or(0), point)));
+            if !(covered && legal && observed) {
+                continue;
+            }
+            gs.push(key.unwrap_or(0));
+            for (col, v) in xs.iter_mut().zip(point) {
+                col.push(*v);
+            }
+            ys.push(model.predict_scalar(key, &inputs).unwrap());
+        }
+    }
+    let mut b = TableBuilder::new(model.coverage.table.clone());
+    if let Some(g) = group {
+        b.add_i64(g.clone(), gs);
+    }
+    for (var, col) in vars.iter().zip(xs) {
+        b.add_f64(var.clone(), col);
+    }
+    b.add_f64(model.coverage.response.clone(), ys);
+    b.build().unwrap()
 }
 
 fn nodes(plan: &LogicalPlan) -> usize {

@@ -3,20 +3,22 @@
 //! The end-to-end `benchmark/` package sits outside this workspace, so
 //! `cargo test` never builds it. Every public item it calls is called
 //! here, so a change to the engine's surface that would break the
-//! benchmark breaks this file first. The last three tests pin the
-//! structural facts the benchmark's `query.*` and `trace.*` numbers
-//! stand on. Exact answers are held to the naive interpreter in
+//! benchmark breaks this file first. The last four tests pin the
+//! structural facts the benchmark's `query.*`, `approx.*` and `trace.*`
+//! numbers stand on. Exact answers are held to the naive interpreter in
 //! `oracle/`, the same one `tests/equivalence.rs` drives every path
 //! against.
 
 mod oracle;
 
+use lawsdb::approx::Strategy;
 use lawsdb::cluster::{Cluster, ClusterConfig, PartitionScheme};
 use lawsdb::core::{AnswerMode, DurableDb, FitOptions, LawsDb};
 use lawsdb::data::lofar::{LofarConfig, LofarDataset};
+use lawsdb::data::timeseries::{TimeSeriesConfig, TimeSeriesDataset};
 use lawsdb::models::ModelId;
 use lawsdb::obs::{attribute_layers, global_metrics, LAYERS};
-use lawsdb::query::{execute_with, parse_select, ExecOptions};
+use lawsdb::query::{execute_with, parse_select, ExecOptions, ProfileCollector};
 use lawsdb::server::{Client, PipeStream, QueryMode, Server, ServerConfig};
 use lawsdb::storage::{Column, SimulatedDevice, Table, TableBuilder, Value};
 use oracle::fingerprint;
@@ -365,4 +367,52 @@ fn traced_cluster_query_attributes_to_canonical_layers() {
     assert!(!names.is_empty(), "no layer attributed");
     assert!(names.iter().all(|n| LAYERS.contains(n)), "{names:?}");
     client.close().unwrap();
+}
+
+#[test]
+fn a_model_answer_is_a_leaf_of_the_one_plan() {
+    let (db, _, model) = fixture();
+    let exec = ExecOptions { threads: 1, ..ExecOptions::default() };
+    // The exact query plans once; the ladder's model rung reuses it.
+    db.plan_cache().clear();
+    db.query(SRC_AVG).unwrap();
+    let hits = db.plan_cache().hit_count();
+    let r = db.answer(SRC_AVG, AnswerMode::Resilient, &exec).unwrap();
+    assert!(r.answer.is_approximate() && r.degraded.is_empty());
+    assert_eq!(db.plan_cache().hit_count(), hits + 1, "one lookup, one hit");
+    assert_eq!(db.plan_cache().miss_count(), 1);
+
+    // EXPLAIN keeps the exact lines and adds the model's tree, its leaf
+    // where the scan was.
+    let exact = db.physical_plan(SRC_AVG).unwrap().explain();
+    let text = db.explain(SRC_AVG).unwrap();
+    let model_tree = text.strip_prefix(exact.as_str()).expect("exact lines first, unchanged");
+    let leaf = model_tree.lines().last().unwrap().trim_start();
+    let prefix = format!("ModelScan measurements model={} cells=4 bound=±", model.0);
+    assert!(leaf.starts_with(&prefix), "{text}");
+    assert!(leaf.contains(" · est_rows=4 "), "{text}");
+
+    // A profiled model answer is a plan-shaped tree.
+    let collector = ProfileCollector::new();
+    let traced = ExecOptions { profile: Some(collector.context()), ..exec };
+    assert!(db.answer(SRC_AVG, AnswerMode::Resilient, &traced).unwrap().answer.is_approximate());
+    let tree = collector.build("query");
+    let aggregate = tree.find("plan.aggregate");
+    assert_eq!(aggregate.len(), 1, "{tree:?}");
+    let leaves: Vec<&str> = aggregate[0].children.iter().map(|c| c.name.as_str()).collect();
+    assert!(leaves.contains(&"plan.scan.model"), "{leaves:?}");
+    assert_eq!(tree.find("resilient.approx").len(), 1);
+
+    // E7's claim: an aggregate over a linear law answers in closed form,
+    // reconstructing nothing.
+    let cfg = TimeSeriesConfig { sensors: 20, ticks: 100, noise_sd: 0.05, ..Default::default() };
+    let mut db = LawsDb::new();
+    db.quality.min_r2 = 0.0;
+    db.register_table(TimeSeriesDataset::generate(&cfg).table).unwrap();
+    db.capture_model("readings", "value ~ a + b * ts", Some("sensor"), &Default::default())
+        .unwrap();
+    for agg in ["COUNT", "SUM", "AVG", "MIN", "MAX"] {
+        let a = db.query_approx(&format!("SELECT {agg}(value) AS v FROM readings")).unwrap();
+        assert_eq!((a.strategy, a.tuples_reconstructed, a.rows_scanned), (Strategy::AnalyticAggregate, 0, 0));
+    }
 }

@@ -33,6 +33,12 @@ pub enum CoreError {
         /// Explanation.
         detail: String,
     },
+    /// A user table named in the model catalog's reserved `lawsdb_model`
+    /// namespace.
+    ReservedTableName {
+        /// The refused name.
+        name: String,
+    },
 }
 
 impl fmt::Display for CoreError {
@@ -49,6 +55,9 @@ impl fmt::Display for CoreError {
             }
             CoreError::CompressionState { detail } => {
                 write!(f, "compression state error: {detail}")
+            }
+            CoreError::ReservedTableName { name } => {
+                write!(f, "table name {name:?} is reserved for the model catalog")
             }
         }
     }

@@ -18,6 +18,7 @@
 use crate::error::{CoreError, Result};
 use crate::resilience::DegradeReason;
 use lawsdb_models::bridge::predict_table;
+use lawsdb_models::persist::CATALOG_PREFIX;
 use lawsdb_models::{CapturedModel, ModelCatalog};
 use lawsdb_storage::codec::Reader;
 use lawsdb_storage::compress::{residual, varint};
@@ -161,7 +162,10 @@ pub fn decompress_column(
 /// [`DurableDb::new`] + [`DurableDb::recover`]; every mutation is one
 /// atomic commit, so a crash at any device operation recovers to
 /// exactly the pre- or post-commit state (the crash-matrix suites in
-/// `lawsdb-storage` and this crate prove it op by op).
+/// `lawsdb-storage` and this crate prove it op by op). The model
+/// catalog is stored as tables whose names start with `lawsdb_model`
+/// (see `lawsdb_models::persist`); that namespace is reserved, so user
+/// tables there are refused.
 #[derive(Debug)]
 pub struct DurableDb<D: BlockDevice> {
     store: DurableStore<D>,
@@ -170,7 +174,7 @@ pub struct DurableDb<D: BlockDevice> {
 impl<D: BlockDevice> DurableDb<D> {
     /// Wrap a device; performs no IO until [`DurableDb::recover`].
     pub fn new(device: D) -> DurableDb<D> {
-        DurableDb { store: DurableStore::new(device, 8) }
+        DurableDb { store: DurableStore::new(device) }
     }
 
     /// Open the database: format an empty device, or replay / roll back
@@ -187,17 +191,20 @@ impl<D: BlockDevice> DurableDb<D> {
 
     /// Durably store a new table (one atomic commit).
     pub fn store_table(&mut self, table: &Table) -> Result<()> {
+        user_table(table.name())?;
         self.store.store_table(table).map_err(CoreError::Storage)
     }
 
     /// Replace (or freshly store) a table in one atomic commit — the
     /// data-change path after appends or recompression.
     pub fn replace_table(&mut self, table: &Table) -> Result<()> {
+        user_table(table.name())?;
         self.store.replace_table(table).map_err(CoreError::Storage)
     }
 
     /// Drop a table in one atomic commit.
     pub fn drop_table(&mut self, name: &str) -> Result<()> {
+        user_table(name)?;
         self.store.drop_table(name).map_err(CoreError::Storage)
     }
 
@@ -315,17 +322,35 @@ impl<D: BlockDevice> DurableDb<D> {
         self.store.table_names()
     }
 
-    /// Durably persist the model catalog (one atomic commit). Models
-    /// travel in source form — the paper's "store the models in their
-    /// source code form inside the database", made crash-safe.
+    /// Durably persist the model catalog as its tables, in one atomic
+    /// commit that also drops every catalog table the catalog no longer
+    /// names, so the store holds exactly this catalog. Models travel in
+    /// source form — the paper's "store the models in their source code
+    /// form inside the database", made crash-safe.
     pub fn save_models(&mut self, catalog: &ModelCatalog) -> Result<()> {
-        catalog.save_to_store(&mut self.store).map_err(CoreError::Model)
+        let tables = catalog.to_tables().map_err(CoreError::Model)?;
+        let stale: Vec<String> = self
+            .catalog_tables()
+            .filter(|name| tables.iter().all(|t| t.name() != name))
+            .collect();
+        let drops: Vec<&str> = stale.iter().map(String::as_str).collect();
+        self.store.commit(&tables, &drops).map_err(CoreError::Storage)
     }
 
     /// Load the model catalog the store recovered to (empty if none was
     /// ever saved).
     pub fn load_models(&self) -> Result<ModelCatalog> {
-        ModelCatalog::load_from_store(&self.store).map_err(CoreError::Model)
+        let tables = self
+            .catalog_tables()
+            .map(|name| self.store.read_table(&name))
+            .collect::<lawsdb_storage::Result<Vec<_>>>()
+            .map_err(CoreError::Storage)?;
+        ModelCatalog::from_tables(&tables).map_err(CoreError::Model)
+    }
+
+    /// Names of the stored model-catalog tables.
+    fn catalog_tables(&self) -> impl Iterator<Item = String> {
+        self.store.table_names().into_iter().filter(|name| name.starts_with(CATALOG_PREFIX))
     }
 
     /// Page ranges `(start, byte_len)` of one stored column's extents,
@@ -357,6 +382,14 @@ impl<D: BlockDevice> DurableDb<D> {
     pub fn device(&self) -> &D {
         self.store.device()
     }
+}
+
+/// Refuse a user table in the model catalog's reserved namespace.
+fn user_table(name: &str) -> Result<()> {
+    if name.starts_with(CATALOG_PREFIX) {
+        return Err(CoreError::ReservedTableName { name: name.to_string() });
+    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -524,6 +557,34 @@ mod tests {
             db.read_table_resilient("measurements", &ModelCatalog::new()).unwrap();
         assert!(reasons.is_empty());
         assert_eq!(salvaged.row_count(), t.row_count());
+    }
+
+    #[test]
+    fn the_catalog_is_saved_in_one_commit_into_a_reserved_namespace() {
+        let t = noisy_lofar(3);
+        let mut db = DurableDb::new(lawsdb_storage::SimulatedDevice::new(256));
+        db.recover().unwrap();
+        let reserved = Table::new("lawsdb_models", t.schema().clone(), t.columns().to_vec());
+        let reserved = reserved.unwrap();
+        let refused = |r: Result<()>| matches!(r, Err(CoreError::ReservedTableName { .. }));
+        assert!(refused(db.store_table(&reserved)));
+        assert!(refused(db.replace_table(&reserved)));
+        assert!(refused(db.drop_table("lawsdb_model_1")));
+        let models = ModelCatalog::new();
+        models.store(fitted(&t));
+        models.store(fitted(&t));
+        db.save_models(&models).unwrap();
+        assert_eq!(db.seq(), 1, "one commit");
+        let names = ["lawsdb_model_1", "lawsdb_model_2", "lawsdb_model_domains", "lawsdb_models"];
+        assert_eq!(db.table_names(), names);
+        // A catalog that no longer names a version drops its table in
+        // the same commit.
+        let one = ModelCatalog::new();
+        one.store(fitted(&t));
+        db.save_models(&one).unwrap();
+        assert_eq!(db.seq(), 2);
+        assert!(!db.table_names().contains(&"lawsdb_model_2".to_string()));
+        assert_eq!(db.load_models().unwrap().len(), 1);
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //!
 //! This is the engine-level companion of the storage crate's crash
 //! matrix: models are fitted once up front (fitting is deterministic),
-//! then the workload commits tables and catalog images through
+//! then the workload commits tables and the catalog's tables through
 //! [`DurableDb`] over a fault-injecting device. Every device operation
 //! is used as a crash point; recovery must land on exactly the pre- or
 //! post-commit state, and recovered models must predict bit-identically
@@ -70,7 +70,7 @@ fn fixture() -> Fixture {
     );
     // Catalog v2: the v1 model goes stale after the append and a re-fit
     // joins it.
-    let catalog2 = ModelCatalog::from_bytes(&catalog1.to_bytes()).unwrap();
+    let catalog2 = ModelCatalog::from_tables(&catalog1.to_tables().unwrap()).unwrap();
     catalog2.set_state(m1.id, ModelState::Stale).unwrap();
     catalog2.store(
         fit_table_grouped(&t2, "intensity ~ p * nu ^ alpha", "source", &opts, 1).unwrap().0,

@@ -196,18 +196,14 @@ impl ModelCatalog {
         Ok(retired)
     }
 
-    /// Snapshot for persistence: next id + all models in id order.
-    pub(crate) fn snapshot(&self) -> (u64, Vec<Arc<CapturedModel>>) {
-        let inner = self.inner.read();
-        (inner.next_id, inner.models.values().cloned().collect())
-    }
-
-    /// Rebuild from persisted parts (ids are kept as stored).
-    pub(crate) fn restore(next_id: u64, models: Vec<CapturedModel>) -> ModelCatalog {
+    /// Rebuild from stored models, ids kept as stored. The next id is
+    /// the largest one: the catalog never removes a model, so no id
+    /// above it was ever handed out.
+    pub(crate) fn restore(models: Vec<CapturedModel>) -> ModelCatalog {
         let catalog = ModelCatalog::new();
         {
             let mut inner = catalog.inner.write();
-            inner.next_id = next_id;
+            inner.next_id = models.iter().map(|m| m.id.0).max().unwrap_or(0);
             for m in models {
                 inner.models.insert(m.id.0, Arc::new(m));
             }

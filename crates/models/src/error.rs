@@ -42,6 +42,14 @@ pub enum ModelError {
     Expr(lawsdb_expr::ExprError),
     /// Underlying storage failure.
     Storage(lawsdb_storage::StorageError),
+    /// A stored model-catalog table disagrees with itself or with the
+    /// other catalog tables.
+    BadCatalog {
+        /// The table at fault.
+        table: String,
+        /// Explanation.
+        detail: String,
+    },
     /// Piecewise/grid construction problem.
     BadConstruction {
         /// Explanation.
@@ -66,6 +74,9 @@ impl fmt::Display for ModelError {
             ModelError::Fit(e) => write!(f, "fit error: {e}"),
             ModelError::Expr(e) => write!(f, "expression error: {e}"),
             ModelError::Storage(e) => write!(f, "storage error: {e}"),
+            ModelError::BadCatalog { table, detail } => {
+                write!(f, "model catalog table {table:?}: {detail}")
+            }
             ModelError::BadConstruction { detail } => write!(f, "bad construction: {detail}"),
         }
     }

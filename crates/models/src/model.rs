@@ -168,7 +168,7 @@ pub struct CapturedModel {
     /// Bloom filter of the (group, variables…) combinations observed at
     /// capture, so enumeration does not invent tuples that never existed
     /// (Section 4.2's "compressed lookup structure"). Held in memory
-    /// only: a model loaded from a persisted image has none.
+    /// only: a model loaded from the stored catalog tables has none.
     pub observed_combos: Option<Arc<BloomFilter>>,
 }
 

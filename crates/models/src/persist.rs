@@ -1,451 +1,556 @@
-//! Model-catalog persistence.
+//! Model-catalog persistence: the catalog is a set of tables.
 //!
 //! "We can store the models in their source code form inside the
-//! database" (Section 3) — and across restarts. The format leans on
-//! that insight: the model *body* is persisted as its formula source
-//! text and re-parsed on load (the parser is the schema), while the
-//! fitted numbers travel as little-endian scalars with varint framing.
+//! database" (Section 3). The catalog maps onto ordinary [`Table`]s, so
+//! it is stored, committed, checksummed and recovered by the page store
+//! exactly like the data it describes — one durable format, one
+//! decoder, one crash story:
 //!
-//! Layout (all integers varint unless noted):
+//! * `lawsdb_models` — one row per model version: `id`, `version`,
+//!   `state`, `overall_r2`, `max_abs_residual`, the `formula` and
+//!   `legal_filter` source, the covered `table_name`, `response`,
+//!   `rows_at_fit`, `predicate` and `group_column` (NULL when global).
+//! * `lawsdb_model_domains` — each model's input variables in coverage
+//!   order: one row per enumerated value, or one row with a NULL
+//!   `value` for a variable that was not enumerable.
+//! * `lawsdb_model_<id>` — one per version: the group key (named after
+//!   the group column) when grouped, one `Float64` column per
+//!   parameter, then `$residual_se`, `$r2` and `$n` — names no formula
+//!   identifier can take. A global model is one row.
 //!
-//! ```text
-//! magic "LAWM" | crc32 u32-le of everything after it |
-//! format version | next_id | model count
-//! per model:
-//!   id | version | state u8 | overall_r2 f64 |
-//!   max_abs_residual (tag u8, f64 when present) |
-//!   formula source | optional legal-filter source |
-//!   coverage { table | response | variables | rows_at_fit |
-//!              optional predicate | domains } |
-//!   params: tag u8 (0 global, 1 grouped) { … }
-//! ```
-//!
-//! The whole-image checksum (format v2) means *any* truncation or byte
-//! flip of a stored image is a structured [`ModelError`], never a
-//! silently wrong model — the property the root `tests/hostile_bytes.rs`
-//! driver pins down. For crash safety the image rides the storage
-//! durability layer via [`ModelCatalog::save_to_store`] /
-//! [`ModelCatalog::load_from_store`].
+//! The model body travels as its formula source and is re-parsed on
+//! load (the parser is the schema). The next id is the largest stored
+//! id, since the catalog never removes a model. `lawsdb-core`'s
+//! `DurableDb::save_models` commits [`ModelCatalog::to_tables`] as one
+//! transaction and `load_models` hands the stored tables to
+//! [`ModelCatalog::from_tables`], which checks every table against the
+//! others and ends in a typed [`ModelError`], never a panic.
 
 use crate::catalog::ModelCatalog;
 use crate::error::{ModelError, Result};
 use crate::model::{CapturedModel, Coverage, GroupParams, ModelId, ModelParams, ModelState};
-use lawsdb_storage::codec::Reader;
-use lawsdb_storage::compress::varint;
-use std::collections::HashMap;
+use lawsdb_storage::bitmap::Bitmap;
+use lawsdb_storage::{Column, DataType, Field, Schema, Table};
+use std::collections::{BTreeMap, HashMap};
+use std::sync::Arc;
 
-const MAGIC: &[u8; 4] = b"LAWM";
-const FORMAT_VERSION: u64 = 3;
-/// Byte offset where the checksummed region starts (magic + crc32).
-const BODY_START: usize = 8;
+/// Every catalog table's name starts with this prefix, and no other
+/// table's may.
+pub const CATALOG_PREFIX: &str = "lawsdb_model";
+const MODELS: &str = "lawsdb_models";
+const DOMAINS: &str = "lawsdb_model_domains";
+/// The fit statistics that close every parameter table.
+const STATS: [&str; 3] = ["$residual_se", "$r2", "$n"];
+const STATES: [(ModelState, &str); 3] = [
+    (ModelState::Active, "active"),
+    (ModelState::Stale, "stale"),
+    (ModelState::Retired, "retired"),
+];
 
-fn put_str(out: &mut Vec<u8>, s: &str) {
-    varint::put_u64(out, s.len() as u64);
-    out.extend_from_slice(s.as_bytes());
+fn params_table_name(id: u64) -> String {
+    format!("{CATALOG_PREFIX}_{id}")
 }
 
-fn get_str(r: &mut Reader<'_>) -> Result<String> {
-    let len = r.varint_u64()? as usize;
-    Ok(r.utf8(len, "string")?)
+fn bad(table: &str, detail: impl Into<String>) -> ModelError {
+    ModelError::BadCatalog { table: table.to_string(), detail: detail.into() }
 }
 
-fn put_f64(out: &mut Vec<u8>, v: f64) {
-    out.extend_from_slice(&v.to_le_bytes());
+/// A table of `columns`. It gets no zone synopsis: the catalog's
+/// tables are read whole, never scanned with a predicate.
+fn table(name: &str, columns: Vec<(Field, Column)>) -> Result<Table> {
+    let (fields, columns) = columns.into_iter().unzip();
+    Ok(Table::new(name, Schema::new(fields), columns)?)
 }
 
-fn put_opt_str(out: &mut Vec<u8>, s: Option<&str>) {
-    match s {
-        None => out.push(0),
-        Some(s) => {
-            out.push(1);
-            put_str(out, s);
+fn i64s(name: &str, values: Vec<i64>) -> (Field, Column) {
+    (Field::new(name, DataType::Int64), Column::from_i64(values))
+}
+
+fn f64s(name: &str, values: Vec<f64>) -> (Field, Column) {
+    (Field::new(name, DataType::Float64), Column::from_f64(values))
+}
+
+fn strs(name: &str, values: Vec<String>) -> (Field, Column) {
+    (Field::new(name, DataType::Str), Column::from_str(values))
+}
+
+fn nullable_f64s(name: &str, values: Vec<Option<f64>>) -> (Field, Column) {
+    (Field::nullable(name, DataType::Float64), Column::from_f64_opt(values))
+}
+
+fn nullable_strs(name: &str, values: impl Iterator<Item = Option<String>>) -> (Field, Column) {
+    let (mut data, mut validity) = (Vec::new(), Bitmap::new());
+    for v in values {
+        validity.push(v.is_some());
+        data.push(v.unwrap_or_default());
+    }
+    (Field::nullable(name, DataType::Str), Column::Str { data: data.into(), validity })
+}
+
+/// `names` must include every formula parameter: each symbol of the
+/// body that is not an input variable. A model missing one could not
+/// predict, so it is neither saved nor loaded.
+fn check_params(table: &str, m: &CapturedModel) -> Result<()> {
+    let (vars, names) = (&m.coverage.variables, m.params.names());
+    match m.rhs.symbols().into_iter().find(|s| !vars.contains(s) && !names.contains(s)) {
+        Some(p) => Err(bad(table, format!("no column for parameter {p:?}"))),
+        None => Ok(()),
+    }
+}
+
+fn models_table(models: &[Arc<CapturedModel>]) -> Result<Table> {
+    let ints = |name, f: fn(&CapturedModel) -> u64| {
+        i64s(name, models.iter().map(|m| f(m) as i64).collect())
+    };
+    let text =
+        |name, f: fn(&CapturedModel) -> String| strs(name, models.iter().map(|m| f(m)).collect());
+    let nulls = |name, f: fn(&CapturedModel) -> Option<String>| {
+        nullable_strs(name, models.iter().map(|m| f(m)))
+    };
+    let state = |m: &CapturedModel| STATES.iter().find(|s| s.0 == m.state).expect("all").1.into();
+    table(
+        MODELS,
+        vec![
+            ints("id", |m| m.id.0),
+            ints("version", |m| m.version.into()),
+            text("state", state),
+            f64s("overall_r2", models.iter().map(|m| m.overall_r2).collect()),
+            nullable_f64s("max_abs_residual", models.iter().map(|m| m.max_abs_residual).collect()),
+            text("formula", |m| m.formula_source.clone()),
+            nulls("legal_filter", |m| m.legal_filter.as_ref().map(|e| e.to_string())),
+            text("table_name", |m| m.coverage.table.clone()),
+            text("response", |m| m.coverage.response.clone()),
+            ints("rows_at_fit", |m| m.coverage.rows_at_fit as u64),
+            nulls("predicate", |m| m.coverage.predicate.clone()),
+            nulls("group_column", |m| match &m.params {
+                ModelParams::Global { .. } => None,
+                ModelParams::Grouped { group_column, .. } => Some(group_column.clone()),
+            }),
+        ],
+    )
+}
+
+fn domains_table(models: &[Arc<CapturedModel>]) -> Result<Table> {
+    let (mut ids, mut variables, mut values) = (Vec::new(), Vec::new(), Vec::new());
+    for m in models {
+        // Domains are stored under their variables, so they must be the
+        // enumerable variables' own, in coverage order, as capture
+        // records them.
+        let cov = &m.coverage;
+        let enumerable = cov.variables.iter().filter(|v| cov.domain_of(v).is_some());
+        if !cov.domains.iter().map(|(v, _)| v).eq(enumerable)
+            || cov.domains.iter().any(|d| d.1.is_empty())
+        {
+            return Err(bad(
+                DOMAINS,
+                format!("model {}: domains do not follow its variables", m.id.0),
+            ));
         }
-    }
-}
-
-fn get_opt_str(r: &mut Reader<'_>) -> Result<Option<String>> {
-    match r.u8()? {
-        0 => Ok(None),
-        1 => Ok(Some(get_str(r)?)),
-        other => Err(r.corrupt(format!("bad option tag {other}")).into()),
-    }
-}
-
-/// A varint element count; anything beyond the bytes left is bogus
-/// (every element takes at least one), so reject before allocating.
-fn get_count(r: &mut Reader<'_>, what: &str) -> Result<usize> {
-    let n = r.varint_u64()?;
-    Ok(r.claim(n, 1, what)?)
-}
-
-fn encode_model(out: &mut Vec<u8>, m: &CapturedModel) {
-    varint::put_u64(out, m.id.0);
-    varint::put_u64(out, m.version as u64);
-    out.push(match m.state {
-        ModelState::Active => 0,
-        ModelState::Stale => 1,
-        ModelState::Retired => 2,
-    });
-    put_f64(out, m.overall_r2);
-    match m.max_abs_residual {
-        None => out.push(0),
-        Some(b) => {
-            out.push(1);
-            put_f64(out, b);
-        }
-    }
-    put_str(out, &m.formula_source);
-    put_opt_str(out, m.legal_filter.as_ref().map(|e| e.to_string()).as_deref());
-    // Coverage.
-    put_str(out, &m.coverage.table);
-    put_str(out, &m.coverage.response);
-    varint::put_u64(out, m.coverage.variables.len() as u64);
-    for v in &m.coverage.variables {
-        put_str(out, v);
-    }
-    varint::put_u64(out, m.coverage.rows_at_fit as u64);
-    put_opt_str(out, m.coverage.predicate.as_deref());
-    varint::put_u64(out, m.coverage.domains.len() as u64);
-    for (name, vals) in &m.coverage.domains {
-        put_str(out, name);
-        varint::put_u64(out, vals.len() as u64);
-        for &v in vals {
-            put_f64(out, v);
-        }
-    }
-    // Params.
-    match &m.params {
-        ModelParams::Global { names, values, residual_se, r2, n } => {
-            out.push(0);
-            varint::put_u64(out, names.len() as u64);
-            for (name, &v) in names.iter().zip(values) {
-                put_str(out, name);
-                put_f64(out, v);
+        for v in &cov.variables {
+            let domain =
+                cov.domain_of(v).map_or(vec![None], |d| d.iter().copied().map(Some).collect());
+            for value in domain {
+                ids.push(m.id.0 as i64);
+                variables.push(v.clone());
+                values.push(value);
             }
-            put_f64(out, *residual_se);
-            put_f64(out, *r2);
-            varint::put_u64(out, *n as u64);
+        }
+    }
+    table(
+        DOMAINS,
+        vec![i64s("model", ids), strs("variable", variables), nullable_f64s("value", values)],
+    )
+}
+
+fn params_table(m: &CapturedModel) -> Result<Table> {
+    let name = params_table_name(m.id.0);
+    check_params(&name, m)?;
+    let mut columns = Vec::new();
+    let (residual_se, r2, n) = match &m.params {
+        ModelParams::Global { names, values, residual_se, r2, n } => {
+            if values.len() != names.len() {
+                return Err(bad(&name, "parameter values do not match the names"));
+            }
+            columns.extend(names.iter().zip(values).map(|(p, &v)| f64s(p, vec![v])));
+            (vec![*residual_se], vec![*r2], vec![*n as i64])
         }
         ModelParams::Grouped { group_column, names, groups } => {
-            out.push(1);
-            put_str(out, group_column);
-            varint::put_u64(out, names.len() as u64);
-            for name in names {
-                put_str(out, name);
-            }
-            varint::put_u64(out, groups.len() as u64);
             let mut keys: Vec<i64> = groups.keys().copied().collect();
             keys.sort_unstable();
-            for k in keys {
-                let g = &groups[&k];
-                varint::put_i64(out, k);
-                for &v in &g.values {
-                    put_f64(out, v);
-                }
-                put_f64(out, g.residual_se);
-                put_f64(out, g.r2);
-                varint::put_u64(out, g.n as u64);
+            let rows: Vec<&GroupParams> = keys.iter().map(|k| &groups[k]).collect();
+            if rows.iter().any(|g| g.values.len() != names.len()) {
+                return Err(bad(&name, "a group's parameter values do not match the names"));
             }
+            columns.push(i64s(group_column, keys));
+            for (j, p) in names.iter().enumerate() {
+                columns.push(f64s(p, rows.iter().map(|g| g.values[j]).collect()));
+            }
+            let stat = |f: fn(&GroupParams) -> f64| rows.iter().map(|g| f(g)).collect();
+            (stat(|g| g.residual_se), stat(|g| g.r2), rows.iter().map(|g| g.n as i64).collect())
         }
+    };
+    columns.extend([f64s(STATS[0], residual_se), f64s(STATS[1], r2), i64s(STATS[2], n)]);
+    table(&name, columns)
+}
+
+/// Typed access to one stored catalog table's columns.
+struct Cols<'a>(&'a Table);
+
+impl<'a> Cols<'a> {
+    fn column(&self, name: &str) -> Result<&'a Column> {
+        self.0.column(name).map_err(|_| bad(self.0.name(), format!("no column {name:?}")))
+    }
+
+    fn ints(&self, name: &str) -> Result<&'a [i64]> {
+        Ok(self.column(name)?.i64_data()?)
+    }
+
+    fn floats(&self, name: &str) -> Result<&'a [f64]> {
+        Ok(self.column(name)?.f64_data()?)
+    }
+
+    fn strs(&self, name: &str) -> Result<&'a [String]> {
+        Ok(self.column(name)?.str_data()?)
+    }
+
+    /// Whether each row of a nullable column holds a value.
+    fn valid(&self, name: &str) -> Result<impl Iterator<Item = bool> + 'a> {
+        let validity = self.column(name)?.validity();
+        Ok((0..validity.len()).map(|i| validity.get(i)))
+    }
+
+    fn opt_floats(&self, name: &str) -> Result<Vec<Option<f64>>> {
+        let valid = self.valid(name)?;
+        Ok(valid.zip(self.floats(name)?).map(|(ok, &v)| ok.then_some(v)).collect())
+    }
+
+    fn opt_strs(&self, name: &str) -> Result<Vec<Option<&'a str>>> {
+        let valid = self.valid(name)?;
+        Ok(valid.zip(self.strs(name)?).map(|(ok, v)| ok.then_some(v.as_str())).collect())
+    }
+
+    /// A stored count or id, which must not be negative.
+    fn unsigned(&self, what: &str, v: i64) -> Result<u64> {
+        u64::try_from(v).map_err(|_| bad(self.0.name(), format!("negative {what} {v}")))
     }
 }
 
-fn decode_model(r: &mut Reader<'_>) -> Result<CapturedModel> {
-    let id = ModelId(r.varint_u64()?);
-    let version = r.varint_u64()? as u32;
-    let state = match r.u8()? {
-        0 => ModelState::Active,
-        1 => ModelState::Stale,
-        2 => ModelState::Retired,
-        other => return Err(r.corrupt(format!("bad state tag {other}")).into()),
-    };
-    let overall_r2 = r.f64()?;
-    let max_abs_residual = match r.u8()? {
-        0 => None,
-        1 => Some(r.f64()?),
-        other => return Err(r.corrupt(format!("bad residual-bound tag {other}")).into()),
-    };
-    let formula_source = get_str(r)?;
-    let legal_src = get_opt_str(r)?;
-    let formula = lawsdb_expr::parse_formula(&formula_source)?;
-    let legal_filter = match legal_src {
-        None => None,
-        Some(src) => Some(lawsdb_expr::parse_expr(&src)?),
-    };
-    // Coverage.
-    let table = get_str(r)?;
-    let response = get_str(r)?;
-    let nvars = get_count(r, "variable")?;
-    let mut variables = Vec::with_capacity(nvars);
-    for _ in 0..nvars {
-        variables.push(get_str(r)?);
-    }
-    let rows_at_fit = r.varint_u64()? as usize;
-    let predicate = get_opt_str(r)?;
-    let ndomains = get_count(r, "domain")?;
-    let mut domains = Vec::with_capacity(ndomains);
-    for _ in 0..ndomains {
-        let name = get_str(r)?;
-        let nvals = r.varint_u64()? as usize;
-        domains.push((name, r.vec8(nvals, "domain values", f64::from_le_bytes)?));
-    }
-    // Params.
-    let params = match r.u8()? {
-        0 => {
-            let np = get_count(r, "param")?;
-            let mut names = Vec::with_capacity(np);
-            let mut values = Vec::with_capacity(np);
-            for _ in 0..np {
-                names.push(get_str(r)?);
-                values.push(r.f64()?);
+/// One model's variables in coverage order, with their enumerated
+/// values (`None`: not enumerable).
+type Variables = Vec<(String, Option<Vec<f64>>)>;
+
+/// Each model's [`Variables`], keyed by model id. A value row right
+/// after a value row of the same variable extends its domain; any other
+/// row starts the next variable.
+fn read_domains(t: &Table) -> Result<BTreeMap<u64, Variables>> {
+    let c = Cols(t);
+    let (ids, variables, values) = (c.ints("model")?, c.strs("variable")?, c.opt_floats("value")?);
+    let mut out: BTreeMap<u64, Variables> = BTreeMap::new();
+    for ((&id, variable), value) in ids.iter().zip(variables).zip(values) {
+        let id = c.unsigned("model id", id)?;
+        let vars = out.entry(id).or_default();
+        if let (Some((last, Some(domain))), Some(v)) = (vars.last_mut(), value) {
+            if last == variable {
+                domain.push(v);
+                continue;
             }
-            let residual_se = r.f64()?;
-            let r2 = r.f64()?;
-            let n = r.varint_u64()? as usize;
-            ModelParams::Global { names, values, residual_se, r2, n }
         }
-        1 => {
-            let group_column = get_str(r)?;
-            let np = get_count(r, "param")?;
-            let mut names = Vec::with_capacity(np);
-            for _ in 0..np {
-                names.push(get_str(r)?);
-            }
-            let ngroups = get_count(r, "group")?;
-            let mut groups = HashMap::with_capacity(ngroups);
-            for _ in 0..ngroups {
-                let key = r.varint_i64()?;
-                let values = r.vec8(np, "group params", f64::from_le_bytes)?;
-                let residual_se = r.f64()?;
-                let r2 = r.f64()?;
-                let n = r.varint_u64()? as usize;
-                groups.insert(key, GroupParams { values, residual_se, r2, n });
-            }
-            ModelParams::Grouped { group_column, names, groups }
+        if vars.iter().any(|(v, _)| v == variable) {
+            return Err(bad(DOMAINS, format!("model {id} lists variable {variable:?} twice")));
         }
-        other => return Err(r.corrupt(format!("bad params tag {other}")).into()),
+        vars.push((variable.clone(), value.map(|v| vec![v])));
+    }
+    Ok(out)
+}
+
+/// The parameters stored in `t`, keyed by `group_column` when grouped.
+fn read_params(t: &Table, group_column: Option<&str>) -> Result<ModelParams> {
+    let c = Cols(t);
+    let fields = t.schema().fields();
+    let params = match group_column {
+        Some(g) if fields.first().is_some_and(|f| f.name == g) => &fields[1..],
+        Some(g) => return Err(bad(t.name(), format!("first column is not the group key {g:?}"))),
+        None => fields,
     };
-    Ok(CapturedModel {
-        id,
-        version,
-        formula_source,
-        rhs: formula.rhs,
-        params,
-        coverage: Coverage { table, response, variables, rows_at_fit, predicate, domains },
-        overall_r2,
-        max_abs_residual,
-        state,
-        legal_filter,
-        observed_combos: None,
-    })
+    let np = params.len().saturating_sub(STATS.len());
+    if !params[np..].iter().map(|f| f.name.as_str()).eq(STATS) {
+        return Err(bad(t.name(), format!("columns do not end in {STATS:?}")));
+    }
+    let names: Vec<String> = params[..np].iter().map(|f| f.name.clone()).collect();
+    let values = names.iter().map(|p| c.floats(p)).collect::<Result<Vec<_>>>()?;
+    let (residual_se, r2) = (c.floats(STATS[0])?, c.floats(STATS[1])?);
+    let n = c.ints(STATS[2])?.iter().map(|&v| Ok(c.unsigned("n", v)? as usize));
+    let n = n.collect::<Result<Vec<_>>>()?;
+    let Some(group_column) = group_column else {
+        if t.row_count() != 1 {
+            return Err(bad(t.name(), format!("a global model has {} rows, not 1", t.row_count())));
+        }
+        let values = values.iter().map(|v| v[0]).collect();
+        return Ok(ModelParams::Global {
+            names,
+            values,
+            residual_se: residual_se[0],
+            r2: r2[0],
+            n: n[0],
+        });
+    };
+    let mut groups = HashMap::with_capacity(t.row_count());
+    for (row, &key) in c.ints(group_column)?.iter().enumerate() {
+        let values = values.iter().map(|v| v[row]).collect();
+        let g = GroupParams { values, residual_se: residual_se[row], r2: r2[row], n: n[row] };
+        if groups.insert(key, g).is_some() {
+            return Err(bad(t.name(), format!("group key {key} appears twice")));
+        }
+    }
+    Ok(ModelParams::Grouped { group_column: group_column.to_string(), names, groups })
 }
 
 impl ModelCatalog {
-    /// Serialize the whole catalog (all versions, all states).
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let (next_id, models) = self.snapshot();
-        let mut out = Vec::new();
-        out.extend_from_slice(MAGIC);
-        out.extend_from_slice(&[0; 4]); // crc placeholder
-        varint::put_u64(&mut out, FORMAT_VERSION);
-        varint::put_u64(&mut out, next_id);
-        varint::put_u64(&mut out, models.len() as u64);
+    /// The catalog as tables: `lawsdb_models`, `lawsdb_model_domains`,
+    /// then one `lawsdb_model_<id>` per version in id order. Every
+    /// version is written, whatever its state.
+    pub fn to_tables(&self) -> Result<Vec<Table>> {
+        let models = self.all();
+        let mut tables = vec![models_table(&models)?, domains_table(&models)?];
         for m in &models {
-            encode_model(&mut out, m);
+            tables.push(params_table(m)?);
         }
-        let crc = lawsdb_storage::crc32(&out[BODY_START..]).to_le_bytes();
-        out[4..BODY_START].copy_from_slice(&crc);
-        out
+        Ok(tables)
     }
 
-    /// Rebuild a catalog from [`ModelCatalog::to_bytes`] output.
-    pub fn from_bytes(buf: &[u8]) -> Result<ModelCatalog> {
-        let bad = |d: &str| ModelError::BadConstruction { detail: d.to_string() };
-        if buf.len() < BODY_START || &buf[..4] != MAGIC {
-            return Err(bad("missing LAWM magic"));
+    /// Rebuild a catalog from the tables [`ModelCatalog::to_tables`]
+    /// made; other tables are ignored. Without `lawsdb_models` the
+    /// catalog is empty: none was ever stored.
+    pub fn from_tables(tables: &[Table]) -> Result<ModelCatalog> {
+        let by_name: HashMap<&str, &Table> = tables.iter().map(|t| (t.name(), t)).collect();
+        let get =
+            |name: &str| by_name.get(name).copied().ok_or_else(|| bad(name, "table is missing"));
+        let Some(rows) = by_name.get(MODELS) else {
+            return Ok(ModelCatalog::new());
+        };
+        let mut variables = read_domains(get(DOMAINS)?)?;
+        let c = Cols(rows);
+        let (ids, versions, states) = (c.ints("id")?, c.ints("version")?, c.strs("state")?);
+        let (overall_r2, max_abs_residual) =
+            (c.floats("overall_r2")?, c.opt_floats("max_abs_residual")?);
+        let (formulas, legal_filters) = (c.strs("formula")?, c.opt_strs("legal_filter")?);
+        let (tables, responses) = (c.strs("table_name")?, c.strs("response")?);
+        let (rows_at_fit, predicates) = (c.ints("rows_at_fit")?, c.opt_strs("predicate")?);
+        let group_columns = c.opt_strs("group_column")?;
+        let mut models = BTreeMap::new();
+        for i in 0..rows.row_count() {
+            let id = c.unsigned("id", ids[i])?;
+            let version = u32::try_from(versions[i])
+                .map_err(|_| bad(MODELS, format!("bad version {}", versions[i])))?;
+            let Some(&(state, _)) = STATES.iter().find(|s| s.1 == states[i]) else {
+                return Err(bad(MODELS, format!("model {id}: unknown state {:?}", states[i])));
+            };
+            let formula = lawsdb_expr::parse_formula(&formulas[i])?;
+            let (mut vars, mut domains) = (Vec::new(), Vec::new());
+            for (v, domain) in variables.remove(&id).unwrap_or_default() {
+                domains.extend(domain.map(|d| (v.clone(), d)));
+                vars.push(v);
+            }
+            let name = params_table_name(id);
+            let m = CapturedModel {
+                id: ModelId(id),
+                version,
+                formula_source: formulas[i].clone(),
+                rhs: formula.rhs,
+                params: read_params(get(&name)?, group_columns[i])?,
+                coverage: Coverage {
+                    table: tables[i].clone(),
+                    response: responses[i].clone(),
+                    variables: vars,
+                    rows_at_fit: c.unsigned("rows_at_fit", rows_at_fit[i])? as usize,
+                    predicate: predicates[i].map(str::to_string),
+                    domains,
+                },
+                overall_r2: overall_r2[i],
+                max_abs_residual: max_abs_residual[i],
+                state,
+                legal_filter: legal_filters[i].map(lawsdb_expr::parse_expr).transpose()?,
+                observed_combos: None,
+            };
+            check_params(&name, &m)?;
+            if models.insert(id, m).is_some() {
+                return Err(bad(MODELS, format!("model {id} appears twice")));
+            }
         }
-        let stored = u32::from_le_bytes(buf[4..BODY_START].try_into().expect("4 bytes"));
-        if lawsdb_storage::crc32(&buf[BODY_START..]) != stored {
-            return Err(bad("catalog image checksum mismatch"));
+        if let Some(id) = variables.keys().next() {
+            return Err(bad(DOMAINS, format!("variables of model {id}, which has no row")));
         }
-        let mut r = Reader::new("model catalog", &buf[BODY_START..]);
-        let version = r.varint_u64()?;
-        if version != FORMAT_VERSION {
-            return Err(bad(&format!("unsupported format version {version}")));
-        }
-        let next_id = r.varint_u64()?;
-        let count = get_count(&mut r, "model")?;
-        let mut models = Vec::with_capacity(count);
-        for _ in 0..count {
-            models.push(decode_model(&mut r)?);
-        }
-        Ok(ModelCatalog::restore(next_id, models))
-    }
-
-    /// Write the catalog to a file.
-    pub fn save_to(&self, path: &std::path::Path) -> std::io::Result<()> {
-        std::fs::write(path, self.to_bytes())
-    }
-
-    /// Load a catalog from a file written by [`ModelCatalog::save_to`].
-    pub fn load_from(path: &std::path::Path) -> Result<ModelCatalog> {
-        let bytes = std::fs::read(path).map_err(|e| ModelError::BadConstruction {
-            detail: format!("cannot read {}: {e}", path.display()),
-        })?;
-        ModelCatalog::from_bytes(&bytes)
-    }
-
-    /// Persist the catalog image into a crash-safe store as one atomic
-    /// commit — the durable counterpart of [`ModelCatalog::save_to`].
-    pub fn save_to_store<D: lawsdb_storage::BlockDevice>(
-        &self,
-        store: &mut lawsdb_storage::DurableStore<D>,
-    ) -> Result<()> {
-        store.put_catalog(&self.to_bytes()).map_err(ModelError::Storage)
-    }
-
-    /// Load the catalog image a crash-safe store recovered to; an empty
-    /// catalog if none was ever committed.
-    pub fn load_from_store<D: lawsdb_storage::BlockDevice>(
-        store: &lawsdb_storage::DurableStore<D>,
-    ) -> Result<ModelCatalog> {
-        match store.catalog().map_err(ModelError::Storage)? {
-            Some(bytes) => ModelCatalog::from_bytes(&bytes),
-            None => Ok(ModelCatalog::new()),
-        }
+        Ok(ModelCatalog::restore(models.into_values().collect()))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::bridge::fit_table_grouped;
     use lawsdb_fit::FitOptions;
-    use lawsdb_models_test_helpers::lofar_model;
+    use lawsdb_storage::TableBuilder;
 
-    /// Local helper namespace (kept in-file to avoid a test-support crate).
-    mod lawsdb_models_test_helpers {
-        use crate::bridge::fit_table_grouped;
-        use crate::CapturedModel;
-        use lawsdb_fit::FitOptions;
-        use lawsdb_storage::TableBuilder;
+    fn lofar_model() -> CapturedModel {
+        let freqs: [f64; 4] = [0.12, 0.15, 0.16, 0.18];
+        let (mut src, mut nu, mut intensity) = (Vec::new(), Vec::new(), Vec::new());
+        for s in 0..5i64 {
+            let (p, a) = (1.0 + s as f64 * 0.4, -0.6 - s as f64 * 0.1);
+            for i in 0..40 {
+                src.push(s);
+                nu.push(freqs[i % 4]);
+                intensity.push(p * freqs[i % 4].powf(a));
+            }
+        }
+        let mut b = TableBuilder::new("measurements");
+        b.add_i64("source", src);
+        b.add_f64("nu", nu);
+        b.add_f64("intensity", intensity);
+        let options = FitOptions::default().with_initial("alpha", -0.7);
+        let table = b.build().unwrap();
+        fit_table_grouped(&table, "intensity ~ p * nu ^ alpha", "source", &options, 1).unwrap().0
+    }
 
-        pub fn lofar_model(options: &FitOptions) -> CapturedModel {
-            let freqs: [f64; 4] = [0.12, 0.15, 0.16, 0.18];
-            let mut src = Vec::new();
-            let mut nu = Vec::new();
-            let mut intensity = Vec::new();
-            for s in 0..5i64 {
-                let (p, a) = (1.0 + s as f64 * 0.4, -0.6 - s as f64 * 0.1);
-                for i in 0..40 {
-                    src.push(s);
-                    nu.push(freqs[i % 4]);
-                    intensity.push(p * freqs[i % 4].powf(a));
+    /// Two grouped versions, the first retired, the second with a legal
+    /// filter.
+    fn two_versions() -> (ModelCatalog, Arc<CapturedModel>, Arc<CapturedModel>) {
+        let catalog = ModelCatalog::new();
+        let m1 = catalog.store(lofar_model());
+        let m2 =
+            catalog.store(lofar_model().with_legal_filter("nu >= 0.12 && nu <= 0.18").unwrap());
+        catalog.set_state(m1.id, ModelState::Retired).unwrap();
+        let m1 = catalog.get(m1.id).unwrap();
+        (catalog, m1, m2)
+    }
+
+    fn find<'a>(tables: &'a [Table], name: &str) -> &'a Table {
+        tables.iter().find(|t| t.name() == name).unwrap()
+    }
+
+    /// `tables` with `name` swapped for `f` of it.
+    fn edited(tables: &[Table], name: &str, f: impl Fn(&Table) -> Table) -> Vec<Table> {
+        tables.iter().map(|t| if t.name() == name { f(t) } else { t.clone() }).collect()
+    }
+
+    /// `t` with column `name` replaced by `column`.
+    fn with_column(t: &Table, name: &str, column: Column) -> Table {
+        let mut columns = t.columns().to_vec();
+        columns[t.schema().index_of(name).unwrap()] = column;
+        Table::new(t.name(), t.schema().clone(), columns).unwrap()
+    }
+
+    #[test]
+    fn catalog_roundtrips_through_tables() {
+        let (catalog, m1, m2) = two_versions();
+        let restored = ModelCatalog::from_tables(&catalog.to_tables().unwrap()).unwrap();
+        assert_eq!(restored.len(), 2);
+        for want in [&m1, &m2] {
+            let got = restored.get(want.id).unwrap();
+            assert_eq!(got.state, want.state);
+            assert_eq!(got.version, want.version);
+            assert_eq!(got.formula_source, want.formula_source);
+            assert_eq!(got.params, want.params);
+            assert_eq!(got.coverage, want.coverage);
+            assert_eq!(got.overall_r2.to_bits(), want.overall_r2.to_bits());
+            assert_eq!(
+                got.max_abs_residual.map(f64::to_bits),
+                want.max_abs_residual.map(f64::to_bits)
+            );
+            let filter = |m: &CapturedModel| m.legal_filter.as_ref().map(|e| e.to_string());
+            assert_eq!(filter(&got), filter(want));
+            let a = want.predict_scalar(Some(3), &[("nu", 0.14)]).unwrap();
+            let b = got.predict_scalar(Some(3), &[("nu", 0.14)]).unwrap();
+            assert_eq!(a.to_bits(), b.to_bits());
+        }
+        // Id allocation continues where it left off.
+        assert!(restored.store(lofar_model()).id.0 > m2.id.0);
+        // No catalog table at all is an empty catalog.
+        assert!(ModelCatalog::from_tables(&[]).unwrap().is_empty());
+    }
+
+    #[test]
+    fn the_tables_are_plain_data() {
+        let (catalog, m1, _) = two_versions();
+        let tables = catalog.to_tables().unwrap();
+        let names: Vec<&str> = tables.iter().map(Table::name).collect();
+        assert_eq!(names, [MODELS, DOMAINS, "lawsdb_model_1", "lawsdb_model_2"]);
+        assert!(names.iter().all(|n| n.starts_with(CATALOG_PREFIX)));
+        let models = find(&tables, MODELS);
+        assert_eq!(models.row_count(), 2);
+        assert_eq!(models.column("state").unwrap().str_data().unwrap(), ["retired", "active"]);
+        let params = find(&tables, "lawsdb_model_1");
+        assert_eq!(params.schema().names(), ["source", "alpha", "p", STATS[0], STATS[1], STATS[2]]);
+        assert_eq!(params.column("source").unwrap().i64_data().unwrap(), m1.group_keys());
+        // One enumerated variable: its four frequencies, per model.
+        let domains = find(&tables, DOMAINS);
+        assert_eq!(domains.column("model").unwrap().i64_data().unwrap(), [1, 1, 1, 1, 2, 2, 2, 2]);
+    }
+
+    #[test]
+    fn the_loader_never_panics_on_inconsistent_tables() {
+        let (catalog, _, _) = two_versions();
+        let tables = catalog.to_tables().unwrap();
+        let load = |tables: &[Table]| ModelCatalog::from_tables(tables).map(|_| ()).unwrap_err();
+        let catalog_error = |e: &ModelError, table: &str| {
+            assert!(matches!(e, ModelError::BadCatalog { table: t, .. } if t == table), "{e}")
+        };
+        // A version row naming a missing params table.
+        let missing: Vec<Table> =
+            tables.iter().filter(|t| t.name() != "lawsdb_model_2").cloned().collect();
+        catalog_error(&load(&missing), "lawsdb_model_2");
+        // An unknown state.
+        let states = Column::from_str(vec!["active".into(), "zombie".into()]);
+        catalog_error(
+            &load(&edited(&tables, MODELS, |t| with_column(t, "state", states.clone()))),
+            MODELS,
+        );
+        // An unparseable formula.
+        let formulas = Column::from_str(vec!["intensity ~ p *".into(), "y ~ (".into()]);
+        let err = load(&edited(&tables, MODELS, |t| with_column(t, "formula", formulas.clone())));
+        assert!(matches!(err, ModelError::Expr(_)), "{err}");
+        // A params table missing a parameter column.
+        let no_p =
+            |t: &Table| t.project(&["source", "alpha", STATS[0], STATS[1], STATS[2]]).unwrap();
+        catalog_error(&load(&edited(&tables, "lawsdb_model_1", no_p)), "lawsdb_model_1");
+        // A duplicate group key.
+        let twice = |t: &Table| t.take(&[0, 1, 1, 2]).unwrap();
+        catalog_error(&load(&edited(&tables, "lawsdb_model_2", twice)), "lawsdb_model_2");
+        // A negative n, and a negative id.
+        let n = |t: &Table| with_column(t, STATS[2], Column::from_i64(vec![40, -1, 40, 40, 40]));
+        catalog_error(&load(&edited(&tables, "lawsdb_model_1", n)), "lawsdb_model_1");
+        let ids = Column::from_i64(vec![1, -2]);
+        catalog_error(
+            &load(&edited(&tables, MODELS, |t| with_column(t, "id", ids.clone()))),
+            MODELS,
+        );
+        // A wrongly typed column is the storage layer's typed error.
+        let r2 = |t: &Table| {
+            let mut b = TableBuilder::new(t.name());
+            for (f, c) in t.schema().fields().iter().zip(t.columns()) {
+                if f.name == STATS[1] {
+                    b.add_i64(STATS[1], vec![0; t.row_count()]);
+                } else {
+                    b.add_column(f.clone(), c.clone());
                 }
             }
-            let mut b = TableBuilder::new("measurements");
-            b.add_i64("source", src);
-            b.add_f64("nu", nu);
-            b.add_f64("intensity", intensity);
-            fit_table_grouped(
-                &b.build().unwrap(),
-                "intensity ~ p * nu ^ alpha",
-                "source",
-                options,
-                1,
-            )
-            .unwrap()
-            .0
-        }
+            b.build().unwrap()
+        };
+        let err = load(&edited(&tables, "lawsdb_model_2", r2));
+        assert!(matches!(err, ModelError::Storage(_)), "{err}");
+        // Domain rows of a model with no version row.
+        let domains = |t: &Table| {
+            let t = t.take(&[0, 1, 2, 3, 4, 5, 6, 7, 0]).unwrap();
+            with_column(&t, "model", Column::from_i64(vec![1, 1, 1, 1, 2, 2, 2, 2, 9]))
+        };
+        catalog_error(&load(&edited(&tables, DOMAINS, domains)), DOMAINS);
     }
 
     #[test]
-    fn catalog_roundtrips_through_bytes() {
+    fn a_model_the_tables_cannot_hold_is_refused_at_save() {
         let catalog = ModelCatalog::new();
-        let opts = FitOptions::default().with_initial("alpha", -0.7);
-        let m1 = catalog.store(lofar_model(&opts));
-        let m2 = catalog.store(
-            lofar_model(&opts)
-                .with_legal_filter("nu >= 0.12 && nu <= 0.18")
-                .unwrap(),
-        );
-        catalog.set_state(m1.id, ModelState::Retired).unwrap();
-
-        let bytes = catalog.to_bytes();
-        let restored = ModelCatalog::from_bytes(&bytes).unwrap();
-        assert_eq!(restored.len(), 2);
-
-        let r1 = restored.get(m1.id).unwrap();
-        assert_eq!(r1.state, ModelState::Retired);
-        assert_eq!(r1.formula_source, m1.formula_source);
-        assert_eq!(r1.params, m1.params);
-        assert_eq!(r1.coverage, m1.coverage);
-
-        let r2m = restored.get(m2.id).unwrap();
-        assert!(r2m.legal_filter.is_some());
-        // The restored model predicts identically.
-        let a = m2.predict_scalar(Some(3), &[("nu", 0.14)]).unwrap();
-        let b = r2m.predict_scalar(Some(3), &[("nu", 0.14)]).unwrap();
-        assert_eq!(a.to_bits(), b.to_bits());
-        // Id allocation continues where it left off.
-        let m3 = restored.store(lofar_model(&opts));
-        assert!(m3.id.0 > m2.id.0);
-    }
-
-    #[test]
-    fn file_roundtrip() {
-        let catalog = ModelCatalog::new();
-        let opts = FitOptions::default().with_initial("alpha", -0.7);
-        catalog.store(lofar_model(&opts));
-        let dir = std::env::temp_dir().join("lawsdb_persist_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("catalog.lawm");
-        catalog.save_to(&path).unwrap();
-        let restored = ModelCatalog::load_from(&path).unwrap();
-        assert_eq!(restored.len(), 1);
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn corrupt_bytes_are_rejected_not_panicking() {
-        assert!(ModelCatalog::from_bytes(b"").is_err());
-        assert!(ModelCatalog::from_bytes(b"XXXX").is_err());
-        let catalog = ModelCatalog::new();
-        let opts = FitOptions::default().with_initial("alpha", -0.7);
-        catalog.store(lofar_model(&opts));
-        let bytes = catalog.to_bytes();
-        // Truncations at every prefix must error, never panic.
-        for cut in [5, 10, 20, bytes.len() / 2, bytes.len() - 1] {
-            assert!(ModelCatalog::from_bytes(&bytes[..cut]).is_err(), "cut {cut}");
-        }
-        // The whole-image checksum catches any single-byte flip.
-        for i in 0..bytes.len() {
-            let mut flipped = bytes.clone();
-            flipped[i] ^= 0x01;
-            assert!(ModelCatalog::from_bytes(&flipped).is_err(), "byte {i}");
-        }
-    }
-
-    #[test]
-    fn catalog_rides_the_durable_store() {
-        use lawsdb_storage::{DurableStore, SimulatedDevice};
-        let catalog = ModelCatalog::new();
-        let opts = FitOptions::default().with_initial("alpha", -0.7);
-        let m = catalog.store(lofar_model(&opts));
-        let mut store = DurableStore::new(SimulatedDevice::new(256), 8);
-        store.recover().unwrap();
-        catalog.save_to_store(&mut store).unwrap();
-        // Simulate a restart: re-open the device and recover.
-        let mut store = DurableStore::new(store.into_device(), 8);
-        store.recover().unwrap();
-        let restored = ModelCatalog::load_from_store(&store).unwrap();
-        assert_eq!(restored.len(), 1);
-        let r = restored.get(m.id).unwrap();
-        let a = m.predict_scalar(Some(2), &[("nu", 0.15)]).unwrap();
-        let b = r.predict_scalar(Some(2), &[("nu", 0.15)]).unwrap();
-        assert_eq!(a.to_bits(), b.to_bits());
-        // A store with no catalog loads as empty.
-        let mut empty = DurableStore::new(SimulatedDevice::new(256), 8);
-        empty.recover().unwrap();
-        assert_eq!(ModelCatalog::load_from_store(&empty).unwrap().len(), 0);
+        let mut m = lofar_model();
+        m.coverage.domains.push(("elsewhere".to_string(), vec![1.0]));
+        catalog.store(m);
+        assert!(matches!(catalog.to_tables(), Err(ModelError::BadCatalog { .. })));
     }
 }

@@ -1,12 +1,15 @@
-//! Property test for the catalog serialization format (`LAWM`): over
-//! arbitrary catalogs, serialize → load is the identity (field-for-
-//! field, including formula re-parse and bitwise parameter equality).
-//! That truncated and flipped images load as `Err`, never a panic, is
-//! the root `tests/hostile_bytes.rs` driver's job.
+//! Property test for model persistence: over arbitrary catalogs, save
+//! through a `DurableDb` on a simulated device → restart → load is the
+//! identity (field-for-field, including formula re-parse and bitwise
+//! parameter equality). The catalog is stored as tables, so corrupted
+//! pages are the store's concern, which the root `tests/hostile_bytes.rs`
+//! suite and the crash matrices cover.
 
+use lawsdb_core::DurableDb;
 use lawsdb_models::{
     CapturedModel, Coverage, GroupParams, ModelCatalog, ModelId, ModelParams, ModelState,
 };
+use lawsdb_storage::SimulatedDevice;
 use proptest::prelude::*;
 use std::collections::HashMap;
 
@@ -32,9 +35,10 @@ fn arb_model() -> impl Strategy<Value = CapturedModel> {
         prop::collection::vec(-1.0e6f64..1.0e6, 12),
         prop::collection::vec(-50i64..50, 1..5),
         ("[a-z]{1,8}", "[a-z]{1,8}", 0u64..100_000),
-        prop::collection::vec(("[a-z]{1,6}", prop::collection::vec(-100.0f64..100.0, 1..4)), 0..3),
+        // Per variable: its enumerated domain, or none.
+        prop::collection::vec((any::<bool>(), prop::collection::vec(-100.0f64..100.0, 1..4)), 2),
     )
-        .prop_map(|((ti, state_i, grouped, filt_i), vals, keys, ids, domains)| {
+        .prop_map(|((ti, state_i, grouped, filt_i), vals, keys, ids, enumerated)| {
             let (formula, param_names, var_names) = TEMPLATES[ti];
             let (table, response, rows) = ids;
             let names: Vec<String> = param_names.iter().map(|s| s.to_string()).collect();
@@ -69,6 +73,11 @@ fn arb_model() -> impl Strategy<Value = CapturedModel> {
             };
             let predicate =
                 if filt_i % 2 == 1 { Some(format!("{table} > 0.5")) } else { None };
+            let domains = var_names
+                .iter()
+                .zip(enumerated)
+                .filter_map(|(v, (on, d))| on.then(|| (v.to_string(), d)))
+                .collect();
             CapturedModel {
                 id: ModelId(0),   // assigned by the catalog
                 version: 0,       // likewise
@@ -84,7 +93,7 @@ fn arb_model() -> impl Strategy<Value = CapturedModel> {
                     domains,
                 },
                 overall_r2: clamp_unit(vals[10]),
-                max_abs_residual: None,
+                max_abs_residual: grouped.then(|| vals[11].abs()),
                 state: [ModelState::Active, ModelState::Stale, ModelState::Retired][state_i],
                 legal_filter,
                 observed_combos: None,
@@ -100,16 +109,34 @@ fn build_catalog(models: Vec<CapturedModel>) -> ModelCatalog {
     catalog
 }
 
+/// Save `catalog` into `db`, restart from the device alone, and load.
+fn save_restart_load(
+    db: DurableDb<SimulatedDevice>,
+    catalog: &ModelCatalog,
+) -> (DurableDb<SimulatedDevice>, ModelCatalog) {
+    let mut db = db;
+    db.save_models(catalog).expect("a valid catalog saves");
+    let mut db = DurableDb::new(db.into_device());
+    db.recover().expect("a clean device recovers");
+    let loaded = db.load_models().expect("a saved catalog loads");
+    (db, loaded)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: 48, ..ProptestConfig::default() })]
 
     #[test]
-    fn serialize_load_is_identity(models in prop::collection::vec(arb_model(), 0..4)) {
+    fn save_restart_load_is_identity(
+        first in prop::collection::vec(arb_model(), 0..4),
+        models in prop::collection::vec(arb_model(), 0..4),
+    ) {
+        // Save one catalog, then another over it: the store holds
+        // exactly the second, whatever the first left.
+        let mut db = DurableDb::new(SimulatedDevice::new(512));
+        db.recover().unwrap();
+        let (db, _) = save_restart_load(db, &build_catalog(first));
         let catalog = build_catalog(models);
-        let bytes = catalog.to_bytes();
-        let restored = ModelCatalog::from_bytes(&bytes);
-        prop_assert!(restored.is_ok(), "valid image must load: {:?}", restored.err());
-        let restored = restored.unwrap();
+        let (_, restored) = save_restart_load(db, &catalog);
         prop_assert_eq!(restored.len(), catalog.len());
         for original in catalog.all() {
             let r = restored.get(original.id);
@@ -120,6 +147,10 @@ proptest! {
             prop_assert_eq!(&r.params, &original.params);
             prop_assert_eq!(&r.coverage, &original.coverage);
             prop_assert_eq!(r.overall_r2.to_bits(), original.overall_r2.to_bits());
+            prop_assert_eq!(
+                r.max_abs_residual.map(f64::to_bits),
+                original.max_abs_residual.map(f64::to_bits)
+            );
             prop_assert_eq!(r.state, original.state);
             prop_assert_eq!(r.version, original.version);
             prop_assert_eq!(

@@ -1,6 +1,6 @@
 //! CRC-32 (IEEE 802.3, reflected, polynomial 0xEDB88320).
 //!
-//! The durability layer checksums every WAL frame, superblock and data
+//! The durability layer checksums every WAL record, superblock and data
 //! blob so recovery can tell a torn or bit-flipped write from a good
 //! one. Implemented from scratch (offline build, no `crc` crate) with
 //! compile-time lookup tables; CRC-32 detects all single-bit errors and

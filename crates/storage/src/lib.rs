@@ -23,15 +23,16 @@
 //!   observed and model-predicted values and recompute the original
 //!   data losslessly.
 //! * **One read cursor** ([`codec::Reader`]) behind every decoder of
-//!   untrusted bytes — page, WAL, zonemap, model catalog, the codecs
-//!   above and the server's wire protocol — so every length claim is
-//!   checked before anything is allocated, in one place.
+//!   untrusted bytes — page, WAL and table directory, zonemap, the
+//!   codecs above and the server's wire protocol — so every length
+//!   claim is checked before anything is allocated, in one place.
 //! * An **exactly-rounded sum** ([`exact::ExactSum`]) behind every
 //!   exact SUM/AVG: the answer is a function of the multiset of inputs,
 //!   whatever the order, partitioning or merge tree.
 //! * A **durability layer** ([`wal::DurableStore`]), the one stored-table
-//!   layout: write-ahead log + shadow paging + dual CRC-guarded
-//!   superblocks, so every table and catalog commit is atomic and
+//!   layout and the one durable format: write-ahead log + shadow paging +
+//!   dual CRC-guarded superblocks, so every commit of one or many tables
+//!   (the model catalog is stored as tables too) is atomic and
 //!   `recover()` lands on exactly the pre- or post-commit state after a
 //!   crash. A deterministic fault-injecting
 //!   device ([`fault::FaultyDevice`]) crash-tests the protocol at every

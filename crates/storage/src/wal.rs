@@ -3,60 +3,65 @@
 //! The paper's premise is that captured models *outlive* the fitting
 //! session — "we can store the models in their source code form inside
 //! the database" (Section 3). This module makes that survival a proved
-//! property rather than an asserted one: a [`DurableStore`] keeps the
-//! model-catalog image and paged tables on a [`BlockDevice`] behind a
-//! commit protocol that recovers to exactly the pre- or post-commit
-//! state from any crash the fault injector ([`crate::fault`]) can
-//! produce.
+//! property rather than an asserted one: a [`DurableStore`] keeps paged
+//! tables on a [`BlockDevice`] behind a commit protocol that recovers to
+//! exactly the pre- or post-commit state from any crash the fault
+//! injector ([`crate::fault`]) can produce. The model catalog is stored
+//! as ordinary tables (`lawsdb-models::persist`), so it rides the same
+//! protocol as the data it describes.
 //!
 //! ## Device layout
 //!
 //! ```text
 //! page 0, 1        superblock slots A/B (alternating by commit seq)
-//! page 2..2+W      WAL region (W = wal_pages, one frame per page)
-//! page 2+W..       data area: shadow-written blobs (column extents,
-//!                  catalog images, directory images); never overwritten
+//! page 2           WAL: the newest commit record
+//! page 3..         data area: shadow-written blobs (column extents,
+//!                  directory images); never overwritten
 //! ```
 //!
 //! ## Tables as segments
 //!
 //! A stored table is a list of [`Segment`]s — runs of consecutive rows,
 //! each one checksummed extent per column — which `read_table` and
-//! `read_column` decode and concatenate in order. `store_table` writes
-//! one segment holding every row. `replace_table(t)` keeps the stored
-//! segments and writes only rows `[stored rows, t.rows)` as one new
-//! segment when `t` extends, by [`Table::append_rows`], the very version
-//! this store last wrote ([`Table::parent`] equals that version's
-//! [`Table::id`] and row count); otherwise it writes every row as the
-//! only segment. Content ids are unique within a process, a clone keeps
-//! its id, and an append mints a new one, so a matching parent proves
-//! the stored rows are the first rows of `t`. The store forgets a
-//! table's id before it writes anything for that table and learns the
-//! new one only after the commit lands; ids are not persisted, so the
-//! first append after `recover` is a full write.
+//! `read_column` decode and concatenate in order. A commit writes each
+//! table it puts as one segment. It keeps the stored segments and writes
+//! only rows `[stored rows, t.rows)` when `t` extends, by
+//! [`Table::append_rows`], the very version this store last wrote
+//! ([`Table::parent`] equals that version's [`Table::id`] and row
+//! count); otherwise it writes every row as the only segment. Content
+//! ids are unique within a process, a clone keeps its id, and an append
+//! mints a new one, so a matching parent proves the stored rows are the
+//! first rows of `t`. The store learns a table's new id only after the
+//! commit lands; ids are not persisted, so the first append after
+//! `recover` is a full write.
 //!
-//! ## Commit protocol
+//! ## Commit protocol ([`DurableStore::commit`])
 //!
-//! 1. New data (column blobs, catalog image, directory image) is
+//! One commit puts any number of tables and drops any number of others.
+//! `store_table`, `replace_table` and `drop_table` are its one-table
+//! cases.
+//!
+//! 1. The puts' column blobs and the next table directory are
 //!    shadow-written to freshly allocated pages; live pages are never
 //!    overwritten, so a torn data write can only damage the in-flight
 //!    transaction.
-//! 2. The new *root* (commit seq, catalog extent, directory extent —
-//!    each extent checksummed) is written to the WAL as checksummed
-//!    frames, terminated by a commit frame carrying the CRC of the
-//!    whole record. **The commit-frame write is the commit point.**
+//! 2. The new *root* (commit seq and the checksummed directory extent,
+//!    29 bytes) is written to the WAL page, sealed with a CRC.
+//!    **The WAL write is the commit point.** Only then does the store
+//!    install the next directory in memory, so a commit that fails
+//!    before it leaves no trace for a later commit to persist.
 //! 3. The root is written to the superblock slot `seq % 2`; the other
 //!    slot still holds the previous root, so a torn superblock write
 //!    is always survivable.
 //!
 //! ## Recovery ([`DurableStore::recover`])
 //!
-//! Pick the valid superblock with the highest seq; scan the WAL. A
-//! complete, checksummed WAL record newer than the superblock is
-//! **replayed** (the crash hit between commit point and superblock
-//! write); a torn or incomplete WAL tail is **rolled back** (discarded
-//! — its shadow pages were never reachable). Either way the store
-//! opens to exactly one committed state.
+//! Pick the valid superblock with the highest seq; read the WAL. A
+//! checksummed WAL record newer than the superblock is **replayed**
+//! (the crash hit between commit point and superblock write); a torn
+//! WAL record is **rolled back** (discarded — its shadow pages were
+//! never reachable). Either way the store opens to exactly one
+//! committed state.
 
 use crate::checksum::crc32;
 use crate::codec::{put_field, put_str, Reader};
@@ -71,11 +76,14 @@ use std::collections::BTreeMap;
 
 const SB_MAGIC: &[u8; 4] = b"LWSB";
 const WAL_MAGIC: &[u8; 4] = b"LWFR";
-const FORMAT_VERSION: u32 = 2;
-const SB_HEADER: usize = 16; // crc + magic + format + root_len
-const FRAME_HEADER: usize = 20; // crc + magic + seq + kind + index + len
-const FRAME_DATA: u8 = 1;
-const FRAME_COMMIT: u8 = 2;
+const FORMAT_VERSION: u32 = 3;
+/// The WAL: one page holding the newest commit record. A root record
+/// is 29 bytes, so one page of the 128 a store needs at least holds it.
+const WAL_PAGE: u64 = 2;
+/// Pages reserved ahead of the data area: two superblocks and the WAL.
+const RESERVED: usize = 3;
+/// Header of a sealed root: crc + magic + format + root length.
+const SEAL_HEADER: usize = 16;
 
 /// Location and checksum of one shadow-written byte blob.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -108,7 +116,6 @@ impl Extent {
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 struct Root {
     seq: u64,
-    catalog: Option<Extent>,
     directory: Option<Extent>,
 }
 
@@ -147,20 +154,21 @@ pub struct Segment {
     pub columns: Vec<Extent>,
 }
 
-/// Crash-safe store for the model catalog and paged tables.
+/// Crash-safe store of paged tables — user tables and the model
+/// catalog's tables alike.
 ///
 /// Construct with [`DurableStore::new`], then call
 /// [`DurableStore::recover`] before anything else — it formats an
 /// empty device, replays or rolls back a crashed one, and is the only
-/// entry point after a crash. Every mutating call commits one atomic
-/// transaction.
+/// entry point after a crash. Every mutating call is one atomic
+/// [`DurableStore::commit`], and a commit that returns an error before
+/// its commit point changes nothing, in memory or on the device.
 #[derive(Debug)]
 pub struct DurableStore<D: BlockDevice> {
     dev: D,
-    wal_pages: usize,
     opened: bool,
     seq: u64,
-    catalog: Option<Extent>,
+    /// The committed directory.
     tables: BTreeMap<String, StoredTable>,
     /// [`Table::id`] of the version each table's segments hold, for
     /// tables this process wrote. Never persisted: ids are per process.
@@ -169,24 +177,15 @@ pub struct DurableStore<D: BlockDevice> {
 
 impl<D: BlockDevice> DurableStore<D> {
     /// Wrap a device. Performs no IO; call [`DurableStore::recover`]
-    /// next. `wal_pages` bounds the WAL region (8 is plenty — a root
-    /// record is ~50 bytes).
-    pub fn new(device: D, wal_pages: usize) -> DurableStore<D> {
-        assert!(wal_pages >= 2, "need at least a data and a commit frame");
+    /// next.
+    pub fn new(device: D) -> DurableStore<D> {
         DurableStore {
             dev: device,
-            wal_pages,
             opened: false,
             seq: 0,
-            catalog: None,
             tables: BTreeMap::new(),
             written: BTreeMap::new(),
         }
-    }
-
-    /// Pages reserved ahead of the data area.
-    fn reserved(&self) -> usize {
-        2 + self.wal_pages
     }
 
     /// Open the store: format an empty device, or recover a used one by
@@ -203,30 +202,31 @@ impl<D: BlockDevice> DurableStore<D> {
             });
         }
         let mut report = RecoveryReport::default();
-        while self.dev.page_count() < self.reserved() {
+        while self.dev.page_count() < RESERVED {
             self.dev.allocate();
         }
-        // Best committed superblock.
+        // Best committed superblock; a torn or unwritten slot is no
+        // candidate.
         let mut best: Option<Root> = None;
         for slot in 0..2u64 {
-            if let Some(root) = self.read_superblock(slot)? {
+            if let Some(root) = unseal(SB_MAGIC, &self.dev.read_page_owned(slot)?) {
                 if best.as_ref().is_none_or(|b| root.seq > b.seq) {
                     best = Some(root);
                 }
             }
         }
         // The WAL may hold a newer committed record (crash between
-        // commit point and superblock write) or a torn tail.
-        let best_seq = best.as_ref().map_or(0, |r| r.seq);
-        match self.scan_wal()? {
-            WalScan::Committed(root) if best.is_none() || root.seq > best_seq => {
+        // commit point and superblock write) or a torn one.
+        let wal = self.dev.read_page_owned(WAL_PAGE)?;
+        match unseal(WAL_MAGIC, &wal) {
+            Some(root) if best.as_ref().is_none_or(|b| root.seq > b.seq) => {
                 report.replayed = true;
                 self.write_superblock(&root)?;
                 best = Some(root);
             }
-            WalScan::Committed(_) => {} // already superblocked
-            WalScan::Torn => report.rolled_back = true,
-            WalScan::Empty => {}
+            Some(_) => {} // already superblocked
+            None if wal.iter().all(|&b| b == 0) => {} // never written
+            None => report.rolled_back = true,
         }
         self.written.clear();
         match best {
@@ -235,7 +235,6 @@ impl<D: BlockDevice> DurableStore<D> {
                     Some(ext) => decode_directory(&self.read_extent(ext)?)?,
                     None => BTreeMap::new(),
                 };
-                self.catalog = root.catalog;
                 self.seq = root.seq;
             }
             None => {
@@ -243,7 +242,6 @@ impl<D: BlockDevice> DurableStore<D> {
                 // mid-format): format from scratch.
                 report.formatted = true;
                 self.seq = 0;
-                self.catalog = None;
                 self.tables = BTreeMap::new();
                 self.write_superblock(&Root::default())?;
             }
@@ -285,41 +283,62 @@ impl<D: BlockDevice> DurableStore<D> {
             .ok_or_else(|| StorageError::TableNotFound { name: name.to_string() })
     }
 
-    /// Durably store a table (one atomic commit).
+    /// Durably store a new table (one atomic commit).
     pub fn store_table(&mut self, table: &Table) -> Result<()> {
-        self.ensure_open()?;
         if self.tables.contains_key(table.name()) {
             return Err(StorageError::TableExists { name: table.name().to_string() });
         }
-        self.write_table(table, 0)
+        self.commit(std::slice::from_ref(table), &[])
     }
 
-    /// Replace a stored table (or store it fresh) in one atomic commit.
-    ///
-    /// When `table` extends by [`Table::append_rows`] the very version
-    /// this store last wrote (its [`Table::parent`] is that version's
-    /// id and row count), the stored segments are kept and only the
-    /// appended rows are written, as one new segment. Otherwise the
-    /// whole table is written as one segment. Pages of a replaced
-    /// version are abandoned, never freed.
+    /// Replace a stored table (or store it fresh) in one atomic commit,
+    /// by the tail-segment rule of [`DurableStore::commit`].
     pub fn replace_table(&mut self, table: &Table) -> Result<()> {
-        self.ensure_open()?;
-        let name = table.name();
-        let from = match (self.tables.get(name), self.written.get(name), table.parent()) {
-            (Some(st), Some(&id), Some((parent, rows))) if id == parent && st.rows == rows => rows,
-            _ => 0,
-        };
-        self.write_table(table, from)
+        self.commit(std::slice::from_ref(table), &[])
     }
 
     /// Drop a stored table in one atomic commit.
     pub fn drop_table(&mut self, name: &str) -> Result<()> {
+        self.commit(&[], &[name])
+    }
+
+    /// One atomic transaction: drop every table in `drops`, then store
+    /// or replace every table in `puts`. Either all of it is durable
+    /// and visible or none of it.
+    ///
+    /// A put that extends by [`Table::append_rows`] the very version
+    /// this store last wrote (its [`Table::parent`] is that version's
+    /// id and row count) keeps the stored segments and writes only the
+    /// appended rows, as one new segment. Any other put writes the
+    /// whole table as one segment. Pages of a replaced or dropped
+    /// version are abandoned, never freed. A name may appear once per
+    /// commit, and every dropped table must exist.
+    pub fn commit(&mut self, puts: &[Table], drops: &[&str]) -> Result<()> {
         self.ensure_open()?;
-        if self.tables.remove(name).is_none() {
-            return Err(StorageError::TableNotFound { name: name.to_string() });
+        let mut names: Vec<&str> = puts.iter().map(Table::name).collect();
+        names.extend(drops);
+        names.sort_unstable();
+        if names.windows(2).any(|w| w[0] == w[1]) {
+            return Err(StorageError::InvalidTable { reason: "a commit names a table twice" });
         }
-        self.written.remove(name);
-        self.commit()
+        let mut next = self.tables.clone();
+        for &name in drops {
+            if next.remove(name).is_none() {
+                return Err(StorageError::TableNotFound { name: name.to_string() });
+            }
+        }
+        for table in puts {
+            self.write_segment(&mut next, table)?;
+        }
+        let root = self.write_root(next)?;
+        // The commit landed: the store now holds these versions.
+        for &name in drops {
+            self.written.remove(name);
+        }
+        for table in puts {
+            self.written.insert(table.name().to_string(), table.id());
+        }
+        self.write_superblock(&root)
     }
 
     /// Read a stored table back, verifying every extent's checksum.
@@ -345,33 +364,9 @@ impl<D: BlockDevice> DurableStore<D> {
         self.read_segments(st, index)
     }
 
-    /// Durably store the (opaque) model-catalog image in one atomic
-    /// commit. `lawsdb-models` writes its `LAWM` serialization here.
-    pub fn put_catalog(&mut self, bytes: &[u8]) -> Result<()> {
-        self.ensure_open()?;
-        let ext = self.write_blob(bytes)?;
-        self.catalog = Some(ext);
-        self.commit()
-    }
-
-    /// The stored catalog image, checksum-verified; `None` if no
-    /// catalog was ever stored.
-    pub fn catalog(&self) -> Result<Option<Vec<u8>>> {
-        self.ensure_open()?;
-        match &self.catalog {
-            Some(ext) => Ok(Some(self.read_extent(ext)?)),
-            None => Ok(None),
-        }
-    }
-
     /// Device access counters.
     pub fn stats(&self) -> IoStats {
         self.dev.stats()
-    }
-
-    /// Reset the device counters (between benchmark phases).
-    pub fn reset_stats(&self) {
-        self.dev.reset_stats()
     }
 
     /// The wrapped device.
@@ -398,21 +393,27 @@ impl<D: BlockDevice> DurableStore<D> {
         }
     }
 
-    /// Write rows `[from, rows)` of `table` as one segment, appended to
-    /// the stored segments (which must hold rows `[0, from)`, so `from`
-    /// is 0 for a full write), then commit.
-    fn write_table(&mut self, table: &Table, from: usize) -> Result<()> {
+    /// Shadow-write `table` into the directory `next`: rows
+    /// `[stored rows, rows)` as one more segment when the tail-segment
+    /// rule of [`DurableStore::commit`] keeps the committed segments,
+    /// else every row as the only segment.
+    fn write_segment(
+        &mut self,
+        next: &mut BTreeMap<String, StoredTable>,
+        table: &Table,
+    ) -> Result<()> {
         let name = table.name();
-        // Until this commit lands, no stored image is known to hold a
-        // version of `table`.
-        self.written.remove(name);
+        let from = match (self.tables.get(name), self.written.get(name), table.parent()) {
+            (Some(st), Some(&id), Some((parent, rows))) if id == parent && st.rows == rows => rows,
+            _ => 0,
+        };
         let rows = table.row_count() - from;
         let mut columns = Vec::with_capacity(table.columns().len());
         for col in table.columns() {
             columns.push(self.write_blob(&encode_column(&col.slice(from, rows)?))?);
         }
         let segment = Segment { rows, columns };
-        match self.tables.get_mut(name) {
+        match next.get_mut(name) {
             Some(st) if from > 0 => {
                 st.rows = table.row_count();
                 st.segments.push(segment);
@@ -423,11 +424,9 @@ impl<D: BlockDevice> DurableStore<D> {
                     rows: table.row_count(),
                     segments: vec![segment],
                 };
-                self.tables.insert(name.to_string(), st);
+                next.insert(name.to_string(), st);
             }
         }
-        self.commit()?;
-        self.written.insert(name.to_string(), table.id());
         Ok(())
     }
 
@@ -494,182 +493,63 @@ impl<D: BlockDevice> DurableStore<D> {
         Ok(out)
     }
 
-    /// One atomic transaction: shadow-write the directory, log the new
-    /// root to the WAL (commit point), then update the superblock.
-    fn commit(&mut self) -> Result<()> {
-        let dir = encode_directory(&self.tables);
-        let dir_ext = self.write_blob(&dir)?;
-        let root = Root {
-            seq: self.seq + 1,
-            catalog: self.catalog.clone(),
-            directory: Some(dir_ext),
-        };
-        self.write_wal(&root)?; // ← commit point
+    /// Shadow-write the directory `next`, log the new root to the WAL
+    /// (the commit point), and install `next` as the committed
+    /// directory. The caller writes the superblock.
+    fn write_root(&mut self, next: BTreeMap<String, StoredTable>) -> Result<Root> {
+        let dir_ext = self.write_blob(&encode_directory(&next))?;
+        let root = Root { seq: self.seq + 1, directory: Some(dir_ext) };
+        self.dev.write_page(WAL_PAGE, &seal(WAL_MAGIC, &root))?; // ← commit point
+        self.tables = next;
         self.seq = root.seq;
         global_metrics().counter("lawsdb_storage_wal_commits").inc();
         event!("storage.wal.commit", seq = self.seq);
-        self.write_superblock(&root)
-    }
-
-    fn write_wal(&mut self, root: &Root) -> Result<()> {
-        let ps = self.dev.page_size();
-        let record = encode_root(root);
-        let cap = ps - FRAME_HEADER;
-        let chunks: Vec<&[u8]> = record.chunks(cap).collect();
-        if chunks.len() + 1 > self.wal_pages {
-            return Err(StorageError::Io {
-                op: "write",
-                page: 2,
-                detail: format!("root record of {} bytes overflows the WAL", record.len()),
-            });
-        }
-        for (i, chunk) in chunks.iter().enumerate() {
-            let frame = encode_frame(root.seq, FRAME_DATA, i as u8, chunk);
-            self.dev.write_page(2 + i as u64, &frame)?;
-        }
-        let commit =
-            encode_frame(root.seq, FRAME_COMMIT, chunks.len() as u8, &crc32(&record).to_le_bytes());
-        self.dev.write_page(2 + chunks.len() as u64, &commit)
-    }
-
-    fn scan_wal(&self) -> Result<WalScan> {
-        let mut record = Vec::new();
-        let mut seq = 0u64;
-        for i in 0..self.wal_pages {
-            let page = self.dev.read_page_owned(2 + i as u64)?;
-            let Some(frame) = decode_frame(&page) else {
-                // Frame i is invalid. An untouched (all-zero) first
-                // page means the WAL was never written; anything else
-                // is a torn in-flight record.
-                return if i == 0 && page.iter().all(|&b| b == 0) {
-                    Ok(WalScan::Empty)
-                } else {
-                    Ok(WalScan::Torn)
-                };
-            };
-            if i == 0 {
-                seq = frame.seq;
-            }
-            if frame.seq != seq || frame.index as usize != i {
-                return Ok(WalScan::Torn); // stale leftover from an older record
-            }
-            match frame.kind {
-                FRAME_DATA => record.extend_from_slice(frame.payload),
-                FRAME_COMMIT => {
-                    let want = frame.payload.get(..4).map(|b| {
-                        u32::from_le_bytes(b.try_into().expect("4 bytes"))
-                    });
-                    if want != Some(crc32(&record)) {
-                        return Ok(WalScan::Torn);
-                    }
-                    let root = decode_root(&record)?;
-                    if root.seq != seq {
-                        return Ok(WalScan::Torn);
-                    }
-                    return Ok(WalScan::Committed(root));
-                }
-                _ => return Ok(WalScan::Torn),
-            }
-        }
-        // Ran out of WAL pages without a commit frame.
-        Ok(WalScan::Torn)
+        Ok(root)
     }
 
     fn write_superblock(&mut self, root: &Root) -> Result<()> {
-        let body = encode_root(root);
-        let mut page = Vec::with_capacity(SB_HEADER + body.len());
-        page.extend_from_slice(&[0; 4]); // crc placeholder
-        page.extend_from_slice(SB_MAGIC);
-        page.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
-        page.extend_from_slice(&(body.len() as u32).to_le_bytes());
-        page.extend_from_slice(&body);
-        let crc = crc32(&page[4..]).to_le_bytes();
-        page[..4].copy_from_slice(&crc);
-        self.dev.write_page(root.seq % 2, &page)
-    }
-
-    /// Parse one superblock slot; `Ok(None)` when the slot is torn,
-    /// unwritten or otherwise invalid (never an error — the other slot
-    /// or the WAL decides).
-    fn read_superblock(&self, slot: u64) -> Result<Option<Root>> {
-        let page = self.dev.read_page_owned(slot)?;
-        if page.len() < SB_HEADER || &page[4..8] != SB_MAGIC {
-            return Ok(None);
-        }
-        let stored = u32::from_le_bytes(page[..4].try_into().expect("4 bytes"));
-        let format = u32::from_le_bytes(page[8..12].try_into().expect("4 bytes"));
-        let root_len = u32::from_le_bytes(page[12..16].try_into().expect("4 bytes")) as usize;
-        if format != FORMAT_VERSION || SB_HEADER + root_len > page.len() {
-            return Ok(None);
-        }
-        if crc32(&page[4..SB_HEADER + root_len]) != stored {
-            return Ok(None);
-        }
-        match decode_root(&page[SB_HEADER..SB_HEADER + root_len]) {
-            Ok(root) => Ok(Some(root)),
-            Err(_) => Ok(None),
-        }
+        self.dev.write_page(root.seq % 2, &seal(SB_MAGIC, root))
     }
 }
 
-enum WalScan {
-    /// No WAL record present.
-    Empty,
-    /// A complete, checksummed record.
-    Committed(Root),
-    /// An incomplete or corrupt record — discard.
-    Torn,
-}
-
-struct Frame<'a> {
-    seq: u64,
-    kind: u8,
-    index: u8,
-    payload: &'a [u8],
-}
-
-fn encode_frame(seq: u64, kind: u8, index: u8, payload: &[u8]) -> Vec<u8> {
-    let mut page = Vec::with_capacity(FRAME_HEADER + payload.len());
+/// A root as one checksummed page image: crc | magic | format | root
+/// length | root. Superblocks and the WAL record share it.
+fn seal(magic: &[u8; 4], root: &Root) -> Vec<u8> {
+    let body = encode_root(root);
+    let mut page = Vec::with_capacity(SEAL_HEADER + body.len());
     page.extend_from_slice(&[0; 4]); // crc placeholder
-    page.extend_from_slice(WAL_MAGIC);
-    page.extend_from_slice(&seq.to_le_bytes());
-    page.push(kind);
-    page.push(index);
-    page.extend_from_slice(&(payload.len() as u16).to_le_bytes());
-    page.extend_from_slice(payload);
+    page.extend_from_slice(magic);
+    page.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
+    page.extend_from_slice(&(body.len() as u32).to_le_bytes());
+    page.extend_from_slice(&body);
     let crc = crc32(&page[4..]).to_le_bytes();
     page[..4].copy_from_slice(&crc);
     page
 }
 
-fn decode_frame(page: &[u8]) -> Option<Frame<'_>> {
-    if page.len() < FRAME_HEADER || &page[4..8] != WAL_MAGIC {
+/// The root a page sealed with `magic` holds; `None` when the page is
+/// torn, unwritten or otherwise invalid (never an error: the other
+/// copies decide).
+fn unseal(magic: &[u8; 4], page: &[u8]) -> Option<Root> {
+    if page.len() < SEAL_HEADER || &page[4..8] != magic {
         return None;
     }
-    let stored = u32::from_le_bytes(page[..4].try_into().expect("4 bytes"));
-    let seq = u64::from_le_bytes(page[8..16].try_into().expect("8 bytes"));
-    let kind = page[16];
-    let index = page[17];
-    let len = u16::from_le_bytes(page[18..20].try_into().expect("2 bytes")) as usize;
-    if FRAME_HEADER + len > page.len() {
+    let word = |at: usize| u32::from_le_bytes(page[at..at + 4].try_into().expect("4 bytes"));
+    let end = SEAL_HEADER + word(12) as usize;
+    if word(8) != FORMAT_VERSION || end > page.len() || crc32(&page[4..end]) != word(0) {
         return None;
     }
-    if crc32(&page[4..FRAME_HEADER + len]) != stored {
-        return None;
-    }
-    Some(Frame { seq, kind, index, payload: &page[FRAME_HEADER..FRAME_HEADER + len] })
+    decode_root(&page[SEAL_HEADER..end]).ok()
 }
 
 fn encode_root(root: &Root) -> Vec<u8> {
     let mut out = Vec::with_capacity(64);
     out.extend_from_slice(&root.seq.to_le_bytes());
-    for ext in [&root.catalog, &root.directory] {
-        match ext {
-            None => out.push(0),
-            Some(e) => {
-                out.push(1);
-                e.encode(&mut out);
-            }
+    match &root.directory {
+        None => out.push(0),
+        Some(e) => {
+            out.push(1);
+            e.encode(&mut out);
         }
     }
     out
@@ -678,16 +558,12 @@ fn encode_root(root: &Root) -> Vec<u8> {
 fn decode_root(buf: &[u8]) -> Result<Root> {
     let mut r = Reader::new("wal", buf);
     let seq = r.u64()?;
-    let mut exts = [None, None];
-    for slot in &mut exts {
-        *slot = match r.u8()? {
-            0 => None,
-            1 => Some(Extent::decode(&mut r)?),
-            other => return Err(r.corrupt(format!("bad extent tag {other}"))),
-        };
-    }
-    let [catalog, directory] = exts;
-    Ok(Root { seq, catalog, directory })
+    let directory = match r.u8()? {
+        0 => None,
+        1 => Some(Extent::decode(&mut r)?),
+        other => return Err(r.corrupt(format!("bad extent tag {other}"))),
+    };
+    Ok(Root { seq, directory })
 }
 
 // ---- table-directory serialization ----
@@ -763,13 +639,13 @@ mod tests {
     }
 
     fn open(ps: usize) -> DurableStore<SimulatedDevice> {
-        let mut s = DurableStore::new(SimulatedDevice::new(ps), 8);
+        let mut s = DurableStore::new(SimulatedDevice::new(ps));
         assert!(s.recover().unwrap().formatted);
         s
     }
 
     fn reopen(store: DurableStore<SimulatedDevice>) -> (DurableStore<SimulatedDevice>, RecoveryReport) {
-        let mut s = DurableStore::new(store.into_device(), 8);
+        let mut s = DurableStore::new(store.into_device());
         let r = s.recover().unwrap();
         (s, r)
     }
@@ -786,24 +662,32 @@ mod tests {
     }
 
     #[test]
-    fn catalog_blob_survives_reopen() {
+    fn a_multi_table_commit_is_one_seq() {
         let mut s = open(256);
-        assert_eq!(s.catalog().unwrap(), None);
-        s.put_catalog(b"LAWM catalog image").unwrap();
-        let (s, _) = reopen(s);
-        assert_eq!(s.catalog().unwrap().as_deref(), Some(&b"LAWM catalog image"[..]));
+        s.store_table(&demo_table("old", 4)).unwrap();
+        s.commit(&[demo_table("a", 3), demo_table("b", 7)], &["old"]).unwrap();
+        assert_eq!(s.seq(), 2);
+        // A name twice, or a missing drop, refuses the whole commit.
+        assert!(s.commit(&[demo_table("a", 1)], &["a"]).is_err());
+        assert!(s.commit(&[demo_table("c", 1), demo_table("c", 2)], &[]).is_err());
+        assert!(s.commit(&[demo_table("c", 1)], &["zz"]).is_err());
+        assert_eq!(s.seq(), 2);
+        let (s, report) = reopen(s);
+        assert_eq!(report.seq, 2);
+        assert_eq!(s.table_names(), vec!["a".to_string(), "b".to_string()]);
+        assert_eq!(s.read_table("b").unwrap(), demo_table("b", 7));
     }
 
     #[test]
     fn multiple_commits_alternate_superblocks_and_keep_latest() {
         let mut s = open(256);
-        for i in 0..5u8 {
-            s.put_catalog(&[i; 37]).unwrap();
+        for i in 0..5 {
+            s.replace_table(&demo_table("demo", 10 + i)).unwrap();
         }
         assert_eq!(s.seq(), 5);
         let (s, report) = reopen(s);
         assert_eq!(report.seq, 5);
-        assert_eq!(s.catalog().unwrap(), Some(vec![4u8; 37]));
+        assert_eq!(s.read_table("demo").unwrap(), demo_table("demo", 14));
     }
 
     #[test]
@@ -842,9 +726,9 @@ mod tests {
         let t1 = appended(&t0, 5);
         let before = s.stats().pages_written;
         s.replace_table(&t1).unwrap();
-        // Two column extents of 5 rows, the directory, one WAL data
-        // frame, the commit frame and the superblock: one page each.
-        assert_eq!(s.stats().pages_written - before, 6);
+        // Two column extents of 5 rows, the directory, the WAL record
+        // and the superblock: one page each.
+        assert_eq!(s.stats().pages_written - before, 5);
         let t2 = appended(&t1, 7);
         s.replace_table(&t2).unwrap();
         let st = s.stored_table("demo").unwrap();
@@ -921,75 +805,61 @@ mod tests {
         // Commit, then manually roll the superblock back to the
         // previous root — recovery must replay from the WAL.
         let mut s = open(256);
-        s.put_catalog(b"v1").unwrap();
-        let old_root = Root { seq: s.seq(), catalog: s.catalog.clone(), directory: None };
-        s.put_catalog(b"v2").unwrap(); // seq 2, superblock slot 0
-        // Clobber slot 0 with the seq-1 root again (as if the slot-0
+        s.store_table(&demo_table("demo", 3)).unwrap();
+        s.replace_table(&demo_table("demo", 9)).unwrap(); // seq 2, superblock slot 0
+        // Clobber slot 0 with a seq-1 root again (as if the slot-0
         // write never happened). Slot 1 holds seq 1 as well.
-        let mut fake = Root { seq: 1, ..old_root };
-        fake.directory = None;
-        let body = encode_root(&fake);
-        let mut page = vec![0u8; 16 + body.len()];
-        page[4..8].copy_from_slice(SB_MAGIC);
-        page[8..12].copy_from_slice(&FORMAT_VERSION.to_le_bytes());
-        page[12..16].copy_from_slice(&(body.len() as u32).to_le_bytes());
-        page[16..].copy_from_slice(&body);
-        let crc = crc32(&page[4..]).to_le_bytes();
-        page[..4].copy_from_slice(&crc);
         let mut dev = s.into_device();
-        dev.write_page(0, &page).unwrap();
-        let mut s = DurableStore::new(dev, 8);
+        dev.write_page(0, &seal(SB_MAGIC, &Root { seq: 1, directory: None })).unwrap();
+        let mut s = DurableStore::new(dev);
         let report = s.recover().unwrap();
         assert!(report.replayed, "{report:?}");
         assert_eq!(report.seq, 2);
-        assert_eq!(s.catalog().unwrap().as_deref(), Some(&b"v2"[..]));
+        assert_eq!(s.read_table("demo").unwrap(), demo_table("demo", 9));
     }
 
     #[test]
     fn torn_wal_tail_rolls_back() {
         let mut s = open(256);
-        s.put_catalog(b"committed").unwrap();
+        s.store_table(&demo_table("committed", 5)).unwrap();
         let mut dev = s.into_device();
-        // Scribble a half-written frame for a phantom seq-2 txn.
-        let mut junk = encode_frame(2, FRAME_DATA, 0, b"half-written root record");
-        let n = junk.len();
-        junk.truncate(n - 5); // torn: crc no longer matches
-        dev.write_page(2, &junk).unwrap();
-        let mut s = DurableStore::new(dev, 8);
+        // Scribble a half-written record for a phantom seq-2 txn.
+        let mut junk = seal(WAL_MAGIC, &Root { seq: 2, directory: None });
+        junk[SEAL_HEADER] ^= 0x40; // torn: crc no longer matches
+        dev.write_page(WAL_PAGE, &junk).unwrap();
+        let mut s = DurableStore::new(dev);
         let report = s.recover().unwrap();
         assert!(report.rolled_back, "{report:?}");
         assert_eq!(report.seq, 1, "pre-commit state");
-        assert_eq!(s.catalog().unwrap().as_deref(), Some(&b"committed"[..]));
+        assert_eq!(s.read_table("committed").unwrap(), demo_table("committed", 5));
     }
 
     #[test]
     fn operations_refuse_before_recover() {
-        let mut s: DurableStore<SimulatedDevice> =
-            DurableStore::new(SimulatedDevice::new(256), 8);
+        let mut s: DurableStore<SimulatedDevice> = DurableStore::new(SimulatedDevice::new(256));
         assert!(s.store_table(&demo_table("t", 3)).is_err());
-        assert!(s.catalog().is_err());
+        assert!(s.commit(&[], &[]).is_err());
         assert!(s.read_table("t").is_err());
     }
 
     #[test]
     fn tiny_pages_are_refused() {
-        let mut s = DurableStore::new(SimulatedDevice::new(64), 8);
+        let mut s = DurableStore::new(SimulatedDevice::new(64));
         assert!(s.recover().is_err());
     }
 
     #[test]
     fn corrupt_data_page_is_detected_by_checksum() {
         let mut s = open(256);
-        s.put_catalog(&[0xAB; 300]).unwrap();
-        let ext = s.catalog.clone().unwrap();
+        s.store_table(&demo_table("demo", 30)).unwrap();
+        let ext = s.stored_table("demo").unwrap().segments[0].columns[1].clone();
         let mut dev = s.into_device();
-        let mut page = dev.peek_page(ext.start).unwrap().to_vec();
-        page[17] ^= 0x40;
-        dev.write_page(ext.start, &page).unwrap();
-        let mut s = DurableStore::new(dev, 8);
+        dev.poke_page(ext.start).unwrap()[17] ^= 0x40;
+        let mut s = DurableStore::new(dev);
         s.recover().unwrap();
-        let err = s.catalog().unwrap_err();
+        let err = s.read_table("demo").unwrap_err();
         assert!(matches!(err, StorageError::CorruptData { codec: "blob", .. }), "{err}");
+        assert!(s.read_column("demo", 0).is_ok(), "the other column still reads");
     }
 
     #[test]

@@ -19,7 +19,6 @@ use lawsdb_storage::wal::DurableStore;
 use lawsdb_storage::{Column, Table, TableBuilder};
 
 const PAGE_SIZE: usize = 256;
-const WAL_PAGES: usize = 8;
 
 type Step = Box<dyn Fn(&mut DurableStore<FaultyDevice>) -> lawsdb_storage::Result<()>>;
 
@@ -46,8 +45,20 @@ fn aux_table() -> Table {
     b.build().unwrap()
 }
 
-fn catalog_image(version: u32) -> Vec<u8> {
-    (0..120u32).map(|i| (i.wrapping_mul(7) ^ version) as u8).collect()
+/// The two tables a multi-table commit puts, by version: a catalog
+/// row set and a parameter table beside it.
+fn catalog_table(version: u32) -> Table {
+    let mut b = TableBuilder::new("catalog");
+    b.add_i64("id", (1..=version as i64).collect());
+    b.add_str("formula", (0..version).map(|v| format!("y ~ a{v} * x")).collect());
+    b.build().unwrap()
+}
+
+fn params_table() -> Table {
+    let mut b = TableBuilder::new("params");
+    b.add_i64("key", (0..40).collect());
+    b.add_f64("a", (0..40).map(|i| 1.0 / (1.0 + i as f64)).collect());
+    b.build().unwrap()
 }
 
 /// `table` grown by `rows` rows through `Table::append_rows`, so the
@@ -74,35 +85,39 @@ fn versions() -> [Table; 3] {
     [v2, v3, v4]
 }
 
-/// One workload step = one atomic commit attempt.
+/// One workload step = one atomic commit attempt. Steps 3 and 7 are
+/// multi-table commits, the shape of a model-catalog save: put two
+/// tables and drop one, then replace one and drop another.
 fn steps() -> Vec<Step> {
     let [v2, v3, v4] = versions();
     vec![
         Box::new(|s| s.store_table(&law_table(1))),
-        Box::new(|s| s.put_catalog(&catalog_image(1))),
+        Box::new(|s| s.store_table(&aux_table())),
+        Box::new(|s| s.commit(&[catalog_table(1), params_table()], &["aux"])),
         Box::new(move |s| s.replace_table(&v2)),
         Box::new(move |s| s.replace_table(&v3)),
         Box::new(move |s| s.replace_table(&v4)),
-        Box::new(|s| s.store_table(&aux_table())),
-        Box::new(|s| s.drop_table("aux")),
+        Box::new(|s| s.commit(&[catalog_table(2)], &["params"])),
     ]
 }
 
 /// Commits in the fault-free workload.
 const COMMITS: u64 = 7;
 
-/// The exact state the store must hold at commit sequence `seq`.
-fn expected_state(seq: u64) -> (Vec<Table>, Option<Vec<u8>>) {
+/// The exact tables the store must hold at commit sequence `seq`, in
+/// name order.
+fn expected_state(seq: u64) -> Vec<Table> {
     let [v2, v3, v4] = versions();
+    let (catalog, params) = (catalog_table(1), params_table());
     match seq {
-        0 => (vec![], None),
-        1 => (vec![law_table(1)], None),
-        2 => (vec![law_table(1)], Some(catalog_image(1))),
-        3 => (vec![v2], Some(catalog_image(1))),
-        4 => (vec![v3], Some(catalog_image(1))),
-        5 => (vec![v4], Some(catalog_image(1))),
-        6 => (vec![aux_table(), v4], Some(catalog_image(1))),
-        7 => (vec![v4], Some(catalog_image(1))),
+        0 => vec![],
+        1 => vec![law_table(1)],
+        2 => vec![aux_table(), law_table(1)],
+        3 => vec![catalog, law_table(1), params],
+        4 => vec![catalog, v2, params],
+        5 => vec![catalog, v3, params],
+        6 => vec![catalog, v4, params],
+        7 => vec![catalog_table(2), v4],
         other => panic!("workload never reaches seq {other}"),
     }
 }
@@ -111,7 +126,7 @@ fn expected_state(seq: u64) -> (Vec<Table>, Option<Vec<u8>>) {
 /// surviving disk image).
 fn run_workload(schedule: FaultSchedule) -> (u64, SimulatedDevice, u64) {
     let device = FaultyDevice::new(SimulatedDevice::new(PAGE_SIZE), schedule);
-    let mut store = DurableStore::new(device, WAL_PAGES);
+    let mut store = DurableStore::new(device);
     let mut commits_ok = 0u64;
     if store.recover().is_ok() {
         for step in steps() {
@@ -129,7 +144,7 @@ fn run_workload(schedule: FaultSchedule) -> (u64, SimulatedDevice, u64) {
 /// Re-open a surviving image on a clean device and check it against the
 /// in-memory expectation for whatever sequence it recovered to.
 fn assert_recovers_cleanly(image: SimulatedDevice, commits_ok: u64, context: &str) {
-    let mut store = DurableStore::new(image, WAL_PAGES);
+    let mut store = DurableStore::new(image);
     let report = store
         .recover()
         .unwrap_or_else(|e| panic!("{context}: recovery failed on a clean device: {e}"));
@@ -141,7 +156,7 @@ fn assert_recovers_cleanly(image: SimulatedDevice, commits_ok: u64, context: &st
         seq == commits_ok || seq == commits_ok + 1,
         "{context}: recovered to seq {seq}, but {commits_ok} commits completed"
     );
-    let (tables, catalog) = expected_state(seq);
+    let tables = expected_state(seq);
     let names: Vec<String> = tables.iter().map(|t| t.name().to_string()).collect();
     assert_eq!(store.table_names(), names, "{context}: table set at seq {seq}");
     for want in &tables {
@@ -151,12 +166,10 @@ fn assert_recovers_cleanly(image: SimulatedDevice, commits_ok: u64, context: &st
         assert_eq!(&got, want, "{context}: content of {:?} at seq {seq}", want.name());
     }
     // The appends committed as tail segments beside `law_table(2)`'s.
-    if seq >= 3 {
+    if seq >= 4 {
         let segments = store.stored_table("measurements").unwrap().segments.len();
-        assert_eq!(segments as u64, seq.min(5) - 2, "{context}: segments at seq {seq}");
+        assert_eq!(segments as u64, seq.min(6) - 3, "{context}: segments at seq {seq}");
     }
-    let got_catalog = store.catalog().unwrap_or_else(|e| panic!("{context}: catalog: {e}"));
-    assert_eq!(got_catalog, catalog, "{context}: catalog image at seq {seq}");
 }
 
 #[test]
@@ -215,20 +228,21 @@ fn double_crash_still_recovers() {
         let (_, image, _) =
             run_workload(FaultSchedule::crash_at(first_crash, FaultMode::TornPage, seed));
         // Settle the image once (fault-free) to fix the baseline seq.
-        let mut settle = DurableStore::new(image, WAL_PAGES);
+        let mut settle = DurableStore::new(image);
         let baseline = settle.recover().expect("first recovery is fault-free").seq;
         // Now run one more commit with a second fault schedule active.
         let device =
             FaultyDevice::new(settle.into_device(), FaultSchedule::crash_at(second_crash, mode, seed));
-        let mut store = DurableStore::new(device, WAL_PAGES);
+        let mut store = DurableStore::new(device);
         let mut commits_ok = baseline;
-        if store.recover().is_ok() && store.put_catalog(&catalog_image(9)).is_ok() {
+        let puts = [catalog_table(9), params_table()];
+        if store.recover().is_ok() && store.commit(&puts, &[]).is_ok() {
             commits_ok += 1;
         }
         let image = store.into_device().into_inner();
         // After the dust settles the image must open cleanly to exactly
         // the pre- or post-commit sequence with intact contents.
-        let mut clean = DurableStore::new(image, WAL_PAGES);
+        let mut clean = DurableStore::new(image);
         let report = clean
             .recover()
             .unwrap_or_else(|e| panic!("double crash at {second_crash}: {e}"));
@@ -237,11 +251,71 @@ fn double_crash_still_recovers() {
                 .read_table(&name)
                 .unwrap_or_else(|e| panic!("double crash at {second_crash}: {name}: {e}"));
         }
-        clean.catalog().unwrap_or_else(|e| panic!("double crash at {second_crash}: {e}"));
         assert!(
             report.seq == commits_ok || report.seq == commits_ok + 1,
             "double crash at {second_crash}: seq {} vs {commits_ok} commits",
             report.seq
         );
+    }
+}
+
+#[test]
+fn a_failed_commit_never_becomes_durable_later() {
+    // A transient fault (1–3 clean failures, then the device heals) at
+    // each device op of a replace and a drop. A commit that failed
+    // before its commit point must leave nothing behind for the next,
+    // unrelated commit to persist: after recovery each change is there
+    // exactly when the store's seq advanced across it.
+    let seed = base_seed();
+    let (small, large) = (law_table(1), law_table(5));
+    let later = {
+        let mut b = TableBuilder::new("later");
+        b.add_i64("x", vec![1, 2, 3]);
+        b.build().unwrap()
+    };
+    let setup = |store: &mut DurableStore<FaultyDevice>| {
+        store.recover().unwrap();
+        store.store_table(&small).unwrap();
+        store.store_table(&aux_table()).unwrap();
+    };
+    let device = FaultyDevice::new(SimulatedDevice::new(PAGE_SIZE), FaultSchedule::none());
+    let mut golden = DurableStore::new(device);
+    setup(&mut golden);
+    let first = golden.device().op_count();
+    golden.replace_table(&large).unwrap();
+    golden.drop_table("aux").unwrap();
+    let last = golden.device().op_count();
+    for op in first..last {
+        let schedule = FaultSchedule::crash_at(op, FaultMode::Transient, seed);
+        let mut store =
+            DurableStore::new(FaultyDevice::new(SimulatedDevice::new(PAGE_SIZE), schedule));
+        setup(&mut store);
+        let seq = store.seq();
+        let _ = store.replace_table(&large);
+        let replaced = store.seq() > seq;
+        let seq = store.seq();
+        let _ = store.drop_table("aux");
+        let dropped = store.seq() > seq;
+        // The device heals within three ops: a later commit lands.
+        let seq = store.seq();
+        for _ in 0..4 {
+            if store.seq() == seq {
+                let _ = store.replace_table(&later);
+            }
+        }
+        let context = format!("transient fault at op {op} (seed {seed})");
+        assert!(store.seq() > seq, "{context}: the device never healed");
+        let mut clean = DurableStore::new(store.into_device().into_inner());
+        clean.recover().unwrap_or_else(|e| panic!("{context}: recovery failed: {e}"));
+        let rows = clean.read_table("measurements").unwrap().row_count();
+        let want = if replaced { large.row_count() } else { small.row_count() };
+        assert_eq!(rows, want, "{context}: replace returned with seq advanced = {replaced}");
+        let names = clean.table_names();
+        assert_eq!(
+            names.contains(&"aux".to_string()),
+            !dropped,
+            "{context}: drop returned with seq advanced = {dropped}"
+        );
+        assert_eq!(clean.read_table("later").unwrap(), later, "{context}");
     }
 }

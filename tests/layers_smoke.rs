@@ -189,7 +189,29 @@ fn cluster_and_durable_surface() {
         assert_eq!(after.pages_read - before.pages_read, pages);
         assert_eq!(after.bytes_read - before.bytes_read, pages * 4096);
     }
-    assert_eq!(durable.load_models().unwrap().len(), db.models().len());
+    // Every model survives the restart field for field, and predicts
+    // one point bit for bit.
+    let reloaded = durable.load_models().unwrap();
+    assert_eq!(reloaded.len(), db.models().len());
+    assert!(!reloaded.is_empty());
+    for live in db.models().all() {
+        let got = reloaded.get(live.id).unwrap();
+        assert_eq!(got.params, live.params, "model {:?}", live.id);
+        assert_eq!(got.coverage, live.coverage, "model {:?}", live.id);
+        assert_eq!(
+            (got.state, got.version, &got.formula_source),
+            (live.state, live.version, &live.formula_source)
+        );
+        let group = live.group_keys().first().copied();
+        let cov = &live.coverage;
+        let inputs: Vec<(&str, f64)> = cov
+            .variables
+            .iter()
+            .map(|v| (v.as_str(), cov.domain_of(v).map_or(1.0, |d| d[0])))
+            .collect();
+        let want = live.predict_scalar(group, &inputs).unwrap();
+        assert_eq!(got.predict_scalar(group, &inputs).unwrap().to_bits(), want.to_bits());
+    }
 }
 
 /// `rows` appended LOFAR-shaped rows; `seed` varies their values.

@@ -66,7 +66,7 @@ proptest! {
         let mut b = TableBuilder::new("t");
         b.add_f64("v", values.clone());
         let table = b.build().unwrap();
-        let mut store = DurableStore::new(SimulatedDevice::new(page_size), 8);
+        let mut store = DurableStore::new(SimulatedDevice::new(page_size));
         store.recover().unwrap();
         store.store_table(&table).unwrap();
         let back = store.read_table("t").unwrap();

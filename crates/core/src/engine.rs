@@ -7,17 +7,16 @@ use crate::resilience::{
 use crate::session::Session;
 use lawsdb_approx::{ApproxAnswer, ApproxError};
 use lawsdb_fit::FitOptions as RawFitOptions;
-use lawsdb_models::bridge::{
-    fit_table, fit_table_grouped, fit_table_grouped_where, fit_table_where,
-};
+use lawsdb_models::bridge::{fit_table, fit_table_grouped};
 use lawsdb_models::legal::build_legal_filter;
 use lawsdb_models::model::ModelId;
-use lawsdb_models::{CapturedModel, ModelCatalog, ModelState};
+use lawsdb_models::{CapturedModel, ModelCatalog, ModelParams, ModelState};
 use lawsdb_obs::{fields, MetricsRegistry};
+use lawsdb_query::exec::normalize_expr;
 use lawsdb_query::sql::SelectStatement;
 use lawsdb_query::{
-    CostConstants, ExecOptions, ModelPlan, PhysicalPlan, PlanCache, QueryResult,
-    ScanStatsCollector,
+    CostConstants, ExecOptions, LogicalPlan, ModelPlan, PhysicalPlan, PlanCache, QueryResult,
+    ScalarExpr, ScanStatsCollector,
 };
 use lawsdb_storage::{Catalog, Column, Table};
 use std::sync::Arc;
@@ -395,19 +394,22 @@ impl LawsDb {
                 rows_now: table.row_count(),
             });
         }
-        // Sampled-residual drift check. Partial models are skipped
-        // (sampled rows may legitimately lie outside their coverage),
-        // as are models without a fitted residual bound.
-        if model.coverage.predicate.is_some() {
-            return None;
-        }
+        // Sampled-residual drift check, skipped for models without a
+        // fitted residual bound. A partial model is held only to the
+        // sampled rows inside its coverage.
         let bound = model.max_abs_residual?;
         let seed = lawsdb_storage::fault::fault_seed() ^ a.model.0;
         let idx = sample_rows(seed, table.row_count(), DRIFT_SAMPLE_ROWS);
-        if idx.is_empty() {
+        let mut sampled = table.take(&idx).ok()?;
+        if let Some(src) = &model.coverage.predicate {
+            let coverage = lawsdb_query::parse_predicate(src).ok()?;
+            let coverage = normalize_expr(&coverage, sampled.schema()).ok()?;
+            let covered = coverage.eval_mask(&sampled).ok()?.selected_indices();
+            sampled = sampled.take(&covered).ok()?;
+        }
+        if sampled.row_count() == 0 {
             return None;
         }
-        let sampled = table.take(&idx).ok()?;
         let preds = lawsdb_models::bridge::predict_table(&model, &sampled).ok()?;
         let observed = sampled
             .column(&model.coverage.response)
@@ -450,8 +452,12 @@ impl LawsDb {
     }
 
     /// Capture a *partial* model, fitted only on the rows satisfying
-    /// `predicate` (Section 4.1's partial-models challenge). The
-    /// predicate is recorded in the model's coverage; approximate
+    /// `predicate` (Section 4.1's partial-models challenge), a SQL
+    /// boolean expression as it would follow `WHERE`. The covered rows
+    /// are read through the engine's own plan path, zone pruning
+    /// included. The predicate may name only the group column and the
+    /// formula's variables ([`CoreError::CoverageColumn`] otherwise);
+    /// its source is recorded in the model's coverage, approximate
     /// answers are clipped to it, and point queries outside it refuse
     /// rather than extrapolate.
     pub fn capture_model_where(
@@ -474,19 +480,23 @@ impl LawsDb {
         options: &RawFitOptions,
     ) -> Result<Arc<CapturedModel>> {
         let table = self.table(table_name)?;
-        let model = match (group_column, predicate) {
-            (Some(g), None) => {
-                fit_table_grouped(&table, formula, g, options, default_threads())?.0
-            }
-            (Some(g), Some(p)) => {
-                fit_table_grouped_where(&table, formula, g, p, options, default_threads())?.0
-            }
-            (None, None) => fit_table(&table, formula, options)?,
-            (None, Some(p)) => fit_table_where(&table, formula, p, options)?,
+        let coverage = predicate.map(lawsdb_query::parse_predicate).transpose()?;
+        let rows = match &coverage {
+            Some(p) => Arc::new(self.covered_rows(table_name, p)?),
+            None => Arc::clone(&table),
         };
+        let mut model = match group_column {
+            Some(g) => fit_table_grouped(&rows, formula, g, options, default_threads())?.0,
+            None => fit_table(&rows, formula, options)?,
+        };
+        if let (Some(p), Some(src)) = (&coverage, predicate) {
+            model.coverage.table = table_name.to_string();
+            check_coverage_columns(&model, p)?;
+            model.coverage.rows_at_fit = table.row_count();
+            model.coverage.predicate = Some(src.trim().to_string());
+        }
         let r2 = model.overall_r2;
         let passed = r2.is_finite() && r2 >= self.quality.min_r2;
-        let mut model = model;
         if !passed {
             if !self.quality.keep_rejected {
                 return Err(CoreError::QualityRejected { r2, min_r2: self.quality.min_r2 });
@@ -510,6 +520,17 @@ impl LawsDb {
             return Err(CoreError::QualityRejected { r2, min_r2: self.quality.min_r2 });
         }
         Ok(stored)
+    }
+
+    /// The rows of `table` satisfying `predicate`, read the way a query
+    /// reads them: optimized, priced and run by the executor, with zone
+    /// pruning.
+    fn covered_rows(&self, table: &str, predicate: &ScalarExpr) -> Result<Table> {
+        let scan = LogicalPlan::Scan { table: table.to_string(), projection: None };
+        let filter = LogicalPlan::Filter { input: Box::new(scan), predicate: predicate.clone() };
+        let optimized = lawsdb_query::optimize::optimize(&filter);
+        let plan = lawsdb_query::plan_physical(&self.tables, &optimized, &self.cost);
+        Ok(lawsdb_query::execute_physical_with(&self.tables, &plan, &self.exec)?.table)
     }
 
     /// Append rows to a base table, invalidating dependent models
@@ -550,6 +571,27 @@ impl LawsDb {
     pub fn model_parameter_bytes(&self) -> usize {
         self.models.active_parameter_bytes()
     }
+}
+
+/// A coverage predicate may name only what the model's relation holds
+/// besides the response: the group column and the variables. The model
+/// leaf evaluates it over enumerated cells, which have nothing else.
+fn check_coverage_columns(model: &CapturedModel, predicate: &ScalarExpr) -> Result<()> {
+    let group = match &model.params {
+        ModelParams::Grouped { group_column, .. } => Some(group_column.as_str()),
+        ModelParams::Global { .. } => None,
+    };
+    let held = |c: &str| Some(c) == group || model.coverage.variables.iter().any(|v| v == c);
+    for column in predicate.columns() {
+        let plain = match column.split_once('.') {
+            Some((t, c)) if t == model.coverage.table => c,
+            _ => column.as_str(),
+        };
+        if !held(plain) {
+            return Err(CoreError::CoverageColumn { column });
+        }
+    }
+    Ok(())
 }
 
 fn default_threads() -> usize {
@@ -772,6 +814,77 @@ mod tests {
         let nus = e.table.column("nu").unwrap().f64_data().unwrap();
         assert!(nus.iter().all(|&v| v >= 0.16), "{nus:?}");
         assert_eq!(e.table.row_count(), 4 * 2); // 4 sources × {0.16, 0.18}
+    }
+
+    #[test]
+    fn a_partial_models_coverage_is_a_filter_above_its_leaf() {
+        let db = lofar_db();
+        let options = RawFitOptions::default().with_initial("alpha", -0.7);
+        let formula = "intensity ~ p * nu ^ alpha";
+        db.capture_model_where("measurements", formula, Some("source"), "nu >= 0.16", &options)
+            .unwrap();
+        let sql = "SELECT source, intensity FROM measurements WHERE source < 2";
+        let text = db.explain(sql).unwrap();
+        let lines: Vec<&str> = text.lines().map(str::trim_start).collect();
+        let leaf = lines.iter().position(|l| l.starts_with("ModelScan")).unwrap();
+        assert!(lines[leaf - 1].starts_with("Filter (nu >= 0.16)"), "{text}");
+        // The statement's own filter stays where it was, above.
+        assert!(lines[leaf - 2].starts_with("Filter (source < 2)"), "{text}");
+    }
+
+    #[test]
+    fn coverage_naming_a_column_outside_the_relation_is_refused() {
+        let t = lofar_db().table("measurements").unwrap();
+        let mut b = TableBuilder::new("measurements");
+        for name in ["source", "nu", "intensity"] {
+            b.add_column(t.schema().field(name).unwrap().clone(), t.column(name).unwrap().clone());
+        }
+        b.add_i64("flag", vec![0; t.row_count()]);
+        let db = LawsDb::new();
+        db.register_table(b.build().unwrap()).unwrap();
+        let options = RawFitOptions::default().with_initial("alpha", -0.7);
+        let formula = "intensity ~ p * nu ^ alpha";
+        for (coverage, column) in [
+            ("flag = 0", "flag"),
+            ("intensity > 0.5", "intensity"),
+            ("nu >= 0.12 AND measurements.flag = 0", "measurements.flag"),
+        ] {
+            let err = db
+                .capture_model_where("measurements", formula, Some("source"), coverage, &options)
+                .unwrap_err();
+            assert_eq!(err, CoreError::CoverageColumn { column: column.to_string() }, "{coverage}");
+        }
+        assert!(db.models().is_empty());
+        // The group column and the variables, qualified or not, are fine.
+        let covered = "source < 3 AND measurements.nu >= 0.15";
+        db.capture_model_where("measurements", formula, Some("source"), covered, &options)
+            .unwrap();
+        let a = resilient(&db, "SELECT source, nu, intensity FROM measurements").answer;
+        assert!(a.is_approximate());
+        assert_eq!(a.table().row_count(), 3 * 3);
+    }
+
+    #[test]
+    fn a_partial_model_gets_the_drift_check() {
+        let db = lofar_db();
+        let m = db
+            .capture_model_where(
+                "measurements",
+                "intensity ~ p * nu ^ alpha",
+                Some("source"),
+                "nu >= 0.15",
+                &RawFitOptions::default().with_initial("alpha", -0.7),
+            )
+            .unwrap();
+        let sql = "SELECT intensity FROM measurements WHERE source = 0 AND nu = 0.15";
+        assert!(resilient(&db, sql).answer.is_approximate());
+        replace_measurements(&db, 10.0, None);
+        let r = resilient(&db, sql);
+        assert!(!r.answer.is_approximate(), "a drifted partial model must not answer");
+        match r.degraded.as_slice() {
+            [DegradeReason::ResidualDrift { model, .. }] => assert_eq!(*model, m.id),
+            other => panic!("expected ResidualDrift, got {other:?}"),
+        }
     }
 
     #[test]

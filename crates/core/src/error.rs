@@ -18,8 +18,6 @@ pub enum CoreError {
     Model(lawsdb_models::ModelError),
     /// Approximate-engine failure.
     Approx(lawsdb_approx::ApproxError),
-    /// Expression failure.
-    Expr(lawsdb_expr::ExprError),
     /// The captured model failed the quality gate and was retired
     /// immediately; carries the judged R² so the user sees why.
     QualityRejected {
@@ -39,6 +37,13 @@ pub enum CoreError {
         /// The refused name.
         name: String,
     },
+    /// A partial model's coverage predicate names a column the model's
+    /// relation does not hold: neither its group column nor one of its
+    /// variables.
+    CoverageColumn {
+        /// The column named.
+        column: String,
+    },
 }
 
 impl fmt::Display for CoreError {
@@ -49,7 +54,6 @@ impl fmt::Display for CoreError {
             CoreError::Fit(e) => write!(f, "{e}"),
             CoreError::Model(e) => write!(f, "{e}"),
             CoreError::Approx(e) => write!(f, "{e}"),
-            CoreError::Expr(e) => write!(f, "{e}"),
             CoreError::QualityRejected { r2, min_r2 } => {
                 write!(f, "model rejected by quality gate: R² {r2:.4} < required {min_r2:.4}")
             }
@@ -59,6 +63,11 @@ impl fmt::Display for CoreError {
             CoreError::ReservedTableName { name } => {
                 write!(f, "table name {name:?} is reserved for the model catalog")
             }
+            CoreError::CoverageColumn { column } => write!(
+                f,
+                "coverage predicate names column {column:?}, which is neither the model's \
+                 group column nor one of its variables"
+            ),
         }
     }
 }
@@ -71,7 +80,6 @@ impl std::error::Error for CoreError {
             CoreError::Fit(e) => Some(e),
             CoreError::Model(e) => Some(e),
             CoreError::Approx(e) => Some(e),
-            CoreError::Expr(e) => Some(e),
             _ => None,
         }
     }
@@ -100,10 +108,5 @@ impl From<lawsdb_models::ModelError> for CoreError {
 impl From<lawsdb_approx::ApproxError> for CoreError {
     fn from(e: lawsdb_approx::ApproxError) -> Self {
         CoreError::Approx(e)
-    }
-}
-impl From<lawsdb_expr::ExprError> for CoreError {
-    fn from(e: lawsdb_expr::ExprError) -> Self {
-        CoreError::Expr(e)
     }
 }

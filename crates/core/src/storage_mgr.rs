@@ -338,14 +338,22 @@ impl<D: BlockDevice> DurableDb<D> {
     }
 
     /// Load the model catalog the store recovered to (empty if none was
-    /// ever saved).
+    /// ever saved). Every model's coverage predicate and legal filter,
+    /// stored as SQL text, must parse: a catalog holding one that does
+    /// not is refused with the parser's [`CoreError::Query`].
     pub fn load_models(&self) -> Result<ModelCatalog> {
         let tables = self
             .catalog_tables()
             .map(|name| self.store.read_table(&name))
             .collect::<lawsdb_storage::Result<Vec<_>>>()
             .map_err(CoreError::Storage)?;
-        ModelCatalog::from_tables(&tables).map_err(CoreError::Model)
+        let catalog = ModelCatalog::from_tables(&tables).map_err(CoreError::Model)?;
+        for m in catalog.all() {
+            for src in [&m.coverage.predicate, &m.legal_filter].into_iter().flatten() {
+                lawsdb_query::parse_predicate(src)?;
+            }
+        }
+        Ok(catalog)
     }
 
     /// Names of the stored model-catalog tables.
@@ -585,6 +593,31 @@ mod tests {
         assert_eq!(db.seq(), 2);
         assert!(!db.table_names().contains(&"lawsdb_model_2".to_string()));
         assert_eq!(db.load_models().unwrap().len(), 1);
+    }
+
+    #[test]
+    fn the_loader_refuses_a_predicate_that_does_not_parse() {
+        let t = noisy_lofar(3);
+        let mut db = DurableDb::new(lawsdb_storage::SimulatedDevice::new(256));
+        db.recover().unwrap();
+        let save_and_load = |db: &mut DurableDb<_>, coverage: &str, legal: &str| {
+            let mut m = fitted(&t).with_legal_filter(legal);
+            m.coverage.predicate = Some(coverage.to_string());
+            let models = ModelCatalog::new();
+            models.store(m);
+            db.save_models(&models).unwrap();
+            db.load_models()
+        };
+        let loaded = save_and_load(&mut db, "nu >= 0.15", "source != 2 AND nu < 0.3").unwrap();
+        let m = &loaded.all()[0];
+        assert_eq!(m.coverage.predicate.as_deref(), Some("nu >= 0.15"));
+        assert_eq!(m.legal_filter.as_deref(), Some("source != 2 AND nu < 0.3"));
+        // Formula-language text is not SQL, in either column.
+        let formula_text = [("nu >= 0.15 && nu < 0.3", "nu < 0.3"), ("nu >= 0.15", "!(nu > 1)")];
+        for (coverage, legal) in formula_text {
+            let err = save_and_load(&mut db, coverage, legal).map(|_| ()).unwrap_err();
+            assert!(matches!(err, CoreError::Query(_)), "{coverage} / {legal}: {err}");
+        }
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Expression AST for user models and legal-domain filters.
+//! Expression AST for user model bodies.
 
 use std::fmt;
 
@@ -104,60 +104,9 @@ impl Func {
     }
 }
 
-/// Binary comparison operators (used in legal-domain filters and query
-/// predicates, not differentiable).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum CmpOp {
-    /// `<`
-    Lt,
-    /// `<=`
-    Le,
-    /// `>`
-    Gt,
-    /// `>=`
-    Ge,
-    /// `==`
-    Eq,
-    /// `!=`
-    Ne,
-}
-
-impl CmpOp {
-    /// Evaluate the comparison on two scalars, returning 1.0/0.0.
-    #[inline]
-    pub fn apply(self, a: f64, b: f64) -> f64 {
-        let t = match self {
-            CmpOp::Lt => a < b,
-            CmpOp::Le => a <= b,
-            CmpOp::Gt => a > b,
-            CmpOp::Ge => a >= b,
-            CmpOp::Eq => a == b,
-            CmpOp::Ne => a != b,
-        };
-        if t {
-            1.0
-        } else {
-            0.0
-        }
-    }
-
-    /// Source representation.
-    pub fn symbol(self) -> &'static str {
-        match self {
-            CmpOp::Lt => "<",
-            CmpOp::Le => "<=",
-            CmpOp::Gt => ">",
-            CmpOp::Ge => ">=",
-            CmpOp::Eq => "==",
-            CmpOp::Ne => "!=",
-        }
-    }
-}
-
-/// An expression tree.
-///
-/// Truth values are represented as `f64` 0.0/1.0 so that filters and
-/// models share one evaluator; `And`/`Or` treat any non-zero as true.
+/// An expression tree: arithmetic over numbers and symbols. It has no
+/// comparison or boolean node; predicates over a model's inputs (its
+/// coverage and legal filter) are SQL.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Expr {
     /// Numeric literal.
@@ -179,14 +128,6 @@ pub enum Expr {
     Neg(Box<Expr>),
     /// Function call.
     Call(Func, Vec<Expr>),
-    /// Comparison; evaluates to 0.0/1.0.
-    Cmp(CmpOp, Box<Expr>, Box<Expr>),
-    /// Logical conjunction (non-zero is true).
-    And(Box<Expr>, Box<Expr>),
-    /// Logical disjunction.
-    Or(Box<Expr>, Box<Expr>),
-    /// Logical negation.
-    Not(Box<Expr>),
 }
 
 impl Expr {
@@ -219,15 +160,12 @@ impl Expr {
         f(self);
         match self {
             Expr::Num(_) | Expr::Sym(_) => {}
-            Expr::Neg(a) | Expr::Not(a) => a.walk(f),
+            Expr::Neg(a) => a.walk(f),
             Expr::Add(a, b)
             | Expr::Sub(a, b)
             | Expr::Mul(a, b)
             | Expr::Div(a, b)
-            | Expr::Pow(a, b)
-            | Expr::And(a, b)
-            | Expr::Or(a, b)
-            | Expr::Cmp(_, a, b) => {
+            | Expr::Pow(a, b) => {
                 a.walk(f);
                 b.walk(f);
             }
@@ -259,7 +197,6 @@ impl Expr {
                 }
             }
             Expr::Neg(a) => Expr::Neg(Box::new(a.substitute(name, replacement))),
-            Expr::Not(a) => Expr::Not(Box::new(a.substitute(name, replacement))),
             Expr::Add(a, b) => Expr::Add(
                 Box::new(a.substitute(name, replacement)),
                 Box::new(b.substitute(name, replacement)),
@@ -277,19 +214,6 @@ impl Expr {
                 Box::new(b.substitute(name, replacement)),
             ),
             Expr::Pow(a, b) => Expr::Pow(
-                Box::new(a.substitute(name, replacement)),
-                Box::new(b.substitute(name, replacement)),
-            ),
-            Expr::And(a, b) => Expr::And(
-                Box::new(a.substitute(name, replacement)),
-                Box::new(b.substitute(name, replacement)),
-            ),
-            Expr::Or(a, b) => Expr::Or(
-                Box::new(a.substitute(name, replacement)),
-                Box::new(b.substitute(name, replacement)),
-            ),
-            Expr::Cmp(op, a, b) => Expr::Cmp(
-                *op,
                 Box::new(a.substitute(name, replacement)),
                 Box::new(b.substitute(name, replacement)),
             ),
@@ -336,10 +260,6 @@ impl fmt::Display for Expr {
             Expr::Div(a, b) => write!(f, "({a} / {b})"),
             Expr::Pow(a, b) => write!(f, "({a} ^ {b})"),
             Expr::Neg(a) => write!(f, "(-{a})"),
-            Expr::Not(a) => write!(f, "(!{a})"),
-            Expr::And(a, b) => write!(f, "({a} && {b})"),
-            Expr::Or(a, b) => write!(f, "({a} || {b})"),
-            Expr::Cmp(op, a, b) => write!(f, "({a} {} {b})", op.symbol()),
             Expr::Call(func, args) => {
                 write!(f, "{}(", func.name())?;
                 for (i, a) in args.iter().enumerate() {
@@ -392,13 +312,6 @@ mod tests {
         assert_eq!(Func::Min.arity(), 2);
         assert_eq!(Func::Exp.arity(), 1);
         assert_eq!(Func::Max.apply(&[1.0, 3.0]), 3.0);
-    }
-
-    #[test]
-    fn cmp_ops_return_indicator_values() {
-        assert_eq!(CmpOp::Lt.apply(1.0, 2.0), 1.0);
-        assert_eq!(CmpOp::Ge.apply(1.0, 2.0), 0.0);
-        assert_eq!(CmpOp::Ne.apply(1.0, 1.0), 0.0);
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! resolved at compile time, and then executed over column batches with a
 //! reusable stack of `Vec<f64>` registers.
 
-use crate::ast::{CmpOp, Expr, Func};
+use crate::ast::{Expr, Func};
 use crate::error::{ExprError, Result};
 
 /// One bytecode instruction. Operands live on an implicit value stack of
@@ -27,10 +27,6 @@ enum Op {
     Div,
     Pow,
     Neg,
-    Not,
-    And,
-    Or,
-    Cmp(CmpOp),
     Call1(Func),
     Call2(Func),
 }
@@ -148,12 +144,6 @@ impl CompiledExpr {
                 Op::Div => stack.binary(|a, b| a / b),
                 Op::Pow => stack.binary(f64::powf),
                 Op::Neg => stack.unary(|a| -a),
-                Op::Not => stack.unary(|a| if a != 0.0 { 0.0 } else { 1.0 }),
-                Op::And => {
-                    stack.binary(|a, b| if a != 0.0 && b != 0.0 { 1.0 } else { 0.0 })
-                }
-                Op::Or => stack.binary(|a, b| if a != 0.0 || b != 0.0 { 1.0 } else { 0.0 }),
-                Op::Cmp(c) => stack.binary(move |a, b| c.apply(a, b)),
                 Op::Call1(f) => stack.unary(move |a| f.apply(&[a])),
                 Op::Call2(f) => stack.binary(move |a, b| f.apply(&[a, b])),
             }
@@ -272,25 +262,6 @@ fn emit(expr: &Expr, columns: &[String], scalars: &[String], ops: &mut Vec<Op>) 
             emit(a, columns, scalars, ops)?;
             ops.push(Op::Neg);
         }
-        Expr::Not(a) => {
-            emit(a, columns, scalars, ops)?;
-            ops.push(Op::Not);
-        }
-        Expr::And(a, b) => {
-            emit(a, columns, scalars, ops)?;
-            emit(b, columns, scalars, ops)?;
-            ops.push(Op::And);
-        }
-        Expr::Or(a, b) => {
-            emit(a, columns, scalars, ops)?;
-            emit(b, columns, scalars, ops)?;
-            ops.push(Op::Or);
-        }
-        Expr::Cmp(op, a, b) => {
-            emit(a, columns, scalars, ops)?;
-            emit(b, columns, scalars, ops)?;
-            ops.push(Op::Cmp(*op));
-        }
         Expr::Call(f, args) => {
             for a in args {
                 emit(a, columns, scalars, ops)?;
@@ -311,7 +282,7 @@ fn stack_depth(ops: &[Op]) -> usize {
                 depth += 1;
                 max = max.max(depth);
             }
-            Op::Neg | Op::Not | Op::Call1(_) => {}
+            Op::Neg | Op::Call1(_) => {}
             _ => depth -= 1, // all binary ops consume one
         }
     }
@@ -367,13 +338,6 @@ mod tests {
         let a = [1.0];
         assert!(ce.eval_batch(&[&a], &[]).is_err());
         assert!(ce.eval_batch(&[&a], &[2.0]).is_ok());
-    }
-
-    #[test]
-    fn comparison_produces_indicator_column() {
-        let ce = compile("x > 1.5", &["x"]);
-        let x = [1.0, 2.0, 1.5, 7.0];
-        assert_eq!(ce.eval_batch(&[&x], &[]).unwrap(), vec![0.0, 1.0, 0.0, 1.0]);
     }
 
     #[test]

@@ -67,8 +67,7 @@ impl<'a> FromIterator<(&'a str, f64)> for Bindings {
 impl Expr {
     /// Evaluate the expression with the given bindings.
     ///
-    /// Comparison and boolean nodes evaluate to 0.0/1.0. Unbound symbols
-    /// are an error (the fitting layer always binds everything; the
+    /// Unbound symbols are an error (the fitting layer always binds everything; the
     /// approximate-query layer relies on this error to detect missing
     /// parameter-space dimensions — Section 4.2's "parameter space
     /// enumeration" challenge).
@@ -84,30 +83,6 @@ impl Expr {
             Expr::Div(x, y) => x.eval(b)? / y.eval(b)?,
             Expr::Pow(x, y) => x.eval(b)?.powf(y.eval(b)?),
             Expr::Neg(x) => -x.eval(b)?,
-            Expr::Not(x) => {
-                if x.eval(b)? != 0.0 {
-                    0.0
-                } else {
-                    1.0
-                }
-            }
-            Expr::And(x, y) => {
-                // Short-circuit like a programming language would; filter
-                // expressions may guard a division with a non-zero check.
-                if x.eval(b)? != 0.0 && y.eval(b)? != 0.0 {
-                    1.0
-                } else {
-                    0.0
-                }
-            }
-            Expr::Or(x, y) => {
-                if x.eval(b)? != 0.0 || y.eval(b)? != 0.0 {
-                    1.0
-                } else {
-                    0.0
-                }
-            }
-            Expr::Cmp(op, x, y) => op.apply(x.eval(b)?, y.eval(b)?),
             Expr::Call(func, args) => {
                 // Functions have arity ≤ 2; avoid a Vec allocation.
                 let a0 = args[0].eval(b)?;
@@ -155,17 +130,6 @@ mod tests {
         assert_eq!(e.eval(&Bindings::new()).unwrap(), f64::INFINITY);
         let e = parse_expr("0 / 0").unwrap();
         assert!(e.eval(&Bindings::new()).unwrap().is_nan());
-    }
-
-    #[test]
-    fn short_circuit_and_skips_rhs_error() {
-        // rhs has an unbound symbol but lhs is false → short-circuit
-        // never touches it? Note: our And still evaluates lazily thanks
-        // to `&&` in Rust.
-        let e = parse_expr("0 && missing").unwrap();
-        assert_eq!(e.eval(&Bindings::new()).unwrap(), 0.0);
-        let e = parse_expr("1 || missing").unwrap();
-        assert_eq!(e.eval(&Bindings::new()).unwrap(), 1.0);
     }
 
     #[test]

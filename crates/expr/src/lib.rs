@@ -9,8 +9,10 @@
 //!
 //! * a small expression **AST** ([`Expr`]) with arithmetic, powers and
 //!   the elementary functions scientists actually write (`exp`, `ln`,
-//!   `sqrt`, trigonometry, …) plus comparison/boolean operators for
-//!   *legal-parameter-combination* filters (Section 4.2);
+//!   `sqrt`, trigonometry, …). It has no comparison or boolean
+//!   operator: a model's coverage predicate and its
+//!   *legal-parameter-combination* filter (Section 4.2) are SQL, parsed
+//!   and evaluated by `lawsdb-query` like any `WHERE` clause;
 //! * a **parser** for model formulas such as
 //!   `"intensity ~ p * nu ^ alpha"` (R-style `response ~ body`);
 //! * a scalar and a **vectorized, compiled** evaluator

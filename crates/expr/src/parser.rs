@@ -1,20 +1,20 @@
-//! Recursive-descent parser for model formulas and filter expressions.
+//! Recursive-descent parser for model formulas.
 //!
 //! Grammar (lowest to highest precedence):
 //!
 //! ```text
-//! formula    := ident '~' or_expr
-//! or_expr    := and_expr ( '||' and_expr )*
-//! and_expr   := cmp_expr ( '&&' cmp_expr )*
-//! cmp_expr   := add_expr ( ('<'|'<='|'>'|'>='|'=='|'!=') add_expr )?
+//! formula    := ident '~' add_expr
 //! add_expr   := mul_expr ( ('+'|'-') mul_expr )*
 //! mul_expr   := unary ( ('*'|'/') unary )*
-//! unary      := ('-'|'!') unary | pow
+//! unary      := '-' unary | pow
 //! pow        := atom ( '^' unary )?          // right-associative
-//! atom       := number | ident | ident '(' args ')' | '(' or_expr ')'
+//! atom       := number | ident | ident '(' args ')' | '(' add_expr ')'
 //! ```
+//!
+//! The language is arithmetic only: a predicate over a model's inputs
+//! (its coverage or legal filter) is SQL.
 
-use crate::ast::{CmpOp, Expr, Func};
+use crate::ast::{Expr, Func};
 use crate::error::{ExprError, Result};
 use crate::token::{tokenize, Token, TokenKind};
 
@@ -79,16 +79,16 @@ pub fn parse_formula(src: &str) -> Result<Formula> {
         }
     };
     let mut p = Parser { tokens: &tokens[tilde_at + 1..], pos: 0 };
-    let rhs = p.parse_or()?;
+    let rhs = p.parse_add()?;
     p.expect_end()?;
     Ok(Formula { response, rhs, source: src.trim().to_string() })
 }
 
-/// Parse a bare expression (model body or filter predicate).
+/// Parse a bare expression (a model body).
 pub fn parse_expr(src: &str) -> Result<Expr> {
     let tokens = tokenize(src)?;
     let mut p = Parser { tokens: &tokens, pos: 0 };
-    let e = p.parse_or()?;
+    let e = p.parse_add()?;
     p.expect_end()?;
     Ok(e)
 }
@@ -139,42 +139,6 @@ impl<'a> Parser<'a> {
                 pos: self.peek_pos(),
             }),
         }
-    }
-
-    fn parse_or(&mut self) -> Result<Expr> {
-        let mut lhs = self.parse_and()?;
-        while self.peek() == Some(&TokenKind::OrOr) {
-            self.pos += 1;
-            let rhs = self.parse_and()?;
-            lhs = Expr::Or(Box::new(lhs), Box::new(rhs));
-        }
-        Ok(lhs)
-    }
-
-    fn parse_and(&mut self) -> Result<Expr> {
-        let mut lhs = self.parse_cmp()?;
-        while self.peek() == Some(&TokenKind::AndAnd) {
-            self.pos += 1;
-            let rhs = self.parse_cmp()?;
-            lhs = Expr::And(Box::new(lhs), Box::new(rhs));
-        }
-        Ok(lhs)
-    }
-
-    fn parse_cmp(&mut self) -> Result<Expr> {
-        let lhs = self.parse_add()?;
-        let op = match self.peek() {
-            Some(TokenKind::Lt) => CmpOp::Lt,
-            Some(TokenKind::Le) => CmpOp::Le,
-            Some(TokenKind::Gt) => CmpOp::Gt,
-            Some(TokenKind::Ge) => CmpOp::Ge,
-            Some(TokenKind::EqEq) => CmpOp::Eq,
-            Some(TokenKind::Ne) => CmpOp::Ne,
-            _ => return Ok(lhs),
-        };
-        self.pos += 1;
-        let rhs = self.parse_add()?;
-        Ok(Expr::Cmp(op, Box::new(lhs), Box::new(rhs)))
     }
 
     fn parse_add(&mut self) -> Result<Expr> {
@@ -230,11 +194,6 @@ impl<'a> Parser<'a> {
                 }
                 Ok(Expr::Neg(Box::new(inner)))
             }
-            Some(TokenKind::Bang) => {
-                self.pos += 1;
-                let inner = self.parse_unary()?;
-                Ok(Expr::Not(Box::new(inner)))
-            }
             _ => self.parse_pow(),
         }
     }
@@ -261,7 +220,7 @@ impl<'a> Parser<'a> {
                     let mut args = Vec::new();
                     if self.peek() != Some(&TokenKind::RParen) {
                         loop {
-                            args.push(self.parse_or()?);
+                            args.push(self.parse_add()?);
                             if self.peek() == Some(&TokenKind::Comma) {
                                 self.pos += 1;
                             } else {
@@ -285,7 +244,7 @@ impl<'a> Parser<'a> {
                 }
             }
             Some(TokenKind::LParen) => {
-                let e = self.parse_or()?;
+                let e = self.parse_add()?;
                 self.expect(&TokenKind::RParen, "')'")?;
                 Ok(e)
             }
@@ -340,12 +299,12 @@ mod tests {
     }
 
     #[test]
-    fn comparison_and_logic() {
-        assert_eq!(eval("1 < 2 && 3 > 2", &[]), 1.0);
-        assert_eq!(eval("1 < 2 && 3 < 2", &[]), 0.0);
-        assert_eq!(eval("1 > 2 || 3 > 2", &[]), 1.0);
-        assert_eq!(eval("!(1 > 2)", &[]), 1.0);
-        assert_eq!(eval("x >= 0.12 && x <= 0.18", &[("x", 0.15)]), 1.0);
+    fn predicates_are_not_formula_syntax() {
+        assert!(matches!(parse_expr("a && b"), Err(ExprError::UnexpectedChar { ch: '&', .. })));
+        assert!(matches!(
+            parse_formula("y ~ a * (x > 1)"),
+            Err(ExprError::UnexpectedChar { ch: '>', .. })
+        ));
     }
 
     #[test]

@@ -36,13 +36,6 @@ fn simplify_once(e: &Expr) -> Expr {
                 other => Expr::Neg(Box::new(other)),
             }
         }
-        Expr::Not(a) => {
-            let a = simplify_once(a);
-            match a.as_const() {
-                Some(v) => Expr::Num(if v != 0.0 { 0.0 } else { 1.0 }),
-                None => Expr::Not(Box::new(a)),
-            }
-        }
         Expr::Add(a, b) => {
             let a = simplify_once(a);
             let b = simplify_once(b);
@@ -110,40 +103,6 @@ fn simplify_once(e: &Expr) -> Expr {
                 (_, Some(1.0)) => a,
                 (Some(1.0), _) => Expr::Num(1.0),
                 _ => Expr::Pow(Box::new(a), Box::new(b)),
-            }
-        }
-        Expr::And(a, b) => {
-            let a = simplify_once(a);
-            let b = simplify_once(b);
-            match (a.as_const(), b.as_const()) {
-                (Some(x), Some(y)) => {
-                    Expr::Num(if x != 0.0 && y != 0.0 { 1.0 } else { 0.0 })
-                }
-                (Some(0.0), _) | (_, Some(0.0)) => Expr::Num(0.0),
-                (Some(_), None) => b, // non-zero constant: neutral
-                (None, Some(_)) => a,
-                _ => Expr::And(Box::new(a), Box::new(b)),
-            }
-        }
-        Expr::Or(a, b) => {
-            let a = simplify_once(a);
-            let b = simplify_once(b);
-            match (a.as_const(), b.as_const()) {
-                (Some(x), Some(y)) => {
-                    Expr::Num(if x != 0.0 || y != 0.0 { 1.0 } else { 0.0 })
-                }
-                (Some(0.0), None) => b,
-                (None, Some(0.0)) => a,
-                (Some(_), _) | (_, Some(_)) => Expr::Num(1.0),
-                _ => Expr::Or(Box::new(a), Box::new(b)),
-            }
-        }
-        Expr::Cmp(op, a, b) => {
-            let a = simplify_once(a);
-            let b = simplify_once(b);
-            match (a.as_const(), b.as_const()) {
-                (Some(x), Some(y)) => Expr::Num(op.apply(x, y)),
-                _ => Expr::Cmp(*op, Box::new(a), Box::new(b)),
             }
         }
         Expr::Call(f, args) => {
@@ -219,15 +178,6 @@ mod tests {
     fn inverse_function_pairs() {
         assert_eq!(s("ln(exp(y))"), "y");
         assert_eq!(s("exp(ln(y))"), "y");
-    }
-
-    #[test]
-    fn boolean_simplification() {
-        assert_eq!(s("1 && x > 0"), "(x > 0)");
-        assert_eq!(s("0 && x > 0"), "0");
-        assert_eq!(s("0 || x > 0"), "(x > 0)");
-        assert_eq!(s("1 || x > 0"), "1");
-        assert_eq!(s("!(1 > 2)"), "1");
     }
 
     #[test]

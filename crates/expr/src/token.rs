@@ -36,24 +36,6 @@ pub enum TokenKind {
     Comma,
     /// `~` — formula separator (`response ~ body`).
     Tilde,
-    /// `<`
-    Lt,
-    /// `<=`
-    Le,
-    /// `>`
-    Gt,
-    /// `>=`
-    Ge,
-    /// `==` (also accepts a single `=` for user convenience).
-    EqEq,
-    /// `!=`
-    Ne,
-    /// `&&` (also accepts `&`).
-    AndAnd,
-    /// `||` (also accepts `|`).
-    OrOr,
-    /// `!`
-    Bang,
 }
 
 impl TokenKind {
@@ -114,52 +96,6 @@ pub fn tokenize(src: &str) -> Result<Vec<Token>> {
             '~' => {
                 out.push(Token { kind: TokenKind::Tilde, pos: start });
                 i += 1;
-            }
-            '<' => {
-                if bytes.get(i + 1) == Some(&b'=') {
-                    out.push(Token { kind: TokenKind::Le, pos: start });
-                    i += 2;
-                } else {
-                    out.push(Token { kind: TokenKind::Lt, pos: start });
-                    i += 1;
-                }
-            }
-            '>' => {
-                if bytes.get(i + 1) == Some(&b'=') {
-                    out.push(Token { kind: TokenKind::Ge, pos: start });
-                    i += 2;
-                } else {
-                    out.push(Token { kind: TokenKind::Gt, pos: start });
-                    i += 1;
-                }
-            }
-            '=' => {
-                if bytes.get(i + 1) == Some(&b'=') {
-                    out.push(Token { kind: TokenKind::EqEq, pos: start });
-                    i += 2;
-                } else {
-                    // Accept a lone `=` as equality, the way filter
-                    // predicates are usually written in SQL.
-                    out.push(Token { kind: TokenKind::EqEq, pos: start });
-                    i += 1;
-                }
-            }
-            '!' => {
-                if bytes.get(i + 1) == Some(&b'=') {
-                    out.push(Token { kind: TokenKind::Ne, pos: start });
-                    i += 2;
-                } else {
-                    out.push(Token { kind: TokenKind::Bang, pos: start });
-                    i += 1;
-                }
-            }
-            '&' => {
-                i += if bytes.get(i + 1) == Some(&b'&') { 2 } else { 1 };
-                out.push(Token { kind: TokenKind::AndAnd, pos: start });
-            }
-            '|' => {
-                i += if bytes.get(i + 1) == Some(&b'|') { 2 } else { 1 };
-                out.push(Token { kind: TokenKind::OrOr, pos: start });
             }
             '0'..='9' | '.' => {
                 let mut j = i;
@@ -250,27 +186,14 @@ mod tests {
     }
 
     #[test]
-    fn tokenizes_comparisons_and_logic() {
-        assert_eq!(
-            kinds("a >= 1 && b != 2 || !c"),
-            vec![
-                TokenKind::Ident("a".into()),
-                TokenKind::Ge,
-                TokenKind::Number(1.0),
-                TokenKind::AndAnd,
-                TokenKind::Ident("b".into()),
-                TokenKind::Ne,
-                TokenKind::Number(2.0),
-                TokenKind::OrOr,
-                TokenKind::Bang,
-                TokenKind::Ident("c".into()),
-            ]
-        );
-    }
-
-    #[test]
-    fn single_equals_is_equality() {
-        assert_eq!(kinds("x = 3"), kinds("x == 3"));
+    fn comparison_and_logic_characters_are_not_tokens() {
+        // Predicates over a model's inputs are SQL, not formula text.
+        for (src, ch) in [("a && b", '&'), ("a || b", '|'), ("!a", '!'), ("x > 1", '>')] {
+            assert!(
+                matches!(tokenize(src), Err(ExprError::UnexpectedChar { ch: c, .. }) if c == ch),
+                "{src}"
+            );
+        }
     }
 
     #[test]

@@ -1,5 +1,11 @@
 //! Bridge between the storage engine and the fitting layer: fit a
 //! formula directly against a [`Table`], producing a [`CapturedModel`].
+//!
+//! The table is every row the model speaks for. A partial model's
+//! subset is chosen before it gets here: `lawsdb-core` reads the rows
+//! satisfying the SQL coverage predicate through the query engine and
+//! fits them with these same functions, so this crate parses and
+//! evaluates no predicate.
 
 use crate::error::{ModelError, Result};
 use crate::model::{CapturedModel, Coverage, GroupParams, ModelId, ModelParams, ModelState};
@@ -197,68 +203,6 @@ pub fn fit_table_grouped(
     Ok((model, grouped))
 }
 
-
-/// Rows of `table` satisfying a numeric predicate (source text in the
-/// model-formula language, e.g. `"nu >= 0.15 && nu <= 0.18"`). Rows
-/// with NULL/NaN in any referenced column do not match.
-fn predicate_rows(table: &Table, predicate_src: &str) -> Result<Vec<usize>> {
-    let pred = lawsdb_expr::parse_expr(predicate_src)?;
-    let cols = pred.symbols();
-    let views = numeric_views(table, &cols)?;
-    let mut bindings = lawsdb_expr::Bindings::new();
-    let mut keep = Vec::new();
-    'rows: for row in 0..table.row_count() {
-        for (name, data) in &views {
-            let v = data[row];
-            if v.is_nan() {
-                continue 'rows;
-            }
-            bindings.set(name, v);
-        }
-        if pred.eval(&bindings)? != 0.0 {
-            keep.push(row);
-        }
-    }
-    Ok(keep)
-}
-
-/// Fit a *partial* model: `formula_src` fitted only against the rows of
-/// `table` satisfying `predicate_src` (Section 4.1's "partial models" —
-/// "if the model has been fit on a query result that restricted the
-/// tuples, the model and its fitting parameters are only applicable to
-/// this subset"). The predicate is recorded in the model's coverage and
-/// the approximate engine clips reconstruction to it.
-pub fn fit_table_where(
-    table: &Table,
-    formula_src: &str,
-    predicate_src: &str,
-    options: &FitOptions,
-) -> Result<CapturedModel> {
-    let rows = predicate_rows(table, predicate_src)?;
-    let subset = table.take(&rows)?;
-    let mut model = fit_table(&subset, formula_src, options)?;
-    model.coverage.rows_at_fit = table.row_count();
-    model.coverage.predicate = Some(predicate_src.trim().to_string());
-    Ok(model)
-}
-
-/// Grouped variant of [`fit_table_where`].
-pub fn fit_table_grouped_where(
-    table: &Table,
-    formula_src: &str,
-    group_column: &str,
-    predicate_src: &str,
-    options: &FitOptions,
-    threads: usize,
-) -> Result<(CapturedModel, GroupedFitResult)> {
-    let rows = predicate_rows(table, predicate_src)?;
-    let subset = table.take(&rows)?;
-    let (mut model, report) =
-        fit_table_grouped(&subset, formula_src, group_column, options, threads)?;
-    model.coverage.rows_at_fit = table.row_count();
-    model.coverage.predicate = Some(predicate_src.trim().to_string());
-    Ok((model, report))
-}
 
 /// Reconstruct (predict) the response column of `table` from a grouped
 /// or global model — the engine of both semantic compression and

@@ -3,7 +3,7 @@
 use crate::error::{ModelError, Result};
 use crate::legal::BloomFilter;
 use lawsdb_expr::compile::ExecStack;
-use lawsdb_expr::{parse_expr, Bindings, CompiledExpr, Expr};
+use lawsdb_expr::{Bindings, CompiledExpr, Expr};
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -109,9 +109,10 @@ pub struct Coverage {
     pub variables: Vec<String>,
     /// Row count of the table at fit time — the staleness trigger.
     pub rows_at_fit: usize,
-    /// Source text of the predicate the fitted subset satisfied, if the
-    /// model was fit on a filtered view (Section 4.1's *partial models*
-    /// challenge). `None` means the whole table.
+    /// The SQL predicate the fitted subset satisfied, as source text, if
+    /// the model was fit on a filtered view (Section 4.1's *partial
+    /// models* challenge). It names only the group column and the
+    /// variables. `None` means the whole table.
     pub predicate: Option<String>,
     /// Enumerated value domains of the input variables, captured at fit
     /// time (the paper's enumerable columns: "our telescope only creates
@@ -163,8 +164,10 @@ pub struct CapturedModel {
     /// Optional legal-domain filter for parameter-space enumeration
     /// (Section 4.2: "require the model implementation to restrict the
     /// legal values of the parameter space … by supplying a filter
-    /// function").
-    pub legal_filter: Option<Expr>,
+    /// function"): a SQL predicate over the group column and the
+    /// variables, as source text. The model leaf applies it as a
+    /// `Filter`; point lookups bypass it.
+    pub legal_filter: Option<String>,
     /// Bloom filter of the (group, variables…) combinations observed at
     /// capture, so enumeration does not invent tuples that never existed
     /// (Section 4.2's "compressed lookup structure"). Held in memory
@@ -278,21 +281,6 @@ impl CapturedModel {
         }
     }
 
-    /// Check whether an input point satisfies the legal-domain filter
-    /// (vacuously true when no filter was supplied).
-    pub fn is_legal(&self, inputs: &[(&str, f64)]) -> Result<bool> {
-        match &self.legal_filter {
-            None => Ok(true),
-            Some(f) => {
-                let mut b = Bindings::new();
-                for (k, v) in inputs {
-                    b.set(k, *v);
-                }
-                Ok(f.eval(&b)? != 0.0)
-            }
-        }
-    }
-
     /// Group keys for grouped models, sorted (the enumerable "source"
     /// dimension of the parameter space).
     pub fn group_keys(&self) -> Vec<i64> {
@@ -306,10 +294,13 @@ impl CapturedModel {
         }
     }
 
-    /// Attach a legal-domain filter expression (builder-style).
-    pub fn with_legal_filter(mut self, source: &str) -> Result<CapturedModel> {
-        self.legal_filter = Some(parse_expr(source)?);
-        Ok(self)
+    /// Attach a legal-domain filter, SQL source text (builder-style).
+    /// It is parsed where it is applied: a model leaf whose filter does
+    /// not parse refuses to answer, and a stored catalog with one does
+    /// not load.
+    pub fn with_legal_filter(mut self, source: &str) -> CapturedModel {
+        self.legal_filter = Some(source.trim().to_string());
+        self
     }
 }
 
@@ -399,17 +390,6 @@ mod tests {
         assert_eq!(m.error_bound(Some(42)).unwrap(), 0.01);
         assert_eq!(m.error_bound(Some(7)).unwrap(), 0.02);
         assert!(m.error_bound(None).is_err());
-    }
-
-    #[test]
-    fn legal_filter_gates_inputs() {
-        let m = power_law_model()
-            .with_legal_filter("nu >= 0.12 && nu <= 0.18")
-            .unwrap();
-        assert!(m.is_legal(&[("nu", 0.14)]).unwrap());
-        assert!(!m.is_legal(&[("nu", 0.5)]).unwrap());
-        let unfiltered = power_law_model();
-        assert!(unfiltered.is_legal(&[("nu", 99.0)]).unwrap());
     }
 
     #[test]

@@ -19,10 +19,13 @@
 //!   identifier can take. A global model is one row.
 //!
 //! The model body travels as its formula source and is re-parsed on
-//! load (the parser is the schema). The next id is the largest stored
-//! id, since the catalog never removes a model. `lawsdb-core`'s
-//! `DurableDb::save_models` commits [`ModelCatalog::to_tables`] as one
-//! transaction and `load_models` hands the stored tables to
+//! load (the parser is the schema). The coverage `predicate` and the
+//! `legal_filter` are SQL source text, kept verbatim: this crate sits
+//! below the SQL parser, so `lawsdb-core`'s `DurableDb::load_models`
+//! parses both and refuses a catalog where either does not. The next
+//! id is the largest stored id, since the catalog never removes a
+//! model. `DurableDb::save_models` commits [`ModelCatalog::to_tables`]
+//! as one transaction and `load_models` hands the stored tables to
 //! [`ModelCatalog::from_tables`], which checks every table against the
 //! others and ends in a typed [`ModelError`], never a panic.
 
@@ -117,7 +120,7 @@ fn models_table(models: &[Arc<CapturedModel>]) -> Result<Table> {
             f64s("overall_r2", models.iter().map(|m| m.overall_r2).collect()),
             nullable_f64s("max_abs_residual", models.iter().map(|m| m.max_abs_residual).collect()),
             text("formula", |m| m.formula_source.clone()),
-            nulls("legal_filter", |m| m.legal_filter.as_ref().map(|e| e.to_string())),
+            nulls("legal_filter", |m| m.legal_filter.clone()),
             text("table_name", |m| m.coverage.table.clone()),
             text("response", |m| m.coverage.response.clone()),
             ints("rows_at_fit", |m| m.coverage.rows_at_fit as u64),
@@ -369,7 +372,7 @@ impl ModelCatalog {
                 overall_r2: overall_r2[i],
                 max_abs_residual: max_abs_residual[i],
                 state,
-                legal_filter: legal_filters[i].map(lawsdb_expr::parse_expr).transpose()?,
+                legal_filter: legal_filters[i].map(str::to_string),
                 observed_combos: None,
             };
             check_params(&name, &m)?;
@@ -417,7 +420,7 @@ mod tests {
         let catalog = ModelCatalog::new();
         let m1 = catalog.store(lofar_model());
         let m2 =
-            catalog.store(lofar_model().with_legal_filter("nu >= 0.12 && nu <= 0.18").unwrap());
+            catalog.store(lofar_model().with_legal_filter("nu >= 0.12 AND nu <= 0.18"));
         catalog.set_state(m1.id, ModelState::Retired).unwrap();
         let m1 = catalog.get(m1.id).unwrap();
         (catalog, m1, m2)
@@ -456,8 +459,7 @@ mod tests {
                 got.max_abs_residual.map(f64::to_bits),
                 want.max_abs_residual.map(f64::to_bits)
             );
-            let filter = |m: &CapturedModel| m.legal_filter.as_ref().map(|e| e.to_string());
-            assert_eq!(filter(&got), filter(want));
+            assert_eq!(got.legal_filter, want.legal_filter);
             let a = want.predict_scalar(Some(3), &[("nu", 0.14)]).unwrap();
             let b = got.predict_scalar(Some(3), &[("nu", 0.14)]).unwrap();
             assert_eq!(a.to_bits(), b.to_bits());

@@ -495,7 +495,10 @@ pub(crate) fn normalize_name(schema: &Schema, name: &str) -> Result<String> {
     }
 }
 
-pub(crate) fn normalize_expr(expr: &ScalarExpr, schema: &Schema) -> Result<ScalarExpr> {
+/// `expr` with every column name resolved against `schema` as the
+/// executor resolves it (see `normalize_name`), ready for
+/// [`ScalarExpr::eval_mask`] over a table of that schema.
+pub fn normalize_expr(expr: &ScalarExpr, schema: &Schema) -> Result<ScalarExpr> {
     Ok(match expr {
         ScalarExpr::Column(c) => ScalarExpr::Column(normalize_name(schema, c)?),
         ScalarExpr::Number(_) | ScalarExpr::Str(_) => expr.clone(),

@@ -70,8 +70,8 @@ pub use physical::{
 pub use plan::LogicalPlan;
 pub use plan_cache::{normalize_statement, PlanCache};
 pub use pruning::{PruningPredicate, ScanStats, ScanStatsCollector, ZoneDecision};
-pub use sexpr::{PredMask, ScalarExpr};
-pub use sql::parse_select;
+pub use sexpr::{CmpOp, PredMask, ScalarExpr};
+pub use sql::{parse_predicate, parse_select};
 
 #[cfg(test)]
 mod tests {

@@ -17,16 +17,24 @@
 //!    time. An unpinned variable with no domain, or more than
 //!    [`ENUMERATION_CAP`] cells, is refused.
 //! 3. **Rewrite** `Aggregate(ModelScan)` to its closed form when the
-//!    model is linear in its one variable ([`lawsdb_approx::analytic`]):
-//!    the leaf then holds the one-row answer and nothing is enumerated.
+//!    model is linear in its one variable ([`lawsdb_approx::analytic`])
+//!    and the statement's predicate, the model's coverage and its legal
+//!    filter together are nothing but sargable, non-`!=` conjuncts on
+//!    the variable and the group column: the leaf then holds the
+//!    one-row answer and nothing is enumerated.
+//! 4. **Clip** the leaf to the model's own predicates. Its coverage (a
+//!    partial model speaks only for the subset it was fitted on) and,
+//!    unless the statement is a point lookup, its legal filter are SQL
+//!    over the relation, placed as a `Filter` directly above the leaf.
+//!    A point outside the coverage is refused instead.
 //!
 //! The executor materializes the leaf's relation `(group, variables…,
 //! response)` through `TableBuilder`, one group key per morsel, merged
-//! in key order, with cells outside the model's coverage, illegal
-//! combinations and keys whose predicted range refutes a response
-//! conjunct dropped. Everything above the leaf (filters, aggregates,
-//! sorts, limits) is the ordinary executor. Every answer quotes ±2·the
-//! largest residual SE of the keys it spans.
+//! in key order, with unobserved combinations and keys whose predicted
+//! range refutes a response conjunct dropped. Everything above the leaf
+//! (the model's filter, the statement's filters, aggregates, sorts,
+//! limits) is the ordinary executor. Every answer quotes ±2·the largest
+//! residual SE of the keys it spans.
 
 use crate::cost::CostConstants;
 use crate::error::{QueryError, Result};
@@ -36,10 +44,9 @@ use crate::physical::{execute_physical_with, plan_physical, PhysicalPlan};
 use crate::plan::LogicalPlan;
 use crate::pruning::PruningPredicate;
 use crate::sexpr::ScalarExpr;
-use crate::sql::{AggFunc, SelectItem, SelectStatement};
+use crate::sql::{parse_predicate, AggFunc, SelectItem, SelectStatement};
 use lawsdb_approx::analytic::{model_aggregate, Aggregate};
 use lawsdb_approx::{ApproxAnswer, ApproxError, Strategy};
-use lawsdb_expr::{Bindings, Expr};
 use lawsdb_models::legal::combo_hash;
 use lawsdb_models::model::ModelId;
 use lawsdb_models::{CapturedModel, ModelCatalog, ModelParams};
@@ -72,9 +79,6 @@ pub struct ModelScan {
     /// Every dimension pinned by equality: a prediction request, which
     /// bypasses legality.
     pub point: bool,
-    /// The model's coverage predicate, parsed: cells outside it are
-    /// dropped.
-    pub coverage: Option<Expr>,
     /// Sargable conjuncts on the response: a key whose predicted range
     /// refutes one is dropped before its cells materialize (the
     /// reconstructed response is the prediction, so no residual slack).
@@ -117,7 +121,7 @@ impl ModelScan {
         };
 
         // One key's whole grid predicted in a batch; the grid rows that
-        // survive coverage and legality come back with the predictions.
+        // were observed at capture come back with the predictions.
         let per_key = |key: Option<i64>| -> Result<(Vec<usize>, Vec<f64>)> {
             let var_slices: Vec<&[f64]> = grid.iter().map(Vec::as_slice).collect();
             let pred = model.predict_batch(key, &var_slices).map_err(QueryError::Model)?;
@@ -135,37 +139,22 @@ impl ModelScan {
                     return Ok((Vec::new(), pred));
                 }
             }
-            let mut kept = Vec::new();
+            // Point lookups bypass legality: they are prediction
+            // requests, not relation reconstruction (the paper's own
+            // first query asks for ν = 0.14, a never-observed point).
+            let observed = model.observed_combos.as_ref().filter(|_| !self.point);
+            let Some(bf) = observed else {
+                return Ok(((0..grid_rows).collect(), pred));
+            };
             let mut combo = vec![0.0; vars.len()];
-            for row in 0..grid_rows {
-                for (d, g) in grid.iter().enumerate() {
-                    combo[d] = g[row];
-                }
-                // A partial model must not speak for cells outside its
-                // subset (a point outside it was refused at lowering).
-                if let Some(cov) = &self.coverage {
-                    if !cov.eval(&bindings(model, key, &combo)).map(|v| v != 0.0).unwrap_or(false) {
-                        continue;
+            let kept = (0..grid_rows)
+                .filter(|&row| {
+                    for (d, g) in grid.iter().enumerate() {
+                        combo[d] = g[row];
                     }
-                }
-                // Point lookups bypass legality: they are prediction
-                // requests, not relation reconstruction (the paper's own
-                // first query asks for ν = 0.14, a never-observed point).
-                if !self.point {
-                    if let Some(bf) = &model.observed_combos {
-                        if !bf.contains(combo_hash(key.unwrap_or(0), &combo)) {
-                            continue;
-                        }
-                    }
-                    if let Some(f) = &model.legal_filter {
-                        if f.eval(&bindings(model, key, &combo)).map(|v| v == 0.0).unwrap_or(false)
-                        {
-                            continue;
-                        }
-                    }
-                }
-                kept.push(row);
-            }
+                    bf.contains(combo_hash(key.unwrap_or(0), &combo))
+                })
+                .collect();
             Ok((kept, pred))
         };
 
@@ -260,6 +249,8 @@ impl ModelPlan {
             }
             None => None,
         };
+        let coverage = model_predicate(model.coverage.predicate.as_deref(), &relation)?;
+        let legal = model_predicate(model.legal_filter.as_deref(), &relation)?;
         let constraints = extract_constraints(predicate.as_ref());
         let group_column = match &model.params {
             ModelParams::Grouped { group_column, .. } => Some(group_column.as_str()),
@@ -272,7 +263,6 @@ impl ModelPlan {
             values: Vec::new(),
             cells: 0,
             point: false,
-            coverage: None,
             response_conjuncts: Vec::new(),
             bound: None,
             analytic: None,
@@ -280,13 +270,17 @@ impl ModelPlan {
 
         let group_c = group_column.and_then(|g| constraints.as_ref()?.get(g));
         let admitted = admitted_keys(&model, group_c);
-        let analytic = analytic(stmt, &model, group_column, constraints.as_ref(), &admitted)?;
+        // The closed form replaces every filter over the leaf, so it
+        // answers under all three predicates at once.
+        let whole = [&predicate, &coverage, &legal].into_iter().flatten().cloned().reduce(and);
+        let analytic = analytic(stmt, &model, group_column, whole.as_ref(), &admitted)?;
         if let Some((table, max_se)) = analytic {
             leaf.analytic = Some(table);
             leaf.bound = Some(2.0 * max_se);
             return Ok(ModelPlan::priced(
                 logical,
                 leaf,
+                None,
                 Strategy::AnalyticAggregate,
                 catalog,
                 consts,
@@ -327,18 +321,19 @@ impl ModelPlan {
             return Err(too_large(leaf.cells));
         }
         leaf.point = keys_pinned && vars_pinned;
-        leaf.coverage = match &model.coverage.predicate {
-            None => None,
-            Some(src) => Some(
-                lawsdb_expr::parse_expr(src)
-                    .map_err(|e| not_answerable(format!("unparseable coverage predicate: {e}")))?,
-            ),
-        };
+        // A prediction needs parameters: a point whose key was not
+        // fitted is the base table's to answer.
+        if leaf.point && keys.is_empty() {
+            return Err(not_answerable(format!(
+                "model {} has no fitted parameters for the pinned key",
+                model.id.0
+            )));
+        }
         // A point outside a partial model's coverage is refused rather
         // than answered from an inapplicable model (Section 4.1).
-        if let (true, Some(cov), Some(&key)) = (leaf.point, &leaf.coverage, keys.first()) {
-            let point: Vec<f64> = leaf.values.iter().map(|v| v[0]).collect();
-            if !cov.eval(&bindings(&model, key, &point)).map(|v| v != 0.0).unwrap_or(false) {
+        if let (true, Some(cov), Some(&key)) = (leaf.point, &coverage, keys.first()) {
+            let row = point_row(&model, key, &leaf.values)?;
+            if cov.eval_mask(&row).map_or(true, |m| m.get(0) != Some(true)) {
                 return Err(not_answerable(format!(
                     "point lies outside the model's coverage predicate {:?}",
                     model.coverage.predicate.as_deref().unwrap_or("")
@@ -359,18 +354,21 @@ impl ModelPlan {
         leaf.bound = max_residual_se(&model, &keys).map(|se| 2.0 * se);
         leaf.keys = keys;
         let strategy = if leaf.point { Strategy::PointLookup } else { Strategy::Enumeration };
-        Ok(ModelPlan::priced(logical, leaf, strategy, catalog, consts))
+        let legal = legal.filter(|_| !leaf.point);
+        let clip = [coverage, legal].into_iter().flatten().reduce(and);
+        Ok(ModelPlan::priced(logical, leaf, clip, strategy, catalog, consts))
     }
 
     fn priced(
         logical: &LogicalPlan,
         leaf: ModelScan,
+        clip: Option<ScalarExpr>,
         strategy: Strategy,
         catalog: &Catalog,
         consts: &CostConstants,
     ) -> ModelPlan {
         let (model, bound) = (leaf.model.id, leaf.bound);
-        let tree = with_model_leaf(logical, &leaf);
+        let tree = with_model_leaf(logical, &leaf, clip.as_ref());
         ModelPlan { plan: plan_physical(catalog, &tree, consts), strategy, model, bound }
     }
 
@@ -390,14 +388,30 @@ impl ModelPlan {
 }
 
 /// `logical` with its scan of the modelled table replaced by `leaf`,
-/// which takes over the scan's projection. An `Aggregate` over the scan
-/// (filtered or not) is itself replaced when `leaf` carries the analytic
-/// rewrite: the leaf then answers it in closed form, its constraints
-/// already applied.
-fn with_model_leaf(logical: &LogicalPlan, leaf: &ModelScan) -> LogicalPlan {
+/// which takes over the scan's projection, under a `Filter` of `clip`
+/// when the model has one (the projection then gains the columns it
+/// reads). An `Aggregate` over the scan (filtered or not) is itself
+/// replaced when `leaf` carries the analytic rewrite: the leaf then
+/// answers it in closed form, every predicate already applied.
+fn with_model_leaf(
+    logical: &LogicalPlan,
+    leaf: &ModelScan,
+    clip: Option<&ScalarExpr>,
+) -> LogicalPlan {
     let model_scan = |projection: &Option<Vec<String>>| {
-        let projection = projection.clone();
-        LogicalPlan::ModelScan(Arc::new(ModelScan { projection, ..leaf.clone() }))
+        let mut projection = projection.clone();
+        if let (Some(names), Some(clip)) = (&mut projection, clip) {
+            for c in clip.columns() {
+                if !names.contains(&c) {
+                    names.push(c);
+                }
+            }
+        }
+        let scan = LogicalPlan::ModelScan(Arc::new(ModelScan { projection, ..leaf.clone() }));
+        match clip {
+            Some(clip) => LogicalPlan::Filter { input: Box::new(scan), predicate: clip.clone() },
+            None => scan,
+        }
     };
     match logical {
         LogicalPlan::Scan { projection, .. } | LogicalPlan::EmptyScan { projection, .. } => {
@@ -405,23 +419,46 @@ fn with_model_leaf(logical: &LogicalPlan, leaf: &ModelScan) -> LogicalPlan {
         }
         LogicalPlan::Aggregate { group_by, aggs, .. } if leaf.analytic.is_some() => {
             let (group_by, aggs) = (group_by.clone(), aggs.clone());
-            LogicalPlan::Aggregate { input: Box::new(model_scan(&None)), group_by, aggs }
+            let input = Arc::new(ModelScan { projection: None, ..leaf.clone() });
+            let input = Box::new(LogicalPlan::ModelScan(input));
+            LogicalPlan::Aggregate { input, group_by, aggs }
         }
-        other => other.map_inputs(|input| with_model_leaf(input, leaf)),
+        other => other.map_inputs(|input| with_model_leaf(input, leaf, clip)),
     }
 }
 
-/// One cell's inputs bound for the model's coverage and legal filters:
-/// the variables at `point`, the group column at `key`.
-fn bindings(model: &CapturedModel, key: Option<i64>, point: &[f64]) -> Bindings {
-    let mut b = Bindings::new();
-    for (var, v) in model.coverage.variables.iter().zip(point) {
-        b.set(var, *v);
-    }
+fn and(a: ScalarExpr, b: ScalarExpr) -> ScalarExpr {
+    ScalarExpr::And(Box::new(a), Box::new(b))
+}
+
+/// One of the model's stored predicates (coverage or legal filter),
+/// parsed and resolved against its relation. One that does not parse or
+/// names a column outside the relation makes the model unusable here.
+fn model_predicate(
+    src: Option<&str>,
+    relation: &Schema,
+) -> std::result::Result<Option<ScalarExpr>, ApproxError> {
+    let Some(src) = src else { return Ok(None) };
+    let resolved = parse_predicate(src).and_then(|p| normalize_expr(&p, relation));
+    let reason = |e: QueryError| format!("the model's predicate {src:?} does not apply: {e}");
+    resolved.map(Some).map_err(|e| ApproxError::NotAnswerable { reason: reason(e) })
+}
+
+/// The one-row relation of a point lookup, without the response: the
+/// group column at `key`, each variable at its pinned value.
+fn point_row(
+    model: &CapturedModel,
+    key: Option<i64>,
+    values: &[Vec<f64>],
+) -> std::result::Result<Table, ApproxError> {
+    let mut row = TableBuilder::new(model.coverage.table.clone());
     if let (Some(k), ModelParams::Grouped { group_column, .. }) = (key, &model.params) {
-        b.set(group_column, k as f64);
+        row.add_i64(group_column.clone(), vec![k]);
     }
-    b
+    for (var, v) in model.coverage.variables.iter().zip(values) {
+        row.add_f64(var.clone(), v.clone());
+    }
+    Ok(row.build()?)
 }
 
 /// The schema of the relation a model reconstructs: group column,
@@ -440,15 +477,17 @@ fn relation_schema(model: &CapturedModel) -> Schema {
 
 /// The closed form of a statement that is exactly one aggregate of the
 /// response, ungrouped, over a model linear in its one enumerable
-/// variable, whose predicate constrains only that variable and the
-/// group column: the one-row answer, named and typed as the exact path
-/// names and types it, and the largest residual SE it spans. `None`
-/// sends the statement to enumeration.
+/// variable, where `predicate` (the statement's, the coverage and the
+/// legal filter, AND-ed) is wholly sargable conjuncts other than `!=`
+/// on that variable and the group column: the one-row answer, named
+/// and typed as the exact path names and types it, and the largest
+/// residual SE it spans. `keys` are the admitted keys, a superset of
+/// those the conjuncts pass. `None` sends the statement to enumeration.
 fn analytic(
     stmt: &SelectStatement,
     model: &CapturedModel,
     group_column: Option<&str>,
-    constraints: Option<&HashMap<String, DimConstraint>>,
+    predicate: Option<&ScalarExpr>,
     keys: &[i64],
 ) -> std::result::Result<Option<(Table, f64)>, ApproxError> {
     let [item @ SelectItem::Agg { func, arg: Some(ScalarExpr::Column(c)), .. }] =
@@ -465,18 +504,30 @@ fn analytic(
     let Some(domain) = model.coverage.domain_of(var) else {
         return Ok(None);
     };
-    // A disjunctive predicate (no constraint map) goes to enumeration.
-    let none = HashMap::new();
-    let cs = match constraints {
-        Some(cs) => cs,
-        None if stmt.predicate.is_none() => &none,
-        None => return Ok(None),
+    // The rewrite stands in for the filters, so it must apply every
+    // conjunct exactly: anything it cannot (an OR, a NOT, `!=`, a
+    // non-sargable or another column's conjunct) goes to enumeration.
+    let conjuncts = match predicate.map(PruningPredicate::extract) {
+        None => Vec::new(),
+        Some(Some(p)) if p.exact => p.conjuncts,
+        Some(_) => return Ok(None),
     };
-    if cs.keys().any(|col| col != var && Some(col.as_str()) != group_column) {
+    let on_dimension = |c: &str| c == var || Some(c) == group_column;
+    if conjuncts.iter().any(|c| c.op == PredOp::Ne || !on_dimension(&c.column)) {
         return Ok(None);
     }
-    let var_c = cs.get(var).cloned().unwrap_or_default();
-    let points: Vec<f64> = domain.iter().copied().filter(|&v| var_c.admits(v)).collect();
+    let passes = |column: &str, v: f64| {
+        conjuncts.iter().filter(|c| c.column == column).all(|c| c.op.eval(v, c.rhs))
+    };
+    let points: Vec<f64> = domain.iter().copied().filter(|&v| passes(var, v)).collect();
+    let filtered: Vec<i64>;
+    let keys = match group_column {
+        Some(g) if conjuncts.iter().any(|c| c.column == g) => {
+            filtered = keys.iter().copied().filter(|&k| passes(g, k as f64)).collect();
+            &filtered[..]
+        }
+        _ => keys,
+    };
     let agg = match func {
         AggFunc::Count => Aggregate::Count,
         AggFunc::Sum => Aggregate::Sum,
@@ -487,6 +538,14 @@ fn analytic(
     let Some((value, max_se)) = model_aggregate(model, agg, &points, keys)? else {
         return Ok(None);
     };
+    // The closed form ranges over every key × point. Enumeration keeps
+    // only the combinations observed at capture, so a grid holding one
+    // that was not is enumerated too.
+    if let Some(bf) = &model.observed_combos {
+        if keys.iter().any(|&k| points.iter().any(|&p| !bf.contains(combo_hash(k, &[p])))) {
+            return Ok(None);
+        }
+    }
     let out = Field::nullable(item.output_name(), func.result_type(false));
     let column = match out.data_type {
         DataType::Int64 => Column::from_i64(vec![value.round() as i64]),
@@ -788,6 +847,29 @@ mod tests {
     }
 
     #[test]
+    fn the_legal_filter_is_a_filter_above_the_leaf_that_points_bypass() {
+        let legal = lofar().0.with_legal_filter("nu <= 0.16 AND source != 3");
+        let models = catalog_of(legal);
+        let sql = "SELECT source, nu, intensity FROM measurements";
+        let a = answer(&models, sql);
+        // 4 of 5 sources × 3 of 4 frequencies.
+        assert_eq!(a.table.row_count(), 12);
+        let illegal = |r: &Vec<Value>| r[0] == Value::Int(3) || r[1] == Value::Float(0.18);
+        assert!(!rows(&a.table).iter().any(illegal));
+        let text = lower(&models, sql).unwrap().plan.explain();
+        let lines: Vec<&str> = text.lines().map(str::trim_start).collect();
+        assert!(lines[1].starts_with("Filter ((nu <= 0.16) AND (source != 3))"), "{text}");
+        assert!(lines[2].starts_with("ModelScan measurements"), "{text}");
+        // A prediction request is not filtered.
+        let point = "SELECT intensity FROM measurements WHERE source = 3 AND nu = 0.18";
+        let a = answer(&models, point);
+        assert_eq!((a.strategy, a.table.row_count()), (Strategy::PointLookup, 1));
+        // A filter naming a column the relation does not hold refuses.
+        let models = catalog_of(lofar().0.with_legal_filter("flag = 0"));
+        assert!(matches!(lower(&models, sql), Err(ApproxError::NotAnswerable { .. })));
+    }
+
+    #[test]
     fn non_enumerable_unbound_dimension_is_not_answerable() {
         let xs: Vec<f64> =
             (0..2000).map(|i| i as f64 * 0.001 + (i as f64 * 0.37).sin() * 1e-6).collect();
@@ -805,8 +887,9 @@ mod tests {
         assert!((got - 2.0).abs() < 1e-6);
     }
 
-    /// Three sensors, `temp = 10(k+1) + 2·hour` over hours 0..24.
-    fn linear_models() -> ModelCatalog {
+    /// Three sensors, `temp = 10(k+1) + 2·hour` over hours 0..24, and
+    /// its grouped linear fit (not yet stored).
+    fn linear_model() -> CapturedModel {
         let (mut g, mut x, mut y) = (Vec::new(), Vec::new(), Vec::new());
         for key in 0..3i64 {
             for h in 0..24 {
@@ -821,7 +904,11 @@ mod tests {
         let (m, _) =
             fit_table_grouped(&b.build().unwrap(), formula, "sensor", &FitOptions::default(), 1)
                 .unwrap();
-        catalog_of(m)
+        m
+    }
+
+    fn linear_models() -> ModelCatalog {
+        catalog_of(linear_model())
     }
 
     #[test]
@@ -851,6 +938,25 @@ mod tests {
         assert!(lines[0].starts_with("Aggregate"), "{text}");
         assert!(lines[1].starts_with("ModelScan load model=1 cells=0 bound=±"), "{text}");
         assert!(lines[1].contains(" analytic"), "{text}");
+    }
+
+    #[test]
+    fn the_closed_form_applies_the_legal_filter_and_declines_what_it_cannot() {
+        let models = catalog_of(linear_model().with_legal_filter("hour < 12"));
+        // Sensor 2, hours 0..11: at most 30 + 2·11 = 52.
+        // `!=` and a non-sargable conjunct are enumerated, and the
+        // filters above the leaf apply them.
+        for (conjunct, want, strategy) in [
+            ("", 52.0, Strategy::AnalyticAggregate),
+            (" AND hour != 11", 50.0, Strategy::Enumeration),
+            (" AND hour * 2 < 20", 48.0, Strategy::Enumeration),
+        ] {
+            let sql = format!("SELECT MAX(temp) FROM load WHERE sensor = 2{conjunct}");
+            let a = answer(&models, &sql);
+            assert_eq!(a.strategy, strategy, "{sql}");
+            let got = a.table.column("max(temp)").unwrap().f64_data().unwrap()[0];
+            assert!((got - want).abs() < 1e-9, "{sql}: {got}");
+        }
     }
 
     #[test]

@@ -19,8 +19,7 @@
 //! satisfies every conjunct is also accepted wholesale, with no row
 //! evaluated.
 
-use crate::sexpr::ScalarExpr;
-use lawsdb_expr::ast::CmpOp;
+use crate::sexpr::{CmpOp, ScalarExpr};
 use lawsdb_obs::{Counter, MetricsRegistry};
 use lawsdb_storage::zonemap::{PredOp, TableSynopsis};
 use std::sync::Arc;

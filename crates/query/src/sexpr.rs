@@ -1,14 +1,14 @@
 //! Scalar expressions over table columns.
 //!
 //! This is the SQL-side expression AST: unlike the model-formula AST in
-//! `lawsdb-expr` it carries string literals and NULL semantics, because
-//! predicates run over relational data. A lossless conversion *to* the
-//! model AST exists for numeric-only expressions ([`ScalarExpr::to_model_expr`]);
-//! the approximate-query engine uses it to evaluate predicates against
-//! model-reconstructed values.
+//! `lawsdb-expr` it carries string literals, comparisons, connectives
+//! and NULL semantics, because predicates run over relational data. It
+//! is the one predicate language: a `WHERE` clause, a captured model's
+//! coverage and its legal filter all parse to it and run as the same
+//! vectorized [`PredMask`] filter, over base rows or over the cells a
+//! model leaf enumerates.
 
 use crate::error::{QueryError, Result};
-use lawsdb_expr::ast::CmpOp;
 use lawsdb_storage::bitmap::Bitmap;
 use lawsdb_storage::{Column, Table, Value};
 use std::fmt;
@@ -134,6 +134,36 @@ impl ArithOp {
             ArithOp::Sub => "-",
             ArithOp::Mul => "*",
             ArithOp::Div => "/",
+        }
+    }
+}
+
+/// Binary comparison operators.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum CmpOp {
+    /// `<`
+    Lt,
+    /// `<=`
+    Le,
+    /// `>`
+    Gt,
+    /// `>=`
+    Ge,
+    /// `=`
+    Eq,
+    /// `!=`
+    Ne,
+}
+
+impl CmpOp {
+    fn symbol(self) -> &'static str {
+        match self {
+            CmpOp::Lt => "<",
+            CmpOp::Le => "<=",
+            CmpOp::Gt => ">",
+            CmpOp::Ge => ">=",
+            CmpOp::Eq => "==",
+            CmpOp::Ne => "!=",
         }
     }
 }
@@ -424,46 +454,6 @@ impl ScalarExpr {
                 .unwrap_or(false),
             _ => false,
         }
-    }
-
-    /// Convert to the model-formula AST (numeric constructs only).
-    ///
-    /// The approximate engine compiles the result against reconstructed
-    /// model outputs. String literals and references to string columns
-    /// have no model-side meaning and fail with
-    /// [`QueryError::Unsupported`].
-    pub fn to_model_expr(&self) -> Result<lawsdb_expr::Expr> {
-        use lawsdb_expr::Expr;
-        Ok(match self {
-            ScalarExpr::Column(c) => Expr::Sym(c.clone()),
-            ScalarExpr::Number(v) => Expr::Num(*v),
-            ScalarExpr::Str(_) => {
-                return Err(QueryError::Unsupported {
-                    what: "string literal in model-expression context".to_string(),
-                })
-            }
-            ScalarExpr::Neg(a) => Expr::Neg(Box::new(a.to_model_expr()?)),
-            ScalarExpr::Not(a) => Expr::Not(Box::new(a.to_model_expr()?)),
-            ScalarExpr::Arith(op, a, b) => {
-                let a = Box::new(a.to_model_expr()?);
-                let b = Box::new(b.to_model_expr()?);
-                match op {
-                    ArithOp::Add => Expr::Add(a, b),
-                    ArithOp::Sub => Expr::Sub(a, b),
-                    ArithOp::Mul => Expr::Mul(a, b),
-                    ArithOp::Div => Expr::Div(a, b),
-                }
-            }
-            ScalarExpr::Cmp(op, a, b) => {
-                Expr::Cmp(*op, Box::new(a.to_model_expr()?), Box::new(b.to_model_expr()?))
-            }
-            ScalarExpr::And(a, b) => {
-                Expr::And(Box::new(a.to_model_expr()?), Box::new(b.to_model_expr()?))
-            }
-            ScalarExpr::Or(a, b) => {
-                Expr::Or(Box::new(a.to_model_expr()?), Box::new(b.to_model_expr()?))
-            }
-        })
     }
 
     /// Fold constant subtrees (the optimizer's constant-folding rule).
@@ -757,19 +747,6 @@ mod tests {
         let t = table();
         let e = ScalarExpr::Arith(ArithOp::Add, Box::new(col("s")), Box::new(num(1.0)));
         assert!(e.eval_numeric(&t).is_err());
-    }
-
-    #[test]
-    fn to_model_expr_numeric_only() {
-        let e = ScalarExpr::Cmp(
-            CmpOp::Gt,
-            Box::new(ScalarExpr::Arith(ArithOp::Mul, Box::new(col("a")), Box::new(num(2.0)))),
-            Box::new(num(3.0)),
-        );
-        let m = e.to_model_expr().unwrap();
-        assert_eq!(m.to_string(), "((a * 2) > 3)");
-        let s = ScalarExpr::Str("x".to_string());
-        assert!(s.to_model_expr().is_err());
     }
 
     #[test]

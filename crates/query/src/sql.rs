@@ -1,8 +1,7 @@
 //! SQL lexer and parser for the supported SELECT subset.
 
 use crate::error::{QueryError, Result};
-use crate::sexpr::{ArithOp, ScalarExpr};
-use lawsdb_expr::ast::CmpOp;
+use crate::sexpr::{ArithOp, CmpOp, ScalarExpr};
 use lawsdb_storage::schema::DataType;
 
 /// Aggregate functions.
@@ -688,6 +687,18 @@ pub fn parse_select(sql: &str) -> Result<SelectStatement> {
     Ok(SelectStatement { distinct, items, table, join, predicate, group_by, order_by, limit })
 }
 
+/// Parse one SQL boolean expression, as it would follow `WHERE`: a
+/// captured model's coverage predicate and its legal filter are
+/// written this way.
+pub fn parse_predicate(src: &str) -> Result<ScalarExpr> {
+    let mut p = P { toks: lex(src)?, pos: 0 };
+    let predicate = p.expr()?;
+    if p.peek().is_some() {
+        return p.err("end of predicate");
+    }
+    Ok(predicate)
+}
+
 fn parse_join(p: &mut P) -> Result<JoinClause> {
     let table = p.ident()?;
     p.expect_kw("ON")?;
@@ -809,6 +820,21 @@ mod tests {
             s.predicate.unwrap().to_string(),
             "(((NOT (a == 1)) AND (b == 2)) OR (c == 3))"
         );
+    }
+
+    #[test]
+    fn a_predicate_parses_like_a_where_clause() {
+        let src = "nu >= 0.15 AND nu <= 0.18 OR NOT source = 2";
+        let where_clause = parse_select(&format!("SELECT * FROM t WHERE {src}")).unwrap();
+        assert_eq!(parse_predicate(src).unwrap(), where_clause.predicate.unwrap());
+        let between = parse_predicate("x BETWEEN 1 AND 2").unwrap();
+        assert_eq!(between.to_string(), "((x >= 1) AND (x <= 2))");
+        for bad in ["", "x >", "x > 1 y", "x > 1 LIMIT 3"] {
+            assert!(matches!(parse_predicate(bad), Err(QueryError::Parse { .. })), "{bad:?}");
+        }
+        // The formula language's connectives are not SQL.
+        let formula_text = parse_predicate("nu >= 0.15 && nu <= 0.18");
+        assert!(matches!(formula_text, Err(QueryError::Lex { .. })), "{formula_text:?}");
     }
 
     #[test]

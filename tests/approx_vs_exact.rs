@@ -206,3 +206,39 @@ fn qualified_column_names_answer_like_plain_ones() {
     assert_eq!((qualified.strategy, qualified.tuples_reconstructed), (Strategy::PointLookup, 1));
     assert_eq!(qualified.table, plain.table);
 }
+
+/// The closed form stands in for the filter it replaces, so it must
+/// apply every conjunct exactly; a predicate it cannot (`!=`, a
+/// non-sargable conjunct) is answered by enumeration instead. On a
+/// noise-free line, `y = 3 + 0.5·x` over x = 0..9 (ten rows each), both
+/// strategies then equal the exact answer.
+#[test]
+fn linear_law_aggregates_apply_every_conjunct() {
+    let xs: Vec<f64> = (0..100).map(|i| (i / 10) as f64).collect();
+    let ys: Vec<f64> = xs.iter().map(|x| 3.0 + 0.5 * x).collect();
+    let mut b = TableBuilder::new("t");
+    b.add_f64("x", xs);
+    b.add_f64("y", ys);
+    let db = LawsDb::new();
+    db.register_table(b.build().unwrap()).unwrap();
+    db.capture_model("t", "y ~ a + b * x", None, &FitOptions::default()).unwrap();
+    for (predicate, want, strategy) in [
+        ("x >= 4", 6.25, Strategy::AnalyticAggregate),
+        ("x > 3", 6.25, Strategy::AnalyticAggregate),
+        ("x > 3 AND x < 7", 5.5, Strategy::AnalyticAggregate),
+        ("x != 3", 3.0 + 0.5 * 42.0 / 9.0, Strategy::Enumeration),
+        ("x * 2 > 9", 6.5, Strategy::Enumeration),
+        ("x < 2 OR x > 7", 3.0 + 0.5 * 18.0 / 4.0, Strategy::Enumeration),
+    ] {
+        let sql = format!("SELECT AVG(y) AS m FROM t WHERE {predicate}");
+        let exact = db.query(&sql).unwrap().table.column("m").unwrap().f64_data().unwrap()[0];
+        assert!((exact - want).abs() < 1e-12, "{sql}: exact {exact}");
+        let r = db.answer(&sql, AnswerMode::Resilient, &db.exec).unwrap();
+        let lawsdb::core::Answer::Approx(a) = &r.answer else {
+            panic!("{sql}: answered exactly: {:?}", r.degraded)
+        };
+        assert_eq!(a.strategy, strategy, "{sql}");
+        let got = a.table.column("m").unwrap().f64_data().unwrap()[0];
+        assert!((got - want).abs() <= 1e-9 * want, "{sql}: model {got} vs exact {want}");
+    }
+}

@@ -21,15 +21,23 @@
 //! one the cluster routes to a single shard and one it must scatter.
 //!
 //! It runs all seven again after `capture_model`, which must leave the
-//! unfiltered aggregate answering from zone partials, and paths 4–6
-//! after an append. Every exact answer must carry the oracle's bits and column
+//! unfiltered aggregate answering from zone partials. Then, the full
+//! model retired meanwhile, it runs paths 4–6 for the statements over
+//! `y` (the only ones a model answers) over three more models,
+//! one at a time: two partial models whose SQL coverage on `x` is
+//! conjunctive and then disjunctive, and a linear law, which answers
+//! single aggregates of `y` in closed form. Last come paths 4–6 after an
+//! append. Every exact answer must carry the oracle's bits and column
 //! types, and `rows_scanned` must agree across the single-engine paths.
 //! A model's point lookup must land within its `max_abs_residual` of the
-//! oracle. Every other model answer must carry the oracle's bits over
-//! the model's relation, rebuilt here one cell at a time: group keys ×
-//! enumerated domain, `predict_scalar`, coverage and legality. A query
-//! naming a column the model does not reconstruct must degrade to the
-//! exact rung with `NoModel`.
+//! oracle. A closed-form aggregate must land within a relative 1e-9 of
+//! the oracle over the model's relation (closed form and summation
+//! round differently), and every other model answer must carry the
+//! oracle's bits over it. The relation is rebuilt here one cell at a
+//! time: group keys × enumerated domain, `predict_scalar`, and the
+//! oracle's own `WHERE` over the model's coverage and legal filter. A
+//! query naming a column the model does not reconstruct must degrade to
+//! the exact rung with `NoModel`.
 //!
 //! Seeded: `LAWSDB_FAULT_SEED=<seed>` is printed, and a failure names
 //! the seed, the case and the SQL.
@@ -38,20 +46,20 @@ mod oracle;
 
 use lawsdb::approx::Strategy;
 use lawsdb::cluster::{Cluster, ClusterConfig, PartitionScheme, Phase};
-use lawsdb::core::{Answer, AnswerMode, DegradeReason, LawsDb};
-use lawsdb::expr::{parse_expr, Bindings};
+use lawsdb::core::{Answer, AnswerMode, CoreError, DegradeReason, LawsDb};
 use lawsdb::fit::FitOptions;
 use lawsdb::models::legal::combo_hash;
-use lawsdb::models::{CapturedModel, ModelParams};
+use lawsdb::models::model::ModelId;
+use lawsdb::models::{CapturedModel, ModelParams, ModelState};
 use lawsdb::obs::MetricsRegistry;
 use lawsdb::query::optimize::optimize;
 use lawsdb::query::{
-    execute_physical_with, execute_with, parse_select, plan_physical, CostConstants, ExecOptions,
-    LogicalPlan, ScanStatsCollector,
+    execute_physical_with, execute_with, parse_predicate, parse_select, plan_physical,
+    CostConstants, ExecOptions, LogicalPlan, ScalarExpr, ScanStatsCollector,
 };
 use lawsdb::server::{Client, PipeStream, QueryMode, Server, ServerConfig};
 use lawsdb::storage::fault::fault_seed;
-use lawsdb::storage::{Column, Field, Table, TableBuilder};
+use lawsdb::storage::{Column, Field, Table, TableBuilder, Value};
 use std::sync::Arc;
 
 const CASES: u64 = 32;
@@ -60,11 +68,13 @@ const CASES: u64 = 32;
 fn every_exact_path_returns_the_oracles_bits() {
     let seed = fault_seed();
     println!("LAWSDB_FAULT_SEED={seed} (set to reproduce)");
-    let (points, relations) = (0..CASES)
+    let checks = (0..CASES)
         .map(|case| run_case(seed, case))
-        .fold((0, 0), |(p, r), (cp, cr)| (p + cp, r + cr));
-    assert!(points > 0, "no model point lookup was checked");
-    assert!(relations > 0, "no model enumeration was checked");
+        .fold([0; 3], |sum, case| [0, 1, 2].map(|i| sum[i] + case[i]));
+    println!("model answers checked: {checks:?} (point lookups, enumerations, closed forms)");
+    assert!(checks[0] > 0, "no model point lookup was checked");
+    assert!(checks[1] > 0, "no model enumeration was checked");
+    assert!(checks[2] > 0, "no closed-form aggregate was checked");
 }
 
 // ------------------------------------------------------------ generator
@@ -338,6 +348,39 @@ fn model_queries(r: &mut Rng, t: &Table) -> Vec<String> {
     sql
 }
 
+/// Single aggregates of `y`, which a linear law answers in closed form
+/// when the WHERE is sargable conjuncts on `g` and `x` and no `!=`, and
+/// by enumeration otherwise. `x` is never pinned by `=`: with `g` pinned
+/// too, that would be a point lookup, which the model answers even where
+/// no row was observed.
+fn linear_queries(r: &mut Rng) -> Vec<String> {
+    (0..4)
+        .map(|_| {
+            let agg = r.pick(&["COUNT(y)", "SUM(y)", "AVG(y)", "MIN(y)", "MAX(y)"]);
+            let conjuncts: Vec<String> = (0..r.below(3))
+                .map(|_| {
+                    let column = *r.pick(&["g", "x", "x"]);
+                    let literal = literal(r, column);
+                    match r.below(6) {
+                        0 => format!("{column} != {literal}"),
+                        1 => format!("{column} * 2 > {}", 2.0 * literal),
+                        2 => format!("({column} < {literal} OR g = {})", r.below(GROUPS)),
+                        _ if column == "x" => {
+                            format!("x {} {literal}", r.pick(&["<", "<=", ">", ">="]))
+                        }
+                        _ => format!("g {} {literal}", r.pick(&["<", "<=", ">", ">=", "="])),
+                    }
+                })
+                .collect();
+            let filter = match conjuncts.is_empty() {
+                true => String::new(),
+                false => format!(" WHERE {}", conjuncts.join(" AND ")),
+            };
+            format!("SELECT {agg} AS a FROM t{filter}")
+        })
+        .collect()
+}
+
 // --------------------------------------------------------------- driver
 
 impl Shards {
@@ -368,11 +411,12 @@ struct Run {
     bound: Option<f64>,
     point_checks: usize,
     relation_checks: usize,
+    closed_checks: usize,
 }
 
-/// Runs one case; returns the model point lookups and the other model
-/// answers it checked.
-fn run_case(seed: u64, case: u64) -> (usize, usize) {
+/// Runs one case; returns the model point lookups, enumerations and
+/// closed-form aggregates it checked.
+fn run_case(seed: u64, case: u64) -> [usize; 3] {
     let mut r = Rng(seed ^ case.wrapping_mul(0xA076_1D64_78BD_642F));
     let c = Case::generate(&mut r);
     let mut db = LawsDb::new();
@@ -384,7 +428,7 @@ fn run_case(seed: u64, case: u64) -> (usize, usize) {
     server.attach_cluster(Arc::clone(&cluster));
     let client = Client::connect(server.connect()).unwrap();
     let table = c.table.clone();
-    let (bound, point_checks, relation_checks) = (None, 0, 0);
+    let (bound, point_checks, relation_checks, closed_checks) = (None, 0, 0, 0);
     let exec = c.exec;
     let mut run = Run {
         seed,
@@ -398,6 +442,7 @@ fn run_case(seed: u64, case: u64) -> (usize, usize) {
         bound,
         point_checks,
         relation_checks,
+        closed_checks,
     };
 
     for sql in &c.sql {
@@ -417,7 +462,7 @@ fn run_case(seed: u64, case: u64) -> (usize, usize) {
         let extra = model_queries(&mut r, &run.table);
         point = Some(extra[0].clone());
         let unmodelled = extra[extra.len() - 1].clone();
-        sql.extend(extra);
+        sql.extend(extra.iter().cloned());
         for s in &sql {
             run.every_path(s);
         }
@@ -428,6 +473,14 @@ fn run_case(seed: u64, case: u64) -> (usize, usize) {
         if !matches!(a.degraded.as_slice(), [DegradeReason::NoModel { .. }]) {
             run.fail(path, &unmodelled, &format!("{:?}", a.degraded));
         }
+        let (lo, hi) = (r.below(4), 4 + r.below(4));
+        let others = [
+            ("y ~ p * x ^ alpha", Some(format!("x >= {} AND x <= {}", X[lo], X[hi]))),
+            ("y ~ p * x ^ alpha", Some(format!("x < {} OR x > {}", X[lo], X[hi]))),
+            ("y ~ a + b * x", None),
+        ];
+        let linear = linear_queries(&mut r);
+        run.other_models(m.id, &others, &options, extra.iter().chain(&linear));
     }
 
     let mut batch = c.append;
@@ -457,10 +510,46 @@ fn run_case(seed: u64, case: u64) -> (usize, usize) {
         run.served_paths(s, &want, None);
     }
     run.client.close().unwrap();
-    (run.point_checks, run.relation_checks)
+    [run.point_checks, run.relation_checks, run.closed_checks]
 }
 
 impl Run {
+    /// Paths 4–6 over each of `models` (formula, SQL coverage) in turn,
+    /// the live model `live` retired meanwhile. A fit the quality gate
+    /// rejects (none of its groups fitted) is skipped.
+    fn other_models<'s>(
+        &mut self,
+        live: ModelId,
+        models: &[(&str, Option<String>)],
+        options: &FitOptions,
+        sql: impl Iterator<Item = &'s String> + Clone,
+    ) {
+        let catalog = Arc::clone(self.db.models());
+        let set = |id, state| catalog.set_state(id, state).expect("the model is stored");
+        set(live, ModelState::Retired);
+        let saved = self.bound;
+        for (formula, coverage) in models {
+            let path = format!("capture {formula} where {coverage:?}");
+            let m = match coverage {
+                Some(c) => self.db.capture_model_where("t", formula, Some("g"), c, options),
+                None => self.db.capture_model("t", formula, Some("g"), options),
+            };
+            let m = match m {
+                Err(CoreError::QualityRejected { .. }) => continue,
+                m => self.ok(&path, "", m),
+            };
+            let bound = m.max_abs_residual.unwrap_or_else(|| self.fail(&path, "", "no bound"));
+            self.bound = Some(bound);
+            for s in sql.clone() {
+                let want = self.want(s);
+                self.served_paths(s, &want, None);
+            }
+            set(m.id, ModelState::Retired);
+        }
+        set(live, ModelState::Active);
+        self.bound = saved;
+    }
+
     fn fail(&self, path: &str, sql: &str, msg: &str) -> ! {
         panic!("LAWSDB_FAULT_SEED={} case {} path {path}\n  {sql}\n{msg}", self.seed, self.case)
     }
@@ -481,6 +570,24 @@ impl Run {
             let (nw, ng, lw, lg) = (w.len(), g.len(), w.get(at), g.get(at));
             let msg = format!("{nw} vs {ng} lines; line {at}:\n  oracle {lw:?}\n  engine {lg:?}");
             self.fail(path, sql, &msg);
+        }
+    }
+
+    /// A one-cell answer within a relative 1e-9 of `want`'s, with its
+    /// name and type.
+    fn close(&self, path: &str, sql: &str, want: &oracle::Relation, got: &Table) {
+        let (w, g) = (want.fingerprint(), oracle::fingerprint(got));
+        let header = |f: &str| f.lines().next().map(str::to_string);
+        let cell = |r: &oracle::Relation| r.rows.first().and_then(|row| row.first()).cloned();
+        let (wv, gv) = (cell(want), cell(&oracle::Relation::of(got)));
+        let number = |v: &Option<Value>| v.as_ref().and_then(Value::as_f64);
+        let near = match (number(&wv), number(&gv)) {
+            (Some(a), Some(b)) => (a - b).abs() <= 1e-9 * a.abs().max(1.0),
+            _ => wv == gv,
+        };
+        let one_row = want.rows.len() == 1 && got.row_count() == 1;
+        if header(&w) != header(&g) || !one_row || !near {
+            self.fail(path, sql, &format!("closed form {gv:?} vs relation {wv:?}\n{g}\n{w}"));
         }
     }
 
@@ -568,9 +675,15 @@ impl Run {
                 }
                 (Answer::Approx(x), Some(_)) => {
                     let model = self.ok(&path, sql, self.db.models().get(x.model));
-                    let relation = oracle::answer(&reconstruction(&model), sql).fingerprint();
-                    self.same(&format!("{path}, model relation"), sql, &relation, &x.table);
-                    self.relation_checks += 1;
+                    let relation = oracle::answer(&reconstruction(&model), sql);
+                    let path = format!("{path}, model relation");
+                    if x.strategy == Strategy::AnalyticAggregate {
+                        self.close(&path, sql, &relation, &x.table);
+                        self.closed_checks += 1;
+                    } else {
+                        self.same(&path, sql, &relation.fingerprint(), &x.table);
+                        self.relation_checks += 1;
+                    }
                 }
                 (Answer::Approx(_), None) => self.fail(&path, sql, "approximate with no model"),
             }
@@ -604,11 +717,12 @@ impl Run {
 
 /// The relation a model answers over, one cell at a time: every group
 /// key × every enumerated point of the variables, in that order, with
-/// the response from `predict_scalar`, kept when the point is inside
-/// the model's coverage and legal (its legal filter and the Bloom
-/// filter of combinations observed at capture). A query pinning a
-/// variable to a value outside its domain is not rebuilt here; the
-/// grammar pins the variable only in point lookups.
+/// the response from `predict_scalar`, kept when the Bloom filter of
+/// combinations observed at capture holds the point, and then the rows
+/// the oracle's `WHERE` keeps under the model's coverage and legal
+/// filter. A query pinning a variable to a value outside its domain is
+/// not rebuilt here; the grammar pins the variable only in point
+/// lookups.
 fn reconstruction(model: &CapturedModel) -> Table {
     let vars = &model.coverage.variables;
     let (group, keys) = match &model.params {
@@ -621,7 +735,6 @@ fn reconstruction(model: &CapturedModel) -> Table {
     let points = domains.iter().fold(vec![Vec::new()], |acc, d| {
         acc.iter().flat_map(|p| d.iter().map(move |&v| [p.clone(), vec![v]].concat())).collect()
     });
-    let coverage = model.coverage.predicate.as_deref().map(|p| parse_expr(p).unwrap());
     let (mut gs, mut xs, mut ys) = (Vec::new(), vec![Vec::new(); vars.len()], Vec::new());
     for key in keys {
         for point in &points {
@@ -630,17 +743,11 @@ fn reconstruction(model: &CapturedModel) -> Table {
             if let (Some(g), Some(k)) = (group, key) {
                 inputs.push((g.as_str(), k as f64));
             }
-            let mut b = Bindings::new();
-            for (n, v) in &inputs {
-                b.set(n, *v);
-            }
-            let covered = coverage.as_ref().is_none_or(|e| e.eval(&b).is_ok_and(|v| v != 0.0));
-            let legal = model.legal_filter.as_ref().is_none_or(|f| f.eval(&b) != Ok(0.0));
             let observed = model
                 .observed_combos
                 .as_ref()
                 .is_none_or(|bf| bf.contains(combo_hash(key.unwrap_or(0), point)));
-            if !(covered && legal && observed) {
+            if !observed {
                 continue;
             }
             gs.push(key.unwrap_or(0));
@@ -658,7 +765,16 @@ fn reconstruction(model: &CapturedModel) -> Table {
         b.add_f64(var.clone(), col);
     }
     b.add_f64(model.coverage.response.clone(), ys);
-    b.build().unwrap()
+    let relation = b.build().unwrap();
+    let clip = [&model.coverage.predicate, &model.legal_filter]
+        .into_iter()
+        .flatten()
+        .map(|src| parse_predicate(src).unwrap())
+        .reduce(|a, b| ScalarExpr::And(Box::new(a), Box::new(b)));
+    match clip {
+        Some(p) => relation.take(&oracle::rows_where(&relation, &p)).unwrap(),
+        None => relation,
+    }
 }
 
 fn nodes(plan: &LogicalPlan) -> usize {

@@ -41,9 +41,8 @@
 //! its GROUP BY columns first, selected or not, so the driver's grammar
 //! selects exactly those, first.
 
-use lawsdb::expr::ast::CmpOp;
 use lawsdb::query::parse_select;
-use lawsdb::query::sexpr::{ArithOp, ScalarExpr};
+use lawsdb::query::sexpr::{ArithOp, CmpOp, ScalarExpr};
 use lawsdb::query::sql::{AggFunc, SelectItem, SelectStatement};
 use lawsdb::storage::{DataType, ExactSum, Table, Value};
 use std::cmp::Ordering;
@@ -86,6 +85,14 @@ impl Relation {
     }
 }
 
+/// The rows of `table` a `WHERE predicate` keeps: those where it is TRUE.
+pub fn rows_where(table: &Table, predicate: &ScalarExpr) -> Vec<usize> {
+    let input = Relation::of(table);
+    let names: Vec<&str> = input.columns.iter().map(|(n, _)| n.as_str()).collect();
+    let truth = |row| Scope { names: &names, row }.truth(predicate);
+    (0..input.rows.len()).filter(|&i| truth(&input.rows[i]) == Some(true)).collect()
+}
+
 /// The fingerprint of an engine result.
 pub fn fingerprint(t: &Table) -> String {
     Relation::of(t).fingerprint()
@@ -97,12 +104,12 @@ pub fn answer(table: &Table, sql: &str) -> Relation {
     assert!(stmt.join.is_none() && stmt.table == table.name(), "outside the oracle: {sql}");
     let input = Relation::of(table);
     let names: Vec<&str> = input.columns.iter().map(|(n, _)| n.as_str()).collect();
-    let kept: Vec<Scope> = input
-        .rows
-        .iter()
-        .map(|row| Scope { names: &names, row })
-        .filter(|s| stmt.predicate.as_ref().is_none_or(|p| s.truth(p) == Some(true)))
-        .collect();
+    let rows = match &stmt.predicate {
+        Some(p) => rows_where(table, p),
+        None => (0..table.row_count()).collect(),
+    };
+    let kept: Vec<Scope> =
+        rows.iter().map(|&i| Scope { names: &names, row: &input.rows[i] }).collect();
     let aggregated =
         !stmt.group_by.is_empty() || stmt.items.iter().any(|i| matches!(i, SelectItem::Agg { .. }));
     let mut out =

@@ -18,7 +18,7 @@
 
 use crate::error::{ApproxError, Result};
 use lawsdb_expr::Expr;
-use lawsdb_models::{CapturedModel, ModelParams};
+use lawsdb_models::CapturedModel;
 
 /// The input domain an analytic aggregate ranges over.
 #[derive(Debug, Clone, PartialEq)]
@@ -199,27 +199,24 @@ pub fn model_aggregate(
     if points.is_empty() {
         return Ok(None);
     }
+    let params = &model.params;
+    let rows: Vec<usize> = match params.group_column {
+        None => vec![0],
+        Some(_) => {
+            keys.iter().map(|&k| params.row(Some(k))).collect::<std::result::Result<_, _>>()?
+        }
+    };
     let mut groups: Vec<(f64, f64, Domain)> = Vec::new();
-    let mut max_se = 0.0f64;
-    match &model.params {
-        ModelParams::Global { names, values, residual_se, .. } => {
-            let Some((a, b)) = linearize(&model.rhs, var, names, values) else {
-                return Ok(None);
-            };
-            groups.push((a, b, Domain::Points(points.to_vec())));
-            max_se = *residual_se;
-        }
-        ModelParams::Grouped { names, groups: map, .. } => {
-            for key in keys {
-                let g = &map[key];
-                let Some((a, b)) = linearize(&model.rhs, var, names, &g.values) else {
-                    return Ok(None);
-                };
-                groups.push((a, b, Domain::Points(points.to_vec())));
-                max_se = max_se.max(g.residual_se);
-            }
-        }
+    for &row in &rows {
+        let Some((a, b)) = linearize(&model.rhs, var, params.row_values(row)) else {
+            return Ok(None);
+        };
+        groups.push((a, b, Domain::Points(points.to_vec())));
     }
+    let max_se = match params.group_column {
+        None => params.residual_se[0],
+        Some(_) => rows.iter().map(|&row| params.residual_se[row]).fold(0.0, f64::max),
+    };
     if groups.is_empty() {
         return Ok(None);
     }
@@ -229,10 +226,14 @@ pub fn model_aggregate(
 /// Substitute fitted parameters into the model body and test linearity
 /// in `var`: returns `(intercept, slope)` when `f(x) = intercept +
 /// slope·x` exactly.
-fn linearize(rhs: &Expr, var: &str, names: &[String], values: &[f64]) -> Option<(f64, f64)> {
+fn linearize<'a>(
+    rhs: &Expr,
+    var: &str,
+    params: impl Iterator<Item = (&'a str, f64)>,
+) -> Option<(f64, f64)> {
     let mut bound = rhs.clone();
-    for (n, v) in names.iter().zip(values) {
-        bound = bound.substitute(n, &Expr::Num(*v));
+    for (n, v) in params {
+        bound = bound.substitute(n, &Expr::Num(v));
     }
     let d = lawsdb_expr::deriv::differentiate(&bound, var).ok()?;
     let slope = d.as_const()?;

@@ -10,7 +10,7 @@
 //! planted ground truth (the synthetic LOFAR generator injects known
 //! anomalous sources).
 
-use lawsdb_models::{CapturedModel, ModelParams};
+use lawsdb_models::CapturedModel;
 use std::collections::HashSet;
 
 /// How to score a group's "interestingness".
@@ -38,20 +38,18 @@ pub struct Anomaly {
 ///
 /// Returns an empty list for global models (nothing to rank).
 pub fn rank_anomalies(model: &CapturedModel, score: MisfitScore) -> Vec<Anomaly> {
-    let ModelParams::Grouped { groups, .. } = &model.params else {
-        return Vec::new();
-    };
-    let mut out: Vec<Anomaly> = groups
-        .iter()
-        .map(|(&key, g)| Anomaly {
+    let params = &model.params;
+    let mut out: Vec<Anomaly> = (params.keys.iter().enumerate())
+        .map(|(row, &key)| Anomaly {
             key,
             score: match score {
-                MisfitScore::ResidualSe => g.residual_se,
+                MisfitScore::ResidualSe => params.residual_se[row],
                 MisfitScore::OneMinusR2 => {
-                    if g.r2.is_nan() {
+                    let r2 = params.r2[row];
+                    if r2.is_nan() {
                         1.0
                     } else {
-                        1.0 - g.r2
+                        1.0 - r2
                     }
                 }
             },
@@ -110,41 +108,34 @@ pub fn average_precision(ranked: &[Anomaly], truth: &HashSet<i64>) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lawsdb_models::model::{Coverage, GroupParams, ModelId, ModelState};
     use lawsdb_expr::parse_formula;
-    use std::collections::HashMap;
+    use lawsdb_models::model::{Coverage, ModelParams};
 
+    fn coverage() -> Coverage {
+        Coverage {
+            table: "t".to_string(),
+            response: "y".to_string(),
+            variables: vec!["x".to_string()],
+            rows_at_fit: 0,
+            predicate: None,
+            domains: Vec::new(),
+        }
+    }
+
+    /// A grouped model of `(key, residual_se, r2)` rows, keys ascending.
     fn model_with_groups(groups: Vec<(i64, f64, f64)>) -> CapturedModel {
-        // (key, residual_se, r2)
+        let rows = groups.len();
+        let params = ModelParams {
+            group_column: Some("g".to_string()),
+            names: vec!["a".to_string(), "p".to_string()],
+            keys: groups.iter().map(|g| g.0).collect(),
+            values: vec![vec![1.0; rows]; 2],
+            residual_se: groups.iter().map(|g| g.1).collect(),
+            r2: groups.iter().map(|g| g.2).collect(),
+            n: vec![40; rows],
+        };
         let f = parse_formula("y ~ p * x ^ a").unwrap();
-        let mut map = HashMap::new();
-        for (k, rse, r2) in groups {
-            map.insert(k, GroupParams { values: vec![1.0, 1.0], residual_se: rse, r2, n: 40 });
-        }
-        CapturedModel {
-            id: ModelId(1),
-            version: 1,
-            formula_source: f.source.clone(),
-            rhs: f.rhs.clone(),
-            params: ModelParams::Grouped {
-                group_column: "g".to_string(),
-                names: vec!["a".to_string(), "p".to_string()],
-                groups: map,
-            },
-            coverage: Coverage {
-                table: "t".to_string(),
-                response: "y".to_string(),
-                variables: vec!["x".to_string()],
-                rows_at_fit: 0,
-                predicate: None,
-                domains: Vec::new(),
-            },
-            overall_r2: 0.9,
-            max_abs_residual: None,
-            state: ModelState::Active,
-            legal_filter: None,
-            observed_combos: None,
-        }
+        CapturedModel::new(f, params, coverage(), 0.9).unwrap()
     }
 
     #[test]
@@ -199,15 +190,9 @@ mod tests {
 
     #[test]
     fn global_model_has_no_ranking() {
-        use lawsdb_models::model::ModelParams as MP;
-        let mut m = model_with_groups(vec![(1, 0.1, 0.9)]);
-        m.params = MP::Global {
-            names: vec!["a".to_string()],
-            values: vec![1.0],
-            residual_se: 0.1,
-            r2: 0.9,
-            n: 10,
-        };
+        let params = ModelParams::global(vec!["a".into(), "p".into()], vec![1.0; 2], 0.1, 0.9, 10);
+        let f = parse_formula("y ~ p * x ^ a").unwrap();
+        let m = CapturedModel::new(f, params, coverage(), 0.9).unwrap();
         assert!(rank_anomalies(&m, MisfitScore::ResidualSe).is_empty());
     }
 }

@@ -14,7 +14,7 @@
 use crate::error::{ApproxError, Result};
 use lawsdb_expr::deriv::differentiate;
 use lawsdb_expr::Bindings;
-use lawsdb_models::{CapturedModel, ModelParams};
+use lawsdb_models::CapturedModel;
 
 /// One explored point of the parameter space.
 #[derive(Debug, Clone, PartialEq)]
@@ -60,17 +60,16 @@ pub fn explore_gradients(model: &CapturedModel, top_k: usize) -> Result<Vec<Grad
         })
         .collect::<Result<_>>()?;
 
-    let groups: Vec<Option<i64>> = match &model.params {
-        ModelParams::Global { .. } => vec![None],
-        ModelParams::Grouped { .. } => model.group_keys().into_iter().map(Some).collect(),
-    };
-
-    // Sweep the cartesian product.
+    // Sweep the cartesian product, one parameter row (group) at a time.
+    let params = &model.params;
     let mut points = Vec::new();
     let mut index = vec![0usize; vars.len()];
-    for &group in &groups {
+    for row in 0..params.rows() {
+        let group = params.keys.get(row).copied();
         let mut bindings = Bindings::new();
-        bind_params(model, group, &mut bindings)?;
+        for (name, v) in params.row_values(row) {
+            bindings.set(name, v);
+        }
         index.iter_mut().for_each(|i| *i = 0);
         loop {
             for (d, var) in vars.iter().enumerate() {
@@ -113,29 +112,6 @@ pub fn explore_gradients(model: &CapturedModel, top_k: usize) -> Result<Vec<Grad
     });
     points.truncate(top_k);
     Ok(points)
-}
-
-fn bind_params(model: &CapturedModel, group: Option<i64>, b: &mut Bindings) -> Result<()> {
-    match (&model.params, group) {
-        (ModelParams::Global { names, values, .. }, _) => {
-            for (n, v) in names.iter().zip(values) {
-                b.set(n, *v);
-            }
-            Ok(())
-        }
-        (ModelParams::Grouped { names, groups, .. }, Some(key)) => {
-            let g = groups.get(&key).ok_or(lawsdb_models::ModelError::UnknownGroup { key })?;
-            for (n, v) in names.iter().zip(&g.values) {
-                b.set(n, *v);
-            }
-            Ok(())
-        }
-        (ModelParams::Grouped { group_column, .. }, None) => {
-            Err(ApproxError::NotAnswerable {
-                reason: format!("grouped model needs a {group_column} value"),
-            })
-        }
-    }
 }
 
 impl ApproxError {

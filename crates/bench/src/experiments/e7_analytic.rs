@@ -90,17 +90,12 @@ pub fn run() -> E7Report {
             .expect("ne fit")
             .0
     });
+    let (pa, pb) = (&m_qr.params, &m_ne.params);
     let mut max_diff = 0.0f64;
-    if let (
-        lawsdb_models::ModelParams::Grouped { groups: ga, .. },
-        lawsdb_models::ModelParams::Grouped { groups: gb, .. },
-    ) = (&m_qr.params, &m_ne.params)
-    {
-        for (k, a) in ga {
-            if let Some(b) = gb.get(k) {
-                for (x, y) in a.values.iter().zip(&b.values) {
-                    max_diff = max_diff.max((x - y).abs());
-                }
+    for (row, &k) in pa.keys.iter().enumerate() {
+        if let Ok(other) = pb.row(Some(k)) {
+            for (x, y) in pa.values.iter().zip(&pb.values) {
+                max_diff = max_diff.max((x[row] - y[other]).abs());
             }
         }
     }

@@ -71,28 +71,25 @@ pub fn run(scale: Scale) -> Table1Report {
     });
 
     let param_bytes = model.params.byte_size();
-    let mut sample_rows = Vec::new();
-    if let lawsdb_models::ModelParams::Grouped { names, groups, .. } = &model.params {
-        let alpha_idx = names.iter().position(|n| n == "alpha").expect("alpha param");
-        let p_idx = names.iter().position(|n| n == "p").expect("p param");
-        let mut keys: Vec<i64> = groups.keys().copied().collect();
-        keys.sort_unstable();
-        for &k in keys.iter().take(3) {
-            let g = &groups[&k];
-            sample_rows.push((k, g.values[alpha_idx], g.values[p_idx], g.residual_se));
-        }
-        Table1Report {
-            rows,
-            sources,
-            sources_fitted: groups.len(),
-            raw_bytes,
-            param_bytes,
-            overall_r2: model.overall_r2,
-            sample_rows,
-            capture_us,
-        }
-    } else {
-        unreachable!("grouped capture returns grouped params")
+    // The model's parameters are Table 1: its first rows, in key order.
+    let params = &model.params;
+    let column = |name: &str| {
+        let j = params.names.iter().position(|n| n == name).expect("a parameter of the law");
+        &params.values[j]
+    };
+    let (alpha, p) = (column("alpha"), column("p"));
+    let sample_rows = (params.keys.iter().enumerate().take(3))
+        .map(|(row, &k)| (k, alpha[row], p[row], params.residual_se[row]))
+        .collect();
+    Table1Report {
+        rows,
+        sources,
+        sources_fitted: params.rows(),
+        raw_bytes,
+        param_bytes,
+        overall_r2: model.overall_r2,
+        sample_rows,
+        capture_us,
     }
 }
 

@@ -10,7 +10,7 @@ use lawsdb_fit::FitOptions as RawFitOptions;
 use lawsdb_models::bridge::{fit_table, fit_table_grouped};
 use lawsdb_models::legal::build_legal_filter;
 use lawsdb_models::model::ModelId;
-use lawsdb_models::{CapturedModel, ModelCatalog, ModelParams, ModelState};
+use lawsdb_models::{CapturedModel, ModelCatalog, ModelState};
 use lawsdb_obs::{fields, MetricsRegistry};
 use lawsdb_query::exec::normalize_expr;
 use lawsdb_query::sql::SelectStatement;
@@ -25,6 +25,10 @@ use std::sync::Arc;
 /// replaced or rescaled column with near-certainty, cheap enough to run
 /// on every model-path answer.
 const DRIFT_SAMPLE_ROWS: usize = 16;
+
+/// Most rounds of [`DRIFT_SAMPLE_ROWS`] rows a partial model's drift
+/// check draws looking for rows inside its coverage (≤ 1,024 rows).
+const DRIFT_SAMPLE_ROUNDS: usize = 64;
 
 /// Bits per key of the legal-combination Bloom filter capture builds
 /// for a grouped model (≈ 1 % false positives).
@@ -395,21 +399,37 @@ impl LawsDb {
             });
         }
         // Sampled-residual drift check, skipped for models without a
-        // fitted residual bound. A partial model is held only to the
-        // sampled rows inside its coverage.
+        // fitted residual bound. A partial model is held to the sampled
+        // rows inside its coverage: it draws further rounds from the
+        // same seeded stream until it holds DRIFT_SAMPLE_ROWS of them,
+        // or DRIFT_SAMPLE_ROUNDS rounds are drawn, so a narrow coverage
+        // is checked too. A full model draws one round.
         let bound = model.max_abs_residual?;
         let seed = lawsdb_storage::fault::fault_seed() ^ a.model.0;
-        let idx = sample_rows(seed, table.row_count(), DRIFT_SAMPLE_ROWS);
-        let mut sampled = table.take(&idx).ok()?;
-        if let Some(src) = &model.coverage.predicate {
-            let coverage = lawsdb_query::parse_predicate(src).ok()?;
-            let coverage = normalize_expr(&coverage, sampled.schema()).ok()?;
-            let covered = coverage.eval_mask(&sampled).ok()?.selected_indices();
-            sampled = sampled.take(&covered).ok()?;
+        let coverage = match &model.coverage.predicate {
+            Some(src) => {
+                let coverage = lawsdb_query::parse_predicate(src).ok()?;
+                Some(normalize_expr(&coverage, table.schema()).ok()?)
+            }
+            None => None,
+        };
+        let (mut state, mut rows) = (seed, std::collections::BTreeSet::new());
+        for _ in 0..DRIFT_SAMPLE_ROUNDS {
+            let drawn = sample_rows(&mut state, table.row_count(), DRIFT_SAMPLE_ROWS);
+            let Some(coverage) = &coverage else {
+                rows.extend(drawn);
+                break;
+            };
+            let covered = coverage.eval_mask(&table.take(&drawn).ok()?).ok()?;
+            rows.extend(covered.selected_indices().into_iter().map(|i| drawn[i]));
+            if rows.len() >= DRIFT_SAMPLE_ROWS || drawn.len() == table.row_count() {
+                break;
+            }
         }
-        if sampled.row_count() == 0 {
+        if rows.is_empty() {
             return None;
         }
+        let sampled = table.take(&rows.into_iter().collect::<Vec<_>>()).ok()?;
         let preds = lawsdb_models::bridge::predict_table(&model, &sampled).ok()?;
         let observed = sampled
             .column(&model.coverage.response)
@@ -549,16 +569,10 @@ impl LawsDb {
     /// version, retires the others, returns the new snapshot.
     pub fn refit(&self, id: ModelId, options: &RawFitOptions) -> Result<Arc<CapturedModel>> {
         let old = self.models.get(id)?;
-        let group_column = match &old.params {
-            lawsdb_models::ModelParams::Grouped { group_column, .. } => {
-                Some(group_column.clone())
-            }
-            lawsdb_models::ModelParams::Global { .. } => None,
-        };
         let fresh = self.capture(
             &old.coverage.table,
             &old.formula_source,
-            group_column.as_deref(),
+            old.params.group_column.as_deref(),
             old.coverage.predicate.as_deref(),
             options,
         )?;
@@ -577,10 +591,7 @@ impl LawsDb {
 /// besides the response: the group column and the variables. The model
 /// leaf evaluates it over enumerated cells, which have nothing else.
 fn check_coverage_columns(model: &CapturedModel, predicate: &ScalarExpr) -> Result<()> {
-    let group = match &model.params {
-        ModelParams::Grouped { group_column, .. } => Some(group_column.as_str()),
-        ModelParams::Global { .. } => None,
-    };
+    let group = model.params.group_column.as_deref();
     let held = |c: &str| Some(c) == group || model.coverage.variables.iter().any(|v| v == c);
     for column in predicate.columns() {
         let plain = match column.split_once('.') {
@@ -604,8 +615,13 @@ mod tests {
     use lawsdb_storage::TableBuilder;
 
     fn lofar_db() -> LawsDb {
+        lofar_db_of(&[(2.0, -0.7), (0.5, -1.2), (1.0, 0.3), (3.0, -0.5)])
+    }
+
+    /// A noise-free `measurements` table: source `s` follows the power
+    /// law `laws[s]` over 40 rows at four frequencies.
+    fn lofar_db_of(laws: &[(f64, f64)]) -> LawsDb {
         let freqs: [f64; 4] = [0.12, 0.15, 0.16, 0.18];
-        let laws: [(f64, f64); 4] = [(2.0, -0.7), (0.5, -1.2), (1.0, 0.3), (3.0, -0.5)];
         let mut src = Vec::new();
         let mut nu = Vec::new();
         let mut intensity = Vec::new();
@@ -884,6 +900,37 @@ mod tests {
         match r.degraded.as_slice() {
             [DegradeReason::ResidualDrift { model, .. }] => assert_eq!(*model, m.id),
             other => panic!("expected ResidualDrift, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn a_narrow_coverage_gets_the_drift_check_under_every_seed() {
+        // Coverage `source = 3` holds 1/16 of the rows: one round of 16
+        // sampled rows misses it about a third of the time.
+        let laws: Vec<(f64, f64)> =
+            (0..16).map(|s| (1.0 + s as f64, -0.5 - 0.05 * s as f64)).collect();
+        let db = lofar_db_of(&laws);
+        let options = RawFitOptions::default().with_initial("alpha", -0.7);
+        let formula = "intensity ~ p * nu ^ alpha";
+        let capture = || {
+            db.capture_model_where("measurements", formula, Some("source"), "source = 3", &options)
+        };
+        let ids: Vec<ModelId> = (0..20).map(|_| capture().unwrap().id).collect();
+        replace_measurements(&db, 10.0, None);
+        let sql = "SELECT intensity FROM measurements WHERE source = 3 AND nu = 0.15";
+        // Each model answers alone in turn, so each draws under its own
+        // seed (the fault seed XOR its id).
+        for &id in &ids {
+            for &other in &ids {
+                let state = if other == id { ModelState::Active } else { ModelState::Retired };
+                db.models().set_state(other, state).unwrap();
+            }
+            let r = resilient(&db, sql);
+            assert!(!r.answer.is_approximate(), "model {id:?} answered from drifted data");
+            match r.degraded.as_slice() {
+                [DegradeReason::ResidualDrift { model, .. }] => assert_eq!(*model, id),
+                other => panic!("model {id:?}: expected ResidualDrift, got {other:?}"),
+            }
         }
     }
 

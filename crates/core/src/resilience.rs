@@ -252,10 +252,11 @@ pub(crate) fn splitmix64(state: &mut u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// Draw `k` distinct row indices in `0..rows` from `seed`
-/// (deterministic; at most `rows` indices).
-pub(crate) fn sample_rows(seed: u64, rows: usize, k: usize) -> Vec<usize> {
-    let mut state = seed;
+/// Draw `k` distinct row indices in `0..rows`, sorted, from the
+/// SplitMix64 stream at `state`, which is left where the draw ended, so
+/// a further call draws the stream's next rows (deterministic; at most
+/// `rows` indices).
+pub(crate) fn sample_rows(state: &mut u64, rows: usize, k: usize) -> Vec<usize> {
     let mut picked = std::collections::BTreeSet::new();
     let want = k.min(rows);
     // 4·k draws always suffice for k ≤ rows/2; fall back to a dense
@@ -264,7 +265,7 @@ pub(crate) fn sample_rows(seed: u64, rows: usize, k: usize) -> Vec<usize> {
         if picked.len() == want {
             break;
         }
-        picked.insert((splitmix64(&mut state) % rows as u64) as usize);
+        picked.insert((splitmix64(state) % rows as u64) as usize);
     }
     let mut i = 0;
     while picked.len() < want {
@@ -280,19 +281,22 @@ mod tests {
 
     #[test]
     fn sampling_is_deterministic_and_distinct() {
-        let a = sample_rows(42, 1000, 16);
-        let b = sample_rows(42, 1000, 16);
+        let (mut s42, mut again, mut s43) = (42, 42, 43);
+        let a = sample_rows(&mut s42, 1000, 16);
+        let b = sample_rows(&mut again, 1000, 16);
         assert_eq!(a, b);
         assert_eq!(a.len(), 16);
         assert!(a.windows(2).all(|w| w[0] < w[1]), "sorted + distinct");
-        let c = sample_rows(43, 1000, 16);
+        let c = sample_rows(&mut s43, 1000, 16);
         assert_ne!(a, c, "different seeds draw different rows");
+        // The stream goes on: the next draw from the same state differs.
+        assert_ne!(sample_rows(&mut s42, 1000, 16), a);
     }
 
     #[test]
     fn sampling_small_tables_covers_everything() {
-        assert_eq!(sample_rows(7, 3, 16), vec![0, 1, 2]);
-        assert!(sample_rows(7, 0, 16).is_empty());
+        assert_eq!(sample_rows(&mut 7, 3, 16), vec![0, 1, 2]);
+        assert!(sample_rows(&mut 7, 0, 16).is_empty());
     }
 
     #[test]

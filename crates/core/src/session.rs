@@ -184,7 +184,7 @@ impl<'db> Session<'db> {
         FitReport {
             model: model.id,
             overall_r2: model.overall_r2,
-            parameter_vectors: model.params.vector_count(),
+            parameter_vectors: model.params.rows(),
             parameter_bytes: model.params.byte_size(),
             bytes_not_shipped: frame.bytes,
             transfer_saved_us: self.transfer.ship_us(frame.bytes),

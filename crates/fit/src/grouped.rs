@@ -1,10 +1,12 @@
 //! Grouped fitting: one model fit per group key.
 //!
 //! The LOFAR example fits `I = p·ν^α` *per source* — 35,692 independent
-//! two-parameter fits — and the paper's Table 1 is exactly the resulting
+//! two-parameter fits — and the paper's Table 1 is the resulting
 //! parameter table (source, α, p, residual SE). This module groups rows
-//! by an integer key column, fits every group (in parallel across OS
-//! threads), and assembles that table.
+//! by an integer key column and fits every group (in parallel across OS
+//! threads), returning each group's outcome in key order. The table
+//! itself is the captured model's parameters (`lawsdb-models`), built
+//! from the successful fits.
 
 use crate::data::DataSet;
 use crate::error::{FitError, Result};
@@ -32,8 +34,6 @@ pub struct GroupedFitResult {
     pub param_names: Vec<String>,
     /// Per-group outcomes, ordered by key.
     pub fits: Vec<GroupFit>,
-    /// Total observations fitted (successful groups only).
-    pub observations_fitted: usize,
 }
 
 impl GroupedFitResult {
@@ -61,51 +61,6 @@ impl GroupedFitResult {
         } else {
             f64::NAN
         }
-    }
-
-    /// The paper's Table 1: one row per successfully fitted group —
-    /// `(key, parameter values in param_names order, residual SE)`.
-    pub fn parameter_table(&self) -> Vec<(i64, Vec<f64>, f64)> {
-        self.fits
-            .iter()
-            .filter_map(|g| {
-                g.outcome.as_ref().ok().map(|r| {
-                    let values =
-                        self.param_names.iter().map(|n| r.param(n).unwrap_or(f64::NAN)).collect();
-                    (g.key, values, r.diagnostics.residual_se)
-                })
-            })
-            .collect()
-    }
-
-    /// Storage footprint of the parameter table in bytes: key + each
-    /// parameter + residual SE, 8 bytes each (how Table 1's "640 KB"
-    /// is counted).
-    pub fn parameter_table_bytes(&self) -> usize {
-        self.success_count() * 8 * (2 + self.param_names.len())
-    }
-
-    /// Groups ranked worst-fit-first by residual SE — the paper's data
-    /// anomalies: "observations that do not fit the model … will stand
-    /// out in the fitting process by showing large residual errors."
-    pub fn ranked_by_misfit(&self) -> Vec<(i64, f64)> {
-        let mut v: Vec<(i64, f64)> = self
-            .fits
-            .iter()
-            .filter_map(|g| {
-                g.outcome
-                    .as_ref()
-                    .ok()
-                    .map(|r| (g.key, r.diagnostics.residual_se))
-            })
-            .collect();
-        v.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap_or(std::cmp::Ordering::Equal));
-        v
-    }
-
-    /// Fit for a specific group key.
-    pub fn group(&self, key: i64) -> Option<&GroupFit> {
-        self.fits.iter().find(|g| g.key == key)
     }
 }
 
@@ -190,18 +145,18 @@ pub fn fit_grouped(
         out.into_iter().flatten().collect()
     };
 
-    let observations_fitted = fits
-        .iter()
-        .filter(|g| g.outcome.is_ok())
-        .map(|g| g.rows)
-        .sum();
-    Ok(GroupedFitResult { param_names: split.parameters, fits, observations_fitted })
+    Ok(GroupedFitResult { param_names: split.parameters, fits })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use lawsdb_expr::parse_formula;
+
+    /// The fit of group `key`, read from the key-ordered outcomes.
+    fn fit_of(r: &GroupedFitResult, key: i64) -> &std::result::Result<FitResult, FitError> {
+        &r.fits[r.fits.binary_search_by_key(&key, |g| g.key).unwrap()].outcome
+    }
 
     /// Three sources with distinct power laws + one tiny group.
     fn dataset() -> (Vec<i64>, Vec<f64>, Vec<f64>) {
@@ -234,18 +189,16 @@ mod tests {
         assert_eq!(r.fits.len(), 4);
         assert_eq!(r.success_count(), 3);
         assert_eq!(r.failure_count(), 1);
-        let g0 = r.group(0).unwrap().outcome.as_ref().unwrap();
+        let g0 = fit_of(&r, 0).as_ref().unwrap();
         assert!((g0.param("alpha").unwrap() + 0.7).abs() < 1e-6);
-        let g1 = r.group(1).unwrap().outcome.as_ref().unwrap();
+        let g1 = fit_of(&r, 1).as_ref().unwrap();
         assert!((g1.param("alpha").unwrap() + 1.2).abs() < 1e-6);
-        let g2 = r.group(2).unwrap().outcome.as_ref().unwrap();
+        let g2 = fit_of(&r, 2).as_ref().unwrap();
         assert!((g2.param("alpha").unwrap() - 0.3).abs() < 1e-6);
-        assert!(matches!(
-            r.group(99).unwrap().outcome,
-            Err(FitError::TooFewObservations { .. })
-        ));
+        assert!(matches!(fit_of(&r, 99), Err(FitError::TooFewObservations { .. })));
         assert!(r.overall_r2() > 0.999999);
-        assert_eq!(r.observations_fitted, 120);
+        let fitted_rows: usize = r.fits.iter().filter(|g| g.outcome.is_ok()).map(|g| g.rows).sum();
+        assert_eq!(fitted_rows, 120);
     }
 
     #[test]
@@ -271,22 +224,21 @@ mod tests {
     }
 
     #[test]
-    fn parameter_table_shape_matches_paper() {
+    fn outcomes_come_in_key_order_with_every_parameter() {
         let (keys, nu, y) = dataset();
         let f = parse_formula("y ~ p * nu ^ alpha").unwrap();
         let data = DataSet::new(vec![("nu", &nu[..]), ("y", &y[..])]).unwrap();
         let r = fit_grouped(&f, &keys, &data, &FitOptions::default(), 1).unwrap();
-        let table = r.parameter_table();
         // (source, [alpha, p], residual SE) per fitted source.
-        assert_eq!(table.len(), 3);
         assert_eq!(r.param_names, vec!["alpha", "p"]);
-        assert_eq!(table[0].1.len(), 2);
-        // 3 groups × (key + 2 params + rse) × 8 bytes.
-        assert_eq!(r.parameter_table_bytes(), 3 * 4 * 8);
+        assert_eq!(r.fits.iter().map(|g| g.key).collect::<Vec<_>>(), [0, 1, 2, 99]);
+        for g in r.fits.iter().filter_map(|g| g.outcome.as_ref().ok()) {
+            assert!(r.param_names.iter().all(|p| g.param(p).is_some()));
+        }
     }
 
     #[test]
-    fn misfit_ranking_surfaces_anomalous_group() {
+    fn the_anomalous_group_has_the_largest_residual_se() {
         // Two clean power-law groups, one group that is pure noise.
         let freqs: [f64; 4] = [0.12, 0.15, 0.16, 0.18];
         let mut keys = Vec::new();
@@ -308,9 +260,8 @@ mod tests {
         let f = parse_formula("y ~ p * nu ^ alpha").unwrap();
         let data = DataSet::new(vec![("nu", &nu[..]), ("y", &y[..])]).unwrap();
         let r = fit_grouped(&f, &keys, &data, &FitOptions::default(), 2).unwrap();
-        let ranked = r.ranked_by_misfit();
-        assert_eq!(ranked[0].0, 7, "noise group must rank first: {ranked:?}");
-        assert!(ranked[0].1 > 10.0 * ranked[1].1.max(1e-12));
+        let se = |key| fit_of(&r, key).as_ref().unwrap().diagnostics.residual_se;
+        assert!(se(7) > 10.0 * se(0).max(se(1)).max(1e-12), "noise group must misfit most");
     }
 
     #[test]
@@ -333,10 +284,10 @@ mod tests {
         let f = parse_formula("y ~ a + b * x").unwrap();
         let data = DataSet::new(vec![("x", &xs[..]), ("y", &ys[..])]).unwrap();
         let r = fit_grouped(&f, &keys, &data, &FitOptions::default(), 1).unwrap();
-        let g0 = r.group(0).unwrap().outcome.as_ref().unwrap();
+        let g0 = fit_of(&r, 0).as_ref().unwrap();
         assert!(g0.used_linear_path);
         assert!((g0.param("b").unwrap() - 2.0).abs() < 1e-10);
-        let g1 = r.group(1).unwrap().outcome.as_ref().unwrap();
+        let g1 = fit_of(&r, 1).as_ref().unwrap();
         assert!((g1.param("b").unwrap() - 3.0).abs() < 1e-10);
         assert!((g1.param("a").unwrap() - 2.0).abs() < 1e-10);
     }

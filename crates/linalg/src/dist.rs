@@ -9,11 +9,9 @@
 //!   (t-statistics) and prediction intervals on approximate answers
 //!   ("returned with error bounds", Figure 2 step 5);
 //! * the **Normal distribution** — CLT error bars for the sampling-AQP
-//!   baseline;
-//! * the **χ² distribution** — residual-variance tests used by the
-//!   model-change detector.
+//!   baseline.
 
-use crate::special::{beta_inc, erf, gamma_p};
+use crate::special::{beta_inc, erf};
 
 /// Standard normal cumulative distribution function.
 pub fn normal_cdf(x: f64) -> f64 {
@@ -186,22 +184,6 @@ pub fn f_p_value(f: f64, d1: f64, d2: f64) -> f64 {
     1.0 - f_cdf(f, d1, d2)
 }
 
-/// χ² cumulative distribution function with `df` degrees of freedom.
-pub fn chi2_cdf(x: f64, df: f64) -> f64 {
-    if !(df > 0.0) || x.is_nan() {
-        return f64::NAN;
-    }
-    if x <= 0.0 {
-        return 0.0;
-    }
-    gamma_p(0.5 * df, 0.5 * x)
-}
-
-/// Upper-tail χ² p-value.
-pub fn chi2_p_value(x: f64, df: f64) -> f64 {
-    1.0 - chi2_cdf(x, df)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -269,25 +251,8 @@ mod tests {
     }
 
     #[test]
-    fn chi2_cdf_exponential_special_case() {
-        // χ² with 2 df is Exp(1/2): CDF = 1 − e^{−x/2}.
-        for &x in &[0.5, 1.0, 3.0, 10.0] {
-            close(chi2_cdf(x, 2.0), 1.0 - (-x / 2.0_f64).exp(), 1e-13);
-        }
-    }
-
-    #[test]
-    fn chi2_median_near_df() {
-        // Median of χ²_k ≈ k(1 − 2/(9k))³.
-        let k = 10.0_f64;
-        let approx_median = k * (1.0 - 2.0 / (9.0 * k)).powi(3);
-        close(chi2_cdf(approx_median, k), 0.5, 1e-3);
-    }
-
-    #[test]
     fn invalid_inputs_yield_nan() {
         assert!(t_cdf(1.0, 0.0).is_nan());
         assert!(f_cdf(1.0, -1.0, 2.0).is_nan());
-        assert!(chi2_cdf(1.0, 0.0).is_nan());
     }
 }

@@ -18,7 +18,7 @@
 //!
 //! The [`special`] module provides ln-gamma, regularized incomplete
 //! beta/gamma and erf, from which the [`dist`] module derives the Normal,
-//! Student-t, F and χ² distributions used to judge model quality
+//! Student-t and F distributions used to judge model quality
 //! (residual standard error, F-tests, parameter t-statistics).
 
 // `!(x > y)` is a deliberate NaN-aware guard (NaN must take the error

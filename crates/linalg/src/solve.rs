@@ -112,12 +112,6 @@ impl Cholesky {
         }
         Ok(inv)
     }
-
-    /// log-determinant of `A` (2·Σ log Lᵢᵢ); useful for information
-    /// criteria over multivariate models.
-    pub fn log_det(&self) -> f64 {
-        (0..self.dim()).map(|i| self.l[(i, i)].ln()).sum::<f64>() * 2.0
-    }
 }
 
 /// Householder QR factorization of an m×n matrix with m ≥ n.
@@ -288,8 +282,6 @@ pub struct Lu {
     lu: Matrix,
     /// Row permutation: `perm[i]` is the original row now at position i.
     perm: Vec<usize>,
-    /// Sign of the permutation (for determinants).
-    sign: f64,
 }
 
 impl Lu {
@@ -301,7 +293,6 @@ impl Lu {
         let n = a.rows();
         let mut lu = a.clone();
         let mut perm: Vec<usize> = (0..n).collect();
-        let mut sign = 1.0;
         let scale = lu.max_abs().max(1.0);
         for k in 0..n {
             // Partial pivot: largest absolute entry in column k at/below k.
@@ -324,7 +315,6 @@ impl Lu {
                     lu[(pivot_row, j)] = tmp;
                 }
                 perm.swap(k, pivot_row);
-                sign = -sign;
             }
             let pivot = lu[(k, k)];
             for i in (k + 1)..n {
@@ -339,7 +329,7 @@ impl Lu {
                 }
             }
         }
-        Ok(Lu { lu, perm, sign })
+        Ok(Lu { lu, perm })
     }
 
     /// Dimension of the factored matrix.
@@ -392,15 +382,6 @@ impl Lu {
             e[j] = 0.0;
         }
         Ok(inv)
-    }
-
-    /// Determinant of the factored matrix.
-    pub fn det(&self) -> f64 {
-        let mut d = self.sign;
-        for i in 0..self.dim() {
-            d *= self.lu[(i, i)];
-        }
-        d
     }
 }
 
@@ -458,13 +439,12 @@ mod tests {
     }
 
     #[test]
-    fn cholesky_inverse_and_logdet() {
+    fn cholesky_inverse() {
         let a = m(2, 2, &[2., 0., 0., 8.]);
         let ch = Cholesky::new(&a).unwrap();
         let inv = ch.inverse().unwrap();
         assert!((inv[(0, 0)] - 0.5).abs() < 1e-12);
         assert!((inv[(1, 1)] - 0.125).abs() < 1e-12);
-        assert!((ch.log_det() - 16.0_f64.ln()).abs() < 1e-12);
     }
 
     #[test]
@@ -531,13 +511,6 @@ mod tests {
         let x = lu.solve(&b).unwrap();
         let back = a.matvec(&x).unwrap();
         assert_close(&back, &b, 1e-10);
-    }
-
-    #[test]
-    fn lu_det_known_value() {
-        let a = m(2, 2, &[3., 8., 4., 6.]);
-        let lu = Lu::new(&a).unwrap();
-        assert!((lu.det() - (-14.0)).abs() < 1e-10);
     }
 
     #[test]

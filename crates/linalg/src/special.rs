@@ -5,7 +5,7 @@
 //! relies on (Section 3: "we could use the R² coefficient of
 //! determination or the results of an F-test"): the F and Student-t
 //! cumulative distributions are regularized incomplete beta functions,
-//! and the χ² CDF is a regularized incomplete gamma.
+//! and erf is a regularized incomplete gamma.
 //!
 //! Implementations follow the classic Lanczos / continued-fraction
 //! formulations (Numerical Recipes style) with double-precision accuracy

@@ -8,11 +8,11 @@
 //! evaluates no predicate.
 
 use crate::error::{ModelError, Result};
-use crate::model::{CapturedModel, Coverage, GroupParams, ModelId, ModelParams, ModelState};
+use crate::model::{CapturedModel, Coverage, ModelParams};
 use lawsdb_expr::{parse_formula, Formula};
-use lawsdb_fit::{fit_auto, fit_grouped, DataSet, FitOptions, GroupedFitResult};
+use lawsdb_fit::{fit_auto, fit_grouped, DataSet, FitOptions, FitResult, GroupedFitResult};
 use lawsdb_storage::Table;
-use std::collections::HashMap;
+use std::ops::Range;
 
 /// Numeric views of the table columns a formula needs, with NULL → NaN
 /// (the fit layer drops NaN rows).
@@ -44,6 +44,18 @@ fn capture_domains(table: &Table, variables: &[String]) -> Vec<(String, Vec<f64>
             stats.enumerability.enumerate().map(|vals| (v.clone(), vals))
         })
         .collect()
+}
+
+/// The coverage of a model of `formula` fit on all of `table`.
+fn coverage(table: &Table, formula: &Formula, variables: Vec<String>) -> Coverage {
+    Coverage {
+        table: table.name().to_string(),
+        response: formula.response.clone(),
+        domains: capture_domains(table, &variables),
+        variables,
+        rows_at_fit: table.row_count(),
+        predicate: None,
+    }
 }
 
 /// Largest |actual − predicted| over rows of `table` where both are
@@ -88,35 +100,12 @@ pub fn fit_table(
     let data = DataSet::new(pairs).map_err(ModelError::Fit)?;
     let fit = fit_auto(&formula, &data, options)?;
 
-    let domains = capture_domains(table, &split.variables);
-    let names: Vec<String> = fit.params.iter().map(|(n, _)| n.clone()).collect();
-    let values: Vec<f64> = fit.params.iter().map(|(_, v)| *v).collect();
-    let mut model = CapturedModel {
-        id: ModelId(0),
-        version: 0,
-        formula_source: formula.source.clone(),
-        rhs: formula.rhs.clone(),
-        params: ModelParams::Global {
-            names,
-            values,
-            residual_se: fit.diagnostics.residual_se,
-            r2: fit.diagnostics.r2,
-            n: fit.diagnostics.n,
-        },
-        coverage: Coverage {
-            table: table.name().to_string(),
-            response: formula.response.clone(),
-            variables: split.variables,
-            rows_at_fit: table.row_count(),
-            predicate: None,
-            domains,
-        },
-        overall_r2: fit.diagnostics.r2,
-        max_abs_residual: None,
-        state: ModelState::Active,
-        legal_filter: None,
-        observed_combos: None,
-    };
+    let names = fit.params.iter().map(|(n, _)| n.clone()).collect();
+    let values = fit.params.iter().map(|(_, v)| *v).collect();
+    let d = &fit.diagnostics;
+    let params = ModelParams::global(names, values, d.residual_se, d.r2, d.n);
+    let coverage = coverage(table, &formula, split.variables);
+    let mut model = CapturedModel::new(formula, params, coverage, d.r2)?;
     model.max_abs_residual = max_abs_residual(&model, table)?;
     Ok(model)
 }
@@ -155,50 +144,22 @@ pub fn fit_table_grouped(
     let keys: Vec<i64> = keys_col.i64_data()?.to_vec();
     let grouped = fit_grouped(&formula, &keys, &data, options, threads)?;
 
-    let mut groups: HashMap<i64, GroupParams> = HashMap::new();
-    for g in &grouped.fits {
-        if let Ok(r) = &g.outcome {
-            groups.insert(
-                g.key,
-                GroupParams {
-                    values: grouped
-                        .param_names
-                        .iter()
-                        .map(|n| r.param(n).unwrap_or(f64::NAN))
-                        .collect(),
-                    residual_se: r.diagnostics.residual_se,
-                    r2: r.diagnostics.r2,
-                    n: r.diagnostics.n,
-                },
-            );
-        }
-    }
-    let domains = capture_domains(table, &split.variables);
-    let overall_r2 = grouped.overall_r2();
-    let mut model = CapturedModel {
-        id: ModelId(0),
-        version: 0,
-        formula_source: formula.source.clone(),
-        rhs: formula.rhs.clone(),
-        params: ModelParams::Grouped {
-            group_column: group_column.to_string(),
-            names: grouped.param_names.clone(),
-            groups,
-        },
-        coverage: Coverage {
-            table: table.name().to_string(),
-            response: formula.response.clone(),
-            variables: split.variables,
-            rows_at_fit: table.row_count(),
-            predicate: None,
-            domains,
-        },
-        overall_r2,
-        max_abs_residual: None,
-        state: ModelState::Active,
-        legal_filter: None,
-        observed_combos: None,
+    // Table 1: a row per fitted group, in key order.
+    let fitted: Vec<(i64, &FitResult)> =
+        grouped.fits.iter().filter_map(|g| Some((g.key, g.outcome.as_ref().ok()?))).collect();
+    let names = &grouped.param_names;
+    let column = |f: &dyn Fn(&FitResult) -> f64| fitted.iter().map(|(_, r)| f(r)).collect();
+    let params = ModelParams {
+        group_column: Some(group_column.to_string()),
+        names: names.clone(),
+        keys: fitted.iter().map(|(k, _)| *k).collect(),
+        values: names.iter().map(|p| column(&|r| r.param(p).unwrap_or(f64::NAN))).collect(),
+        residual_se: column(&|r| r.diagnostics.residual_se),
+        r2: column(&|r| r.diagnostics.r2),
+        n: fitted.iter().map(|(_, r)| r.diagnostics.n).collect(),
     };
+    let coverage = coverage(table, &formula, split.variables);
+    let mut model = CapturedModel::new(formula, params, coverage, grouped.overall_r2())?;
     model.max_abs_residual = max_abs_residual(&model, table)?;
     Ok((model, grouped))
 }
@@ -211,34 +172,53 @@ pub fn fit_table_grouped(
 pub fn predict_table(model: &CapturedModel, table: &Table) -> Result<Vec<f64>> {
     let var_views = numeric_views(table, &model.coverage.variables)?;
     let cols: Vec<&[f64]> = var_views.iter().map(|(_, v)| v.as_slice()).collect();
-    match &model.params {
-        ModelParams::Global { .. } => model.predict_batch(None, &cols),
-        ModelParams::Grouped { group_column, groups, .. } => {
-            let keys = table.column(group_column)?.i64_data()?.to_vec();
-            let n = table.row_count();
-            let mut out = vec![f64::NAN; n];
-            // Batch rows per group so each group pays one compiled pass.
-            let mut by_group: HashMap<i64, Vec<usize>> = HashMap::new();
-            for (i, &k) in keys.iter().enumerate() {
-                by_group.entry(k).or_default().push(i);
-            }
-            for (key, rows) in by_group {
-                if !groups.contains_key(&key) {
-                    continue;
-                }
-                let gathered: Vec<Vec<f64>> = cols
-                    .iter()
-                    .map(|c| rows.iter().map(|&r| c[r]).collect())
-                    .collect();
-                let slices: Vec<&[f64]> = gathered.iter().map(Vec::as_slice).collect();
-                let pred = model.predict_batch(Some(key), &slices)?;
-                for (ri, &row) in rows.iter().enumerate() {
-                    out[row] = pred[ri];
-                }
-            }
-            Ok(out)
+    let mut out = vec![f64::NAN; table.row_count()];
+    let Some(group_column) = &model.params.group_column else {
+        match model.predict_batch(None, &cols)?[..] {
+            // A body without variables is one value for all the rows.
+            [v] => out.fill(v),
+            ref pred => out.copy_from_slice(pred),
+        }
+        return Ok(out);
+    };
+    // Group the row indices by parameter row once: one key lookup per
+    // run of equal keys, then a counting sort, so every group pays one
+    // compiled pass whatever the table's layout. Rows of a group without
+    // parameters stay NaN.
+    let keys = &model.params.keys;
+    let mut runs: Vec<(usize, Range<usize>)> = Vec::new();
+    let mut start = vec![0; keys.len() + 1];
+    let mut end = 0;
+    for run in table.column(group_column)?.i64_data()?.chunk_by(|a, b| a == b) {
+        let rows = end..end + run.len();
+        end = rows.end;
+        if let Ok(row) = keys.binary_search(&run[0]) {
+            start[row + 1] += rows.len();
+            runs.push((row, rows));
         }
     }
+    for row in 0..keys.len() {
+        start[row + 1] += start[row];
+    }
+    let mut order = vec![0; start[keys.len()]];
+    let mut next = start.clone();
+    for (row, rows) in runs {
+        for i in rows {
+            order[next[row]] = i;
+            next[row] += 1;
+        }
+    }
+    for (row, span) in start.windows(2).enumerate().filter(|(_, s)| s[0] < s[1]) {
+        let rows = &order[span[0]..span[1]];
+        let gathered: Vec<Vec<f64>> =
+            cols.iter().map(|c| rows.iter().map(|&i| c[i]).collect()).collect();
+        let slices: Vec<&[f64]> = gathered.iter().map(Vec::as_slice).collect();
+        match model.predict_batch(Some(keys[row]), &slices)?[..] {
+            [v] => rows.iter().for_each(|&i| out[i] = v),
+            ref pred => rows.iter().zip(pred).for_each(|(&i, &p)| out[i] = p),
+        }
+    }
+    Ok(out)
 }
 
 #[cfg(test)]
@@ -295,7 +275,7 @@ mod tests {
         b.add_f64("y", ys);
         let t = b.build().unwrap();
         let m = fit_table(&t, "y ~ a + b * x", &FitOptions::default()).unwrap();
-        assert!(matches!(m.params, ModelParams::Global { .. }));
+        assert_eq!((m.params.group_column.as_ref(), m.params.rows()), (None, 1));
         assert!((m.predict_scalar(None, &[("x", 2.0)]).unwrap() - 2.0).abs() < 1e-9);
         assert!(m.overall_r2 > 0.999999);
     }
@@ -315,6 +295,33 @@ mod tests {
         let actual = t.column("intensity").unwrap().f64_data().unwrap();
         for (p, a) in pred.iter().zip(actual) {
             assert!((p - a).abs() < 1e-6, "{p} vs {a}");
+        }
+    }
+
+    #[test]
+    fn predict_table_does_not_depend_on_row_order() {
+        let t = lofar_table();
+        let (model, _) = fit_table_grouped(
+            &t,
+            "intensity ~ p * nu ^ alpha",
+            "source",
+            &FitOptions::default(),
+            1,
+        )
+        .unwrap();
+        // Row i of the interleaved table is row `order[i]` of `t`: one
+        // row of each source in turn, so no two neighbours share a group.
+        let order: Vec<usize> = (0..40).flat_map(|i| (0..3).map(move |s| s * 40 + i)).collect();
+        let src = t.column("source").unwrap().i64_data().unwrap();
+        let nu = t.column("nu").unwrap().f64_data().unwrap();
+        let mut b = TableBuilder::new("measurements");
+        b.add_i64("source", order.iter().map(|&i| src[i]).collect());
+        b.add_f64("nu", order.iter().map(|&i| nu[i]).collect());
+        let interleaved = b.build().unwrap();
+        let want = predict_table(&model, &t).unwrap();
+        let got = predict_table(&model, &interleaved).unwrap();
+        for (&i, g) in order.iter().zip(&got) {
+            assert_eq!(g.to_bits(), want[i].to_bits());
         }
     }
 
@@ -340,6 +347,23 @@ mod tests {
         let pred = predict_table(&model, &t).unwrap();
         assert!(pred.last().unwrap().is_nan());
         assert!(!pred[0].is_nan());
+    }
+
+    #[test]
+    fn a_body_without_variables_predicts_every_row() {
+        let t = lofar_table();
+        let (model, _) =
+            fit_table_grouped(&t, "intensity ~ c", "source", &FitOptions::default(), 1).unwrap();
+        let pred = predict_table(&model, &t).unwrap();
+        let keys = t.column("source").unwrap().i64_data().unwrap();
+        for (p, &k) in pred.iter().zip(keys) {
+            assert_eq!(p.to_bits(), model.predict_scalar(Some(k), &[]).unwrap().to_bits());
+        }
+        let global = fit_table(&t, "intensity ~ c", &FitOptions::default()).unwrap();
+        let pred = predict_table(&global, &t).unwrap();
+        let want = global.predict_scalar(None, &[]).unwrap();
+        assert_eq!(pred.len(), t.row_count());
+        assert!(pred.iter().all(|p| p.to_bits() == want.to_bits()));
     }
 
     #[test]

@@ -232,32 +232,16 @@ mod tests {
 
     fn model(table: &str, response: &str, r2: f64) -> CapturedModel {
         let f = parse_formula(&format!("{response} ~ a + b * x")).unwrap();
-        CapturedModel {
-            id: ModelId(0),
-            version: 0,
-            formula_source: f.source.clone(),
-            rhs: f.rhs.clone(),
-            params: ModelParams::Global {
-                names: vec!["a".to_string(), "b".to_string()],
-                values: vec![1.0, 2.0],
-                residual_se: 0.1,
-                r2,
-                n: 50,
-            },
-            coverage: Coverage {
-                table: table.to_string(),
-                response: response.to_string(),
-                variables: vec!["x".to_string()],
-                rows_at_fit: 50,
-                predicate: None,
-                domains: Vec::new(),
-            },
-            overall_r2: r2,
-            max_abs_residual: None,
-            state: ModelState::Active,
-            legal_filter: None,
-            observed_combos: None,
-        }
+        let params = ModelParams::global(vec!["a".into(), "b".into()], vec![1.0, 2.0], 0.1, r2, 50);
+        let coverage = Coverage {
+            table: table.to_string(),
+            response: response.to_string(),
+            variables: vec!["x".to_string()],
+            rows_at_fit: 50,
+            predicate: None,
+            domains: Vec::new(),
+        };
+        CapturedModel::new(f, params, coverage, r2).unwrap()
     }
 
     #[test]

@@ -50,7 +50,8 @@ pub enum ModelError {
         /// Explanation.
         detail: String,
     },
-    /// Piecewise/grid construction problem.
+    /// A captured model, piecewise function or grid that cannot be
+    /// built from the given parts.
     BadConstruction {
         /// Explanation.
         detail: String,

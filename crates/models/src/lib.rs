@@ -5,8 +5,9 @@
 //! After the interception layer (in `lawsdb-core`) fits a user model
 //! inside the database, the result is a [`CapturedModel`]: the formula
 //! *in its source form* ("we can store the models in their source code
-//! form inside the database"), the fitted parameters — either one global
-//! vector or a per-group parameter table like the paper's Table 1 — the
+//! form inside the database"), the fitted parameters — a columnar
+//! parameter table like the paper's Table 1, one row per group (one row
+//! for a global model), stored exactly so by [`persist`] — the
 //! goodness-of-fit record, and the model's *coverage* (which table,
 //! which rows, which value domains).
 //!
@@ -41,4 +42,4 @@ pub mod piecewise;
 
 pub use catalog::ModelCatalog;
 pub use error::{ModelError, Result};
-pub use model::{CapturedModel, Coverage, GroupParams, ModelId, ModelParams, ModelState};
+pub use model::{CapturedModel, Coverage, ModelId, ModelParams, ModelState};

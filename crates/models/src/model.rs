@@ -1,10 +1,18 @@
 //! The captured model artifact.
+//!
+//! A [`CapturedModel`] is its formula, its coverage and its parameter
+//! table. [`ModelParams`] holds that table column by column — strictly
+//! increasing group keys, one column per parameter, then each row's
+//! residual SE, R² and observation count — the shape of the paper's
+//! Table 1 and of the `lawsdb_model_<id>` table the catalog is stored
+//! as (`persist`). A global model is the one-row table with no key
+//! column. [`CapturedModel::new`] compiles the body once: predicting for
+//! a group finds its row by binary search and runs that program with
+//! the row's values.
 
 use crate::error::{ModelError, Result};
 use crate::legal::BloomFilter;
-use lawsdb_expr::compile::ExecStack;
-use lawsdb_expr::{Bindings, CompiledExpr, Expr};
-use std::collections::HashMap;
+use lawsdb_expr::{Bindings, CompiledExpr, Expr, Formula};
 use std::sync::Arc;
 
 /// Opaque model identifier assigned by the catalog.
@@ -26,75 +34,102 @@ pub enum ModelState {
     Retired,
 }
 
-/// Fitted parameters of one group in a grouped model.
+/// A model's fitted parameters: the paper's Table 1, "a set of model
+/// parameters for each aggregation group" (Section 4.1), held as the
+/// catalog stores it — the group keys, one column per parameter, then
+/// each row's fit statistics. A global model is the one-row table with
+/// no group column. Row `i` of every column belongs to `keys[i]`.
 #[derive(Debug, Clone, PartialEq)]
-pub struct GroupParams {
-    /// Parameter values in `param_names` order.
-    pub values: Vec<f64>,
-    /// Residual standard error of this group's fit (the per-group error
-    /// bound attached to approximate answers).
-    pub residual_se: f64,
-    /// R² of this group's fit.
-    pub r2: f64,
-    /// Observations behind the fit.
-    pub n: usize,
-}
-
-/// A model's fitted parameters: one global vector, or one vector per
-/// group ("we would get a set of model parameters for each aggregation
-/// group", Section 4.1).
-#[derive(Debug, Clone, PartialEq)]
-pub enum ModelParams {
-    /// Single parameter vector for the whole coverage.
-    Global {
-        /// Parameter names, sorted.
-        names: Vec<String>,
-        /// Values in `names` order.
-        values: Vec<f64>,
-        /// Residual standard error.
-        residual_se: f64,
-        /// R².
-        r2: f64,
-        /// Observations behind the fit.
-        n: usize,
-    },
-    /// One parameter vector per group key.
-    Grouped {
-        /// The grouping column (the LOFAR source id).
-        group_column: String,
-        /// Parameter names, sorted.
-        names: Vec<String>,
-        /// Per-group parameters keyed by group value.
-        groups: HashMap<i64, GroupParams>,
-    },
+pub struct ModelParams {
+    /// The grouping column (the LOFAR source id); `None` when global.
+    pub group_column: Option<String>,
+    /// Parameter names: sorted by a fit, kept in column order by the
+    /// catalog tables.
+    pub names: Vec<String>,
+    /// Group keys, strictly increasing; empty when global.
+    pub keys: Vec<i64>,
+    /// One column per parameter, in `names` order.
+    pub values: Vec<Vec<f64>>,
+    /// Residual standard error of each row's fit (the error bound
+    /// attached to approximate answers).
+    pub residual_se: Vec<f64>,
+    /// R² of each row's fit.
+    pub r2: Vec<f64>,
+    /// Observations behind each row's fit.
+    pub n: Vec<usize>,
 }
 
 impl ModelParams {
-    /// Parameter names.
-    pub fn names(&self) -> &[String] {
-        match self {
-            ModelParams::Global { names, .. } | ModelParams::Grouped { names, .. } => names,
+    /// The one-row parameters of a global model.
+    pub fn global(
+        names: Vec<String>,
+        values: Vec<f64>,
+        residual_se: f64,
+        r2: f64,
+        n: usize,
+    ) -> ModelParams {
+        ModelParams {
+            group_column: None,
+            names,
+            keys: Vec::new(),
+            values: values.into_iter().map(|v| vec![v]).collect(),
+            residual_se: vec![residual_se],
+            r2: vec![r2],
+            n: vec![n],
         }
     }
 
-    /// Number of parameter vectors stored (1 or the group count).
-    pub fn vector_count(&self) -> usize {
-        match self {
-            ModelParams::Global { .. } => 1,
-            ModelParams::Grouped { groups, .. } => groups.len(),
+    /// Number of parameter vectors stored: 1, or the group count.
+    pub fn rows(&self) -> usize {
+        self.residual_se.len()
+    }
+
+    /// The row holding `group`'s parameters: a global model's one row
+    /// whatever the group, else the key's row, found by binary search.
+    pub fn row(&self, group: Option<i64>) -> Result<usize> {
+        match (&self.group_column, group) {
+            (None, _) => Ok(0),
+            (Some(_), Some(key)) => {
+                self.keys.binary_search(&key).map_err(|_| ModelError::UnknownGroup { key })
+            }
+            (Some(g), None) => Err(ModelError::MissingInput { variable: g.clone() }),
         }
+    }
+
+    /// Row `row`'s parameter values, by name.
+    pub fn row_values(&self, row: usize) -> impl Iterator<Item = (&str, f64)> + '_ {
+        self.names.iter().zip(&self.values).map(move |(n, v)| (n.as_str(), v[row]))
     }
 
     /// Storage footprint in bytes: 8 bytes per stored number (group key,
     /// each parameter, residual SE) — the measure behind Table 1's
     /// "640 KB of model parameters".
     pub fn byte_size(&self) -> usize {
-        match self {
-            ModelParams::Global { values, .. } => 8 * (values.len() + 1),
-            ModelParams::Grouped { names, groups, .. } => {
-                groups.len() * 8 * (names.len() + 2)
-            }
+        let key = usize::from(self.group_column.is_some());
+        8 * self.rows() * (key + self.names.len() + 1)
+    }
+
+    /// Every column holds one value per row, a global model has exactly
+    /// one row, and the keys strictly increase.
+    fn check(&self) -> Result<()> {
+        let bad = |detail: &str| Err(ModelError::BadConstruction { detail: detail.to_string() });
+        let rows = match self.group_column {
+            Some(_) => self.keys.len(),
+            None if self.keys.is_empty() => 1,
+            None => return bad("a global model has group keys"),
+        };
+        if self.values.len() != self.names.len() {
+            return bad("parameter columns do not match the names");
         }
+        let lengths = self.values.iter().map(Vec::len);
+        let mut lengths = lengths.chain([self.residual_se.len(), self.r2.len(), self.n.len()]);
+        if !lengths.all(|len| len == rows) {
+            return bad("a column does not hold one value per row");
+        }
+        if !self.keys.windows(2).all(|w| w[0] < w[1]) {
+            return bad("group keys are not strictly increasing");
+        }
+        Ok(())
     }
 }
 
@@ -134,7 +169,13 @@ impl Coverage {
 
 /// A captured user model: formula in source form, fitted parameters,
 /// quality record and coverage. Immutable once stored — re-fits create
-/// new versions via the catalog.
+/// new versions via the catalog. Built only by [`CapturedModel::new`],
+/// which compiles the body against `rhs`, `coverage.variables` and
+/// `params`: those three must not change afterwards, or the compiled
+/// body reads the wrong slots. What a catalog, the engine or a loader
+/// sets after `new` is `id`, `version`, `state`, `max_abs_residual`,
+/// `legal_filter`, `observed_combos` and the rest of `coverage`
+/// (`table`, `predicate`, `rows_at_fit`, `domains`).
 #[derive(Debug, Clone)]
 pub struct CapturedModel {
     /// Catalog-assigned id.
@@ -173,33 +214,63 @@ pub struct CapturedModel {
     /// (Section 4.2's "compressed lookup structure"). Held in memory
     /// only: a model loaded from the stored catalog tables has none.
     pub observed_combos: Option<Arc<BloomFilter>>,
+    /// The body compiled against the coverage variables.
+    program: CompiledExpr,
+    /// Per column slot of `program`, its coverage variable.
+    column_slots: Vec<usize>,
+    /// Per scalar slot of `program`, its parameter column.
+    scalar_slots: Vec<usize>,
 }
 
 impl CapturedModel {
-    /// Bind this model's parameters for one group (or the global vector)
-    /// into `Bindings`, ready for evaluation.
-    fn bind_params(&self, group: Option<i64>, b: &mut Bindings) -> Result<()> {
-        match (&self.params, group) {
-            (ModelParams::Global { names, values, .. }, _) => {
-                for (n, v) in names.iter().zip(values) {
-                    b.set(n, *v);
-                }
-                Ok(())
-            }
-            (ModelParams::Grouped { names, groups, .. }, Some(key)) => {
-                let g = groups.get(&key).ok_or(ModelError::UnknownGroup { key })?;
-                for (n, v) in names.iter().zip(&g.values) {
-                    b.set(n, *v);
-                }
-                Ok(())
-            }
-            (ModelParams::Grouped { group_column, .. }, None) => {
-                Err(ModelError::MissingInput { variable: group_column.clone() })
-            }
-        }
+    /// The model of `formula` with fitted `params` over `coverage`, as a
+    /// fit or the catalog loader makes it: id and version 0 (the catalog
+    /// assigns them), active, with no residual bound, legal filter or
+    /// Bloom filter. The body is compiled here, once, with each symbol
+    /// that is not a coverage variable read from the parameter column of
+    /// its name; a symbol with no such column, or parameters that are
+    /// not one value per row under strictly increasing keys, is
+    /// [`ModelError::BadConstruction`].
+    pub fn new(
+        formula: Formula,
+        params: ModelParams,
+        coverage: Coverage,
+        overall_r2: f64,
+    ) -> Result<CapturedModel> {
+        params.check()?;
+        let vars: Vec<&str> = coverage.variables.iter().map(String::as_str).collect();
+        let program = CompiledExpr::compile(&formula.rhs, &vars)?;
+        let column_slots =
+            program.columns().iter().filter_map(|c| vars.iter().position(|v| v == c)).collect();
+        let scalar_slots = program
+            .scalars()
+            .iter()
+            .map(|s| {
+                params.names.iter().position(|n| n == s).ok_or_else(|| {
+                    ModelError::BadConstruction { detail: format!("no column for parameter {s:?}") }
+                })
+            })
+            .collect::<Result<_>>()?;
+        Ok(CapturedModel {
+            id: ModelId(0),
+            version: 0,
+            formula_source: formula.source,
+            rhs: formula.rhs,
+            params,
+            coverage,
+            overall_r2,
+            max_abs_residual: None,
+            state: ModelState::Active,
+            legal_filter: None,
+            observed_combos: None,
+            program,
+            column_slots,
+            scalar_slots,
+        })
     }
 
-    /// Predict the response for one input point.
+    /// Predict the response for one input point by walking the model
+    /// body: the reference [`CapturedModel::predict_batch`] is held to.
     ///
     /// `group` selects the parameter vector for grouped models; `inputs`
     /// must bind every input variable.
@@ -208,7 +279,9 @@ impl CapturedModel {
         for (k, v) in inputs {
             b.set(k, *v);
         }
-        self.bind_params(group, &mut b)?;
+        for (name, v) in self.params.row_values(self.params.row(group)?) {
+            b.set(name, v);
+        }
         for v in &self.coverage.variables {
             if b.get(v).is_none() {
                 return Err(ModelError::MissingInput { variable: v.clone() });
@@ -217,7 +290,8 @@ impl CapturedModel {
         Ok(self.rhs.eval(&b)?)
     }
 
-    /// Predict the response for a batch of input points of one group.
+    /// Predict the response for a batch of input points of one group:
+    /// the compiled body, run with that group's row of parameters.
     ///
     /// `columns` supplies one slice per coverage variable, in
     /// [`Coverage::variables`] order.
@@ -231,67 +305,13 @@ impl CapturedModel {
                 ),
             });
         }
-        let compiled = self.compile()?;
-        let mut b = Bindings::new();
-        self.bind_params(group, &mut b)?;
-        let scalars: Vec<f64> = compiled
-            .scalars()
-            .iter()
-            .map(|s| b.get(s).ok_or_else(|| ModelError::MissingInput { variable: s.clone() }))
-            .collect::<Result<_>>()?;
-        // Map compiled column order back to coverage order.
-        let cols: Vec<&[f64]> = compiled
-            .columns()
-            .iter()
-            .map(|c| {
-                self.coverage
-                    .variables
-                    .iter()
-                    .position(|v| v == c)
-                    .map(|i| columns[i])
-                    .ok_or_else(|| ModelError::MissingInput { variable: c.clone() })
-            })
-            .collect::<Result<_>>()?;
+        let row = self.params.row(group)?;
+        let scalars: Vec<f64> =
+            self.scalar_slots.iter().map(|&j| self.params.values[j][row]).collect();
+        let cols: Vec<&[f64]> = self.column_slots.iter().map(|&i| columns[i]).collect();
         let n = columns.first().map_or(1, |c| c.len());
-        let mut stack = ExecStack::default();
-        let v = compiled.eval_batch_with(&cols, &scalars, &mut stack)?;
+        let v = self.program.eval_batch(&cols, &scalars)?;
         Ok(if v.len() == 1 && n != 1 { vec![v[0]; n] } else { v })
-    }
-
-    /// Compile the model body against its coverage variables.
-    pub fn compile(&self) -> Result<CompiledExpr> {
-        let vars: Vec<&str> = self.coverage.variables.iter().map(String::as_str).collect();
-        Ok(CompiledExpr::compile(&self.rhs, &vars)?)
-    }
-
-    /// The error bound attached to approximate answers from this model:
-    /// the residual SE of the chosen group (grouped) or of the fit
-    /// (global). Approximate answers quote ±2·SE (~95% under Gaussian
-    /// residuals).
-    pub fn error_bound(&self, group: Option<i64>) -> Result<f64> {
-        match (&self.params, group) {
-            (ModelParams::Global { residual_se, .. }, _) => Ok(*residual_se),
-            (ModelParams::Grouped { groups, .. }, Some(key)) => groups
-                .get(&key)
-                .map(|g| g.residual_se)
-                .ok_or(ModelError::UnknownGroup { key }),
-            (ModelParams::Grouped { group_column, .. }, None) => {
-                Err(ModelError::MissingInput { variable: group_column.clone() })
-            }
-        }
-    }
-
-    /// Group keys for grouped models, sorted (the enumerable "source"
-    /// dimension of the parameter space).
-    pub fn group_keys(&self) -> Vec<i64> {
-        match &self.params {
-            ModelParams::Global { .. } => Vec::new(),
-            ModelParams::Grouped { groups, .. } => {
-                let mut ks: Vec<i64> = groups.keys().copied().collect();
-                ks.sort_unstable();
-                ks
-            }
-        }
     }
 
     /// Attach a legal-domain filter, SQL source text (builder-style).
@@ -309,42 +329,36 @@ mod tests {
     use super::*;
     use lawsdb_expr::parse_formula;
 
-    /// A hand-built grouped power-law model with two sources.
-    pub(crate) fn power_law_model() -> CapturedModel {
-        let f = parse_formula("intensity ~ p * nu ^ alpha").unwrap();
-        let mut groups = HashMap::new();
-        groups.insert(
-            42,
-            GroupParams { values: vec![-0.7, 2.0], residual_se: 0.01, r2: 0.99, n: 40 },
-        );
-        groups.insert(
-            7,
-            GroupParams { values: vec![-1.2, 0.5], residual_se: 0.02, r2: 0.95, n: 40 },
-        );
-        CapturedModel {
-            id: ModelId(1),
-            version: 1,
-            formula_source: f.source.clone(),
-            rhs: f.rhs.clone(),
-            params: ModelParams::Grouped {
-                group_column: "source".to_string(),
-                names: vec!["alpha".to_string(), "p".to_string()],
-                groups,
-            },
-            coverage: Coverage {
-                table: "measurements".to_string(),
-                response: "intensity".to_string(),
-                variables: vec!["nu".to_string()],
-                rows_at_fit: 80,
-                predicate: None,
-                domains: Vec::new(),
-            },
-            overall_r2: 0.97,
-            max_abs_residual: None,
-            state: ModelState::Active,
-            legal_filter: None,
-            observed_combos: None,
+    fn coverage(table: &str, response: &str, variable: &str, rows: usize) -> Coverage {
+        Coverage {
+            table: table.to_string(),
+            response: response.to_string(),
+            variables: vec![variable.to_string()],
+            rows_at_fit: rows,
+            predicate: None,
+            domains: Vec::new(),
         }
+    }
+
+    fn grouped(keys: Vec<i64>, alpha: Vec<f64>, p: Vec<f64>, rse: Vec<f64>) -> ModelParams {
+        let rows = keys.len();
+        ModelParams {
+            group_column: Some("source".to_string()),
+            names: vec!["alpha".to_string(), "p".to_string()],
+            keys,
+            values: vec![alpha, p],
+            residual_se: rse,
+            r2: vec![0.99; rows],
+            n: vec![40; rows],
+        }
+    }
+
+    /// A hand-built grouped power-law model with two sources.
+    fn power_law_model() -> CapturedModel {
+        let f = parse_formula("intensity ~ p * nu ^ alpha").unwrap();
+        let params = grouped(vec![7, 42], vec![-1.2, -0.7], vec![0.5, 2.0], vec![0.02, 0.01]);
+        let cov = coverage("measurements", "intensity", "nu", 80);
+        CapturedModel::new(f, params, cov, 0.97).unwrap()
     }
 
     #[test]
@@ -371,25 +385,32 @@ mod tests {
             m.predict_scalar(None, &[("nu", 0.14)]),
             Err(ModelError::MissingInput { .. })
         ));
+        assert!(matches!(
+            m.predict_batch(Some(8), &[&[0.14]]),
+            Err(ModelError::UnknownGroup { key: 8 })
+        ));
     }
 
     #[test]
     fn batch_prediction_matches_scalar() {
         let m = power_law_model();
         let nus = [0.12, 0.15, 0.16, 0.18];
-        let batch = m.predict_batch(Some(42), &[&nus]).unwrap();
-        for (i, &nu) in nus.iter().enumerate() {
-            let s = m.predict_scalar(Some(42), &[("nu", nu)]).unwrap();
-            assert!((batch[i] - s).abs() < 1e-14);
+        for key in [7, 42] {
+            let batch = m.predict_batch(Some(key), &[&nus]).unwrap();
+            for (i, &nu) in nus.iter().enumerate() {
+                let s = m.predict_scalar(Some(key), &[("nu", nu)]).unwrap();
+                assert!((batch[i] - s).abs() < 1e-14);
+            }
         }
     }
 
     #[test]
     fn error_bound_is_group_residual_se() {
         let m = power_law_model();
-        assert_eq!(m.error_bound(Some(42)).unwrap(), 0.01);
-        assert_eq!(m.error_bound(Some(7)).unwrap(), 0.02);
-        assert!(m.error_bound(None).is_err());
+        let p = &m.params;
+        assert_eq!(p.residual_se[p.row(Some(42)).unwrap()], 0.01);
+        assert_eq!(p.residual_se[p.row(Some(7)).unwrap()], 0.02);
+        assert!(p.row(None).is_err());
     }
 
     #[test]
@@ -397,43 +418,39 @@ mod tests {
         let m = power_law_model();
         // 2 groups × (key + 2 params + rse) × 8 = 64 bytes.
         assert_eq!(m.params.byte_size(), 64);
-        assert_eq!(m.params.vector_count(), 2);
-        assert_eq!(m.group_keys(), vec![7, 42]);
+        assert_eq!(m.params.rows(), 2);
+        assert_eq!(m.params.row(Some(42)).unwrap(), 1);
+    }
+
+    #[test]
+    fn the_constructor_refuses_what_cannot_predict() {
+        let f = || parse_formula("intensity ~ p * nu ^ alpha").unwrap();
+        let cov = || coverage("measurements", "intensity", "nu", 80);
+        let refused = |params: ModelParams| {
+            let e = CapturedModel::new(f(), params, cov(), 0.9).unwrap_err();
+            assert!(matches!(e, ModelError::BadConstruction { .. }), "{e}");
+        };
+        // Keys repeated or out of order.
+        refused(grouped(vec![7, 7], vec![1.0; 2], vec![1.0; 2], vec![0.1; 2]));
+        refused(grouped(vec![42, 7], vec![1.0; 2], vec![1.0; 2], vec![0.1; 2]));
+        // A column one value short.
+        refused(grouped(vec![7, 42], vec![1.0; 2], vec![1.0], vec![0.1; 2]));
+        // No column for the body's parameter `p`.
+        let mut params = grouped(vec![7], vec![1.0], vec![1.0], vec![0.1]);
+        params.names[1] = "q".to_string();
+        refused(params);
     }
 
     #[test]
     fn global_model_prediction() {
         let f = parse_formula("y ~ a + b * x").unwrap();
-        let m = CapturedModel {
-            id: ModelId(2),
-            version: 1,
-            formula_source: f.source.clone(),
-            rhs: f.rhs.clone(),
-            params: ModelParams::Global {
-                names: vec!["a".to_string(), "b".to_string()],
-                values: vec![1.0, 2.0],
-                residual_se: 0.1,
-                r2: 0.99,
-                n: 100,
-            },
-            coverage: Coverage {
-                table: "t".to_string(),
-                response: "y".to_string(),
-                variables: vec!["x".to_string()],
-                rows_at_fit: 100,
-                predicate: None,
-                domains: Vec::new(),
-            },
-            overall_r2: 0.99,
-            max_abs_residual: None,
-            state: ModelState::Active,
-            legal_filter: None,
-            observed_combos: None,
-        };
+        let names = vec!["a".to_string(), "b".to_string()];
+        let params = ModelParams::global(names, vec![1.0, 2.0], 0.1, 0.99, 100);
+        let m = CapturedModel::new(f, params, coverage("t", "y", "x", 100), 0.99).unwrap();
         assert_eq!(m.predict_scalar(None, &[("x", 3.0)]).unwrap(), 7.0);
         // Group argument is ignored for global models.
         assert_eq!(m.predict_scalar(Some(5), &[("x", 3.0)]).unwrap(), 7.0);
-        assert_eq!(m.error_bound(None).unwrap(), 0.1);
+        assert_eq!(m.predict_batch(None, &[&[3.0, 4.0]]).unwrap(), [7.0, 9.0]);
         assert_eq!(m.params.byte_size(), 24);
     }
 }

@@ -16,7 +16,10 @@
 //! * `lawsdb_model_<id>` — one per version: the group key (named after
 //!   the group column) when grouped, one `Float64` column per
 //!   parameter, then `$residual_se`, `$r2` and `$n` — names no formula
-//!   identifier can take. A global model is one row.
+//!   identifier can take. A global model is one row. This is the
+//!   in-memory [`ModelParams`] column for column, so saving and loading
+//!   copy whole columns; the loader's checks (one value per row,
+//!   strictly increasing keys) are [`CapturedModel::new`]'s.
 //!
 //! The model body travels as its formula source and is re-parsed on
 //! load (the parser is the schema). The coverage `predicate` and the
@@ -31,7 +34,7 @@
 
 use crate::catalog::ModelCatalog;
 use crate::error::{ModelError, Result};
-use crate::model::{CapturedModel, Coverage, GroupParams, ModelId, ModelParams, ModelState};
+use crate::model::{CapturedModel, Coverage, ModelId, ModelParams, ModelState};
 use lawsdb_storage::bitmap::Bitmap;
 use lawsdb_storage::{Column, DataType, Field, Schema, Table};
 use std::collections::{BTreeMap, HashMap};
@@ -90,17 +93,6 @@ fn nullable_strs(name: &str, values: impl Iterator<Item = Option<String>>) -> (F
     (Field::nullable(name, DataType::Str), Column::Str { data: data.into(), validity })
 }
 
-/// `names` must include every formula parameter: each symbol of the
-/// body that is not an input variable. A model missing one could not
-/// predict, so it is neither saved nor loaded.
-fn check_params(table: &str, m: &CapturedModel) -> Result<()> {
-    let (vars, names) = (&m.coverage.variables, m.params.names());
-    match m.rhs.symbols().into_iter().find(|s| !vars.contains(s) && !names.contains(s)) {
-        Some(p) => Err(bad(table, format!("no column for parameter {p:?}"))),
-        None => Ok(()),
-    }
-}
-
 fn models_table(models: &[Arc<CapturedModel>]) -> Result<Table> {
     let ints = |name, f: fn(&CapturedModel) -> u64| {
         i64s(name, models.iter().map(|m| f(m) as i64).collect())
@@ -125,10 +117,7 @@ fn models_table(models: &[Arc<CapturedModel>]) -> Result<Table> {
             text("response", |m| m.coverage.response.clone()),
             ints("rows_at_fit", |m| m.coverage.rows_at_fit as u64),
             nulls("predicate", |m| m.coverage.predicate.clone()),
-            nulls("group_column", |m| match &m.params {
-                ModelParams::Global { .. } => None,
-                ModelParams::Grouped { group_column, .. } => Some(group_column.clone()),
-            }),
+            nulls("group_column", |m| m.params.group_column.clone()),
         ],
     )
 }
@@ -166,34 +155,13 @@ fn domains_table(models: &[Arc<CapturedModel>]) -> Result<Table> {
 }
 
 fn params_table(m: &CapturedModel) -> Result<Table> {
-    let name = params_table_name(m.id.0);
-    check_params(&name, m)?;
-    let mut columns = Vec::new();
-    let (residual_se, r2, n) = match &m.params {
-        ModelParams::Global { names, values, residual_se, r2, n } => {
-            if values.len() != names.len() {
-                return Err(bad(&name, "parameter values do not match the names"));
-            }
-            columns.extend(names.iter().zip(values).map(|(p, &v)| f64s(p, vec![v])));
-            (vec![*residual_se], vec![*r2], vec![*n as i64])
-        }
-        ModelParams::Grouped { group_column, names, groups } => {
-            let mut keys: Vec<i64> = groups.keys().copied().collect();
-            keys.sort_unstable();
-            let rows: Vec<&GroupParams> = keys.iter().map(|k| &groups[k]).collect();
-            if rows.iter().any(|g| g.values.len() != names.len()) {
-                return Err(bad(&name, "a group's parameter values do not match the names"));
-            }
-            columns.push(i64s(group_column, keys));
-            for (j, p) in names.iter().enumerate() {
-                columns.push(f64s(p, rows.iter().map(|g| g.values[j]).collect()));
-            }
-            let stat = |f: fn(&GroupParams) -> f64| rows.iter().map(|g| f(g)).collect();
-            (stat(|g| g.residual_se), stat(|g| g.r2), rows.iter().map(|g| g.n as i64).collect())
-        }
-    };
-    columns.extend([f64s(STATS[0], residual_se), f64s(STATS[1], r2), i64s(STATS[2], n)]);
-    table(&name, columns)
+    let p = &m.params;
+    let keys = p.group_column.iter().map(|g| i64s(g, p.keys.clone()));
+    let values = p.names.iter().zip(&p.values).map(|(name, v)| f64s(name, v.clone()));
+    let n = p.n.iter().map(|&n| n as i64).collect();
+    let stats =
+        [f64s(STATS[0], p.residual_se.clone()), f64s(STATS[1], p.r2.clone()), i64s(STATS[2], n)];
+    table(&params_table_name(m.id.0), keys.chain(values).chain(stats).collect())
 }
 
 /// Typed access to one stored catalog table's columns.
@@ -266,7 +234,9 @@ fn read_domains(t: &Table) -> Result<BTreeMap<u64, Variables>> {
     Ok(out)
 }
 
-/// The parameters stored in `t`, keyed by `group_column` when grouped.
+/// The parameters stored in `t`, keyed by `group_column` when grouped,
+/// column for column. Whether they hold together (one row when global,
+/// strictly increasing keys) is [`CapturedModel::new`]'s to check.
 fn read_params(t: &Table, group_column: Option<&str>) -> Result<ModelParams> {
     let c = Cols(t);
     let fields = t.schema().fields();
@@ -280,32 +250,21 @@ fn read_params(t: &Table, group_column: Option<&str>) -> Result<ModelParams> {
         return Err(bad(t.name(), format!("columns do not end in {STATS:?}")));
     }
     let names: Vec<String> = params[..np].iter().map(|f| f.name.clone()).collect();
-    let values = names.iter().map(|p| c.floats(p)).collect::<Result<Vec<_>>>()?;
-    let (residual_se, r2) = (c.floats(STATS[0])?, c.floats(STATS[1])?);
+    let values = names.iter().map(|p| Ok(c.floats(p)?.to_vec())).collect::<Result<_>>()?;
     let n = c.ints(STATS[2])?.iter().map(|&v| Ok(c.unsigned("n", v)? as usize));
-    let n = n.collect::<Result<Vec<_>>>()?;
-    let Some(group_column) = group_column else {
-        if t.row_count() != 1 {
-            return Err(bad(t.name(), format!("a global model has {} rows, not 1", t.row_count())));
-        }
-        let values = values.iter().map(|v| v[0]).collect();
-        return Ok(ModelParams::Global {
-            names,
-            values,
-            residual_se: residual_se[0],
-            r2: r2[0],
-            n: n[0],
-        });
+    let keys = match group_column {
+        Some(g) => c.ints(g)?.to_vec(),
+        None => Vec::new(),
     };
-    let mut groups = HashMap::with_capacity(t.row_count());
-    for (row, &key) in c.ints(group_column)?.iter().enumerate() {
-        let values = values.iter().map(|v| v[row]).collect();
-        let g = GroupParams { values, residual_se: residual_se[row], r2: r2[row], n: n[row] };
-        if groups.insert(key, g).is_some() {
-            return Err(bad(t.name(), format!("group key {key} appears twice")));
-        }
-    }
-    Ok(ModelParams::Grouped { group_column: group_column.to_string(), names, groups })
+    Ok(ModelParams {
+        group_column: group_column.map(str::to_string),
+        keys,
+        names,
+        values,
+        residual_se: c.floats(STATS[0])?.to_vec(),
+        r2: c.floats(STATS[1])?.to_vec(),
+        n: n.collect::<Result<_>>()?,
+    })
 }
 
 impl ModelCatalog {
@@ -355,27 +314,22 @@ impl ModelCatalog {
                 vars.push(v);
             }
             let name = params_table_name(id);
-            let m = CapturedModel {
-                id: ModelId(id),
-                version,
-                formula_source: formulas[i].clone(),
-                rhs: formula.rhs,
-                params: read_params(get(&name)?, group_columns[i])?,
-                coverage: Coverage {
-                    table: tables[i].clone(),
-                    response: responses[i].clone(),
-                    variables: vars,
-                    rows_at_fit: c.unsigned("rows_at_fit", rows_at_fit[i])? as usize,
-                    predicate: predicates[i].map(str::to_string),
-                    domains,
-                },
-                overall_r2: overall_r2[i],
-                max_abs_residual: max_abs_residual[i],
-                state,
-                legal_filter: legal_filters[i].map(str::to_string),
-                observed_combos: None,
+            let coverage = Coverage {
+                table: tables[i].clone(),
+                response: responses[i].clone(),
+                variables: vars,
+                rows_at_fit: c.unsigned("rows_at_fit", rows_at_fit[i])? as usize,
+                predicate: predicates[i].map(str::to_string),
+                domains,
             };
-            check_params(&name, &m)?;
+            let params = read_params(get(&name)?, group_columns[i])?;
+            let mut m = CapturedModel::new(formula, params, coverage, overall_r2[i])
+                .map_err(|e| bad(&name, e.to_string()))?;
+            m.id = ModelId(id);
+            m.version = version;
+            m.max_abs_residual = max_abs_residual[i];
+            m.state = state;
+            m.legal_filter = legal_filters[i].map(str::to_string);
             if models.insert(id, m).is_some() {
                 return Err(bad(MODELS, format!("model {id} appears twice")));
             }
@@ -482,7 +436,7 @@ mod tests {
         assert_eq!(models.column("state").unwrap().str_data().unwrap(), ["retired", "active"]);
         let params = find(&tables, "lawsdb_model_1");
         assert_eq!(params.schema().names(), ["source", "alpha", "p", STATS[0], STATS[1], STATS[2]]);
-        assert_eq!(params.column("source").unwrap().i64_data().unwrap(), m1.group_keys());
+        assert_eq!(params.column("source").unwrap().i64_data().unwrap(), m1.params.keys);
         // One enumerated variable: its four frequencies, per model.
         let domains = find(&tables, DOMAINS);
         assert_eq!(domains.column("model").unwrap().i64_data().unwrap(), [1, 1, 1, 1, 2, 2, 2, 2]);
@@ -514,9 +468,17 @@ mod tests {
         let no_p =
             |t: &Table| t.project(&["source", "alpha", STATS[0], STATS[1], STATS[2]]).unwrap();
         catalog_error(&load(&edited(&tables, "lawsdb_model_1", no_p)), "lawsdb_model_1");
-        // A duplicate group key.
+        // A repeated group key, and keys out of order: the keys must
+        // strictly increase.
         let twice = |t: &Table| t.take(&[0, 1, 1, 2]).unwrap();
         catalog_error(&load(&edited(&tables, "lawsdb_model_2", twice)), "lawsdb_model_2");
+        let swapped = |t: &Table| t.take(&[0, 2, 1, 3, 4]).unwrap();
+        catalog_error(&load(&edited(&tables, "lawsdb_model_2", swapped)), "lawsdb_model_2");
+        // A global model with a table of five rows.
+        let global = |t: &Table| t.project(&["alpha", "p", STATS[0], STATS[1], STATS[2]]).unwrap();
+        let groups = nullable_strs("group_column", [Some("source".into()), None].into_iter()).1;
+        let global_2 = edited(&tables, MODELS, |t| with_column(t, "group_column", groups.clone()));
+        catalog_error(&load(&edited(&global_2, "lawsdb_model_2", global)), "lawsdb_model_2");
         // A negative n, and a negative id.
         let n = |t: &Table| with_column(t, STATS[2], Column::from_i64(vec![40, -1, 40, 40, 40]));
         catalog_error(&load(&edited(&tables, "lawsdb_model_1", n)), "lawsdb_model_1");

@@ -6,14 +6,13 @@
 //! suite and the crash matrices cover.
 
 use lawsdb_core::DurableDb;
-use lawsdb_models::{
-    CapturedModel, Coverage, GroupParams, ModelCatalog, ModelId, ModelParams, ModelState,
-};
+use lawsdb_models::{CapturedModel, Coverage, ModelCatalog, ModelParams, ModelState};
 use lawsdb_storage::SimulatedDevice;
 use proptest::prelude::*;
-use std::collections::HashMap;
 
 /// Parseable formula templates with their parameter and variable names.
+/// The power law's names are not sorted, so an order other than a fit's
+/// must round-trip too.
 /// The formula source *is* the schema (the parser re-derives the body on
 /// load), so arbitrary catalogs draw from real grammar.
 const TEMPLATES: [(&str, &[&str], &[&str]); 3] = [
@@ -43,28 +42,27 @@ fn arb_model() -> impl Strategy<Value = CapturedModel> {
             let (table, response, rows) = ids;
             let names: Vec<String> = param_names.iter().map(|s| s.to_string()).collect();
             let np = names.len();
+            let n = rows as usize % 5000;
             let params = if grouped {
-                let mut groups = HashMap::new();
-                for (gi, &k) in keys.iter().enumerate() {
-                    groups.insert(
-                        k,
-                        GroupParams {
-                            values: (0..np).map(|j| vals[(gi + j) % vals.len()]).collect(),
-                            residual_se: vals[(gi + 5) % vals.len()].abs(),
-                            r2: clamp_unit(vals[(gi + 7) % vals.len()]),
-                            n: rows as usize % 5000,
-                        },
-                    );
-                }
-                ModelParams::Grouped { group_column: "grp".to_string(), names, groups }
-            } else {
-                ModelParams::Global {
+                // Strictly increasing, as the parameter table holds them.
+                let mut keys = keys;
+                keys.sort_unstable();
+                keys.dedup();
+                let column = |offset: usize| -> Vec<f64> {
+                    (0..keys.len()).map(|gi| vals[(gi + offset) % vals.len()]).collect()
+                };
+                ModelParams {
+                    group_column: Some("grp".to_string()),
+                    values: (0..np).map(column).collect(),
+                    residual_se: column(5).iter().map(|v| v.abs()).collect(),
+                    r2: column(7).into_iter().map(clamp_unit).collect(),
+                    n: vec![n; keys.len()],
                     names,
-                    values: vals[..np].to_vec(),
-                    residual_se: vals[8].abs(),
-                    r2: clamp_unit(vals[9]),
-                    n: rows as usize % 5000,
+                    keys,
                 }
+            } else {
+                let (residual_se, r2) = (vals[8].abs(), clamp_unit(vals[9]));
+                ModelParams::global(names, vals[..np].to_vec(), residual_se, r2, n)
             };
             let legal_filter = filt_i.checked_sub(1).map(|i| FILTERS[i].to_string());
             let predicate =
@@ -74,26 +72,21 @@ fn arb_model() -> impl Strategy<Value = CapturedModel> {
                 .zip(enumerated)
                 .filter_map(|(v, (on, d))| on.then(|| (v.to_string(), d)))
                 .collect();
-            CapturedModel {
-                id: ModelId(0),   // assigned by the catalog
-                version: 0,       // likewise
-                formula_source: formula.to_string(),
-                rhs: lawsdb_expr::parse_formula(formula).expect("template parses").rhs,
-                params,
-                coverage: Coverage {
-                    table,
-                    response,
-                    variables: var_names.iter().map(|s| s.to_string()).collect(),
-                    rows_at_fit: rows as usize,
-                    predicate,
-                    domains,
-                },
-                overall_r2: clamp_unit(vals[10]),
-                max_abs_residual: grouped.then(|| vals[11].abs()),
-                state: [ModelState::Active, ModelState::Stale, ModelState::Retired][state_i],
-                legal_filter,
-                observed_combos: None,
-            }
+            let coverage = Coverage {
+                table,
+                response,
+                variables: var_names.iter().map(|s| s.to_string()).collect(),
+                rows_at_fit: rows as usize,
+                predicate,
+                domains,
+            };
+            let formula = lawsdb_expr::parse_formula(formula).expect("template parses");
+            let mut m = CapturedModel::new(formula, params, coverage, clamp_unit(vals[10]))
+                .expect("generated parameters hold together");
+            m.max_abs_residual = grouped.then(|| vals[11].abs());
+            m.state = [ModelState::Active, ModelState::Stale, ModelState::Retired][state_i];
+            m.legal_filter = legal_filter;
+            m
         })
 }
 

@@ -49,7 +49,7 @@ use lawsdb_approx::analytic::{model_aggregate, Aggregate};
 use lawsdb_approx::{ApproxAnswer, ApproxError, Strategy};
 use lawsdb_models::legal::combo_hash;
 use lawsdb_models::model::ModelId;
-use lawsdb_models::{CapturedModel, ModelCatalog, ModelParams};
+use lawsdb_models::{CapturedModel, ModelCatalog};
 use lawsdb_storage::schema::{DataType, Field, Schema};
 use lawsdb_storage::zonemap::PredOp;
 use lawsdb_storage::{Catalog, Column, Table, TableBuilder};
@@ -115,10 +115,7 @@ impl ModelScan {
         let vars = &model.coverage.variables;
         let grid = cartesian(&self.values);
         let grid_rows = grid.first().map_or(1, Vec::len);
-        let group_column = match &model.params {
-            ModelParams::Grouped { group_column, .. } => Some(group_column),
-            ModelParams::Global { .. } => None,
-        };
+        let group_column = &model.params.group_column;
 
         // One key's whole grid predicted in a batch; the grid rows that
         // were observed at capture come back with the predictions.
@@ -252,10 +249,7 @@ impl ModelPlan {
         let coverage = model_predicate(model.coverage.predicate.as_deref(), &relation)?;
         let legal = model_predicate(model.legal_filter.as_deref(), &relation)?;
         let constraints = extract_constraints(predicate.as_ref());
-        let group_column = match &model.params {
-            ModelParams::Grouped { group_column, .. } => Some(group_column.as_str()),
-            ModelParams::Global { .. } => None,
-        };
+        let group_column = model.params.group_column.as_deref();
         let mut leaf = ModelScan {
             projection: None,
             model: Arc::clone(&model),
@@ -452,7 +446,7 @@ fn point_row(
     values: &[Vec<f64>],
 ) -> std::result::Result<Table, ApproxError> {
     let mut row = TableBuilder::new(model.coverage.table.clone());
-    if let (Some(k), ModelParams::Grouped { group_column, .. }) = (key, &model.params) {
+    if let (Some(k), Some(group_column)) = (key, &model.params.group_column) {
         row.add_i64(group_column.clone(), vec![k]);
     }
     for (var, v) in model.coverage.variables.iter().zip(values) {
@@ -465,7 +459,7 @@ fn point_row(
 /// variables, response (the order the leaf materializes them in).
 fn relation_schema(model: &CapturedModel) -> Schema {
     let mut fields = Vec::new();
-    if let ModelParams::Grouped { group_column, .. } = &model.params {
+    if let Some(group_column) = &model.params.group_column {
         fields.push(Field::new(group_column.clone(), DataType::Int64));
     }
     for var in &model.coverage.variables {
@@ -556,24 +550,20 @@ fn analytic(
 }
 
 /// A grouped model's keys the group column's constraint admits, in key
-/// order (none for a global model). Equality on integral values below
-/// 2^53 looks its keys up; only those keys compare equal as `f64`, so
-/// the result is the full filtered key list, without sorting every key.
+/// order (none for a global model): the slice of the sorted keys between
+/// the constraint's bounds, found by binary search, then filtered by it.
+/// A pinned key is a slice of at most one.
 fn admitted_keys(model: &CapturedModel, c: Option<&DimConstraint>) -> Vec<i64> {
-    let ModelParams::Grouped { groups, .. } = &model.params else {
-        return Vec::new();
-    };
-    let mut keys: Vec<i64> = match c {
-        Some(c) if !c.eq.is_empty() && c.eq.iter().all(|v| v.abs() < 9_007_199_254_740_992.0) => {
-            let integral = c.eq.iter().filter(|v| v.fract() == 0.0).map(|&v| v as i64);
-            integral.filter(|k| groups.contains_key(k)).collect()
-        }
-        _ => groups.keys().copied().collect(),
-    };
-    keys.sort_unstable();
-    keys.dedup();
-    keys.retain(|&k| c.is_none_or(|c| c.admits(k as f64)));
-    keys
+    let keys = &model.params.keys;
+    let Some(c) = c else { return keys.clone() };
+    // `=` values bound the keys too: `admits` holds only at one of them.
+    let eq_lo = c.eq.iter().copied().reduce(f64::min);
+    let eq_hi = c.eq.iter().copied().reduce(f64::max);
+    let lo = [c.lo, eq_lo].into_iter().flatten().fold(f64::NEG_INFINITY, f64::max);
+    let hi = [c.hi, eq_hi].into_iter().flatten().fold(f64::INFINITY, f64::min);
+    let start = keys.partition_point(|&k| (k as f64) < lo);
+    let end = start + keys[start..].partition_point(|&k| (k as f64) <= hi);
+    keys[start..end].iter().copied().filter(|&k| c.admits(k as f64)).collect()
 }
 
 /// Per-dimension constraint extracted from a conjunctive predicate.
@@ -663,15 +653,12 @@ fn cartesian(dims: &[Vec<f64>]) -> Vec<Vec<f64>> {
     out
 }
 
+/// The largest residual SE among the rows of `keys` (`[None]`: a global
+/// model's one row).
 fn max_residual_se(model: &CapturedModel, keys: &[Option<i64>]) -> Option<f64> {
-    match &model.params {
-        ModelParams::Global { residual_se, .. } => Some(*residual_se),
-        ModelParams::Grouped { groups, .. } => keys
-            .iter()
-            .flatten()
-            .filter_map(|k| groups.get(k).map(|g| g.residual_se))
-            .reduce(f64::max),
-    }
+    let params = &model.params;
+    let rows = keys.iter().filter_map(|&k| params.row(k).ok());
+    rows.map(|row| params.residual_se[row]).reduce(f64::max)
 }
 
 #[cfg(test)]

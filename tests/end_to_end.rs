@@ -172,7 +172,7 @@ fn data_change_lifecycle() {
             &lawsdb::fit::FitOptions::default().with_initial("alpha", -0.7),
         )
         .unwrap();
-    assert_eq!(fresh.params.vector_count(), 61);
+    assert_eq!(fresh.params.rows(), 61);
     let a = db
         .query_approx("SELECT intensity FROM measurements WHERE source = 5000 AND nu = 0.15")
         .unwrap();

@@ -50,7 +50,7 @@ use lawsdb::core::{Answer, AnswerMode, CoreError, DegradeReason, LawsDb};
 use lawsdb::fit::FitOptions;
 use lawsdb::models::legal::combo_hash;
 use lawsdb::models::model::ModelId;
-use lawsdb::models::{CapturedModel, ModelParams, ModelState};
+use lawsdb::models::{CapturedModel, ModelState};
 use lawsdb::obs::MetricsRegistry;
 use lawsdb::query::optimize::optimize;
 use lawsdb::query::{
@@ -725,11 +725,10 @@ impl Run {
 /// lookups.
 fn reconstruction(model: &CapturedModel) -> Table {
     let vars = &model.coverage.variables;
-    let (group, keys) = match &model.params {
-        ModelParams::Grouped { group_column, .. } => {
-            (Some(group_column), model.group_keys().into_iter().map(Some).collect())
-        }
-        ModelParams::Global { .. } => (None, vec![None]),
+    let group = &model.params.group_column;
+    let keys: Vec<Option<i64>> = match group {
+        Some(_) => model.params.keys.iter().copied().map(Some).collect(),
+        None => vec![None],
     };
     let domains: Vec<&[f64]> = vars.iter().map(|v| model.coverage.domain_of(v).unwrap()).collect();
     let points = domains.iter().fold(vec![Vec::new()], |acc, d| {

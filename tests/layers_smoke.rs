@@ -18,7 +18,9 @@ use lawsdb::data::lofar::{LofarConfig, LofarDataset};
 use lawsdb::data::timeseries::{TimeSeriesConfig, TimeSeriesDataset};
 use lawsdb::models::ModelId;
 use lawsdb::obs::{attribute_layers, global_metrics, LAYERS};
-use lawsdb::query::{execute_with, parse_select, ExecOptions, ProfileCollector};
+use lawsdb::query::{
+    execute_with, parse_select, CostConstants, ExecOptions, ModelPlan, ProfileCollector,
+};
 use lawsdb::server::{Client, PipeStream, QueryMode, Server, ServerConfig};
 use lawsdb::storage::{Column, SimulatedDevice, Table, TableBuilder, Value};
 use oracle::fingerprint;
@@ -29,6 +31,14 @@ const POINT: &str = "SELECT intensity FROM measurements WHERE source = 7 AND nu 
 const SRC_AVG: &str = "SELECT AVG(intensity) AS a FROM measurements WHERE source = 7";
 const GROUP_AGG: &str =
     "SELECT source, COUNT(*) AS n, SUM(intensity) AS s FROM measurements GROUP BY source";
+/// The benchmark's model shapes that enumerate: `m_point`, `m_src_avg`,
+/// `m_band_avg`, `m_group_avg`.
+const MODEL_SHAPES: [&str; 4] = [
+    POINT,
+    SRC_AVG,
+    "SELECT AVG(intensity) AS m FROM measurements WHERE nu = 0.15",
+    "SELECT source, AVG(intensity) AS m FROM measurements GROUP BY source",
+];
 
 /// 200 sources (≈ 8k rows, two zones), one power law per source,
 /// captured through the interception session.
@@ -202,7 +212,7 @@ fn cluster_and_durable_surface() {
             (got.state, got.version, &got.formula_source),
             (live.state, live.version, &live.formula_source)
         );
-        let group = live.group_keys().first().copied();
+        let group = live.params.keys.first().copied();
         let cov = &live.coverage;
         let inputs: Vec<(&str, f64)> = cov
             .variables
@@ -389,6 +399,38 @@ fn traced_cluster_query_attributes_to_canonical_layers() {
     assert!(!names.is_empty(), "no layer attributed");
     assert!(names.iter().all(|n| LAYERS.contains(n)), "{names:?}");
     client.close().unwrap();
+}
+
+#[test]
+fn a_reloaded_catalog_answers_like_the_live_one() {
+    // Every (source, ν) cell of the fixture is observed, so the live
+    // model's Bloom filter of observed combinations, which is not stored,
+    // drops no cell the reloaded model keeps.
+    let (db, _, _) = fixture();
+    let mut durable = DurableDb::new(SimulatedDevice::new(4096));
+    durable.recover().unwrap();
+    durable.save_models(db.models()).unwrap();
+    let mut durable = DurableDb::new(durable.into_device());
+    durable.recover().unwrap();
+    let reloaded = durable.load_models().unwrap();
+
+    let exec = ExecOptions { threads: 1, ..ExecOptions::default() };
+    let consts = CostConstants::default();
+    for sql in MODEL_SHAPES {
+        let stmt = parse_select(sql).unwrap();
+        let plan = db.physical_plan(sql).unwrap();
+        let lower = |models| {
+            ModelPlan::lower(&stmt, plan.logical(), models, db.tables(), &consts).unwrap()
+        };
+        let (live, loaded) = (lower(db.models()), lower(&reloaded));
+        let what = |p: &ModelPlan| (p.strategy, p.model, p.bound.map(f64::to_bits));
+        assert_eq!(what(&loaded), what(&live), "{sql}");
+        assert_eq!(loaded.plan.explain(), live.plan.explain(), "{sql}");
+        let table = |p: &ModelPlan| fingerprint(&p.run(db.tables(), &exec).unwrap().table);
+        let want = table(&live);
+        assert!(want.lines().count() > 1, "{sql}: no rows");
+        assert_eq!(table(&loaded), want, "{sql}");
+    }
 }
 
 #[test]

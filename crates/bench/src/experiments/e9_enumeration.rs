@@ -104,7 +104,7 @@ pub fn run(scale: Scale) -> E9Report {
     let bloom = [4usize, 6, 8, 10, 12, 16]
         .into_iter()
         .map(|bits_per_key| {
-            let bf = build_legal_filter(src, &[nu], bits_per_key);
+            let bf = build_legal_filter(src.iter().copied().map(Some), &[nu], bits_per_key);
             BloomPoint { bits_per_key, bytes: bf.byte_size(), fp_rate: bf.measure_fp_rate(&absent) }
         })
         .collect();

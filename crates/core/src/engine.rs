@@ -7,11 +7,11 @@ use crate::resilience::{
 use crate::session::Session;
 use lawsdb_approx::{ApproxAnswer, ApproxError};
 use lawsdb_fit::FitOptions as RawFitOptions;
-use lawsdb_models::bridge::{fit_table, fit_table_grouped};
+use lawsdb_models::bridge::{fit_table, fit_table_grouped, refit_table_grouped};
 use lawsdb_models::legal::build_legal_filter;
 use lawsdb_models::model::ModelId;
 use lawsdb_models::{CapturedModel, ModelCatalog, ModelState};
-use lawsdb_obs::{fields, MetricsRegistry};
+use lawsdb_obs::{fields, Counter, MetricsRegistry};
 use lawsdb_query::exec::normalize_expr;
 use lawsdb_query::sql::SelectStatement;
 use lawsdb_query::{
@@ -117,6 +117,9 @@ pub struct LawsDb {
     /// Physical plan cache keyed on `(normalized query, stats epoch)`;
     /// hit/miss counters live in [`LawsDb::metrics`].
     plan_cache: PlanCache,
+    /// `lawsdb_fit_groups_fitted`: groups fitted by captures and refits
+    /// (a global model is one group).
+    groups_fitted: Arc<Counter>,
 }
 
 impl Default for LawsDb {
@@ -145,6 +148,7 @@ impl LawsDb {
             health: HealthCounters::for_registry(&metrics),
             cost: CostConstants::default(),
             plan_cache: PlanCache::for_registry(&metrics),
+            groups_fitted: metrics.counter("lawsdb_fit_groups_fitted"),
             metrics,
         }
     }
@@ -468,7 +472,7 @@ impl LawsDb {
         group_column: Option<&str>,
         options: &RawFitOptions,
     ) -> Result<Arc<CapturedModel>> {
-        self.capture(table_name, formula, group_column, None, options)
+        self.capture(table_name, formula, group_column, None, options, None)
     }
 
     /// Capture a *partial* model, fitted only on the rows satisfying
@@ -488,9 +492,13 @@ impl LawsDb {
         predicate: &str,
         options: &RawFitOptions,
     ) -> Result<Arc<CapturedModel>> {
-        self.capture(table_name, formula, group_column, Some(predicate), options)
+        self.capture(table_name, formula, group_column, Some(predicate), options, None)
     }
 
+    /// Fit and store a model. On a refit, `live` is the model it
+    /// replaces: when the table proves it only grew since `live` was
+    /// fitted, only the groups of the appended rows are fitted again
+    /// ([`appended_keys`]); otherwise every group is.
     fn capture(
         &self,
         table_name: &str,
@@ -498,6 +506,7 @@ impl LawsDb {
         group_column: Option<&str>,
         predicate: Option<&str>,
         options: &RawFitOptions,
+        live: Option<&CapturedModel>,
     ) -> Result<Arc<CapturedModel>> {
         let table = self.table(table_name)?;
         let coverage = predicate.map(lawsdb_query::parse_predicate).transpose()?;
@@ -505,10 +514,21 @@ impl LawsDb {
             Some(p) => Arc::new(self.covered_rows(table_name, p)?),
             None => Arc::clone(&table),
         };
-        let mut model = match group_column {
-            Some(g) => fit_table_grouped(&rows, formula, g, options, default_threads())?.0,
-            None => fit_table(&rows, formula, options)?,
+        let touched = live.and_then(|m| Some((m, appended_keys(m, &table)?)));
+        let threads = default_threads();
+        let (mut model, groups) = match (group_column, &touched) {
+            (Some(_), Some((live, keys))) => {
+                let (model, report) = refit_table_grouped(live, &rows, keys, options, threads)?;
+                (model, report.fits.len())
+            }
+            (Some(g), None) => {
+                let (model, report) = fit_table_grouped(&rows, formula, g, options, threads)?;
+                (model, report.fits.len())
+            }
+            (None, _) => (fit_table(&rows, formula, options)?, 1),
         };
+        self.groups_fitted.add(groups as u64);
+        model.table_version = Some(table.id());
         if let (Some(p), Some(src)) = (&coverage, predicate) {
             model.coverage.table = table_name.to_string();
             check_coverage_columns(&model, p)?;
@@ -527,7 +547,7 @@ impl LawsDb {
         // (Section 4.2's compressed lookup structure) rides with the
         // model, so enumeration never invents a combination.
         if let (true, Some(g)) = (passed, group_column) {
-            let groups = table.column(g).and_then(|c| c.i64_data());
+            let groups = table.column(g).and_then(|c| c.i64_values());
             let vars: lawsdb_storage::Result<Vec<&[f64]>> =
                 model.coverage.variables.iter().map(|v| table.column(v)?.f64_data()).collect();
             if let (Ok(groups), Ok(vars)) = (groups, vars) {
@@ -567,6 +587,19 @@ impl LawsDb {
 
     /// Re-fit a stale model against the current data: stores a fresh
     /// version, retires the others, returns the new snapshot.
+    ///
+    /// A refit costs what changed. When the table only grew since the
+    /// model was fitted — it extends the fitted version by appends — a
+    /// grouped model fits again only the groups that have rows among
+    /// the appended ones, and keeps every other group's parameters. A
+    /// group's fit reads only its own rows, so the result equals a cold
+    /// [`LawsDb::capture_model`] on the current table bit for bit.
+    /// Otherwise (the table was replaced, the model was loaded from a
+    /// store, or it is global) every group is fitted.
+    ///
+    /// `options` apply to the groups the refit fits. Untouched groups
+    /// keep the live parameters whatever options they were fitted
+    /// with, so to change the options for every group, capture again.
     pub fn refit(&self, id: ModelId, options: &RawFitOptions) -> Result<Arc<CapturedModel>> {
         let old = self.models.get(id)?;
         let fresh = self.capture(
@@ -575,6 +608,7 @@ impl LawsDb {
             old.params.group_column.as_deref(),
             old.coverage.predicate.as_deref(),
             options,
+            Some(&old),
         )?;
         self.models.retire_others(fresh.id)?;
         Ok(fresh)
@@ -585,6 +619,23 @@ impl LawsDb {
     pub fn model_parameter_bytes(&self) -> usize {
         self.models.active_parameter_bytes()
     }
+}
+
+/// The group keys of the rows `table` gained since `model` was fitted,
+/// sorted and each once: `None` unless `model` is grouped, was fitted in
+/// this process, and `table` extends the version it was fitted on. A
+/// NULL key is no group and is skipped.
+fn appended_keys(model: &CapturedModel, table: &Table) -> Option<Vec<i64>> {
+    let group = model.params.group_column.as_deref()?;
+    let from = model.coverage.rows_at_fit;
+    if !table.extends(model.table_version?, from) {
+        return None;
+    }
+    let tail = table.column(group).ok()?.slice(from, table.row_count() - from).ok()?;
+    let mut keys: Vec<i64> = tail.i64_values().ok()?.flatten().collect();
+    keys.sort_unstable();
+    keys.dedup();
+    Some(keys)
 }
 
 /// A coverage predicate may name only what the model's relation holds

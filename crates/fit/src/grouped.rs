@@ -27,7 +27,7 @@ pub struct GroupFit {
     pub outcome: std::result::Result<FitResult, FitError>,
 }
 
-/// All per-group fits plus corpus-level summaries.
+/// All per-group fits, in key order.
 #[derive(Debug, Clone)]
 pub struct GroupedFitResult {
     /// Parameter names in output order (sorted).
@@ -45,22 +45,6 @@ impl GroupedFitResult {
     /// Number of groups whose fit failed.
     pub fn failure_count(&self) -> usize {
         self.fits.len() - self.success_count()
-    }
-
-    /// Pooled R² over all successful groups: `1 − ΣRSS/ΣTSS`.
-    pub fn overall_r2(&self) -> f64 {
-        let (mut rss, mut tss) = (0.0, 0.0);
-        for g in &self.fits {
-            if let Ok(r) = &g.outcome {
-                rss += r.diagnostics.rss;
-                tss += r.diagnostics.tss;
-            }
-        }
-        if tss > 0.0 {
-            1.0 - rss / tss
-        } else {
-            f64::NAN
-        }
     }
 }
 
@@ -196,7 +180,8 @@ mod tests {
         let g2 = fit_of(&r, 2).as_ref().unwrap();
         assert!((g2.param("alpha").unwrap() - 0.3).abs() < 1e-6);
         assert!(matches!(fit_of(&r, 99), Err(FitError::TooFewObservations { .. })));
-        assert!(r.overall_r2() > 0.999999);
+        let fits = r.fits.iter().filter_map(|g| g.outcome.as_ref().ok());
+        assert!(fits.clone().all(|f| f.diagnostics.r2 > 0.999999));
         let fitted_rows: usize = r.fits.iter().filter(|g| g.outcome.is_ok()).map(|g| g.rows).sum();
         assert_eq!(fitted_rows, 120);
     }

@@ -58,26 +58,51 @@ fn coverage(table: &Table, formula: &Formula, variables: Vec<String>) -> Coverag
     }
 }
 
-/// Largest |actual − predicted| over rows of `table` where both are
-/// finite — the bound the drift guard, the cluster's shard-model
-/// fallback and quarantined-column re-derive hold a model to. `None`
-/// when no row has both finite (then the model bounds nothing). Rows
-/// with a non-finite actual (`±inf`, NaN) or prediction (unfitted
-/// group, missing input) are excluded, so the bound says nothing about
-/// them: it is not a synopsis a scan could prune with.
-pub fn max_abs_residual(model: &CapturedModel, table: &Table) -> Result<Option<f64>> {
-    let preds = predict_table(model, table)?;
+/// Run the residual pass of a freshly fitted `model` over `table`,
+/// every row it speaks for, and record its two whole-table figures.
+///
+/// `max_abs_residual` is the largest |actual − predicted| over rows
+/// where both are finite: the bound the drift guard, the cluster's
+/// shard-model fallback and quarantined-column re-derive hold a model
+/// to. `None` when no row has both finite (then the model bounds
+/// nothing). Rows with a non-finite actual (`±inf`, NaN) or prediction
+/// (unfitted group, NULL key, missing input) are excluded, so the bound
+/// says nothing about them: it is not a synopsis a scan could prune
+/// with.
+///
+/// `overall_r2` is the pooled `1 − ΣRSS/ΣTSS`, each group's RSS
+/// (weighted by `weights_column`, as the fit weighs it) and TSS taken
+/// over its rows with a finite actual, prediction and weight, and
+/// summed in key order. It is a function of the parameters and the
+/// rows alone, so a refit that copies some groups' parameters gets the
+/// same figure as a cold fit.
+fn settle(model: &mut CapturedModel, table: &Table, weights_column: Option<&str>) -> Result<()> {
     let actual = table.column(&model.coverage.response)?.to_f64_lossy()?;
-    let mut worst: Option<f64> = None;
-    for (&a, &p) in actual.iter().zip(&preds) {
-        if a.is_finite() && p.is_finite() {
+    let weights = weights_column.map(|w| table.column(w)?.to_f64_lossy()).transpose()?;
+    let (mut worst, mut rss, mut tss) = (None::<f64>, 0.0, 0.0);
+    let mut used = Vec::new();
+    for_each_group(model, table, |rows, preds| {
+        used.clear();
+        let mut group_rss = 0.0;
+        for (&i, &p) in rows.iter().zip(preds) {
+            let a = actual[i];
+            if !(a.is_finite() && p.is_finite()) {
+                continue;
+            }
             let r = (a - p).abs();
-            if worst.map(|w| r > w).unwrap_or(true) {
-                worst = Some(r);
+            worst = Some(worst.map_or(r, |w| w.max(r)));
+            let w = weights.as_ref().map_or(1.0, |w| w[i]);
+            if w.is_finite() {
+                group_rss += w * r * r;
+                used.push(a);
             }
         }
-    }
-    Ok(worst)
+        rss += group_rss;
+        tss += lawsdb_linalg::ops::total_sum_of_squares(&used);
+    })?;
+    model.max_abs_residual = worst;
+    model.overall_r2 = if tss > 0.0 { 1.0 - rss / tss } else { f64::NAN };
+    Ok(())
 }
 
 /// Fit `formula_src` globally against `table` and wrap the result as a
@@ -105,18 +130,59 @@ pub fn fit_table(
     let d = &fit.diagnostics;
     let params = ModelParams::global(names, values, d.residual_se, d.r2, d.n);
     let coverage = coverage(table, &formula, split.variables);
-    let mut model = CapturedModel::new(formula, params, coverage, d.r2)?;
-    model.max_abs_residual = max_abs_residual(&model, table)?;
+    let mut model = CapturedModel::new(formula, params, coverage, f64::NAN)?;
+    settle(&mut model, table, options.weights_column.as_deref())?;
     Ok(model)
 }
 
 /// Fit `formula_src` per group of `group_column` and wrap the per-group
 /// parameter table as a captured model. Returns the model together with
 /// the full grouped-fit report (the caller may want failure details).
+/// A row whose key is NULL belongs to no group: it is fitted in none,
+/// and the model predicts NaN for it.
 pub fn fit_table_grouped(
     table: &Table,
     formula_src: &str,
     group_column: &str,
+    options: &FitOptions,
+    threads: usize,
+) -> Result<(CapturedModel, GroupedFitResult)> {
+    fit_groups(table, formula_src, group_column, None, options, threads)
+}
+
+/// Fit `live`'s formula per group again over `table`, but only the
+/// groups whose keys are in `touched` (sorted, each once): those are
+/// fitted from their rows in `table`, and every other group keeps its
+/// row of `live.params`, the two merged in key order. The report covers
+/// the re-fitted groups; domains, `max_abs_residual` and `overall_r2`
+/// cover all of `table`.
+///
+/// A group's fit reads its own rows in table order and nothing else.
+/// So when `table` holds the rows `live` was fitted on, unchanged, and
+/// `touched` names every key of the rows added since, the result equals
+/// [`fit_table_grouped`] on `table` with the same options, bit for bit.
+pub fn refit_table_grouped(
+    live: &CapturedModel,
+    table: &Table,
+    touched: &[i64],
+    options: &FitOptions,
+    threads: usize,
+) -> Result<(CapturedModel, GroupedFitResult)> {
+    let group_column = live.params.group_column.as_deref().ok_or_else(|| {
+        ModelError::BadConstruction { detail: "a global model has no groups to refit".to_string() }
+    })?;
+    let keep = Some((&live.params, touched));
+    fit_groups(table, &live.formula_source, group_column, keep, options, threads)
+}
+
+/// The fit behind [`fit_table_grouped`] (`live` is `None`: every group
+/// is fitted) and [`refit_table_grouped`] (`live` holds the parameters
+/// to keep and the keys to fit again).
+fn fit_groups(
+    table: &Table,
+    formula_src: &str,
+    group_column: &str,
+    live: Option<(&ModelParams, &[i64])>,
     options: &FitOptions,
     threads: usize,
 ) -> Result<(CapturedModel, GroupedFitResult)> {
@@ -135,21 +201,40 @@ pub fn fit_table_grouped(
     if let Some(w) = &options.weights_column {
         needed.push(w.clone());
     }
-    let views = numeric_views(table, &needed)?;
+
+    // The rows fitted: every row with a key, or on a refit every row of
+    // a touched group, in table order either way.
+    let keys_col = table.column(group_column)?;
+    let subset = match live {
+        None if keys_col.null_count() == 0 => None,
+        _ => {
+            let fitted = |k: Option<i64>| match (k, live) {
+                (Some(k), Some((_, touched))) => touched.binary_search(&k).is_ok(),
+                (k, _) => k.is_some(),
+            };
+            let keys = keys_col.i64_values()?.enumerate();
+            let rows: Vec<usize> = keys.filter(|&(_, k)| fitted(k)).map(|(i, _)| i).collect();
+            let mut columns: Vec<&str> = needed.iter().map(String::as_str).collect();
+            columns.push(group_column);
+            columns.sort_unstable();
+            columns.dedup();
+            Some(table.project(&columns)?.take(&rows)?)
+        }
+    };
+    let rows = subset.as_ref().unwrap_or(table);
+    let views = numeric_views(rows, &needed)?;
     let pairs: Vec<(&str, &[f64])> =
         views.iter().map(|(n, v)| (n.as_str(), v.as_slice())).collect();
     let data = DataSet::new(pairs).map_err(ModelError::Fit)?;
-
-    let keys_col = table.column(group_column)?;
-    let keys: Vec<i64> = keys_col.i64_data()?.to_vec();
-    let grouped = fit_grouped(&formula, &keys, &data, options, threads)?;
+    let keys = rows.column(group_column)?.i64_data()?;
+    let grouped = fit_grouped(&formula, keys, &data, options, threads)?;
 
     // Table 1: a row per fitted group, in key order.
     let fitted: Vec<(i64, &FitResult)> =
         grouped.fits.iter().filter_map(|g| Some((g.key, g.outcome.as_ref().ok()?))).collect();
     let names = &grouped.param_names;
     let column = |f: &dyn Fn(&FitResult) -> f64| fitted.iter().map(|(_, r)| f(r)).collect();
-    let params = ModelParams {
+    let mut params = ModelParams {
         group_column: Some(group_column.to_string()),
         names: names.clone(),
         keys: fitted.iter().map(|(k, _)| *k).collect(),
@@ -158,44 +243,100 @@ pub fn fit_table_grouped(
         r2: column(&|r| r.diagnostics.r2),
         n: fitted.iter().map(|(_, r)| r.diagnostics.n).collect(),
     };
+    if let Some((live, touched)) = live {
+        params = merge(live, touched, params)?;
+    }
     let coverage = coverage(table, &formula, split.variables);
-    let mut model = CapturedModel::new(formula, params, coverage, grouped.overall_r2())?;
-    model.max_abs_residual = max_abs_residual(&model, table)?;
+    let mut model = CapturedModel::new(formula, params, coverage, f64::NAN)?;
+    settle(&mut model, table, options.weights_column.as_deref())?;
     Ok((model, grouped))
 }
 
+/// `live`'s rows of the keys not in `touched` and every row of
+/// `fitted`, in key order.
+fn merge(live: &ModelParams, touched: &[i64], fitted: ModelParams) -> Result<ModelParams> {
+    if live.names != fitted.names {
+        return Err(ModelError::BadConstruction {
+            detail: format!("refit parameters {:?} differ from {:?}", fitted.names, live.names),
+        });
+    }
+    let kept = (0..live.rows()).filter(|&r| touched.binary_search(&live.keys[r]).is_err());
+    let mut rows: Vec<(i64, &ModelParams, usize)> = kept.map(|r| (live.keys[r], live, r)).collect();
+    rows.extend((0..fitted.rows()).map(|r| (fitted.keys[r], &fitted, r)));
+    rows.sort_unstable_by_key(|&(key, _, _)| key);
+    Ok(ModelParams {
+        group_column: fitted.group_column.clone(),
+        names: fitted.names.clone(),
+        keys: rows.iter().map(|&(key, _, _)| key).collect(),
+        values: (0..fitted.names.len())
+            .map(|j| rows.iter().map(|&(_, p, r)| p.values[j][r]).collect())
+            .collect(),
+        residual_se: rows.iter().map(|&(_, p, r)| p.residual_se[r]).collect(),
+        r2: rows.iter().map(|&(_, p, r)| p.r2[r]).collect(),
+        n: rows.iter().map(|&(_, p, r)| p.n[r]).collect(),
+    })
+}
 
 /// Reconstruct (predict) the response column of `table` from a grouped
 /// or global model — the engine of both semantic compression and
-/// zero-IO scans. Rows whose group has no fitted parameters come back
-/// as NaN.
+/// zero-IO scans. Rows whose group has no fitted parameters, or whose
+/// key is NULL, come back as NaN.
 pub fn predict_table(model: &CapturedModel, table: &Table) -> Result<Vec<f64>> {
+    let mut out = vec![f64::NAN; table.row_count()];
+    for_each_group(model, table, |rows, preds| {
+        rows.iter().zip(preds).for_each(|(&i, &p)| out[i] = p);
+    })?;
+    Ok(out)
+}
+
+/// Predict `table`'s rows a parameter row at a time: `f(rows, preds)`
+/// once per row of `model.params` that has rows in `table`, in key
+/// order, with those rows' indices in table order and one prediction
+/// per row. A global model's one row takes every row. Rows whose key is
+/// NULL or has no parameters are in no call.
+fn for_each_group(
+    model: &CapturedModel,
+    table: &Table,
+    mut f: impl FnMut(&[usize], &[f64]),
+) -> Result<()> {
     let var_views = numeric_views(table, &model.coverage.variables)?;
     let cols: Vec<&[f64]> = var_views.iter().map(|(_, v)| v.as_slice()).collect();
-    let mut out = vec![f64::NAN; table.row_count()];
-    let Some(group_column) = &model.params.group_column else {
-        match model.predict_batch(None, &cols)?[..] {
+    let mut run = |rows: &[usize], columns: &[&[f64]], group: Option<i64>| -> Result<()> {
+        match model.predict_batch(group, columns)?[..] {
             // A body without variables is one value for all the rows.
-            [v] => out.fill(v),
-            ref pred => out.copy_from_slice(pred),
+            [v] => f(rows, &vec![v; rows.len()]),
+            ref pred => f(rows, pred),
         }
-        return Ok(out);
+        Ok(())
+    };
+    let Some(group_column) = &model.params.group_column else {
+        let rows: Vec<usize> = (0..table.row_count()).collect();
+        return run(&rows, &cols, None);
     };
     // Group the row indices by parameter row once: one key lookup per
     // run of equal keys, then a counting sort, so every group pays one
-    // compiled pass whatever the table's layout. Rows of a group without
-    // parameters stay NaN.
+    // compiled pass whatever the table's layout.
     let keys = &model.params.keys;
     let mut runs: Vec<(usize, Range<usize>)> = Vec::new();
     let mut start = vec![0; keys.len() + 1];
-    let mut end = 0;
-    for run in table.column(group_column)?.i64_data()?.chunk_by(|a, b| a == b) {
-        let rows = end..end + run.len();
-        end = rows.end;
-        if let Ok(row) = keys.binary_search(&run[0]) {
+    let mut push = |key: Option<i64>, rows: Range<usize>| {
+        if let Some(row) = key.and_then(|k| keys.binary_search(&k).ok()) {
             start[row + 1] += rows.len();
             runs.push((row, rows));
         }
+    };
+    let (mut from, mut current) = (0, None);
+    let values = table.column(group_column)?.i64_values()?;
+    let n = values.len();
+    for (i, key) in values.enumerate() {
+        if i > from && key != current {
+            push(current, from..i);
+            from = i;
+        }
+        current = key;
+    }
+    if n > from {
+        push(current, from..n);
     }
     for row in 0..keys.len() {
         start[row + 1] += start[row];
@@ -213,12 +354,9 @@ pub fn predict_table(model: &CapturedModel, table: &Table) -> Result<Vec<f64>> {
         let gathered: Vec<Vec<f64>> =
             cols.iter().map(|c| rows.iter().map(|&i| c[i]).collect()).collect();
         let slices: Vec<&[f64]> = gathered.iter().map(Vec::as_slice).collect();
-        match model.predict_batch(Some(keys[row]), &slices)?[..] {
-            [v] => rows.iter().for_each(|&i| out[i] = v),
-            ref pred => rows.iter().zip(pred).for_each(|(&i, &p)| out[i] = p),
-        }
+        run(rows, &slices, Some(keys[row]))?;
     }
-    Ok(out)
+    Ok(())
 }
 
 #[cfg(test)]
@@ -347,6 +485,73 @@ mod tests {
         let pred = predict_table(&model, &t).unwrap();
         assert!(pred.last().unwrap().is_nan());
         assert!(!pred[0].is_nan());
+    }
+
+    #[test]
+    fn a_null_key_is_no_group() {
+        // Sources 0 and 1 follow their laws; 40 rows with a NULL source
+        // follow a third law, and would corrupt group 0 if read as key 0.
+        let t = lofar_table();
+        let src = t.column("source").unwrap().i64_data().unwrap();
+        let rows: Vec<usize> = (0..120).collect();
+        let keys = rows.iter().map(|&i| (src[i] < 2).then_some(src[i])).collect();
+        let mut b = TableBuilder::new("measurements");
+        b.add_column(
+            lawsdb_storage::Field::nullable("source", lawsdb_storage::DataType::Int64),
+            lawsdb_storage::Column::from_i64_opt(keys),
+        );
+        b.add_column(t.schema().fields()[1].clone(), t.column("nu").unwrap().clone());
+        let mut intensity = t.column("intensity").unwrap().f64_data().unwrap().to_vec();
+        intensity[80..].iter_mut().for_each(|v| *v *= 1e3);
+        b.add_f64("intensity", intensity);
+        let t = b.build().unwrap();
+        let formula = "intensity ~ p * nu ^ alpha";
+        let (model, report) =
+            fit_table_grouped(&t, formula, "source", &FitOptions::default(), 1).unwrap();
+        assert_eq!(report.fits.len(), 2, "two groups: the NULL key is none");
+        assert_eq!(model.params.keys, [0, 1]);
+        assert_eq!(model.params.n, [40, 40]);
+        let alpha = model.params.names.iter().position(|n| n == "alpha").unwrap();
+        assert!((model.params.values[alpha][0] + 0.7).abs() < 1e-6);
+        assert!(model.overall_r2 > 0.999999);
+        // The NULL rows predict NaN and stay out of the residual bound.
+        let pred = predict_table(&model, &t).unwrap();
+        assert!(pred[..80].iter().all(|p| p.is_finite()));
+        assert!(pred[80..].iter().all(|p| p.is_nan()));
+        assert!(model.max_abs_residual.unwrap() < 1e-6);
+    }
+
+    #[test]
+    fn a_refit_of_the_touched_groups_equals_a_cold_fit() {
+        let t = lofar_table();
+        let formula = "intensity ~ p * nu ^ alpha";
+        let options = FitOptions::default();
+        let (live, _) = fit_table_grouped(&t, formula, "source", &options, 1).unwrap();
+        // Group 1 gains a row off its law, and a new group 7 a row too
+        // few to fit: both are touched, group 0 and 2 are not.
+        let mut grown = t.clone();
+        grown
+            .append_rows(&[
+                lawsdb_storage::Column::from_i64(vec![1, 7]),
+                lawsdb_storage::Column::from_f64(vec![0.15, 0.15]),
+                lawsdb_storage::Column::from_f64(vec![9.0, 1.0]),
+            ])
+            .unwrap();
+        let (got, report) = refit_table_grouped(&live, &grown, &[1, 7], &options, 2).unwrap();
+        assert_eq!(report.fits.iter().map(|g| g.key).collect::<Vec<_>>(), [1, 7]);
+        let (want, _) = fit_table_grouped(&grown, formula, "source", &options, 1).unwrap();
+        assert_eq!(got.params, want.params);
+        assert_eq!(got.overall_r2.to_bits(), want.overall_r2.to_bits());
+        assert_eq!(got.max_abs_residual.map(f64::to_bits), want.max_abs_residual.map(f64::to_bits));
+        assert_eq!(got.coverage, want.coverage);
+        // Group 0's row is the live one; group 1's moved.
+        assert_eq!(got.params.values[0][0].to_bits(), live.params.values[0][0].to_bits());
+        assert_ne!(got.params.values[0][1].to_bits(), live.params.values[0][1].to_bits());
+        // Nothing touched: nothing is fitted, and every row is the live one.
+        let (same, report) = refit_table_grouped(&live, &t, &[], &options, 1).unwrap();
+        assert!(report.fits.is_empty());
+        assert_eq!(same.params, live.params);
+        assert_eq!(same.overall_r2.to_bits(), live.overall_r2.to_bits());
     }
 
     #[test]

@@ -116,20 +116,22 @@ pub fn combo_hash(group: i64, inputs: &[f64]) -> u64 {
 }
 
 /// Build the legal-combination filter for a table: one entry per
-/// observed (group, variables…) row.
+/// observed (group, variables…) row. A row whose group key is `None`
+/// (NULL) belongs to no group and adds nothing; the filter is sized for
+/// every row.
 pub fn build_legal_filter(
-    groups: &[i64],
+    groups: impl ExactSizeIterator<Item = Option<i64>>,
     input_columns: &[&[f64]],
     bits_per_key: usize,
 ) -> BloomFilter {
-    let n = groups.len();
-    let mut bf = BloomFilter::with_bits_per_key(n, bits_per_key);
+    let mut bf = BloomFilter::with_bits_per_key(groups.len(), bits_per_key);
     let mut point = vec![0.0; input_columns.len()];
-    for row in 0..n {
+    for (row, group) in groups.enumerate() {
+        let Some(group) = group else { continue };
         for (d, c) in input_columns.iter().enumerate() {
             point[d] = c[row];
         }
-        bf.insert(combo_hash(groups[row], &point));
+        bf.insert(combo_hash(group, &point));
     }
     bf
 }
@@ -189,11 +191,12 @@ mod tests {
 
     #[test]
     fn build_from_columns() {
-        let groups = [1i64, 1, 2];
-        let nu = [0.12, 0.15, 0.12];
-        let bf = build_legal_filter(&groups, &[&nu], 10);
+        let groups = [Some(1i64), Some(1), Some(2), None];
+        let nu = [0.12, 0.15, 0.12, 0.18];
+        let bf = build_legal_filter(groups.into_iter(), &[&nu], 10);
         assert!(bf.contains(combo_hash(1, &[0.12])));
         assert!(bf.contains(combo_hash(2, &[0.12])));
+        assert_eq!(bf.len(), 3, "a NULL key is no combination");
         // (2, 0.15) never occurred; overwhelmingly likely to be absent
         // at 10 bits/key with 3 items.
         assert!(!bf.contains(combo_hash(2, &[0.15])));

@@ -173,9 +173,10 @@ impl Coverage {
 /// which compiles the body against `rhs`, `coverage.variables` and
 /// `params`: those three must not change afterwards, or the compiled
 /// body reads the wrong slots. What a catalog, the engine or a loader
-/// sets after `new` is `id`, `version`, `state`, `max_abs_residual`,
-/// `legal_filter`, `observed_combos` and the rest of `coverage`
-/// (`table`, `predicate`, `rows_at_fit`, `domains`).
+/// sets after `new` is `id`, `version`, `state`, `overall_r2`,
+/// `max_abs_residual`, `legal_filter`, `observed_combos`,
+/// `table_version` and the rest of `coverage` (`table`, `predicate`,
+/// `rows_at_fit`, `domains`).
 #[derive(Debug, Clone)]
 pub struct CapturedModel {
     /// Catalog-assigned id.
@@ -191,7 +192,9 @@ pub struct CapturedModel {
     pub params: ModelParams,
     /// Coverage description.
     pub coverage: Coverage,
-    /// Pooled R² over the coverage (grouped: 1 − ΣRSS/ΣTSS).
+    /// Pooled R² over the coverage, 1 − ΣRSS/ΣTSS over the groups in
+    /// key order (a global model is one group), from the fit's residual
+    /// pass over every covered row.
     pub overall_r2: f64,
     /// Largest |actual − predicted| observed over the fitted rows, if
     /// any row had both values finite. Every finite response value at
@@ -214,6 +217,12 @@ pub struct CapturedModel {
     /// (Section 4.2's "compressed lookup structure"). Held in memory
     /// only: a model loaded from the stored catalog tables has none.
     pub observed_combos: Option<Arc<BloomFilter>>,
+    /// Content id (`Table::id`) of the table version the model was
+    /// fitted on, which held `coverage.rows_at_fit` rows. A refit re-fits
+    /// only the groups of rows added since, when the table still extends
+    /// that version. Held in memory only: ids are per process, so a
+    /// model loaded from the stored catalog tables has none.
+    pub table_version: Option<u64>,
     /// The body compiled against the coverage variables.
     program: CompiledExpr,
     /// Per column slot of `program`, its coverage variable.
@@ -263,6 +272,7 @@ impl CapturedModel {
             state: ModelState::Active,
             legal_filter: None,
             observed_combos: None,
+            table_version: None,
             program,
             column_slots,
             scalar_slots,

@@ -817,9 +817,9 @@ mod tests {
         let nu = table.column("nu").unwrap().f64_data().unwrap();
         let keep: Vec<usize> =
             (0..table.row_count()).filter(|&i| !(src[i] == 4 && nu[i] == 0.18)).collect();
-        let groups: Vec<i64> = keep.iter().map(|&i| src[i]).collect();
+        let groups = keep.iter().map(|&i| Some(src[i]));
         let nus: Vec<f64> = keep.iter().map(|&i| nu[i]).collect();
-        model.observed_combos = Some(Arc::new(build_legal_filter(&groups, &[&nus[..]], 12)));
+        model.observed_combos = Some(Arc::new(build_legal_filter(groups, &[&nus[..]], 12)));
         let models = catalog_of(model);
         let a = answer(&models, "SELECT source, nu, intensity FROM measurements");
         assert_eq!(a.table.row_count(), 19, "20 combinations minus the unobserved one");

@@ -220,7 +220,7 @@ mod tests {
         let e0 = c.epoch();
         let ptr = |t: &Table| t.column("x").unwrap().i64_data().unwrap().as_ptr();
         let first = c.append_rows("a", &[Column::from_i64(vec![3])]).unwrap();
-        let at = ptr(&first);
+        let (at, first_id) = (ptr(&first), first.id());
         assert!(c.epoch() > e0);
         drop(first);
         // Amortised growth leaves room: the next small batch fits in
@@ -230,7 +230,7 @@ mod tests {
         assert_eq!(Arc::as_ptr(&second), before, "grown in place");
         assert_eq!(ptr(&second), at);
         assert_eq!(second.column("x").unwrap().i64_data().unwrap(), &[1, 2, 3, 4]);
-        assert_eq!(second.parent().map(|(_, rows)| rows), Some(3));
+        assert!(second.extends(first_id, 3));
         assert!(c.append_rows("zz", &[]).is_err());
         assert!(c.append_rows("a", &[Column::from_f64(vec![1.0])]).is_err());
         assert_eq!(c.get("a").unwrap().row_count(), 4, "a failed append changes nothing");
@@ -245,7 +245,7 @@ mod tests {
         assert!(!Arc::ptr_eq(&held, &grown));
         assert_eq!(held.row_count(), 2, "the reader's snapshot is unchanged");
         assert_eq!(grown.row_count(), 3);
-        assert_eq!(grown.parent(), Some((held.id(), 2)));
+        assert!(grown.extends(held.id(), 2));
         // A column shared with another table also forces the copy.
         drop(held);
         let shared = grown.column("x").unwrap().clone();

@@ -250,6 +250,13 @@ impl Column {
         }
     }
 
+    /// The integers row by row, NULL as `None` (ints only): the view
+    /// for a key column, where a NULL is no key at all.
+    pub fn i64_values(&self) -> Result<impl ExactSizeIterator<Item = Option<i64>> + '_> {
+        let validity = self.validity();
+        Ok(self.i64_data()?.iter().enumerate().map(|(i, &v)| validity.get(i).then_some(v)))
+    }
+
     /// Borrow the raw string buffer (strings only).
     pub fn str_data(&self) -> Result<&[String]> {
         match self {
@@ -529,6 +536,8 @@ mod tests {
         let f = c.to_f64_lossy().unwrap();
         assert_eq!(f[0], 3.0);
         assert!(f[1].is_nan());
+        assert_eq!(c.i64_values().unwrap().collect::<Vec<_>>(), [Some(3), None]);
+        assert!(Column::from_f64(vec![1.0]).i64_values().is_err());
     }
 
     #[test]

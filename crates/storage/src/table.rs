@@ -30,11 +30,12 @@ fn mint_id() -> u64 {
 /// Every table also carries a content [`id`](Table::id): every
 /// constructor mints a fresh one, `Clone` keeps it, and
 /// [`Table::append_rows`] — the only way to change a table's content —
-/// mints a new one and records the version it extended as its
-/// [`parent`](Table::parent). So two tables with the same id hold the
-/// same content, and a table whose parent is `(id, rows)` holds that
-/// version's `rows` rows unchanged, then its own. The durable store
-/// relies on this to write only the rows an append added.
+/// mints a new one and records the version it extended. So two tables
+/// with the same id hold the same content, and a table that
+/// [`extends`](Table::extends) `(id, rows)` holds that version's `rows`
+/// rows unchanged, then its own. The durable store relies on this to
+/// write only the rows appends added, and a refit to re-fit only the
+/// groups they touched.
 #[derive(Clone)]
 pub struct Table {
     name: String,
@@ -43,7 +44,11 @@ pub struct Table {
     rows: usize,
     synopsis: Option<Arc<TableSynopsis>>,
     id: u64,
-    parent: Option<(u64, usize)>,
+    /// `(id, rows)` of every version this table was grown from by
+    /// appends, oldest first (so ids increase); `None` until the first
+    /// append, so constructing a table allocates nothing for it. Shared
+    /// by clones; an append copies it only when a clone still holds it.
+    lineage: Option<Arc<Vec<(u64, usize)>>>,
 }
 
 impl std::fmt::Debug for Table {
@@ -108,7 +113,7 @@ impl Table {
                 });
             }
         }
-        Ok(Table { name, schema, columns, rows, synopsis: None, id: mint_id(), parent: None })
+        Ok(Table { name, schema, columns, rows, synopsis: None, id: mint_id(), lineage: None })
     }
 
     /// Content id: equal ids mean equal content (see the type docs).
@@ -116,11 +121,14 @@ impl Table {
         self.id
     }
 
-    /// `(id, rows)` of the version this table extended by
-    /// [`Table::append_rows`]: its first `rows` rows are that version's
-    /// rows, unchanged. `None` for a table not made by an append.
-    pub fn parent(&self) -> Option<(u64, usize)> {
-        self.parent
+    /// True when this table's first `rows` rows are version `id`'s
+    /// rows, unchanged: `id` is this table with its `rows` rows, or a
+    /// version it was grown from by [`Table::append_rows`] that held
+    /// `rows` rows. A constructed table extends only itself.
+    pub fn extends(&self, id: u64, rows: usize) -> bool {
+        let lineage = self.lineage.as_deref().map_or(&[][..], Vec::as_slice);
+        let earlier = lineage.binary_search_by_key(&id, |&(v, _)| v);
+        (id, rows) == (self.id, self.rows) || earlier.is_ok_and(|i| lineage[i].1 == rows)
     }
 
     /// The table's zone-map synopsis, when one has been built.
@@ -193,9 +201,9 @@ impl Table {
     ///
     /// Costs amortised O(batch) when no other table shares a column
     /// buffer; otherwise each shared buffer is copied once into room
-    /// for the batch. The table gets a new [`id`](Table::id) and
-    /// records the version it extended as its [`parent`](Table::parent);
-    /// a failed append changes nothing.
+    /// for the batch. The table gets a new [`id`](Table::id) and still
+    /// [`extends`](Table::extends) every version it held before; a
+    /// failed append changes nothing.
     pub fn append_rows(&mut self, batch: &[Column]) -> Result<()> {
         if batch.len() != self.columns.len() {
             return Err(StorageError::InvalidTable {
@@ -226,7 +234,7 @@ impl Table {
         for (mine, theirs) in self.columns.iter_mut().zip(batch) {
             mine.append(theirs).expect("types validated above");
         }
-        self.parent = Some((self.id, self.rows));
+        Arc::make_mut(self.lineage.get_or_insert_default()).push((self.id, self.rows));
         self.id = mint_id();
         self.rows += n;
         // Appending is a write: extend each column's zones over the new
@@ -488,9 +496,10 @@ mod tests {
     }
 
     #[test]
-    fn append_mints_an_id_and_records_its_parent() {
+    fn append_mints_an_id_and_extends_every_earlier_version() {
         let t = lofar_like();
-        assert_eq!(t.parent(), None);
+        assert!(t.extends(t.id(), 4));
+        assert!(!t.extends(t.id(), 3), "a version is its id and its rows");
         let copy = t.clone();
         assert_eq!(copy.id(), t.id(), "a clone is the same content");
         let mut grown = t.clone();
@@ -502,7 +511,21 @@ mod tests {
             ])
             .unwrap();
         assert_ne!(grown.id(), t.id());
-        assert_eq!(grown.parent(), Some((t.id(), 4)));
+        assert!(grown.extends(t.id(), 4));
+        let middle = grown.id();
+        grown
+            .append_rows(&[
+                Column::from_i64(vec![4, 5]),
+                Column::from_f64(vec![0.12, 0.15]),
+                Column::from_f64(vec![1.0, 2.0]),
+            ])
+            .unwrap();
+        // Two appends on, the table still proves both earlier versions.
+        assert!(grown.extends(t.id(), 4) && grown.extends(middle, 5));
+        assert!(!grown.extends(middle, 4) && !t.extends(middle, 5));
+        // A rebuilt table with the same rows extends nothing it was not
+        // grown from.
+        assert!(!lofar_like().extends(t.id(), 4));
         // A failed append changes nothing, the id included.
         let before = grown.id();
         assert!(grown.append_rows(&[Column::from_i64(vec![1])]).is_err());

@@ -25,13 +25,13 @@
 //! each one checksummed extent per column — which `read_table` and
 //! `read_column` decode and concatenate in order. A commit writes each
 //! table it puts as one segment. It keeps the stored segments and writes
-//! only rows `[stored rows, t.rows)` when `t` extends, by
-//! [`Table::append_rows`], the very version this store last wrote
-//! ([`Table::parent`] equals that version's [`Table::id`] and row
-//! count); otherwise it writes every row as the only segment. Content
-//! ids are unique within a process, a clone keeps its id, and an append
-//! mints a new one, so a matching parent proves the stored rows are the
-//! first rows of `t`. The store learns a table's new id only after the
+//! only rows `[stored rows, t.rows)` when `t` was grown, by
+//! [`Table::append_rows`], from the version this store last wrote
+//! ([`Table::extends`] that version's [`Table::id`] and row count);
+//! otherwise it writes every row as the only segment. Content ids are
+//! unique within a process, a clone keeps its id, and an append mints a
+//! new one, so the proof holds only when the stored rows are the first
+//! rows of `t`. The store learns a table's new id only after the
 //! commit lands; ids are not persisted, so the first append after
 //! `recover` is a full write.
 //!
@@ -306,10 +306,10 @@ impl<D: BlockDevice> DurableStore<D> {
     /// or replace every table in `puts`. Either all of it is durable
     /// and visible or none of it.
     ///
-    /// A put that extends by [`Table::append_rows`] the very version
-    /// this store last wrote (its [`Table::parent`] is that version's
-    /// id and row count) keeps the stored segments and writes only the
-    /// appended rows, as one new segment. Any other put writes the
+    /// A put grown by [`Table::append_rows`] from the version this
+    /// store last wrote ([`Table::extends`] that version's id and row
+    /// count) keeps the stored segments and writes only the rows
+    /// appended since, as one new segment. Any other put writes the
     /// whole table as one segment. Pages of a replaced or dropped
     /// version are abandoned, never freed. A name may appear once per
     /// commit, and every dropped table must exist.
@@ -403,8 +403,8 @@ impl<D: BlockDevice> DurableStore<D> {
         table: &Table,
     ) -> Result<()> {
         let name = table.name();
-        let from = match (self.tables.get(name), self.written.get(name), table.parent()) {
-            (Some(st), Some(&id), Some((parent, rows))) if id == parent && st.rows == rows => rows,
+        let from = match (self.tables.get(name), self.written.get(name)) {
+            (Some(st), Some(&id)) if id != table.id() && table.extends(id, st.rows) => st.rows,
             _ => 0,
         };
         let rows = table.row_count() - from;
@@ -760,11 +760,15 @@ mod tests {
         s.replace_table(&b).unwrap();
         assert_eq!(s.stored_table("demo").unwrap().segments.len(), 1);
         assert_eq!(s.read_table("demo").unwrap(), b);
-        // Two appends with no commit between: the grandchild's parent
-        // was never written, so it too rewrites in full.
+        // Two appends with no commit between: the grandchild still
+        // extends what the store holds, so one tail segment takes both
+        // batches.
         let c = appended(&appended(&b, 2), 2);
         s.replace_table(&c).unwrap();
-        assert_eq!(s.stored_table("demo").unwrap().segments.len(), 1);
+        let st = s.stored_table("demo").unwrap();
+        let rows: Vec<usize> = st.segments.iter().map(|g| g.rows).collect();
+        assert_eq!(rows, vec![49, 4]);
+        assert_eq!(s.read_table("demo").unwrap(), c);
         // A dropped table forgets its version.
         s.drop_table("demo").unwrap();
         s.store_table(&demo_table("demo", 4)).unwrap();

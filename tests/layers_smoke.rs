@@ -16,13 +16,15 @@ use lawsdb::cluster::{Cluster, ClusterConfig, PartitionScheme};
 use lawsdb::core::{AnswerMode, DurableDb, FitOptions, LawsDb};
 use lawsdb::data::lofar::{LofarConfig, LofarDataset};
 use lawsdb::data::timeseries::{TimeSeriesConfig, TimeSeriesDataset};
-use lawsdb::models::ModelId;
+use lawsdb::models::{CapturedModel, ModelId};
 use lawsdb::obs::{attribute_layers, global_metrics, LAYERS};
 use lawsdb::query::{
     execute_with, parse_select, CostConstants, ExecOptions, ModelPlan, ProfileCollector,
 };
 use lawsdb::server::{Client, PipeStream, QueryMode, Server, ServerConfig};
-use lawsdb::storage::{Column, SimulatedDevice, Table, TableBuilder, Value};
+use lawsdb::storage::{
+    Column, DataType, Field, Schema, SimulatedDevice, Table, TableBuilder, Value,
+};
 use oracle::fingerprint;
 use std::sync::Arc;
 
@@ -478,5 +480,125 @@ fn a_model_answer_is_a_leaf_of_the_one_plan() {
     for agg in ["COUNT", "SUM", "AVG", "MIN", "MAX"] {
         let a = db.query_approx(&format!("SELECT {agg}(value) AS v FROM readings")).unwrap();
         assert_eq!((a.strategy, a.tuples_reconstructed, a.rows_scanned), (Strategy::AnalyticAggregate, 0, 0));
+    }
+}
+
+/// Rows for an incremental refit to meet: `rows` rows of the fixture's
+/// sources (each source at most once) at its frequencies, then a new
+/// source with eight rows, a new source with one row (its fit fails)
+/// and a NULL source.
+fn growth_batch(cfg: &LofarConfig, rows: usize, batch: i64) -> Vec<Column> {
+    let n = cfg.sources as i64;
+    let mut keys: Vec<Option<i64>> =
+        (0..rows as i64).map(|i| Some((i * 37 + batch * 11) % n)).collect();
+    keys.extend([Some(n + 2 * batch); 8]);
+    keys.extend([Some(n + 2 * batch + 1), None]);
+    let freqs = &cfg.frequencies;
+    let nu: Vec<f64> = (0..keys.len()).map(|i| freqs[i % freqs.len()]).collect();
+    let wiggle = |i: usize| 1.0 + 0.01 * (i as f64 * 0.7 + batch as f64).sin();
+    let intensity = nu.iter().enumerate().map(|(i, f)| 2.0 * f.powf(-0.7) * wiggle(i)).collect();
+    vec![Column::from_i64_opt(keys), Column::from_f64(nu), Column::from_f64(intensity)]
+}
+
+/// `got` and `want` hold the same fit, bit for bit.
+fn assert_same_fit(got: &CapturedModel, want: &CapturedModel, ctx: &str) {
+    let (g, w) = (&got.params, &want.params);
+    assert_eq!(g.keys, w.keys, "{ctx}: keys");
+    assert_eq!(g.names, w.names, "{ctx}: parameter names");
+    let same = |column: &str, got: &[f64], want: &[f64]| {
+        if let Some(i) = got.iter().zip(want).position(|(a, b)| a.to_bits() != b.to_bits()) {
+            panic!("{ctx}: {column} of source {} is {} against {}", w.keys[i], got[i], want[i]);
+        }
+    };
+    for (name, (gv, wv)) in w.names.iter().zip(g.values.iter().zip(&w.values)) {
+        same(name, gv, wv);
+    }
+    same("residual_se", &g.residual_se, &w.residual_se);
+    same("r2", &g.r2, &w.r2);
+    assert_eq!(g.n, w.n, "{ctx}: n");
+    assert_eq!(got.overall_r2.to_bits(), want.overall_r2.to_bits(), "{ctx}: overall_r2");
+    let bound = |m: &CapturedModel| m.max_abs_residual.map(f64::to_bits);
+    assert_eq!(bound(got), bound(want), "{ctx}: max_abs_residual");
+    assert_eq!(got.coverage.domains, want.coverage.domains, "{ctx}: domains");
+}
+
+#[test]
+fn an_incremental_refit_equals_a_cold_capture() {
+    const FORMULA: &str = "intensity ~ p * nu ^ alpha";
+    const COVERAGE: &str = "source < 30";
+    let options = lawsdb::fit::FitOptions::default();
+    for seed in 1..=3 {
+        let cfg = LofarConfig {
+            noise_rel: 0.02,
+            anomaly_fraction: 0.0,
+            seed,
+            ..LofarConfig::with_sources(60)
+        };
+        // The fixture with a nullable key column, so appends may carry
+        // a NULL source.
+        let table = LofarDataset::generate(&cfg).table;
+        let mut fields = table.schema().fields().to_vec();
+        fields[0] = Field::nullable("source", DataType::Int64);
+        let table = Table::new(TABLE, Schema::new(fields), table.columns().to_vec()).unwrap();
+        let mut db = LawsDb::new();
+        db.quality.min_r2 = 0.0;
+        db.register_table(table).unwrap();
+        let fitted = |db: &LawsDb| db.metrics().snapshot().counter("lawsdb_fit_groups_fitted");
+        let mut full = db.capture_model(TABLE, FORMULA, Some("source"), &options).unwrap();
+        let mut partial =
+            db.capture_model_where(TABLE, FORMULA, Some("source"), COVERAGE, &options).unwrap();
+        // The cold capture of `table` in a second engine.
+        let cold = |table: &Table| {
+            let mut db = LawsDb::new();
+            db.quality.min_r2 = 0.0;
+            db.register_table(table.clone()).unwrap();
+            let full = db.capture_model(TABLE, FORMULA, Some("source"), &options).unwrap();
+            let partial =
+                db.capture_model_where(TABLE, FORMULA, Some("source"), COVERAGE, &options);
+            (full, partial.unwrap())
+        };
+        for cycle in 0..3 {
+            let ctx = format!("seed {seed}, cycle {cycle}");
+            let mut keys = std::collections::BTreeSet::new();
+            if cycle < 2 {
+                // Two appends between refits, touching about a third
+                // of the groups.
+                for part in 0..2 {
+                    let batch = growth_batch(&cfg, 10, 2 * cycle + part);
+                    keys.extend(batch[0].i64_values().unwrap().flatten());
+                    db.append_rows(TABLE, &batch).unwrap();
+                }
+            } else {
+                // A table replaced behind the engine, one old row
+                // changed: it proves nothing, so every group is fitted.
+                let table = db.table(TABLE).unwrap();
+                let mut columns = table.columns().to_vec();
+                let mut intensity = columns[2].f64_data().unwrap().to_vec();
+                intensity[0] *= 3.0;
+                columns[2] = Column::from_f64(intensity);
+                let replaced = Table::new(TABLE, table.schema().clone(), columns).unwrap();
+                keys.extend(replaced.column("source").unwrap().i64_values().unwrap().flatten());
+                db.tables().replace(replaced);
+            }
+            let table = db.table(TABLE).unwrap();
+            let before = fitted(&db);
+            let got_full = db.refit(full.id, &options).unwrap();
+            let full_fitted = fitted(&db) - before;
+            let got_partial = db.refit(partial.id, &options).unwrap();
+            let partial_fitted = fitted(&db) - before - full_fitted;
+            let (want_full, want_partial) = cold(&table);
+            assert_same_fit(&got_full, &want_full, &format!("{ctx}, full"));
+            assert_same_fit(&got_partial, &want_partial, &format!("{ctx}, partial"));
+            // Exactly the touched groups were fitted: after appends
+            // about a third of them, after the replace every one.
+            assert_eq!(full_fitted, keys.len() as u64, "{ctx}: groups fitted");
+            assert!(cycle == 2 || keys.len() < full.params.rows() / 2, "{ctx}: {keys:?}");
+            let covered = keys.range(..30).count() as u64;
+            assert_eq!(partial_fitted, covered, "{ctx}: partial groups fitted");
+            assert_eq!(got_partial.coverage.predicate.as_deref(), Some(COVERAGE));
+            (full, partial) = (got_full, got_partial);
+        }
+        // The NULL source and each one-row source have no parameters.
+        assert!(full.params.keys.iter().all(|&k| k < 60 || (k - 60) % 2 == 0), "seed {seed}");
     }
 }

@@ -120,6 +120,9 @@ pub struct LawsDb {
     /// `lawsdb_fit_groups_fitted`: groups fitted by captures and refits
     /// (a global model is one group).
     groups_fitted: Arc<Counter>,
+    /// `lawsdb_fit_lm_iterations`: optimizer iterations of the groups
+    /// captures and refits fitted successfully (0 for a linear fit).
+    lm_iterations: Arc<Counter>,
 }
 
 impl Default for LawsDb {
@@ -149,6 +152,7 @@ impl LawsDb {
             cost: CostConstants::default(),
             plan_cache: PlanCache::for_registry(&metrics),
             groups_fitted: metrics.counter("lawsdb_fit_groups_fitted"),
+            lm_iterations: metrics.counter("lawsdb_fit_lm_iterations"),
             metrics,
         }
     }
@@ -516,18 +520,22 @@ impl LawsDb {
         };
         let touched = live.and_then(|m| Some((m, appended_keys(m, &table)?)));
         let threads = default_threads();
-        let (mut model, groups) = match (group_column, &touched) {
+        let (mut model, groups, iterations) = match (group_column, &touched) {
             (Some(_), Some((live, keys))) => {
                 let (model, report) = refit_table_grouped(live, &rows, keys, options, threads)?;
-                (model, report.fits.len())
+                (model, report.fits.len(), report.iterations())
             }
             (Some(g), None) => {
                 let (model, report) = fit_table_grouped(&rows, formula, g, options, threads)?;
-                (model, report.fits.len())
+                (model, report.fits.len(), report.iterations())
             }
-            (None, _) => (fit_table(&rows, formula, options)?, 1),
+            (None, _) => {
+                let (model, fit) = fit_table(&rows, formula, options)?;
+                (model, 1, fit.iterations)
+            }
         };
         self.groups_fitted.add(groups as u64);
+        self.lm_iterations.add(iterations as u64);
         model.table_version = Some(table.id());
         if let (Some(p), Some(src)) = (&coverage, predicate) {
             model.coverage.table = table_name.to_string();

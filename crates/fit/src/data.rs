@@ -56,24 +56,6 @@ impl<'a> DataSet<'a> {
             .map(|i| self.cols[i])
             .ok_or_else(|| FitError::MissingColumn { name: name.to_string() })
     }
-
-    /// Indices of rows where *all* the given columns are finite — the
-    /// usable observations (NULLs arrive as NaN from the storage layer).
-    pub fn finite_rows(&self, columns: &[&str]) -> Result<Vec<usize>> {
-        let cols: Vec<&[f64]> = columns
-            .iter()
-            .map(|c| self.column(c))
-            .collect::<Result<_>>()?;
-        Ok((0..self.rows)
-            .filter(|&r| cols.iter().all(|c| c[r].is_finite()))
-            .collect())
-    }
-
-    /// Gather one column at the given row indices into a fresh vector.
-    pub fn gather(&self, name: &str, rows: &[usize]) -> Result<Vec<f64>> {
-        let col = self.column(name)?;
-        Ok(rows.iter().map(|&r| col[r]).collect())
-    }
 }
 
 #[cfg(test)]
@@ -96,21 +78,5 @@ mod tests {
         let b = [3.0];
         assert!(DataSet::new(vec![("a", &a[..]), ("b", &b[..])]).is_err());
         assert!(DataSet::new(vec![("a", &a[..]), ("a", &a[..])]).is_err());
-    }
-
-    #[test]
-    fn finite_rows_drops_nan_in_any_column() {
-        let a = [1.0, f64::NAN, 3.0, 4.0];
-        let b = [1.0, 2.0, f64::INFINITY, 4.0];
-        let d = DataSet::new(vec![("a", &a[..]), ("b", &b[..])]).unwrap();
-        assert_eq!(d.finite_rows(&["a", "b"]).unwrap(), vec![0, 3]);
-        assert_eq!(d.finite_rows(&["a"]).unwrap(), vec![0, 2, 3]);
-    }
-
-    #[test]
-    fn gather_selects_rows() {
-        let a = [10.0, 20.0, 30.0];
-        let d = DataSet::new(vec![("a", &a[..])]).unwrap();
-        assert_eq!(d.gather("a", &[2, 0]).unwrap(), vec![30.0, 10.0]);
     }
 }

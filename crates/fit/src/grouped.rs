@@ -11,9 +11,11 @@
 use crate::data::DataSet;
 use crate::error::{FitError, Result};
 use crate::options::FitOptions;
-use crate::{fit_auto, FitResult};
+use crate::plan::FitPlan;
+use crate::FitResult;
 use lawsdb_expr::Formula;
-use std::collections::HashMap;
+use std::borrow::Cow;
+use std::ops::Range;
 
 /// Outcome for one group.
 #[derive(Debug, Clone)]
@@ -46,6 +48,11 @@ impl GroupedFitResult {
     pub fn failure_count(&self) -> usize {
         self.fits.len() - self.success_count()
     }
+
+    /// Optimizer iterations, summed over the groups whose fit succeeded.
+    pub fn iterations(&self) -> usize {
+        self.fits.iter().filter_map(|g| g.outcome.as_ref().ok()).map(|f| f.iterations).sum()
+    }
 }
 
 /// Fit `formula` independently within each group of `group_keys`.
@@ -53,6 +60,13 @@ impl GroupedFitResult {
 /// `group_keys` must have one entry per data row. `threads` caps the
 /// worker count (1 = sequential; grouped fitting is embarrassingly
 /// parallel, so the default of available parallelism is usually right).
+///
+/// One fit plan serves every group. The rows are stable-sorted by key
+/// once, so each group is one contiguous run of rows in table order,
+/// and each column the plan reads is gathered once in that order (not
+/// at all when the keys are already sorted). A group's fit therefore
+/// reads its own rows in table order and nothing else, whatever the
+/// other groups and the thread count.
 pub fn fit_grouped(
     formula: &Formula,
     group_keys: &[i64],
@@ -69,58 +83,45 @@ pub fn fit_grouped(
             ),
         });
     }
-    let split = formula.split_symbols(&data.names());
-    if split.parameters.is_empty() {
-        return Err(FitError::NoParameters { formula: formula.source.clone() });
-    }
+    let plan = FitPlan::new(formula, &data.names(), options)?;
+    let cols: Vec<&[f64]> =
+        plan.columns().iter().map(|c| data.column(c)).collect::<Result<_>>()?;
 
-    // Group row indices by key.
-    let mut groups: HashMap<i64, Vec<usize>> = HashMap::new();
-    for (row, &k) in group_keys.iter().enumerate() {
-        groups.entry(k).or_default().push(row);
-    }
-    let mut keys: Vec<i64> = groups.keys().copied().collect();
-    keys.sort_unstable();
+    let (keys, cols): (Cow<[i64]>, Vec<Cow<[f64]>>) = if group_keys.is_sorted() {
+        (Cow::Borrowed(group_keys), cols.into_iter().map(Cow::Borrowed).collect())
+    } else {
+        let mut order: Vec<usize> = (0..group_keys.len()).collect();
+        order.sort_by_key(|&r| group_keys[r]);
+        let gather = |c: &[f64]| Cow::Owned(order.iter().map(|&r| c[r]).collect());
+        let keys = order.iter().map(|&r| group_keys[r]).collect();
+        (Cow::Owned(keys), cols.iter().map(|c| gather(c)).collect())
+    };
+    let groups: Vec<(i64, Range<usize>)> = keys
+        .chunk_by(|a, b| a == b)
+        .scan(0, |start, run| {
+            let rows = *start..*start + run.len();
+            *start = rows.end;
+            Some((run[0], rows))
+        })
+        .collect();
 
-    // Gather the columns each fit needs (response + variables + weights)
-    // once, then slice per group.
-    let mut col_names: Vec<String> = vec![formula.response.clone()];
-    col_names.extend(split.variables.iter().cloned());
-    if let Some(w) = &options.weights_column {
-        col_names.push(w.clone());
-    }
-    let full_cols: Vec<&[f64]> = col_names
-        .iter()
-        .map(|c| data.column(c))
-        .collect::<Result<_>>()?;
-
-    let threads = threads.max(1).min(keys.len().max(1));
-    let fit_one = |key: i64| -> GroupFit {
-        let rows = &groups[&key];
-        let gathered: Vec<Vec<f64>> = full_cols
-            .iter()
-            .map(|c| rows.iter().map(|&r| c[r]).collect())
-            .collect();
-        let pairs: Vec<(&str, &[f64])> = col_names
-            .iter()
-            .map(String::as_str)
-            .zip(gathered.iter().map(Vec::as_slice))
-            .collect();
-        let outcome = DataSet::new(pairs).and_then(|ds| fit_auto(formula, &ds, options));
-        GroupFit { key, rows: rows.len(), outcome }
+    let threads = threads.max(1).min(groups.len().max(1));
+    let fit_one = |(key, rows): &(i64, Range<usize>)| -> GroupFit {
+        let slices: Vec<&[f64]> = cols.iter().map(|c| &c[rows.clone()]).collect();
+        GroupFit { key: *key, rows: rows.len(), outcome: plan.fit_columns(&slices) }
     };
 
     let fits: Vec<GroupFit> = if threads == 1 {
-        keys.iter().map(|&k| fit_one(k)).collect()
+        groups.iter().map(fit_one).collect()
     } else {
         // Static chunking over sorted keys; groups are similar in size
         // in the workloads we target, so work stays balanced.
-        let chunk = keys.len().div_ceil(threads);
+        let chunk = groups.len().div_ceil(threads);
         let mut out: Vec<Vec<GroupFit>> = Vec::new();
         std::thread::scope(|s| {
-            let handles: Vec<_> = keys
+            let handles: Vec<_> = groups
                 .chunks(chunk)
-                .map(|ks| s.spawn(|| ks.iter().map(|&k| fit_one(k)).collect::<Vec<_>>()))
+                .map(|gs| s.spawn(|| gs.iter().map(fit_one).collect::<Vec<_>>()))
                 .collect();
             for h in handles {
                 out.push(h.join().expect("fit worker panicked"));
@@ -129,7 +130,7 @@ pub fn fit_grouped(
         out.into_iter().flatten().collect()
     };
 
-    Ok(GroupedFitResult { param_names: split.parameters, fits })
+    Ok(GroupedFitResult { param_names: plan.param_names().to_vec(), fits })
 }
 
 #[cfg(test)]
@@ -199,8 +200,9 @@ mod tests {
             match (&a.outcome, &b.outcome) {
                 (Ok(x), Ok(y)) => {
                     for ((_, xv), (_, yv)) in x.params.iter().zip(&y.params) {
-                        assert!((xv - yv).abs() < 1e-12);
+                        assert_eq!(xv.to_bits(), yv.to_bits());
                     }
+                    assert_eq!(x.diagnostics.rss.to_bits(), y.diagnostics.rss.to_bits());
                 }
                 (Err(_), Err(_)) => {}
                 other => panic!("outcome mismatch: {other:?}"),

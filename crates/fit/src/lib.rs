@@ -31,6 +31,16 @@
 //!   parameters for each aggregation group"): one small fit per source,
 //!   parallelized across OS threads, producing exactly the paper's
 //!   Table 1 parameter table — source, p, α, residual SE.
+//!
+//! The part of a fit that does not depend on the rows (symbol split,
+//! detection, Jacobian, compiled programs) is prepared once per capture
+//! as a fit plan and run over every group.
+//!
+//! The paper leaves the start of Gauss-Newton to the user. A database
+//! fitting unattended picks it from the data: when `ln f` is linear in
+//! transformed parameters ([`detect_log_linear`]), each fit starts from
+//! the least-squares fit of `ln y` over its own rows, so the start is a
+//! function of the group's rows alone.
 
 // `!(x >= y)` guards are NaN-aware: an undefined diagnostic must fail
 // the quality gate.
@@ -43,16 +53,18 @@ pub mod grouped;
 pub mod linear;
 pub mod nlls;
 pub mod options;
+mod plan;
 
 pub use data::DataSet;
 pub use diagnostics::FitDiagnostics;
 pub use error::{FitError, Result};
 pub use grouped::{fit_grouped, GroupFit, GroupedFitResult};
-pub use linear::{detect_linear, fit_linear, LinearForm};
+pub use linear::{detect_linear, detect_log_linear, LinearForm, LogLinearForm};
 pub use nlls::fit_nonlinear;
 pub use options::{Algorithm, FitOptions, JacobianMode, LinearSolver};
 
 use lawsdb_expr::Formula;
+use plan::FitPlan;
 
 /// The result of fitting one model to one data set.
 #[derive(Debug, Clone)]
@@ -61,10 +73,10 @@ pub struct FitResult {
     pub params: Vec<(String, f64)>,
     /// Goodness-of-fit report.
     pub diagnostics: FitDiagnostics,
+    /// Iterations consumed (0 for linear fits).
+    pub iterations: usize,
     /// True when the optimizer met its convergence tolerance (always
     /// true for linear fits).
-    pub iterations: usize,
-    /// Iterations consumed (0 for linear fits).
     pub converged: bool,
     /// Whether the linear (analytic) or non-linear (iterative) path ran.
     pub used_linear_path: bool,
@@ -81,15 +93,7 @@ impl FitResult {
 /// model is linear in its parameters and Gauss-Newton/LM otherwise —
 /// the dispatch rule of Section 3.
 pub fn fit_auto(formula: &Formula, data: &DataSet<'_>, options: &FitOptions) -> Result<FitResult> {
-    let split = formula.split_symbols(&data.names());
-    if split.parameters.is_empty() {
-        return Err(FitError::NoParameters { formula: formula.source.clone() });
-    }
-    if let Some(form) = detect_linear(formula, &split) {
-        fit_linear(&form, data, options)
-    } else {
-        fit_nonlinear(formula, data, options)
-    }
+    FitPlan::new(formula, &data.names(), options)?.fit(data)
 }
 
 #[cfg(test)]

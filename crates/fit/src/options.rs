@@ -44,9 +44,17 @@ pub struct FitOptions {
     /// Linear-path solver.
     pub linear_solver: LinearSolver,
     /// Initial parameter values, `(name, value)`; unnamed parameters
-    /// start at [`FitOptions::default_start`].
+    /// start at [`FitOptions::default_start`]. Naming any parameter
+    /// turns off the start from the data for the whole fit.
     pub initial: Vec<(String, f64)>,
-    /// Default starting value for parameters not listed in `initial`.
+    /// Starting value for the parameters `initial` does not name, where
+    /// an iterative fit does not start from its rows. A fit starts from
+    /// its rows (the least squares of `ln y`, see
+    /// [`crate::detect_log_linear`]) unless the formula is not
+    /// log-linear, `initial` names any parameter, fewer rows with
+    /// `y > 0` and a finite basis remain than there are parameters, the
+    /// solution is singular or not finite, or the model is not finite
+    /// there. Linear fits have no start.
     pub default_start: f64,
     /// Maximum optimizer iterations.
     pub max_iterations: usize,
@@ -101,7 +109,8 @@ impl FitOptions {
         self
     }
 
-    /// Starting value for a named parameter.
+    /// The start of a named parameter where the fit does not start
+    /// from its rows: its value in `initial`, else `default_start`.
     pub fn start_for(&self, name: &str) -> f64 {
         self.initial
             .iter()

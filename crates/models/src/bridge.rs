@@ -107,11 +107,12 @@ fn settle(model: &mut CapturedModel, table: &Table, weights_column: Option<&str>
 
 /// Fit `formula_src` globally against `table` and wrap the result as a
 /// captured model (id/version 0 — the catalog assigns real ones).
+/// Returns the model together with the fit's report.
 pub fn fit_table(
     table: &Table,
     formula_src: &str,
     options: &FitOptions,
-) -> Result<CapturedModel> {
+) -> Result<(CapturedModel, FitResult)> {
     let formula = parse_formula(formula_src)?;
     let split = formula.split_symbols(&table.schema().names());
     let mut needed = vec![formula.response.clone()];
@@ -132,7 +133,7 @@ pub fn fit_table(
     let coverage = coverage(table, &formula, split.variables);
     let mut model = CapturedModel::new(formula, params, coverage, f64::NAN)?;
     settle(&mut model, table, options.weights_column.as_deref())?;
-    Ok(model)
+    Ok((model, fit))
 }
 
 /// Fit `formula_src` per group of `group_column` and wrap the per-group
@@ -412,7 +413,7 @@ mod tests {
         b.add_f64("x", xs);
         b.add_f64("y", ys);
         let t = b.build().unwrap();
-        let m = fit_table(&t, "y ~ a + b * x", &FitOptions::default()).unwrap();
+        let (m, _) = fit_table(&t, "y ~ a + b * x", &FitOptions::default()).unwrap();
         assert_eq!((m.params.group_column.as_ref(), m.params.rows()), (None, 1));
         assert!((m.predict_scalar(None, &[("x", 2.0)]).unwrap() - 2.0).abs() < 1e-9);
         assert!(m.overall_r2 > 0.999999);
@@ -564,7 +565,7 @@ mod tests {
         for (p, &k) in pred.iter().zip(keys) {
             assert_eq!(p.to_bits(), model.predict_scalar(Some(k), &[]).unwrap().to_bits());
         }
-        let global = fit_table(&t, "intensity ~ c", &FitOptions::default()).unwrap();
+        let (global, _) = fit_table(&t, "intensity ~ c", &FitOptions::default()).unwrap();
         let pred = predict_table(&global, &t).unwrap();
         let want = global.predict_scalar(None, &[]).unwrap();
         assert_eq!(pred.len(), t.row_count());

@@ -864,7 +864,7 @@ mod tests {
         let mut b = TableBuilder::new("cont");
         b.add_f64("x", xs).add_f64("y", ys);
         let models = catalog_of(
-            fit_table(&b.build().unwrap(), "y ~ a + b * x", &FitOptions::default()).unwrap(),
+            fit_table(&b.build().unwrap(), "y ~ a + b * x", &FitOptions::default()).unwrap().0,
         );
         let err = lower(&models, "SELECT x, y FROM cont").unwrap_err();
         assert!(matches!(err, ApproxError::NotAnswerable { .. }), "{err}");

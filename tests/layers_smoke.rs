@@ -16,6 +16,7 @@ use lawsdb::cluster::{Cluster, ClusterConfig, PartitionScheme};
 use lawsdb::core::{AnswerMode, DurableDb, FitOptions, LawsDb};
 use lawsdb::data::lofar::{LofarConfig, LofarDataset};
 use lawsdb::data::timeseries::{TimeSeriesConfig, TimeSeriesDataset};
+use lawsdb::models::bridge::fit_table_grouped;
 use lawsdb::models::{CapturedModel, ModelId};
 use lawsdb::obs::{attribute_layers, global_metrics, LAYERS};
 use lawsdb::query::{
@@ -544,6 +545,7 @@ fn an_incremental_refit_equals_a_cold_capture() {
         db.quality.min_r2 = 0.0;
         db.register_table(table).unwrap();
         let fitted = |db: &LawsDb| db.metrics().snapshot().counter("lawsdb_fit_groups_fitted");
+        let iterations = |db: &LawsDb| db.metrics().snapshot().counter("lawsdb_fit_lm_iterations");
         let mut full = db.capture_model(TABLE, FORMULA, Some("source"), &options).unwrap();
         let mut partial =
             db.capture_model_where(TABLE, FORMULA, Some("source"), COVERAGE, &options).unwrap();
@@ -581,11 +583,13 @@ fn an_incremental_refit_equals_a_cold_capture() {
                 db.tables().replace(replaced);
             }
             let table = db.table(TABLE).unwrap();
-            let before = fitted(&db);
+            let (before, iterations_before) = (fitted(&db), iterations(&db));
             let got_full = db.refit(full.id, &options).unwrap();
             let full_fitted = fitted(&db) - before;
+            let full_iterations = iterations(&db) - iterations_before;
             let got_partial = db.refit(partial.id, &options).unwrap();
             let partial_fitted = fitted(&db) - before - full_fitted;
+            let partial_iterations = iterations(&db) - iterations_before - full_iterations;
             let (want_full, want_partial) = cold(&table);
             assert_same_fit(&got_full, &want_full, &format!("{ctx}, full"));
             assert_same_fit(&got_partial, &want_partial, &format!("{ctx}, partial"));
@@ -595,10 +599,54 @@ fn an_incremental_refit_equals_a_cold_capture() {
             assert!(cycle == 2 || keys.len() < full.params.rows() / 2, "{ctx}: {keys:?}");
             let covered = keys.range(..30).count() as u64;
             assert_eq!(partial_fitted, covered, "{ctx}: partial groups fitted");
+            // The iteration counter rises by the refitted groups' sum,
+            // read from the cold fit's report of those groups.
+            let (_, report) = fit_table_grouped(&table, FORMULA, "source", &options, 1).unwrap();
+            let sum = |touched: &dyn Fn(i64) -> bool| -> u64 {
+                let fits = report.fits.iter().filter(|g| touched(g.key));
+                fits.filter_map(|g| g.outcome.as_ref().ok()).map(|f| f.iterations as u64).sum()
+            };
+            assert!(full_iterations > 0, "{ctx}: no iteration counted");
+            assert_eq!(full_iterations, sum(&|k| keys.contains(&k)), "{ctx}: iterations");
+            let partial_sum = sum(&|k| k < 30 && keys.contains(&k));
+            assert_eq!(partial_iterations, partial_sum, "{ctx}: partial iterations");
             assert_eq!(got_partial.coverage.predicate.as_deref(), Some(COVERAGE));
             (full, partial) = (got_full, got_partial);
         }
         // The NULL source and each one-row source have no parameters.
         assert!(full.params.keys.iter().all(|&k| k < 60 || (k - 60) % 2 == 0), "seed {seed}");
     }
+}
+
+/// Table 1: a grouped capture with default options turns the
+/// measurements into one (source, α, p, residual SE) row per source, and
+/// each well-behaved source's α is the one it was generated with.
+#[test]
+fn a_default_capture_yields_table_one() {
+    let cfg =
+        LofarConfig { noise_rel: 0.02, anomaly_fraction: 0.05, ..LofarConfig::with_sources(200) };
+    let data = LofarDataset::generate(&cfg);
+    let mut db = LawsDb::new();
+    db.quality.min_r2 = 0.0;
+    db.register_table(data.table.clone()).unwrap();
+    let options = lawsdb::fit::FitOptions::default();
+    let model = db
+        .capture_model(TABLE, "intensity ~ p * nu ^ alpha", Some("source"), &options)
+        .unwrap();
+    let params = &model.params;
+    assert_eq!(params.names, ["alpha", "p"]);
+    assert_eq!(params.keys, (0..200).collect::<Vec<i64>>(), "every source has a row");
+    assert!(params.residual_se.iter().all(|se| se.is_finite() && *se > 0.0));
+    assert!(!data.anomalies.is_empty());
+    for (row, truth) in data.truth.iter().enumerate() {
+        if truth.anomaly.is_none() {
+            let alpha = params.values[0][row];
+            let p = params.values[1][row];
+            let ctx = format!("source {}: α {alpha}, p {p} vs {truth:?}", truth.source);
+            assert!((alpha - truth.alpha).abs() < 0.1, "{ctx}");
+            assert!((p / truth.p - 1.0).abs() < 0.5, "{ctx}");
+        }
+    }
+    assert_eq!(db.metrics().snapshot().counter("lawsdb_fit_groups_fitted"), 200);
+    assert!(db.metrics().snapshot().counter("lawsdb_fit_lm_iterations") > 0);
 }

@@ -47,6 +47,32 @@ proptest! {
             "predicted {predicted} vs {truth}");
     }
 
+    /// A fit started from the group's own log-space least squares ends
+    /// at least as low as one started where every parameter is 1.0 (the
+    /// options' start, and the start before fits took it from the
+    /// data), on every group of a noisy LOFAR fixture with anomalies.
+    #[test]
+    fn the_data_start_reaches_no_higher_rss(seed in any::<u64>()) {
+        use lawsdb::fit::{fit_grouped, DataSet};
+        let cfg = LofarConfig { anomaly_fraction: 0.1, seed, ..LofarConfig::with_sources(60) };
+        let table = LofarDataset::generate(&cfg).table;
+        let column = |n: &str| table.column(n).unwrap().f64_data().unwrap();
+        let keys = table.column("source").unwrap().i64_data().unwrap();
+        let columns = vec![("nu", column("nu")), ("intensity", column("intensity"))];
+        let data = DataSet::new(columns).unwrap();
+        let formula = lawsdb::expr::parse_formula("intensity ~ p * nu ^ alpha").unwrap();
+        let pinned = FitOptions::default().with_initial("p", 1.0).with_initial("alpha", 1.0);
+        let from_data = fit_grouped(&formula, keys, &data, &FitOptions::default(), 1).unwrap();
+        let from_one = fit_grouped(&formula, keys, &data, &pinned, 1).unwrap();
+        for (a, b) in from_data.fits.iter().zip(&from_one.fits) {
+            if let Ok(b) = &b.outcome {
+                let a = a.outcome.as_ref().map_err(|e| format!("source {}: {e}", a.key));
+                let (a, b) = (a.unwrap().diagnostics.rss, b.diagnostics.rss);
+                prop_assert!(a <= (1.0 + 1e-9) * b, "seed {seed}: rss {a} vs {b} from 1.0");
+            }
+        }
+    }
+
     /// The full storage stack (column encode → pages → device → decode)
     /// round-trips arbitrary float columns, including NaN and infinities.
     #[test]

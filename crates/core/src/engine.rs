@@ -102,8 +102,9 @@ pub struct LawsDb {
     models: Arc<ModelCatalog>,
     /// Quality gate for captured models.
     pub quality: QualityPolicy,
-    /// Knobs for the exact query path: worker thread count (0 = one per
-    /// core) and morsel size. Results are identical for any setting.
+    /// Knobs for both query paths, exact and model: worker thread count
+    /// (0 = one per core) and morsel size. Results are identical for any
+    /// setting.
     pub exec: ExecOptions,
     /// Per-engine metrics registry: every subsystem counter this engine
     /// owns (health, scan pruning) binds here, so one snapshot renders
@@ -298,10 +299,10 @@ impl LawsDb {
     }
 
     /// Answer a query approximately from captured models (zero-IO): the
-    /// cached plan's model alternative, run under default options.
+    /// cached plan's model alternative, run under the engine's options.
     pub fn query_approx(&self, sql: &str) -> Result<ApproxAnswer> {
         let (stmt, plan) = self.plan(sql)?;
-        Ok(self.model_plan(&stmt, &plan)?.run(&self.tables, &ExecOptions::default())?)
+        Ok(self.model_plan(&stmt, &plan)?.run(&self.tables, &self.exec)?)
     }
 
     /// The paper's single user-facing act (Fig. 2 steps 4–5): answer
@@ -313,9 +314,8 @@ impl LawsDb {
     /// and counted in [`LawsDb::health`].
     ///
     /// [`AnswerMode::Adaptive`] puts the cost gate in front of the same
-    /// ladder. Both rungs run from the one cached plan. The exact rung
-    /// runs under `exec` (the caller's threads, budget and cancel
-    /// token); the model rung, zero-IO, runs under default options. A
+    /// ladder. Both rungs run from the one cached plan, and both under
+    /// `exec` (the caller's threads, budget and cancel token). A
     /// profile context riding on `exec.profile` collects the ladder's
     /// own decisions (`resilient.*` points) next to the plan tree of
     /// whichever rung ran.
@@ -336,7 +336,7 @@ impl LawsDb {
         };
         let mut degraded = Vec::new();
         if try_model {
-            let opts = ExecOptions { profile: exec.profile.clone(), ..ExecOptions::default() };
+            let opts = self.resolve_exec(exec);
             let reason = match self.model_plan(&stmt, &plan) {
                 Err(
                     e @ (ApproxError::NotAnswerable { .. }
@@ -1040,6 +1040,27 @@ mod tests {
         let h = db.health();
         assert_eq!(h.approx_answers, 1);
         assert_eq!(h.exact_fallbacks, 0);
+    }
+
+    #[test]
+    fn a_model_answer_honours_the_callers_cancel_token() {
+        let db = lofar_db();
+        let formula = "intensity ~ p * nu ^ alpha";
+        db.capture_model("measurements", formula, Some("source"), &RawFitOptions::default())
+            .unwrap();
+        let cancel = lawsdb_query::CancelToken::new();
+        cancel.cancel();
+        let exec = ExecOptions { cancel: Some(cancel), threads: 1, ..db.exec.clone() };
+        for sql in [
+            "SELECT intensity FROM measurements WHERE source = 0 AND nu = 0.15",
+            "SELECT AVG(intensity) FROM measurements WHERE nu = 0.15",
+        ] {
+            // The model covers both, so the model rung runs, and stops.
+            assert!(resilient(&db, sql).answer.is_approximate(), "{sql}");
+            let err = db.answer(sql, AnswerMode::Resilient, &exec).unwrap_err();
+            let cancelled = matches!(err, CoreError::Query(lawsdb_query::QueryError::Cancelled));
+            assert!(cancelled, "{sql}: {err}");
+        }
     }
 
     #[test]

@@ -290,11 +290,11 @@ pub fn predict_table(model: &CapturedModel, table: &Table) -> Result<Vec<f64>> {
     Ok(out)
 }
 
-/// Predict `table`'s rows a parameter row at a time: `f(rows, preds)`
-/// once per row of `model.params` that has rows in `table`, in key
-/// order, with those rows' indices in table order and one prediction
-/// per row. A global model's one row takes every row. Rows whose key is
-/// NULL or has no parameters are in no call.
+/// Predict `table`'s rows and hand them over a parameter row at a time:
+/// `f(rows, preds)` once per row of `model.params` that has rows in
+/// `table`, in key order, with those rows' indices in table order and
+/// one prediction per row. A global model's one row takes every row.
+/// Rows whose key is NULL or has no parameters are in no call.
 fn for_each_group(
     model: &CapturedModel,
     table: &Table,
@@ -302,60 +302,53 @@ fn for_each_group(
 ) -> Result<()> {
     let var_views = numeric_views(table, &model.coverage.variables)?;
     let cols: Vec<&[f64]> = var_views.iter().map(|(_, v)| v.as_slice()).collect();
-    let mut run = |rows: &[usize], columns: &[&[f64]], group: Option<i64>| -> Result<()> {
-        match model.predict_batch(group, columns)?[..] {
-            // A body without variables is one value for all the rows.
-            [v] => f(rows, &vec![v; rows.len()]),
-            ref pred => f(rows, pred),
-        }
-        Ok(())
-    };
-    let Some(group_column) = &model.params.group_column else {
-        let rows: Vec<usize> = (0..table.row_count()).collect();
-        return run(&rows, &cols, None);
-    };
-    // Group the row indices by parameter row once: one key lookup per
-    // run of equal keys, then a counting sort, so every group pays one
-    // compiled pass whatever the table's layout.
-    let keys = &model.params.keys;
+    // The runs of equal keys with their parameter row, sorted by that
+    // row and then position: each group's runs sit together, in table
+    // order. The work is the table's rows and runs, not the groups.
     let mut runs: Vec<(usize, Range<usize>)> = Vec::new();
-    let mut start = vec![0; keys.len() + 1];
-    let mut push = |key: Option<i64>, rows: Range<usize>| {
-        if let Some(row) = key.and_then(|k| keys.binary_search(&k).ok()) {
-            start[row + 1] += rows.len();
-            runs.push((row, rows));
-        }
-    };
-    let (mut from, mut current) = (0, None);
-    let values = table.column(group_column)?.i64_values()?;
-    let n = values.len();
-    for (i, key) in values.enumerate() {
-        if i > from && key != current {
-            push(current, from..i);
-            from = i;
-        }
-        current = key;
-    }
-    if n > from {
-        push(current, from..n);
-    }
-    for row in 0..keys.len() {
-        start[row + 1] += start[row];
-    }
-    let mut order = vec![0; start[keys.len()]];
-    let mut next = start.clone();
-    for (row, rows) in runs {
-        for i in rows {
-            order[next[row]] = i;
-            next[row] += 1;
+    match &model.params.group_column {
+        None => runs.push((0, 0..table.row_count())),
+        Some(group_column) => {
+            let mut last = None;
+            for (i, key) in table.column(group_column)?.i64_values()?.enumerate() {
+                match runs.last_mut() {
+                    Some((_, run)) if key == last && run.end == i => run.end += 1,
+                    _ => {
+                        let row = key.and_then(|k| model.params.keys.binary_search(&k).ok());
+                        runs.extend(row.map(|row| (row, i..i + 1)));
+                    }
+                }
+                last = key;
+            }
         }
     }
-    for (row, span) in start.windows(2).enumerate().filter(|(_, s)| s[0] < s[1]) {
-        let rows = &order[span[0]..span[1]];
+    runs.sort_unstable_by_key(|(row, rows)| (*row, rows.start));
+    // Whole groups are gathered into chunks of about `CHUNK_ROWS` rows,
+    // each predicted in one compiled pass and handed to `f` a group at
+    // a time.
+    const CHUNK_ROWS: usize = 1024;
+    let (mut rows, mut param_rows, mut ends) = (Vec::new(), Vec::new(), Vec::new());
+    let mut groups = runs.chunk_by(|a, b| a.0 == b.0).peekable();
+    while let Some(group) = groups.next() {
+        for (row, span) in group {
+            rows.extend(span.clone());
+            param_rows.resize(rows.len(), *row);
+        }
+        ends.push(rows.len());
+        if rows.len() < CHUNK_ROWS && groups.peek().is_some() {
+            continue;
+        }
         let gathered: Vec<Vec<f64>> =
             cols.iter().map(|c| rows.iter().map(|&i| c[i]).collect()).collect();
         let slices: Vec<&[f64]> = gathered.iter().map(Vec::as_slice).collect();
-        run(rows, &slices, Some(keys[row]))?;
+        let pred = model.predict(&param_rows, &slices)?;
+        let mut start = 0;
+        for end in ends.drain(..) {
+            f(&rows[start..end], &pred[start..end]);
+            start = end;
+        }
+        rows.clear();
+        param_rows.clear();
     }
     Ok(())
 }
@@ -461,6 +454,45 @@ mod tests {
         let got = predict_table(&model, &interleaved).unwrap();
         for (&i, g) in order.iter().zip(&got) {
             assert_eq!(g.to_bits(), want[i].to_bits());
+        }
+    }
+
+    #[test]
+    fn predict_table_at_any_rows_has_the_full_tables_bits() {
+        let t = lofar_table();
+        let formula = "intensity ~ p * nu ^ alpha";
+        let (grouped, _) =
+            fit_table_grouped(&t, formula, "source", &FitOptions::default(), 1).unwrap();
+        let (global, _) = fit_table(&t, formula, &FitOptions::default()).unwrap();
+        let src = t.column("source").unwrap().i64_data().unwrap();
+        let nu = t.column("nu").unwrap().f64_data().unwrap();
+        let (full, full_global) =
+            (predict_table(&grouped, &t).unwrap(), predict_table(&global, &t).unwrap());
+        // Each case is rows of `t`, each with its key or another one:
+        // key 99 has no parameters, and `None` is NULL.
+        let own = |rows: Vec<usize>| rows.into_iter().map(|i| (i, Some(src[i]))).collect();
+        let cases: [Vec<(usize, Option<i64>)>; 5] = [
+            own(vec![5, 17, 60, 61, 119]),
+            own((0..40).flat_map(|i| (0..3).map(move |s| s * 40 + i)).collect()),
+            own((0..120).rev().chain(0..7).collect()),
+            (0..16).map(|i| (i * 7, [Some(src[i * 7]), Some(99), None][i % 3])).collect(),
+            vec![(3, None), (4, Some(99))],
+        ];
+        for rows in cases {
+            let mut b = TableBuilder::new("measurements");
+            b.add_column(
+                lawsdb_storage::Field::nullable("source", lawsdb_storage::DataType::Int64),
+                lawsdb_storage::Column::from_i64_opt(rows.iter().map(|&(_, k)| k).collect()),
+            );
+            b.add_f64("nu", rows.iter().map(|&(i, _)| nu[i]).collect());
+            let sub = b.build().unwrap();
+            let got = predict_table(&grouped, &sub).unwrap();
+            let got_global = predict_table(&global, &sub).unwrap();
+            for (j, &(i, key)) in rows.iter().enumerate() {
+                let want = if key == Some(src[i]) { full[i] } else { f64::NAN };
+                assert_eq!(got[j].to_bits(), want.to_bits(), "row {i} with key {key:?}");
+                assert_eq!(got_global[j].to_bits(), full_global[i].to_bits(), "row {i}");
+            }
         }
     }
 

@@ -6,9 +6,10 @@
 //! residual SE, R² and observation count — the shape of the paper's
 //! Table 1 and of the `lawsdb_model_<id>` table the catalog is stored
 //! as (`persist`). A global model is the one-row table with no key
-//! column. [`CapturedModel::new`] compiles the body once: predicting for
-//! a group finds its row by binary search and runs that program with
-//! the row's values.
+//! column. [`CapturedModel::new`] compiles the body once, reading the
+//! coverage variables and the parameters alike as columns: a prediction
+//! gathers each input row's parameter row and runs that one program
+//! over the whole batch, whatever the number of groups it spans.
 
 use crate::error::{ModelError, Result};
 use crate::legal::BloomFilter;
@@ -223,12 +224,13 @@ pub struct CapturedModel {
     /// that version. Held in memory only: ids are per process, so a
     /// model loaded from the stored catalog tables has none.
     pub table_version: Option<u64>,
-    /// The body compiled against the coverage variables.
+    /// The body compiled with the coverage variables and the parameter
+    /// names all as column slots.
     program: CompiledExpr,
-    /// Per column slot of `program`, its coverage variable.
-    column_slots: Vec<usize>,
-    /// Per scalar slot of `program`, its parameter column.
-    scalar_slots: Vec<usize>,
+    /// Per column slot of `program`, its source: coverage variable `i`
+    /// when `i` is below the variable count, else parameter column
+    /// `i - variables`.
+    slots: Vec<usize>,
 }
 
 impl CapturedModel {
@@ -247,19 +249,16 @@ impl CapturedModel {
         overall_r2: f64,
     ) -> Result<CapturedModel> {
         params.check()?;
-        let vars: Vec<&str> = coverage.variables.iter().map(String::as_str).collect();
-        let program = CompiledExpr::compile(&formula.rhs, &vars)?;
-        let column_slots =
-            program.columns().iter().filter_map(|c| vars.iter().position(|v| v == c)).collect();
-        let scalar_slots = program
-            .scalars()
-            .iter()
-            .map(|s| {
-                params.names.iter().position(|n| n == s).ok_or_else(|| {
-                    ModelError::BadConstruction { detail: format!("no column for parameter {s:?}") }
-                })
-            })
-            .collect::<Result<_>>()?;
+        let sources: Vec<&str> =
+            coverage.variables.iter().chain(&params.names).map(String::as_str).collect();
+        let program = CompiledExpr::compile(&formula.rhs, &sources)?;
+        if let Some(s) = program.scalars().first() {
+            let detail = format!("no column for parameter {s:?}");
+            return Err(ModelError::BadConstruction { detail });
+        }
+        // A name that is both a variable and a parameter is the variable.
+        let slots =
+            program.columns().iter().filter_map(|c| sources.iter().position(|s| s == c)).collect();
         Ok(CapturedModel {
             id: ModelId(0),
             version: 0,
@@ -274,13 +273,12 @@ impl CapturedModel {
             observed_combos: None,
             table_version: None,
             program,
-            column_slots,
-            scalar_slots,
+            slots,
         })
     }
 
     /// Predict the response for one input point by walking the model
-    /// body: the reference [`CapturedModel::predict_batch`] is held to.
+    /// body: the reference [`CapturedModel::predict`] is held to.
     ///
     /// `group` selects the parameter vector for grouped models; `inputs`
     /// must bind every input variable.
@@ -300,28 +298,41 @@ impl CapturedModel {
         Ok(self.rhs.eval(&b)?)
     }
 
-    /// Predict the response for a batch of input points of one group:
-    /// the compiled body, run with that group's row of parameters.
+    /// Predict the response for a batch of input points, point `i` with
+    /// parameter row `param_rows[i]` (as [`ModelParams::row`] finds it):
+    /// one compiled pass over the batch, each parameter read as the
+    /// column of its gathered rows. The operations are the tree walk's,
+    /// so each prediction has [`CapturedModel::predict_scalar`]'s bits.
     ///
     /// `columns` supplies one slice per coverage variable, in
-    /// [`Coverage::variables`] order.
-    pub fn predict_batch(&self, group: Option<i64>, columns: &[&[f64]]) -> Result<Vec<f64>> {
-        if columns.len() != self.coverage.variables.len() {
-            return Err(ModelError::MissingInput {
-                variable: format!(
-                    "expected {} input columns, got {}",
-                    self.coverage.variables.len(),
-                    columns.len()
-                ),
-            });
+    /// [`Coverage::variables`] order, each `param_rows.len()` long.
+    ///
+    /// # Panics
+    ///
+    /// If a parameter row is not below [`ModelParams::rows`].
+    pub fn predict(&self, param_rows: &[usize], columns: &[&[f64]]) -> Result<Vec<f64>> {
+        let (n, vars) = (param_rows.len(), self.coverage.variables.len());
+        if columns.len() != vars || columns.iter().any(|c| c.len() != n) {
+            let variable = format!("{vars} input columns of {n} values each");
+            return Err(ModelError::MissingInput { variable });
         }
-        let row = self.params.row(group)?;
-        let scalars: Vec<f64> =
-            self.scalar_slots.iter().map(|&j| self.params.values[j][row]).collect();
-        let cols: Vec<&[f64]> = self.column_slots.iter().map(|&i| columns[i]).collect();
-        let n = columns.first().map_or(1, |c| c.len());
-        let v = self.program.eval_batch(&cols, &scalars)?;
-        Ok(if v.len() == 1 && n != 1 { vec![v[0]; n] } else { v })
+        let gathered: Vec<Vec<f64>> = self
+            .slots
+            .iter()
+            .map(|&s| match s.checked_sub(vars) {
+                Some(j) => param_rows.iter().map(|&row| self.params.values[j][row]).collect(),
+                None => Vec::new(),
+            })
+            .collect();
+        let cols: Vec<&[f64]> = self
+            .slots
+            .iter()
+            .zip(&gathered)
+            .map(|(&s, param)| columns.get(s).copied().unwrap_or(param))
+            .collect();
+        let v = self.program.eval_batch(&cols, &[])?;
+        // A body that reads no column is one value for every point.
+        Ok(if cols.is_empty() { vec![v[0]; n] } else { v })
     }
 
     /// Attach a legal-domain filter, SQL source text (builder-style).
@@ -395,23 +406,25 @@ mod tests {
             m.predict_scalar(None, &[("nu", 0.14)]),
             Err(ModelError::MissingInput { .. })
         ));
-        assert!(matches!(
-            m.predict_batch(Some(8), &[&[0.14]]),
-            Err(ModelError::UnknownGroup { key: 8 })
-        ));
+        assert!(matches!(m.params.row(Some(8)), Err(ModelError::UnknownGroup { key: 8 })));
+        assert!(matches!(m.predict(&[0, 1], &[&[0.14]]), Err(ModelError::MissingInput { .. })));
+        assert!(matches!(m.predict(&[0], &[]), Err(ModelError::MissingInput { .. })));
     }
 
     #[test]
-    fn batch_prediction_matches_scalar() {
+    fn batch_prediction_has_the_scalar_bits_across_groups() {
         let m = power_law_model();
-        let nus = [0.12, 0.15, 0.16, 0.18];
-        for key in [7, 42] {
-            let batch = m.predict_batch(Some(key), &[&nus]).unwrap();
-            for (i, &nu) in nus.iter().enumerate() {
-                let s = m.predict_scalar(Some(key), &[("nu", nu)]).unwrap();
-                assert!((batch[i] - s).abs() < 1e-14);
-            }
+        // Both groups interleaved in one batch, each row with its own
+        // parameter row.
+        let keys = [7, 42, 42, 7, 42, 7];
+        let nus = [0.12, 0.15, 0.16, 0.18, 0.12, 0.14];
+        let rows: Vec<usize> = keys.iter().map(|&k| m.params.row(Some(k)).unwrap()).collect();
+        let batch = m.predict(&rows, &[&nus]).unwrap();
+        for ((&k, &nu), p) in keys.iter().zip(&nus).zip(&batch) {
+            let s = m.predict_scalar(Some(k), &[("nu", nu)]).unwrap();
+            assert_eq!(p.to_bits(), s.to_bits(), "key {k} at nu {nu}");
         }
+        assert!(m.predict(&[], &[&[]]).unwrap().is_empty());
     }
 
     #[test]
@@ -460,7 +473,12 @@ mod tests {
         assert_eq!(m.predict_scalar(None, &[("x", 3.0)]).unwrap(), 7.0);
         // Group argument is ignored for global models.
         assert_eq!(m.predict_scalar(Some(5), &[("x", 3.0)]).unwrap(), 7.0);
-        assert_eq!(m.predict_batch(None, &[&[3.0, 4.0]]).unwrap(), [7.0, 9.0]);
+        assert_eq!(m.predict(&[0, 0], &[&[3.0, 4.0]]).unwrap(), [7.0, 9.0]);
         assert_eq!(m.params.byte_size(), 24);
+        // A body that reads nothing is one value per point.
+        let f = parse_formula("y ~ 2 + 3").unwrap();
+        let params = ModelParams::global(Vec::new(), Vec::new(), 0.1, 0.99, 100);
+        let m = CapturedModel::new(f, params, coverage("t", "y", "x", 100), 0.99).unwrap();
+        assert_eq!(m.predict(&[0, 0, 0], &[&[1.0, 2.0, 3.0]]).unwrap(), [5.0; 3]);
     }
 }

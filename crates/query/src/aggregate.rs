@@ -611,8 +611,12 @@ fn fold_arg(
 /// Fold partials, passed in any order, into one state whose groups come
 /// in ascending first row: the first-encounter order of a serial pass
 /// over the same rows. The accumulators merge to the same bits in any
-/// order.
+/// order. A lone partial is that state already: its groups are unique
+/// and in first-row order.
 pub(crate) fn merge_partials(mut parts: Vec<GroupPartial>) -> GroupPartial {
+    if parts.len() == 1 {
+        return parts.remove(0);
+    }
     let mut order: Vec<(usize, usize)> = (0..parts.len())
         .flat_map(|p| (0..parts[p].first_rows.len()).map(move |i| (p, i)))
         .collect();
@@ -898,5 +902,68 @@ mod tests {
             rows("SELECT f, COUNT(*) AS n FROM t GROUP BY f"),
             [vec![Bool(true), Int(3)], vec![Bool(false), Int(2)], vec![Null, Int(1)]]
         );
+    }
+
+    #[test]
+    fn aggregate_columns_follow_the_select_list() {
+        let mut b = TableBuilder::new("t");
+        b.add_i64("g", vec![2, 1, 2]).add_f64("x", vec![1.0, 5.0, 3.0]);
+        let c = Catalog::new();
+        c.register(b.build().unwrap()).unwrap();
+        let answer = |sql: &str| {
+            let t = crate::exec::execute_with(&c, sql, &ExecOptions::default()).unwrap().table;
+            let names = t.schema().names().into_iter().map(String::from).collect::<Vec<_>>();
+            (names, (0..t.row_count()).map(|i| t.row(i).unwrap()).collect::<Vec<_>>())
+        };
+        let (names, rows) = answer("SELECT AVG(x) AS m, g FROM t GROUP BY g");
+        assert_eq!(names, ["m", "g"]);
+        assert_eq!(rows, [[Value::Float(2.0), Value::Int(2)], [Value::Float(5.0), Value::Int(1)]]);
+        let (names, rows) = answer("SELECT COUNT(*) AS n FROM t GROUP BY g ORDER BY n");
+        assert_eq!(names, ["n"]);
+        assert_eq!(rows, [[Value::Int(1)], [Value::Int(2)]]);
+    }
+
+    #[test]
+    fn one_morsel_and_many_give_the_same_bits() {
+        let n = 500;
+        let mut state = 0x2545F4914F6CDD1Du64;
+        let mut unit = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state >> 11) as f64 / (1u64 << 53) as f64
+        };
+        // Float group keys with NaN, ±0.0 and NULL among them; values
+        // spanning magnitudes, so the exact sums and folds are tested.
+        let keys = [0.0, -0.0, 1.5, f64::NAN, 2.0, 7.25];
+        let g: Vec<Option<f64>> = (0..n)
+            .map(|_| (unit() > 0.05).then(|| keys[(unit() * keys.len() as f64) as usize]))
+            .collect();
+        let v: Vec<Option<f64>> = (0..n)
+            .map(|_| (unit() > 0.1).then(|| (unit() - 0.5) * 10f64.powf(unit() * 12.0)))
+            .collect();
+        let mut b = TableBuilder::new("t");
+        b.add_column(Field::nullable("g", DataType::Float64), Column::from_f64_opt(g));
+        b.add_column(Field::nullable("v", DataType::Float64), Column::from_f64_opt(v));
+        let c = Catalog::new();
+        c.register(b.build().unwrap()).unwrap();
+        let sql = "SELECT g, COUNT(*) AS n, COUNT(v) AS nv, SUM(v) AS s, AVG(v) AS m, \
+                   MIN(v) AS lo, MAX(v) AS hi FROM t GROUP BY g";
+        let bits = |threads: usize, morsel_rows: usize| {
+            let opts = ExecOptions { threads, morsel_rows, ..ExecOptions::default() };
+            let t = crate::exec::execute_with(&c, sql, &opts).unwrap().table;
+            let cell = |v: &Value| match v {
+                Value::Float(f) => format!("f{:016x}", f.to_bits()),
+                other => format!("{other:?}"),
+            };
+            let row = |i| t.row(i).unwrap().iter().map(cell).collect::<Vec<_>>();
+            (0..t.row_count()).map(row).collect::<Vec<_>>()
+        };
+        let lone = bits(1, usize::MAX);
+        // ±0.0 are one group, and NULL is one more.
+        assert_eq!(lone.len(), 6, "{lone:?}");
+        for (threads, morsel_rows) in [(1, 1), (1, 7), (4, 7), (4, 64)] {
+            assert_eq!(bits(threads, morsel_rows), lone, "{threads} threads, {morsel_rows} rows");
+        }
     }
 }

@@ -29,9 +29,11 @@
 //!    A point outside the coverage is refused instead.
 //!
 //! The executor materializes the leaf's relation `(group, variables…,
-//! response)` through `TableBuilder`, one group key per morsel, merged
-//! in key order, with unobserved combinations and keys whose predicted
-//! range refutes a response conjunct dropped. Everything above the leaf
+//! response)` a cell at a time: a morsel is a run of whole keys, its
+//! cells predicted in one compiled pass with each cell's parameter row
+//! gathered as a column, and morsels merge in key order. Keys whose
+//! predicted range refutes a response conjunct and combinations never
+//! observed at capture are dropped. Everything above the leaf
 //! (the model's filter, the statement's filters, aggregates, sorts,
 //! limits) is the ordinary executor. Every answer quotes ±2·the largest
 //! residual SE of the keys it spans.
@@ -107,82 +109,82 @@ impl ModelScan {
         format!("ModelScan {table} model={id} cells={cells} bound={bound}{analytic}")
     }
 
-    /// Materialize the relation: one group key per morsel, merged in key
-    /// order, so the cells come out in key order, then grid order, for
-    /// any thread count.
+    /// Materialize the relation. A morsel is a run of whole keys holding
+    /// about `opts.morsel_rows` cells: its grid is tiled over its keys,
+    /// predicted in one pass, then walked key by key, dropping the keys
+    /// whose predicted range refutes a response conjunct and the cells
+    /// never observed at capture. Morsels merge in key order, so the
+    /// cells come out in key order, then grid order, for any thread
+    /// count and morsel size.
     pub(crate) fn materialize(&self, opts: &ExecOptions) -> Result<Table> {
         let model = &self.model;
-        let vars = &model.coverage.variables;
         let grid = cartesian(&self.values);
         let grid_rows = grid.first().map_or(1, Vec::len);
-        let group_column = &model.params.group_column;
-
-        // One key's whole grid predicted in a batch; the grid rows that
-        // were observed at capture come back with the predictions.
-        let per_key = |key: Option<i64>| -> Result<(Vec<usize>, Vec<f64>)> {
-            let var_slices: Vec<&[f64]> = grid.iter().map(Vec::as_slice).collect();
-            let pred = model.predict_batch(key, &var_slices).map_err(QueryError::Model)?;
-            // Zone-map pruning over the relation: when the key's whole
-            // predicted range refutes a response conjunct, none of its
-            // cells can pass the filter above. A non-finite prediction
-            // makes the range unbounded (never prunable).
-            if !self.point && !self.response_conjuncts.is_empty() && grid_rows > 0 {
-                let finite = pred.iter().all(|p| p.is_finite());
-                let lo = pred.iter().copied().fold(f64::INFINITY, f64::min);
-                let hi = pred.iter().copied().fold(f64::NEG_INFINITY, f64::max);
-                if finite
-                    && self.response_conjuncts.iter().any(|&(op, rhs)| !op.may_match(lo, hi, rhs))
-                {
-                    return Ok((Vec::new(), pred));
-                }
+        // Point lookups bypass legality: they are prediction requests,
+        // not relation reconstruction (the paper's own first query asks
+        // for ν = 0.14, a never-observed point).
+        let observed = model.observed_combos.as_ref().filter(|_| !self.point);
+        let prune = !self.point && !self.response_conjuncts.is_empty();
+        let keys_per_morsel = opts.morsel_rows.checked_div(grid_rows).unwrap_or(usize::MAX);
+        // The leaf's own span times the fan-out; it adds no morsel leaves.
+        let morsel_opts =
+            ExecOptions { morsel_rows: keys_per_morsel.max(1), profile: None, ..opts.clone() };
+        // Per morsel, its first key, the indices of its kept cells (key
+        // `k` of the morsel holds cells `k·grid_rows..`) and every
+        // cell's prediction.
+        let partials = parallel_morsels(self.keys.len(), &morsel_opts, |offset, len| {
+            let keys = &self.keys[offset..offset + len];
+            let mut param_rows = Vec::with_capacity(len * grid_rows);
+            for &key in keys {
+                let row = model.params.row(key).map_err(QueryError::Model)?;
+                param_rows.extend(std::iter::repeat_n(row, grid_rows));
             }
-            // Point lookups bypass legality: they are prediction
-            // requests, not relation reconstruction (the paper's own
-            // first query asks for ν = 0.14, a never-observed point).
-            let observed = model.observed_combos.as_ref().filter(|_| !self.point);
-            let Some(bf) = observed else {
-                return Ok(((0..grid_rows).collect(), pred));
-            };
-            let mut combo = vec![0.0; vars.len()];
-            let kept = (0..grid_rows)
-                .filter(|&row| {
-                    for (d, g) in grid.iter().enumerate() {
-                        combo[d] = g[row];
+            let tiled: Vec<Vec<f64>> = grid.iter().map(|g| g.repeat(len)).collect();
+            let slices: Vec<&[f64]> = tiled.iter().map(Vec::as_slice).collect();
+            let pred = model.predict(&param_rows, &slices).map_err(QueryError::Model)?;
+            let (mut kept, mut combo) = (Vec::new(), vec![0.0; grid.len()]);
+            for (k, &key) in keys.iter().enumerate() {
+                let cells = k * grid_rows..(k + 1) * grid_rows;
+                let range = &pred[cells.clone()];
+                // Zone-map pruning over the relation: when the key's
+                // whole predicted range refutes a response conjunct,
+                // none of its cells can pass the filter above. A
+                // non-finite prediction makes the range unbounded.
+                if prune && grid_rows > 0 && range.iter().all(|p| p.is_finite()) {
+                    let lo = range.iter().copied().fold(f64::INFINITY, f64::min);
+                    let hi = range.iter().copied().fold(f64::NEG_INFINITY, f64::max);
+                    if self.response_conjuncts.iter().any(|&(op, rhs)| !op.may_match(lo, hi, rhs)) {
+                        continue;
                     }
-                    bf.contains(combo_hash(key.unwrap_or(0), &combo))
-                })
-                .collect();
-            Ok((kept, pred))
-        };
-
-        // One key per morsel, merged in key order; errors surface in key
-        // order, so failures are deterministic too. The leaf's own span
-        // times the fan-out: a trace leaf per key would outweigh the
-        // answer.
-        let key_opts = ExecOptions { morsel_rows: 1, profile: None, ..opts.clone() };
-        let partials = parallel_morsels(self.keys.len(), &key_opts, |offset, _| {
-            Ok(per_key(self.keys[offset]))
-        })?;
-        let (mut col_group, mut col_resp) = (Vec::new(), Vec::new());
-        let mut col_vars: Vec<Vec<f64>> = vec![Vec::new(); vars.len()];
-        for (key, partial) in self.keys.iter().zip(partials) {
-            let (kept, pred) = partial?;
-            for row in kept {
-                col_group.push(key.unwrap_or(0));
-                for (col, g) in col_vars.iter_mut().zip(&grid) {
-                    col.push(g[row]);
                 }
-                col_resp.push(pred[row]);
+                kept.extend(cells.filter(|&cell| {
+                    observed.is_none_or(|bf| {
+                        combo.iter_mut().zip(&grid).for_each(|(c, g)| *c = g[cell % grid_rows]);
+                        bf.contains(combo_hash(key.unwrap_or(0), &combo))
+                    })
+                }));
+            }
+            Ok((offset, kept, pred))
+        })?;
+        let (mut group, mut response) = (Vec::new(), Vec::new());
+        let mut vars: Vec<Vec<f64>> = vec![Vec::new(); grid.len()];
+        for (offset, kept, pred) in partials {
+            for cell in kept {
+                group.push(self.keys[offset + cell / grid_rows].unwrap_or(0));
+                for (col, g) in vars.iter_mut().zip(&grid) {
+                    col.push(g[cell % grid_rows]);
+                }
+                response.push(pred[cell]);
             }
         }
         let mut tb = TableBuilder::new(model.coverage.table.clone());
-        if let Some(g) = group_column {
-            tb.add_i64(g.clone(), col_group);
+        if let Some(g) = &model.params.group_column {
+            tb.add_i64(g.clone(), group);
         }
-        for (var, values) in vars.iter().zip(col_vars) {
+        for (var, values) in model.coverage.variables.iter().zip(vars) {
             tb.add_f64(var.clone(), values);
         }
-        tb.add_f64(model.coverage.response.clone(), col_resp);
+        tb.add_f64(model.coverage.response.clone(), response);
         Ok(tb.build()?)
     }
 }
@@ -1004,6 +1006,136 @@ mod tests {
         );
         assert_eq!(a.tuples_reconstructed, b.tuples_reconstructed);
         assert_eq!(a.table, b.table);
+    }
+
+    /// Nine keys of `y ~ a * x ^ b + c * z` over a 4 × 3 grid, with a
+    /// third of the (key, x, z) combinations never observed, as a leaf
+    /// enumerating every key under `y > 2 AND y <= 40`.
+    fn two_variable_leaf() -> ModelScan {
+        use lawsdb_models::model::{Coverage, ModelParams};
+        let (xs, zs) = (vec![0.5, 1.0, 2.0, 4.0], vec![-1.0, 0.0, 1.0]);
+        let keys: Vec<i64> = (0..9).map(|k| 3 * k - 4).collect();
+        let column = |f: fn(f64) -> f64| keys.iter().map(|&k| f(k as f64)).collect();
+        let params = ModelParams {
+            group_column: Some("g".to_string()),
+            names: ["a", "b", "c"].map(String::from).to_vec(),
+            values: vec![column(|k| 1.0 + k * k / 8.0), column(|k| k / 7.0), column(|k| k / 3.0)],
+            residual_se: vec![0.1; keys.len()],
+            r2: vec![0.9; keys.len()],
+            n: vec![12; keys.len()],
+            keys: keys.clone(),
+        };
+        let coverage = Coverage {
+            table: "t".to_string(),
+            response: "y".to_string(),
+            variables: vec!["x".to_string(), "z".to_string()],
+            rows_at_fit: 0,
+            predicate: None,
+            domains: Vec::new(),
+        };
+        let formula = lawsdb_expr::parse_formula("y ~ a * x ^ b + c * z").unwrap();
+        let mut model = CapturedModel::new(formula, params, coverage, 0.9).unwrap();
+        let (mut groups, mut x, mut z) = (Vec::new(), Vec::new(), Vec::new());
+        for (i, &k) in keys.iter().enumerate() {
+            for (j, &xv) in xs.iter().enumerate() {
+                for (l, &zv) in zs.iter().enumerate() {
+                    if (i + j + l) % 3 != 0 {
+                        groups.push(Some(k));
+                        x.push(xv);
+                        z.push(zv);
+                    }
+                }
+            }
+        }
+        let observed = build_legal_filter(groups.into_iter(), &[&x[..], &z[..]], 20);
+        model.observed_combos = Some(Arc::new(observed));
+        ModelScan {
+            projection: None,
+            model: Arc::new(model),
+            cells: keys.len() * xs.len() * zs.len(),
+            keys: keys.into_iter().map(Some).collect(),
+            values: vec![xs, zs],
+            point: false,
+            response_conjuncts: vec![(PredOp::Gt, 2.0), (PredOp::Le, 40.0)],
+            bound: None,
+            analytic: None,
+        }
+    }
+
+    /// The leaf's relation computed the slow way: key by key, each grid
+    /// point predicted by the tree walk, a key dropped when its range
+    /// refutes a response conjunct, a cell when it was never observed.
+    fn reference_cells(leaf: &ModelScan) -> Vec<(i64, Vec<u64>)> {
+        let model = &leaf.model;
+        let grid = cartesian(&leaf.values);
+        let mut out = Vec::new();
+        for &key in &leaf.keys {
+            let inputs = |row: usize| -> Vec<(&str, f64)> {
+                model
+                    .coverage
+                    .variables
+                    .iter()
+                    .map(String::as_str)
+                    .zip(grid.iter().map(|g| g[row]))
+                    .collect()
+            };
+            let pred: Vec<f64> = (0..grid[0].len())
+                .map(|row| model.predict_scalar(key, &inputs(row)).unwrap())
+                .collect();
+            let lo = pred.iter().copied().fold(f64::INFINITY, f64::min);
+            let hi = pred.iter().copied().fold(f64::NEG_INFINITY, f64::max);
+            let refuted =
+                leaf.response_conjuncts.iter().any(|&(op, rhs)| !op.may_match(lo, hi, rhs));
+            if !leaf.point && pred.iter().all(|p| p.is_finite()) && refuted {
+                continue;
+            }
+            for (row, p) in pred.iter().enumerate() {
+                let point: Vec<f64> = grid.iter().map(|g| g[row]).collect();
+                let bf = model.observed_combos.as_ref().filter(|_| !leaf.point);
+                if bf.is_some_and(|bf| !bf.contains(combo_hash(key.unwrap_or(0), &point))) {
+                    continue;
+                }
+                let bits = point.iter().chain([p]).map(|v| v.to_bits()).collect();
+                out.push((key.unwrap_or(0), bits));
+            }
+        }
+        out
+    }
+
+    fn cells_of(t: &Table) -> Vec<(i64, Vec<u64>)> {
+        let g = t.column("g").unwrap().i64_data().unwrap();
+        let cols: Vec<&[f64]> =
+            ["x", "z", "y"].iter().map(|c| t.column(c).unwrap().f64_data().unwrap()).collect();
+        (0..t.row_count()).map(|i| (g[i], cols.iter().map(|c| c[i].to_bits()).collect())).collect()
+    }
+
+    #[test]
+    fn every_cell_has_the_tree_walks_bits_and_the_same_cells_are_dropped() {
+        let leaf = two_variable_leaf();
+        let want = reference_cells(&leaf);
+        // Both kinds of drop happen: some keys are refuted whole, and
+        // some kept keys lose unobserved cells.
+        let kept_keys: std::collections::BTreeSet<i64> = want.iter().map(|(k, _)| *k).collect();
+        assert!(kept_keys.len() > 1 && kept_keys.len() < leaf.keys.len(), "{kept_keys:?}");
+        assert!(want.len() < kept_keys.len() * 12, "{}", want.len());
+        for threads in [1, 4] {
+            for morsel_rows in [1, 7, 12, 25, crate::morsel::DEFAULT_MORSEL_ROWS] {
+                let opts = ExecOptions { threads, morsel_rows, ..ExecOptions::default() };
+                let got = cells_of(&leaf.materialize(&opts).unwrap());
+                assert_eq!(got, want, "{threads} threads, {morsel_rows} cells per morsel");
+            }
+        }
+        // A point lookup keeps its cell whatever was observed.
+        let unobserved = ModelScan {
+            keys: vec![Some(-4)],
+            values: vec![vec![0.5], vec![-1.0]],
+            cells: 1,
+            point: true,
+            ..leaf.clone()
+        };
+        let want = reference_cells(&unobserved);
+        assert_eq!(want.len(), 1);
+        assert_eq!(cells_of(&unobserved.materialize(&ExecOptions::default()).unwrap()), want);
     }
 
     #[test]

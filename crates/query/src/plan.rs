@@ -123,17 +123,22 @@ impl LogicalPlan {
         let has_agg = stmt.items.iter().any(|i| matches!(i, SelectItem::Agg { .. }));
         if has_agg || !stmt.group_by.is_empty() {
             let mut aggs = Vec::new();
+            // The SELECT list over the aggregate's output, which holds
+            // the group columns, then the aggregates.
+            let mut outputs = Vec::new();
             for item in &stmt.items {
                 match item {
-                    SelectItem::Agg { func, arg, .. } => aggs.push(AggSpec {
-                        func: *func,
-                        arg: arg.clone(),
-                        name: item.output_name(),
-                    }),
+                    SelectItem::Agg { func, arg, .. } => {
+                        let name = item.output_name();
+                        outputs.push((ScalarExpr::Column(name.clone()), name.clone()));
+                        aggs.push(AggSpec { func: *func, arg: arg.clone(), name });
+                    }
                     SelectItem::Expr { expr, .. } => {
                         // Bare expressions must be grouping columns.
                         match expr {
-                            ScalarExpr::Column(c) if stmt.group_by.contains(c) => {}
+                            ScalarExpr::Column(c) if stmt.group_by.contains(c) => {
+                                outputs.push((expr.clone(), item.output_name()));
+                            }
                             other => {
                                 return Err(QueryError::InvalidAggregate {
                                     reason: format!(
@@ -150,11 +155,21 @@ impl LogicalPlan {
                     }
                 }
             }
+            let natural = stmt.group_by.iter().chain(aggs.iter().map(|a| &a.name));
+            let in_order = outputs.len() == stmt.group_by.len() + aggs.len()
+                && outputs.iter().zip(natural).all(|((e, name), n)| {
+                    name == n && matches!(e, ScalarExpr::Column(c) if c == n)
+                });
             plan = LogicalPlan::Aggregate {
                 input: Box::new(plan),
                 group_by: stmt.group_by.clone(),
                 aggs,
             };
+            // Columns come in SELECT-list order: a list that is not the
+            // group columns, then the aggregates, is projected.
+            if !in_order {
+                plan = LogicalPlan::Project { input: Box::new(plan), exprs: outputs, star: false };
+            }
         } else {
             let star = stmt.items.iter().any(|i| matches!(i, SelectItem::Star));
             let mut exprs = Vec::new();

@@ -33,7 +33,9 @@
 //! oracle. A closed-form aggregate must land within a relative 1e-9 of
 //! the oracle over the model's relation (closed form and summation
 //! round differently), and every other model answer must carry the
-//! oracle's bits over it. The relation is rebuilt here one cell at a
+//! oracle's bits over it, and every model answer the same bits on 1
+//! and 4 threads at 1, 7 and the default cells per morsel. The
+//! relation is rebuilt here one cell at a
 //! time: group keys × enumerated domain, `predict_scalar`, and the
 //! oracle's own `WHERE` over the model's coverage and legal filter. A
 //! query naming a column the model does not reconstruct must degrade to
@@ -264,13 +266,24 @@ fn query(r: &mut Rng) -> String {
             &[], &[], &["g"], &["k"], &["v"], &["x"], &["g", "k"], &["v", "g"], &["g", "k", "v"],
         ];
         let group = *r.pick(&groups);
-        let aggs: Vec<String> =
-            (0..1 + r.below(4)).map(|i| format!("{} AS a{i}", r.pick(&AGGS))).collect();
-        let names: Vec<String> = (0..aggs.len()).map(|i| format!("a{i}")).collect();
-        let outputs: Vec<&str> =
-            group.iter().copied().chain(names.iter().map(String::as_str)).collect();
-        let select: Vec<&str> =
-            group.iter().copied().chain(aggs.iter().map(String::as_str)).collect();
+        // `(SELECT item, output name)`: the group columns, then the
+        // aggregates, or in half the cases each group column placed
+        // anywhere in the list or left out.
+        let mut items: Vec<(String, String)> =
+            group.iter().map(|g| (g.to_string(), g.to_string())).collect();
+        items.extend(
+            (0..1 + r.below(4)).map(|i| (format!("{} AS a{i}", r.pick(&AGGS)), format!("a{i}"))),
+        );
+        if r.one_in(2) {
+            for g in items.drain(..group.len()).collect::<Vec<_>>() {
+                if !r.one_in(3) {
+                    let at = r.below(items.len() + 1);
+                    items.insert(at, g);
+                }
+            }
+        }
+        let select: Vec<&str> = items.iter().map(|(item, _)| item.as_str()).collect();
+        let outputs: Vec<&str> = items.iter().map(|(_, name)| name.as_str()).collect();
         let group_by = if group.is_empty() {
             String::new()
         } else {
@@ -687,6 +700,9 @@ impl Run {
                 }
                 (Answer::Approx(_), None) => self.fail(&path, sql, "approximate with no model"),
             }
+            if let Answer::Approx(x) = &a.answer {
+                self.approx_under_any_options(&path, sql, mode, &x.table);
+            }
         }
 
         let w = self.client.query(QueryMode::Exact, sql);
@@ -699,6 +715,22 @@ impl Run {
             self.fail("6 wire cluster", sql, "approximate under single-replica failures");
         }
         self.same("6 wire cluster", sql, want, &w.table);
+    }
+
+    /// An approximate answer has the same bits on 1 and 4 threads, at
+    /// 1, 7 and the default cells per morsel.
+    fn approx_under_any_options(&self, path: &str, sql: &str, mode: AnswerMode, want: &Table) {
+        let want = oracle::fingerprint(want);
+        for threads in [1, 4] {
+            for morsel_rows in [1, 7, ExecOptions::default().morsel_rows] {
+                let path = format!("{path}, {threads} threads, {morsel_rows} per morsel");
+                let opts = ExecOptions { threads, morsel_rows, ..self.db.exec.clone() };
+                match self.ok(&path, sql, self.db.answer(sql, mode, &opts)).answer {
+                    Answer::Approx(x) => self.same(&path, sql, &want, &x.table),
+                    Answer::Exact(_) => self.fail(&path, sql, "exact under other options"),
+                }
+            }
+        }
     }
 
     /// At default morsels, the unfiltered aggregate of bare columns

@@ -35,11 +35,8 @@
 //!   A name is the alias, else the column's name, else the engine's
 //!   rendering of the item. A bare column keeps its type, a predicate
 //!   is Bool, COUNT is Int64, MIN and MAX of a string column are Str,
-//!   and everything else is Float64 — with or without rows.
-//!
-//! One engine behaviour differs from these rules: an aggregate lists
-//! its GROUP BY columns first, selected or not, so the driver's grammar
-//! selects exactly those, first.
+//!   and everything else is Float64 — with or without rows. An
+//!   aggregate's GROUP BY columns are output only where selected.
 
 use lawsdb::query::parse_select;
 use lawsdb::query::sexpr::{ArithOp, CmpOp, ScalarExpr};

@@ -4,7 +4,7 @@
 //! and the per-shard captured models. A query takes one of two routes:
 //!
 //! * **Scatter-gather** — every aggregate pipeline shape
-//!   `[LIMIT] [ORDER BY] AGG(SCAN | FILTER(SCAN))`, under either
+//!   `[LIMIT] [ORDER BY] [PROJECT] AGG(SCAN | FILTER(SCAN))`, under either
 //!   partitioning. Each shard runs the engine's aggregate pipeline on
 //!   its resident rows (`lawsdb_query::partial`); the coordinator merges
 //!   the shards' partials and assembles the answer. Accumulators hold
@@ -40,8 +40,8 @@ use lawsdb_query::plan::AggSpec;
 use lawsdb_query::sql::{AggFunc, OrderBy, SelectStatement};
 use lawsdb_query::{
     assemble_partials, execute_with, group_key_hash, limit_rows, merge_shard_partials,
-    parse_select, shard_partials, sort_rows, CostConstants, ExecOptions, LogicalPlan, ModelPlan,
-    PruningPredicate, QueryError, ShardPartials,
+    parse_select, project_rows, shard_partials, sort_rows, CostConstants, ExecOptions, LogicalPlan,
+    ModelPlan, PruningPredicate, QueryError, ShardPartials,
 };
 use lawsdb_storage::zonemap::PredOp;
 use lawsdb_storage::{Catalog, DataType, FaultMode, Schema, Table, Value};
@@ -145,6 +145,9 @@ struct AggShape {
     group_by: Vec<String>,
     aggs: Vec<AggSpec>,
     predicate: Option<lawsdb_query::ScalarExpr>,
+    /// The SELECT list over the aggregate's output, when it is not the
+    /// group columns and then the aggregates.
+    project: Option<Vec<(lawsdb_query::ScalarExpr, String)>>,
     order: Vec<OrderBy>,
     limit: Option<usize>,
 }
@@ -311,7 +314,8 @@ impl Cluster {
                     partials.push(sp);
                 }
                 Err(AttemptError::Fatal(e)) => return Err(e),
-                Err(AttemptError::Replica(detail)) => match self.model_answer(s, shape, stmt) {
+                Err(AttemptError::Replica(detail)) => match self.model_answer(s, shape, stmt, opts)
+                {
                     Ok((mt, bound)) => {
                         self.metrics.model_fallbacks.inc();
                         error_bound = match (error_bound, bound) {
@@ -333,7 +337,8 @@ impl Cluster {
                         degraded.push(DegradeReason::ShardModelFallback { shard: s, error_bound: bound });
                         model_tables.push(mt);
                     }
-                    Err(reason) => {
+                    Err(AttemptError::Fatal(e)) => return Err(e),
+                    Err(AttemptError::Replica(reason)) => {
                         self.metrics.partial_results.inc();
                         return Err(ClusterError::PartialResult {
                             shard: s,
@@ -353,6 +358,9 @@ impl Cluster {
             merged,
             |row, col| self.key_value(&tables, row, col),
         )?;
+        if let Some(exprs) = &shape.project {
+            out = project_rows(&out, exprs, opts)?;
+        }
         let approximate = !model_tables.is_empty();
         for mt in model_tables {
             out.append_rows(mt.columns())?;
@@ -629,45 +637,50 @@ impl Cluster {
     /// the shard's groups its own, so model rows append disjointly),
     /// AVG/MIN/MAX only (reconstruction loses row multiplicity, so
     /// COUNT/SUM are out), no LIMIT (a per-shard LIMIT is not the global
-    /// LIMIT), and the model's residual bound within policy.
+    /// LIMIT), and the model's residual bound within policy. The model
+    /// tree runs under the query's `opts`: its own cancellation or
+    /// deadline ends the query as that error ([`AttemptError::Fatal`]);
+    /// every other refusal is a reason ([`AttemptError::Replica`]).
     fn model_answer(
         &self,
         s: usize,
         shape: &AggShape,
         stmt: &SelectStatement,
-    ) -> std::result::Result<(Table, Option<f64>), String> {
+        opts: &ExecOptions,
+    ) -> std::result::Result<(Table, Option<f64>), AttemptError> {
+        let refuse = |reason: String| Err(AttemptError::Replica(reason));
         let PartitionScheme::Hash { key } = &self.cfg.scheme else {
-            return Err(
-                "range shards interleave groups, so a per-shard model cannot stand in".to_string()
+            return refuse(
+                "range shards interleave groups, so a per-shard model cannot stand in".to_string(),
             );
         };
         if !shape.group_by.iter().any(|g| g.eq_ignore_ascii_case(key)) {
-            return Err(format!(
+            return refuse(format!(
                 "the GROUP BY does not contain the shard key {key}, so the shard's model rows \
                  would not be disjoint from the other shards' groups"
             ));
         }
         if shape.limit.is_some() {
-            return Err("LIMIT cannot be applied per shard".to_string());
+            return refuse("LIMIT cannot be applied per shard".to_string());
         }
         if let Some(bad) = shape
             .aggs
             .iter()
             .find(|a| !matches!(a.func, AggFunc::Avg | AggFunc::Min | AggFunc::Max))
         {
-            return Err(format!(
+            return refuse(format!(
                 "{} is unsound from a reconstructed model (row multiplicity is lost)",
                 bad.func.name()
             ));
         }
         let guard = self.shards[s].model.lock();
         let Some(model) = guard.as_ref() else {
-            return Err("no captured model for the shard".to_string());
+            return refuse("no captured model for the shard".to_string());
         };
         match model.bound {
             Some(b) if b <= self.cfg.max_abs_residual => {}
             other => {
-                return Err(format!(
+                return refuse(format!(
                     "model residual bound {other:?} exceeds max_abs_residual {}",
                     self.cfg.max_abs_residual
                 ))
@@ -675,13 +688,19 @@ impl Cluster {
         }
         // The engine's own lowering and executor; the leaf reads no
         // table, so the catalog it is priced and run against is empty.
-        let cannot = |e: &dyn std::fmt::Display| format!("model cannot answer: {e}");
+        let cannot =
+            |e: &dyn std::fmt::Display| AttemptError::Replica(format!("model cannot answer: {e}"));
         let logical = optimize(&LogicalPlan::from_statement(stmt).map_err(|e| cannot(&e))?);
         let catalog = Catalog::new();
         let consts = CostConstants::default();
         let plan = ModelPlan::lower(stmt, &logical, &model.models, &catalog, &consts);
         let plan = plan.map_err(|e| cannot(&e))?;
-        let ans = plan.run(&catalog, &ExecOptions::default()).map_err(|e| cannot(&e))?;
+        let ans = plan.run(&catalog, opts).map_err(|e| match e {
+            QueryError::Cancelled | QueryError::Timeout { .. } => {
+                AttemptError::Fatal(ClusterError::Query(e))
+            }
+            other => cannot(&other),
+        })?;
         Ok((ans.table, ans.error_bound))
     }
 
@@ -771,10 +790,12 @@ impl Cluster {
     }
 }
 
-/// Peel `[Limit] [Sort] Aggregate(Scan | Filter(Scan))` off a plan.
+/// Peel `[Limit] [Sort] [Project] Aggregate(Scan | Filter(Scan))` off a
+/// plan.
 fn decompose(plan: &LogicalPlan) -> Option<AggShape> {
     let mut limit = None;
     let mut order: Vec<OrderBy> = Vec::new();
+    let mut project = None;
     let mut p = plan;
     if let LogicalPlan::Limit { input, n } = p {
         limit = Some(*n);
@@ -782,6 +803,10 @@ fn decompose(plan: &LogicalPlan) -> Option<AggShape> {
     }
     if let LogicalPlan::Sort { input, keys } = p {
         order = keys.clone();
+        p = input;
+    }
+    if let LogicalPlan::Project { input, exprs, star: false } = p {
+        project = Some(exprs.clone());
         p = input;
     }
     let LogicalPlan::Aggregate { input, group_by, aggs } = p else {
@@ -794,7 +819,8 @@ fn decompose(plan: &LogicalPlan) -> Option<AggShape> {
     if !matches!(source, LogicalPlan::Scan { .. }) {
         return None;
     }
-    Some(AggShape { group_by: group_by.clone(), aggs: aggs.clone(), predicate, order, limit })
+    let (group_by, aggs) = (group_by.clone(), aggs.clone());
+    Some(AggShape { group_by, aggs, predicate, project, order, limit })
 }
 
 #[cfg(test)]
@@ -825,6 +851,38 @@ mod tests {
             assert_eq!(got, execute_with(&catalog, &sql, &opts).unwrap().table, "{sql}");
             let seen = (got.row(0).unwrap()[0].clone(), queries() - before);
             assert_eq!(seen, (Value::Int(n), asked), "{sql}");
+        }
+    }
+
+    /// A GROUP BY that lists its aggregate first plans as a projection
+    /// over the aggregate: it scatters like the group-first text, asks
+    /// only the owning shard when routed, and merges to the single
+    /// engine's bits.
+    #[test]
+    fn a_projected_aggregate_scatters() {
+        let mut b = lawsdb_storage::TableBuilder::new("t");
+        let keys: Vec<i64> = (0..60).map(|i| i % 9).collect();
+        let vals: Vec<f64> = (0..60).map(|i| 0.1 * i as f64 + 1.0 / (1 + i) as f64).collect();
+        b.add_i64("k", keys).add_f64("v", vals);
+        let (table, registry) = (b.build().unwrap(), MetricsRegistry::new());
+        let catalog = Catalog::new();
+        let scheme = PartitionScheme::Hash { key: "k".to_string() };
+        let cfg = ClusterConfig { shards: 3, scheme, ..ClusterConfig::default() };
+        let cluster = Cluster::new(&table, cfg, &registry).unwrap();
+        catalog.register(table).unwrap();
+        let queries = || registry.snapshot().counter("lawsdb_cluster_shard_queries");
+        let opts = ExecOptions::default();
+        for (sql, asked) in [
+            ("SELECT AVG(v) AS m, k FROM t WHERE k = 7 GROUP BY k", 1),
+            ("SELECT k, AVG(v) AS m FROM t WHERE k = 7 GROUP BY k", 1),
+            ("SELECT MAX(v) AS hi, COUNT(*) AS n FROM t GROUP BY k ORDER BY hi DESC LIMIT 4", 3),
+        ] {
+            let plan = LogicalPlan::from_statement(&parse_select(sql).unwrap()).unwrap();
+            assert!(decompose(&plan).is_some(), "{sql} scatters");
+            let before = queries();
+            let got = cluster.query(sql, &opts).unwrap().table;
+            assert_eq!(got, execute_with(&catalog, sql, &opts).unwrap().table, "{sql}");
+            assert_eq!(queries() - before, asked, "{sql}");
         }
     }
 }

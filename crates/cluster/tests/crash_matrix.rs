@@ -239,6 +239,35 @@ fn total_shard_loss_degrades_soundly() {
     assert!(snap.counter("lawsdb_cluster_partial_results") >= 1);
 }
 
+/// A query's own cancel token holds on the shard-model fallback: a
+/// routed AVG that finds its one shard lost ends cancelled, not
+/// answered from the model or refused as a partial result.
+#[test]
+fn the_shard_model_fallback_honours_the_query_cancel_token() {
+    let table = lofar();
+    let (cluster, _registry) = cluster(&table);
+    let sql =
+        "SELECT source, AVG(intensity) AS m FROM measurements WHERE source = 1 GROUP BY source";
+    let opts = ExecOptions::default();
+    let live = cluster.query(sql, &opts).unwrap();
+    assert!(!live.approximate);
+    let s = (0..cluster.config().shards).find(|&s| {
+        cluster.kill_shard(s);
+        let lost = cluster.query(sql, &opts).is_ok_and(|a| a.approximate);
+        (0..cluster.config().replicas).for_each(|r| cluster.heal_replica(s, r).unwrap());
+        lost
+    });
+    let s = s.expect("some shard owns source 1 and falls back to its model");
+    cluster.kill_shard(s);
+    let token = lawsdb_query::CancelToken::new();
+    token.cancel();
+    let cancelled = ExecOptions { cancel: Some(token), ..ExecOptions::default() };
+    match cluster.query(sql, &cancelled) {
+        Err(ClusterError::Query(lawsdb_query::QueryError::Cancelled)) => {}
+        other => panic!("a cancelled query must end cancelled, got {other:?}"),
+    }
+}
+
 /// The health tracker's probe cycle: a downed replica is skipped, then
 /// probed, then restored to Up once it heals — all observable through
 /// the per-shard gauges.

@@ -8,7 +8,7 @@ use crate::session::Session;
 use lawsdb_approx::{ApproxAnswer, ApproxError};
 use lawsdb_fit::FitOptions as RawFitOptions;
 use lawsdb_models::bridge::{fit_table, fit_table_grouped, refit_table_grouped};
-use lawsdb_models::legal::build_legal_filter;
+use lawsdb_models::legal::BloomFilter;
 use lawsdb_models::model::ModelId;
 use lawsdb_models::{CapturedModel, ModelCatalog, ModelState};
 use lawsdb_obs::{fields, Counter, MetricsRegistry};
@@ -31,7 +31,8 @@ const DRIFT_SAMPLE_ROWS: usize = 16;
 const DRIFT_SAMPLE_ROUNDS: usize = 64;
 
 /// Bits per key of the legal-combination Bloom filter capture builds
-/// for a grouped model (≈ 1 % false positives).
+/// for a grouped model (≈ 1 % false positives), its bit count rounded up
+/// to a power of two so a refit can extend the live filter.
 const LEGAL_FILTER_BITS_PER_KEY: usize = 10;
 
 /// The quality gate applied to every captured model before it becomes
@@ -124,6 +125,9 @@ pub struct LawsDb {
     /// `lawsdb_fit_lm_iterations`: optimizer iterations of the groups
     /// captures and refits fitted successfully (0 for a linear fit).
     lm_iterations: Arc<Counter>,
+    /// `lawsdb_fit_rows_fitted`: rows captures and refits hand to the
+    /// fit and its residual pass (a refit's, the touched groups' rows).
+    rows_fitted: Arc<Counter>,
 }
 
 impl Default for LawsDb {
@@ -154,6 +158,7 @@ impl LawsDb {
             plan_cache: PlanCache::for_registry(&metrics),
             groups_fitted: metrics.counter("lawsdb_fit_groups_fitted"),
             lm_iterations: metrics.counter("lawsdb_fit_lm_iterations"),
+            rows_fitted: metrics.counter("lawsdb_fit_rows_fitted"),
             metrics,
         }
     }
@@ -502,7 +507,9 @@ impl LawsDb {
     /// Fit and store a model. On a refit, `live` is the model it
     /// replaces: when the table proves it only grew since `live` was
     /// fitted, only the groups of the appended rows are fitted again
-    /// ([`appended_keys`]); otherwise every group is.
+    /// ([`appended_rows`]), and the legal-combination filter is `live`'s
+    /// extended by those rows while its size holds; otherwise every
+    /// group is fitted and the filter built over every row.
     fn capture(
         &self,
         table_name: &str,
@@ -518,24 +525,27 @@ impl LawsDb {
             Some(p) => Arc::new(self.covered_rows(table_name, p)?),
             None => Arc::clone(&table),
         };
-        let touched = live.and_then(|m| Some((m, appended_keys(m, &table)?)));
+        let appended = live.and_then(|m| Some((m, appended_rows(m, &table)?)));
         let threads = default_threads();
-        let (mut model, groups, iterations) = match (group_column, &touched) {
-            (Some(_), Some((live, keys))) => {
-                let (model, report) = refit_table_grouped(live, &rows, keys, options, threads)?;
-                (model, report.fits.len(), report.iterations())
+        let (mut model, groups, iterations, fitted_rows) = match (group_column, &appended) {
+            (Some(_), Some((live, appended))) => {
+                let (model, report) = refit_table_grouped(live, &rows, appended, options, threads)?;
+                let fitted_rows = report.fits.iter().map(|g| g.rows).sum();
+                (model, report.fits.len(), report.iterations(), fitted_rows)
             }
             (Some(g), None) => {
                 let (model, report) = fit_table_grouped(&rows, formula, g, options, threads)?;
-                (model, report.fits.len(), report.iterations())
+                let fitted_rows = report.fits.iter().map(|g| g.rows).sum();
+                (model, report.fits.len(), report.iterations(), fitted_rows)
             }
             (None, _) => {
                 let (model, fit) = fit_table(&rows, formula, options)?;
-                (model, 1, fit.iterations)
+                (model, 1, fit.iterations, rows.row_count())
             }
         };
         self.groups_fitted.add(groups as u64);
         self.lm_iterations.add(iterations as u64);
+        self.rows_fitted.add(fitted_rows as u64);
         model.table_version = Some(table.id());
         if let (Some(p), Some(src)) = (&coverage, predicate) {
             model.coverage.table = table_name.to_string();
@@ -555,13 +565,11 @@ impl LawsDb {
         // (Section 4.2's compressed lookup structure) rides with the
         // model, so enumeration never invents a combination.
         if let (true, Some(g)) = (passed, group_column) {
-            let groups = table.column(g).and_then(|c| c.i64_values());
-            let vars: lawsdb_storage::Result<Vec<&[f64]>> =
-                model.coverage.variables.iter().map(|v| table.column(v)?.f64_data()).collect();
-            if let (Ok(groups), Ok(vars)) = (groups, vars) {
-                let bf = build_legal_filter(groups, &vars, LEGAL_FILTER_BITS_PER_KEY);
-                model.observed_combos = Some(Arc::new(bf));
-            }
+            let grown = appended.and_then(|(live, _)| {
+                Some((live.observed_combos.as_deref()?, live.coverage.rows_at_fit))
+            });
+            let variables = &model.coverage.variables;
+            model.observed_combos = observed_combos(&table, g, variables, grown).map(Arc::new);
         }
         let stored = self.models.store(model);
         if !passed {
@@ -599,11 +607,17 @@ impl LawsDb {
     /// A refit costs what changed. When the table only grew since the
     /// model was fitted — it extends the fitted version by appends — a
     /// grouped model fits again only the groups that have rows among
-    /// the appended ones, and keeps every other group's parameters. A
-    /// group's fit reads only its own rows, so the result equals a cold
-    /// [`LawsDb::capture_model`] on the current table bit for bit.
+    /// the appended ones, and keeps every other group's parameters and
+    /// residual figures. Apart from the appended rows, it reads only the
+    /// touched groups' rows: once, for their fit and residual pass. The
+    /// legal-combination filter is the live one extended by the appended
+    /// rows (rebuilt when the row count crosses a power of two of its
+    /// size), and the domains are the live ones when every appended
+    /// value is already in them. A group's fit reads only its own rows,
+    /// so the result equals a cold [`LawsDb::capture_model`] on the
+    /// current table bit for bit, filter and domains included.
     /// Otherwise (the table was replaced, the model was loaded from a
-    /// store, or it is global) every group is fitted.
+    /// store, or it is global) every group is fitted over every row.
     ///
     /// `options` apply to the groups the refit fits. Untouched groups
     /// keep the live parameters whatever options they were fitted
@@ -629,21 +643,46 @@ impl LawsDb {
     }
 }
 
-/// The group keys of the rows `table` gained since `model` was fitted,
-/// sorted and each once: `None` unless `model` is grouped, was fitted in
-/// this process, and `table` extends the version it was fitted on. A
-/// NULL key is no group and is skipped.
-fn appended_keys(model: &CapturedModel, table: &Table) -> Option<Vec<i64>> {
-    let group = model.params.group_column.as_deref()?;
+/// The rows `table` gained since `model` was fitted: `None` unless
+/// `model` is grouped, was fitted in this process, and `table` extends
+/// the version it was fitted on.
+fn appended_rows(model: &CapturedModel, table: &Table) -> Option<Table> {
+    model.params.group_column.as_ref()?;
     let from = model.coverage.rows_at_fit;
     if !table.extends(model.table_version?, from) {
         return None;
     }
-    let tail = table.column(group).ok()?.slice(from, table.row_count() - from).ok()?;
-    let mut keys: Vec<i64> = tail.i64_values().ok()?.flatten().collect();
-    keys.sort_unstable();
-    keys.dedup();
-    Some(keys)
+    table.slice(from, table.row_count() - from).ok()
+}
+
+/// The legal-combination filter of `table`'s rows under `group` and the
+/// `variables`, sized to a power of two of
+/// [`LEGAL_FILTER_BITS_PER_KEY`] bits per row. Given `grown`, a filter
+/// of the table's first rows and their count, whose size the table's
+/// rows keep, only the rows after those are inserted into a copy of it:
+/// insertion ORs bits in, so that is the filter built over every row.
+/// `None` when a column is not of the filter's types (integer keys,
+/// float variables).
+fn observed_combos(
+    table: &Table,
+    group: &str,
+    variables: &[String],
+    grown: Option<(&BloomFilter, usize)>,
+) -> Option<BloomFilter> {
+    let rows = table.row_count();
+    let (mut filter, from) = match grown {
+        Some((live, from)) if live.has_power_of_two_shape(rows, LEGAL_FILTER_BITS_PER_KEY) => {
+            (live.clone(), from)
+        }
+        _ => (BloomFilter::with_power_of_two_bits(rows, LEGAL_FILTER_BITS_PER_KEY), 0),
+    };
+    let groups = table.column(group).ok()?.slice(from, rows - from).ok()?;
+    let vars: Vec<&[f64]> = variables
+        .iter()
+        .map(|v| Some(&table.column(v).ok()?.f64_data().ok()?[from..]))
+        .collect::<Option<_>>()?;
+    filter.insert_rows(groups.i64_values().ok()?, &vars);
+    Some(filter)
 }
 
 /// A coverage predicate may name only what the model's relation holds

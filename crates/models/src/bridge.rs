@@ -8,24 +8,128 @@
 //! evaluates no predicate.
 
 use crate::error::{ModelError, Result};
-use crate::model::{CapturedModel, Coverage, ModelParams};
+use crate::model::{CapturedModel, Coverage, ModelParams, Residuals};
 use lawsdb_expr::{parse_formula, Formula};
 use lawsdb_fit::{fit_auto, fit_grouped, DataSet, FitOptions, FitResult, GroupedFitResult};
-use lawsdb_storage::Table;
+use lawsdb_storage::{Column, Table};
+use std::borrow::Cow;
 use std::ops::Range;
+use std::sync::Arc;
 
-/// Numeric views of the table columns a formula needs, with NULL → NaN
-/// (the fit layer drops NaN rows).
-fn numeric_views(table: &Table, names: &[String]) -> Result<Vec<(String, Vec<f64>)>> {
-    names
-        .iter()
-        .map(|n| {
-            let col = table.column(n)?;
-            Ok((n.clone(), col.to_f64_lossy()?))
-        })
-        .collect()
+/// Rows predicted in one compiled pass by a residual pass or
+/// [`predict_table`]: whole groups are batched up to about this many.
+const CHUNK_ROWS: usize = 1024;
+
+/// A numeric column as f64s, NULL → NaN (the fit layer drops NaN rows):
+/// borrowed when it is floats without NULLs.
+fn numeric_view(column: &Column) -> Result<Cow<'_, [f64]>> {
+    match column.f64_data() {
+        Ok(data) if column.null_count() == 0 => Ok(Cow::Borrowed(data)),
+        _ => Ok(Cow::Owned(column.to_f64_lossy()?)),
+    }
 }
 
+/// `column`'s values at the rows of `runs`, in run order, as
+/// [`numeric_view`] reads them.
+fn gather<T>(column: &Column, runs: &[(T, Range<usize>)]) -> Result<Vec<f64>> {
+    let rows = runs.iter().flat_map(|(_, span)| span.clone());
+    let mut out = Vec::with_capacity(runs.iter().map(|(_, span)| span.len()).sum());
+    let valid = column.validity();
+    match column {
+        Column::Float64 { data, .. } => {
+            out.extend(rows.map(|i| if valid.get(i) { data[i] } else { f64::NAN }));
+        }
+        Column::Int64 { data, .. } => {
+            out.extend(rows.map(|i| if valid.get(i) { data[i] as f64 } else { f64::NAN }));
+        }
+        other => return Err(other.to_f64_lossy().expect_err("not numeric").into()),
+    }
+    Ok(out)
+}
+
+/// The runs of equal keys in `keys` that `select` tags, each with its
+/// tag, sorted by tag and then position: each tag's runs sit together,
+/// in table order. `select` is asked once per run, so the work is the
+/// column's rows and runs, not a lookup per row. NULL keys are in no
+/// run.
+fn key_runs<T: Ord + Copy>(
+    keys: &Column,
+    select: impl Fn(i64) -> Option<T>,
+) -> Result<Vec<(T, Range<usize>)>> {
+    let mut runs: Vec<(T, Range<usize>)> = Vec::new();
+    let mut current = None;
+    for (i, key) in keys.i64_values()?.enumerate() {
+        let tag = match current {
+            Some((k, tag)) if k == key => tag,
+            _ => key.and_then(&select),
+        };
+        current = Some((key, tag));
+        let Some(tag) = tag else { continue };
+        match runs.last_mut() {
+            Some((t, run)) if *t == tag && run.end == i => run.end += 1,
+            _ => runs.push((tag, i..i + 1)),
+        }
+    }
+    runs.sort_unstable_by_key(|(tag, rows)| (*tag, rows.start));
+    Ok(runs)
+}
+
+/// The columns a grouped fit and its residual pass read, over the rows
+/// they read, in key order and in table order within a key.
+struct KeyOrdered<'t> {
+    /// Each row's key, ascending.
+    keys: Cow<'t, [i64]>,
+    /// One column per name asked for, in that order.
+    columns: Vec<Cow<'t, [f64]>>,
+}
+
+impl<'t> KeyOrdered<'t> {
+    /// The rows of `table` whose key is in `touched` (sorted), or every
+    /// row with a key when `touched` is `None`: the keys are looked up
+    /// once per run of equal keys, and each of the `names` columns is
+    /// gathered once in key order. Already-sorted keys without NULLs,
+    /// every row selected, gather nothing.
+    fn select(
+        table: &'t Table,
+        group_column: &str,
+        names: &[String],
+        touched: Option<&[i64]>,
+    ) -> Result<KeyOrdered<'t>> {
+        let keys = table.column(group_column)?;
+        if let (None, 0, Ok(sorted)) = (touched, keys.null_count(), keys.i64_data()) {
+            if sorted.is_sorted() {
+                let columns = names.iter().map(|n| numeric_view(table.column(n)?));
+                let columns = columns.collect::<Result<_>>()?;
+                return Ok(KeyOrdered { keys: Cow::Borrowed(sorted), columns });
+            }
+        }
+        let wanted = |k: i64| touched.is_none_or(|t| t.binary_search(&k).is_ok()).then_some(k);
+        let runs = key_runs(keys, wanted)?;
+        let rows = runs.iter().map(|(_, span)| span.len()).sum();
+        let mut sorted = Vec::with_capacity(rows);
+        for (key, span) in &runs {
+            sorted.resize(sorted.len() + span.len(), *key);
+        }
+        let columns = names.iter().map(|n| Ok(Cow::Owned(gather(table.column(n)?, &runs)?)));
+        Ok(KeyOrdered { keys: Cow::Owned(sorted), columns: columns.collect::<Result<_>>()? })
+    }
+
+    /// Each run of one key with the parameter row `params` holds for
+    /// it; keys without one are skipped.
+    fn groups<'a>(
+        &'a self,
+        params: &'a ModelParams,
+    ) -> impl Iterator<Item = (usize, Range<usize>)> + 'a {
+        self.keys
+            .chunk_by(|a, b| a == b)
+            .scan(0, |start, run| {
+                let rows = *start..*start + run.len();
+                *start = rows.end;
+                Some((run[0], rows))
+            })
+            .filter_map(|(key, rows)| Some((params.keys.binary_search(&key).ok()?, rows)))
+    }
+}
 
 /// Enumerated domains of the given variables, captured at fit time via
 /// column statistics (cap 1024 distinct values — beyond that a column is
@@ -46,20 +150,101 @@ fn capture_domains(table: &Table, variables: &[String]) -> Vec<(String, Vec<f64>
         .collect()
 }
 
-/// The coverage of a model of `formula` fit on all of `table`.
-fn coverage(table: &Table, formula: &Formula, variables: Vec<String>) -> Coverage {
-    Coverage {
-        table: table.name().to_string(),
-        response: formula.response.clone(),
-        domains: capture_domains(table, &variables),
-        variables,
-        rows_at_fit: table.row_count(),
-        predicate: None,
-    }
+/// Whether every value `appended` holds of `live`'s variables is already
+/// in the variable's live domain, by the equality
+/// `ColumnStats::analyze` counts distinct values with (NULL and NaN are
+/// no value, −0.0 is 0.0, an integer is its exact `f64`). Appends never
+/// remove a value, so then the grown table's distinct values, and with
+/// them its domains, are `live`'s.
+fn domains_hold(live: &CapturedModel, appended: &Table) -> bool {
+    live.coverage.variables.iter().all(|v| {
+        let (Some(domain), Ok(column)) = (live.coverage.domain_of(v), appended.column(v)) else {
+            return false;
+        };
+        let known = |x: f64| {
+            let x = if x == 0.0 { 0.0 } else { x };
+            domain.binary_search_by(|d| d.total_cmp(&x)).is_ok()
+        };
+        let valid = column.validity();
+        match column {
+            Column::Float64 { data, .. } => {
+                data.iter().enumerate().all(|(i, &x)| !valid.get(i) || x.is_nan() || known(x))
+            }
+            // Below 2^53 no other integer has the same f64.
+            Column::Int64 { data, .. } => data
+                .iter()
+                .enumerate()
+                .all(|(i, &x)| !valid.get(i) || (x.unsigned_abs() < 1 << 53 && known(x as f64))),
+            _ => false,
+        }
+    })
 }
 
-/// Run the residual pass of a freshly fitted `model` over `table`,
-/// every row it speaks for, and record its two whole-table figures.
+/// The residual figures of one group's rows, in row order: `actual`,
+/// their `weights` if weighted, and `preds`.
+fn group_residuals(
+    actual: &[f64],
+    weights: Option<&[f64]>,
+    preds: &[f64],
+    used: &mut Vec<f64>,
+) -> Residuals {
+    used.clear();
+    let (mut rss, mut max_abs) = (0.0, f64::NAN);
+    for (i, (&a, &p)) in actual.iter().zip(preds).enumerate() {
+        if !(a.is_finite() && p.is_finite()) {
+            continue;
+        }
+        let r = (a - p).abs();
+        max_abs = max_abs.max(r);
+        let w = weights.map_or(1.0, |w| w[i]);
+        if w.is_finite() {
+            rss += w * r * r;
+            used.push(a);
+        }
+    }
+    Residuals { rss, tss: lawsdb_linalg::ops::total_sum_of_squares(used), max_abs }
+}
+
+/// The residual pass of `model` over the rows of `groups`, each a
+/// parameter row and its rows' range in `columns`: the response, each
+/// coverage variable in order, then the weights when `weighted`. Sets
+/// `figures[row]` for each group. Runs of adjacent groups are predicted
+/// in one compiled pass of about [`CHUNK_ROWS`] rows.
+fn residual_pass(
+    model: &CapturedModel,
+    columns: &[Cow<'_, [f64]>],
+    weighted: bool,
+    groups: impl Iterator<Item = (usize, Range<usize>)>,
+    figures: &mut [Residuals],
+) -> Result<()> {
+    let vars = model.coverage.variables.len();
+    let (actual, inputs) = (&columns[0], &columns[1..=vars]);
+    let weights = weighted.then(|| &*columns[vars + 1]);
+    let (mut batch, mut param_rows, mut used) = (Vec::new(), Vec::new(), Vec::new());
+    let mut groups = groups.peekable();
+    while let Some((row, rows)) = groups.next() {
+        param_rows.resize(param_rows.len() + rows.len(), row);
+        let end = rows.end;
+        batch.push((row, rows));
+        let adjacent = groups.peek().is_some_and(|(_, next)| next.start == end);
+        if adjacent && param_rows.len() < CHUNK_ROWS {
+            continue;
+        }
+        let start = batch[0].1.start;
+        let slices: Vec<&[f64]> = inputs.iter().map(|c| &c[start..end]).collect();
+        let pred = model.predict(&param_rows, &slices)?;
+        for (row, rows) in batch.drain(..) {
+            let w = weights.map(|w| &w[rows.clone()]);
+            let p = &pred[rows.start - start..rows.end - start];
+            figures[row] = group_residuals(&actual[rows], w, p, &mut used);
+        }
+        param_rows.clear();
+    }
+    Ok(())
+}
+
+/// Record `figures`, one per parameter row, on `model`, with the two
+/// whole-coverage figures they fold to in key order.
 ///
 /// `max_abs_residual` is the largest |actual − predicted| over rows
 /// where both are finite: the bound the drift guard, the cluster's
@@ -71,38 +256,30 @@ fn coverage(table: &Table, formula: &Formula, variables: Vec<String>) -> Coverag
 /// with.
 ///
 /// `overall_r2` is the pooled `1 − ΣRSS/ΣTSS`, each group's RSS
-/// (weighted by `weights_column`, as the fit weighs it) and TSS taken
-/// over its rows with a finite actual, prediction and weight, and
-/// summed in key order. It is a function of the parameters and the
-/// rows alone, so a refit that copies some groups' parameters gets the
-/// same figure as a cold fit.
-fn settle(model: &mut CapturedModel, table: &Table, weights_column: Option<&str>) -> Result<()> {
-    let actual = table.column(&model.coverage.response)?.to_f64_lossy()?;
-    let weights = weights_column.map(|w| table.column(w)?.to_f64_lossy()).transpose()?;
-    let (mut worst, mut rss, mut tss) = (None::<f64>, 0.0, 0.0);
-    let mut used = Vec::new();
-    for_each_group(model, table, |rows, preds| {
-        used.clear();
-        let mut group_rss = 0.0;
-        for (&i, &p) in rows.iter().zip(preds) {
-            let a = actual[i];
-            if !(a.is_finite() && p.is_finite()) {
-                continue;
-            }
-            let r = (a - p).abs();
-            worst = Some(worst.map_or(r, |w| w.max(r)));
-            let w = weights.as_ref().map_or(1.0, |w| w[i]);
-            if w.is_finite() {
-                group_rss += w * r * r;
-                used.push(a);
-            }
-        }
-        rss += group_rss;
-        tss += lawsdb_linalg::ops::total_sum_of_squares(&used);
-    })?;
-    model.max_abs_residual = worst;
+/// (weighted as the fit weighs it) and TSS taken over its rows with a
+/// finite actual, prediction and weight, and summed in key order. It is
+/// a function of the parameters and the rows alone, so a refit that
+/// copies some groups' figures with their parameters gets the same
+/// figure as a cold fit.
+fn settle(model: &mut CapturedModel, figures: Vec<Residuals>) {
+    let (mut rss, mut tss, mut worst) = (0.0, 0.0, f64::NAN);
+    for f in &figures {
+        rss += f.rss;
+        tss += f.tss;
+        worst = worst.max(f.max_abs);
+    }
+    model.max_abs_residual = (!worst.is_nan()).then_some(worst);
     model.overall_r2 = if tss > 0.0 { 1.0 - rss / tss } else { f64::NAN };
-    Ok(())
+    model.residuals = Some(Arc::from(figures));
+}
+
+/// The columns a fit of `formula` reads: the response, the `variables`,
+/// then the weights column if any.
+fn needed_columns(formula: &Formula, variables: &[String], options: &FitOptions) -> Vec<String> {
+    let mut needed = vec![formula.response.clone()];
+    needed.extend(variables.iter().cloned());
+    needed.extend(options.weights_column.iter().cloned());
+    needed
 }
 
 /// Fit `formula_src` globally against `table` and wrap the result as a
@@ -115,14 +292,10 @@ pub fn fit_table(
 ) -> Result<(CapturedModel, FitResult)> {
     let formula = parse_formula(formula_src)?;
     let split = formula.split_symbols(&table.schema().names());
-    let mut needed = vec![formula.response.clone()];
-    needed.extend(split.variables.iter().cloned());
-    if let Some(w) = &options.weights_column {
-        needed.push(w.clone());
-    }
-    let views = numeric_views(table, &needed)?;
-    let pairs: Vec<(&str, &[f64])> =
-        views.iter().map(|(n, v)| (n.as_str(), v.as_slice())).collect();
+    let needed = needed_columns(&formula, &split.variables, options);
+    let columns: Vec<Cow<[f64]>> =
+        needed.iter().map(|n| numeric_view(table.column(n)?)).collect::<Result<_>>()?;
+    let pairs = needed.iter().zip(&columns).map(|(n, c)| (n.as_str(), &**c)).collect();
     let data = DataSet::new(pairs).map_err(ModelError::Fit)?;
     let fit = fit_auto(&formula, &data, options)?;
 
@@ -130,10 +303,32 @@ pub fn fit_table(
     let values = fit.params.iter().map(|(_, v)| *v).collect();
     let d = &fit.diagnostics;
     let params = ModelParams::global(names, values, d.residual_se, d.r2, d.n);
-    let coverage = coverage(table, &formula, split.variables);
+    let coverage = coverage(table, &formula, split.variables, None);
     let mut model = CapturedModel::new(formula, params, coverage, f64::NAN)?;
-    settle(&mut model, table, options.weights_column.as_deref())?;
+    let mut figures = vec![Residuals::NONE];
+    let weighted = options.weights_column.is_some();
+    let all = std::iter::once((0, 0..table.row_count()));
+    residual_pass(&model, &columns, weighted, all, &mut figures)?;
+    settle(&mut model, figures);
     Ok((model, fit))
+}
+
+/// The coverage of a model of `formula` fit on all of `table`, with
+/// `domains` when they are known, else the table's.
+fn coverage(
+    table: &Table,
+    formula: &Formula,
+    variables: Vec<String>,
+    domains: Option<Vec<(String, Vec<f64>)>>,
+) -> Coverage {
+    Coverage {
+        table: table.name().to_string(),
+        response: formula.response.clone(),
+        domains: domains.unwrap_or_else(|| capture_domains(table, &variables)),
+        variables,
+        rows_at_fit: table.row_count(),
+        predicate: None,
+    }
 }
 
 /// Fit `formula_src` per group of `group_column` and wrap the per-group
@@ -152,38 +347,63 @@ pub fn fit_table_grouped(
 }
 
 /// Fit `live`'s formula per group again over `table`, but only the
-/// groups whose keys are in `touched` (sorted, each once): those are
-/// fitted from their rows in `table`, and every other group keeps its
-/// row of `live.params`, the two merged in key order. The report covers
-/// the re-fitted groups; domains, `max_abs_residual` and `overall_r2`
-/// cover all of `table`.
+/// groups with a key among the rows of `appended`: those are fitted from
+/// their rows in `table`, and every other group keeps its row of
+/// `live.params` and its residual figures, the two merged in key order.
+/// The report covers the re-fitted groups.
+///
+/// `appended` holds the rows `table` gained since `live` was fitted, or
+/// more (a partial model's refit passes the whole table's new rows).
+/// Only those rows and the touched groups' are read: the residual pass
+/// predicts the touched groups' rows, and the domains are `live`'s when
+/// every appended value is already in them, else they are analyzed
+/// again. A `live` model without residual figures (one loaded from a
+/// store) is fitted again in full, as [`fit_table_grouped`].
 ///
 /// A group's fit reads its own rows in table order and nothing else.
 /// So when `table` holds the rows `live` was fitted on, unchanged, and
-/// `touched` names every key of the rows added since, the result equals
+/// `appended` every row added since, the result equals
 /// [`fit_table_grouped`] on `table` with the same options, bit for bit.
 pub fn refit_table_grouped(
     live: &CapturedModel,
     table: &Table,
-    touched: &[i64],
+    appended: &Table,
     options: &FitOptions,
     threads: usize,
 ) -> Result<(CapturedModel, GroupedFitResult)> {
     let group_column = live.params.group_column.as_deref().ok_or_else(|| {
         ModelError::BadConstruction { detail: "a global model has no groups to refit".to_string() }
     })?;
-    let keep = Some((&live.params, touched));
-    fit_groups(table, &live.formula_source, group_column, keep, options, threads)
+    let mut touched: Vec<i64> = appended.column(group_column)?.i64_values()?.flatten().collect();
+    touched.sort_unstable();
+    touched.dedup();
+    let formula = &live.formula_source;
+    let figures = live.residuals.as_deref().filter(|f| f.len() == live.params.rows());
+    let Some(figures) = figures else {
+        return fit_groups(table, formula, group_column, None, options, threads);
+    };
+    let refit = Refit { live, figures, touched: &touched, domains: domains_hold(live, appended) };
+    fit_groups(table, formula, group_column, Some(refit), options, threads)
 }
 
-/// The fit behind [`fit_table_grouped`] (`live` is `None`: every group
-/// is fitted) and [`refit_table_grouped`] (`live` holds the parameters
-/// to keep and the keys to fit again).
+/// What a refit keeps of its live model.
+struct Refit<'a> {
+    live: &'a CapturedModel,
+    /// `live`'s residual figures, one per parameter row.
+    figures: &'a [Residuals],
+    /// The keys to fit again, sorted, each once.
+    touched: &'a [i64],
+    /// Whether `live`'s domains are proven to be the table's.
+    domains: bool,
+}
+
+/// The fit behind [`fit_table_grouped`] (`refit` is `None`: every group
+/// is fitted) and [`refit_table_grouped`].
 fn fit_groups(
     table: &Table,
     formula_src: &str,
     group_column: &str,
-    live: Option<(&ModelParams, &[i64])>,
+    refit: Option<Refit<'_>>,
     options: &FitOptions,
     threads: usize,
 ) -> Result<(CapturedModel, GroupedFitResult)> {
@@ -197,38 +417,16 @@ fn fit_groups(
         .filter(|n| *n != group_column)
         .collect();
     let split = formula.split_symbols(&col_names);
-    let mut needed = vec![formula.response.clone()];
-    needed.extend(split.variables.iter().cloned());
-    if let Some(w) = &options.weights_column {
-        needed.push(w.clone());
-    }
+    let needed = needed_columns(&formula, &split.variables, options);
 
-    // The rows fitted: every row with a key, or on a refit every row of
-    // a touched group, in table order either way.
-    let keys_col = table.column(group_column)?;
-    let subset = match live {
-        None if keys_col.null_count() == 0 => None,
-        _ => {
-            let fitted = |k: Option<i64>| match (k, live) {
-                (Some(k), Some((_, touched))) => touched.binary_search(&k).is_ok(),
-                (k, _) => k.is_some(),
-            };
-            let keys = keys_col.i64_values()?.enumerate();
-            let rows: Vec<usize> = keys.filter(|&(_, k)| fitted(k)).map(|(i, _)| i).collect();
-            let mut columns: Vec<&str> = needed.iter().map(String::as_str).collect();
-            columns.push(group_column);
-            columns.sort_unstable();
-            columns.dedup();
-            Some(table.project(&columns)?.take(&rows)?)
-        }
-    };
-    let rows = subset.as_ref().unwrap_or(table);
-    let views = numeric_views(rows, &needed)?;
-    let pairs: Vec<(&str, &[f64])> =
-        views.iter().map(|(n, v)| (n.as_str(), v.as_slice())).collect();
+    // The rows fitted, chosen once: every row with a key, or on a refit
+    // every row of a touched group, in key order. The fit and the
+    // residual pass both read them.
+    let touched = refit.as_ref().map(|r| r.touched);
+    let rows = KeyOrdered::select(table, group_column, &needed, touched)?;
+    let pairs = needed.iter().zip(&rows.columns).map(|(n, c)| (n.as_str(), &**c)).collect();
     let data = DataSet::new(pairs).map_err(ModelError::Fit)?;
-    let keys = rows.column(group_column)?.i64_data()?;
-    let grouped = fit_grouped(&formula, keys, &data, options, threads)?;
+    let grouped = fit_grouped(&formula, &rows.keys, &data, options, threads)?;
 
     // Table 1: a row per fitted group, in key order.
     let fitted: Vec<(i64, &FitResult)> =
@@ -244,38 +442,53 @@ fn fit_groups(
         r2: column(&|r| r.diagnostics.r2),
         n: fitted.iter().map(|(_, r)| r.diagnostics.n).collect(),
     };
-    if let Some((live, touched)) = live {
-        params = merge(live, touched, params)?;
+    let mut figures = vec![Residuals::NONE; params.rows()];
+    let mut domains = None;
+    if let Some(refit) = &refit {
+        // The kept groups' figures come with their parameters.
+        (params, figures) = merge(refit, params)?;
+        domains = refit.domains.then(|| refit.live.coverage.domains.clone());
     }
-    let coverage = coverage(table, &formula, split.variables);
+    let coverage = coverage(table, &formula, split.variables, domains);
     let mut model = CapturedModel::new(formula, params, coverage, f64::NAN)?;
-    settle(&mut model, table, options.weights_column.as_deref())?;
+    // The fitted groups' figures come from the rows just fitted.
+    let weighted = options.weights_column.is_some();
+    residual_pass(&model, &rows.columns, weighted, rows.groups(&model.params), &mut figures)?;
+    settle(&mut model, figures);
     Ok((model, grouped))
 }
 
-/// `live`'s rows of the keys not in `touched` and every row of
-/// `fitted`, in key order.
-fn merge(live: &ModelParams, touched: &[i64], fitted: ModelParams) -> Result<ModelParams> {
-    if live.names != fitted.names {
+/// The live parameter rows of the keys not in `refit.touched` and every
+/// row of `fitted`, in key order, with the kept rows' residual figures
+/// ([`Residuals::NONE`] for the fitted rows).
+fn merge(refit: &Refit<'_>, fitted: ModelParams) -> Result<(ModelParams, Vec<Residuals>)> {
+    let (old, touched) = (&refit.live.params, refit.touched);
+    if old.names != fitted.names {
         return Err(ModelError::BadConstruction {
-            detail: format!("refit parameters {:?} differ from {:?}", fitted.names, live.names),
+            detail: format!("refit parameters {:?} differ from {:?}", fitted.names, old.names),
         });
     }
-    let kept = (0..live.rows()).filter(|&r| touched.binary_search(&live.keys[r]).is_err());
-    let mut rows: Vec<(i64, &ModelParams, usize)> = kept.map(|r| (live.keys[r], live, r)).collect();
-    rows.extend((0..fitted.rows()).map(|r| (fitted.keys[r], &fitted, r)));
+    // Each merged row: its key, whether it is kept, and its row there.
+    let kept = (0..old.rows()).filter(|&r| touched.binary_search(&old.keys[r]).is_err());
+    let mut rows: Vec<(i64, bool, usize)> = kept.map(|r| (old.keys[r], true, r)).collect();
+    rows.extend((0..fitted.rows()).map(|r| (fitted.keys[r], false, r)));
     rows.sort_unstable_by_key(|&(key, _, _)| key);
-    Ok(ModelParams {
+    let source = |kept: bool| if kept { old } else { &fitted };
+    let column = |f: &dyn Fn(&ModelParams, usize) -> f64| -> Vec<f64> {
+        rows.iter().map(|&(_, kept, r)| f(source(kept), r)).collect()
+    };
+    let figure = |kept: bool, r: usize| if kept { refit.figures[r] } else { Residuals::NONE };
+    let figures = rows.iter().map(|&(_, kept, r)| figure(kept, r)).collect();
+    let params = ModelParams {
         group_column: fitted.group_column.clone(),
         names: fitted.names.clone(),
         keys: rows.iter().map(|&(key, _, _)| key).collect(),
-        values: (0..fitted.names.len())
-            .map(|j| rows.iter().map(|&(_, p, r)| p.values[j][r]).collect())
-            .collect(),
-        residual_se: rows.iter().map(|&(_, p, r)| p.residual_se[r]).collect(),
-        r2: rows.iter().map(|&(_, p, r)| p.r2[r]).collect(),
-        n: rows.iter().map(|&(_, p, r)| p.n[r]).collect(),
-    })
+        values: (0..fitted.names.len()).map(|j| column(&|p, r| p.values[j][r])).collect(),
+        residual_se: column(&|p, r| p.residual_se[r]),
+        r2: column(&|p, r| p.r2[r]),
+        n: rows.iter().map(|&(_, kept, r)| source(kept).n[r]).collect(),
+    };
+    Ok((params, figures))
 }
 
 /// Reconstruct (predict) the response column of `table` from a grouped
@@ -300,33 +513,24 @@ fn for_each_group(
     table: &Table,
     mut f: impl FnMut(&[usize], &[f64]),
 ) -> Result<()> {
-    let var_views = numeric_views(table, &model.coverage.variables)?;
-    let cols: Vec<&[f64]> = var_views.iter().map(|(_, v)| v.as_slice()).collect();
-    // The runs of equal keys with their parameter row, sorted by that
-    // row and then position: each group's runs sit together, in table
-    // order. The work is the table's rows and runs, not the groups.
-    let mut runs: Vec<(usize, Range<usize>)> = Vec::new();
-    match &model.params.group_column {
-        None => runs.push((0, 0..table.row_count())),
+    let var_views: Vec<Cow<[f64]>> = model
+        .coverage
+        .variables
+        .iter()
+        .map(|v| numeric_view(table.column(v)?))
+        .collect::<Result<_>>()?;
+    // The runs of equal keys with their parameter row: each group's
+    // runs sit together, in table order.
+    let runs = match &model.params.group_column {
+        None => vec![(0, 0..table.row_count())],
         Some(group_column) => {
-            let mut last = None;
-            for (i, key) in table.column(group_column)?.i64_values()?.enumerate() {
-                match runs.last_mut() {
-                    Some((_, run)) if key == last && run.end == i => run.end += 1,
-                    _ => {
-                        let row = key.and_then(|k| model.params.keys.binary_search(&k).ok());
-                        runs.extend(row.map(|row| (row, i..i + 1)));
-                    }
-                }
-                last = key;
-            }
+            let keys = &model.params.keys;
+            key_runs(table.column(group_column)?, |k| keys.binary_search(&k).ok())?
         }
-    }
-    runs.sort_unstable_by_key(|(row, rows)| (*row, rows.start));
+    };
     // Whole groups are gathered into chunks of about `CHUNK_ROWS` rows,
     // each predicted in one compiled pass and handed to `f` a group at
     // a time.
-    const CHUNK_ROWS: usize = 1024;
     let (mut rows, mut param_rows, mut ends) = (Vec::new(), Vec::new(), Vec::new());
     let mut groups = runs.chunk_by(|a, b| a.0 == b.0).peekable();
     while let Some(group) = groups.next() {
@@ -339,7 +543,7 @@ fn for_each_group(
             continue;
         }
         let gathered: Vec<Vec<f64>> =
-            cols.iter().map(|c| rows.iter().map(|&i| c[i]).collect()).collect();
+            var_views.iter().map(|c| rows.iter().map(|&i| c[i]).collect()).collect();
         let slices: Vec<&[f64]> = gathered.iter().map(Vec::as_slice).collect();
         let pred = model.predict(&param_rows, &slices)?;
         let mut start = 0;
@@ -570,18 +774,28 @@ mod tests {
                 lawsdb_storage::Column::from_f64(vec![9.0, 1.0]),
             ])
             .unwrap();
-        let (got, report) = refit_table_grouped(&live, &grown, &[1, 7], &options, 2).unwrap();
+        let appended = grown.slice(120, 2).unwrap();
+        let (got, report) = refit_table_grouped(&live, &grown, &appended, &options, 2).unwrap();
         assert_eq!(report.fits.iter().map(|g| g.key).collect::<Vec<_>>(), [1, 7]);
         let (want, _) = fit_table_grouped(&grown, formula, "source", &options, 1).unwrap();
         assert_eq!(got.params, want.params);
         assert_eq!(got.overall_r2.to_bits(), want.overall_r2.to_bits());
         assert_eq!(got.max_abs_residual.map(f64::to_bits), want.max_abs_residual.map(f64::to_bits));
         assert_eq!(got.coverage, want.coverage);
+        assert_eq!(got.residuals, want.residuals);
         // Group 0's row is the live one; group 1's moved.
         assert_eq!(got.params.values[0][0].to_bits(), live.params.values[0][0].to_bits());
         assert_ne!(got.params.values[0][1].to_bits(), live.params.values[0][1].to_bits());
+        // A live model without residual figures (one loaded from a
+        // store) is fitted again in full.
+        let mut loaded = live.clone();
+        loaded.residuals = None;
+        let (full, report) = refit_table_grouped(&loaded, &grown, &appended, &options, 1).unwrap();
+        assert_eq!(report.fits.iter().map(|g| g.key).collect::<Vec<_>>(), [0, 1, 2, 7]);
+        assert_eq!((full.params, full.residuals), (want.params.clone(), want.residuals.clone()));
         // Nothing touched: nothing is fitted, and every row is the live one.
-        let (same, report) = refit_table_grouped(&live, &t, &[], &options, 1).unwrap();
+        let (same, report) =
+            refit_table_grouped(&live, &t, &t.slice(120, 0).unwrap(), &options, 1).unwrap();
         assert!(report.fits.is_empty());
         assert_eq!(same.params, live.params);
         assert_eq!(same.overall_r2.to_bits(), live.overall_r2.to_bits());

@@ -11,7 +11,8 @@
 
 /// A classic Bloom filter over 64-bit element hashes, using
 /// double hashing (Kirsch–Mitzenmacher) to derive k probe positions.
-#[derive(Debug, Clone)]
+/// Two filters are equal when they hold the same bits, shape and count.
+#[derive(Debug, Clone, PartialEq)]
 pub struct BloomFilter {
     bits: Vec<u64>,
     nbits: u64,
@@ -34,9 +35,26 @@ impl BloomFilter {
     /// Filter with an explicit bits-per-key budget (the E9 sweep).
     pub fn with_bits_per_key(expected_items: usize, bits_per_key: usize) -> BloomFilter {
         let nbits = (expected_items.max(1) * bits_per_key.max(1)).max(64) as u64;
-        let k = ((bits_per_key as f64) * std::f64::consts::LN_2)
-            .round()
-            .clamp(1.0, 30.0) as u32;
+        BloomFilter::with_bits(nbits, bits_per_key)
+    }
+
+    /// Filter with a bits-per-key budget, its bit count rounded up to a
+    /// power of two: the filters of every row count up to that power
+    /// have one shape, so such a filter grows with its rows by
+    /// insertion alone ([`BloomFilter::has_power_of_two_shape`]).
+    pub fn with_power_of_two_bits(expected_items: usize, bits_per_key: usize) -> BloomFilter {
+        BloomFilter::with_bits(power_of_two_bits(expected_items, bits_per_key), bits_per_key)
+    }
+
+    /// Whether this filter has the shape
+    /// [`BloomFilter::with_power_of_two_bits`] gives `expected_items`.
+    pub fn has_power_of_two_shape(&self, expected_items: usize, bits_per_key: usize) -> bool {
+        let shape = (power_of_two_bits(expected_items, bits_per_key), probes(bits_per_key));
+        (self.nbits, self.k) == shape
+    }
+
+    fn with_bits(nbits: u64, bits_per_key: usize) -> BloomFilter {
+        let k = probes(bits_per_key);
         BloomFilter { bits: vec![0; nbits.div_ceil(64) as usize], nbits, k, items: 0 }
     }
 
@@ -44,10 +62,30 @@ impl BloomFilter {
     pub fn insert(&mut self, hash: u64) {
         let (h1, h2) = split_hash(hash);
         for i in 0..self.k {
-            let pos = probe(h1, h2, i, self.nbits);
+            let pos = self.probe(h1, h2, i);
             self.bits[(pos / 64) as usize] |= 1 << (pos % 64);
         }
         self.items += 1;
+    }
+
+    /// Insert one entry per observed (group, variables…) row: row `i`
+    /// is `groups`' item `i` with item `i` of each input column. A row
+    /// whose group key is `None` (NULL) belongs to no group and adds
+    /// nothing. Insertion ORs bits in, so inserting a table's rows in
+    /// two parts sets the bits inserting them at once does.
+    pub fn insert_rows(
+        &mut self,
+        groups: impl Iterator<Item = Option<i64>>,
+        input_columns: &[&[f64]],
+    ) {
+        let mut point = vec![0.0; input_columns.len()];
+        for (row, group) in groups.enumerate() {
+            let Some(group) = group else { continue };
+            for (d, c) in input_columns.iter().enumerate() {
+                point[d] = c[row];
+            }
+            self.insert(combo_hash(group, &point));
+        }
     }
 
     /// Membership test: false means *definitely absent*; true means
@@ -55,9 +93,20 @@ impl BloomFilter {
     pub fn contains(&self, hash: u64) -> bool {
         let (h1, h2) = split_hash(hash);
         (0..self.k).all(|i| {
-            let pos = probe(h1, h2, i, self.nbits);
+            let pos = self.probe(h1, h2, i);
             self.bits[(pos / 64) as usize] & (1 << (pos % 64)) != 0
         })
+    }
+
+    /// Probe `i`'s bit position: a mask when the bit count is a power
+    /// of two, which is the same position as the remainder.
+    fn probe(&self, h1: u64, h2: u64, i: u32) -> u64 {
+        let h = h1.wrapping_add(h2.wrapping_mul(i as u64));
+        if self.nbits.is_power_of_two() {
+            h & (self.nbits - 1)
+        } else {
+            h % self.nbits
+        }
     }
 
     /// Elements inserted.
@@ -95,8 +144,16 @@ fn split_hash(hash: u64) -> (u64, u64) {
     (z, z.rotate_left(32) | 1)
 }
 
-fn probe(h1: u64, h2: u64, i: u32, nbits: u64) -> u64 {
-    h1.wrapping_add(h2.wrapping_mul(i as u64)) % nbits
+/// Probes per element at `bits_per_key` bits per element: `bits_per_key
+/// · ln 2`, the count that minimises false positives.
+fn probes(bits_per_key: usize) -> u32 {
+    ((bits_per_key as f64) * std::f64::consts::LN_2).round().clamp(1.0, 30.0) as u32
+}
+
+/// `expected_items × bits_per_key` bits, at least 64, rounded up to a
+/// power of two.
+fn power_of_two_bits(expected_items: usize, bits_per_key: usize) -> u64 {
+    ((expected_items.max(1) * bits_per_key.max(1)).max(64) as u64).next_power_of_two()
 }
 
 /// Hash a legal parameter combination: group key + input values. Floats
@@ -115,24 +172,17 @@ pub fn combo_hash(group: i64, inputs: &[f64]) -> u64 {
     h
 }
 
-/// Build the legal-combination filter for a table: one entry per
-/// observed (group, variables…) row. A row whose group key is `None`
-/// (NULL) belongs to no group and adds nothing; the filter is sized for
-/// every row.
+/// Build the legal-combination filter for a table at `bits_per_key`
+/// bits per row ([`BloomFilter::with_bits_per_key`], the E9 sweep's
+/// sizing): one entry per observed (group, variables…) row, as
+/// [`BloomFilter::insert_rows`] adds them.
 pub fn build_legal_filter(
     groups: impl ExactSizeIterator<Item = Option<i64>>,
     input_columns: &[&[f64]],
     bits_per_key: usize,
 ) -> BloomFilter {
     let mut bf = BloomFilter::with_bits_per_key(groups.len(), bits_per_key);
-    let mut point = vec![0.0; input_columns.len()];
-    for (row, group) in groups.enumerate() {
-        let Some(group) = group else { continue };
-        for (d, c) in input_columns.iter().enumerate() {
-            point[d] = c[row];
-        }
-        bf.insert(combo_hash(group, &point));
-    }
+    bf.insert_rows(groups, input_columns);
     bf
 }
 
@@ -200,6 +250,30 @@ mod tests {
         // (2, 0.15) never occurred; overwhelmingly likely to be absent
         // at 10 bits/key with 3 items.
         assert!(!bf.contains(combo_hash(2, &[0.15])));
+    }
+
+    #[test]
+    fn a_filter_grown_by_its_new_rows_is_the_filter_of_every_row() {
+        let groups: Vec<Option<i64>> = (0..300).map(|i| (i % 7 != 3).then_some(i % 41)).collect();
+        let nu: Vec<f64> = (0..300).map(|i| [0.12, 0.15, 0.16, 0.18][i % 4]).collect();
+        let built = |rows: usize| {
+            let mut bf = BloomFilter::with_power_of_two_bits(rows, 10);
+            bf.insert_rows(groups[..rows].iter().copied(), &[&nu[..rows]]);
+            bf
+        };
+        // 210 rows at 10 bits per row round up to 4,096 bits, which hold
+        // up to 409 rows: every count from 205 to 300 has that shape.
+        let mut grown = built(210);
+        assert!(grown.has_power_of_two_shape(300, 10) && grown.has_power_of_two_shape(205, 10));
+        assert!(!grown.has_power_of_two_shape(410, 10) && !grown.has_power_of_two_shape(204, 10));
+        grown.insert_rows(groups[210..].iter().copied(), &[&nu[210..]]);
+        assert_eq!(grown, built(300));
+        assert_eq!(grown.byte_size(), 4096 / 8);
+        assert_ne!(grown, built(299), "one row more is another filter");
+        // A masked probe finds what it inserted.
+        let found =
+            |(g, &v): (&Option<i64>, &f64)| g.is_none_or(|g| grown.contains(combo_hash(g, &[v])));
+        assert!(groups.iter().zip(&nu).all(found));
     }
 
     #[test]

@@ -42,4 +42,4 @@ pub mod piecewise;
 
 pub use catalog::ModelCatalog;
 pub use error::{ModelError, Result};
-pub use model::{CapturedModel, Coverage, ModelId, ModelParams, ModelState};
+pub use model::{CapturedModel, Coverage, ModelId, ModelParams, ModelState, Residuals};

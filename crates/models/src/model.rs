@@ -134,6 +134,26 @@ impl ModelParams {
     }
 }
 
+/// One parameter row's residual figures over the rows its group holds,
+/// from a fit's residual pass: what [`CapturedModel::overall_r2`] and
+/// [`CapturedModel::max_abs_residual`] fold, in key order.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Residuals {
+    /// Σ w·(actual − predicted)² over the rows with a finite actual,
+    /// prediction and weight (w = 1 unweighted).
+    pub rss: f64,
+    /// Total sum of squares of those rows' actual values.
+    pub tss: f64,
+    /// Largest |actual − predicted| over the rows with both finite; NaN
+    /// when no row has.
+    pub max_abs: f64,
+}
+
+impl Residuals {
+    /// The figures of a group without rows.
+    pub const NONE: Residuals = Residuals { rss: 0.0, tss: 0.0, max_abs: f64::NAN };
+}
+
 /// What part of the database the model describes.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Coverage {
@@ -175,7 +195,7 @@ impl Coverage {
 /// `params`: those three must not change afterwards, or the compiled
 /// body reads the wrong slots. What a catalog, the engine or a loader
 /// sets after `new` is `id`, `version`, `state`, `overall_r2`,
-/// `max_abs_residual`, `legal_filter`, `observed_combos`,
+/// `max_abs_residual`, `residuals`, `legal_filter`, `observed_combos`,
 /// `table_version` and the rest of `coverage` (`table`, `predicate`,
 /// `rows_at_fit`, `domains`).
 #[derive(Debug, Clone)]
@@ -204,6 +224,12 @@ pub struct CapturedModel {
     /// re-derive check against it. Scans do not prune with it: the
     /// zone maps built from the data are never looser.
     pub max_abs_residual: Option<f64>,
+    /// Per parameter row, its residual figures as the fit's residual
+    /// pass left them. A refit folds them anew with the figures of the
+    /// groups it fits and copies the rest. Held in memory only, like
+    /// `table_version`: a model loaded from the stored catalog tables
+    /// has none.
+    pub residuals: Option<Arc<[Residuals]>>,
     /// Lifecycle state.
     pub state: ModelState,
     /// Optional legal-domain filter for parameter-space enumeration
@@ -215,8 +241,10 @@ pub struct CapturedModel {
     pub legal_filter: Option<String>,
     /// Bloom filter of the (group, variables…) combinations observed at
     /// capture, so enumeration does not invent tuples that never existed
-    /// (Section 4.2's "compressed lookup structure"). Held in memory
-    /// only: a model loaded from the stored catalog tables has none.
+    /// (Section 4.2's "compressed lookup structure"). A refit extends the
+    /// live model's filter by the appended rows when its size allows.
+    /// Held in memory only: a model loaded from the stored catalog tables
+    /// has none.
     pub observed_combos: Option<Arc<BloomFilter>>,
     /// Content id (`Table::id`) of the table version the model was
     /// fitted on, which held `coverage.rows_at_fit` rows. A refit re-fits
@@ -268,6 +296,7 @@ impl CapturedModel {
             coverage,
             overall_r2,
             max_abs_residual: None,
+            residuals: None,
             state: ModelState::Active,
             legal_filter: None,
             observed_combos: None,

@@ -257,21 +257,7 @@ fn exec_node(
         }
         LogicalPlan::Project { input, exprs, star } => {
             let t = exec(catalog, input, touched, opts)?;
-            let mut fields = Vec::new();
-            let mut cols = Vec::new();
-            if *star {
-                for (f, c) in t.schema().fields().iter().zip(t.columns()) {
-                    fields.push(f.clone());
-                    cols.push(c.clone());
-                }
-            }
-            for (e, name) in exprs {
-                let e = normalize_expr(e, t.schema())?;
-                let col = parallel_eval_batch(&e, &t, opts)?;
-                fields.push(Field::nullable(name.clone(), col.data_type()));
-                cols.push(col);
-            }
-            Ok(Table::new("result", Schema::new(fields), cols)?)
+            project(&t, exprs, *star, opts)
         }
         LogicalPlan::Sort { input, keys } => {
             let t = exec(catalog, input, touched, opts)?;
@@ -295,6 +281,29 @@ fn exec_node(
             Ok(t.take(&keep)?)
         }
     }
+}
+
+/// The engine's projection: `t`'s columns when `star`, then one column
+/// per `(expression, output name)`.
+pub(crate) fn project(
+    t: &Table,
+    exprs: &[(ScalarExpr, String)],
+    star: bool,
+    opts: &ExecOptions,
+) -> Result<Table> {
+    let mut fields = Vec::new();
+    let mut cols = Vec::new();
+    if star {
+        fields.extend(t.schema().fields().iter().cloned());
+        cols.extend(t.columns().iter().cloned());
+    }
+    for (e, name) in exprs {
+        let e = normalize_expr(e, t.schema())?;
+        let col = parallel_eval_batch(&e, t, opts)?;
+        fields.push(Field::nullable(name.clone(), col.data_type()));
+        cols.push(col);
+    }
+    Ok(Table::new("result", Schema::new(fields), cols)?)
 }
 
 /// Heap bytes a column holds (fixed-width types exactly; strings by

@@ -61,8 +61,8 @@ pub use governor::{CancelToken, Governor, ResourceBudget};
 pub use model_scan::{ModelPlan, ModelScan};
 pub use morsel::ExecOptions;
 pub use partial::{
-    assemble_partials, group_key_hash, limit_rows, merge_shard_partials, shard_partials,
-    sort_rows, ShardPartials,
+    assemble_partials, group_key_hash, limit_rows, merge_shard_partials, project_rows,
+    shard_partials, sort_rows, ShardPartials,
 };
 pub use physical::{
     execute_physical_with, plan_physical, AccessPlan, Estimate, PhysicalPlan, PlanNote,

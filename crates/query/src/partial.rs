@@ -20,7 +20,7 @@ use crate::aggregate::{
     GroupPartial, KeyPart,
 };
 use crate::error::{QueryError, Result};
-use crate::exec::{normalize_expr, normalize_name, sort};
+use crate::exec::{normalize_expr, normalize_name, project, sort};
 use crate::morsel::ExecOptions;
 use crate::plan::AggSpec;
 use crate::sexpr::ScalarExpr;
@@ -115,6 +115,16 @@ pub fn assemble_partials(
 /// coordinator's final sort over the assembled table.
 pub fn sort_rows(t: &Table, keys: &[OrderBy]) -> Result<Table> {
     sort(t, keys)
+}
+
+/// The engine's projection of an aggregate's output onto its SELECT
+/// list, for the coordinator to apply after the merge.
+pub fn project_rows(
+    t: &Table,
+    exprs: &[(ScalarExpr, String)],
+    opts: &ExecOptions,
+) -> Result<Table> {
+    project(t, exprs, false, opts)
 }
 
 /// The engine's LIMIT: the first `n` rows.

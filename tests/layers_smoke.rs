@@ -521,6 +521,13 @@ fn assert_same_fit(got: &CapturedModel, want: &CapturedModel, ctx: &str) {
     let bound = |m: &CapturedModel| m.max_abs_residual.map(f64::to_bits);
     assert_eq!(bound(got), bound(want), "{ctx}: max_abs_residual");
     assert_eq!(got.coverage.domains, want.coverage.domains, "{ctx}: domains");
+    let figures = |m: &CapturedModel| -> Vec<[u64; 3]> {
+        let figures = m.residuals.as_deref().expect("a fitted model has residual figures");
+        figures.iter().map(|f| [f.rss, f.tss, f.max_abs].map(f64::to_bits)).collect()
+    };
+    assert_eq!(figures(got), figures(want), "{ctx}: per-group residual figures");
+    assert!(want.observed_combos.is_some(), "{ctx}: no legal filter");
+    assert_eq!(got.observed_combos, want.observed_combos, "{ctx}: legal filter");
 }
 
 #[test]
@@ -546,6 +553,7 @@ fn an_incremental_refit_equals_a_cold_capture() {
         db.register_table(table).unwrap();
         let fitted = |db: &LawsDb| db.metrics().snapshot().counter("lawsdb_fit_groups_fitted");
         let iterations = |db: &LawsDb| db.metrics().snapshot().counter("lawsdb_fit_lm_iterations");
+        let rows_fitted = |db: &LawsDb| db.metrics().snapshot().counter("lawsdb_fit_rows_fitted");
         let mut full = db.capture_model(TABLE, FORMULA, Some("source"), &options).unwrap();
         let mut partial =
             db.capture_model_where(TABLE, FORMULA, Some("source"), COVERAGE, &options).unwrap();
@@ -559,46 +567,88 @@ fn an_incremental_refit_equals_a_cold_capture() {
                 db.capture_model_where(TABLE, FORMULA, Some("source"), COVERAGE, &options);
             (full, partial.unwrap())
         };
-        for cycle in 0..3 {
+        let filter_bits = |m: &CapturedModel| m.observed_combos.as_ref().unwrap().byte_size() * 8;
+        for cycle in 0..5 {
             let ctx = format!("seed {seed}, cycle {cycle}");
             let mut keys = std::collections::BTreeSet::new();
-            if cycle < 2 {
-                // Two appends between refits, touching about a third
-                // of the groups.
-                for part in 0..2 {
-                    let batch = growth_batch(&cfg, 10, 2 * cycle + part);
-                    keys.extend(batch[0].i64_values().unwrap().flatten());
-                    db.append_rows(TABLE, &batch).unwrap();
+            let rows = db.table(TABLE).unwrap().row_count();
+            let mut batches = Vec::new();
+            match cycle {
+                // Two appends between refits, touching about a third of
+                // the groups.
+                0 | 1 => {
+                    batches.extend((0..2).map(|part| growth_batch(&cfg, 10, 2 * cycle + part)));
                 }
-            } else {
+                // A covered source observed at a new frequency: the
+                // domains grow, so they are analyzed again.
+                2 => {
+                    let mut batch = growth_batch(&cfg, 10, 4);
+                    let keys: Vec<Option<i64>> = batch[0].i64_values().unwrap().collect();
+                    let row = keys.iter().position(|k| k.is_some_and(|k| k < 30)).unwrap();
+                    let mut nu = batch[1].f64_data().unwrap().to_vec();
+                    assert!(!cfg.frequencies.contains(&0.21));
+                    nu[row] = 0.21;
+                    batch[1] = Column::from_f64(nu);
+                    batches.push(batch);
+                }
+                // Enough rows to cross the legal filter's power of two
+                // of bits: it is built again.
+                3 => {
+                    let capacity = filter_bits(&full) / 10;
+                    assert!(rows <= capacity, "{ctx}: {rows} rows in {capacity}");
+                    batches.push(growth_batch(&cfg, capacity + 1 - rows, 5));
+                }
                 // A table replaced behind the engine, one old row
                 // changed: it proves nothing, so every group is fitted.
-                let table = db.table(TABLE).unwrap();
-                let mut columns = table.columns().to_vec();
-                let mut intensity = columns[2].f64_data().unwrap().to_vec();
-                intensity[0] *= 3.0;
-                columns[2] = Column::from_f64(intensity);
-                let replaced = Table::new(TABLE, table.schema().clone(), columns).unwrap();
-                keys.extend(replaced.column("source").unwrap().i64_values().unwrap().flatten());
-                db.tables().replace(replaced);
+                _ => {
+                    let table = db.table(TABLE).unwrap();
+                    let mut columns = table.columns().to_vec();
+                    let mut intensity = columns[2].f64_data().unwrap().to_vec();
+                    intensity[0] *= 3.0;
+                    columns[2] = Column::from_f64(intensity);
+                    let replaced = Table::new(TABLE, table.schema().clone(), columns).unwrap();
+                    keys.extend(replaced.column("source").unwrap().i64_values().unwrap().flatten());
+                    db.tables().replace(replaced);
+                }
+            }
+            for batch in &batches {
+                keys.extend(batch[0].i64_values().unwrap().flatten());
+                db.append_rows(TABLE, batch).unwrap();
             }
             let table = db.table(TABLE).unwrap();
             let (before, iterations_before) = (fitted(&db), iterations(&db));
+            let rows_before = rows_fitted(&db);
             let got_full = db.refit(full.id, &options).unwrap();
             let full_fitted = fitted(&db) - before;
             let full_iterations = iterations(&db) - iterations_before;
+            let full_rows = rows_fitted(&db) - rows_before;
             let got_partial = db.refit(partial.id, &options).unwrap();
             let partial_fitted = fitted(&db) - before - full_fitted;
             let partial_iterations = iterations(&db) - iterations_before - full_iterations;
+            let partial_rows = rows_fitted(&db) - rows_before - full_rows;
             let (want_full, want_partial) = cold(&table);
             assert_same_fit(&got_full, &want_full, &format!("{ctx}, full"));
             assert_same_fit(&got_partial, &want_partial, &format!("{ctx}, partial"));
-            // Exactly the touched groups were fitted: after appends
-            // about a third of them, after the replace every one.
+            let grew = got_full.coverage.domains[0].1.len() > full.coverage.domains[0].1.len();
+            assert_eq!(grew, cycle == 2, "{ctx}: the domain grows at the new frequency");
+            let doubled = filter_bits(&got_full) == 2 * filter_bits(&full);
+            assert_eq!(doubled, cycle == 3, "{ctx}: the filter doubles once");
+            // Exactly the touched groups were fitted: after small
+            // appends about a third of them, after the replace every one.
             assert_eq!(full_fitted, keys.len() as u64, "{ctx}: groups fitted");
-            assert!(cycle == 2 || keys.len() < full.params.rows() / 2, "{ctx}: {keys:?}");
+            assert!(cycle >= 3 || keys.len() < full.params.rows() / 2, "{ctx}: {keys:?}");
             let covered = keys.range(..30).count() as u64;
             assert_eq!(partial_fitted, covered, "{ctx}: partial groups fitted");
+            // The fit and its residual pass read the touched groups'
+            // rows, not the table's.
+            let source = table.column("source").unwrap();
+            let touched_rows = |covered: &dyn Fn(i64) -> bool| -> u64 {
+                let of = source.i64_values().unwrap().flatten();
+                of.filter(|&k| keys.contains(&k) && covered(k)).count() as u64
+            };
+            assert_eq!(full_rows, touched_rows(&|_| true), "{ctx}: rows fitted");
+            assert_eq!(partial_rows, touched_rows(&|k| k < 30), "{ctx}: partial rows fitted");
+            assert!(cycle >= 3 || full_rows < table.row_count() as u64 / 2, "{ctx}: {full_rows}");
             // The iteration counter rises by the refitted groups' sum,
             // read from the cold fit's report of those groups.
             let (_, report) = fit_table_grouped(&table, FORMULA, "source", &options, 1).unwrap();

@@ -217,10 +217,9 @@ impl Expr {
                 Box::new(a.substitute(name, replacement)),
                 Box::new(b.substitute(name, replacement)),
             ),
-            Expr::Call(func, args) => Expr::Call(
-                *func,
-                args.iter().map(|a| a.substitute(name, replacement)).collect(),
-            ),
+            Expr::Call(func, args) => {
+                Expr::Call(*func, args.iter().map(|a| a.substitute(name, replacement)).collect())
+            }
         }
     }
 

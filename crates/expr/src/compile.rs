@@ -309,8 +309,7 @@ mod tests {
         assert_eq!(ce.scalars(), &["alpha".to_string(), "p".to_string()]);
         let out = ce.eval_batch(&[&nus], &[-0.7, 2.0]).unwrap();
         for (i, &nu) in nus.iter().enumerate() {
-            let b: Bindings =
-                [("p", 2.0), ("alpha", -0.7), ("nu", nu)].into_iter().collect();
+            let b: Bindings = [("p", 2.0), ("alpha", -0.7), ("nu", nu)].into_iter().collect();
             assert!((out[i] - e.eval(&b).unwrap()).abs() < 1e-15);
         }
     }
@@ -326,10 +325,7 @@ mod tests {
         let ce = compile("a + b", &["a", "b"]);
         let a = [1.0, 2.0];
         let b = [1.0];
-        assert!(matches!(
-            ce.eval_batch(&[&a, &b], &[]),
-            Err(ExprError::LengthMismatch { .. })
-        ));
+        assert!(matches!(ce.eval_batch(&[&a, &b], &[]), Err(ExprError::LengthMismatch { .. })));
     }
 
     #[test]

@@ -116,10 +116,9 @@ fn d(e: &Expr, x: &str) -> Result<Expr> {
             let outer = match f {
                 Func::Exp => Expr::Call(Func::Exp, vec![u.clone()]),
                 Func::Ln => Expr::Div(Box::new(Expr::Num(1.0)), Box::new(u.clone())),
-                Func::Log10 => Expr::Div(
-                    Box::new(Expr::Num(std::f64::consts::LOG10_E)),
-                    Box::new(u.clone()),
-                ),
+                Func::Log10 => {
+                    Expr::Div(Box::new(Expr::Num(std::f64::consts::LOG10_E)), Box::new(u.clone()))
+                }
                 Func::Sqrt => Expr::Div(
                     Box::new(Expr::Num(0.5)),
                     Box::new(Expr::Call(Func::Sqrt, vec![u.clone()])),

@@ -32,10 +32,7 @@ impl Bindings {
 
     /// Look a binding up.
     pub fn get(&self, name: &str) -> Option<f64> {
-        self.entries
-            .binary_search_by(|(k, _)| k.as_str().cmp(name))
-            .ok()
-            .map(|i| self.entries[i].1)
+        self.entries.binary_search_by(|(k, _)| k.as_str().cmp(name)).ok().map(|i| self.entries[i].1)
     }
 
     /// Number of bound symbols.
@@ -74,9 +71,7 @@ impl Expr {
     pub fn eval(&self, b: &Bindings) -> Result<f64> {
         Ok(match self {
             Expr::Num(v) => *v,
-            Expr::Sym(s) => {
-                b.get(s).ok_or_else(|| ExprError::UnboundSymbol { name: s.clone() })?
-            }
+            Expr::Sym(s) => b.get(s).ok_or_else(|| ExprError::UnboundSymbol { name: s.clone() })?,
             Expr::Add(x, y) => x.eval(b)? + y.eval(b)?,
             Expr::Sub(x, y) => x.eval(b)? - y.eval(b)?,
             Expr::Mul(x, y) => x.eval(b)? * y.eval(b)?,

@@ -18,14 +18,10 @@ fn arb_expr() -> impl Strategy<Value = Expr> {
     ];
     leaf.prop_recursive(4, 64, 3, |inner| {
         prop_oneof![
-            (inner.clone(), inner.clone())
-                .prop_map(|(l, r)| Expr::Add(Box::new(l), Box::new(r))),
-            (inner.clone(), inner.clone())
-                .prop_map(|(l, r)| Expr::Sub(Box::new(l), Box::new(r))),
-            (inner.clone(), inner.clone())
-                .prop_map(|(l, r)| Expr::Mul(Box::new(l), Box::new(r))),
-            (inner.clone(), inner.clone())
-                .prop_map(|(l, r)| Expr::Div(Box::new(l), Box::new(r))),
+            (inner.clone(), inner.clone()).prop_map(|(l, r)| Expr::Add(Box::new(l), Box::new(r))),
+            (inner.clone(), inner.clone()).prop_map(|(l, r)| Expr::Sub(Box::new(l), Box::new(r))),
+            (inner.clone(), inner.clone()).prop_map(|(l, r)| Expr::Mul(Box::new(l), Box::new(r))),
+            (inner.clone(), inner.clone()).prop_map(|(l, r)| Expr::Div(Box::new(l), Box::new(r))),
             inner.clone().prop_map(|e| Expr::Neg(Box::new(e))),
             inner.clone().prop_map(|e| Expr::Call(Func::Sin, vec![e])),
             inner.clone().prop_map(|e| Expr::Call(Func::Cos, vec![e])),

@@ -26,10 +26,7 @@ impl<'a> DataSet<'a> {
             }
             if col.len() != rows {
                 return Err(FitError::BadData {
-                    detail: format!(
-                        "column {name:?} has {} rows, expected {rows}",
-                        col.len()
-                    ),
+                    detail: format!("column {name:?} has {} rows, expected {rows}", col.len()),
                 });
             }
             names.push(name.to_string());

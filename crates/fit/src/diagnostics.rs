@@ -79,8 +79,7 @@ impl FitDiagnostics {
         // "the results of an F-test against a model with fewer
         // parameters").
         let (f_stat, f_p) = if p > 1 && df_resid > 0 && rss > 0.0 && tss > rss {
-            let fstat =
-                ((tss - rss) / (p as f64 - 1.0)) / (rss / df_resid as f64);
+            let fstat = ((tss - rss) / (p as f64 - 1.0)) / (rss / df_resid as f64);
             (fstat, f_p_value(fstat, p as f64 - 1.0, df_resid as f64))
         } else if p > 1 && df_resid > 0 && rss == 0.0 {
             (f64::INFINITY, 0.0)
@@ -90,9 +89,7 @@ impl FitDiagnostics {
         // Gaussian log-likelihood based criteria; the +1 counts σ².
         let k = p as f64 + 1.0;
         let (aic, bic) = if n > 0 && rss > 0.0 {
-            let ll = -0.5
-                * n as f64
-                * ((2.0 * std::f64::consts::PI * rss / n as f64).ln() + 1.0);
+            let ll = -0.5 * n as f64 * ((2.0 * std::f64::consts::PI * rss / n as f64).ln() + 1.0);
             (2.0 * k - 2.0 * ll, k * (n as f64).ln() - 2.0 * ll)
         } else {
             (f64::NEG_INFINITY, f64::NEG_INFINITY)

@@ -84,8 +84,7 @@ pub fn fit_grouped(
         });
     }
     let plan = FitPlan::new(formula, &data.names(), options)?;
-    let cols: Vec<&[f64]> =
-        plan.columns().iter().map(|c| data.column(c)).collect::<Result<_>>()?;
+    let cols: Vec<&[f64]> = plan.columns().iter().map(|c| data.column(c)).collect::<Result<_>>()?;
 
     let (keys, cols): (Cow<[i64]>, Vec<Cow<[f64]>>) = if group_keys.is_sorted() {
         (Cow::Borrowed(group_keys), cols.into_iter().map(Cow::Borrowed).collect())

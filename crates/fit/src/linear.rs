@@ -159,13 +159,8 @@ impl LinearPlan {
     }
 
     /// The design columns and the offset over `cols`' rows.
-    fn design(
-        &self,
-        cols: &[&[f64]],
-        stack: &mut ExecStack,
-    ) -> Result<(Vec<Vec<f64>>, Vec<f64>)> {
-        let basis =
-            self.basis.iter().map(|b| b.eval(cols, &[], stack)).collect::<Result<_>>()?;
+    fn design(&self, cols: &[&[f64]], stack: &mut ExecStack) -> Result<(Vec<Vec<f64>>, Vec<f64>)> {
+        let basis = self.basis.iter().map(|b| b.eval(cols, &[], stack)).collect::<Result<_>>()?;
         Ok((basis, self.offset.eval(cols, &[], stack)?))
     }
 
@@ -231,11 +226,7 @@ impl LinearPlan {
 
         // Residuals against the *unweighted* original response for R².
         let fitted_adj = x.matvec(&beta)?;
-        let rss: f64 = y_adj
-            .iter()
-            .zip(&fitted_adj)
-            .map(|(a, b)| (a - b) * (a - b))
-            .sum();
+        let rss: f64 = y_adj.iter().zip(&fitted_adj).map(|(a, b)| (a - b) * (a - b)).sum();
         let tss = lawsdb_linalg::ops::total_sum_of_squares(y);
 
         let diagnostics = FitDiagnostics::compute(n, params, &beta, rss, tss, xtx_inv.as_ref());
@@ -277,11 +268,7 @@ impl LogStart {
     /// finite basis and offset, with βⱼ = e^θⱼ for the log parameters.
     /// `None` when fewer such rows than parameters remain, or the
     /// solution is singular or not finite.
-    pub(crate) fn start(
-        &self,
-        cols: &[&[f64]],
-        stack: &mut ExecStack,
-    ) -> Result<Option<Vec<f64>>> {
+    pub(crate) fn start(&self, cols: &[&[f64]], stack: &mut ExecStack) -> Result<Option<Vec<f64>>> {
         let (basis, offset) = self.design.design(cols, stack)?;
         let y = cols[0];
         let usable = |i: usize| {
@@ -292,8 +279,7 @@ impl LogStart {
             return Ok(None);
         }
         let z: Vec<f64> = rows.iter().map(|&i| y[i].ln() - offset[i]).collect();
-        let x: Vec<Vec<f64>> =
-            basis.iter().map(|b| rows.iter().map(|&i| b[i]).collect()).collect();
+        let x: Vec<Vec<f64>> = basis.iter().map(|b| rows.iter().map(|&i| b[i]).collect()).collect();
         let x: Vec<&[f64]> = x.iter().map(Vec::as_slice).collect();
         let Ok(theta) = Matrix::from_columns(&x).and_then(|x| Qr::new(&x)?.solve_least_squares(&z))
         else {
@@ -407,7 +393,8 @@ mod tests {
         let ys: Vec<f64> = xs.iter().map(|x| 5.0 + 0.25 * x + (x * 0.7).sin()).collect();
         let data = DataSet::new(vec![("x", &xs[..]), ("y", &ys[..])]).unwrap();
         let rq = fit_auto(&f, &data, &FitOptions::default()).unwrap();
-        let opts = FitOptions { linear_solver: LinearSolver::NormalEquations, ..Default::default() };
+        let opts =
+            FitOptions { linear_solver: LinearSolver::NormalEquations, ..Default::default() };
         let rn = fit_auto(&f, &data, &opts).unwrap();
         assert!((rq.param("a").unwrap() - rn.param("a").unwrap()).abs() < 1e-8);
         assert!((rq.param("b").unwrap() - rn.param("b").unwrap()).abs() < 1e-8);
@@ -434,8 +421,7 @@ mod tests {
         let ys = [1.0, 1.0, 5.0, 5.0];
         let w = [0.001, 0.001, 1000.0, 1000.0];
         let dummy = [0.0, 0.0, 0.0, 0.0];
-        let data =
-            DataSet::new(vec![("y", &ys[..]), ("w", &w[..]), ("x", &dummy[..])]).unwrap();
+        let data = DataSet::new(vec![("y", &ys[..]), ("w", &w[..]), ("x", &dummy[..])]).unwrap();
         let s = f.split_symbols(&["y", "w", "x"]);
         assert!(detect_linear(&f, &s).is_some());
         let opts = FitOptions { weights_column: Some("w".to_string()), ..Default::default() };

@@ -235,8 +235,7 @@ impl IterativePlan {
                                 continue;
                             }
                         };
-                        let cand: Vec<f64> =
-                            beta.iter().zip(&delta).map(|(b, d)| b + d).collect();
+                        let cand: Vec<f64> = beta.iter().zip(&delta).map(|(b, d)| b + d).collect();
                         if let Ok(rc) = weighted_residuals(&cand, &mut stack) {
                             let rssc = rss_of(&rc);
                             if rssc.is_finite() && rssc < rss {
@@ -246,8 +245,7 @@ impl IterativePlan {
                                 rss = rssc;
                                 lambda = (lambda / 3.0).max(1e-12);
                                 accepted = true;
-                                if (old - rss).abs() <= options.tolerance * rss.max(1e-300)
-                                {
+                                if (old - rss).abs() <= options.tolerance * rss.max(1e-300) {
                                     converged = true;
                                 }
                                 break;
@@ -281,8 +279,7 @@ impl IterativePlan {
         }
 
         let tss = lawsdb_linalg::ops::total_sum_of_squares(y);
-        let xtx_inv =
-            final_jtj.and_then(|m| Cholesky::new(&m).ok().and_then(|c| c.inverse().ok()));
+        let xtx_inv = final_jtj.and_then(|m| Cholesky::new(&m).ok().and_then(|c| c.inverse().ok()));
         let diagnostics = FitDiagnostics::compute(n, params, &beta, rss, tss, xtx_inv.as_ref());
         Ok(FitResult {
             params: params.iter().cloned().zip(beta).collect(),

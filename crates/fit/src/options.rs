@@ -112,11 +112,7 @@ impl FitOptions {
     /// The start of a named parameter where the fit does not start
     /// from its rows: its value in `initial`, else `default_start`.
     pub fn start_for(&self, name: &str) -> f64 {
-        self.initial
-            .iter()
-            .find(|(n, _)| n == name)
-            .map(|(_, v)| *v)
-            .unwrap_or(self.default_start)
+        self.initial.iter().find(|(n, _)| n == name).map(|(_, v)| *v).unwrap_or(self.default_start)
     }
 }
 

@@ -28,8 +28,7 @@ fn every_judged_fit_emits_a_diagnostics_event() {
     tracer().uninstall();
 
     let events = sink.drain();
-    let diag: Vec<_> =
-        events.iter().filter(|e| e.name == "fit.diagnostics").collect();
+    let diag: Vec<_> = events.iter().filter(|e| e.name == "fit.diagnostics").collect();
     assert_eq!(diag.len(), 1);
     assert_eq!(diag[0].field("n").and_then(FieldValue::as_u64), Some(5));
     assert_eq!(diag[0].field("p").and_then(FieldValue::as_u64), Some(2));

@@ -274,11 +274,7 @@ impl Matrix {
 
     /// Scaled copy `self * s`.
     pub fn scale(&self, s: f64) -> Matrix {
-        Matrix {
-            rows: self.rows,
-            cols: self.cols,
-            data: self.data.iter().map(|x| x * s).collect(),
-        }
+        Matrix { rows: self.rows, cols: self.cols, data: self.data.iter().map(|x| x * s).collect() }
     }
 
     /// Add `lambda` to every diagonal entry in place (Levenberg-Marquardt

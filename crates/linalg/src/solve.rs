@@ -463,7 +463,11 @@ mod tests {
     #[test]
     fn qr_matches_cholesky_on_overdetermined() {
         let xs: Vec<f64> = (0..20).map(|i| i as f64 / 3.0).collect();
-        let ys: Vec<f64> = xs.iter().enumerate().map(|(i, x)| 1.5 - 0.7 * x + ((i * 37) % 11) as f64 * 0.01).collect();
+        let ys: Vec<f64> = xs
+            .iter()
+            .enumerate()
+            .map(|(i, x)| 1.5 - 0.7 * x + ((i * 37) % 11) as f64 * 0.01)
+            .collect();
         let ones = vec![1.0; 20];
         let design = Matrix::from_columns(&[&ones, &xs]).unwrap();
         let qr_beta = Qr::new(&design).unwrap().solve_least_squares(&ys).unwrap();

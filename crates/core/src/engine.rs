@@ -561,15 +561,17 @@ impl LawsDb {
             }
             model.state = ModelState::Retired;
         }
-        // The legal-combination Bloom filter of the observed rows
+        // The legal-combination Bloom filter of the covered rows
         // (Section 4.2's compressed lookup structure) rides with the
-        // model, so enumeration never invents a combination.
+        // model, so enumeration never invents a combination. A partial
+        // model's `rows_at_fit` counts the table's rows, not its covered
+        // ones, so its filter is built again.
         if let (true, Some(g)) = (passed, group_column) {
-            let grown = appended.and_then(|(live, _)| {
+            let grown = appended.filter(|_| coverage.is_none()).and_then(|(live, _)| {
                 Some((live.observed_combos.as_deref()?, live.coverage.rows_at_fit))
             });
             let variables = &model.coverage.variables;
-            model.observed_combos = observed_combos(&table, g, variables, grown).map(Arc::new);
+            model.observed_combos = observed_combos(&rows, g, variables, grown).map(Arc::new);
         }
         let stored = self.models.store(model);
         if !passed {
@@ -1030,6 +1032,39 @@ mod tests {
                 other => panic!("model {id:?}: expected ResidualDrift, got {other:?}"),
             }
         }
+    }
+
+    #[test]
+    fn a_partial_models_legal_filter_is_built_over_its_covered_rows() {
+        // `source = 3` covers a tenth of the rows.
+        let laws: Vec<(f64, f64)> =
+            (0..10).map(|s| (1.0 + s as f64, -0.5 - 0.05 * s as f64)).collect();
+        let db = lofar_db_of(&laws);
+        let formula = "intensity ~ p * nu ^ alpha";
+        let options = RawFitOptions::default();
+        let over_covered = |m: &CapturedModel| {
+            let table = db.table("measurements").unwrap();
+            let source = table.column("source").unwrap().i64_values().unwrap();
+            let rows: Vec<usize> =
+                source.enumerate().filter(|(_, k)| *k == Some(3)).map(|(r, _)| r).collect();
+            let covered = table.take(&rows).unwrap();
+            observed_combos(&covered, "source", &m.coverage.variables, None).unwrap()
+        };
+        let m = db
+            .capture_model_where("measurements", formula, Some("source"), "source = 3", &options)
+            .unwrap();
+        assert_eq!(m.params.keys, [3]);
+        assert_eq!(m.observed_combos.as_deref(), Some(&over_covered(&m)));
+        // A refit after an append builds it again over the covered rows.
+        let batch = [
+            Column::from_i64(vec![3; 10].into_iter().chain([7; 10]).collect()),
+            Column::from_f64(vec![0.15; 20]),
+            Column::from_f64(vec![4.0 * 0.15_f64.powf(-0.65); 20]),
+        ];
+        db.append_rows("measurements", &batch).unwrap();
+        let refit = db.refit(m.id, &options).unwrap();
+        assert_eq!(refit.observed_combos.as_deref(), Some(&over_covered(&refit)));
+        assert_eq!(db.models().get(refit.id).unwrap().state, ModelState::Active);
     }
 
     #[test]

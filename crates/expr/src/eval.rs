@@ -1,7 +1,7 @@
 //! Scalar (tree-walking) evaluation of expressions.
 //!
 //! The scalar evaluator is the reference semantics; the vectorized
-//! bytecode evaluator in [`crate::compile`] must agree with it exactly
+//! evaluator in [`crate::compile`] must agree with it bit for bit
 //! (there is a property test asserting this).
 
 use crate::ast::Expr;

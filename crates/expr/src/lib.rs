@@ -16,9 +16,10 @@
 //! * a **parser** for model formulas such as
 //!   `"intensity ~ p * nu ^ alpha"` (R-style `response ~ body`);
 //! * a scalar and a **vectorized, compiled** evaluator
-//!   ([`compile::CompiledExpr`]) — stack-based bytecode executed over
-//!   column batches, so that model-backed "zero-IO" scans are genuinely
-//!   CPU-bound and fast;
+//!   ([`compile::CompiledExpr`]) — a list of expressions compiled into
+//!   one register program over column batches, with equal subtrees
+//!   computed once, so that model-backed "zero-IO" scans are genuinely
+//!   CPU-bound and fast and a fit's body and Jacobian are one pass;
 //! * **symbolic differentiation** ([`deriv::differentiate`]) — the
 //!   Gauss-Newton and Levenberg-Marquardt fitters need the Jacobian
 //!   `∂r/∂βⱼ` of the residual in the unknown parameters, and symbolic

@@ -1,9 +1,11 @@
-//! Property tests for the formula language: the compiled bytecode
-//! evaluator must agree with the tree-walking reference on *arbitrary*
-//! expressions, display must re-parse to the same tree, and symbolic
-//! derivatives must match finite differences wherever both are finite.
+//! Property tests for the formula language: the compiled evaluator
+//! must agree with the tree-walking reference bit for bit on *arbitrary*
+//! expressions and lists of them, display must re-parse to the same
+//! tree, and symbolic derivatives must match finite differences wherever
+//! both are finite.
 
 use lawsdb_expr::ast::{Expr, Func};
+use lawsdb_expr::compile::Registers;
 use lawsdb_expr::{parse_expr, Bindings, CompiledExpr};
 use proptest::prelude::*;
 
@@ -29,6 +31,11 @@ fn arb_expr() -> impl Strategy<Value = Expr> {
             (inner.clone(), inner).prop_map(|(l, r)| Expr::Call(Func::Min, vec![l, r])),
         ]
     })
+}
+
+/// Equal bits, or both NaN.
+fn same_bits(a: f64, b: f64) -> bool {
+    a.to_bits() == b.to_bits() || (a.is_nan() && b.is_nan())
 }
 
 fn bits_eq_or_both_nan(a: f64, b: f64) -> bool {
@@ -64,9 +71,50 @@ proptest! {
             bind.set("b", b);
             let reference = e.eval(&bind).unwrap();
             prop_assert!(
-                bits_eq_or_both_nan(batch[i], reference),
+                same_bits(batch[i], reference),
                 "{e}: batch {} vs tree {} at x={x}", batch[i], reference
             );
+        }
+    }
+
+    /// One program over several roots that share subtrees (each root
+    /// again, their product, a derivative): bound once, evaluated at two
+    /// sets of scalars, every output ≡ the tree walk of its root, bit
+    /// for bit.
+    #[test]
+    fn a_program_of_many_roots_matches_the_tree_walk(
+        e in arb_expr(),
+        g in arb_expr(),
+        xs in prop::collection::vec(-3.0f64..3.0, 1..24),
+        ab in prop::collection::vec(-3.0f64..3.0, 4),
+    ) {
+        let mut roots = vec![
+            e.clone(),
+            g.clone(),
+            Expr::Mul(Box::new(e.clone()), Box::new(g.clone())),
+            e.clone(),
+            Expr::Call(Func::Ln, vec![Expr::Sym("x".to_string())]),
+        ];
+        roots.extend(lawsdb_expr::deriv::differentiate(&e, "a"));
+        let program = CompiledExpr::compile_roots(&roots, &["x"]).unwrap();
+        let cols: Vec<&[f64]> = program.columns().iter().map(|_| &xs[..]).collect();
+        let mut regs = Registers::default();
+        program.bind(&cols, &mut regs).unwrap();
+        for (a, b) in [(ab[0], ab[1]), (ab[2], ab[3])] {
+            let scalars: Vec<f64> =
+                program.scalars().iter().map(|s| if s == "a" { a } else { b }).collect();
+            program.eval(&cols, &scalars, &mut regs).unwrap();
+            for (k, root) in roots.iter().enumerate() {
+                let out = program.output(k, &cols, &regs);
+                for (i, &x) in xs.iter().enumerate() {
+                    let bind: Bindings = [("x", x), ("a", a), ("b", b)].into_iter().collect();
+                    let reference = root.eval(&bind).unwrap();
+                    prop_assert!(
+                        same_bits(out.get(i), reference),
+                        "root {k} {root}: program {} vs tree {reference} at x={x}", out.get(i)
+                    );
+                }
+            }
         }
     }
 

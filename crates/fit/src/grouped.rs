@@ -11,7 +11,7 @@
 use crate::data::DataSet;
 use crate::error::{FitError, Result};
 use crate::options::FitOptions;
-use crate::plan::FitPlan;
+use crate::plan::{FitPlan, Workspace};
 use crate::FitResult;
 use lawsdb_expr::Formula;
 use std::borrow::Cow;
@@ -105,23 +105,25 @@ pub fn fit_grouped(
         .collect();
 
     let threads = threads.max(1).min(groups.len().max(1));
-    let fit_one = |(key, rows): &(i64, Range<usize>)| -> GroupFit {
-        let slices: Vec<&[f64]> = cols.iter().map(|c| &c[rows.clone()]).collect();
-        GroupFit { key: *key, rows: rows.len(), outcome: plan.fit_columns(&slices) }
+    // Each worker fits its groups in one workspace.
+    let fit_all = |groups: &[(i64, Range<usize>)]| -> Vec<GroupFit> {
+        let mut ws = Workspace::default();
+        let fit_one = |(key, rows): &(i64, Range<usize>)| {
+            let slices: Vec<&[f64]> = cols.iter().map(|c| &c[rows.clone()]).collect();
+            GroupFit { key: *key, rows: rows.len(), outcome: plan.fit_columns(&slices, &mut ws) }
+        };
+        groups.iter().map(fit_one).collect()
     };
 
     let fits: Vec<GroupFit> = if threads == 1 {
-        groups.iter().map(fit_one).collect()
+        fit_all(&groups)
     } else {
         // Static chunking over sorted keys; groups are similar in size
         // in the workloads we target, so work stays balanced.
         let chunk = groups.len().div_ceil(threads);
         let mut out: Vec<Vec<GroupFit>> = Vec::new();
         std::thread::scope(|s| {
-            let handles: Vec<_> = groups
-                .chunks(chunk)
-                .map(|gs| s.spawn(|| gs.iter().map(fit_one).collect::<Vec<_>>()))
-                .collect();
+            let handles: Vec<_> = groups.chunks(chunk).map(|gs| s.spawn(|| fit_all(gs))).collect();
             for h in handles {
                 out.push(h.join().expect("fit worker panicked"));
             }

@@ -7,7 +7,7 @@ use crate::error::{FitError, Result};
 use crate::options::{FitOptions, LinearSolver};
 use crate::plan::Compiled;
 use crate::FitResult;
-use lawsdb_expr::compile::ExecStack;
+use lawsdb_expr::compile::Registers;
 use lawsdb_expr::deriv::differentiate;
 use lawsdb_expr::parser::SymbolSplit;
 use lawsdb_expr::simplify::simplify;
@@ -139,10 +139,12 @@ fn log_name(p: &str) -> String {
     format!("ln({p})")
 }
 
-/// A [`LinearForm`] compiled over a plan's columns.
+/// A [`LinearForm`] compiled over a plan's columns: one program whose
+/// outputs are the basis columns, then the offset.
 pub(crate) struct LinearPlan {
-    basis: Vec<Compiled>,
-    offset: Compiled,
+    program: Compiled,
+    /// The number of basis columns.
+    p: usize,
 }
 
 impl LinearPlan {
@@ -151,17 +153,18 @@ impl LinearPlan {
         variables: &[&str],
         columns: &[String],
     ) -> Result<LinearPlan> {
-        let compile = |e: &Expr| Compiled::new(e, variables, columns, &form.params);
-        Ok(LinearPlan {
-            basis: form.basis.iter().map(compile).collect::<Result<_>>()?,
-            offset: compile(&form.offset)?,
-        })
+        let roots: Vec<Expr> = form.basis.iter().chain([&form.offset]).cloned().collect();
+        let program = Compiled::new(&roots, variables, columns, &form.params)?;
+        Ok(LinearPlan { program, p: form.basis.len() })
     }
 
     /// The design columns and the offset over `cols`' rows.
-    fn design(&self, cols: &[&[f64]], stack: &mut ExecStack) -> Result<(Vec<Vec<f64>>, Vec<f64>)> {
-        let basis = self.basis.iter().map(|b| b.eval(cols, &[], stack)).collect::<Result<_>>()?;
-        Ok((basis, self.offset.eval(cols, &[], stack)?))
+    fn design(&self, cols: &[&[f64]], regs: &mut Registers) -> Result<(Vec<Vec<f64>>, Vec<f64>)> {
+        let n = cols[0].len();
+        let slots = self.program.bind(cols, regs)?;
+        self.program.eval(&slots, &[], regs)?;
+        let column = |k: usize| self.program.output(k, &slots, regs).to_vec(n);
+        Ok(((0..self.p).map(column).collect(), column(self.p)))
     }
 
     /// Fit by (weighted, optionally ridge-penalized) least squares over
@@ -173,6 +176,7 @@ impl LinearPlan {
         cols: &[&[f64]],
         weights: Option<usize>,
         options: &FitOptions,
+        regs: &mut Registers,
     ) -> Result<FitResult> {
         let p = params.len();
         let y = cols[0];
@@ -180,8 +184,7 @@ impl LinearPlan {
         if n < p {
             return Err(FitError::TooFewObservations { observations: n, parameters: p });
         }
-        let mut stack = ExecStack::default();
-        let (mut design_cols, offset) = self.design(cols, &mut stack)?;
+        let (mut design_cols, offset) = self.design(cols, regs)?;
 
         // Adjusted response: y − offset.
         let mut y_adj: Vec<f64> = y.iter().zip(&offset).map(|(a, b)| a - b).collect();
@@ -268,8 +271,8 @@ impl LogStart {
     /// finite basis and offset, with βⱼ = e^θⱼ for the log parameters.
     /// `None` when fewer such rows than parameters remain, or the
     /// solution is singular or not finite.
-    pub(crate) fn start(&self, cols: &[&[f64]], stack: &mut ExecStack) -> Result<Option<Vec<f64>>> {
-        let (basis, offset) = self.design.design(cols, stack)?;
+    pub(crate) fn start(&self, cols: &[&[f64]], regs: &mut Registers) -> Result<Option<Vec<f64>>> {
+        let (basis, offset) = self.design.design(cols, regs)?;
         let y = cols[0];
         let usable = |i: usize| {
             y[i] > 0.0 && offset[i].is_finite() && basis.iter().all(|b| b[i].is_finite())

@@ -13,7 +13,7 @@ use crate::linear::{detect_linear, LinearPlan};
 use crate::nlls::IterativePlan;
 use crate::options::FitOptions;
 use crate::FitResult;
-use lawsdb_expr::compile::ExecStack;
+use lawsdb_expr::compile::{Registers, Value};
 use lawsdb_expr::{CompiledExpr, Expr, Formula};
 use std::borrow::Cow;
 
@@ -106,19 +106,46 @@ impl FitPlan {
     pub(crate) fn fit(&self, data: &DataSet<'_>) -> Result<FitResult> {
         let cols: Vec<&[f64]> =
             self.columns.iter().map(|c| data.column(c)).collect::<Result<_>>()?;
-        self.fit_columns(&cols)
+        self.fit_columns(&cols, &mut Workspace::default())
     }
 
     /// Fit one set of rows: `cols[i]` holds the column named
     /// `self.columns()[i]`, all of one length. Rows where any of them
-    /// is not finite (NULLs arrive as NaN) are left out.
-    pub(crate) fn fit_columns(&self, cols: &[&[f64]]) -> Result<FitResult> {
+    /// is not finite (NULLs arrive as NaN) are left out. `ws` may come
+    /// from any earlier fit.
+    pub(crate) fn fit_columns(&self, cols: &[&[f64]], ws: &mut Workspace) -> Result<FitResult> {
         let usable = finite_rows(cols);
         let cols: Vec<&[f64]> = usable.iter().map(|c| &**c).collect();
+        let (params, weights, options) = (&self.params, self.weights, &self.options);
         match &self.method {
-            Method::Linear(l) => l.fit(&self.params, &cols, self.weights, &self.options),
-            Method::Iterative(it) => it.fit(&self.params, &cols, self.weights, &self.options),
+            Method::Linear(l) => l.fit(params, &cols, weights, options, &mut ws.regs),
+            Method::Iterative(it) => it.fit(params, &cols, weights, options, ws),
         }
+    }
+}
+
+/// The buffers a fit runs in, reused across the row sets one worker
+/// fits.
+#[derive(Default)]
+pub(crate) struct Workspace {
+    pub(crate) regs: Registers,
+    /// Weighted residuals at the current parameters.
+    pub(crate) residuals: Vec<f64>,
+    /// Weighted residuals at a candidate.
+    pub(crate) candidate: Vec<f64>,
+    /// √w per row, when the fit is weighted.
+    pub(crate) sqrt_w: Vec<f64>,
+    /// The Jacobian's columns, √w-scaled.
+    pub(crate) jacobian: Vec<Vec<f64>>,
+}
+
+#[cfg(test)]
+impl FitPlan {
+    /// The iterative fit this plan runs and the weights column's
+    /// position, for tests that hold it to a reference.
+    pub(crate) fn iterative_parts(&self) -> (&IterativePlan, Option<usize>, &FitOptions) {
+        let Method::Iterative(it) = &self.method else { panic!("a linear plan") };
+        (it, self.weights, &self.options)
     }
 }
 
@@ -138,43 +165,58 @@ fn finite_rows<'a>(cols: &[&'a [f64]]) -> Vec<Cow<'a, [f64]>> {
     cols.iter().map(|c| Cow::Owned(rows.iter().map(|&r| c[r]).collect())).collect()
 }
 
-/// An expression compiled once, with the positions of its column slots
-/// among a plan's columns and of its scalar slots among the parameters.
+/// Expressions compiled once into one program, with the positions of
+/// its column slots among a plan's columns. Its scalar slots, if any,
+/// are the parameters in `beta` order.
 pub(crate) struct Compiled {
-    ce: CompiledExpr,
+    program: CompiledExpr,
     columns: Vec<usize>,
-    scalars: Vec<usize>,
 }
 
 impl Compiled {
-    /// Compile `expr` with `variables` as its columns; `columns` are the
+    /// Compile `roots` with `variables` as its columns; `columns` are the
     /// plan's columns and `params` the parameters, in `beta` order.
     pub(crate) fn new(
-        expr: &Expr,
+        roots: &[Expr],
         variables: &[&str],
         columns: &[String],
         params: &[String],
     ) -> Result<Compiled> {
-        let ce = CompiledExpr::compile(expr, variables)?;
-        let columns = ce.columns().iter().map(|c| position(columns, c)).collect();
-        let scalars = ce.scalars().iter().map(|s| position(params, s)).collect();
-        Ok(Compiled { ce, columns, scalars })
+        let program = CompiledExpr::compile_roots(roots, variables)?;
+        // A fit's program reads every parameter (its first root is the
+        // body) or none (a linear form's basis and offset).
+        assert!(program.scalars().is_empty() || program.scalars() == params);
+        let columns = program.columns().iter().map(|c| position(columns, c)).collect();
+        Ok(Compiled { program, columns })
     }
 
-    /// One value per row of `cols` (the plan's columns, at least the
-    /// response) at parameters `beta`; a body without a column is
-    /// broadcast to every row.
-    pub(crate) fn eval(
+    /// Bind the rows of `cols` (the plan's columns, at least the
+    /// response): run the prologue into `regs`, and return the columns
+    /// [`Compiled::eval`] and [`Compiled::output`] take.
+    pub(crate) fn bind<'c>(
         &self,
-        cols: &[&[f64]],
-        beta: &[f64],
-        stack: &mut ExecStack,
-    ) -> Result<Vec<f64>> {
-        let n = cols[0].len();
+        cols: &[&'c [f64]],
+        regs: &mut Registers,
+    ) -> Result<Vec<&'c [f64]>> {
         let slots: Vec<&[f64]> = self.columns.iter().map(|&i| cols[i]).collect();
-        let scalars: Vec<f64> = self.scalars.iter().map(|&i| beta[i]).collect();
-        let v = self.ce.eval_batch_with(&slots, &scalars, stack)?;
-        Ok(if v.len() == 1 && n != 1 { vec![v[0]; n] } else { v })
+        self.program.bind(&slots, regs)?;
+        Ok(slots)
+    }
+
+    /// Evaluate at parameters `beta` over the rows last bound.
+    pub(crate) fn eval(&self, slots: &[&[f64]], beta: &[f64], regs: &mut Registers) -> Result<()> {
+        let beta = if self.program.scalars().is_empty() { &[] } else { beta };
+        Ok(self.program.eval(slots, beta, regs)?)
+    }
+
+    /// Root `k`'s value at the last [`Compiled::eval`].
+    pub(crate) fn output<'a>(
+        &self,
+        k: usize,
+        slots: &[&'a [f64]],
+        regs: &'a Registers,
+    ) -> Value<'a> {
+        self.program.output(k, slots, regs)
     }
 }
 
@@ -191,7 +233,7 @@ mod tests {
         let plan = FitPlan::new(&f, &data.names(), &options).unwrap();
         let cols: Vec<&[f64]> = plan.columns.iter().map(|c| data.column(c).unwrap()).collect();
         let Method::Iterative(it) = &plan.method else { panic!("{formula} is linear") };
-        let from_rows = it.start_from_rows(&cols, &mut ExecStack::default()).unwrap();
+        let from_rows = it.start_from_rows(&cols, &mut Registers::default()).unwrap();
         from_rows.unwrap_or_else(|| plan.params.iter().map(|p| options.start_for(p)).collect())
     }
 

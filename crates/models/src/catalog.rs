@@ -182,13 +182,20 @@ impl ModelCatalog {
         Ok(())
     }
 
-    /// Retire every other model covering the same (table, response) —
-    /// called after a re-fit stores a fresh winner.
+    /// Retire every other model of the winner's (table, response) that
+    /// covers what it covers: the same coverage predicate and group
+    /// column. Called after a re-fit stores a fresh winner; a model over
+    /// another predicate or grouping is not one of its versions and
+    /// keeps its state.
     pub fn retire_others(&self, winner: ModelId) -> Result<Vec<ModelId>> {
         let w = self.get(winner)?;
+        let same_cover = |m: &CapturedModel| {
+            m.coverage.predicate == w.coverage.predicate
+                && m.params.group_column == w.params.group_column
+        };
         let mut retired = Vec::new();
         for m in self.models_for(&w.coverage.table, &w.coverage.response) {
-            if m.id != winner && m.state != ModelState::Retired {
+            if m.id != winner && same_cover(&m) && m.state != ModelState::Retired {
                 self.set_state(m.id, ModelState::Retired)?;
                 retired.push(m.id);
             }
@@ -294,6 +301,31 @@ mod tests {
         assert_eq!(retired, vec![old.id]);
         assert_eq!(c.get(old.id).unwrap().state, ModelState::Retired);
         assert_eq!(c.best_for("t", "y", false).unwrap().id, fresh.id);
+    }
+
+    #[test]
+    fn a_refit_retires_only_the_versions_of_its_own_coverage() {
+        let c = ModelCatalog::new();
+        let over = |predicate: Option<&str>| {
+            let mut m = model("t", "y", 0.9);
+            m.coverage.predicate = predicate.map(str::to_string);
+            m
+        };
+        let whole = c.store(over(None));
+        let low = c.store(over(Some("x < 3")));
+        let high = c.store(over(Some("x >= 3")));
+        let fresh_whole = c.store(over(None));
+        assert_eq!(c.retire_others(fresh_whole.id).unwrap(), vec![whole.id]);
+        let fresh_low = c.store(over(Some("x < 3")));
+        assert_eq!(c.retire_others(fresh_low.id).unwrap(), vec![low.id]);
+        for (id, state) in [
+            (fresh_whole.id, ModelState::Active),
+            (fresh_low.id, ModelState::Active),
+            (high.id, ModelState::Active),
+            (low.id, ModelState::Retired),
+        ] {
+            assert_eq!(c.get(id).unwrap().state, state, "{id:?}");
+        }
     }
 
     #[test]

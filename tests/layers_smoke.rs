@@ -17,7 +17,7 @@ use lawsdb::core::{AnswerMode, DurableDb, FitOptions, LawsDb};
 use lawsdb::data::lofar::{LofarConfig, LofarDataset};
 use lawsdb::data::timeseries::{TimeSeriesConfig, TimeSeriesDataset};
 use lawsdb::models::bridge::fit_table_grouped;
-use lawsdb::models::{CapturedModel, ModelId};
+use lawsdb::models::{CapturedModel, ModelId, ModelState};
 use lawsdb::obs::{attribute_layers, global_metrics, LAYERS};
 use lawsdb::query::{
     execute_with, parse_select, CostConstants, ExecOptions, ModelPlan, ProfileCollector,
@@ -661,6 +661,11 @@ fn an_incremental_refit_equals_a_cold_capture() {
             let partial_sum = sum(&|k| k < 30 && keys.contains(&k));
             assert_eq!(partial_iterations, partial_sum, "{ctx}: partial iterations");
             assert_eq!(got_partial.coverage.predicate.as_deref(), Some(COVERAGE));
+            // Each refit retired only its own model's versions.
+            for fresh in [&got_full, &got_partial] {
+                let state = db.models().get(fresh.id).unwrap().state;
+                assert_eq!(state, ModelState::Active, "{ctx}: model {:?}", fresh.id);
+            }
             (full, partial) = (got_full, got_partial);
         }
         // The NULL source and each one-row source have no parameters.

@@ -203,9 +203,9 @@ impl Compiled {
         Ok(slots)
     }
 
-    /// Evaluate at parameters `beta` over the rows last bound.
+    /// Evaluate at parameters `beta` (none for a program without
+    /// scalar slots) over the rows last bound.
     pub(crate) fn eval(&self, slots: &[&[f64]], beta: &[f64], regs: &mut Registers) -> Result<()> {
-        let beta = if self.program.scalars().is_empty() { &[] } else { beta };
         Ok(self.program.eval(slots, beta, regs)?)
     }
 
